@@ -90,10 +90,26 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
     return np.array(coords)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_COUNT, _SEED = _int_at_least(1), _int_at_least(0)
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("source", help="structure file or builtin:<key>[?n=..,s=..]")
-    p.add_argument("--points", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--points", type=_COUNT, default=32)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--strategy", choices=("halton", "grid"), default="halton")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -135,7 +151,10 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("WQCM_SEED")
-    return int(env) if env else 7
+    try:
+        return _SEED(env) if env else 7
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(f"bad WQCM_SEED {env!r}: {exc}") from exc
 
 
 def _write(payload: bytes, args, stdout) -> None:

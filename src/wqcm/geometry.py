@@ -108,19 +108,36 @@ def riemann(m: MetricEval) -> np.ndarray:
     return r
 
 
-def curvature(m: MetricEval, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R_{X,Y} Z as a vector at the point."""
-    return np.einsum("lkij,i,j,k->l", riemann(m), x, y, z)
+def bilinear(t: np.ndarray, x, y) -> np.ndarray:
+    """t[k, i, j] x^k y^j.  Each of x, y is a vector or a matrix of column
+    vectors; matrices give every column pair, out[i, a, b] for x[:, a], y[:, b],
+    and a vector argument has no axis of its own in the result."""
+    (k, i, j), xs, ys = t.shape, np.shape(x)[1:], np.shape(y)[1:]
+    ty = t @ np.reshape(y, (j, -1))  # [k, i, b]
+    out = np.reshape(x, (k, -1)).T @ ty.reshape(k, -1)  # [a, (i, b)]
+    return out.reshape(-1, i, ty.shape[2]).transpose(1, 0, 2).reshape((i,) + xs + ys)
 
 
-def sectional(m: MetricEval, x: np.ndarray, y: np.ndarray) -> float:
-    """Sectional curvature of the plane spanned by x, y."""
+def curvature(m: MetricEval, x, y, z: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """R_{X,Y} Z at the point; X and Y may be matrices of columns (see
+    `bilinear`).  Pass the curvature tensor `r` to avoid rebuilding it."""
+    r = riemann(m) if r is None else r
+    rz = r.transpose(0, 2, 3, 1) @ z  # [l, i, j]
+    return bilinear(rz.transpose(1, 0, 2), x, y)
+
+
+def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray | None = None):
+    """Sectional curvature of the plane spanned by x, y; for a matrix y, of the
+    plane of x with each column of y."""
+    r = riemann(m) if r is None else r
     gx = m.g @ x
-    gy = m.g @ y
-    den = (x @ gx) * (y @ gy) - (x @ gy) ** 2
-    if den < 1e-12:
+    den = (x @ gx) * np.sum(y * (m.g @ y), axis=0) - (gx @ y) ** 2
+    if np.any(den < 1e-12):
         raise DegeneratePlaneError("plane is degenerate (vectors nearly dependent)")
-    return float((curvature(m, x, y, y) @ gx) / den)
+    # g(R_{X,Y} Y, X) = R^l_{kij} gx_l x^i y^j y^k
+    d = len(x)
+    a = (gx @ (r.transpose(0, 1, 3, 2) @ x).reshape(d, -1)).reshape(d, d)  # [k, j]
+    return np.sum(y * (a @ y), axis=0) / den
 
 
 def orthonormal_frame(g: np.ndarray, seed_vectors: np.ndarray | None = None) -> np.ndarray:
@@ -134,15 +151,10 @@ def orthonormal_frame(g: np.ndarray, seed_vectors: np.ndarray | None = None) -> 
     return frame
 
 
-def ricci(m: MetricEval, x: np.ndarray, y: np.ndarray) -> float:
+def ricci(m: MetricEval, x: np.ndarray, y: np.ndarray, r: np.ndarray | None = None) -> float:
     """Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over a g-orthonormal frame."""
     frame = orthonormal_frame(m.g)
-    r = riemann(m)
-    total = 0.0
-    for a in range(frame.shape[1]):
-        e = frame[:, a]
-        total += float(np.einsum("lkij,i,j,k->l", r, e, x, y) @ (m.g @ e))
-    return total
+    return float(np.sum((m.g @ frame) * curvature(m, frame, x, y, r)))
 
 
 # -- covariant derivatives (component level) -----------------------------------

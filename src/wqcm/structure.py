@@ -8,7 +8,8 @@ derived here:
 
 A `PointState` bundles all component arrays (values plus the derivatives
 the identities need) at a single chart point; it is immutable and cached
-per point on the owning `WeakACM`.
+per point on the owning `WeakACM`, with what all check suites share there:
+the test-direction matrix of a seed, the gate residuals and the f-basis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .exprdsl import StructureDef, eval_jet
-from .geometry import MetricEval
+from .geometry import MetricEval, bilinear
 
 
 class StructureError(ValueError):
@@ -61,11 +62,14 @@ def _eval_vector_field(exprs, point):
 class PointState:
     """All tensor data of a weak a.c.m. structure at one chart point."""
 
-    def __init__(self, sdef: StructureDef, point: np.ndarray):
-        self.sdef = sdef
+    def __init__(self, owner: WeakACM, point: np.ndarray):
+        self.owner = owner
+        self.sdef = owner.sdef
         self.point = np.asarray(point, dtype=float)
-        self.dim = sdef.dim
-        self.n = sdef.n
+        self.dim = self.sdef.dim
+        self.n = self.sdef.n
+        self._directions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._quasi: dict[int, float] = {}
 
     # -- raw fields ---------------------------------------------------------
 
@@ -256,58 +260,103 @@ class PointState:
         return geometry.lie_derivative_tensor11(self.xi, self.dxi, self.Q, self.dQ)
 
     def curvature_op(self, x, y, z):
-        """R_{X,Y} Z."""
-        return np.einsum("lkij,i,j,k->l", self.riem, x, y, z)
+        """R_{X,Y} Z; X and Y may be direction matrices (`geometry.bilinear`)."""
+        return geometry.curvature(self.metric, x, y, z, self.riem)
 
     def ell(self, x):
         """The curvature operator used by the suites: ell X = R_{xi, X} xi."""
         return self.curvature_op(self.xi, x, self.xi)
 
-    def sectional(self, x, y) -> float:
-        return geometry.sectional(self.metric, x, y)
+    def sectional(self, x, y):
+        return geometry.sectional(self.metric, x, y, self.riem)
 
     def ricci(self, x, y) -> float:
-        return geometry.ricci(self.metric, x, y)
+        return geometry.ricci(self.metric, x, y, self.riem)
 
     # -- inner products -------------------------------------------------------
 
     def gdot(self, x, y) -> float:
         return float(x @ self.g @ y)
 
-    def gnorm(self, x) -> float:
-        return math.sqrt(max(self.gdot(x, x), 0.0))
+    def gnorm(self, x):
+        """g-norm of a vector, or of each column of a d x ... array."""
+        gx = (self.g @ np.reshape(x, (self.dim, -1))).reshape(np.shape(x))
+        return np.sqrt(np.maximum(np.sum(x * gx, axis=0), 0.0))
 
     def g_normalize(self, x):
+        """Scale a vector, or each column of a matrix, to g-norm 1."""
         nrm = self.gnorm(x)
-        if nrm < 1e-14:
+        if np.any(nrm < 1e-14):
             raise StructureError("cannot normalize a (near) zero vector")
         return x / nrm
 
     def project_ker_eta(self, x):
-        """g-orthogonal projection onto ker eta = xi-perp."""
-        return x - self.gdot(self.xi, x) * self.xi
+        """g-orthogonal projection onto ker eta = xi-perp (of each column)."""
+        return x - np.multiply.outer(self.xi, self.eta @ x)
+
+    # -- what the check suites share ------------------------------------------
+
+    def directions(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The direction matrix D (d x m, the vectors of `classify.direction_set`
+        as columns) and f D, built once per seed."""
+        if seed not in self._directions:
+            from .classify import direction_set  # classify imports this module
+
+            d = direction_set(self, seed).T
+            self._directions[seed] = (d, self.f @ d)
+        return self._directions[seed]
+
+    def quasi_residual(self, seed: int) -> float:
+        """Largest g-norm of the quasi-contact defect over the direction pairs."""
+        if seed not in self._quasi:
+            from .classify import quasi_defect
+
+            d, _ = self.directions(seed)
+            self._quasi[seed] = float(np.max(self.gnorm(quasi_defect(self, d, d))))
+        return self._quasi[seed]
+
+    @cached_property
+    def contact_residual(self) -> float:
+        """max |d eta - Phi|: zero on a contact metric structure."""
+        return float(np.max(np.abs(self.deta_form - self.Phi)))
+
+    @cached_property
+    def killing_residual(self) -> float:
+        """max |L_xi g|: zero when xi is a Killing field."""
+        return float(np.max(np.abs(self.lie_xi_g)))
+
+    @cached_property
+    def fbasis(self):
+        """The adapted f-basis at this point (`classify.f_basis`)."""
+        from .classify import f_basis
+
+        return f_basis(self.owner, self.point)
 
     # -- N-tensors ------------------------------------------------------------
 
     def n1(self, x, y):
-        return self._nijenhuis(x, y) + 2.0 * self.deta2(x, y) * self.xi
+        return self._nijenhuis(x, y) + 2.0 * np.multiply.outer(self.xi, self.deta2(x, y))
 
     def _nijenhuis(self, x, y):
         """[f,f]^i_{jk} x^j y^k = (f^m_j d_m f^i_k - f^m_k d_m f^i_j
-                                   + f^i_m d_k f^m_j - f^i_m d_j f^m_k) x^j y^k."""
-        f, df = self.f, self.df
-        t1 = np.einsum("mj,j,mik,k->i", f, x, df, y)
-        t2 = np.einsum("mk,k,mij,j->i", f, y, df, x)
-        t3 = np.einsum("im,kmj,j,k->i", f, df, x, y)
-        t4 = np.einsum("im,jmk,k,j->i", f, df, y, x)
-        return t1 - t2 + t3 - t4
+                                   + f^i_m d_k f^m_j - f^i_m d_j f^m_k) x^j y^k,
+        for vectors or direction matrices as in `geometry.bilinear`."""
+        shape = (self.dim,) + np.shape(x)[1:] + np.shape(y)[1:]
+        x, y = np.reshape(x, (self.dim, -1)), np.reshape(y, (self.dim, -1))
 
-    def deta2(self, x, y) -> float:
-        """d eta(X, Y) with the 1/2 normalization."""
-        return float(x @ self.deta_form @ y)
+        def half(u, v):  # (f^m_j d_m f^i_k - f^i_m d_j f^m_k) u^j v^k
+            return bilinear(self.df, self.f @ u, v) - np.tensordot(
+                self.f, bilinear(self.df, u, v), axes=1
+            )
 
-    def n2(self, x, y) -> float:
-        return 2.0 * self.deta2(self.f @ x, y) - 2.0 * self.deta2(self.f @ y, x)
+        return (half(x, y) - half(y, x).transpose(0, 2, 1)).reshape(shape)
+
+    def deta2(self, x, y):
+        """d eta(X, Y) with the 1/2 normalization (over column pairs for matrices)."""
+        return x.T @ self.deta_form @ y
+
+    def n2(self, x, y):
+        return 2.0 * self.deta2(self.f @ x, y) - 2.0 * self.deta2(self.f @ y, x).T
 
     def n3(self, x):
         """N^(3)(X) = (L_xi f) X = 2 h X."""
@@ -340,39 +389,9 @@ class WeakACM:
         key = tuple(float(x) for x in point)
         st = self._cache.get(key)
         if st is None:
-            st = PointState(self.sdef, np.asarray(point, dtype=float))
+            st = PointState(self, np.asarray(point, dtype=float))
             self._cache[key] = st
         return st
-
-
-def derive_components(sdef: StructureDef) -> WeakACM:
-    """Wrap a definition; eta, Q, Qt and Phi are derived pointwise from g, f, xi."""
-    return WeakACM(sdef)
-
-
-def h_tensor(s: WeakACM, point) -> dict:
-    """h = (1/2) L_xi f with its g-adjoint and symmetric/skew parts."""
-    st = s.at(point)
-    h = st.h
-    h_star = st.h_star
-    return {
-        "h": h,
-        "h_adjoint": h_star,
-        "sym": 0.5 * (h + h_star),
-        "skew": 0.5 * (h - h_star),
-        "h_xi": h @ st.xi,
-    }
-
-
-def n_tensors(s: WeakACM, x, y, point) -> dict:
-    st = s.at(point)
-    return {
-        "n1": st.n1(x, y),
-        "n2": st.n2(x, y),
-        "n3": st.n3(x),
-        "n4": st.n4(x),
-        "nijenhuis": st._nijenhuis(x, y),
-    }
 
 
 @dataclass(frozen=True)

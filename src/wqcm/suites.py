@@ -4,7 +4,14 @@ Checks are hypothesis-gated: an identity that only holds under a hypothesis
 (e.g. the quasi-contact condition) is asserted only at sample points where
 the hypothesis residual itself passes; otherwise the check is reported as
 "skipped", never as a failure.  Residuals of derivative identities are
-normalized by (1 + magnitude of the largest participating term).
+normalized by (1 + magnitude of the largest participating term).  A NaN or
+infinite residual fails its check, and a non-finite hypothesis residual
+fails the checks it gates instead of skipping them.
+
+The identities are multilinear in the test directions, so each is evaluated
+at every direction pair of a point at once: the directions are the columns
+of one matrix D (`PointState.directions`), and contracting a defect with D
+gives an array over the pairs that is reduced with one max.
 
 Reports are deterministic for a fixed (structure, plan, tolerances) and
 serialize to a stable JSON schema:
@@ -16,7 +23,9 @@ serialize to a stable JSON schema:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -25,15 +34,14 @@ import numpy as np
 from .classify import (
     ClassReport,
     Tolerances,
-    class_residuals,
+    Worst,
+    axiom_residuals,
     contact_volume,
-    direction_set,
-    f_basis,
-    quasi_defect,
     sasakian_defect,
     validate_axioms,
 )
-from .structure import PointState, WeakACM
+from .geometry import bilinear
+from .structure import WeakACM
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -166,43 +174,66 @@ def emit_report(report: CheckReport, format: str = "text") -> bytes:
 # -- residual helpers ---------------------------------------------------------------
 
 
-def _normalized(st: PointState, defect, *terms) -> float:
-    """g-norm (or abs) of the defect, normalized by 1 + largest term size."""
-    def size(v):
-        if np.ndim(v) == 0:
-            return abs(float(v))
-        if np.ndim(v) == 1:
-            return st.gnorm(np.asarray(v))
-        return float(np.max(np.abs(v)))
-    scale = 1.0 + max((size(t) for t in terms), default=0.0)
-    return size(defect) / scale
+def _rel(size, *terms) -> float:
+    """Largest size / (1 + largest term size); sizes and term sizes are arrays
+    over the direction pairs that broadcast together, or scalars."""
+    scale = 1.0 + functools.reduce(np.maximum, terms, 0.0)
+    return float(np.max(size / scale, initial=0.0))
 
 
 def _mat_residual(m, *terms) -> float:
-    scale = 1.0 + max((float(np.max(np.abs(t))) for t in terms), default=0.0)
-    return float(np.max(np.abs(m))) / scale
+    return _rel(np.max(np.abs(m)), *(np.max(np.abs(t)) for t in terms))
 
 
-def _quasi_residual_at(st: PointState, dirs) -> float:
-    return max(st.gnorm(quasi_defect(st, x, y)) for x in dirs for y in dirs)
-
-
-def _nabla_op(st: PointState, t, x):
-    """(nabla_X T) as a matrix for a (1,1)-tensor derivative array t[k,i,j]."""
-    return np.einsum("kij,k->ij", t, x)
-
-
-# -- identity suite ------------------------------------------------------------------
-
-
-def _base_report(suite, s, plan, tolerances, timestamp):
+def _base_report(suite, structure: str, plan, tolerances, timestamp):
     return CheckReport(
         suite=suite,
-        structure=s.name,
+        structure=structure,
         seed=plan.seed,
         tol=tolerances.as_dict(),
         timestamp=now_timestamp() if timestamp else None,
     )
+
+
+def _emit(report: CheckReport, worst: Worst, checks, tolerances: Tolerances) -> None:
+    """Add each (id, paper label, tolerance tier) check, skipped if no point
+    asserted it."""
+    for cid, label, tier in checks:
+        tol = getattr(tolerances, tier)
+        if worst.points[cid]:
+            report.add(cid, label, worst.value[cid], tol, worst.points[cid])
+        else:
+            report.add_skipped(cid, label, 0.0, tol)
+
+
+# -- identity suite ------------------------------------------------------------------
+
+_UNGATED = (
+    ("axiom-eta-normalization", "(2)", "algebraic"),
+    ("axiom-f-square", "(2)", "algebraic"),
+    ("axiom-metric-compatibility", "(2)", "algebraic"),
+    ("axiom-f-xi", "(3)", "algebraic"),
+    ("axiom-eta-f", "(3)", "algebraic"),
+    ("axiom-eta-Q", "(3)", "algebraic"),
+    ("axiom-Qf-commutator", "(3)", "algebraic"),
+    ("axiom-Qt-xi", "(3)", "algebraic"),
+    ("axiom-eta-Qt", "(3)", "algebraic"),
+    ("n2-nabla-eta", "(4)", "deriv"),
+)
+_QUASI_GATED = (
+    ("lemma21-5", "(5)", "deriv"),
+    ("lemma21-6", "(6)", "deriv"),
+    ("lemma21-7-xi", "(7)", "deriv"),
+    ("lemma21-7-eta", "(7)", "deriv"),
+    ("lemma21-8-left", "(8)", "deriv"),
+    ("lemma21-8-right", "(8)", "deriv"),
+    ("lemma21-9-lie", "(9)", "deriv"),
+    ("lemma21-9-nabla", "(9)", "deriv"),
+    ("lemma21-10", "(10)", "deriv"),
+    ("lemma21-11", "(11)", "deriv"),
+    ("eq13-h", "(13)", "deriv"),
+)
+IDENTITY_CHECKS = _UNGATED + _QUASI_GATED + (("eq16-h-n2", "(16)", "deriv"),)
 
 
 def run_identity_suite(
@@ -211,134 +242,66 @@ def run_identity_suite(
     tolerances: Tolerances = Tolerances(),
     timestamp: bool = False,
 ) -> CheckReport:
-    report = _base_report("identity", s, plan, tolerances, timestamp)
-    points = sample_points(plan, s.sdef.domain)
-    ta, td = tolerances.algebraic, tolerances.deriv
+    report = _base_report("identity", s.name, plan, tolerances, timestamp)
+    td = tolerances.deriv
+    worst = Worst()
 
-    always: dict[str, float] = {}
-    gated: dict[str, float] = {}
-    n_quasi = 0
-    n_c3 = 0
-
-    for point in points:
+    for point in sample_points(plan, s.sdef.domain):
         st = s.at(point)
-        dirs = direction_set(st, plan.seed)
+        d, fd = st.directions(plan.seed)
+        worst.admit(c[0] for c in _UNGATED)
+        for name, value in axiom_residuals(st).items():
+            worst.update(f"axiom-{name}", value)
 
-        def upd(store, name, value):
-            store[name] = max(store.get(name, 0.0), float(value))
-
-        eye = np.eye(st.dim)
-        upd(always, "axiom-eta-normalization", abs(st.eta @ st.xi - 1.0))
-        upd(always, "axiom-f-square", np.max(np.abs(st.f @ st.f + st.Q - np.outer(st.xi, st.eta))))
-        upd(
-            always,
-            "axiom-metric-compatibility",
-            np.max(np.abs(st.f.T @ st.g @ st.f - st.g @ st.Q + np.outer(st.eta, st.eta))),
-        )
-        upd(always, "axiom-f-xi", np.max(np.abs(st.f @ st.xi)))
-        upd(always, "axiom-eta-f", np.max(np.abs(st.eta @ st.f)))
-        upd(always, "axiom-eta-Q", np.max(np.abs(st.eta @ st.Q - st.eta)))
-        upd(always, "axiom-Qf-commutator", np.max(np.abs(st.Q @ st.f - st.f @ st.Q)))
-        upd(always, "axiom-Qt-xi", np.max(np.abs(st.Qt @ st.xi)))
-        upd(always, "axiom-eta-Qt", np.max(np.abs(st.eta @ st.Qt)))
-
-        # N^(2) via covariant derivatives of eta (holds on any weak a.c.m.)
+        # N^(2) via covariant derivatives of eta (holds on any weak a.c.m.):
+        # with a[x, y] = (nabla_{fX} eta) Y and b[x, y] = (nabla_X eta) fY
         ne = st.nabla_eta
-        for x in dirs:
-            fx = st.f @ x
-            for y in dirs:
-                fy = st.f @ y
-                rhs = (
-                    float(fx @ ne @ y)
-                    - float(y @ ne @ fx)
-                    - float(fy @ ne @ x)
-                    + float(x @ ne @ fy)
-                )
-                upd(always, "n2-nabla-eta", _normalized(st, st.n2(x, y) - rhs, st.n2(x, y), rhs))
+        a, b = fd.T @ ne @ d, d.T @ ne @ fd
+        rhs = a - b.T - a.T + b
+        n2 = st.n2(d, d)
+        worst.update("n2-nabla-eta", _rel(np.abs(n2 - rhs), np.abs(n2), np.abs(rhs)))
 
-        quasi_here = _quasi_residual_at(st, dirs) <= td
-        c3 = _nabla_op(st, st.nabla_f, st.xi)
-        c3_here = _mat_residual(c3, st.f) <= td
-
-        if quasi_here:
-            n_quasi += 1
-            for x in dirs:
-                fx = st.f @ x
-                for y in dirs:
-                    lhs = float(x @ ne @ (st.Q @ y)) + float(fx @ ne @ (st.f @ y)) + 2.0 * st.gdot(fx, y)
-                    upd(gated, "lemma21-5", _normalized(st, lhs, 2.0 * st.gdot(fx, y)))
-            upd(gated, "lemma21-6", _mat_residual(c3, st.f))
-            upd(
-                gated,
-                "lemma21-7-xi",
-                _normalized(st, st.nabla_xi @ st.xi, st.xi),
-            )
-            upd(gated, "lemma21-7-eta", _normalized(st, st.xi @ st.nabla_eta, st.eta))
+        c3 = np.tensordot(st.xi, st.nabla_f, axes=1)  # nabla_xi f
+        if worst.admit((c[0] for c in _QUASI_GATED), st.quasi_residual(plan.seed), td):
+            two_phi = 2.0 * (fd.T @ st.g @ d)
+            lhs = d.T @ ne @ (st.Q @ d) + fd.T @ ne @ fd + two_phi
             fh = st.f @ st.h
-            upd(gated, "lemma21-8-left", _mat_residual(st.Q @ st.nabla_xi + st.f + fh, st.f, fh))
-            upd(gated, "lemma21-8-right", _mat_residual(st.nabla_xi @ st.Q + st.f + fh, st.f, fh))
-            upd(gated, "lemma21-9-lie", _mat_residual(st.lie_xi_Q, st.Q))
-            upd(gated, "lemma21-9-nabla", _mat_residual(_nabla_op(st, st.nabla_Q, st.xi), st.Q))
-            upd(gated, "lemma21-10", _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f))
-            upd(gated, "lemma21-11", _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q))
-            upd(
-                gated,
-                "eq13-h",
-                _mat_residual(
-                    2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f
+            for cid, value in (
+                ("lemma21-5", _rel(np.abs(lhs), np.abs(two_phi))),
+                ("lemma21-6", _mat_residual(c3, st.f)),
+                ("lemma21-7-xi", _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
+                ("lemma21-7-eta", _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
+                ("lemma21-8-left", _mat_residual(st.Q @ st.nabla_xi + st.f + fh, st.f, fh)),
+                ("lemma21-8-right", _mat_residual(st.nabla_xi @ st.Q + st.f + fh, st.f, fh)),
+                ("lemma21-9-lie", _mat_residual(st.lie_xi_Q, st.Q)),
+                ("lemma21-9-nabla", _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
+                ("lemma21-10", _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
+                ("lemma21-11", _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
+                (
+                    "eq13-h",
+                    _mat_residual(2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f),
                 ),
-            )
-        if c3_here:
-            n_c3 += 1
+            ):
+                worst.update(cid, value)
+        if worst.admit(("eq16-h-n2",), _mat_residual(c3, st.f), td):
             gh = st.g @ st.h
-            for x in dirs:
-                for y in dirs:
-                    lhs = float(x @ (gh - gh.T) @ y)
-                    rhs = -0.5 * st.n2(x, y)
-                    upd(gated, "eq16-h-n2", _normalized(st, lhs - rhs, lhs, rhs))
+            lhs = d.T @ (gh - gh.T) @ d
+            rhs = -0.5 * n2
+            worst.update("eq16-h-n2", _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
 
-    npts = len(points)
-    for name in (
-        "axiom-eta-normalization",
-        "axiom-f-square",
-        "axiom-metric-compatibility",
-        "axiom-f-xi",
-        "axiom-eta-f",
-        "axiom-eta-Q",
-        "axiom-Qf-commutator",
-        "axiom-Qt-xi",
-        "axiom-eta-Qt",
-    ):
-        label = "(2)" if name in ("axiom-eta-normalization", "axiom-f-square", "axiom-metric-compatibility") else "(3)"
-        report.add(name, label, always[name], ta, npts)
-    report.add("n2-nabla-eta", "(4)", always["n2-nabla-eta"], td, npts)
-
-    lemma_checks = [
-        ("lemma21-5", "(5)"),
-        ("lemma21-6", "(6)"),
-        ("lemma21-7-xi", "(7)"),
-        ("lemma21-7-eta", "(7)"),
-        ("lemma21-8-left", "(8)"),
-        ("lemma21-8-right", "(8)"),
-        ("lemma21-9-lie", "(9)"),
-        ("lemma21-9-nabla", "(9)"),
-        ("lemma21-10", "(10)"),
-        ("lemma21-11", "(11)"),
-        ("eq13-h", "(13)"),
-    ]
-    for cid, label in lemma_checks:
-        if n_quasi:
-            report.add(cid, label, gated.get(cid, 0.0), td, n_quasi)
-        else:
-            report.add_skipped(cid, label, 0.0, td)
-    if n_c3:
-        report.add("eq16-h-n2", "(16)", gated.get("eq16-h-n2", 0.0), td, n_c3)
-    else:
-        report.add_skipped("eq16-h-n2", "(16)", 0.0, td)
+    _emit(report, worst, IDENTITY_CHECKS, tolerances)
     return report
 
 
 # -- curvature suite ------------------------------------------------------------------
+
+CURVATURE_CHECKS = (
+    ("eq14", "(14)", "curv"),
+    ("eq15", "(15)", "curv"),
+    ("eq22", "(22)", "curv"),
+    ("eq21", "(21)", "curv"),
+    ("ric-xi-xi", "Ric(xi,xi)", "curv"),
+)
 
 
 def run_curvature_suite(
@@ -347,75 +310,49 @@ def run_curvature_suite(
     tolerances: Tolerances = Tolerances(),
     timestamp: bool = False,
 ) -> CheckReport:
-    report = _base_report("curvature", s, plan, tolerances, timestamp)
-    points = sample_points(plan, s.sdef.domain)
+    report = _base_report("curvature", s.name, plan, tolerances, timestamp)
     td, tc = tolerances.deriv, tolerances.curv
+    worst = Worst()
 
-    gated: dict[str, float] = {}
-    n_quasi = n_contact = n_eq21 = 0
-
-    for point in points:
+    for point in sample_points(plan, s.sdef.domain):
         st = s.at(point)
-        dirs = direction_set(st, plan.seed)
-
-        def upd(name, value):
-            gated[name] = max(gated.get(name, 0.0), float(value))
-
-        quasi_here = _quasi_residual_at(st, dirs) <= td
-        contact_here = float(np.max(np.abs(st.deta_form - st.Phi))) <= td
-
-        fb = f_basis(s, point)
-        lam = np.array(fb.lam)
+        d, fd = st.directions(plan.seed)
         h2 = st.h @ st.h
         trh2 = float(np.trace(h2))
 
-        if quasi_here:
-            n_quasi += 1
-            nabla_xi_h = _nabla_op(st, st.nabla_h, st.xi)
-            for x in dirs:
-                fx = st.f @ x
-                t1 = st.Q_inv @ (fx - h2 @ fx)
-                t2 = st.f @ st.curvature_op(x, st.xi, st.xi)
-                upd("eq14", _normalized(st, nabla_xi_h @ x - t1 + t2, t1, t2))
-                lhs = st.Q @ st.ell(x) - st.f @ st.ell(fx)
-                rhs = 2.0 * h2 @ x + (st.Q + st.Q_inv) @ (st.f @ fx)
-                upd("eq15", _normalized(st, lhs - rhs, lhs, rhs))
-            ksum = sum(
-                lam[i] * (st.sectional(st.xi, fb.e[i]) + st.sectional(st.xi, fb.fe[i]))
-                for i in range(st.n)
-            )
+        if worst.admit(("eq14", "eq15", "eq22"), st.quasi_residual(plan.seed), td):
+            fb = st.fbasis
+            lam = np.array(fb.lam)
+            nabla_xi_h = np.tensordot(st.xi, st.nabla_h, axes=1)
+            t1 = st.Q_inv @ (fd - h2 @ fd)
+            t2 = st.f @ st.curvature_op(d, st.xi, st.xi)
+            defect = nabla_xi_h @ d - t1 + t2
+            worst.update("eq14", _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2)))
+            lhs = st.Q @ st.ell(d) - st.f @ st.ell(fd)
+            rhs = 2.0 * h2 @ d + (st.Q + st.Q_inv) @ (st.f @ fd)
+            worst.update("eq15", _rel(st.gnorm(lhs - rhs), st.gnorm(lhs), st.gnorm(rhs)))
+            e, fe = np.column_stack(fb.e), np.column_stack(fb.fe)
+            ksum = float(np.sum(lam * (st.sectional(st.xi, e) + st.sectional(st.xi, fe))))
             rhs22 = st.n - trh2 + float(np.sum(lam**2))
-            upd("eq22", abs(ksum - rhs22) / (1.0 + max(abs(ksum), abs(rhs22))))
+            worst.update("eq22", _rel(abs(ksum - rhs22), abs(ksum), abs(rhs22)))
 
             # hypothesis of the Ricci inequality: K(xi,X) + K(xi,fX) >= 0
-            ok = all(
-                st.sectional(st.xi, st.g_normalize(st.project_ker_eta(x)))
-                + st.sectional(st.xi, st.g_normalize(st.f @ st.project_ker_eta(x)))
-                >= -tc
-                for x in dirs
-                if st.gnorm(st.project_ker_eta(x)) > 1e-8
+            p = st.project_ker_eta(d)
+            p = p[:, st.gnorm(p) > 1e-8]
+            k = st.sectional(st.xi, st.g_normalize(p)) + st.sectional(
+                st.xi, st.g_normalize(st.f @ p)
             )
-            if ok:
-                n_eq21 += 1
+            if worst.admit(("eq21",), float(np.max(-k, initial=0.0)), tc):
                 lhs21 = float(np.max(lam)) * st.ricci(st.xi, st.xi)
                 rhs21 = st.n - trh2 + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
-                upd("eq21", max(0.0, rhs21 - lhs21) / (1.0 + max(abs(lhs21), abs(rhs21))))
-        if contact_here:
-            n_contact += 1
+                worst.update(
+                    "eq21", _rel(np.maximum(0.0, rhs21 - lhs21), abs(lhs21), abs(rhs21))
+                )
+        if worst.admit(("ric-xi-xi",), st.contact_residual, td):
             ric = st.ricci(st.xi, st.xi)
-            upd("ric-xi-xi", abs(ric - (2.0 * st.n - trh2)) / (1.0 + abs(ric)))
+            worst.update("ric-xi-xi", _rel(abs(ric - (2.0 * st.n - trh2)), abs(ric)))
 
-    for cid, label, count in (
-        ("eq14", "(14)", n_quasi),
-        ("eq15", "(15)", n_quasi),
-        ("eq22", "(22)", n_quasi),
-        ("eq21", "(21)", n_eq21),
-        ("ric-xi-xi", "Ric(xi,xi)", n_contact),
-    ):
-        if count:
-            report.add(cid, label, gated.get(cid, 0.0), tc, count)
-        else:
-            report.add_skipped(cid, label, 0.0, tc)
+    _emit(report, worst, CURVATURE_CHECKS, tolerances)
     return report
 
 
@@ -428,105 +365,97 @@ def run_theorem_suite(
     tolerances: Tolerances = Tolerances(),
     timestamp: bool = False,
 ) -> CheckReport:
-    report = _base_report("theorems", s, plan, tolerances, timestamp)
+    report = _base_report("theorems", s.name, plan, tolerances, timestamp)
     points = sample_points(plan, s.sdef.domain)
     td, tc = tolerances.deriv, tolerances.curv
 
-    # global hypothesis residuals (max over points/directions)
-    quasi = contact = killing = eq17 = eq18 = eq20 = eq20_written = eq23 = eq19 = 0.0
-    h_selfadj = h_skew_defect = qt_norm = n1_norm = dphi = two_h2 = 0.0
-    vol_min = np.inf
-    deta_qt_phi = 0.0
-    trh2_max = -np.inf
-
+    # global hypothesis and conclusion residuals: the max over points and pairs
+    worst = Worst()
     for point in points:
         st = s.at(point)
-        dirs = direction_set(st, plan.seed)
-        quasi = max(quasi, _quasi_residual_at(st, dirs))
-        contact = max(contact, float(np.max(np.abs(st.deta_form - st.Phi))))
-        killing = max(killing, _mat_residual(st.lie_xi_g, st.g))
-        eq18 = max(eq18, _mat_residual(st.nabla_xi + st.f, st.f))
-        for x in dirs:
-            for y in dirs:
-                eq17 = max(eq17, _normalized(st, sasakian_defect(st, x, y), x, st.xi))
-                d23 = st.curvature_op(x, y, st.xi) - (st.eta @ y) * x + (st.eta @ x) * y
-                eq23 = max(eq23, _normalized(st, d23, x, y))
-            xp = st.project_ker_eta(x)
-            if st.gnorm(xp) > 1e-8:
-                u = st.g_normalize(xp)
-                eq20 = max(eq20, _normalized(st, st.ell(u) + u, u))
-                d = st.curvature_op(u, st.xi, st.xi) + u + (st.eta @ u) * st.xi
-                eq20_written = max(eq20_written, _normalized(st, d, u))
-        # Eq (19): (nabla_X Q) Y = 0 for X, Y in ker eta
-        for x in dirs:
-            xp = st.project_ker_eta(x)
-            for y in dirs:
-                yp = st.project_ker_eta(y)
-                eq19 = max(eq19, _normalized(st, _nabla_op(st, st.nabla_Q, xp) @ yp, st.Q))
-        h_selfadj = max(h_selfadj, _mat_residual(st.h - st.h_star, st.h))
-        h_skew_defect = max(h_skew_defect, _mat_residual(st.h + st.h_star, st.h))
-        qt_norm = max(qt_norm, float(np.max(np.abs(st.Qt))))
-        for x in dirs:
-            for y in dirs:
-                n1_norm = max(n1_norm, _normalized(st, st.n1(x, y), x, y))
-        dphi = max(dphi, float(np.max(np.abs(st.dPhi_form))) / (1.0 + np.max(np.abs(st.Phi))))
+        d, fd = st.directions(plan.seed)
+        gd = st.gnorm(d)
+        eta_d = st.eta @ d
+        p = st.project_ker_eta(d)
+        u = st.g_normalize(p[:, st.gnorm(p) > 1e-8])
+        d23 = st.curvature_op(d, d, st.xi) - d[:, :, None] * eta_d + eta_d[:, None] * d[:, None, :]
+        d20 = st.curvature_op(u, st.xi, st.xi) + u + np.outer(st.xi, st.eta @ u)
         h2 = st.h @ st.h
-        two_h2 = max(two_h2, _mat_residual(2.0 * h2 - st.Qt @ st.Qt, h2, st.Qt))
-        trh2_max = max(trh2_max, float(np.trace(h2)))
-        vol_min = min(vol_min, abs(contact_volume(s, point)))
         # d eta(X + (1/2) Qt X, Y) = Phi(X, Y)
-        for x in dirs:
-            for y in dirs:
-                lhs = st.deta2(x + 0.5 * st.Qt @ x, y)
-                rhs = float(st.gdot(x, st.f @ y))
-                deta_qt_phi = max(deta_qt_phi, abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+        lhs = st.deta2(d + 0.5 * st.Qt @ d, d)
+        rhs = d.T @ st.g @ fd
+        for cid, value in (
+            ("quasi", st.quasi_residual(plan.seed)),
+            ("contact", st.contact_residual),
+            ("killing", _rel(st.killing_residual, np.max(np.abs(st.g)))),
+            ("eq18", _mat_residual(st.nabla_xi + st.f, st.f)),
+            ("eq17", _rel(st.gnorm(sasakian_defect(st, d, d)), gd[:, None], st.gnorm(st.xi))),
+            ("eq23", _rel(st.gnorm(d23), gd[:, None], gd)),
+            ("eq20", _rel(st.gnorm(st.ell(u) + u), st.gnorm(u))),
+            ("eq20-written", _rel(st.gnorm(d20), st.gnorm(u))),
+            # Eq (19): (nabla_X Q) Y = 0 for X, Y in ker eta
+            ("eq19", _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), np.max(np.abs(st.Q)))),
+            ("h-self-adjoint", _mat_residual(st.h - st.h_star, st.h)),
+            ("h-skew", _mat_residual(st.h + st.h_star, st.h)),
+            ("Qt-zero", np.max(np.abs(st.Qt))),
+            ("normal", _rel(st.gnorm(st.n1(d, d)), gd[:, None], gd)),
+            ("dPhi-zero", _rel(np.max(np.abs(st.dPhi_form)), np.max(np.abs(st.Phi)))),
+            ("2h2-eq-Qt2", _mat_residual(2.0 * h2 - st.Qt @ st.Qt, h2, st.Qt)),
+            ("trh2-nonpositive", np.trace(h2)),
+            ("contact-volume", 1e-6 - abs(contact_volume(s, point))),
+            ("deta-Qt-Phi", _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))),
+        ):
+            worst.update(cid, value)
 
     npts = len(points)
-    quasi_ok = quasi <= td
-    killing_ok = killing <= td
+    r = worst.value
+    quasi, contact, killing = r["quasi"], r["contact"], r["killing"]
+    qt_norm, eq17, two_h2 = r["Qt-zero"], r["eq17"], r["2h2-eq-Qt2"]
 
     def theorem(prefix, label, hyps, concls):
-        """hyps: list of (name, residual, tol); concls: list of (name, residual, tol)."""
-        met = all(r <= t for _, r, t in hyps)
-        for name, r, t in hyps:
-            if r <= t:
-                report.add(f"{prefix}-hyp-{name}", label, r, t, npts)
+        """hyps: list of (name, residual, tol); concls: list of (name, residual, tol).
+        A non-finite hypothesis residual fails the hypothesis and every conclusion."""
+        met = all(res <= t for _, res, t in hyps)
+        broken = next((res for _, res, _ in hyps if not math.isfinite(res)), None)
+        for name, res, t in hyps:
+            if res <= t or not math.isfinite(res):
+                report.add(f"{prefix}-hyp-{name}", label, res, t, npts)
             else:
-                report.add_skipped(f"{prefix}-hyp-{name}", label, r, t)
-        for name, r, t in concls:
-            if met:
-                report.add(f"{prefix}-{name}", label, r, 10.0 * t, npts)
+                report.add_skipped(f"{prefix}-hyp-{name}", label, res, t)
+        for name, res, t in concls:
+            if met or broken is not None:
+                report.add(f"{prefix}-{name}", label, res if met else broken, 10.0 * t, npts)
             else:
-                report.add_skipped(f"{prefix}-{name}", label, r, 10.0 * t)
+                report.add_skipped(f"{prefix}-{name}", label, res, 10.0 * t)
 
     theorem(
         "t31",
         "Thm 3.1",
-        [("quasi", quasi, td), ("nabla-xi-eq18", eq18, td)],
+        [("quasi", quasi, td), ("nabla-xi-eq18", r["eq18"], td)],
         [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("killing-xi", killing, td)],
     )
     theorem(
         "t33",
         "Thm 3.3",
         [("quasi", quasi, td), ("sasakian-eq17", eq17, td)],
-        [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("normal", n1_norm, td)],
+        [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("normal", r["normal"], td)],
     )
     theorem(
         "t34",
         "Thm 3.4",
-        [("quasi", quasi, td), ("curvature-eq20", eq20, tc), ("killing-xi", killing, td)],
+        [("quasi", quasi, td), ("curvature-eq20", r["eq20"], tc), ("killing-xi", killing, td)],
         [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("2h2-eq-Qt2", two_h2, tc)],
     )
     # both sign readings of the curvature hypothesis, recorded for transparency
-    report.add_skipped("t34-eq20-reading-ell", "Thm 3.4", eq20, tc)
-    report.add_skipped("t34-eq20-reading-as-written", "Thm 3.4", eq20_written, tc)
+    report.add_skipped("t34-eq20-reading-ell", "Thm 3.4", r["eq20"], tc)
+    report.add_skipped("t34-eq20-reading-as-written", "Thm 3.4", r["eq20-written"], tc)
     theorem(
         "t35",
         "Thm 3.5",
         [
             ("quasi", quasi, td),
-            ("curvature-eq23", eq23, tc),
-            ("trh2-nonpositive", max(0.0, trh2_max), tc),
+            ("curvature-eq23", r["eq23"], tc),
+            ("trh2-nonpositive", r["trh2-nonpositive"], tc),
         ],
         [("Qt-zero", qt_norm, td), ("sasakian", eq17, td), ("2h2-eq-Qt2", two_h2, tc)],
     )
@@ -534,16 +463,20 @@ def run_theorem_suite(
         "p33",
         "Prop 3.3",
         [("quasi", quasi, td), ("killing-xi", killing, td)],
-        [("h-skew-symmetric", h_skew_defect, td)],
+        [("h-skew-symmetric", r["h-skew"], td)],
     )
     theorem(
         "p34",
         "Prop 3.4",
-        [("quasi", quasi, td), ("nabla-Q-eq19", eq19, td), ("h-self-adjoint", h_selfadj, td)],
         [
-            ("dPhi-zero", dphi, td),
-            ("contact-volume", max(0.0, 1e-6 - float(vol_min)), td),
-            ("deta-Qt-Phi", deta_qt_phi, td),
+            ("quasi", quasi, td),
+            ("nabla-Q-eq19", r["eq19"], td),
+            ("h-self-adjoint", r["h-self-adjoint"], td),
+        ],
+        [
+            ("dPhi-zero", r["dPhi-zero"], td),
+            ("contact-volume", r["contact-volume"], td),
+            ("deta-Qt-Phi", r["deta-Qt-Phi"], td),
         ],
     )
     return report
@@ -555,7 +488,7 @@ def run_all(
     tolerances: Tolerances = Tolerances(),
     timestamp: bool = False,
 ) -> CheckReport:
-    report = _base_report("all", s, plan, tolerances, timestamp)
+    report = _base_report("all", s.name, plan, tolerances, timestamp)
     for sub in (run_identity_suite, run_curvature_suite, run_theorem_suite):
         report.checks.extend(sub(s, plan, tolerances).checks)
     return report
@@ -565,7 +498,7 @@ def run_all(
 
 
 def report_from_axioms(s: WeakACM, plan: SamplePlan, tolerances: Tolerances, timestamp=False) -> CheckReport:
-    report = _base_report("validate", s, plan, tolerances, timestamp)
+    report = _base_report("validate", s.name, plan, tolerances, timestamp)
     points = sample_points(plan, s.sdef.domain)
     ax = validate_axioms(s, points, tol=tolerances.algebraic)
     for name, value in ax.residuals.items():
@@ -583,27 +516,13 @@ def report_from_axioms(s: WeakACM, plan: SamplePlan, tolerances: Tolerances, tim
 
 
 def report_from_classification(cr: ClassReport, plan: SamplePlan, tolerances: Tolerances, timestamp=False) -> CheckReport:
-    report = CheckReport(
-        suite="classify",
-        structure=cr.structure,
-        seed=plan.seed,
-        tol=tolerances.as_dict(),
-        timestamp=now_timestamp() if timestamp else None,
-    )
+    report = _base_report("classify", cr.structure, plan, tolerances, timestamp)
     for name, result in cr.classes.items():
         verdict = "pass" if result.verdict else "fail"
-        report.checks.append(
-            CheckRecord(name, "class", result.residual, result.tol, verdict, plan.count)
-        )
+        rows = [(name, result.residual)]
         if result.canonical_residual is not None:
-            report.checks.append(
-                CheckRecord(
-                    f"{name}-canonical-direction",
-                    "class",
-                    result.canonical_residual,
-                    result.tol,
-                    verdict,
-                    plan.count,
-                )
-            )
+            rows.append((f"{name}-canonical-direction", result.canonical_residual))
+        for cid, residual in rows:
+            record = CheckRecord(cid, "class", residual, result.tol, verdict, plan.count)
+            report.checks.append(record)
     return report

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,46 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_FAIL
     code, out, _ = run(["check", "identity", str(path), *COMMON])
     assert code == EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--points", "0"], ["--points", "-3"], ["--seed", "-1"]],
+    ids=["points-zero", "points-negative", "seed-negative"],
+)
+def test_bad_count_or_seed_is_usage_error(flags):
+    code, out, err = run(["check", "identity", "builtin:sasakian-r3", *flags])
+    assert code == EXIT_USAGE
+    assert "must be at least" in err
+    assert out == ""
+
+
+def test_bad_seed_env_is_usage_error(monkeypatch):
+    monkeypatch.setenv("WQCM_SEED", "-1")
+    code, _, err = run(["check", "identity", "builtin:sasakian-r3", *COMMON])
+    assert code == EXIT_USAGE
+    assert "WQCM_SEED" in err
+
+
+def test_non_finite_residuals_fail(recwarn):
+    # f[2][2] = inf * 0 = NaN: every check must fail, none pass or skip
+    path = Path(__file__).parent / "data" / "sasakian-r3-nan.json"
+    code, out, _ = run(["check", "identity", str(path), *COMMON, "--format", "json"])
+    assert code == EXIT_FAIL
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["lemma21-5"]["verdict"] == "fail"  # gated on a NaN quasi residual
+    for c in by_id.values():
+        assert c["verdict"] != "skipped", c["id"]
+        if c["max_residual"] != c["max_residual"]:
+            assert c["verdict"] == "fail", c["id"]
+
+
+def test_python_m_wqcm():
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wqcm", "list"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "sasakian-r3" in proc.stdout.splitlines()

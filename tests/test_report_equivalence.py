@@ -1,0 +1,71 @@
+"""The batched check evaluation reproduces the reports of the per-pair loops.
+
+`tests/data/<key>.check-all.json` and `<key>.classify.json` were written by
+the per-pair loop implementation that the batched contractions replaced, with
+
+    wqcm check all builtin:<source> --points 8 --seed 7 --format json --no-timestamp
+    wqcm classify  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
+
+Ids, labels, verdicts and point counts must match exactly; residuals may
+differ only by summation order.
+"""
+
+import io
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from wqcm import classify, geometry
+from wqcm.catalog import catalog
+from wqcm.cli import run_cli
+from wqcm.structure import WeakACM
+from wqcm.suites import SamplePlan, run_all
+
+DATA = Path(__file__).parent / "data"
+SOURCES = {
+    "sasakian-r3": "sasakian-r3",
+    "sasakian-r5": "sasakian-r5",
+    "sasakian-r7": "sasakian-r7",
+    "scaled-n1-s2": "scaled?n=1,s=2",
+    "flat-const": "flat-const",
+}
+
+
+@pytest.mark.parametrize("command", ["check-all", "classify"])
+@pytest.mark.parametrize("key", sorted(SOURCES))
+def test_report_matches_loop_implementation(key, command):
+    expected = json.loads((DATA / f"{key}.{command}.json").read_text())
+    out = io.StringIO()
+    argv = command.split("-") + [f"builtin:{SOURCES[key]}", "--points", "8", "--seed", "7"]
+    run_cli(argv + ["--format", "json", "--no-timestamp"], stdout=out)
+    got = json.loads(out.getvalue())
+
+    def signature(doc):
+        head = (doc["suite"], doc["structure"], doc["seed"], doc["tol"])
+        rows = [(c["id"], c["paper"], c["tol"], c["verdict"], c["points"]) for c in doc["checks"]]
+        return head, rows
+
+    assert signature(got) == signature(expected)
+    for new, old in zip(got["checks"], expected["checks"]):
+        assert abs(new["max_residual"] - old["max_residual"]) <= 1e-12, new["id"]
+
+
+def test_run_all_builds_curvature_and_f_basis_once_per_point(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(geometry, "riemann")
+    count(classify, "f_basis")
+    run_all(WeakACM(catalog("sasakian-r3")), SamplePlan(count=8, seed=7))
+    assert 0 < calls["riemann"] <= 8
+    assert 0 < calls["f_basis"] <= 8

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.structure import (
-    StructureError,
-    WeakACM,
-    build_cone,
-    derive_components,
-    h_tensor,
-    n_tensors,
-)
+from wqcm.structure import StructureError, WeakACM, build_cone
 from conftest import points_for
 
 
@@ -124,29 +117,30 @@ def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
 
 
 def test_h_tensor_decomposition(scaled2):
-    point = np.array([0.1, 0.2, 0.3])
-    parts = h_tensor(scaled2, point)
-    assert np.allclose(parts["sym"] + parts["skew"], parts["h"], atol=1e-15)
-    assert np.max(np.abs(parts["h_xi"])) < 1e-13
-    st = scaled2.at(point)
+    st = scaled2.at(np.array([0.1, 0.2, 0.3]))
+    sym, skew = 0.5 * (st.h + st.h_star), 0.5 * (st.h - st.h_star)
+    assert np.allclose(sym + skew, st.h, atol=1e-15)
+    assert np.max(np.abs(st.h @ st.xi)) < 1e-13
     # adjoint property g(h* X, Y) = g(X, h Y)
     x = np.array([1.0, -0.5, 0.25])
     y = np.array([0.2, 1.0, -1.0])
-    assert st.gdot(parts["h_adjoint"] @ x, y) == pytest.approx(
-        st.gdot(x, parts["h"] @ y), abs=1e-13
-    )
+    assert st.gdot(st.h_star @ x, y) == pytest.approx(st.gdot(x, st.h @ y), abs=1e-13)
 
 
 def test_n_tensors_shapes(sasakian_r3):
-    point = np.array([0.0, 0.0, 0.0])
+    st = sasakian_r3.at(np.array([0.0, 0.0, 0.0]))
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
-    out = n_tensors(sasakian_r3, x, y, point)
-    assert out["n1"].shape == (3,)
-    assert isinstance(out["n2"], float)
-    assert out["n3"].shape == (3,)
-    assert isinstance(out["n4"], float)
-    assert np.allclose(out["n1"], out["nijenhuis"] + 2.0 * sasakian_r3.at(point).deta2(x, y) * sasakian_r3.at(point).xi)
+    assert st.n1(x, y).shape == (3,)
+    assert isinstance(st.n2(x, y), float)
+    assert st.n3(x).shape == (3,)
+    assert isinstance(st.n4(x), float)
+    assert np.allclose(st.n1(x, y), st._nijenhuis(x, y) + 2.0 * st.deta2(x, y) * st.xi)
+    # direction matrices give every column pair: [i, a, b]
+    d = np.column_stack([x, y, x + y])
+    assert st.n1(d, d[:, :2]).shape == (3, 3, 2)
+    assert st.n2(d, d[:, :2]).shape == (3, 2)
+    assert np.allclose(st.n1(d, d[:, :2])[:, 2, 1], st.n1(x + y, y), atol=1e-15)
 
 
 def test_explicit_q_is_cross_checked():
@@ -162,7 +156,7 @@ def test_explicit_q_is_cross_checked():
     }
     from wqcm.exprdsl import load_structure_def
 
-    acm = derive_components(load_structure_def(doc))
+    acm = WeakACM(load_structure_def(doc))
     st = acm.at(np.array([0.0, 0.0, 0.0]))
     assert st.q_explicit is not None
     assert np.allclose(st.q_explicit, st.Q, atol=1e-15)
