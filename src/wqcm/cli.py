@@ -10,8 +10,9 @@
 SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]".
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
-1 at least one failure, 2 input or usage error.  JSON reports go to stdout
-(or --output); diagnostics go to stderr.
+1 at least one failure, 2 input or usage error, including a structure that
+cannot be evaluated at a sample point (the message names the point).  JSON
+reports go to stdout (or --output); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -24,20 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as cat
-from .classify import Tolerances, class_residuals
+from .classify import Tolerances
 from .exprdsl import ExprSyntaxError, SchemaError, load_structure_def
 from .structure import WeakACM, build_cone
-from .suites import (
-    SamplePlan,
-    emit_report,
-    report_from_axioms,
-    report_from_classification,
-    run_all,
-    run_curvature_suite,
-    run_identity_suite,
-    run_theorem_suite,
-    sample_points,
-)
+from .suites import EvaluationError, SamplePlan, emit_report, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,13 +71,15 @@ def _load_source(source: str) -> WeakACM:
         raise CliError(f"cannot load {source}: {exc}") from exc
 
 
-def _parse_point(text: str, dim: int) -> np.ndarray:
+def _parse_point(text: str, acm: WeakACM) -> np.ndarray:
     try:
         coords = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad point {text!r}") from exc
-    if len(coords) != dim:
-        raise CliError(f"point {text!r} has {len(coords)} coordinates, chart needs {dim}")
+    if len(coords) != acm.dim:
+        raise CliError(f"point {text!r} has {len(coords)} coordinates, chart needs {acm.dim}")
+    if not acm.sdef.contains(coords):
+        raise CliError(f"point {text!r} is outside the chart domain {list(acm.sdef.domain)}")
     return np.array(coords)
 
 
@@ -186,33 +179,17 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         plan = SamplePlan(count=args.points, seed=_seed(args), strategy=args.strategy)
         timestamp = not args.no_timestamp
 
-        if args.command == "validate":
-            report = report_from_axioms(acm, plan, tolerances, timestamp=timestamp)
+        if args.command in ("validate", "classify", "check"):
+            suite = args.suite if args.command == "check" else args.command
+            report = run_suite(acm, suite, plan, tolerances, timestamp=timestamp)
             _write(emit_report(report, args.format), args, stdout)
-            return EXIT_FAIL if report.failed else EXIT_OK
-
-        if args.command == "classify":
-            points = sample_points(plan, acm.sdef.domain)
-            cr = class_residuals(acm, points, tolerances, seed=plan.seed)
-            report = report_from_classification(cr, plan, tolerances, timestamp=timestamp)
-            _write(emit_report(report, args.format), args, stdout)
-            return EXIT_OK  # classification is reporting, not assertion
-
-        if args.command == "check":
-            runner = {
-                "identity": run_identity_suite,
-                "curvature": run_curvature_suite,
-                "theorems": run_theorem_suite,
-                "all": run_all,
-            }[args.suite]
-            report = runner(acm, plan, tolerances, timestamp=timestamp)
-            _write(emit_report(report, args.format), args, stdout)
-            return EXIT_FAIL if report.failed else EXIT_OK
+            # classification is reporting, not assertion
+            return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
 
         if args.command == "fbasis":
             from .classify import f_basis
 
-            point = _parse_point(args.at, acm.dim)
+            point = _parse_point(args.at, acm)
             fb = f_basis(acm, point)
             st = acm.at(point)
             lines = [f"f-basis of {acm.name} at ({args.at})"]
@@ -234,7 +211,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
             return EXIT_OK if ok else EXIT_FAIL
 
         if args.command == "cone":
-            point = _parse_point(args.at, acm.dim)
+            point = _parse_point(args.at, acm)
             ce = build_cone(acm, point, args.t)
             ok = ce.j2_plus_p_residual < 1e-12
             stdout.write(
@@ -249,7 +226,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
     except CliError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (SchemaError, ExprSyntaxError) as exc:
+    except (SchemaError, ExprSyntaxError, EvaluationError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -300,12 +300,17 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _cell(cell, what: str) -> str:
+    _require(isinstance(cell, str), f"{what} must be an expression string, got {cell!r}")
+    return cell
+
+
 def _parse_matrix(rows, coords, dim, what: str) -> tuple[tuple[Expr, ...], ...]:
     _require(isinstance(rows, list) and len(rows) == dim, f"{what} must be a {dim}x{dim} matrix")
     out = []
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == dim, f"{what} row {i} must have {dim} entries")
-        out.append(tuple(parse(cell, coords) for cell in row))
+        out.append(tuple(parse(_cell(cell, f"{what} entry [{i}][{j}]"), coords) for j, cell in enumerate(row)))
     return tuple(out)
 
 
@@ -346,10 +351,10 @@ def load_structure_def(source) -> StructureDef:
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == dim, f"metric row {i} must have {dim} entries")
         for j in range(i, dim):
-            metric[i][j] = parse(row[j], coords)
+            metric[i][j] = parse(_cell(row[j], f"metric entry [{i}][{j}]"), coords)
     for i in range(dim):
         for j in range(i):
-            cell = rows[i][j]
+            cell = _cell(rows[i][j], f"metric entry [{i}][{j}]")
             if cell.strip() != "" and cell.strip() != rows[j][i].strip():
                 raise SchemaError(
                     f"metric entry [{i}][{j}] must be empty or match [{j}][{i}] textually"
@@ -359,7 +364,7 @@ def load_structure_def(source) -> StructureDef:
     f = _parse_matrix(doc["f"], coords, dim, "f")
     xi_rows = doc["xi"]
     _require(isinstance(xi_rows, list) and len(xi_rows) == dim, f"xi must have {dim} entries")
-    xi = tuple(parse(cell, coords) for cell in xi_rows)
+    xi = tuple(parse(_cell(cell, f"xi entry [{i}]"), coords) for i, cell in enumerate(xi_rows))
     q = _parse_matrix(doc["Q"], coords, dim, "Q") if doc.get("Q") is not None else None
 
     return StructureDef(

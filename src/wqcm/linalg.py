@@ -1,8 +1,8 @@
-"""Small dense linear algebra: deterministic Jacobi eigensolver and
-modified Gram-Schmidt with respect to an arbitrary inner product.
+"""Small dense linear algebra: a symmetric eigensolver with a fixed sign
+rule and modified Gram-Schmidt with respect to an arbitrary inner product.
 
-Dimensions here are tiny (at most 10), so robustness and determinism
-matter more than speed.
+Dimensions here are tiny (at most 10), so determinism matters more than
+speed.
 """
 
 from __future__ import annotations
@@ -12,47 +12,13 @@ import math
 import numpy as np
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Deterministic:
-    fixed sweep order, convergence on off-diagonal Frobenius norm <= tol.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n and np.max(np.abs(a - a.T)) > 1e-10 * (1.0 + np.max(np.abs(a))):
-        raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(i + 1, n)) * 2.0)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+def eigh(a: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric
+    matrix.  The sign of each eigenvector is fixed: its largest-magnitude
+    component is positive (the first such component on a tie)."""
+    vals, vecs = np.linalg.eigh(a)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vals, vecs * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def gram_schmidt(vectors: np.ndarray, gram: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:

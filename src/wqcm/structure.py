@@ -23,6 +23,7 @@ import numpy as np
 from . import geometry
 from .exprdsl import StructureDef, eval_jet
 from .geometry import MetricEval, bilinear
+from .linalg import eigh
 
 
 class StructureError(ValueError):
@@ -169,6 +170,19 @@ class PointState:
     @cached_property
     def Q_inv(self):
         return np.linalg.inv(self.Q)
+
+    @cached_property
+    def q_spectrum(self):
+        """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
+        frame = geometry.orthonormal_frame(self.g)
+        m = frame.T @ self.g @ self.Q @ frame
+        return eigh(0.5 * (m + m.T))[0]
+
+    @cached_property
+    def f_singular_values(self):
+        """Singular values of f in a g-orthonormal frame, descending."""
+        frame = geometry.orthonormal_frame(self.g)
+        return np.linalg.svd(frame.T @ self.g @ self.f @ frame, compute_uv=False)
 
     @cached_property
     def Phi(self):

@@ -1,19 +1,23 @@
-"""Executable residual checks for every numbered identity and theorem.
+"""Executable residual checks for every numbered identity and theorem, and
+the one evaluator that asserts them.
 
-Checks are hypothesis-gated: an identity that only holds under a hypothesis
-(e.g. the quasi-contact condition) is asserted only at sample points where
-the hypothesis residual itself passes; otherwise the check is reported as
-"skipped", never as a failure.  Residuals of derivative identities are
-normalized by (1 + magnitude of the largest participating term).  A NaN or
-infinite residual fails its check, and a non-finite hypothesis residual
-fails the checks it gates instead of skipping them.
+Each check is declared once, as a `Check` in `CHECKS`.  Its residual is a
+function of the cached `PointState` at a sample point and of the seed that
+picks the test directions.  The identities are multilinear in the
+directions, so each is evaluated at every direction pair of a point at
+once: contracting a defect with the direction matrix D
+(`PointState.directions`) gives an array over the pairs, reduced with one
+max.  Residuals of derivative identities are normalized by (1 + magnitude
+of the largest participating term).
 
-The identities are multilinear in the test directions, so each is evaluated
-at every direction pair of a point at once: the directions are the columns
-of one matrix D (`PointState.directions`), and contracting a defect with D
-gives an array over the pairs that is reduced with one max.
-
-Reports are deterministic for a fixed (structure, plan, tolerances) and
+`evaluate` is the only loop over sample points.  A check is asserted only at
+points where its hypothesis (`gate`) passes, and reported as "skipped",
+never as a failure, when that holds at no point.  A NaN or infinite residual
+fails its check, and a non-finite hypothesis fails the checks it gates.
+The suites select from the registry: `identity`, `curvature` and `validate`
+report checks directly, `theorems` and `classify` report the rows of
+`THEOREMS` and `CLASSES` over the largest residuals, and `all` is identity,
+curvature and theorems in one pass.  Reports are deterministic and
 serialize to a stable JSON schema:
 
     { "suite": str, "structure": str, "seed": int, "tol": {tiers},
@@ -24,22 +28,16 @@ serialize to a stable JSON schema:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
-from .classify import (
-    ClassReport,
-    Tolerances,
-    Worst,
-    axiom_residuals,
-    contact_volume,
-    sasakian_defect,
-    validate_axioms,
-)
+from .classify import Tolerances, contact_volume, quasi_defect, sasakian_defect
 from .geometry import bilinear
 from .structure import WeakACM
 
@@ -67,8 +65,7 @@ def _radical_inverse(index: int, base: int) -> float:
 
 def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
     """Deterministic points strictly inside the domain box (5% margin)."""
-    lo = np.array([b[0] for b in domain], dtype=float)
-    hi = np.array([b[1] for b in domain], dtype=float)
+    lo, hi = np.array(domain, dtype=float).T
     if np.any(hi <= lo):
         raise ValueError("degenerate domain box")
     width = hi - lo
@@ -77,22 +74,13 @@ def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
     d = len(domain)
     if plan.strategy == "grid":
         k = max(1, int(np.ceil(plan.count ** (1.0 / d))))
-        points = []
-        for idx in np.ndindex(*([k] * d)):
-            u = (np.array(idx, dtype=float) + 0.5) / k
-            points.append(lo_m + u * (hi_m - lo_m))
-            if len(points) == plan.count:
-                break
-        return points
-    if plan.strategy == "halton":
-        points = []
-        for i in range(plan.count):
-            u = np.array(
-                [_radical_inverse(plan.seed + i + 1, _PRIMES[a]) for a in range(d)]
-            )
-            points.append(lo_m + u * (hi_m - lo_m))
-        return points
-    raise ValueError(f"unknown sampling strategy {plan.strategy!r}")
+        cells = itertools.islice(np.ndindex(*([k] * d)), plan.count)
+        units = [(np.array(idx, dtype=float) + 0.5) / k for idx in cells]
+    elif plan.strategy == "halton":
+        units = [np.array([_radical_inverse(plan.seed + i + 1, _PRIMES[a]) for a in range(d)]) for i in range(plan.count)]
+    else:
+        raise ValueError(f"unknown sampling strategy {plan.strategy!r}")
+    return [lo_m + u * (hi_m - lo_m) for u in units]
 
 
 # -- report types -----------------------------------------------------------------
@@ -101,7 +89,7 @@ def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
 @dataclass
 class CheckRecord:
     id: str
-    paper: str  # equation/theorem label, or "plumbing"
+    paper: str  # equation/theorem label, or "class"
     max_residual: float
     tol: float
     verdict: str  # pass | fail | skipped
@@ -121,13 +109,6 @@ class CheckReport:
     def failed(self) -> bool:
         return any(c.verdict == "fail" for c in self.checks)
 
-    def add(self, id: str, paper: str, residual: float, tol: float, points: int) -> None:
-        verdict = "pass" if residual <= tol else "fail"
-        self.checks.append(CheckRecord(id, paper, float(residual), tol, verdict, points))
-
-    def add_skipped(self, id: str, paper: str, residual: float, tol: float) -> None:
-        self.checks.append(CheckRecord(id, paper, float(residual), tol, "skipped", 0))
-
 
 def now_timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -140,34 +121,20 @@ def emit_report(report: CheckReport, format: str = "text") -> bytes:
             "structure": report.structure,
             "seed": report.seed,
             "tol": report.tol,
-            "checks": [
-                {
-                    "id": c.id,
-                    "paper": c.paper,
-                    "max_residual": c.max_residual,
-                    "tol": c.tol,
-                    "verdict": c.verdict,
-                    "points": c.points,
-                }
-                for c in report.checks
-            ],
+            "checks": [asdict(c) for c in report.checks],
         }
         if report.timestamp is not None:
             doc["timestamp"] = report.timestamp
         return (json.dumps(doc, indent=2) + "\n").encode()
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
-    lines = [
-        f"suite: {report.suite}   structure: {report.structure}   seed: {report.seed}"
-    ]
+    lines = [f"suite: {report.suite}   structure: {report.structure}   seed: {report.seed}"]
     if report.timestamp is not None:
         lines.append(f"timestamp: {report.timestamp}")
     lines.append(f"{'check':<28} {'paper':<14} {'max residual':>14} {'tol':>10} {'verdict':>8}")
     lines.append("-" * 78)
     for c in report.checks:
-        lines.append(
-            f"{c.id:<28} {c.paper:<14} {c.max_residual:>14.3e} {c.tol:>10.1e} {c.verdict:>8}"
-        )
+        lines.append(f"{c.id:<28} {c.paper:<14} {c.max_residual:>14.3e} {c.tol:>10.1e} {c.verdict:>8}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -181,348 +148,407 @@ def _rel(size, *terms) -> float:
     return float(np.max(size / scale, initial=0.0))
 
 
+def _amax(m) -> float:
+    return np.max(np.abs(m))
+
+
 def _mat_residual(m, *terms) -> float:
-    return _rel(np.max(np.abs(m)), *(np.max(np.abs(t)) for t in terms))
+    return _rel(_amax(m), *(_amax(t) for t in terms))
 
 
-def _base_report(suite, structure: str, plan, tolerances, timestamp):
-    return CheckReport(
-        suite=suite,
-        structure=structure,
-        seed=plan.seed,
-        tol=tolerances.as_dict(),
-        timestamp=now_timestamp() if timestamp else None,
-    )
+def _ker_eta_dirs(st, seed):
+    """The test directions projected onto ker eta, without (near) zero projections."""
+    p = st.project_ker_eta(st.directions(seed)[0])
+    return p[:, st.gnorm(p) > 1e-8]
 
 
-def _emit(report: CheckReport, worst: Worst, checks, tolerances: Tolerances) -> None:
-    """Add each (id, paper label, tolerance tier) check, skipped if no point
-    asserted it."""
-    for cid, label, tier in checks:
-        tol = getattr(tolerances, tier)
-        if worst.points[cid]:
-            report.add(cid, label, worst.value[cid], tol, worst.points[cid])
-        else:
-            report.add_skipped(cid, label, 0.0, tol)
+def _sasakian_norms(st, seed):
+    d, _ = st.directions(seed)
+    return st.gnorm(sasakian_defect(st, d, d))
 
 
-# -- identity suite ------------------------------------------------------------------
+def _n1_norms(st, seed):
+    d, _ = st.directions(seed)
+    return st.gnorm(st.n1(d, d))
 
-_UNGATED = (
-    ("axiom-eta-normalization", "(2)", "algebraic"),
-    ("axiom-f-square", "(2)", "algebraic"),
-    ("axiom-metric-compatibility", "(2)", "algebraic"),
-    ("axiom-f-xi", "(3)", "algebraic"),
-    ("axiom-eta-f", "(3)", "algebraic"),
-    ("axiom-eta-Q", "(3)", "algebraic"),
-    ("axiom-Qf-commutator", "(3)", "algebraic"),
-    ("axiom-Qt-xi", "(3)", "algebraic"),
-    ("axiom-eta-Qt", "(3)", "algebraic"),
-    ("n2-nabla-eta", "(4)", "deriv"),
+
+def _f_rank(st, _):
+    """0 when rank f = 2n (exactly one singular value near zero), else 1."""
+    sv = np.sort(st.f_singular_values)
+    scale = 1.0 + sv[-1]
+    return 0.0 if sv[0] < 1e-6 * scale and np.all(sv[1:] > 1e-4 * scale) else 1.0
+
+
+def _n2_nabla_eta(st, seed):
+    """N^(2) via covariant derivatives of eta (holds on any weak a.c.m.), with
+    a[x, y] = (nabla_{fX} eta) Y and b[x, y] = (nabla_X eta) fY."""
+    d, fd = st.directions(seed)
+    a, b = fd.T @ st.nabla_eta @ d, d.T @ st.nabla_eta @ fd
+    rhs = a - b.T - a.T + b
+    n2 = st.n2(d, d)
+    return _rel(np.abs(n2 - rhs), np.abs(n2), np.abs(rhs))
+
+
+def _lemma21_5(st, seed):
+    d, fd = st.directions(seed)
+    two_phi = 2.0 * (fd.T @ st.g @ d)
+    lhs = d.T @ st.nabla_eta @ (st.Q @ d) + fd.T @ st.nabla_eta @ fd + two_phi
+    return _rel(np.abs(lhs), np.abs(two_phi))
+
+
+def _nabla_xi_f(st, _):
+    return _mat_residual(np.tensordot(st.xi, st.nabla_f, axes=1), st.f)
+
+
+def _eq16(st, seed):
+    d, _ = st.directions(seed)
+    gh = st.g @ st.h
+    lhs = d.T @ (gh - gh.T) @ d
+    rhs = -0.5 * st.n2(d, d)
+    return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
+
+
+def _eq14(st, seed):
+    d, fd = st.directions(seed)
+    h2 = st.h @ st.h
+    t1 = st.Q_inv @ (fd - h2 @ fd)
+    t2 = st.f @ st.curvature_op(d, st.xi, st.xi)
+    defect = np.tensordot(st.xi, st.nabla_h, axes=1) @ d - t1 + t2
+    return _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2))
+
+
+def _eq15(st, seed):
+    d, fd = st.directions(seed)
+    lhs = st.Q @ st.ell(d) - st.f @ st.ell(fd)
+    rhs = 2.0 * (st.h @ st.h) @ d + (st.Q + st.Q_inv) @ (st.f @ fd)
+    return _rel(st.gnorm(lhs - rhs), st.gnorm(lhs), st.gnorm(rhs))
+
+
+def _eq22(st, _):
+    fb, lam = st.fbasis, np.array(st.fbasis.lam)
+    e, fe = np.column_stack(fb.e), np.column_stack(fb.fe)
+    ksum = float(np.sum(lam * (st.sectional(st.xi, e) + st.sectional(st.xi, fe))))
+    rhs = st.n - float(np.trace(st.h @ st.h)) + float(np.sum(lam**2))
+    return _rel(abs(ksum - rhs), abs(ksum), abs(rhs))
+
+
+def _eq21_hypothesis(st, seed):
+    """Hypothesis of the Ricci inequality (21): K(xi, X) + K(xi, fX) >= 0."""
+    p = _ker_eta_dirs(st, seed)
+    k = st.sectional(st.xi, st.g_normalize(p)) + st.sectional(st.xi, st.g_normalize(st.f @ p))
+    return float(np.max(-k, initial=0.0))
+
+
+def _eq21(st, _):
+    lhs = float(np.max(st.fbasis.lam)) * st.ricci(st.xi, st.xi)
+    rhs = st.n - float(np.trace(st.h @ st.h)) + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
+    return _rel(np.maximum(0.0, rhs - lhs), abs(lhs), abs(rhs))
+
+
+def _ric_xi_xi(st, _):
+    ric = st.ricci(st.xi, st.xi)
+    return _rel(abs(ric - (2.0 * st.n - float(np.trace(st.h @ st.h)))), abs(ric))
+
+
+def _eq17(st, seed):
+    gd = st.gnorm(st.directions(seed)[0])
+    return _rel(_sasakian_norms(st, seed), gd[:, None], st.gnorm(st.xi))
+
+
+def _eq23(st, seed):
+    d, _ = st.directions(seed)
+    gd, eta_d = st.gnorm(d), st.eta @ d
+    defect = st.curvature_op(d, d, st.xi) - d[:, :, None] * eta_d + eta_d[:, None] * d[:, None, :]
+    return _rel(st.gnorm(defect), gd[:, None], gd)
+
+
+def _eq20(st, seed):
+    u = st.g_normalize(_ker_eta_dirs(st, seed))
+    return _rel(st.gnorm(st.ell(u) + u), st.gnorm(u))
+
+
+def _eq20_as_written(st, seed):
+    u = st.g_normalize(_ker_eta_dirs(st, seed))
+    defect = st.curvature_op(u, st.xi, st.xi) + u + np.outer(st.xi, st.eta @ u)
+    return _rel(st.gnorm(defect), st.gnorm(u))
+
+
+def _eq19(st, seed):
+    """(nabla_X Q) Y = 0 for X, Y in ker eta."""
+    p = st.project_ker_eta(st.directions(seed)[0])
+    return _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), _amax(st.Q))
+
+
+def _normal(st, seed):
+    gd = st.gnorm(st.directions(seed)[0])
+    return _rel(_n1_norms(st, seed), gd[:, None], gd)
+
+
+def _deta_qt_phi(st, seed):
+    """d eta(X + (1/2) Qt X, Y) = Phi(X, Y)."""
+    d, fd = st.directions(seed)
+    lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), d.T @ st.g @ fd
+    return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
+
+
+def _quasi_canonical(st, _):
+    """The quasi-contact defect at X = Y = e_1, the first f-basis vector: the
+    quantity with a closed-form oracle on the scaled fixtures."""
+    e1 = st.fbasis.e[0][:, None]
+    return np.max(st.gnorm(quasi_defect(st, e1, e1)))
+
+
+# -- the registry ------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One residual check.  `residual(st, seed)` is its residual at a point,
+    or None where it does not apply; it is evaluated only where the check
+    `gate` (the hypothesis) passes.  `suites` names the suites that report
+    it; the others are hypotheses and inputs of theorem and class rows."""
+
+    id: str
+    paper: str
+    tier: str  # algebraic | deriv | curv
+    residual: Callable
+    gate: str | None
+    suites: tuple[str, ...]
+
+
+# (suites, hypothesis, checks as (id, paper label, tier, residual)), in report order
+_SECTIONS = (
+    (("identity", "validate"), None, (
+        ("axiom-eta-normalization", "(2)", "algebraic", lambda st, _: abs(st.eta @ st.xi - 1.0)),
+        ("axiom-f-square", "(2)", "algebraic", lambda st, _: _amax(st.f @ st.f + st.Q - np.outer(st.xi, st.eta))),
+        ("axiom-metric-compatibility", "(2)", "algebraic",
+         lambda st, _: _amax(st.f.T @ st.g @ st.f - st.g @ st.Q + np.outer(st.eta, st.eta))),
+        ("axiom-f-xi", "(3)", "algebraic", lambda st, _: _amax(st.f @ st.xi)),
+        ("axiom-eta-f", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.f)),
+        ("axiom-eta-Q", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.Q - st.eta)),
+        ("axiom-Qf-commutator", "(3)", "algebraic", lambda st, _: _amax(st.Q @ st.f - st.f @ st.Q)),
+        ("axiom-Qt-xi", "(3)", "algebraic", lambda st, _: _amax(st.Qt @ st.xi)),
+        ("axiom-eta-Qt", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.Qt)),
+    )),
+    (("validate",), None, (
+        ("f-skew-symmetry", "(2)/(3)", "algebraic", lambda st, _: _amax(st.Phi + st.Phi.T)),
+        ("Q-self-adjoint", "(2)/(3)", "algebraic", lambda st, _: _amax(st.g @ st.Q - (st.g @ st.Q).T)),
+        ("Q-consistency", "(2)/(3)", "algebraic",
+         lambda st, _: None if st.q_explicit is None else _amax(st.q_explicit - st.Q)),
+        ("h-xi", "(2)/(3)", "algebraic", lambda st, _: _amax(st.h @ st.xi)),
+        ("n3-xi", "(2)/(3)", "algebraic", lambda st, _: _amax(st.n3(st.xi))),
+        # 0 while the smallest eigenvalue q of Q is positive, else 1 - q: a singular Q fails too
+        ("Q-positive-definite", "(2)", "algebraic",
+         lambda st, _: 0.0 if st.q_spectrum[0] > 0.0 else 1.0 - st.q_spectrum[0]),
+        ("f-rank", "rank f = 2n", "algebraic", _f_rank),
+    )),
+    (("identity",), None, (("n2-nabla-eta", "(4)", "deriv", _n2_nabla_eta),)),
+    (("identity",), "quasi", (
+        ("lemma21-5", "(5)", "deriv", _lemma21_5),
+        ("lemma21-6", "(6)", "deriv", _nabla_xi_f),
+        ("lemma21-7-xi", "(7)", "deriv", lambda st, _: _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
+        ("lemma21-7-eta", "(7)", "deriv", lambda st, _: _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
+        ("lemma21-8-left", "(8)", "deriv",
+         lambda st, _: _mat_residual(st.Q @ st.nabla_xi + st.f + st.f @ st.h, st.f, st.f @ st.h)),
+        ("lemma21-8-right", "(8)", "deriv",
+         lambda st, _: _mat_residual(st.nabla_xi @ st.Q + st.f + st.f @ st.h, st.f, st.f @ st.h)),
+        ("lemma21-9-lie", "(9)", "deriv", lambda st, _: _mat_residual(st.lie_xi_Q, st.Q)),
+        ("lemma21-9-nabla", "(9)", "deriv",
+         lambda st, _: _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
+        ("lemma21-10", "(10)", "deriv", lambda st, _: _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
+        ("lemma21-11", "(11)", "deriv", lambda st, _: _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
+        ("eq13-h", "(13)", "deriv",
+         lambda st, _: _mat_residual(2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f)),
+    )),
+    (("identity",), "nabla-xi-f", (("eq16-h-n2", "(16)", "deriv", _eq16),)),
+    (("curvature",), "quasi", (
+        ("eq14", "(14)", "curv", _eq14),
+        ("eq15", "(15)", "curv", _eq15),
+        ("eq22", "(22)", "curv", _eq22),
+    )),
+    (("curvature",), "eq21-hypothesis", (("eq21", "(21)", "curv", _eq21),)),
+    (("curvature",), "contact-metric", (("ric-xi-xi", "Ric(xi,xi)", "curv", _ric_xi_xi),)),
+    # hypotheses, and the inputs of the theorem and class rows
+    ((), None, (
+        ("quasi", "quasi-contact", "deriv", lambda st, seed: st.quasi_residual(seed)),
+        ("contact-metric", "d eta = Phi", "deriv", lambda st, _: st.contact_residual),
+        ("nabla-xi-f", "nabla_xi f = 0", "deriv", _nabla_xi_f),
+        ("killing-xi", "L_xi g = 0", "deriv", lambda st, _: _rel(st.killing_residual, _amax(st.g))),
+        ("nabla-xi-eq18", "(18)", "deriv", lambda st, _: _mat_residual(st.nabla_xi + st.f, st.f)),
+        ("sasakian-eq17", "(17)", "deriv", _eq17),
+        ("curvature-eq23", "(23)", "curv", _eq23),
+        ("curvature-eq20", "(20)", "curv", _eq20),
+        ("eq20-written", "(20)", "curv", _eq20_as_written),
+        ("nabla-Q-eq19", "(19)", "deriv", _eq19),
+        ("h-self-adjoint", "h = h*", "deriv", lambda st, _: _mat_residual(st.h - st.h_star, st.h)),
+        ("h-skew-symmetric", "h = -h*", "deriv", lambda st, _: _mat_residual(st.h + st.h_star, st.h)),
+        ("Qt-zero", "Qt = 0", "deriv", lambda st, _: _amax(st.Qt)),
+        ("normal", "N^(1) = 0", "deriv", _normal),
+        ("dPhi-zero", "d Phi = 0", "deriv", lambda st, _: _rel(_amax(st.dPhi_form), _amax(st.Phi))),
+        ("2h2-eq-Qt2", "2 h^2 = Qt^2", "curv",
+         lambda st, _: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
+        ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st, _: np.trace(st.h @ st.h)),
+        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st, _: 1e-6 - abs(contact_volume(st.owner, st.point))),
+        ("deta-Qt-Phi", "d eta(X + Qt X/2, Y) = Phi", "deriv", _deta_qt_phi),
+        ("n1", "N^(1) = 0", "deriv", lambda st, seed: np.max(_n1_norms(st, seed))),
+        ("sasakian", "(17)", "deriv", lambda st, seed: np.max(_sasakian_norms(st, seed))),
+        # the nearly-Sasakian defect is the Sasakian one at X = Y
+        ("nearly-sasakian", "(17), X = Y", "deriv", lambda st, seed: np.max(np.diagonal(_sasakian_norms(st, seed)))),
+        ("lie-xi-g", "L_xi g = 0", "deriv", lambda st, _: st.killing_residual),
+        ("quasi-canonical", "quasi-contact at e_1", "deriv", _quasi_canonical),
+    )),
+    ((), "quasi", (("eq21-hypothesis", "(21)", "curv", _eq21_hypothesis),)),
 )
-_QUASI_GATED = (
-    ("lemma21-5", "(5)", "deriv"),
-    ("lemma21-6", "(6)", "deriv"),
-    ("lemma21-7-xi", "(7)", "deriv"),
-    ("lemma21-7-eta", "(7)", "deriv"),
-    ("lemma21-8-left", "(8)", "deriv"),
-    ("lemma21-8-right", "(8)", "deriv"),
-    ("lemma21-9-lie", "(9)", "deriv"),
-    ("lemma21-9-nabla", "(9)", "deriv"),
-    ("lemma21-10", "(10)", "deriv"),
-    ("lemma21-11", "(11)", "deriv"),
-    ("eq13-h", "(13)", "deriv"),
-)
-IDENTITY_CHECKS = _UNGATED + _QUASI_GATED + (("eq16-h-n2", "(16)", "deriv"),)
+CHECKS = {
+    cid: Check(cid, paper, tier, fn, gate, suites)
+    for suites, gate, rows in _SECTIONS
+    for cid, paper, tier, fn in rows
+}
 
+VALIDATE = tuple(cid for cid, c in CHECKS.items() if "validate" in c.suites)
 
-def run_identity_suite(
-    s: WeakACM,
-    plan: SamplePlan = SamplePlan(),
-    tolerances: Tolerances = Tolerances(),
-    timestamp: bool = False,
-) -> CheckReport:
-    report = _base_report("identity", s.name, plan, tolerances, timestamp)
-    td = tolerances.deriv
-    worst = Worst()
-
-    for point in sample_points(plan, s.sdef.domain):
-        st = s.at(point)
-        d, fd = st.directions(plan.seed)
-        worst.admit(c[0] for c in _UNGATED)
-        for name, value in axiom_residuals(st).items():
-            worst.update(f"axiom-{name}", value)
-
-        # N^(2) via covariant derivatives of eta (holds on any weak a.c.m.):
-        # with a[x, y] = (nabla_{fX} eta) Y and b[x, y] = (nabla_X eta) fY
-        ne = st.nabla_eta
-        a, b = fd.T @ ne @ d, d.T @ ne @ fd
-        rhs = a - b.T - a.T + b
-        n2 = st.n2(d, d)
-        worst.update("n2-nabla-eta", _rel(np.abs(n2 - rhs), np.abs(n2), np.abs(rhs)))
-
-        c3 = np.tensordot(st.xi, st.nabla_f, axes=1)  # nabla_xi f
-        if worst.admit((c[0] for c in _QUASI_GATED), st.quasi_residual(plan.seed), td):
-            two_phi = 2.0 * (fd.T @ st.g @ d)
-            lhs = d.T @ ne @ (st.Q @ d) + fd.T @ ne @ fd + two_phi
-            fh = st.f @ st.h
-            for cid, value in (
-                ("lemma21-5", _rel(np.abs(lhs), np.abs(two_phi))),
-                ("lemma21-6", _mat_residual(c3, st.f)),
-                ("lemma21-7-xi", _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
-                ("lemma21-7-eta", _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
-                ("lemma21-8-left", _mat_residual(st.Q @ st.nabla_xi + st.f + fh, st.f, fh)),
-                ("lemma21-8-right", _mat_residual(st.nabla_xi @ st.Q + st.f + fh, st.f, fh)),
-                ("lemma21-9-lie", _mat_residual(st.lie_xi_Q, st.Q)),
-                ("lemma21-9-nabla", _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
-                ("lemma21-10", _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
-                ("lemma21-11", _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
-                (
-                    "eq13-h",
-                    _mat_residual(2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f),
-                ),
-            ):
-                worst.update(cid, value)
-        if worst.admit(("eq16-h-n2",), _mat_residual(c3, st.f), td):
-            gh = st.g @ st.h
-            lhs = d.T @ (gh - gh.T) @ d
-            rhs = -0.5 * n2
-            worst.update("eq16-h-n2", _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
-
-    _emit(report, worst, IDENTITY_CHECKS, tolerances)
-    return report
-
-
-# -- curvature suite ------------------------------------------------------------------
-
-CURVATURE_CHECKS = (
-    ("eq14", "(14)", "curv"),
-    ("eq15", "(15)", "curv"),
-    ("eq22", "(22)", "curv"),
-    ("eq21", "(21)", "curv"),
-    ("ric-xi-xi", "Ric(xi,xi)", "curv"),
+# (prefix, paper label, hypotheses, conclusions, readings).  A term is a check
+# id, or (row name, check id).  Conclusions are held to 10x their tier;
+# readings are recorded for transparency and always skipped (Thm 3.4: both
+# sign readings of its curvature hypothesis).
+THEOREMS = (
+    ("t31", "Thm 3.1", ("quasi", "nabla-xi-eq18"), ("Qt-zero", "contact-metric", "killing-xi"), ()),
+    ("t33", "Thm 3.3", ("quasi", "sasakian-eq17"), ("Qt-zero", "contact-metric", "normal"), ()),
+    ("t34", "Thm 3.4", ("quasi", "curvature-eq20", "killing-xi"), ("Qt-zero", "contact-metric", "2h2-eq-Qt2"),
+     (("eq20-reading-ell", "curvature-eq20"), ("eq20-reading-as-written", "eq20-written"))),
+    ("t35", "Thm 3.5", ("quasi", "curvature-eq23", "trh2-nonpositive"),
+     ("Qt-zero", ("sasakian", "sasakian-eq17"), "2h2-eq-Qt2"), ()),
+    ("p33", "Prop 3.3", ("quasi", "killing-xi"), ("h-skew-symmetric",), ()),
+    ("p34", "Prop 3.4", ("quasi", "nabla-Q-eq19", "h-self-adjoint"), ("dPhi-zero", "contact-volume", "deta-Qt-Phi"), ()),
 )
 
+# (row id, checks whose largest residual the row reports, checks that must pass for its verdict)
+CLASSES = (
+    ("weak-acm-axioms", VALIDATE, VALIDATE),
+    ("contact-metric", ("contact-metric",), ("contact-metric",)),
+    ("quasi", ("quasi",), ("quasi",)),
+    ("quasi-canonical-direction", ("quasi-canonical",), ("quasi",)),
+    ("normal", ("n1",), ("n1",)),
+    ("sasakian", ("sasakian",), ("sasakian",)),
+    ("nearly-sasakian", ("nearly-sasakian",), ("nearly-sasakian",)),
+    ("killing-xi", ("lie-xi-g",), ("lie-xi-g",)),
+    ("k-contact", ("contact-metric", "lie-xi-g"), ("contact-metric", "lie-xi-g")),
+)
 
-def run_curvature_suite(
-    s: WeakACM,
-    plan: SamplePlan = SamplePlan(),
-    tolerances: Tolerances = Tolerances(),
-    timestamp: bool = False,
-) -> CheckReport:
-    report = _base_report("curvature", s.name, plan, tolerances, timestamp)
-    td, tc = tolerances.deriv, tolerances.curv
-    worst = Worst()
+# the parts of each suite, in report order
+SUITES = {"all": ("identity", "curvature", "theorems")} | {
+    s: (s,) for s in ("identity", "curvature", "theorems", "validate", "classify")
+}
 
-    for point in sample_points(plan, s.sdef.domain):
-        st = s.at(point)
-        d, fd = st.directions(plan.seed)
-        h2 = st.h @ st.h
-        trh2 = float(np.trace(h2))
 
-        if worst.admit(("eq14", "eq15", "eq22"), st.quasi_residual(plan.seed), td):
-            fb = st.fbasis
-            lam = np.array(fb.lam)
-            nabla_xi_h = np.tensordot(st.xi, st.nabla_h, axes=1)
-            t1 = st.Q_inv @ (fd - h2 @ fd)
-            t2 = st.f @ st.curvature_op(d, st.xi, st.xi)
-            defect = nabla_xi_h @ d - t1 + t2
-            worst.update("eq14", _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2)))
-            lhs = st.Q @ st.ell(d) - st.f @ st.ell(fd)
-            rhs = 2.0 * h2 @ d + (st.Q + st.Q_inv) @ (st.f @ fd)
-            worst.update("eq15", _rel(st.gnorm(lhs - rhs), st.gnorm(lhs), st.gnorm(rhs)))
-            e, fe = np.column_stack(fb.e), np.column_stack(fb.fe)
-            ksum = float(np.sum(lam * (st.sectional(st.xi, e) + st.sectional(st.xi, fe))))
-            rhs22 = st.n - trh2 + float(np.sum(lam**2))
-            worst.update("eq22", _rel(abs(ksum - rhs22), abs(ksum), abs(rhs22)))
+def _terms(terms):
+    return [(t, t) if isinstance(t, str) else t for t in terms]
 
-            # hypothesis of the Ricci inequality: K(xi,X) + K(xi,fX) >= 0
-            p = st.project_ker_eta(d)
-            p = p[:, st.gnorm(p) > 1e-8]
-            k = st.sectional(st.xi, st.g_normalize(p)) + st.sectional(
-                st.xi, st.g_normalize(st.f @ p)
+
+def _inputs(part: str) -> list[str]:
+    """Ids of the checks whose largest residuals the rows of `part` report."""
+    if part == "theorems":
+        return [cid for row in THEOREMS for terms in row[2:] for _, cid in _terms(terms)]
+    if part == "classify":
+        return [cid for _, ids, verdict_ids in CLASSES for cid in ids + verdict_ids]
+    return [cid for cid, c in CHECKS.items() if part in c.suites]
+
+
+# -- the evaluator -----------------------------------------------------------------------
+
+
+class EvaluationError(ValueError):
+    """Evaluating the structure failed at a sample point."""
+
+
+def _record(cid, paper, residual, tol, points) -> CheckRecord:
+    """A row asserted at `points` points, or skipped at none; NaN fails."""
+    verdict = "skipped" if not points else "pass" if residual <= tol else "fail"
+    return CheckRecord(cid, paper, float(residual), tol, verdict, points)
+
+
+def _value(cid, st, seed, tol, seen):
+    """Residual of check `cid` at the point of `st`, computed once per point
+    (`seen`); None where it does not apply or its hypothesis fails.  A
+    non-finite hypothesis is the residual of what it gates, so that fails."""
+    if cid not in seen:
+        c, value = CHECKS[cid], None
+        hyp = 0.0 if c.gate is None else _value(c.gate, st, seed, tol, seen)
+        if hyp is not None and (c.gate is None or hyp <= tol(c.gate) or not math.isfinite(hyp)):
+            value = c.residual(st, seed) if math.isfinite(hyp) else hyp
+        seen[cid] = value
+    return seen[cid]
+
+
+def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
+    """The report rows of `part` from the largest residuals `r` and point counts."""
+    if part == "classify":
+        return [
+            CheckRecord(
+                name, "class", float(np.max([r[i] for i in ids])), tol(ids[0]),
+                "pass" if all(r[i] <= tol(i) for i in verdict_ids) else "fail", npts,
             )
-            if worst.admit(("eq21",), float(np.max(-k, initial=0.0)), tc):
-                lhs21 = float(np.max(lam)) * st.ricci(st.xi, st.xi)
-                rhs21 = st.n - trh2 + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
-                worst.update(
-                    "eq21", _rel(np.maximum(0.0, rhs21 - lhs21), abs(lhs21), abs(rhs21))
-                )
-        if worst.admit(("ric-xi-xi",), st.contact_residual, td):
-            ric = st.ricci(st.xi, st.xi)
-            worst.update("ric-xi-xi", _rel(abs(ric - (2.0 * st.n - trh2)), abs(ric)))
+            for name, ids, verdict_ids in CLASSES
+        ]
+    rows = []
+    if part == "theorems":
+        for prefix, label, hyps, concls, readings in THEOREMS:
+            hyps = _terms(hyps)
+            met = all(r[i] <= tol(i) for _, i in hyps)
+            # a non-finite hypothesis fails itself and every conclusion
+            broken = next((r[i] for _, i in hyps if not math.isfinite(r[i])), None)
+            for name, i in hyps:
+                asserted = r[i] <= tol(i) or not math.isfinite(r[i])
+                rows.append(_record(f"{prefix}-hyp-{name}", label, r[i], tol(i), npts if asserted else 0))
+            for name, i in _terms(concls):
+                res, asserted = (r[i], met) if broken is None else (broken, True)
+                rows.append(_record(f"{prefix}-{name}", label, res, 10.0 * tol(i), npts if asserted else 0))
+            rows += [_record(f"{prefix}-{name}", label, r[i], tol(i), 0) for name, i in _terms(readings)]
+        return rows
+    for cid in _inputs(part):
+        c = CHECKS[cid]
+        if count[cid] or c.gate:  # an ungated check that applies nowhere is left out
+            name, paper = cid, c.paper
+            if part == "validate" and cid.startswith("axiom-"):
+                name, paper = cid.removeprefix("axiom-"), "(2)/(3)"
+            rows.append(_record(name, paper, r[cid], tol(cid), count[cid]))
+    return rows
 
-    _emit(report, worst, CURVATURE_CHECKS, tolerances)
-    return report
 
+def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
+             tolerances: Tolerances = Tolerances(), timestamp: bool = False) -> CheckReport:
+    """The report of `suite` on `points`: the one loop over sample points.
 
-# -- theorem suite ---------------------------------------------------------------------
+    Raises `EvaluationError`, naming the point, when a point lies outside the
+    chart domain or evaluating the structure there fails (a singular metric,
+    the square root of a negative, an overflow, a non-finite Q)."""
+    parts = SUITES[suite]
+    needed = list(dict.fromkeys(cid for part in parts for cid in _inputs(part)))
 
+    def tol(cid):
+        return getattr(tolerances, CHECKS[cid].tier)
 
-def run_theorem_suite(
-    s: WeakACM,
-    plan: SamplePlan = SamplePlan(),
-    tolerances: Tolerances = Tolerances(),
-    timestamp: bool = False,
-) -> CheckReport:
-    report = _base_report("theorems", s.name, plan, tolerances, timestamp)
-    points = sample_points(plan, s.sdef.domain)
-    td, tc = tolerances.deriv, tolerances.curv
-
-    # global hypothesis and conclusion residuals: the max over points and pairs
-    worst = Worst()
+    worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
     for point in points:
-        st = s.at(point)
-        d, fd = st.directions(plan.seed)
-        gd = st.gnorm(d)
-        eta_d = st.eta @ d
-        p = st.project_ker_eta(d)
-        u = st.g_normalize(p[:, st.gnorm(p) > 1e-8])
-        d23 = st.curvature_op(d, d, st.xi) - d[:, :, None] * eta_d + eta_d[:, None] * d[:, None, :]
-        d20 = st.curvature_op(u, st.xi, st.xi) + u + np.outer(st.xi, st.eta @ u)
-        h2 = st.h @ st.h
-        # d eta(X + (1/2) Qt X, Y) = Phi(X, Y)
-        lhs = st.deta2(d + 0.5 * st.Qt @ d, d)
-        rhs = d.T @ st.g @ fd
-        for cid, value in (
-            ("quasi", st.quasi_residual(plan.seed)),
-            ("contact", st.contact_residual),
-            ("killing", _rel(st.killing_residual, np.max(np.abs(st.g)))),
-            ("eq18", _mat_residual(st.nabla_xi + st.f, st.f)),
-            ("eq17", _rel(st.gnorm(sasakian_defect(st, d, d)), gd[:, None], st.gnorm(st.xi))),
-            ("eq23", _rel(st.gnorm(d23), gd[:, None], gd)),
-            ("eq20", _rel(st.gnorm(st.ell(u) + u), st.gnorm(u))),
-            ("eq20-written", _rel(st.gnorm(d20), st.gnorm(u))),
-            # Eq (19): (nabla_X Q) Y = 0 for X, Y in ker eta
-            ("eq19", _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), np.max(np.abs(st.Q)))),
-            ("h-self-adjoint", _mat_residual(st.h - st.h_star, st.h)),
-            ("h-skew", _mat_residual(st.h + st.h_star, st.h)),
-            ("Qt-zero", np.max(np.abs(st.Qt))),
-            ("normal", _rel(st.gnorm(st.n1(d, d)), gd[:, None], gd)),
-            ("dPhi-zero", _rel(np.max(np.abs(st.dPhi_form)), np.max(np.abs(st.Phi)))),
-            ("2h2-eq-Qt2", _mat_residual(2.0 * h2 - st.Qt @ st.Qt, h2, st.Qt)),
-            ("trh2-nonpositive", np.trace(h2)),
-            ("contact-volume", 1e-6 - abs(contact_volume(s, point))),
-            ("deta-Qt-Phi", _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))),
-        ):
-            worst.update(cid, value)
+        try:
+            if not s.sdef.contains(point):
+                raise ValueError("outside the chart domain")
+            st, seen = s.at(point), {}
+            for cid in needed:
+                value = _value(cid, st, seed, tol, seen)
+                if value is not None:
+                    worst[cid] = float(np.maximum(worst[cid], value))  # keeps NaN
+                    count[cid] += 1
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"at sample point {np.asarray(point).tolist()}: {exc}") from exc
 
-    npts = len(points)
-    r = worst.value
-    quasi, contact, killing = r["quasi"], r["contact"], r["killing"]
-    qt_norm, eq17, two_h2 = r["Qt-zero"], r["eq17"], r["2h2-eq-Qt2"]
-
-    def theorem(prefix, label, hyps, concls):
-        """hyps: list of (name, residual, tol); concls: list of (name, residual, tol).
-        A non-finite hypothesis residual fails the hypothesis and every conclusion."""
-        met = all(res <= t for _, res, t in hyps)
-        broken = next((res for _, res, _ in hyps if not math.isfinite(res)), None)
-        for name, res, t in hyps:
-            if res <= t or not math.isfinite(res):
-                report.add(f"{prefix}-hyp-{name}", label, res, t, npts)
-            else:
-                report.add_skipped(f"{prefix}-hyp-{name}", label, res, t)
-        for name, res, t in concls:
-            if met or broken is not None:
-                report.add(f"{prefix}-{name}", label, res if met else broken, 10.0 * t, npts)
-            else:
-                report.add_skipped(f"{prefix}-{name}", label, res, 10.0 * t)
-
-    theorem(
-        "t31",
-        "Thm 3.1",
-        [("quasi", quasi, td), ("nabla-xi-eq18", r["eq18"], td)],
-        [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("killing-xi", killing, td)],
-    )
-    theorem(
-        "t33",
-        "Thm 3.3",
-        [("quasi", quasi, td), ("sasakian-eq17", eq17, td)],
-        [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("normal", r["normal"], td)],
-    )
-    theorem(
-        "t34",
-        "Thm 3.4",
-        [("quasi", quasi, td), ("curvature-eq20", r["eq20"], tc), ("killing-xi", killing, td)],
-        [("Qt-zero", qt_norm, td), ("contact-metric", contact, td), ("2h2-eq-Qt2", two_h2, tc)],
-    )
-    # both sign readings of the curvature hypothesis, recorded for transparency
-    report.add_skipped("t34-eq20-reading-ell", "Thm 3.4", r["eq20"], tc)
-    report.add_skipped("t34-eq20-reading-as-written", "Thm 3.4", r["eq20-written"], tc)
-    theorem(
-        "t35",
-        "Thm 3.5",
-        [
-            ("quasi", quasi, td),
-            ("curvature-eq23", r["eq23"], tc),
-            ("trh2-nonpositive", r["trh2-nonpositive"], tc),
-        ],
-        [("Qt-zero", qt_norm, td), ("sasakian", eq17, td), ("2h2-eq-Qt2", two_h2, tc)],
-    )
-    theorem(
-        "p33",
-        "Prop 3.3",
-        [("quasi", quasi, td), ("killing-xi", killing, td)],
-        [("h-skew-symmetric", r["h-skew"], td)],
-    )
-    theorem(
-        "p34",
-        "Prop 3.4",
-        [
-            ("quasi", quasi, td),
-            ("nabla-Q-eq19", r["eq19"], td),
-            ("h-self-adjoint", r["h-self-adjoint"], td),
-        ],
-        [
-            ("dPhi-zero", r["dPhi-zero"], td),
-            ("contact-volume", r["contact-volume"], td),
-            ("deta-Qt-Phi", r["deta-Qt-Phi"], td),
-        ],
-    )
+    report = CheckReport(suite, s.name, seed, tolerances.as_dict(), timestamp=now_timestamp() if timestamp else None)
+    for part in parts:
+        report.checks += _rows(part, worst, count, len(points), tol)
     return report
 
 
-def run_all(
-    s: WeakACM,
-    plan: SamplePlan = SamplePlan(),
-    tolerances: Tolerances = Tolerances(),
-    timestamp: bool = False,
-) -> CheckReport:
-    report = _base_report("all", s.name, plan, tolerances, timestamp)
-    for sub in (run_identity_suite, run_curvature_suite, run_theorem_suite):
-        report.checks.extend(sub(s, plan, tolerances).checks)
-    return report
-
-
-# -- reports for validate / classify ----------------------------------------------------
-
-
-def report_from_axioms(s: WeakACM, plan: SamplePlan, tolerances: Tolerances, timestamp=False) -> CheckReport:
-    report = _base_report("validate", s.name, plan, tolerances, timestamp)
-    points = sample_points(plan, s.sdef.domain)
-    ax = validate_axioms(s, points, tol=tolerances.algebraic)
-    for name, value in ax.residuals.items():
-        report.add(name, "(2)/(3)", value, tolerances.algebraic, len(points))
-    report.add(
-        "Q-positive-definite",
-        "(2)",
-        max(0.0, -ax.q_min_eigenvalue),
-        tolerances.algebraic,
-        len(points),
-    )
-    rank_res = 0.0 if "f-rank" not in ax.failures else 1.0
-    report.add("f-rank", "rank f = 2n", rank_res, tolerances.algebraic, len(points))
-    return report
-
-
-def report_from_classification(cr: ClassReport, plan: SamplePlan, tolerances: Tolerances, timestamp=False) -> CheckReport:
-    report = _base_report("classify", cr.structure, plan, tolerances, timestamp)
-    for name, result in cr.classes.items():
-        verdict = "pass" if result.verdict else "fail"
-        rows = [(name, result.residual)]
-        if result.canonical_residual is not None:
-            rows.append((f"{name}-canonical-direction", result.canonical_residual))
-        for cid, residual in rows:
-            record = CheckRecord(cid, "class", residual, result.tol, verdict, plan.count)
-            report.checks.append(record)
-    return report
+def run_suite(s: WeakACM, suite: str, plan: SamplePlan = SamplePlan(),
+              tolerances: Tolerances = Tolerances(), timestamp: bool = False) -> CheckReport:
+    """`evaluate` at the sample points of `plan`."""
+    return evaluate(s, suite, sample_points(plan, s.sdef.domain), plan.seed, tolerances, timestamp)

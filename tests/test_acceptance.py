@@ -10,23 +10,12 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.classify import (
-    class_residuals,
-    contact_volume,
-    f_basis,
-    validate_axioms,
-)
+from wqcm.classify import contact_volume, f_basis
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import Bin, Call, Neg, Num, Pow, Var
 from wqcm.geometry import christoffel
 from wqcm.structure import WeakACM, build_cone
-from wqcm.suites import (
-    SamplePlan,
-    run_curvature_suite,
-    run_identity_suite,
-    run_theorem_suite,
-    sample_points,
-)
+from wqcm.suites import SamplePlan, run_suite, sample_points
 
 PLAN32 = SamplePlan(count=32, seed=7)
 
@@ -152,11 +141,10 @@ def test_3_sasakian_axioms_and_classes(announce):
     detail = []
     for key in ("sasakian-r3", "sasakian-r5"):
         acm = WeakACM(catalog(key))
-        points = sample_points(PLAN32, acm.sdef.domain)
-        rep = validate_axioms(acm, points)
-        worst = max(rep.residuals.values())
-        ok = ok and rep.passed and worst < 1e-12
-        cls = class_residuals(acm, points)
+        rep = run_suite(acm, "validate", PLAN32)
+        worst = max(c.max_residual for c in rep.checks)
+        ok = ok and not rep.failed and worst < 1e-12
+        cls = {c.id: c for c in run_suite(acm, "classify", PLAN32).checks}
         for name in (
             "contact-metric",
             "quasi",
@@ -165,7 +153,7 @@ def test_3_sasakian_axioms_and_classes(announce):
             "nearly-sasakian",
             "killing-xi",
         ):
-            ok = ok and cls.classes[name].verdict
+            ok = ok and cls[name].verdict == "pass"
         detail.append(f"{key} axioms {worst:.1e}")
     announce(ok, "; ".join(detail))
 
@@ -226,12 +214,12 @@ def test_5_identity_suite_gating(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_identity_suite(WeakACM(catalog(key)), PLAN32)
+        report = run_suite(WeakACM(catalog(key)), "identity", PLAN32)
         by_id = {c.id: c for c in report.checks}
         for cid in LEMMA_IDS:
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
             worst = max(worst, by_id[cid].max_residual)
-    scaled = run_identity_suite(WeakACM(catalog("scaled", n=1, s=2.0)), PLAN32)
+    scaled = run_suite(WeakACM(catalog("scaled", n=1, s=2.0)), "identity", PLAN32)
     by_id = {c.id: c for c in scaled.checks}
     for cid in LEMMA_IDS[:-1]:  # all quasi-gated checks
         ok = ok and by_id[cid].verdict == "skipped"
@@ -245,7 +233,7 @@ def test_6_curvature_identities(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_curvature_suite(WeakACM(catalog(key)), PLAN32)
+        report = run_suite(WeakACM(catalog(key)), "curvature", PLAN32)
         by_id = {c.id: c for c in report.checks}
         for cid in ("eq14", "eq15"):
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
@@ -258,17 +246,15 @@ def test_6_curvature_identities(announce):
 
 def test_7_scaled_fixture(announce):
     acm = WeakACM(catalog("scaled", n=1, s=2.0))
-    points = sample_points(PLAN32, acm.sdef.domain)
-    rep = validate_axioms(acm, points, tol=1e-10)
-    ok = rep.passed
+    ok = not run_suite(acm, "validate", PLAN32).failed  # algebraic tier 1e-10
 
-    cls = class_residuals(acm, points)
-    canonical = cls.classes["quasi"].canonical_residual
+    cls = {c.id: c for c in run_suite(acm, "classify", PLAN32).checks}
+    canonical = cls["quasi-canonical-direction"].max_residual
     ok = ok and abs(canonical - 8.0) < 1e-6
     for name in ("contact-metric", "normal"):
-        ok = ok and not cls.classes[name].verdict and cls.classes[name].residual > 0.0
+        ok = ok and cls[name].verdict == "fail" and cls[name].max_residual > 0.0
 
-    theorems = run_theorem_suite(acm, PLAN32)
+    theorems = run_suite(acm, "theorems", PLAN32)
     by_id = {c.id: c for c in theorems.checks}
     for cid in ("t31-Qt-zero", "t33-Qt-zero", "t34-Qt-zero", "t35-Qt-zero", "p33-h-skew-symmetric"):
         ok = ok and by_id[cid].verdict == "skipped"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import UnknownCatalogKey, catalog, keys
-from wqcm.classify import class_residuals, validate_axioms
 from wqcm.structure import WeakACM
+from wqcm.suites import evaluate
 from conftest import points_for
 
 
@@ -17,24 +17,25 @@ def test_keys_listing():
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_family_satisfies_axioms(s):
     acm = WeakACM(catalog("scaled", n=1, s=s))
-    rep = validate_axioms(acm, points_for(acm, count=6))
-    assert rep.passed, rep.failures
+    rep = evaluate(acm, "validate", points_for(acm, count=6))
+    assert not rep.failed, [c.id for c in rep.checks if c.verdict == "fail"]
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_canonical_quasi_residual(s):
     acm = WeakACM(catalog("scaled", n=1, s=s))
-    rep = class_residuals(acm, points_for(acm, count=4))
+    rep = {c.id: c for c in evaluate(acm, "classify", points_for(acm, count=4)).checks}
     expected = abs(s + s**3 - 2.0)
-    assert rep.classes["quasi"].canonical_residual == pytest.approx(expected, abs=1e-6)
+    assert rep["quasi-canonical-direction"].max_residual == pytest.approx(expected, abs=1e-6)
 
 
 def test_scaled_s1_matches_sasakian(sasakian_r3):
     scaled1 = WeakACM(catalog("scaled", n=1, s=1.0))
-    a = class_residuals(scaled1, points_for(scaled1, count=6))
-    b = class_residuals(sasakian_r3, points_for(sasakian_r3, count=6))
-    for name in a.classes:
-        assert a.classes[name].verdict == b.classes[name].verdict, name
+    a = evaluate(scaled1, "classify", points_for(scaled1, count=6))
+    b = evaluate(sasakian_r3, "classify", points_for(sasakian_r3, count=6))
+    assert [c.id for c in a.checks] == [c.id for c in b.checks]
+    for u, v in zip(a.checks, b.checks):
+        assert u.verdict == v.verdict, u.id
 
 
 def test_sasakian_higher_dimensions():

@@ -3,30 +3,38 @@ import pytest
 
 from wqcm.classify import (
     Tolerances,
-    class_residuals,
     contact_volume,
     direction_set,
     f_basis,
-    validate_axioms,
 )
 from wqcm.exprdsl import load_structure_def
 from wqcm.structure import WeakACM
+from wqcm.suites import evaluate
 from conftest import points_for
+
+
+def residuals(report):
+    return {c.id: c.max_residual for c in report.checks}
+
+
+def classes(acm, points):
+    return {c.id: c for c in evaluate(acm, "classify", points).checks}
 
 
 def test_axioms_pass_on_all_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_const):
     for acm in (sasakian_r3, sasakian_r5, scaled2, flat_const):
-        rep = validate_axioms(acm, points_for(acm))
-        assert rep.passed, (acm.name, rep.failures, rep.residuals)
-        assert rep.q_min_eigenvalue > 0.0
-        assert max(rep.residuals.values()) < 1e-12
-        sv = rep.f_singular_values
+        points = points_for(acm)
+        rep = evaluate(acm, "validate", points)
+        assert not rep.failed, (acm.name, residuals(rep))
+        assert min(acm.at(p).q_spectrum[0] for p in points) > 0.0
+        assert max(residuals(rep).values()) < 1e-12
+        sv = np.sort(acm.at(points[-1]).f_singular_values)
         assert sv[0] < 1e-6 and all(v > 1e-4 for v in sv[1:])
 
 
 def test_axioms_reject_point_outside_domain(sasakian_r3):
     with pytest.raises(ValueError, match="outside"):
-        validate_axioms(sasakian_r3, [np.array([5.0, 0.0, 0.0])])
+        evaluate(sasakian_r3, "validate", [np.array([5.0, 0.0, 0.0])])
 
 
 def _perturbed_q_doc(eps=0.1):
@@ -44,14 +52,14 @@ def _perturbed_q_doc(eps=0.1):
 
 def test_perturbed_explicit_q_is_flagged():
     acm = WeakACM(load_structure_def(_perturbed_q_doc()))
-    rep = validate_axioms(acm, [np.zeros(3)])
-    assert not rep.passed
-    assert "Q-consistency" in rep.failures
-    assert rep.residuals["Q-consistency"] == pytest.approx(0.1, abs=1e-12)
+    rep = evaluate(acm, "validate", [np.zeros(3)])
+    assert rep.failed
+    assert "Q-consistency" in [c.id for c in rep.checks if c.verdict == "fail"]
+    assert residuals(rep)["Q-consistency"] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_class_verdicts_sasakian(sasakian_r3):
-    rep = class_residuals(sasakian_r3, points_for(sasakian_r3))
+    c = classes(sasakian_r3, points_for(sasakian_r3))
     for name in (
         "weak-acm-axioms",
         "contact-metric",
@@ -62,30 +70,28 @@ def test_class_verdicts_sasakian(sasakian_r3):
         "killing-xi",
         "k-contact",
     ):
-        assert rep.classes[name].verdict, (name, rep.classes[name].residual)
+        assert c[name].verdict == "pass", (name, c[name].max_residual)
 
 
 def test_class_verdicts_scaled(scaled2):
-    rep = class_residuals(scaled2, points_for(scaled2))
-    c = rep.classes
-    assert c["weak-acm-axioms"].verdict
-    assert c["killing-xi"].verdict
+    c = classes(scaled2, points_for(scaled2))
+    assert c["weak-acm-axioms"].verdict == "pass"
+    assert c["killing-xi"].verdict == "pass"
     for name in ("contact-metric", "quasi", "normal", "sasakian", "nearly-sasakian", "k-contact"):
-        assert not c[name].verdict, name
-        assert c[name].residual > 1e-3, name
+        assert c[name].verdict == "fail", name
+        assert c[name].max_residual > 1e-3, name
     # |s + s^3 - 2| at s = 2 on the canonical unit direction
-    assert c["quasi"].canonical_residual == pytest.approx(8.0, abs=1e-6)
+    assert c["quasi-canonical-direction"].max_residual == pytest.approx(8.0, abs=1e-6)
 
 
 def test_class_verdicts_flat_const(flat_const):
-    rep = class_residuals(flat_const, points_for(flat_const))
-    c = rep.classes
-    assert c["weak-acm-axioms"].verdict
-    assert c["killing-xi"].verdict
-    assert c["normal"].verdict  # constant f, d eta = 0
-    assert not c["contact-metric"].verdict
-    assert not c["sasakian"].verdict
-    assert not c["k-contact"].verdict
+    c = classes(flat_const, points_for(flat_const))
+    assert c["weak-acm-axioms"].verdict == "pass"
+    assert c["killing-xi"].verdict == "pass"
+    assert c["normal"].verdict == "pass"  # constant f, d eta = 0
+    assert c["contact-metric"].verdict == "fail"
+    assert c["sasakian"].verdict == "fail"
+    assert c["k-contact"].verdict == "fail"
 
 
 def check_f_basis_invariants(acm, point, tol=1e-9):

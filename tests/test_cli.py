@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
-from wqcm.exprdsl import dumps
+from wqcm.exprdsl import dumps, to_str
 from wqcm.catalog import catalog
+from test_exprdsl import COORDS, exprs
 
 
 def run(argv):
@@ -203,3 +207,85 @@ def test_python_m_wqcm():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "sasakian-r3" in proc.stdout.splitlines()
+
+
+def _nan_doc():
+    return json.loads((Path(__file__).parent / "data" / "sasakian-r3-nan.json").read_text())
+
+
+def _singular_metric(doc):
+    doc["f"][2][2] = "0"
+    doc["metric"][0][0] = "y1"  # not positive definite where y1 <= 0
+
+
+def _sqrt_of_negative(doc):
+    doc["f"][2][2] = "0"
+    doc["xi"][0] = "sqrt(y1)"
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "all"], ["validate"], ["classify"]], ids=["check-all", "validate", "classify"]
+)
+@pytest.mark.parametrize(
+    "edit", [lambda doc: None, _singular_metric, _sqrt_of_negative], ids=["nan", "singular-metric", "sqrt-negative"]
+)
+def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit):
+    doc = _nan_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run([*command, str(path), "--points", "2", "--no-timestamp"])
+    assert code in (EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert "at sample point [" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["fbasis", "cone"])
+def test_point_outside_domain_is_usage_error(command):
+    code, out, err = run([command, "builtin:sasakian-r3", "--at", "5,0,0"])
+    assert code == EXIT_USAGE
+    assert "outside the chart domain" in err and out == ""
+
+
+def test_non_string_cell_is_usage_error(tmp_path):
+    doc = json.loads(dumps(catalog("sasakian-r3")))
+    doc["metric"][1][1] = 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path)])
+    assert code == EXIT_USAGE
+    assert "metric entry [1][1]" in err and out == ""
+
+
+CELLS = [("metric", i, j) for i in range(3) for j in range(i, 3)]
+CELLS += [("f", i, j) for i in range(3) for j in range(3)] + [("xi", i, None) for i in range(3)]
+
+
+@st.composite
+def structure_docs(draw):
+    """The flat-const structure with some cells replaced by random expressions."""
+    doc = {
+        "name": "random",
+        "n": 1,
+        "coords": COORDS,
+        "domain": [[-1, 1]] * 3,
+        "metric": [["1", "0", "0"], ["", "1", "0"], ["", "", "1"]],
+        "f": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"],
+    }
+    for field, i, j in draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=3, unique=True)):
+        row = doc[field] if j is None else doc[field][i]
+        row[i if j is None else j] = to_str(draw(exprs(depth=2)))
+    return doc
+
+
+@settings(max_examples=30, deadline=None)
+@given(structure_docs())
+def test_any_structure_exits_0_1_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("random") / "s.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for command in (["validate"], ["classify"], ["check", "all"]):
+            code, _, _ = run([*command, str(path), "--points", "2", "--no-timestamp"])
+            assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)

@@ -173,6 +173,12 @@ def test_explicit_q_field_parsed():
         (lambda d: d["metric"].pop(), "metric"),
         (lambda d: d["f"][0].pop(), "row 0"),
         (lambda d: d.update(xi=["0", "0"]), "xi"),
+        # a cell that is not a string (the number 1 instead of "1")
+        pytest.param(lambda d: d["metric"][0].__setitem__(0, 1), "metric entry", id="metric-number"),
+        pytest.param(lambda d: d["metric"][1].__setitem__(0, 0), "metric entry", id="metric-lower-number"),
+        pytest.param(lambda d: d["f"][0].__setitem__(1, 1), "f entry", id="f-number"),
+        pytest.param(lambda d: d["xi"].__setitem__(2, 1.0), "xi entry", id="xi-number"),
+        pytest.param(lambda d: d.update(Q=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", None]]), "Q entry", id="Q-null"),
     ],
 )
 def test_schema_errors(mutate, fragment):

@@ -1,10 +1,12 @@
-"""The batched check evaluation reproduces the reports of the per-pair loops.
+"""Reports stay those of the pinned reference implementations.
 
 `tests/data/<key>.check-all.json` and `<key>.classify.json` were written by
-the per-pair loop implementation that the batched contractions replaced, with
+a per-pair loop implementation of the checks, and `<key>.validate.json` by
+the hand-written axiom validation that the check registry replaced, with
 
     wqcm check all builtin:<source> --points 8 --seed 7 --format json --no-timestamp
     wqcm classify  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
+    wqcm validate  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
 
 Ids, labels, verdicts and point counts must match exactly; residuals may
 differ only by summation order.
@@ -21,7 +23,7 @@ from wqcm import classify, geometry
 from wqcm.catalog import catalog
 from wqcm.cli import run_cli
 from wqcm.structure import WeakACM
-from wqcm.suites import SamplePlan, run_all
+from wqcm.suites import SamplePlan, run_suite
 
 DATA = Path(__file__).parent / "data"
 SOURCES = {
@@ -33,7 +35,7 @@ SOURCES = {
 }
 
 
-@pytest.mark.parametrize("command", ["check-all", "classify"])
+@pytest.mark.parametrize("command", ["check-all", "classify", "validate"])
 @pytest.mark.parametrize("key", sorted(SOURCES))
 def test_report_matches_loop_implementation(key, command):
     expected = json.loads((DATA / f"{key}.{command}.json").read_text())
@@ -66,6 +68,6 @@ def test_run_all_builds_curvature_and_f_basis_once_per_point(monkeypatch):
 
     count(geometry, "riemann")
     count(classify, "f_basis")
-    run_all(WeakACM(catalog("sasakian-r3")), SamplePlan(count=8, seed=7))
+    run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
     assert 0 < calls["riemann"] <= 8
     assert 0 < calls["f_basis"] <= 8

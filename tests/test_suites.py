@@ -3,18 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from wqcm.classify import Tolerances
 from wqcm.suites import (
     CheckRecord,
     CheckReport,
     SamplePlan,
     emit_report,
-    report_from_axioms,
-    report_from_classification,
-    run_all,
-    run_curvature_suite,
-    run_identity_suite,
-    run_theorem_suite,
+    run_suite,
     sample_points,
 )
 
@@ -53,7 +47,7 @@ def test_sample_points_bad_inputs():
 
 
 def test_identity_suite_all_pass_on_sasakian(sasakian_r3):
-    report = run_identity_suite(sasakian_r3, PLAN)
+    report = run_suite(sasakian_r3, "identity", PLAN)
     assert not report.failed
     assert all(c.verdict == "pass" for c in report.checks)
     ids = {c.id for c in report.checks}
@@ -61,7 +55,7 @@ def test_identity_suite_all_pass_on_sasakian(sasakian_r3):
 
 
 def test_identity_suite_gates_on_scaled(scaled2):
-    report = run_identity_suite(scaled2, PLAN)
+    report = run_suite(scaled2, "identity", PLAN)
     assert not report.failed
     by_id = {c.id: c for c in report.checks}
     for cid in ("lemma21-5", "lemma21-10", "eq13-h"):
@@ -71,17 +65,17 @@ def test_identity_suite_gates_on_scaled(scaled2):
 
 
 def test_curvature_suite(sasakian_r3, scaled2):
-    good = run_curvature_suite(sasakian_r3, PLAN)
+    good = run_suite(sasakian_r3, "curvature", PLAN)
     assert all(c.verdict == "pass" for c in good.checks)
-    gated = run_curvature_suite(scaled2, PLAN)
+    gated = run_suite(scaled2, "curvature", PLAN)
     assert all(c.verdict == "skipped" for c in gated.checks)
     assert not gated.failed
 
 
 def test_theorem_suite_gating(sasakian_r3, scaled2, flat_const):
-    assert not run_theorem_suite(sasakian_r3, PLAN).failed
+    assert not run_suite(sasakian_r3, "theorems", PLAN).failed
     for acm in (scaled2, flat_const):
-        report = run_theorem_suite(acm, PLAN)
+        report = run_suite(acm, "theorems", PLAN)
         assert not report.failed  # unmet hypotheses skip, never fail
         by_id = {c.id: c for c in report.checks}
         for prefix in ("t31", "t33", "t34", "t35"):
@@ -90,11 +84,11 @@ def test_theorem_suite_gating(sasakian_r3, scaled2, flat_const):
 
 
 def test_run_all_concatenates(sasakian_r3):
-    combined = run_all(sasakian_r3, PLAN)
+    combined = run_suite(sasakian_r3, "all", PLAN)
     parts = (
-        run_identity_suite(sasakian_r3, PLAN).checks
-        + run_curvature_suite(sasakian_r3, PLAN).checks
-        + run_theorem_suite(sasakian_r3, PLAN).checks
+        run_suite(sasakian_r3, "identity", PLAN).checks
+        + run_suite(sasakian_r3, "curvature", PLAN).checks
+        + run_suite(sasakian_r3, "theorems", PLAN).checks
     )
     assert [c.id for c in combined.checks] == [c.id for c in parts]
     assert combined.suite == "all"
@@ -102,14 +96,14 @@ def test_run_all_concatenates(sasakian_r3):
 
 def test_report_failed_ignores_skipped():
     report = CheckReport(suite="x", structure="y", seed=1, tol={})
-    report.add_skipped("a", "lbl", 5.0, 1e-9)
+    report.checks.append(CheckRecord("a", "lbl", 5.0, 1e-9, "skipped", 0))
     assert not report.failed
-    report.add("b", "lbl", 5.0, 1e-9, 3)
+    report.checks.append(CheckRecord("b", "lbl", 5.0, 1e-9, "fail", 3))
     assert report.failed
 
 
 def test_emit_report_json_schema(sasakian_r3):
-    report = run_identity_suite(sasakian_r3, PLAN)
+    report = run_suite(sasakian_r3, "identity", PLAN)
     doc = json.loads(emit_report(report, "json"))
     assert set(doc) == {"suite", "structure", "seed", "tol", "checks"}
     assert doc["structure"] == "sasakian-r3"
@@ -119,13 +113,13 @@ def test_emit_report_json_schema(sasakian_r3):
 
 
 def test_emit_report_deterministic(scaled2):
-    a = emit_report(run_all(scaled2, PLAN), "json")
-    b = emit_report(run_all(scaled2, PLAN), "json")
+    a = emit_report(run_suite(scaled2, "all", PLAN), "json")
+    b = emit_report(run_suite(scaled2, "all", PLAN), "json")
     assert a == b
 
 
 def test_emit_report_timestamp_and_formats(sasakian_r3):
-    report = run_identity_suite(sasakian_r3, PLAN, timestamp=True)
+    report = run_suite(sasakian_r3, "identity", PLAN, timestamp=True)
     assert report.timestamp is not None
     doc = json.loads(emit_report(report, "json"))
     assert "timestamp" in doc
@@ -136,18 +130,14 @@ def test_emit_report_timestamp_and_formats(sasakian_r3):
 
 
 def test_report_from_axioms(sasakian_r3):
-    report = report_from_axioms(sasakian_r3, PLAN, Tolerances())
+    report = run_suite(sasakian_r3, "validate", PLAN)
     assert not report.failed
     ids = {c.id for c in report.checks}
     assert "Q-positive-definite" in ids and "f-rank" in ids
 
 
 def test_report_from_classification(scaled2):
-    from wqcm.classify import class_residuals
-
-    points = sample_points(PLAN, scaled2.sdef.domain)
-    cr = class_residuals(scaled2, points, seed=PLAN.seed)
-    report = report_from_classification(cr, PLAN, Tolerances())
+    report = run_suite(scaled2, "classify", PLAN)
     by_id = {c.id: c for c in report.checks}
     assert by_id["quasi-canonical-direction"].max_residual == pytest.approx(8.0, abs=1e-6)
     assert by_id["contact-metric"].verdict == "fail"
