@@ -4,7 +4,7 @@ Three families:
 
   * "sasakian-r{2n+1}" -- the standard Sasakian structure on R^{2n+1} with
     eta = (1/2)(dz - sum_i y_i dx_i), xi = 2 d/dz and the associated metric.
-    The sign of f is pinned at build time by requiring d eta = Phi.
+    The sign of f is the one for which d eta = Phi.
   * "scaled" (parameters n, s) -- same chart, metric and xi, with f scaled
     by s.  A genuine weak structure with Q = s^2 id + (1 - s^2) eta (x) xi.
   * "flat-const" -- Euclidean R^3 with a constant f; fails the contact
@@ -13,10 +13,7 @@ Three families:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .exprdsl import StructureDef, load_structure_def
-from .structure import WeakACM
 
 DEFAULT_DOMAIN_HALF_WIDTH = 1.0
 MAX_N = 3  # dimension 7; keeps full suite runs fast
@@ -34,8 +31,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _sasakian_doc(n: int, f_sign: float, s: float = 1.0, name: str | None = None) -> dict:
-    """Sasakian chart document on R^{2n+1}; f scaled by s and flipped by f_sign."""
+def _sasakian(n: int, s: float = 1.0, name: str | None = None) -> StructureDef:
+    """Sasakian chart on R^{2n+1}, with f scaled by s."""
     dim = 2 * n + 1
     xs = [f"x{i + 1}" for i in range(n)]
     ys = [f"y{i + 1}" for i in range(n)]
@@ -53,18 +50,19 @@ def _sasakian_doc(n: int, f_sign: float, s: float = 1.0, name: str | None = None
         metric[n + i][n + i] = "1/4"
     metric[dim - 1][dim - 1] = "1/4"
 
-    c = f_sign * s
+    # The literature is split on the sign of f; this is the sign that satisfies
+    # the contact-metric condition d eta = Phi for the unscaled structure.
     f = [[zero] * dim for _ in range(dim)]
     for i in range(n):
-        # f(d/dx_i) = -d/dy_i ;  f(d/dy_i) = d/dx_i + y_i d/dz  (up to f_sign, times s)
-        f[n + i][i] = _fmt(-c)
-        f[i][n + i] = _fmt(c)
-        f[dim - 1][n + i] = f"({_fmt(c)})*{ys[i]}"
+        # f(d/dx_i) = -d/dy_i ;  f(d/dy_i) = d/dx_i + y_i d/dz  (times s)
+        f[n + i][i] = _fmt(-s)
+        f[i][n + i] = _fmt(s)
+        f[dim - 1][n + i] = f"({_fmt(s)})*{ys[i]}"
 
     xi = [zero] * dim
     xi[dim - 1] = "2"
     w = DEFAULT_DOMAIN_HALF_WIDTH
-    return {
+    return load_structure_def({
         "name": name or f"sasakian-r{dim}",
         "n": n,
         "coords": coords,
@@ -72,33 +70,7 @@ def _sasakian_doc(n: int, f_sign: float, s: float = 1.0, name: str | None = None
         "metric": metric,
         "f": f,
         "xi": xi,
-    }
-
-
-def _contact_metric_residual(sdef: StructureDef) -> float:
-    """max |d eta - Phi| over a few interior points (sign oracle for f)."""
-    acm = WeakACM(sdef)
-    res = 0.0
-    for frac in (0.15, 0.45, 0.8):
-        point = np.array([lo + frac * (hi - lo) for lo, hi in sdef.domain])
-        st = acm.at(point)
-        res = max(res, float(np.max(np.abs(st.deta_form - st.Phi))))
-    return res
-
-
-def _sasakian(n: int, s: float = 1.0, name: str | None = None) -> StructureDef:
-    # The literature is split on the sign of f; keep the sign that satisfies
-    # the contact-metric condition d eta = Phi for the unscaled structure.
-    best = None
-    for sign in (1.0, -1.0):
-        sdef = load_structure_def(_sasakian_doc(n, sign, s=s, name=name))
-        probe = sdef if s == 1.0 else load_structure_def(_sasakian_doc(n, sign, s=1.0, name=name))
-        if _contact_metric_residual(probe) < 1e-10:
-            best = sdef
-            break
-    if best is None:
-        raise RuntimeError("neither f sign satisfies the contact-metric condition")
-    return best
+    })
 
 
 def _flat_const_doc() -> dict:

@@ -11,8 +11,9 @@ SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]"
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
 1 at least one failure, 2 input or usage error, including a structure that
-cannot be evaluated at a sample point (the message names the point).  JSON
-reports go to stdout (or --output); diagnostics go to stderr.
+cannot be evaluated at a sample point or at the --at point (the message
+names the point).  JSON reports go to stdout (or --output); diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ def _int_at_least(low: int):
 
 
 _COUNT, _SEED = _int_at_least(1), _int_at_least(0)
+_SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("source", help="structure file or builtin:<key>[?n=..,s=..]")
+    p.add_argument("source", help=_SOURCE_HELP)
     p.add_argument("--points", type=_COUNT, default=32)
     p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--strategy", choices=("halton", "grid"), default="halton")
@@ -112,6 +114,12 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--tol-curv", type=float, default=None)
 
 
+def _add_point(p: _Parser) -> _Parser:
+    p.add_argument("source", help=_SOURCE_HELP)
+    p.add_argument("--at", required=True, help="comma-separated chart coordinates")
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wqcm", description="weak contact-structure verification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,13 +128,8 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check")
     check.add_argument("suite", choices=("identity", "curvature", "theorems", "all"))
     _add_common(check)
-    fb = sub.add_parser("fbasis")
-    _add_common(fb)
-    fb.add_argument("--at", required=True, help="comma-separated chart coordinates")
-    cone = sub.add_parser("cone")
-    _add_common(cone)
-    cone.add_argument("--at", required=True, help="comma-separated chart coordinates")
-    cone.add_argument("--t", type=float, default=0.0)
+    _add_point(sub.add_parser("fbasis"))
+    _add_point(sub.add_parser("cone")).add_argument("--t", type=float, default=0.0)
     sub.add_parser("list")
     return parser
 
@@ -157,6 +160,31 @@ def _write(payload: bytes, args, stdout) -> None:
         stdout.write(payload.decode())
 
 
+def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
+    st = acm.at(point)
+    fb = st.fbasis
+    lines = [f"f-basis of {acm.name} at ({args.at})", f"  xi = {fb.xi.tolist()}"]
+    ok = True
+    for i, (e, fe, lam) in enumerate(zip(fb.e, fb.fe, fb.lam), start=1):
+        lines.append(f"  lambda_{i} = {lam!r}")
+        lines.append(f"  e_{i}  = {e.tolist()}")
+        lines.append(f"  fe_{i} = {fe.tolist()}")
+        ok = ok and abs(st.gdot(fe, fe) - lam) < 1e-9
+    vecs = fb.vectors()
+    ortho = max(abs(st.gdot(u, v)) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
+    lines.append(f"  max pairwise g-product = {ortho:.3e}")
+    return lines, ok and ortho < 1e-9
+
+
+def _cone(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
+    ce = build_cone(acm, point, args.t)
+    return [
+        f"cone of {acm.name} at ({args.at}), t={args.t}",
+        f"  |J^2 + P| = {ce.j2_plus_p_residual:.3e}",
+        f"  gbar(dt, dt) = {float(ce.gbar[-1, -1])!r}",
+    ], ce.j2_plus_p_residual < 1e-12
+
+
 def run_cli(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -175,54 +203,21 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         acm = _load_source(args.source)
-        tolerances = _tolerances(args)
-        plan = SamplePlan(count=args.points, seed=_seed(args), strategy=args.strategy)
-        timestamp = not args.no_timestamp
-
         if args.command in ("validate", "classify", "check"):
+            plan = SamplePlan(count=args.points, seed=_seed(args), strategy=args.strategy)
             suite = args.suite if args.command == "check" else args.command
-            report = run_suite(acm, suite, plan, tolerances, timestamp=timestamp)
+            report = run_suite(acm, suite, plan, _tolerances(args), timestamp=not args.no_timestamp)
             _write(emit_report(report, args.format), args, stdout)
             # classification is reporting, not assertion
             return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
 
-        if args.command == "fbasis":
-            from .classify import f_basis
-
-            point = _parse_point(args.at, acm)
-            fb = f_basis(acm, point)
-            st = acm.at(point)
-            lines = [f"f-basis of {acm.name} at ({args.at})"]
-            lines.append(f"  xi = {fb.xi.tolist()}")
-            ok = True
-            for i, (e, fe, lam) in enumerate(zip(fb.e, fb.fe, fb.lam), start=1):
-                lines.append(f"  lambda_{i} = {lam!r}")
-                lines.append(f"  e_{i}  = {e.tolist()}")
-                lines.append(f"  fe_{i} = {fe.tolist()}")
-                ok = ok and abs(st.gdot(fe, fe) - lam) < 1e-9
-            vecs = fb.vectors()
-            ortho = max(
-                abs(st.gdot(u, v)) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
-            )
-            ok = ok and ortho < 1e-9
-            lines.append(f"  max pairwise g-product = {ortho:.3e}")
-            lines.append(f"  verdict = {'pass' if ok else 'fail'}")
-            stdout.write("\n".join(lines) + "\n")
-            return EXIT_OK if ok else EXIT_FAIL
-
-        if args.command == "cone":
-            point = _parse_point(args.at, acm)
-            ce = build_cone(acm, point, args.t)
-            ok = ce.j2_plus_p_residual < 1e-12
-            stdout.write(
-                f"cone of {acm.name} at ({args.at}), t={args.t}\n"
-                f"  |J^2 + P| = {ce.j2_plus_p_residual:.3e}\n"
-                f"  gbar(dt, dt) = {ce.gbar[-1, -1]!r}\n"
-                f"  verdict = {'pass' if ok else 'fail'}\n"
-            )
-            return EXIT_OK if ok else EXIT_FAIL
-
-        raise CliError(f"unknown command {args.command!r}")
+        point = _parse_point(args.at, acm)
+        try:
+            lines, ok = (_fbasis if args.command == "fbasis" else _cone)(acm, point, args)
+        except (ValueError, ArithmeticError) as exc:
+            raise CliError(f"at point {point.tolist()}: {exc}") from exc
+        stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")
+        return EXIT_OK if ok else EXIT_FAIL
     except CliError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

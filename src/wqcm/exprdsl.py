@@ -267,6 +267,24 @@ def eval_jet(e: Expr, point: np.ndarray) -> Jet2:
     return ev(e)
 
 
+def eval_field(exprs, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate a nested tuple of expressions (a scalar, vector or matrix field)
+    at a point -> (v, dv, ddv) with dv[k, ...] = d_k v and ddv[k, l, ...] = d_k d_l v.
+
+    Equal expressions are evaluated once (AST nodes are frozen and hashable),
+    so the mirrored metric triangle and repeated constant cells cost nothing."""
+    point = np.asarray(point, dtype=float)
+    cells = np.array(exprs, dtype=object)
+    index: dict[Expr, int] = {}
+    slots = [index.setdefault(e, len(index)) for e in cells.flat]
+    jets = [eval_jet(e, point) for e in index]
+    d = point.shape[0]
+    v = np.array([jets[i].value for i in slots]).reshape(cells.shape)
+    dv = np.stack([jets[i].grad for i in slots], axis=-1).reshape((d,) + cells.shape)
+    ddv = np.stack([jets[i].hess for i in slots], axis=-1).reshape((d, d) + cells.shape)
+    return v, dv, ddv
+
+
 # -- structure definition files ------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprdsl import Expr, eval_jet
+from .exprdsl import Expr, eval_field
 from .linalg import gram_schmidt
 
 
@@ -52,17 +52,7 @@ class MetricEval:
     @classmethod
     def from_exprs(cls, metric: tuple[tuple[Expr, ...], ...], point: np.ndarray) -> "MetricEval":
         point = np.asarray(point, dtype=float)
-        d = point.shape[0]
-        g = np.zeros((d, d))
-        dg = np.zeros((d, d, d))
-        ddg = np.zeros((d, d, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                jt = eval_jet(metric[i][j], point)
-                g[i, j] = g[j, i] = jt.value
-                dg[:, i, j] = dg[:, j, i] = jt.grad
-                hm = jt.hess_matrix()
-                ddg[:, :, i, j] = ddg[:, :, j, i] = hm
+        g, dg, ddg = eval_field(metric, point)
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:
@@ -140,12 +130,11 @@ def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray | None = None):
     return np.sum(y * (a @ y), axis=0) / den
 
 
-def orthonormal_frame(g: np.ndarray, seed_vectors: np.ndarray | None = None) -> np.ndarray:
+def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Deterministic g-orthonormal frame (columns), built from the coordinate
     frame by modified Gram-Schmidt (pivot tolerance 1e-12)."""
     d = g.shape[0]
-    base = np.eye(d) if seed_vectors is None else seed_vectors
-    frame = gram_schmidt(base, g)
+    frame = gram_schmidt(np.eye(d), g)
     if frame.shape[1] != d:
         raise SingularMetricError("could not build a full orthonormal frame")
     return frame
@@ -173,11 +162,6 @@ def cov_oneform(gamma: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 def cov_tensor11(gamma: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """nabla T for a (1,1)-tensor: out[k, i, j] = d_k T^i_j + Gamma^i_km T^m_j - Gamma^m_kj T^i_m."""
     return dt + np.einsum("ikm,mj->kij", gamma, t) - np.einsum("mkj,im->kij", gamma, t)
-
-
-def lie_bracket(xv: np.ndarray, xd: np.ndarray, yv: np.ndarray, yd: np.ndarray) -> np.ndarray:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, with xd[k, i] = d_k X^i."""
-    return np.einsum("j,ji->i", xv, yd) - np.einsum("j,ji->i", yv, xd)
 
 
 def lie_derivative_tensor11(

@@ -6,74 +6,38 @@ chart coordinates at one point.  All derivative information downstream
 by evaluating coordinate expressions over this arithmetic, so every
 derivative is exact up to rounding.
 
-The Hessian is stored as the packed upper triangle, which makes symmetry
-a structural property rather than something to maintain numerically.
+The Hessian is a full (d, d) matrix, and it is exactly symmetric by
+construction: every update adds symmetric terms (`cross + cross.T`,
+`outer(g, g)`) to symmetric matrices, and IEEE sums and products commute,
+so entries (i, j) and (j, i) take the same rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _triu(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if dim not in _TRIU_CACHE:
-        _TRIU_CACHE[dim] = np.triu_indices(dim)
-    return _TRIU_CACHE[dim]
-
-
-def pack_symmetric(m: np.ndarray) -> np.ndarray:
-    """Packed upper triangle (row-major) of a symmetric matrix."""
-    rows, cols = _triu(m.shape[0])
-    return np.ascontiguousarray(m[rows, cols])
-
-
-def unpack_symmetric(packed: np.ndarray, dim: int) -> np.ndarray:
-    rows, cols = _triu(dim)
-    m = np.zeros((dim, dim))
-    m[rows, cols] = packed
-    m[cols, rows] = packed
-    return m
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
 class Jet2:
     """Truncated second-order Taylor data of a scalar at a point."""
 
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray  # packed upper triangle, length dim*(dim+1)//2
+    __slots__ = ("value", "grad", "hess")
 
-    def __post_init__(self):
-        d = self.grad.shape[0]
-        if self.hess.shape != (d * (d + 1) // 2,):
-            raise ValueError(
-                f"packed Hessian length {self.hess.shape} does not match dimension {d}"
-            )
-        _freeze(self.grad)
-        _freeze(self.hess)
+    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
 
     @property
     def dim(self) -> int:
         return self.grad.shape[0]
 
-    def hess_matrix(self) -> np.ndarray:
-        return unpack_symmetric(self.hess, self.dim)
-
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def constant(c: float, dim: int) -> "Jet2":
-        return Jet2(float(c), np.zeros(dim), np.zeros(dim * (dim + 1) // 2))
+        return Jet2(float(c), np.zeros(dim), np.zeros((dim, dim)))
 
     @staticmethod
     def coordinate(point: np.ndarray, index: int) -> "Jet2":
@@ -83,7 +47,7 @@ class Jet2:
             raise IndexError(f"coordinate index {index} out of range for dimension {dim}")
         g = np.zeros(dim)
         g[index] = 1.0
-        return Jet2(float(point[index]), g, np.zeros(dim * (dim + 1) // 2))
+        return Jet2(float(point[index]), g, np.zeros((dim, dim)))
 
     # -- helpers -----------------------------------------------------------
 
@@ -96,8 +60,7 @@ class Jet2:
 
     def _chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given its value and derivatives."""
-        gg = pack_symmetric(np.outer(self.grad, self.grad))
-        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * gg)
+        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * np.outer(self.grad, self.grad))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -123,7 +86,7 @@ class Jet2:
         return Jet2(
             self.value * o.value,
             self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + pack_symmetric(cross + cross.T),
+            self.value * o.hess + o.value * self.hess + (cross + cross.T),
         )
 
     __rmul__ = __mul__

@@ -21,43 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .exprdsl import StructureDef, eval_jet
+from .exprdsl import StructureDef, eval_field
 from .geometry import MetricEval, bilinear
 from .linalg import eigh
 
 
 class StructureError(ValueError):
     pass
-
-
-def _eval_matrix_field(exprs, point):
-    """Evaluate a matrix of expressions -> (values, d, dd) arrays.
-
-    d[k, i, j] = d_k T^i_j and dd[k, l, i, j] = d_k d_l T^i_j."""
-    d = len(point)
-    t = np.zeros((d, d))
-    dt = np.zeros((d, d, d))
-    ddt = np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(d):
-            jt = eval_jet(exprs[i][j], point)
-            t[i, j] = jt.value
-            dt[:, i, j] = jt.grad
-            ddt[:, :, i, j] = jt.hess_matrix()
-    return t, dt, ddt
-
-
-def _eval_vector_field(exprs, point):
-    d = len(point)
-    v = np.zeros(d)
-    dv = np.zeros((d, d))
-    ddv = np.zeros((d, d, d))
-    for i in range(d):
-        jt = eval_jet(exprs[i], point)
-        v[i] = jt.value
-        dv[:, i] = jt.grad
-        ddv[:, :, i] = jt.hess_matrix()
-    return v, dv, ddv
 
 
 class PointState:
@@ -69,61 +39,19 @@ class PointState:
         self.point = np.asarray(point, dtype=float)
         self.dim = self.sdef.dim
         self.n = self.sdef.n
+        self.metric = MetricEval.from_exprs(self.sdef.metric, self.point)
+        self.g, self.g_inv = self.metric.g, self.metric.g_inv
+        self.f, self.df, self.ddf = eval_field(self.sdef.f, self.point)
+        self.xi, self.dxi, self.ddxi = eval_field(self.sdef.xi, self.point)
         self._directions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._quasi: dict[int, float] = {}
-
-    # -- raw fields ---------------------------------------------------------
-
-    @cached_property
-    def metric(self) -> MetricEval:
-        return MetricEval.from_exprs(self.sdef.metric, self.point)
-
-    @cached_property
-    def g(self):
-        return self.metric.g
-
-    @cached_property
-    def g_inv(self):
-        return self.metric.g_inv
-
-    @cached_property
-    def _f_jets(self):
-        return _eval_matrix_field(self.sdef.f, self.point)
-
-    @property
-    def f(self):
-        return self._f_jets[0]
-
-    @property
-    def df(self):
-        return self._f_jets[1]
-
-    @property
-    def ddf(self):
-        return self._f_jets[2]
-
-    @cached_property
-    def _xi_jets(self):
-        return _eval_vector_field(self.sdef.xi, self.point)
-
-    @property
-    def xi(self):
-        return self._xi_jets[0]
-
-    @property
-    def dxi(self):
-        return self._xi_jets[1]
-
-    @property
-    def ddxi(self):
-        return self._xi_jets[2]
 
     @cached_property
     def q_explicit(self):
         """Explicit Q from the file, if any (cross-check only)."""
         if self.sdef.q is None:
             return None
-        return _eval_matrix_field(self.sdef.q, self.point)[0]
+        return eval_field(self.sdef.q, self.point)[0]
 
     # -- derived fields -----------------------------------------------------
 

@@ -98,7 +98,7 @@ def test_1_ad_kernel_matches_finite_differences(announce):
                 err = abs(j.grad[i] - g_fd) / (1.0 + abs(g_fd))
                 worst_g = max(worst_g, err)
                 hii = (fd(hh * ei) - 2 * f0 + fd(-hh * ei)) / (hh * hh)
-                herr = abs(j.hess_matrix()[i, i] - hii) / (1.0 + abs(hii))
+                herr = abs(j.hess[i, i] - hii) / (1.0 + abs(hii))
                 worst_h = max(worst_h, herr)
                 for k in range(i + 1, d):
                     ek = np.eye(d)[k]
@@ -108,7 +108,7 @@ def test_1_ad_kernel_matches_finite_differences(announce):
                         - fd(-hh * (ei - ek))
                         + fd(-hh * (ei + ek))
                     ) / (4 * hh * hh)
-                    herr = abs(j.hess_matrix()[i, k] - hik) / (1.0 + abs(hik))
+                    herr = abs(j.hess[i, k] - hik) / (1.0 + abs(hik))
                     worst_h = max(worst_h, herr)
     ok = worst_g < 1e-6 and worst_h < 1e-4
     announce(ok, f"{len(cases)} exprs, grad err {worst_g:.1e}, hess err {worst_h:.1e}")

@@ -130,7 +130,8 @@ def test_seed_env_fallback(monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
-def test_fbasis_command():
+def test_fbasis_command(monkeypatch):
+    monkeypatch.setenv("WQCM_SEED", "-1")  # fbasis uses no seed
     code, out, _ = run(["fbasis", "builtin:sasakian-r3", "--at", "0.2,-0.3,0.1"])
     assert code == EXIT_OK
     assert "lambda_1" in out and "verdict = pass" in out
@@ -140,6 +141,15 @@ def test_cone_command():
     code, out, _ = run(["cone", "builtin:scaled?s=2", "--at", "0,0,0", "--t", "0.5"])
     assert code == EXIT_OK
     assert "J^2 + P" in out and "verdict = pass" in out
+    assert "  gbar(dt, dt) = 0.36787944117144233" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["fbasis", "cone"])
+def test_point_commands_take_no_report_options(tmp_path, command):
+    target = tmp_path / "x"
+    code, out, _ = run([command, "builtin:sasakian-r3", "--at", "0,0,0", "--output", str(target)])
+    assert code == EXIT_USAGE and out == ""
+    assert not target.exists()
 
 
 def test_builtin_parameters():
@@ -238,6 +248,21 @@ def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, ed
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert "at sample point [" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["fbasis", "cone"])
+@pytest.mark.parametrize(
+    "edit", [lambda doc: None, _singular_metric, _sqrt_of_negative], ids=["nan", "singular-metric", "sqrt-negative"]
+)
+def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit):
+    doc = _nan_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run([command, str(path), "--at", "0.1,-0.2,0.3"])
+    assert code in (EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert "at point [0.1, -0.2, 0.3]" in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["fbasis", "cone"])

@@ -14,7 +14,6 @@ from wqcm.geometry import (
     cov_vector,
     curvature,
     d_oneform,
-    lie_bracket,
     orthonormal_frame,
     ricci,
     riemann,
@@ -134,14 +133,6 @@ def test_orthonormal_frame_is_orthonormal():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
     frame = orthonormal_frame(g)
     assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
-
-
-def test_lie_bracket_coordinate_fields():
-    # X = x d/dy, Y = d/dx  =>  [X, Y] = -d/dy at every point
-    xv, yv = np.array([0.0, 2.0]), np.array([1.0, 0.0])
-    xd = np.array([[0.0, 1.0], [0.0, 0.0]])  # xd[k,i] = d_k X^i
-    yd = np.zeros((2, 2))
-    assert np.allclose(lie_bracket(xv, xd, yv, yd), [0.0, -1.0])
 
 
 def test_covariant_derivative_leibniz_rule():
