@@ -7,7 +7,9 @@
     wqcm cone      SOURCE --at x,y,z --t T almost-Hermitian cone data
     wqcm list                              built-in structure keys
 
-SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]".
+SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]";
+only the key "scaled" takes parameters (n and s), and any other parameter is
+a usage error.
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
 1 at least one failure, 2 input or usage error, including a structure that
@@ -19,6 +21,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as cat
-from .classify import Tolerances
 from .exprdsl import ExprSyntaxError, SchemaError, load_structure_def
 from .structure import WeakACM, build_cone
-from .suites import EvaluationError, SamplePlan, emit_report, run_suite
+from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,22 +47,30 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# the parameters each catalog key takes; the other keys take none
+_BUILTIN_PARAMS = {"scaled": ("n", "s")}
+
+
 def _load_source(source: str) -> WeakACM:
     if source.startswith("builtin:"):
         spec = source.removeprefix("builtin:")
         key, _, query = spec.partition("?")
+        if key not in cat.keys():
+            raise CliError(f"unknown builtin key {key!r}; `wqcm list` names them")
         params: dict[str, str] = {}
-        if query:
-            for item in query.replace("&", ",").split(","):
-                k, _, v = item.partition("=")
-                if not v:
-                    raise CliError(f"bad builtin parameter {item!r}")
-                params[k.strip()] = v.strip()
+        for item in query.replace("&", ",").split(",") if query else ():
+            k, _, v = (part.strip() for part in item.partition("="))
+            if not v:
+                raise CliError(f"bad builtin parameter {item!r}")
+            if k not in _BUILTIN_PARAMS.get(key, ()) or k in params:
+                takes = " and ".join(_BUILTIN_PARAMS.get(key, ())) or "no parameters"
+                raise CliError(f"builtin:{key} takes {takes}; cannot use {item!r}")
+            params[k] = v
         try:
             n = int(params.get("n", "1"))
             s = float(params["s"]) if "s" in params else None
             sdef = cat.catalog(key, n=n, s=s)
-        except (cat.UnknownCatalogKey, ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise CliError(f"cannot build builtin structure {spec!r}: {exc}") from exc
         return WeakACM(sdef)
     path = Path(source)
@@ -84,20 +94,24 @@ def _parse_point(text: str, acm: WeakACM) -> np.ndarray:
     return np.array(coords)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _number_at_least(kind, low):
+    """argparse type: a number of `kind` (int or float) no smaller than
+    `low`; a float must also be finite."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
-_COUNT, _SEED = _int_at_least(1), _int_at_least(0)
+_COUNT, _SEED = _number_at_least(int, 1), _number_at_least(int, 0)
+_TOL, _FINITE = _number_at_least(float, 0.0), _number_at_least(float, -math.inf)
 _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 
@@ -109,9 +123,8 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--tol-algebraic", type=float, default=None)
-    p.add_argument("--tol-deriv", type=float, default=None)
-    p.add_argument("--tol-curv", type=float, default=None)
+    for tier, default in Tolerances().as_dict().items():
+        p.add_argument(f"--tol-{tier}", type=_TOL, default=default)
 
 
 def _add_point(p: _Parser) -> _Parser:
@@ -129,18 +142,9 @@ def _build_parser() -> _Parser:
     check.add_argument("suite", choices=("identity", "curvature", "theorems", "all"))
     _add_common(check)
     _add_point(sub.add_parser("fbasis"))
-    _add_point(sub.add_parser("cone")).add_argument("--t", type=float, default=0.0)
+    _add_point(sub.add_parser("cone")).add_argument("--t", type=_FINITE, default=0.0)
     sub.add_parser("list")
     return parser
-
-
-def _tolerances(args) -> Tolerances:
-    base = Tolerances()
-    return Tolerances(
-        algebraic=args.tol_algebraic if args.tol_algebraic is not None else base.algebraic,
-        deriv=args.tol_deriv if args.tol_deriv is not None else base.deriv,
-        curv=args.tol_curv if args.tol_curv is not None else base.curv,
-    )
 
 
 def _seed(args) -> int:
@@ -206,7 +210,8 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         if args.command in ("validate", "classify", "check"):
             plan = SamplePlan(count=args.points, seed=_seed(args), strategy=args.strategy)
             suite = args.suite if args.command == "check" else args.command
-            report = run_suite(acm, suite, plan, _tolerances(args), timestamp=not args.no_timestamp)
+            tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
+            report = run_suite(acm, suite, plan, tolerances, timestamp=not args.no_timestamp)
             _write(emit_report(report, args.format), args, stdout)
             # classification is reporting, not assertion
             return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK

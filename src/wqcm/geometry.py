@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprdsl import Expr, eval_field
-from .linalg import gram_schmidt
 
 
 class SingularMetricError(ValueError):
@@ -41,6 +40,8 @@ class MetricEval:
     """Metric with first and second coordinate derivatives at one point.
 
     Index layout: dg[k, i, j] = d_k g_ij,  ddg[k, l, i, j] = d_k d_l g_ij.
+    `frame` is the g-orthonormal frame (columns) of Gram-Schmidt on the
+    coordinate frame: with g = L L^T (Cholesky), the upper-triangular L^-T.
     """
 
     point: np.ndarray
@@ -48,18 +49,22 @@ class MetricEval:
     g_inv: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
+    frame: np.ndarray
 
     @classmethod
     def from_exprs(cls, metric: tuple[tuple[Expr, ...], ...], point: np.ndarray) -> "MetricEval":
         point = np.asarray(point, dtype=float)
         g, dg, ddg = eval_field(metric, point)
         try:
-            np.linalg.cholesky(g)
+            lower = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:
             raise SingularMetricError(
                 f"metric is not positive definite at {point.tolist()}"
             ) from exc
-        return cls(point=point, g=g, g_inv=np.linalg.inv(g), dg=dg, ddg=ddg)
+        # the inverse of a triangular matrix is triangular: triu drops the
+        # rounding fill-in of the pivoted solve
+        frame = np.triu(np.linalg.inv(lower).T)
+        return cls(point=point, g=g, g_inv=np.linalg.inv(g), dg=dg, ddg=ddg, frame=frame)
 
 
 def _dg_bracket(dg: np.ndarray) -> np.ndarray:
@@ -85,9 +90,9 @@ def christoffel_derivative(m: MetricEval) -> np.ndarray:
     )
 
 
-def riemann(m: MetricEval) -> np.ndarray:
-    """Curvature components R[l, k, i, j] = R^l_{kij}; (R_{X,Y}Z)^l = R^l_{kij} X^i Y^j Z^k."""
-    gamma = christoffel(m)
+def riemann(m: MetricEval, gamma: np.ndarray) -> np.ndarray:
+    """Curvature components R[l, k, i, j] = R^l_{kij}; (R_{X,Y}Z)^l = R^l_{kij} X^i Y^j Z^k,
+    from the Christoffel symbols `gamma` of m."""
     dgamma = christoffel_derivative(m)
     r = (
         dgamma.transpose(1, 3, 0, 2)  # d_i Gamma^l_jk -> [l,k,i,j]
@@ -108,18 +113,16 @@ def bilinear(t: np.ndarray, x, y) -> np.ndarray:
     return out.reshape(-1, i, ty.shape[2]).transpose(1, 0, 2).reshape((i,) + xs + ys)
 
 
-def curvature(m: MetricEval, x, y, z: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-    """R_{X,Y} Z at the point; X and Y may be matrices of columns (see
-    `bilinear`).  Pass the curvature tensor `r` to avoid rebuilding it."""
-    r = riemann(m) if r is None else r
+def curvature(r: np.ndarray, x, y, z: np.ndarray) -> np.ndarray:
+    """R_{X,Y} Z from the curvature tensor r; X and Y may be matrices of
+    columns (see `bilinear`)."""
     rz = r.transpose(0, 2, 3, 1) @ z  # [l, i, j]
     return bilinear(rz.transpose(1, 0, 2), x, y)
 
 
-def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray | None = None):
+def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray):
     """Sectional curvature of the plane spanned by x, y; for a matrix y, of the
     plane of x with each column of y."""
-    r = riemann(m) if r is None else r
     gx = m.g @ x
     den = (x @ gx) * np.sum(y * (m.g @ y), axis=0) - (gx @ y) ** 2
     if np.any(den < 1e-12):
@@ -130,20 +133,9 @@ def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray | None = None):
     return np.sum(y * (a @ y), axis=0) / den
 
 
-def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Deterministic g-orthonormal frame (columns), built from the coordinate
-    frame by modified Gram-Schmidt (pivot tolerance 1e-12)."""
-    d = g.shape[0]
-    frame = gram_schmidt(np.eye(d), g)
-    if frame.shape[1] != d:
-        raise SingularMetricError("could not build a full orthonormal frame")
-    return frame
-
-
-def ricci(m: MetricEval, x: np.ndarray, y: np.ndarray, r: np.ndarray | None = None) -> float:
-    """Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over a g-orthonormal frame."""
-    frame = orthonormal_frame(m.g)
-    return float(np.sum((m.g @ frame) * curvature(m, frame, x, y, r)))
+def ricci(m: MetricEval, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> float:
+    """Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over the g-orthonormal frame E."""
+    return float(np.sum((m.g @ m.frame) * curvature(r, m.frame, x, y)))
 
 
 # -- covariant derivatives (component level) -----------------------------------

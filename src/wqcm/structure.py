@@ -6,10 +6,13 @@ derived here:
     eta = g(xi, .)          Q = -f^2 + eta (x) xi       Qt = Q - id
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
-A `PointState` bundles all component arrays (values plus the derivatives
-the identities need) at a single chart point; it is immutable and cached
-per point on the owning `WeakACM`, with what all check suites share there:
-the test-direction matrix of a seed, the gate residuals and the f-basis.
+A `PointState` bundles everything known at a single chart point: the
+component arrays (values plus the derivatives the identities need), the
+connection and curvature, and what all check suites share there: the
+test-direction matrix of a seed, the gate residuals, the adapted f-basis
+and the contact volume.  Each is computed once, when first read.
+`WeakACM.at` builds a new state on every call, so a state lives only as
+long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from . import geometry
 from .exprdsl import StructureDef, eval_field
 from .geometry import MetricEval, bilinear
-from .linalg import eigh
+from .linalg import eigh, gram_schmidt
 
 
 class StructureError(ValueError):
@@ -33,9 +37,8 @@ class StructureError(ValueError):
 class PointState:
     """All tensor data of a weak a.c.m. structure at one chart point."""
 
-    def __init__(self, owner: WeakACM, point: np.ndarray):
-        self.owner = owner
-        self.sdef = owner.sdef
+    def __init__(self, sdef: StructureDef, point):
+        self.sdef = sdef
         self.point = np.asarray(point, dtype=float)
         self.dim = self.sdef.dim
         self.n = self.sdef.n
@@ -67,17 +70,6 @@ class PointState:
         )
 
     @cached_property
-    def ddeta(self):
-        """ddeta[k, l, i] = d_k d_l eta_i."""
-        m = self.metric
-        return (
-            np.einsum("klij,j->kli", m.ddg, self.xi)
-            + np.einsum("kij,lj->kli", m.dg, self.dxi)
-            + np.einsum("lij,kj->kli", m.dg, self.dxi)
-            + np.einsum("ij,klj->kli", self.g, self.ddxi)
-        )
-
-    @cached_property
     def Q(self):
         return -self.f @ self.f + np.outer(self.xi, self.eta)
 
@@ -102,14 +94,14 @@ class PointState:
     @cached_property
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
-        frame = geometry.orthonormal_frame(self.g)
+        frame = self.metric.frame
         m = frame.T @ self.g @ self.Q @ frame
         return eigh(0.5 * (m + m.T))[0]
 
     @cached_property
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
-        frame = geometry.orthonormal_frame(self.g)
+        frame = self.metric.frame
         return np.linalg.svd(frame.T @ self.g @ self.f @ frame, compute_uv=False)
 
     @cached_property
@@ -127,12 +119,6 @@ class PointState:
     def deta_form(self):
         """d eta as an antisymmetric matrix, with the 1/2 normalization."""
         return geometry.d_oneform(self.deta)
-
-    @cached_property
-    def d_deta_form(self):
-        """d(d eta) as a 3-form array (should vanish identically)."""
-        d_deta = 0.5 * (self.ddeta - self.ddeta.transpose(0, 2, 1))  # d_k (deta)_ij
-        return geometry.d_twoform(d_deta)
 
     @cached_property
     def dPhi_form(self):
@@ -169,7 +155,7 @@ class PointState:
 
     @cached_property
     def riem(self):
-        return geometry.riemann(self.metric)
+        return geometry.riemann(self.metric, self.gamma)
 
     @cached_property
     def nabla_xi(self):
@@ -203,7 +189,7 @@ class PointState:
 
     def curvature_op(self, x, y, z):
         """R_{X,Y} Z; X and Y may be direction matrices (`geometry.bilinear`)."""
-        return geometry.curvature(self.metric, x, y, z, self.riem)
+        return geometry.curvature(self.riem, x, y, z)
 
     def ell(self, x):
         """The curvature operator used by the suites: ell X = R_{xi, X} xi."""
@@ -239,22 +225,23 @@ class PointState:
     # -- what the check suites share ------------------------------------------
 
     def directions(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The direction matrix D (d x m, the vectors of `classify.direction_set`
-        as columns) and f D, built once per seed."""
+        """The direction matrix D (d x m, m = d + 8) and f D, built once
+        per seed.  The columns of D are the coordinate frame plus seeded
+        random g-unit vectors.  Identities are multilinear, so the frame
+        alone decides them; the random vectors guard against implementation
+        errors."""
         if seed not in self._directions:
-            from .classify import direction_set  # classify imports this module
-
-            d = direction_set(self, seed).T
+            key = hash(tuple(round(float(c), 12) for c in self.point)) % 1_000_003
+            rng = np.random.default_rng(seed * 1_000_003 + key)
+            d = np.hstack([np.eye(self.dim), self.g_normalize(rng.standard_normal((8, self.dim)).T)])
             self._directions[seed] = (d, self.f @ d)
         return self._directions[seed]
 
     def quasi_residual(self, seed: int) -> float:
         """Largest g-norm of the quasi-contact defect over the direction pairs."""
         if seed not in self._quasi:
-            from .classify import quasi_defect
-
             d, _ = self.directions(seed)
-            self._quasi[seed] = float(np.max(self.gnorm(quasi_defect(self, d, d))))
+            self._quasi[seed] = float(np.max(self.gnorm(self.quasi_defect(d, d))))
         return self._quasi[seed]
 
     @cached_property
@@ -268,13 +255,30 @@ class PointState:
         return float(np.max(np.abs(self.lie_xi_g)))
 
     @cached_property
-    def fbasis(self):
-        """The adapted f-basis at this point (`classify.f_basis`)."""
-        from .classify import f_basis
+    def fbasis(self) -> FBasis:
+        """The adapted f-basis at this point (`f_basis`)."""
+        return f_basis(self)
 
-        return f_basis(self.owner, self.point)
+    @cached_property
+    def contact_volume(self) -> float:
+        """eta ^ (d eta)^n on the f-basis (`contact_volume`)."""
+        return contact_volume(self)
 
-    # -- N-tensors ------------------------------------------------------------
+    # -- defects and N-tensors ----------------------------------------------------
+
+    def quasi_defect(self, x, y):
+        """LHS - RHS of the quasi-contact defining identity at every column pair
+        of the direction matrices x (d x a) and y (d x b): [i, a, b]."""
+        lhs = bilinear(self.nabla_f, x, y) + bilinear(self.nabla_f, self.f @ x, self.f @ y)
+        rhs = 2.0 * np.multiply.outer(self.xi, x.T @ self.g @ y) - (
+            x + self.h @ x + np.outer(self.xi, self.eta @ x)
+        )[:, :, None] * (self.eta @ y)
+        return lhs - rhs
+
+    def sasakian_defect(self, x, y):
+        """(nabla_X f) Y - g(X, Y) xi + eta(Y) X over column pairs, as `quasi_defect`."""
+        lhs = bilinear(self.nabla_f, x, y)
+        return lhs - np.multiply.outer(self.xi, x.T @ self.g @ y) + x[:, :, None] * (self.eta @ y)
 
     def n1(self, x, y):
         return self._nijenhuis(x, y) + 2.0 * np.multiply.outer(self.xi, self.deta2(x, y))
@@ -304,36 +308,105 @@ class PointState:
         """N^(3)(X) = (L_xi f) X = 2 h X."""
         return 2.0 * self.h @ x
 
-    def n4(self, x) -> float:
-        return 2.0 * self.deta2(self.xi, x)
+
+# -- f-basis ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FBasis:
+    """Adapted basis {xi, e_i, f e_i} of Q-eigenvectors on ker eta."""
+
+    point: np.ndarray
+    xi: np.ndarray
+    e: tuple[np.ndarray, ...]
+    fe: tuple[np.ndarray, ...]
+    lam: tuple[float, ...]
+
+    def vectors(self) -> list[np.ndarray]:
+        return [self.xi] + [v for pair in zip(self.e, self.fe) for v in pair]
+
+
+def _tie_break_column(vecs: np.ndarray) -> int:
+    """Among eigenvector columns, pick the one whose largest-magnitude
+    component has the lowest coordinate index (deterministic for repeated
+    eigenvalues)."""
+    return min(range(vecs.shape[1]), key=lambda k: int(np.argmax(np.abs(vecs[:, k]))))
+
+
+def f_basis(st: PointState) -> FBasis:
+    """The iterative construction: restrict Q to ker eta, take a unit
+    eigenvector with the smallest eigenvalue, adjoin its f-image, deflate
+    the pair's span, repeat n times."""
+    n, d = st.n, st.dim
+
+    # g-orthonormal basis of ker eta (= xi-perp), deterministic.
+    seed = np.concatenate([st.xi[:, None], np.eye(d)], axis=1)
+    frame = gram_schmidt(seed, st.g)
+    if frame.shape[1] != d:
+        raise StructureError("could not complete a frame adapted to xi")
+    w = frame[:, 1:]  # columns spanning ker eta
+
+    pairs = []
+    for _ in range(n):
+        m = w.T @ st.g @ st.Q @ w
+        if not np.all(np.isfinite(m)):
+            raise StructureError("Q is not finite on ker eta")
+        vals, vecs = eigh(0.5 * (m + m.T))
+        lam = float(vals[0])
+        if lam <= 0.0:
+            raise StructureError("Q is not positive definite on ker eta")
+        same = np.where(np.abs(vals - lam) <= 1e-9 * max(1.0, abs(lam)))[0]
+        col = same[_tie_break_column(w @ vecs[:, same])]
+        e = w @ vecs[:, col]
+        e = e / st.gnorm(e)
+        fe = st.f @ e
+        pairs.append((e, fe, lam))
+        # deflate span{e, fe} out of the working subspace
+        for u in (e, fe / st.gnorm(fe)):
+            w = w - np.outer(u, u @ st.g @ w)
+        w = gram_schmidt(w, st.g)
+    return FBasis(st.point.copy(), st.xi.copy(), *zip(*pairs))
+
+
+# -- contact volume ---------------------------------------------------------------
+
+
+def _wedge(a: dict, b: dict) -> dict:
+    """Wedge product of forms in the sorted-multi-index basis
+    {dx^I : I strictly increasing}."""
+    out: dict[tuple, float] = {}
+    for i_idx, av in a.items():
+        for j_idx, bv in b.items():
+            if set(i_idx) & set(j_idx):
+                continue
+            # both indices increase, so the inversions of the merged index
+            # are its pairs (i, j) with i > j: they give the sign
+            sign = (-1.0) ** sum(i > j for i in i_idx for j in j_idx)
+            key = tuple(sorted(i_idx + j_idx))
+            out[key] = out.get(key, 0.0) + sign * av * bv
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
+def contact_volume(st: PointState) -> float:
+    """eta wedge (d eta)^n evaluated on the f-basis at the point."""
+    form = {(i,): float(st.eta[i]) for i in range(st.dim) if st.eta[i] != 0.0}
+    pairs = combinations(range(st.dim), 2)
+    deta = {(i, j): float(st.deta_form[i, j]) for i, j in pairs if st.deta_form[i, j] != 0.0}
+    for _ in range(st.n):
+        form = _wedge(form, deta)
+    return float(form.get(tuple(range(st.dim)), 0.0) * np.linalg.det(np.column_stack(st.fbasis.vectors())))
 
 
 class WeakACM:
-    """A structure definition together with per-point evaluation cache."""
+    """A structure definition; `at` evaluates it at a chart point."""
 
     def __init__(self, sdef: StructureDef):
         self.sdef = sdef
-        self._cache: dict[tuple, PointState] = {}
-
-    @property
-    def name(self) -> str:
-        return self.sdef.name
-
-    @property
-    def n(self) -> int:
-        return self.sdef.n
-
-    @property
-    def dim(self) -> int:
-        return self.sdef.dim
+        self.name, self.n, self.dim = sdef.name, sdef.n, sdef.dim
 
     def at(self, point) -> PointState:
-        key = tuple(float(x) for x in point)
-        st = self._cache.get(key)
-        if st is None:
-            st = PointState(self, np.asarray(point, dtype=float))
-            self._cache[key] = st
-        return st
+        """A new state at `point`; nothing is kept here."""
+        return PointState(self.sdef, point)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 the one evaluator that asserts them.
 
 Each check is declared once, as a `Check` in `CHECKS`.  Its residual is a
-function of the cached `PointState` at a sample point and of the seed that
+function of the `PointState` at a sample point and of the seed that
 picks the test directions.  The identities are multilinear in the
 directions, so each is evaluated at every direction pair of a point at
 once: contracting a defect with the direction matrix D
@@ -37,11 +37,22 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import Tolerances, contact_volume, quasi_defect, sasakian_defect
 from .geometry import bilinear
 from .structure import WeakACM
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Default tolerance tiers by derivative depth of the identity."""
+
+    algebraic: float = 1e-10
+    deriv: float = 1e-9
+    curv: float = 1e-8
+
+    def as_dict(self) -> dict:
+        return {"algebraic": self.algebraic, "deriv": self.deriv, "curv": self.curv}
 
 
 # -- sampling -------------------------------------------------------------------
@@ -164,7 +175,7 @@ def _ker_eta_dirs(st, seed):
 
 def _sasakian_norms(st, seed):
     d, _ = st.directions(seed)
-    return st.gnorm(sasakian_defect(st, d, d))
+    return st.gnorm(st.sasakian_defect(d, d))
 
 
 def _n1_norms(st, seed):
@@ -295,7 +306,7 @@ def _quasi_canonical(st, _):
     """The quasi-contact defect at X = Y = e_1, the first f-basis vector: the
     quantity with a closed-form oracle on the scaled fixtures."""
     e1 = st.fbasis.e[0][:, None]
-    return np.max(st.gnorm(quasi_defect(st, e1, e1)))
+    return np.max(st.gnorm(st.quasi_defect(e1, e1)))
 
 
 # -- the registry ------------------------------------------------------------------------
@@ -388,7 +399,7 @@ _SECTIONS = (
         ("2h2-eq-Qt2", "2 h^2 = Qt^2", "curv",
          lambda st, _: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
         ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st, _: np.trace(st.h @ st.h)),
-        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st, _: 1e-6 - abs(contact_volume(st.owner, st.point))),
+        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st, _: 1e-6 - abs(st.contact_volume)),
         ("deta-Qt-Phi", "d eta(X + Qt X/2, Y) = Phi", "deriv", _deta_qt_phi),
         ("n1", "N^(1) = 0", "deriv", lambda st, seed: np.max(_n1_norms(st, seed))),
         ("sasakian", "(17)", "deriv", lambda st, seed: np.max(_sasakian_norms(st, seed))),

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.classify import contact_volume, f_basis
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import Bin, Call, Neg, Num, Pow, Var
 from wqcm.geometry import christoffel
-from wqcm.structure import WeakACM, build_cone
+from wqcm.structure import WeakACM, build_cone, contact_volume, f_basis
 from wqcm.suites import SamplePlan, run_suite, sample_points
 
 PLAN32 = SamplePlan(count=32, seed=7)
@@ -176,7 +175,7 @@ def test_4_sasakian_exact_values(announce):
             x = st.project_ker_eta(rng.standard_normal(acm.dim))
             x = st.g_normalize(x)
             ok = ok and abs(st.sectional(st.xi, x) - 1.0) < 1e-7
-        fb = f_basis(acm, st.point)
+        fb = f_basis(st)
         lam = np.array(fb.lam)
         lhs = sum(
             lam[i] * (st.sectional(st.xi, fb.e[i]) + st.sectional(st.xi, fb.fe[i]))
@@ -279,7 +278,7 @@ def test_8_f_basis_invariants(announce):
     for acm in all_catalog_structures():
         for point in sample_points(SamplePlan(count=8, seed=7), acm.sdef.domain):
             st = acm.at(point)
-            fb = f_basis(acm, point)
+            fb = f_basis(st)
             vecs = fb.vectors()
             res = max(
                 abs(st.gdot(u, v)) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
@@ -320,11 +319,11 @@ def test_10_contact_volume(announce):
     for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7"):
         acm = WeakACM(catalog(key))
         for point in sample_points(SamplePlan(count=4, seed=7), acm.sdef.domain):
-            smallest = min(smallest, abs(contact_volume(acm, point)))
+            smallest = min(smallest, abs(contact_volume(acm.at(point))))
     ok = smallest > 1e-6
     flat = WeakACM(catalog("flat-const"))
     degenerate = max(
-        abs(contact_volume(flat, p))
+        abs(contact_volume(flat.at(p)))
         for p in sample_points(SamplePlan(count=4, seed=7), flat.sdef.domain)
     )
     ok = ok and degenerate < 1e-12

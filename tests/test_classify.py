@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from wqcm.classify import (
-    Tolerances,
-    contact_volume,
-    direction_set,
-    f_basis,
-)
 from wqcm.exprdsl import load_structure_def
-from wqcm.structure import WeakACM
-from wqcm.suites import evaluate
+from wqcm.structure import WeakACM, contact_volume, f_basis
+from wqcm.suites import Tolerances, evaluate
 from conftest import points_for
 
 
@@ -96,7 +90,7 @@ def test_class_verdicts_flat_const(flat_const):
 
 def check_f_basis_invariants(acm, point, tol=1e-9):
     st = acm.at(point)
-    fb = f_basis(acm, point)
+    fb = f_basis(st)
     assert len(fb.e) == acm.n
     for e, fe, lam in zip(fb.e, fb.fe, fb.lam):
         assert lam > 0.0
@@ -150,31 +144,30 @@ def test_f_basis_distinct_eigenvalues():
 
 def test_f_basis_deterministic(sasakian_r5):
     point = np.array([0.2, -0.3, 0.4, 0.1, -0.2])
-    a = f_basis(sasakian_r5, point)
-    b = f_basis(sasakian_r5, point)
+    a = f_basis(sasakian_r5.at(point))
+    b = f_basis(sasakian_r5.at(point))
     for u, v in zip(a.vectors(), b.vectors()):
         assert np.array_equal(u, v)
 
 
 def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):
     p3 = np.array([0.15, -0.4, 0.3])
-    base = contact_volume(sasakian_r3, p3)
+    base = contact_volume(sasakian_r3.at(p3))
     assert abs(base) > 1e-6
-    assert abs(contact_volume(sasakian_r5, np.array([0.1, 0.2, -0.1, 0.3, 0.0]))) > 1e-6
-    assert abs(contact_volume(flat_const, p3)) < 1e-12
+    assert abs(contact_volume(sasakian_r5.at(np.array([0.1, 0.2, -0.1, 0.3, 0.0])))) > 1e-6
+    assert abs(contact_volume(flat_const.at(p3))) < 1e-12
     # f-basis vectors rescale with s, so the volume scales by s^n
-    assert contact_volume(scaled2, p3) == pytest.approx(2.0 * base, abs=1e-9)
+    assert scaled2.at(p3).contact_volume == pytest.approx(2.0 * base, abs=1e-9)
 
 
 def test_direction_set_deterministic(sasakian_r3):
-    st = sasakian_r3.at(np.array([0.3, 0.3, 0.3]))
-    a = direction_set(st, seed=7)
-    b = direction_set(st, seed=7)
-    assert len(a) == st.dim + 8
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
-    c = direction_set(st, seed=8)
-    assert any(not np.array_equal(u, v) for u, v in zip(a, c))
+    point = np.array([0.3, 0.3, 0.3])
+    a, fa = sasakian_r3.at(point).directions(seed=7)
+    b, fb = sasakian_r3.at(point).directions(seed=7)  # a fresh state
+    assert a.shape == (3, 3 + 8)
+    assert np.array_equal(a, b) and np.array_equal(fa, fb)
+    c, _ = sasakian_r3.at(point).directions(seed=8)
+    assert not np.array_equal(a, c)
 
 
 def test_tolerances_as_dict():

@@ -70,9 +70,21 @@ def test_usage_errors():
         ["validate", "builtin:scaled"],  # missing s
         ["fbasis", "builtin:sasakian-r3", "--at", "0,0"],  # wrong arity
         ["fbasis", "builtin:sasakian-r3", "--at", "a,b,c"],
+        # builtin parameters fail closed: misspelled, or not taken by the key
+        ["classify", "builtin:scaled?N=3,s=2"],
+        ["check", "all", "builtin:sasakian-r3?s=5"],
+        ["check", "all", "builtin:flat-const?n=3,bogus=1"],
+        ["classify", "builtin:scaled?s=2,s=3"],
+        # numeric options must be finite, tolerances non-negative
+        ["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "nan"],
+        ["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "inf"],
+        ["check", "all", "builtin:sasakian-r3", "--tol-deriv", "nan"],
+        ["check", "all", "builtin:sasakian-r3", "--tol-curv", "-inf"],
+        ["validate", "builtin:sasakian-r3", "--tol-algebraic", "-1e-10"],
     ):
-        code, _, _ = run(argv)
+        code, out, _ = run(argv)
         assert code == EXIT_USAGE, argv
+        assert out == "", argv
 
 
 def test_classify_always_exits_zero():

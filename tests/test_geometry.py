@@ -14,7 +14,6 @@ from wqcm.geometry import (
     cov_vector,
     curvature,
     d_oneform,
-    orthonormal_frame,
     ricci,
     riemann,
     sectional,
@@ -44,15 +43,20 @@ def test_sphere_christoffel_symbols():
     assert abs(gamma[0, 0, 0]) < 1e-14 and abs(gamma[1, 1, 1]) < 1e-14
 
 
+def sphere_curvature(theta, phi=0.3):
+    m = sphere_at(theta, phi)
+    return m, riemann(m, christoffel(m))
+
+
 def test_sphere_curvature_is_plus_one():
-    m = sphere_at(1.1, 0.5)
-    assert sectional(m, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
+    m, r = sphere_curvature(1.1, 0.5)
+    assert sectional(m, np.array([1.0, 0.0]), np.array([0.0, 1.0]), r) == pytest.approx(
         1.0, abs=1e-10
     )
     # Ric = (dim - 1) g on a unit sphere
     for x in (np.array([1.0, 0.0]), np.array([0.3, 0.9])):
         for y in (np.array([0.0, 1.0]), np.array([1.0, -0.2])):
-            assert ricci(m, x, y) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
+            assert ricci(m, x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
 
 
 def test_christoffel_derivative_matches_finite_differences():
@@ -91,7 +95,7 @@ def test_connection_is_torsion_free_and_metric(key):
 @pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5"])
 def test_curvature_tensor_symmetries(key):
     for m in catalog_metric_points(key, count=4):
-        r = riemann(m)
+        r = riemann(m, christoffel(m))
         rl = np.einsum("la,akij->lkij", m.g, r)  # fully lowered
         assert np.allclose(rl, -rl.transpose(0, 1, 3, 2), atol=1e-10)  # (i,j) skew
         assert np.allclose(rl, -rl.transpose(1, 0, 2, 3), atol=1e-10)  # (l,k) skew
@@ -102,22 +106,22 @@ def test_curvature_tensor_symmetries(key):
 
 def test_flat_space_has_zero_curvature():
     for m in catalog_metric_points("flat-const", count=3):
-        assert np.max(np.abs(riemann(m))) == 0.0
+        assert np.max(np.abs(riemann(m, christoffel(m)))) == 0.0
 
 
 def test_curvature_operator_antisymmetry():
-    m = sphere_at(0.7, 1.2)
+    _, r = sphere_curvature(0.7, 1.2)
     x = np.array([0.4, -1.0])
     y = np.array([1.3, 0.2])
     z = np.array([-0.5, 0.8])
-    assert np.allclose(curvature(m, x, y, z), -curvature(m, y, x, z), atol=1e-12)
+    assert np.allclose(curvature(r, x, y, z), -curvature(r, y, x, z), atol=1e-12)
 
 
 def test_sectional_degenerate_plane_raises():
-    m = sphere_at(0.7)
+    m, r = sphere_curvature(0.7)
     v = np.array([1.0, 2.0])
     with pytest.raises(DegeneratePlaneError):
-        sectional(m, v, 2.0 * v)
+        sectional(m, v, 2.0 * v, r)
 
 
 def test_non_positive_definite_metric_rejected():
@@ -131,8 +135,11 @@ def test_non_positive_definite_metric_rejected():
 
 def test_orthonormal_frame_is_orthonormal():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
-    frame = orthonormal_frame(g)
+    cells = tuple(tuple(parse(repr(float(v)), ["x", "y", "z"]) for v in row) for row in g)
+    frame = MetricEval.from_exprs(cells, np.zeros(3)).frame
     assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
+    # Gram-Schmidt of the coordinate frame: upper triangular, positive diagonal
+    assert np.array_equal(frame, np.triu(frame)) and np.all(np.diag(frame) > 0.0)
 
 
 def test_covariant_derivative_leibniz_rule():

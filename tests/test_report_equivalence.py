@@ -12,14 +12,16 @@ Ids, labels, verdicts and point counts must match exactly; residuals may
 differ only by summation order.
 """
 
+import gc
 import io
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from wqcm import classify, geometry
+from wqcm import geometry, structure
 from wqcm.catalog import catalog
 from wqcm.cli import run_cli
 from wqcm.structure import WeakACM
@@ -66,8 +68,27 @@ def test_run_all_builds_curvature_and_f_basis_once_per_point(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    count(geometry, "christoffel")
     count(geometry, "riemann")
-    count(classify, "f_basis")
+    count(structure, "f_basis")
     run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
+    assert 0 < calls["christoffel"] <= 8
     assert 0 < calls["riemann"] <= 8
     assert 0 < calls["f_basis"] <= 8
+
+
+def test_no_point_state_outlives_run_suite(monkeypatch):
+    states = []
+    at = WeakACM.at
+
+    def recorded(self, point):
+        st = at(self, point)
+        states.append(weakref.ref(st))
+        return st
+
+    monkeypatch.setattr(WeakACM, "at", recorded)
+    acm = WeakACM(catalog("sasakian-r3"))
+    run_suite(acm, "all", SamplePlan(count=8, seed=7))
+    gc.collect()
+    assert len(states) == 8
+    assert [ref() for ref in states] == [None] * 8
