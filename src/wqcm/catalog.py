@@ -86,12 +86,19 @@ def _flat_const_doc() -> dict:
     }
 
 
+def _no_parameters(key: str, n: int, s: float | None) -> None:
+    if n != 1 or s is not None:
+        raise ValueError(f"catalog key {key!r} takes no parameters (got n={n}, s={s})")
+
+
 def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
-    """Return a built-in structure definition by key."""
+    """Return a built-in structure definition by key.  Only "scaled" takes
+    parameters; for any other key, n must be 1 and s must be None."""
     if key.startswith("sasakian-r"):
         dim = int(key.removeprefix("sasakian-r"))
         if dim % 2 == 0 or dim < 3:
             raise UnknownCatalogKey(key)
+        _no_parameters(key, n, s)
         nn = (dim - 1) // 2
         if nn > MAX_N:
             raise ValueError(f"n={nn} exceeds the catalog cap of {MAX_N}")
@@ -105,5 +112,6 @@ def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
             raise ValueError(f"n must be between 1 and {MAX_N}")
         return _sasakian(n, s=s, name=f"scaled-n{n}-s{_fmt(s)}")
     if key == "flat-const":
+        _no_parameters(key, n, s)
         return load_structure_def(_flat_const_doc())
     raise UnknownCatalogKey(key)

@@ -180,13 +180,27 @@ def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     return lines, ok and ortho < 1e-9
 
 
+def _positive_definite(m: np.ndarray) -> bool:
+    """Every entry is finite and the Cholesky factorization succeeds."""
+    if not np.all(np.isfinite(m)):
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _cone(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     ce = build_cone(acm, point, args.t)
+    # exp(-2t) underflows for large t, and gbar is then no metric at all
+    gbar_ok = _positive_definite(ce.gbar)
     return [
         f"cone of {acm.name} at ({args.at}), t={args.t}",
         f"  |J^2 + P| = {ce.j2_plus_p_residual:.3e}",
         f"  gbar(dt, dt) = {float(ce.gbar[-1, -1])!r}",
-    ], ce.j2_plus_p_residual < 1e-12
+        f"  gbar positive definite = {'yes' if gbar_ok else 'no'}",
+    ], ce.j2_plus_p_residual < 1e-12 and gbar_ok
 
 
 def run_cli(argv, stdout=None, stderr=None) -> int:

@@ -9,8 +9,9 @@ Closed-form expressions over the chart coordinates with the grammar
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
-Exponents must be integer literals.  Evaluation runs over Jet2 arithmetic,
-so every expression yields its value, gradient and Hessian at a point.
+Exponents must be integer literals.  `compile_tape` hash-conses fields of
+expressions into one flat tape, each distinct subtree once, and `eval_tape`
+runs it at a point, giving the value, gradient and Hessian of every cell.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -20,14 +21,14 @@ field as expression strings.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from . import jet
-from .jet import Jet2
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -232,57 +233,140 @@ def parse(text: str, coords: list[str] | tuple[str, ...]) -> Expr:
     return _Parser(text, list(coords)).parse()
 
 
-# -- evaluation ---------------------------------------------------------------
+# -- the jet tape ---------------------------------------------------------------
+#
+# A tape is a flat list of instructions in which each distinct subtree of the
+# compiled fields appears once.  Instruction k is a triple (op, a, b) whose
+# result goes to slot k: a is the slot of the (first) argument, or the number
+# of "num" and the coordinate index of "var"; b is the second argument slot of
+# + - * /, the exponent of "^", and None otherwise.  Running the tape at a
+# point computes the second-order jet of every slot in order: the value (a
+# Python float, so a zero division, a `sqrt` domain error or an overflow
+# raises), the gradient (d,) and the full Hessian (d, d).  Every update adds
+# symmetric terms (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and
+# IEEE sums and products commute, so Hessians are exactly symmetric.  The
+# formulas and their operand order are fixed: changing them changes the last
+# bits of every report.
 
-_JET_FNS = {"sin": jet.sin, "cos": jet.cos, "exp": jet.exp, "sqrt": jet.sqrt}
+
+@dataclass(frozen=True)
+class Tape:
+    """Compiled fields: `code` holds the instructions, `fields` maps each field
+    name to its output slots (one per cell, in row-major order) and its shape."""
+
+    code: tuple[tuple, ...]
+    fields: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def eval_jet(e: Expr, point: np.ndarray) -> Jet2:
-    """Evaluate an expression over jet arithmetic at a point."""
-    point = np.asarray(point, dtype=float)
-    dim = point.shape[0]
+def compile_tape(fields: dict) -> Tape:
+    """Hash-cons fields (name -> nested tuple of expressions) into one tape.
+    Instructions are keyed on (op, a, b), so equal subtrees, within one cell
+    or across cells and fields, share one slot."""
+    code: list[tuple] = []
+    slots: dict[tuple, int] = {}
 
-    def ev(node: Expr) -> Jet2:
+    def emit(node: Expr) -> int:
         if isinstance(node, Num):
-            return Jet2.constant(node.value, dim)
-        if isinstance(node, Var):
-            return Jet2.coordinate(point, node.index)
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, Bin):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        if isinstance(node, Pow):
-            return jet.powi(ev(node.base), node.exponent)
-        if isinstance(node, Call):
-            return _JET_FNS[node.fn](ev(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+            ins = ("num", node.value, None)
+        elif isinstance(node, Var):
+            ins = ("var", node.index, None)
+        elif isinstance(node, Neg):
+            ins = ("neg", emit(node.arg), None)
+        elif isinstance(node, Bin):
+            ins = (node.op, emit(node.left), emit(node.right))
+        elif isinstance(node, Pow):
+            ins = ("^", emit(node.base), node.exponent)
+        elif isinstance(node, Call):
+            ins = (node.fn, emit(node.arg), None)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if ins not in slots:
+            slots[ins] = len(code)
+            code.append(ins)
+        return slots[ins]
 
-    return ev(e)
+    out = {}
+    for name, exprs in fields.items():
+        cells = np.array(exprs, dtype=object)
+        out[name] = (tuple(emit(e) for e in cells.flat), cells.shape)
+    return Tape(tuple(code), out)
 
 
-def eval_field(exprs, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate a nested tuple of expressions (a scalar, vector or matrix field)
-    at a point -> (v, dv, ddv) with dv[k, ...] = d_k v and ddv[k, l, ...] = d_k d_l v.
+def _chain(g, h, f0: float, f1: float, f2: float):
+    """Compose a jet (g, h) with a scalar function given its value and derivatives."""
+    return f0, f1 * g, f1 * h + f2 * np.multiply.outer(g, g)
 
-    Equal expressions are evaluated once (AST nodes are frozen and hashable),
-    so the mirrored metric triangle and repeated constant cells cost nothing."""
+
+def _mul(va, ga, ha, vb, gb, hb):
+    cross = np.multiply.outer(ga, gb)
+    return va * vb, va * gb + vb * ga, va * hb + vb * ha + (cross + cross.T)
+
+
+def eval_tape(tape: Tape, point) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the tape once at a point -> {field: (v, dv, ddv)} with
+    dv[k, ...] = d_k v and ddv[k, l, ...] = d_k d_l v."""
     point = np.asarray(point, dtype=float)
-    cells = np.array(exprs, dtype=object)
-    index: dict[Expr, int] = {}
-    slots = [index.setdefault(e, len(index)) for e in cells.flat]
-    jets = [eval_jet(e, point) for e in index]
     d = point.shape[0]
-    v = np.array([jets[i].value for i in slots]).reshape(cells.shape)
-    dv = np.stack([jets[i].grad for i in slots], axis=-1).reshape((d,) + cells.shape)
-    ddv = np.stack([jets[i].hess for i in slots], axis=-1).reshape((d, d) + cells.shape)
-    return v, dv, ddv
+    zero_g, zero_h = np.zeros(d), np.zeros((d, d))
+    val: list[float] = []
+    grad: list[np.ndarray] = []
+    hess: list[np.ndarray] = []
+    for op, a, b in tape.code:
+        if op == "num":
+            jet = float(a), zero_g, zero_h
+        elif op == "var":
+            g = np.zeros(d)
+            g[a] = 1.0
+            jet = float(point[a]), g, zero_h
+        elif op == "neg":
+            jet = -val[a], -grad[a], -hess[a]
+        elif op == "+":
+            jet = val[a] + val[b], grad[a] + grad[b], hess[a] + hess[b]
+        elif op == "-":
+            jet = val[a] - val[b], grad[a] - grad[b], hess[a] - hess[b]
+        elif op == "*":
+            jet = _mul(val[a], grad[a], hess[a], val[b], grad[b], hess[b])
+        elif op == "/":  # a times the reciprocal of b
+            v = val[b]
+            if v == 0.0:
+                raise ZeroDivisionError("jet division by zero value")
+            inv = _chain(grad[b], hess[b], 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+            jet = _mul(val[a], grad[a], hess[a], *inv)
+        elif op == "^":
+            v, k = val[a], b
+            if k == 0:
+                jet = 1.0, zero_g, zero_h
+            elif k < 0 and v == 0.0:
+                raise ZeroDivisionError("negative power of zero jet value")
+            else:
+                f2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
+                jet = _chain(grad[a], hess[a], v**k, k * v ** (k - 1), f2)
+        elif op == "sqrt":
+            v = val[a]
+            if v <= 0.0:
+                raise ValueError(f"sqrt of non-positive jet value {v}")
+            r = math.sqrt(v)
+            jet = _chain(grad[a], hess[a], r, 0.5 / r, -0.25 / (r * v))
+        elif op == "exp":
+            e = math.exp(val[a])
+            jet = _chain(grad[a], hess[a], e, e, e)
+        elif op == "sin":
+            s, c = math.sin(val[a]), math.cos(val[a])
+            jet = _chain(grad[a], hess[a], s, c, -s)
+        else:  # cos
+            s, c = math.sin(val[a]), math.cos(val[a])
+            jet = _chain(grad[a], hess[a], c, -s, -c)
+        val.append(jet[0])
+        grad.append(jet[1])
+        hess.append(jet[2])
+
+    out = {}
+    for name, (slots, shape) in tape.fields.items():
+        v = np.array([val[i] for i in slots]).reshape(shape)
+        dv = np.stack([grad[i] for i in slots], axis=-1).reshape((d,) + shape)
+        ddv = np.stack([hess[i] for i in slots], axis=-1).reshape((d, d) + shape)
+        out[name] = v, dv, ddv
+    return out
 
 
 # -- structure definition files ------------------------------------------------
@@ -311,6 +395,12 @@ class StructureDef:
 
     def contains(self, point: np.ndarray) -> bool:
         return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.domain))
+
+    @cached_property
+    def tape(self) -> Tape:
+        """metric, f, xi and (when given) q compiled into one tape."""
+        fields = {"metric": self.metric, "f": self.f, "xi": self.xi}
+        return compile_tape(fields if self.q is None else {**fields, "q": self.q})
 
 
 def _require(cond: bool, message: str) -> None:

@@ -1,6 +1,7 @@
 """Pointwise Riemannian machinery on a coordinate chart.
 
-Everything is computed from jet evaluations of the metric components, so
+Everything is computed from the jet of the metric components (their values
+and exact first and second derivatives, from the structure's tape), so
 Christoffel symbols carry exact first derivatives of g and the curvature
 tensor carries exact second derivatives; no nested numerical
 differentiation appears anywhere.
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exprdsl import Expr, eval_field
 
 
 class SingularMetricError(ValueError):
@@ -52,9 +51,9 @@ class MetricEval:
     frame: np.ndarray
 
     @classmethod
-    def from_exprs(cls, metric: tuple[tuple[Expr, ...], ...], point: np.ndarray) -> "MetricEval":
+    def build(cls, point, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> "MetricEval":
+        """The metric jet (g, dg, ddg) at `point`, with g validated by its Cholesky factor."""
         point = np.asarray(point, dtype=float)
-        g, dg, ddg = eval_field(metric, point)
         try:
             lower = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:

@@ -7,8 +7,9 @@ derived here:
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
 A `PointState` bundles everything known at a single chart point: the
-component arrays (values plus the derivatives the identities need), the
-connection and curvature, and what all check suites share there: the
+component arrays of g, f, xi and an explicit Q (values, gradients and
+Hessians, from one run of the structure's compiled `StructureDef.tape`),
+the connection and curvature, and what all check suites share there: the
 test-direction matrix of a seed, the gate residuals, the adapted f-basis
 and the contact volume.  Each is computed once, when first read.
 `WeakACM.at` builds a new state on every call, so a state lives only as
@@ -25,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from . import geometry
-from .exprdsl import StructureDef, eval_field
+from .exprdsl import StructureDef, eval_tape
 from .geometry import MetricEval, bilinear
 from .linalg import eigh, gram_schmidt
 
@@ -42,19 +43,15 @@ class PointState:
         self.point = np.asarray(point, dtype=float)
         self.dim = self.sdef.dim
         self.n = self.sdef.n
-        self.metric = MetricEval.from_exprs(self.sdef.metric, self.point)
+        fields = eval_tape(self.sdef.tape, self.point)
+        self.metric = MetricEval.build(self.point, *fields["metric"])
         self.g, self.g_inv = self.metric.g, self.metric.g_inv
-        self.f, self.df, self.ddf = eval_field(self.sdef.f, self.point)
-        self.xi, self.dxi, self.ddxi = eval_field(self.sdef.xi, self.point)
+        self.f, self.df, self.ddf = fields["f"]
+        self.xi, self.dxi, self.ddxi = fields["xi"]
+        # explicit Q from the file, if any (cross-check only)
+        self.q_explicit = fields["q"][0] if "q" in fields else None
         self._directions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._quasi: dict[int, float] = {}
-
-    @cached_property
-    def q_explicit(self):
-        """Explicit Q from the file, if any (cross-check only)."""
-        if self.sdef.q is None:
-            return None
-        return eval_field(self.sdef.q, self.point)[0]
 
     # -- derived fields -----------------------------------------------------
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
+from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, sample_points
 
@@ -28,6 +29,11 @@ def flat_const():
 
 def points_for(acm: WeakACM, count: int = 8, seed: int = 7):
     return sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain)
+
+
+def jet_at(e, point):
+    """(value, gradient, Hessian) of one expression at a point, through a tape."""
+    return eval_tape(compile_tape({"e": e}), point)["e"]
 
 
 @pytest.fixture

@@ -76,3 +76,11 @@ def test_parameter_validation():
         catalog("scaled", n=9, s=2.0)
     with pytest.raises(ValueError):
         catalog("sasakian-r99")
+
+
+def test_keys_without_parameters_reject_them():
+    for key in ("sasakian-r3", "sasakian-r7", "flat-const"):
+        for params in ({"n": 3}, {"s": 2.0}, {"n": 1, "s": 1.0}):
+            with pytest.raises(ValueError, match="takes no parameters"):
+                catalog(key, **params)
+        assert catalog(key, n=1, s=None).name == key

@@ -156,6 +156,13 @@ def test_cone_command():
     assert "  gbar(dt, dt) = 0.36787944117144233" in out.splitlines()
 
 
+def test_cone_fails_when_gbar_degenerates():
+    # exp(-2t) underflows to 0, so gbar is not a metric
+    code, out, _ = run(["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "1000"])
+    assert code == EXIT_FAIL
+    assert "  gbar positive definite = no" in out.splitlines() and "verdict = fail" in out
+
+
 @pytest.mark.parametrize("command", ["fbasis", "cone"])
 def test_point_commands_take_no_report_options(tmp_path, command):
     target = tmp_path / "x"

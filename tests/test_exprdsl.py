@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqcm.catalog import catalog
+from conftest import jet_at, points_for
+from wqcm.catalog import catalog, keys
+from wqcm.structure import WeakACM
 from wqcm.exprdsl import (
     Bin,
     Call,
@@ -16,8 +18,9 @@ from wqcm.exprdsl import (
     Pow,
     SchemaError,
     Var,
+    compile_tape,
     dumps,
-    eval_jet,
+    eval_tape,
     load_structure_def,
     parse,
     structure_to_dict,
@@ -28,7 +31,7 @@ COORDS = ["x", "y", "z"]
 
 
 def value_at(text, point):
-    return eval_jet(parse(text, COORDS), np.asarray(point, dtype=float)).value
+    return float(jet_at(parse(text, COORDS), point)[0])
 
 
 def test_precedence_and_arithmetic():
@@ -109,7 +112,7 @@ def test_print_parse_roundtrip(e):
     again = parse(text, COORDS)
     assert to_str(again) == text
     point = np.array([0.3, -0.6, 0.9])
-    assert eval_jet(again, point).value == eval_jet(e, point).value
+    assert jet_at(again, point)[0] == jet_at(e, point)[0]
 
 
 def base_doc():
@@ -191,3 +194,64 @@ def test_schema_errors(mutate, fragment):
 def test_invalid_json_rejected():
     with pytest.raises(SchemaError, match="invalid JSON"):
         load_structure_def(b"{ not json")
+
+
+# -- the tape -----------------------------------------------------------------
+
+
+def distinct_subtrees(fields) -> set:
+    """Every subtree of every cell, compared by value (AST nodes are frozen)."""
+    seen = set()
+
+    def walk(e):
+        seen.add(e)
+        for child in (getattr(e, name, None) for name in ("arg", "left", "right", "base")):
+            if child is not None:
+                walk(child)
+
+    for cells in fields:
+        for e in np.array(cells, dtype=object).flat:
+            walk(e)
+    return seen
+
+
+def test_tape_has_one_instruction_per_distinct_subtree():
+    doc = base_doc()
+    doc["metric"] = [["1 + x*y", "x*y", "0"], ["x*y", "1 + x*y", "0"], ["", "", "1"]]
+    doc["f"] = [["0", "x*y", "0"], ["-(x*y)", "0", "0"], ["0", "0", "0"]]
+    sdef = load_structure_def(doc)
+    # 0, 1, x, y, x*y, 1 + x*y and -(x*y): the mirrored metric triangle and
+    # the repeated "0" and "1" cells cost one instruction each
+    assert len(sdef.tape.code) == 7
+    slots, shape = sdef.tape.fields["metric"]
+    assert shape == (3, 3) and slots[1] == slots[3] and slots[2] == slots[5] == slots[6]
+    # the cells hold five distinct expressions: 0, 1, x*y, 1 + x*y, -(x*y)
+    assert len({*slots, *sdef.tape.fields["f"][0], *sdef.tape.fields["xi"][0]}) == 5
+    for key in keys():
+        sdef = catalog(key, s=2.0) if key == "scaled" else catalog(key)
+        assert len(sdef.tape.code) == len(distinct_subtrees([sdef.metric, sdef.f, sdef.xi])), key
+    assert len(catalog("sasakian-r7").tape.code) == 33
+
+
+def test_padding_by_one_leaves_every_jet_unchanged():
+    doc = structure_to_dict(catalog("sasakian-r3"))
+    shifts = ["0.7*x1 + 0.2", "1.3*z + 0.5", "y1 - 0.1"]
+    count = 0
+
+    def pad(cell):
+        nonlocal count
+        for _ in range(3):  # the same few factors repeat across cells
+            u = shifts[count % len(shifts)]
+            cell, count = f"({cell}) * (sin({u})^2 + cos({u})^2)", count + 1
+        return cell
+
+    doc["metric"] = [[pad(c) if j >= i else "" for j, c in enumerate(row)] for i, row in enumerate(doc["metric"])]
+    doc["f"] = [[pad(c) for c in row] for row in doc["f"]]
+    doc["xi"] = [pad(c) for c in doc["xi"]]
+    plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
+    assert len(padded.tape.code) == len(distinct_subtrees([padded.metric, padded.f, padded.xi]))
+    for point in points_for(WeakACM(plain), count=8):
+        want, got = eval_tape(plain.tape, point), eval_tape(padded.tape, point)
+        for name in ("metric", "f", "xi"):
+            for a, b in zip(want[name], got[name]):
+                assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, name

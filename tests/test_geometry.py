@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.exprdsl import parse
+from wqcm.exprdsl import compile_tape, eval_tape, parse
 from wqcm.geometry import (
     DegeneratePlaneError,
     MetricEval,
@@ -28,8 +28,13 @@ SPHERE_METRIC = tuple(
 )
 
 
+def metric_at(cells, point):
+    """The metric jet of expression cells at a point, compiled through a tape."""
+    return MetricEval.build(point, *eval_tape(compile_tape({"metric": cells}), point)["metric"])
+
+
 def sphere_at(theta, phi=0.3):
-    return MetricEval.from_exprs(SPHERE_METRIC, np.array([theta, phi]))
+    return metric_at(SPHERE_METRIC, np.array([theta, phi]))
 
 
 def test_sphere_christoffel_symbols():
@@ -67,8 +72,8 @@ def test_christoffel_derivative_matches_finite_differences():
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        gp = christoffel(MetricEval.from_exprs(SPHERE_METRIC, point + e))
-        gm = christoffel(MetricEval.from_exprs(SPHERE_METRIC, point - e))
+        gp = christoffel(metric_at(SPHERE_METRIC, point + e))
+        gm = christoffel(metric_at(SPHERE_METRIC, point - e))
         assert np.allclose(dgamma[k], (gp - gm) / (2 * h), atol=1e-8)
 
 
@@ -130,13 +135,13 @@ def test_non_positive_definite_metric_rejected():
         for row in [["1", "0"], ["0", "-1"]]
     )
     with pytest.raises(SingularMetricError):
-        MetricEval.from_exprs(bad, np.array([0.5, 0.5]))
+        metric_at(bad, np.array([0.5, 0.5]))
 
 
 def test_orthonormal_frame_is_orthonormal():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
     cells = tuple(tuple(parse(repr(float(v)), ["x", "y", "z"]) for v in row) for row in g)
-    frame = MetricEval.from_exprs(cells, np.zeros(3)).frame
+    frame = metric_at(cells, np.zeros(3)).frame
     assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
     # Gram-Schmidt of the coordinate frame: upper triangular, positive diagonal
     assert np.array_equal(frame, np.triu(frame)) and np.all(np.diag(frame) > 0.0)

@@ -1,3 +1,6 @@
+"""Second-order jets as the tape computes them: exact gradients and Hessians
+of expressions, checked against finite differences and algebraic laws."""
+
 import math
 
 import numpy as np
@@ -5,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqcm import jet
-from wqcm.jet import Jet2
+from conftest import jet_at
+from test_exprdsl import COORDS, exprs
+from wqcm.exprdsl import Bin, Call, Pow, parse
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -35,129 +39,122 @@ def fd_hessian(fn, x, h=1e-4):
     return m
 
 
-def jet_of(fn_jets, point):
-    coords = [Jet2.coordinate(point, i) for i in range(len(point))]
-    return fn_jets(*coords)
+def jet_of(text, point):
+    return jet_at(parse(text, COORDS), point)
 
 
+# Each case writes the expression over the coordinate names, next to a
+# plain-float version of it.
 CASES = [
-    (lambda x, y, z: x * y * z + x, lambda p: p[0] * p[1] * p[2] + p[0]),
+    (lambda x, y, z: f"{x} * {y} * {z} + {x}", lambda p: p[0] * p[1] * p[2] + p[0]),
     (
-        lambda x, y, z: jet.sin(x * y) + jet.cos(z) * jet.exp(y),
+        lambda x, y, z: f"sin({x} * {y}) + cos({z}) * exp({y})",
         lambda p: math.sin(p[0] * p[1]) + math.cos(p[2]) * math.exp(p[1]),
     ),
     (
-        lambda x, y, z: jet.sqrt(x * x + y * y + 1.0) / (z + 2.0),
+        lambda x, y, z: f"sqrt({x} * {x} + {y} * {y} + 1.0) / ({z} + 2.0)",
         lambda p: math.sqrt(p[0] ** 2 + p[1] ** 2 + 1.0) / (p[2] + 2.0),
     ),
     (
-        lambda x, y, z: jet.powi(x + y, 3) - jet.powi(z + 2.0, -2),
+        lambda x, y, z: f"({x} + {y})^3 - ({z} + 2.0)^-2",
         lambda p: (p[0] + p[1]) ** 3 - (p[2] + 2.0) ** (-2),
     ),
 ]
 
 
-@pytest.mark.parametrize("fn_jets,fn", CASES)
-def test_gradient_and_hessian_match_finite_differences(fn_jets, fn):
+@pytest.mark.parametrize("text_of,fn", CASES)
+def test_gradient_and_hessian_match_finite_differences(text_of, fn):
     for point in ([0.3, -0.7, 0.5], [1.1, 0.2, -0.4]):
         point = np.array(point)
-        j = jet_of(fn_jets, point)
-        assert j.value == pytest.approx(fn(point), rel=1e-12)
-        assert np.allclose(j.grad, fd_gradient(fn, point), rtol=1e-6, atol=1e-8)
-        assert np.allclose(j.hess, fd_hessian(fn, point), rtol=1e-4, atol=1e-5)
+        v, grad, hess = jet_of(text_of(*COORDS), point)
+        assert v == pytest.approx(fn(point), rel=1e-12)
+        assert np.allclose(grad, fd_gradient(fn, point), rtol=1e-6, atol=1e-8)
+        assert np.allclose(hess, fd_hessian(fn, point), rtol=1e-4, atol=1e-5)
 
 
 def test_constant_and_coordinate():
-    c = Jet2.constant(4.5, 3)
-    assert c.value == 4.5
-    assert not c.grad.any() and not c.hess.any()
-    x1 = Jet2.coordinate(np.array([2.0, 3.0]), 1)
-    assert x1.value == 3.0
-    assert np.array_equal(x1.grad, [0.0, 1.0])
-    with pytest.raises(IndexError):
-        Jet2.coordinate(np.array([1.0]), 5)
+    v, grad, hess = jet_of("4.5", [0.0, 0.0, 0.0])
+    assert v == 4.5
+    assert not grad.any() and not hess.any()
+    v, grad, hess = jet_of("y", [2.0, 3.0, 0.0])
+    assert v == 3.0
+    assert np.array_equal(grad, [0.0, 1.0, 0.0]) and not hess.any()
 
 
 def test_division_by_zero_jet():
-    z = Jet2.constant(0.0, 2)
+    zero = [0.0, 0.0, 0.0]
     with pytest.raises(ZeroDivisionError):
-        1.0 / z
+        jet_of("1 / z", zero)
     with pytest.raises(ZeroDivisionError):
-        jet.powi(z, -1)
+        jet_of("z^-1", zero)
 
 
 def test_powi_edge_cases():
-    x = Jet2.coordinate(np.array([0.0, 1.0]), 0)
-    one = jet.powi(x, 0)
-    assert one.value == 1.0 and not one.grad.any()
-    ident = jet.powi(x, 1)  # must not evaluate 0**(-1)
-    assert ident.value == 0.0 and ident.grad[0] == 1.0
-    with pytest.raises(TypeError):
-        jet.powi(x, 1.5)
+    at_zero = [0.0, 1.0, 0.0]
+    v, grad, _ = jet_of("x^0", at_zero)
+    assert v == 1.0 and not grad.any()
+    v, grad, _ = jet_of("x^1", at_zero)  # must not evaluate 0**(-1)
+    assert v == 0.0 and grad[0] == 1.0
 
 
 def test_sqrt_domain():
     with pytest.raises(ValueError):
-        jet.sqrt(Jet2.constant(-1.0, 1))
-
-
-def test_dimension_mismatch():
+        jet_of("sqrt(z - 1)", [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        Jet2.constant(1.0, 2) + Jet2.constant(1.0, 3)
+        jet_of("sqrt(z)", [0.0, 0.0, 0.0])
 
 
-finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# -- algebraic laws, on jets of random expressions at a fixed point ----------------
+
+POINT = np.array([0.3, -0.6, 0.9])
 
 
-@st.composite
-def jets(draw, dim=3):
-    value = draw(finite)
-    grad = np.array([draw(finite) for _ in range(dim)])
-    rows, cols = np.triu_indices(dim)
-    hess = np.zeros((dim, dim))
-    hess[rows, cols] = hess[cols, rows] = [draw(finite) for _ in rows]
-    return Jet2(value, grad, hess)
+def size(j) -> float:
+    """1 + the largest entry of a jet: rounding errors scale with it."""
+    return 1.0 + max(float(np.max(np.abs(part))) for part in j)
 
 
-def close(a: Jet2, b: Jet2, tol=1e-9):
-    scale = 1.0 + max(
-        abs(a.value), abs(b.value), np.max(np.abs(a.grad)), np.max(np.abs(a.hess))
-    )
-    return (
-        abs(a.value - b.value) <= tol * scale
-        and np.all(np.abs(a.grad - b.grad) <= tol * scale)
-        and np.all(np.abs(a.hess - b.hess) <= tol * scale)
-    )
+def close(a, b, tol):
+    return all(np.all(np.abs(x - y) <= tol) for x, y in zip(a, b))
 
 
 @settings(max_examples=200, deadline=None)
-@given(jets(), jets())
+@given(exprs(), exprs())
 def test_mul_commutative(a, b):
-    assert close(a * b, b * a, tol=0.0)
+    ab, ba = jet_at(Bin("*", a, b), POINT), jet_at(Bin("*", b, a), POINT)
+    assert all(np.array_equal(x, y) for x, y in zip(ab, ba))
 
 
 @settings(max_examples=200, deadline=None)
-@given(jets(), jets(), jets())
+@given(exprs(), exprs(), exprs())
 def test_add_and_mul_associate_approximately(a, b, c):
-    assert close((a + b) + c, a + (b + c))
-    assert close((a * b) * c, a * (b * c))
+    ja, jb, jc = (jet_at(e, POINT) for e in (a, b, c))
+    sa, sb, sc = size(ja), size(jb), size(jc)
+    left, right = Bin("+", Bin("+", a, b), c), Bin("+", a, Bin("+", b, c))
+    assert close(jet_at(left, POINT), jet_at(right, POINT), 1e-12 * (sa + sb + sc))
+    left, right = Bin("*", Bin("*", a, b), c), Bin("*", a, Bin("*", b, c))
+    assert close(jet_at(left, POINT), jet_at(right, POINT), 1e-12 * sa * sb * sc)
 
 
 @settings(max_examples=200, deadline=None)
-@given(jets(), jets())
+@given(exprs(), exprs())
 def test_mul_div_roundtrip(a, b):
-    if abs(b.value) < 1e-3:
+    ja, jb = jet_at(a, POINT), jet_at(b, POINT)
+    if abs(jb[0]) < 1e-3:
         return
-    assert close((a * b) / b, a, tol=1e-7)
+    # 1/b and its derivatives grow like size(b) / |b| per order
+    scale = size(ja) * (size(jb) / abs(jb[0])) ** 3
+    assert close(jet_at(Bin("/", Bin("*", a, b), b), POINT), ja, 1e-12 * scale)
 
 
 @settings(max_examples=100, deadline=None)
-@given(jets(), jets(), st.integers(min_value=-3, max_value=4))
+@given(exprs(), exprs(), st.integers(min_value=-3, max_value=4))
 def test_hessian_matrix_is_exactly_symmetric(a, b, k):
-    results = [a * b, jet.sin(a)]
-    if abs(b.value) >= 1e-3:
-        results.append(a / b)
-    if k >= 0 or abs(a.value) >= 1e-3:
-        results.append(jet.powi(a, k))
-    for r in results:
-        assert np.array_equal(r.hess, r.hess.T)
+    results = [Bin("*", a, b), Call("sin", a)]
+    if abs(jet_at(b, POINT)[0]) >= 1e-3:
+        results.append(Bin("/", a, b))
+    if k >= 0 or abs(jet_at(a, POINT)[0]) >= 1e-3:
+        results.append(Pow(a, k))
+    for e in results:
+        hess = jet_at(e, POINT)[2]
+        assert np.array_equal(hess, hess.T)
