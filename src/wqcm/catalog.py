@@ -9,9 +9,14 @@ Three families:
     by s.  A genuine weak structure with Q = s^2 id + (1 - s^2) eta (x) xi.
   * "flat-const" -- Euclidean R^3 with a constant f; fails the contact
     condition (d eta = 0) while satisfying the weak axioms.
+
+`document` gives a built-in as its JSON structure-definition document, and
+`catalog` compiles that document.
 """
 
 from __future__ import annotations
+
+import re
 
 from .exprdsl import StructureDef, load_structure_def
 
@@ -31,7 +36,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _sasakian(n: int, s: float = 1.0, name: str | None = None) -> StructureDef:
+def _sasakian_doc(n: int, s: float = 1.0, name: str | None = None) -> dict:
     """Sasakian chart on R^{2n+1}, with f scaled by s."""
     dim = 2 * n + 1
     xs = [f"x{i + 1}" for i in range(n)]
@@ -62,7 +67,7 @@ def _sasakian(n: int, s: float = 1.0, name: str | None = None) -> StructureDef:
     xi = [zero] * dim
     xi[dim - 1] = "2"
     w = DEFAULT_DOMAIN_HALF_WIDTH
-    return load_structure_def({
+    return {
         "name": name or f"sasakian-r{dim}",
         "n": n,
         "coords": coords,
@@ -70,7 +75,7 @@ def _sasakian(n: int, s: float = 1.0, name: str | None = None) -> StructureDef:
         "metric": metric,
         "f": f,
         "xi": xi,
-    })
+    }
 
 
 def _flat_const_doc() -> dict:
@@ -91,18 +96,20 @@ def _no_parameters(key: str, n: int, s: float | None) -> None:
         raise ValueError(f"catalog key {key!r} takes no parameters (got n={n}, s={s})")
 
 
-def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
-    """Return a built-in structure definition by key.  Only "scaled" takes
-    parameters; for any other key, n must be 1 and s must be None."""
+def document(key: str, n: int = 1, s: float | None = None) -> dict:
+    """The structure-definition document of a built-in, by key.  Only "scaled"
+    takes parameters; for any other key, n must be 1 and s must be None."""
     if key.startswith("sasakian-r"):
-        dim = int(key.removeprefix("sasakian-r"))
+        digits = key.removeprefix("sasakian-r")
+        # the canonical decimal spelling only: no sign, blank or leading zero
+        dim = int(digits) if re.fullmatch(r"[1-9][0-9]*", digits) else 0
         if dim % 2 == 0 or dim < 3:
             raise UnknownCatalogKey(key)
         _no_parameters(key, n, s)
         nn = (dim - 1) // 2
         if nn > MAX_N:
             raise ValueError(f"n={nn} exceeds the catalog cap of {MAX_N}")
-        return _sasakian(nn)
+        return _sasakian_doc(nn)
     if key == "scaled":
         if s is None:
             raise ValueError("catalog key 'scaled' requires parameter s")
@@ -110,8 +117,13 @@ def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
             raise ValueError("scale parameter s must be positive")
         if not 1 <= n <= MAX_N:
             raise ValueError(f"n must be between 1 and {MAX_N}")
-        return _sasakian(n, s=s, name=f"scaled-n{n}-s{_fmt(s)}")
+        return _sasakian_doc(n, s=s, name=f"scaled-n{n}-s{_fmt(s)}")
     if key == "flat-const":
         _no_parameters(key, n, s)
-        return load_structure_def(_flat_const_doc())
+        return _flat_const_doc()
     raise UnknownCatalogKey(key)
+
+
+def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
+    """A built-in structure definition by key, compiled from `document`."""
+    return load_structure_def(document(key, n, s))

@@ -159,7 +159,10 @@ def _seed(args) -> int:
 
 def _write(payload: bytes, args, stdout) -> None:
     if args.output:
-        Path(args.output).write_bytes(payload)
+        try:
+            Path(args.output).write_bytes(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         stdout.write(payload.decode())
 

@@ -9,9 +9,10 @@ Closed-form expressions over the chart coordinates with the grammar
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
-Exponents must be integer literals.  `compile_tape` hash-conses fields of
-expressions into one flat tape, each distinct subtree once, and `eval_tape`
-runs it at a point, giving the value, gradient and Hessian of every cell.
+Exponents must be integer literals.  No syntax tree is built: `compile_tape`
+parses the text of every cell straight into one hash-consed flat tape, each
+distinct subexpression once, and `eval_tape` runs it at a point, giving the
+value, gradient and Hessian of every cell.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -23,9 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,65 +37,6 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-
-
-Expr = Union[Num, Var, Neg, Bin, Pow, Call]
-
-
-def to_str(e: Expr) -> str:
-    """Render an AST back to parseable text (fully parenthesized)."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{to_str(e.arg)})"
-    if isinstance(e, Bin):
-        return f"({to_str(e.left)} {e.op} {to_str(e.right)})"
-    if isinstance(e, Pow):
-        exp = str(e.exponent) if e.exponent >= 0 else f"-{-e.exponent}"
-        return f"({to_str(e.base)}^{exp})"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_str(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # -- lexer --------------------------------------------------------------------
@@ -140,113 +80,121 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# -- parser -------------------------------------------------------------------
+# -- parser and tape compiler --------------------------------------------------
+#
+# A tape is a flat list of instructions in which each distinct subexpression of
+# the compiled fields appears once.  Instruction k is a triple (op, a, b) whose
+# result goes to slot k: a is the slot of the (first) argument, or the number
+# of "num" and the coordinate index of "var"; b is the second argument slot of
+# + - * /, the exponent of "^", and None otherwise.  Each parser rule emits the
+# instructions of what it read, operands before their operator, and returns
+# the slot of its result.  Running the tape at a point computes the jet of every
+# slot in order: the value (a Python float, so a zero division, a `sqrt` domain
+# error or an overflow raises), the gradient (d,) and the full Hessian (d, d).
+# Every update adds symmetric terms (`cross + cross.T`, `outer(g, g)`) to
+# symmetric matrices, and IEEE sums and products commute, so Hessians are
+# exactly symmetric.  The formulas and their operand order are fixed: changing
+# them changes the last bits of every report.
+
+# Each level of parentheses or calls recurses through six parser calls; past
+# this depth a cell is an input error rather than a RecursionError.
+MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, coords: list[str]):
+    def __init__(self, text: str, coord_index: dict[str, int], emit):
+        if not text.strip():
+            raise ExprSyntaxError("empty expression", 1, 1)
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.coord_index = {name: i for i, name in enumerate(coords)}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        self.coord_index = coord_index
+        self.emit = emit
+        self.depth = 0
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "op" and tok.text in ops
+
     def expect_op(self, op: str) -> None:
         tok = self.next()
         if tok.kind != "op" or tok.text != op:
             raise ExprSyntaxError(f"expected {op!r}, found {tok.text!r}", tok.line, tok.col)
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
+    def parse(self) -> int:
+        slot = self.expr()
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return e
+        return slot
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+    def expr(self) -> int:
+        slot = self.term()
+        while self.at_op("+-"):
             op = self.next().text
-            e = Bin(op, e, self.term())
-        return e
+            slot = self.emit(op, slot, self.term())
+        return slot
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+    def term(self) -> int:
+        slot = self.unary()
+        while self.at_op("*/"):
             op = self.next().text
-            e = Bin(op, e, self.unary())
-        return e
+            slot = self.emit(op, slot, self.unary())
+        return slot
 
-    def unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def unary(self) -> int:
+        signs = 0
+        while self.at_op("-"):
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        slot = self.power()
+        for _ in range(signs):
+            slot = self.emit("neg", slot, None)
+        return slot
 
-    def power(self) -> Expr:
-        e = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
+    def power(self) -> int:
+        slot = self.atom()
+        while self.at_op("^"):
             self.next()
             sign = 1
-            if self.peek().kind == "op" and self.peek().text == "-":
+            if self.at_op("-"):
                 self.next()
                 sign = -1
             tok = self.next()
             if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-                raise ExprSyntaxError(
-                    f"non-integer exponent {tok.text!r}", tok.line, tok.col
-                )
-            e = Pow(e, sign * int(tok.text))
-        return e
+                raise ExprSyntaxError(f"non-integer exponent {tok.text!r}", tok.line, tok.col)
+            slot = self.emit("^", slot, sign * int(tok.text))
+        return slot
 
-    def atom(self) -> Expr:
+    def nested(self, tok: _Token) -> int:
+        """The parenthesized expression that follows `tok`, one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", tok.line, tok.col)
+        self.depth += 1
+        slot = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return slot
+
+    def atom(self) -> int:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return self.emit("num", float(tok.text), None)
         if tok.kind == "name":
-            if self.peek().kind == "op" and self.peek().text == "(":
+            if self.at_op("("):
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
+                return self.emit(tok.text, self.nested(self.next()), None)
             if tok.text not in self.coord_index:
                 raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
-            return Var(tok.text, self.coord_index[tok.text])
+            return self.emit("var", self.coord_index[tok.text], None)
         if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(tok)
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-
-
-def parse(text: str, coords: list[str] | tuple[str, ...]) -> Expr:
-    if not text.strip():
-        raise ExprSyntaxError("empty expression", 1, 1)
-    return _Parser(text, list(coords)).parse()
-
-
-# -- the jet tape ---------------------------------------------------------------
-#
-# A tape is a flat list of instructions in which each distinct subtree of the
-# compiled fields appears once.  Instruction k is a triple (op, a, b) whose
-# result goes to slot k: a is the slot of the (first) argument, or the number
-# of "num" and the coordinate index of "var"; b is the second argument slot of
-# + - * /, the exponent of "^", and None otherwise.  Running the tape at a
-# point computes the second-order jet of every slot in order: the value (a
-# Python float, so a zero division, a `sqrt` domain error or an overflow
-# raises), the gradient (d,) and the full Hessian (d, d).  Every update adds
-# symmetric terms (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and
-# IEEE sums and products commute, so Hessians are exactly symmetric.  The
-# formulas and their operand order are fixed: changing them changes the last
-# bits of every report.
 
 
 @dataclass(frozen=True)
@@ -258,37 +206,32 @@ class Tape:
     fields: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def compile_tape(fields: dict) -> Tape:
-    """Hash-cons fields (name -> nested tuple of expressions) into one tape.
-    Instructions are keyed on (op, a, b), so equal subtrees, within one cell
-    or across cells and fields, share one slot."""
+def compile_tape(fields: dict, coords) -> Tape:
+    """Parse fields (name -> expression text or nested lists of it) over the
+    coordinate names into one tape.  Instructions are keyed on (op, a, b), so
+    equal subexpressions, within one cell or across cells and fields, share one
+    slot; each distinct cell text is parsed once."""
     code: list[tuple] = []
     slots: dict[tuple, int] = {}
+    cell_slots: dict[str, int] = {}
+    coord_index = {name: i for i, name in enumerate(coords)}
 
-    def emit(node: Expr) -> int:
-        if isinstance(node, Num):
-            ins = ("num", node.value, None)
-        elif isinstance(node, Var):
-            ins = ("var", node.index, None)
-        elif isinstance(node, Neg):
-            ins = ("neg", emit(node.arg), None)
-        elif isinstance(node, Bin):
-            ins = (node.op, emit(node.left), emit(node.right))
-        elif isinstance(node, Pow):
-            ins = ("^", emit(node.base), node.exponent)
-        elif isinstance(node, Call):
-            ins = (node.fn, emit(node.arg), None)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
+    def emit(op, a, b) -> int:
+        ins = (op, a, b)
         if ins not in slots:
             slots[ins] = len(code)
             code.append(ins)
         return slots[ins]
 
+    def cell(text: str) -> int:
+        if text not in cell_slots:
+            cell_slots[text] = _Parser(text, coord_index, emit).parse()
+        return cell_slots[text]
+
     out = {}
-    for name, exprs in fields.items():
-        cells = np.array(exprs, dtype=object)
-        out[name] = (tuple(emit(e) for e in cells.flat), cells.shape)
+    for name, texts in fields.items():
+        cells = np.array(texts, dtype=object)
+        out[name] = (tuple(cell(t) for t in cells.flat), cells.shape)
     return Tape(tuple(code), out)
 
 
@@ -378,16 +321,14 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class StructureDef:
-    """A chart manifold with expression-valued metric, f-tensor and Reeb field."""
+    """A chart manifold whose metric, f-tensor, Reeb field and (when given) Q
+    are compiled into one tape, with the fields "metric", "f", "xi" and "q"."""
 
     name: str
     n: int
     coords: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
-    metric: tuple[tuple[Expr, ...], ...]
-    f: tuple[tuple[Expr, ...], ...]
-    xi: tuple[Expr, ...]
-    q: Optional[tuple[tuple[Expr, ...], ...]] = field(default=None)
+    tape: Tape
 
     @property
     def dim(self) -> int:
@@ -395,12 +336,6 @@ class StructureDef:
 
     def contains(self, point: np.ndarray) -> bool:
         return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.domain))
-
-    @cached_property
-    def tape(self) -> Tape:
-        """metric, f, xi and (when given) q compiled into one tape."""
-        fields = {"metric": self.metric, "f": self.f, "xi": self.xi}
-        return compile_tape(fields if self.q is None else {**fields, "q": self.q})
 
 
 def _require(cond: bool, message: str) -> None:
@@ -413,13 +348,13 @@ def _cell(cell, what: str) -> str:
     return cell
 
 
-def _parse_matrix(rows, coords, dim, what: str) -> tuple[tuple[Expr, ...], ...]:
+def _matrix(rows, dim, what: str) -> list[list[str]]:
     _require(isinstance(rows, list) and len(rows) == dim, f"{what} must be a {dim}x{dim} matrix")
     out = []
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == dim, f"{what} row {i} must have {dim} entries")
-        out.append(tuple(parse(_cell(cell, f"{what} entry [{i}][{j}]"), coords) for j, cell in enumerate(row)))
-    return tuple(out)
+        out.append([_cell(cell, f"{what} entry [{i}][{j}]") for j, cell in enumerate(row)])
+    return out
 
 
 def load_structure_def(source) -> StructureDef:
@@ -427,7 +362,7 @@ def load_structure_def(source) -> StructureDef:
     if isinstance(source, (bytes, str)):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     else:
         doc = source
@@ -439,10 +374,7 @@ def load_structure_def(source) -> StructureDef:
     _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
     dim = 2 * n + 1
     coords = doc["coords"]
-    _require(
-        isinstance(coords, list) and len(coords) == dim,
-        f"coords must list {dim} names for n={n}",
-    )
+    _require(isinstance(coords, list) and len(coords) == dim, f"coords must list {dim} names for n={n}")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
     domain = doc["domain"]
     _require(isinstance(domain, list) and len(domain) == dim, f"domain must list {dim} intervals")
@@ -453,54 +385,17 @@ def load_structure_def(source) -> StructureDef:
 
     # Only the upper triangle of the metric is read; the lower triangle must
     # match the upper textually or be left blank.
-    rows = doc["metric"]
-    _require(isinstance(rows, list) and len(rows) == dim, f"metric must be a {dim}x{dim} matrix")
-    metric: list[list[Expr]] = [[None] * dim for _ in range(dim)]
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == dim, f"metric row {i} must have {dim} entries")
-        for j in range(i, dim):
-            metric[i][j] = parse(_cell(row[j], f"metric entry [{i}][{j}]"), coords)
+    metric = _matrix(doc["metric"], dim, "metric")
     for i in range(dim):
         for j in range(i):
-            cell = _cell(rows[i][j], f"metric entry [{i}][{j}]")
-            if cell.strip() != "" and cell.strip() != rows[j][i].strip():
-                raise SchemaError(
-                    f"metric entry [{i}][{j}] must be empty or match [{j}][{i}] textually"
-                )
+            if metric[i][j].strip() not in ("", metric[j][i].strip()):
+                raise SchemaError(f"metric entry [{i}][{j}] must be empty or match [{j}][{i}] textually")
             metric[i][j] = metric[j][i]
 
-    f = _parse_matrix(doc["f"], coords, dim, "f")
+    fields = {"metric": metric, "f": _matrix(doc["f"], dim, "f")}
     xi_rows = doc["xi"]
     _require(isinstance(xi_rows, list) and len(xi_rows) == dim, f"xi must have {dim} entries")
-    xi = tuple(parse(_cell(cell, f"xi entry [{i}]"), coords) for i, cell in enumerate(xi_rows))
-    q = _parse_matrix(doc["Q"], coords, dim, "Q") if doc.get("Q") is not None else None
-
-    return StructureDef(
-        name=str(name),
-        n=n,
-        coords=tuple(coords),
-        domain=tuple(box),
-        metric=tuple(tuple(r) for r in metric),
-        f=f,
-        xi=xi,
-        q=q,
-    )
-
-
-def structure_to_dict(sdef: StructureDef) -> dict:
-    doc = {
-        "name": sdef.name,
-        "n": sdef.n,
-        "coords": list(sdef.coords),
-        "domain": [[lo, hi] for lo, hi in sdef.domain],
-        "metric": [[to_str(e) for e in row] for row in sdef.metric],
-        "f": [[to_str(e) for e in row] for row in sdef.f],
-        "xi": [to_str(e) for e in sdef.xi],
-    }
-    if sdef.q is not None:
-        doc["Q"] = [[to_str(e) for e in row] for row in sdef.q]
-    return doc
-
-
-def dumps(sdef: StructureDef) -> str:
-    return json.dumps(structure_to_dict(sdef), indent=2)
+    fields["xi"] = [_cell(cell, f"xi entry [{i}]") for i, cell in enumerate(xi_rows)]
+    if doc.get("Q") is not None:
+        fields["q"] = _matrix(doc["Q"], dim, "Q")
+    return StructureDef(name=str(name), n=n, coords=tuple(coords), domain=tuple(box), tape=compile_tape(fields, coords))

@@ -31,9 +31,9 @@ def points_for(acm: WeakACM, count: int = 8, seed: int = 7):
     return sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain)
 
 
-def jet_at(e, point):
+def jet_at(text, point, coords=("x", "y", "z")):
     """(value, gradient, Hessian) of one expression at a point, through a tape."""
-    return eval_tape(compile_tape({"e": e}), point)["e"]
+    return eval_tape(compile_tape({"e": text}, coords), point)["e"]
 
 
 @pytest.fixture

@@ -5,13 +5,14 @@ decision, not a refactor."""
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from wqcm.catalog import catalog
+from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
-from wqcm.exprdsl import Bin, Call, Neg, Num, Pow, Var, compile_tape, eval_tape
+from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.geometry import christoffel
 from wqcm.structure import WeakACM, build_cone, contact_volume, f_basis
 from wqcm.suites import SamplePlan, run_suite, sample_points
@@ -49,47 +50,38 @@ def all_catalog_structures():
 _FNS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 
 
-def eval_float(e, point):
-    """Plain-float evaluator, independent of the jet tape."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(point[e.index])
-    if isinstance(e, Neg):
-        return -eval_float(e.arg, point)
-    if isinstance(e, Bin):
-        a, b = eval_float(e.left, point), eval_float(e.right, point)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else math.inf}[e.op]
-    if isinstance(e, Pow):
-        return eval_float(e.base, point) ** e.exponent
-    if isinstance(e, Call):
-        return _FNS[e.fn](eval_float(e.arg, point))
-    raise TypeError(e)
+def eval_float(text, coords, point):
+    """Plain-float value of expression text, independent of the jet tape: Python
+    reads the text with `^` as `**`.  The grammars differ only on chained `^`
+    (Python's `**` groups to the right), which the cells checked here avoid."""
+    names = {**_FNS, **{name: float(x) for name, x in zip(coords, point)}}
+    return float(eval(text.replace("^", "**"), {"__builtins__": {}}, names))
 
 
 def test_1_ad_kernel_matches_finite_differences(announce):
-    cases = []  # (expr, domain)
+    cases = []  # (text, coords, domain)
     for key in ("sasakian-r3", "sasakian-r5", "flat-const"):
-        sdef = catalog(key)
-        exprs = [sdef.metric[i][j] for i in range(sdef.dim) for j in range(i, sdef.dim)]
-        exprs += [e for row in sdef.f for e in row]
-        exprs += list(sdef.xi)
-        cases += [(e, sdef.domain) for e in exprs]
+        doc = document(key)
+        dim = len(doc["coords"])
+        cells = [doc["metric"][i][j] for i in range(dim) for j in range(i, dim)]
+        cells += [c for row in doc["f"] for c in row] + doc["xi"]
+        cases += [(c, doc["coords"], doc["domain"]) for c in cells]
     assert len(cases) >= 50
+    assert not any(re.search(r"\^[\s-]*\d+\s*\^", text) for text, _, _ in cases)
 
     hg, hh = 1e-5, 1e-4
     worst_g = worst_h = 0.0
     ok = True
-    for e, domain in cases:
-        tape = compile_tape({"e": e})
+    for text, coords, domain in cases:
+        tape = compile_tape({"e": text}, coords)
         for point in sample_points(PLAN32, domain):
             d = len(point)
             _, grad, hess = eval_tape(tape, point)["e"]
 
             def fd(delta):
-                return eval_float(e, point + delta)
+                return eval_float(text, coords, point + delta)
 
-            f0 = eval_float(e, point)
+            f0 = eval_float(text, coords, point)
             for i in range(d):
                 ei = np.eye(d)[i]
                 g_fd = (fd(hg * ei) - fd(-hg * ei)) / (2 * hg)

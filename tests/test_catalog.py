@@ -60,6 +60,10 @@ def test_flat_const_is_not_contact():
         lambda: catalog("nope"),
         lambda: catalog("sasakian-r4"),
         lambda: catalog("sasakian-r2"),
+        # only the canonical decimal spelling names a dimension
+        lambda: catalog("sasakian-rx"),
+        lambda: catalog("sasakian-r"),
+        lambda: catalog("sasakian-r03"),
     ],
 )
 def test_unknown_keys(call):

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
-from wqcm.exprdsl import dumps, to_str
-from wqcm.catalog import catalog
+from wqcm.catalog import document
 from test_exprdsl import COORDS, exprs
 
 
@@ -47,7 +46,13 @@ def test_validate_missing_file_is_usage_error():
 
 def test_validate_structure_file(tmp_path):
     path = tmp_path / "s.json"
-    path.write_text(dumps(catalog("sasakian-r3")))
+    path.write_text(json.dumps(document("sasakian-r3")))
+    code, out, _ = run(["validate", str(path), *COMMON])
+    assert code == EXIT_OK
+    # a cell of any length compiles: g_00 written as a sum of 1,500 terms
+    doc = document("sasakian-r3")
+    doc["metric"][0][0] = " + ".join(["y1*y1/6000"] * 1500 + ["1/4"])
+    path.write_text(json.dumps(doc))
     code, out, _ = run(["validate", str(path), *COMMON])
     assert code == EXIT_OK
 
@@ -58,6 +63,16 @@ def test_malformed_structure_file(tmp_path):
     code, _, err = run(["validate", str(path)])
     assert code == EXIT_USAGE
     assert "missing field" in err
+    path.write_bytes(b'{"name": "\xff\xfe"}')  # not UTF-8
+    code, _, err = run(["validate", str(path)])
+    assert code == EXIT_USAGE
+    assert "invalid JSON" in err
+    doc = document("sasakian-r3")
+    doc["xi"][2] = "(" * 1200 + "2" + ")" * 1200
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["validate", str(path)])
+    assert code == EXIT_USAGE
+    assert "nested too deeply" in err
 
 
 def test_usage_errors():
@@ -127,6 +142,13 @@ def test_output_file(tmp_path):
     assert code == EXIT_OK
     assert out == ""
     json.loads(target.read_text())
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(["check", "all", "builtin:sasakian-r3", "--points", "1", "--output", str(target)])
+    assert code == EXIT_USAGE
+    assert f"error: cannot write {target}" in err and out == ""
 
 
 def test_seed_env_fallback(monkeypatch):
@@ -292,7 +314,7 @@ def test_point_outside_domain_is_usage_error(command):
 
 
 def test_non_string_cell_is_usage_error(tmp_path):
-    doc = json.loads(dumps(catalog("sasakian-r3")))
+    doc = document("sasakian-r3")
     doc["metric"][1][1] = 1
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
@@ -319,7 +341,7 @@ def structure_docs(draw):
     }
     for field, i, j in draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=3, unique=True)):
         row = doc[field] if j is None else doc[field][i]
-        row[i if j is None else j] = to_str(draw(exprs(depth=2)))
+        row[i if j is None else j] = draw(exprs(depth=2))
     return doc
 
 

@@ -7,31 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_at, points_for
-from wqcm.catalog import catalog, keys
+from wqcm.catalog import catalog, document, keys
 from wqcm.structure import WeakACM
-from wqcm.exprdsl import (
-    Bin,
-    Call,
-    ExprSyntaxError,
-    Neg,
-    Num,
-    Pow,
-    SchemaError,
-    Var,
-    compile_tape,
-    dumps,
-    eval_tape,
-    load_structure_def,
-    parse,
-    structure_to_dict,
-    to_str,
-)
+from wqcm.exprdsl import ExprSyntaxError, SchemaError, compile_tape, eval_tape, load_structure_def
 
 COORDS = ["x", "y", "z"]
 
 
 def value_at(text, point):
-    return float(jet_at(parse(text, COORDS), point)[0])
+    return float(jet_at(text, point)[0])
 
 
 def test_precedence_and_arithmetic():
@@ -66,17 +50,19 @@ def test_coordinates_and_functions():
         ("x ^ 1.5", "non-integer exponent"),
         ("(x + 1", "expected ')'"),
         ("x 1", "trailing input"),
+        pytest.param("(" * 1200 + "x" + ")" * 1200, "nested too deeply", id="deep-parentheses"),
+        pytest.param("sin(" * 1200 + "x" + ")" * 1200, "nested too deeply", id="deep-calls"),
     ],
 )
 def test_syntax_errors(text, fragment):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse(text, COORDS)
+        compile_tape({"e": text}, COORDS)
     assert fragment in str(exc.value)
 
 
 def test_error_reports_line_and_column():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("x +\n y + $", COORDS)
+        compile_tape({"e": "x +\n y + $"}, COORDS)
     assert exc.value.line == 2
     assert exc.value.col == 6
 
@@ -86,33 +72,31 @@ names = st.sampled_from(COORDS)
 
 @st.composite
 def exprs(draw, depth=3):
+    """Fully parenthesized expression text: every negation, operation and
+    power is wrapped in its own parentheses."""
     if depth == 0:
         if draw(st.booleans()):
-            # negative literals print as a Neg node, so keep leaves nonnegative
-            return Num(abs(draw(st.floats(min_value=0, max_value=5, allow_nan=False))))
-        name = draw(names)
-        return Var(name, COORDS.index(name))
+            # a negative literal would read as a negation, so keep leaves nonnegative
+            return repr(abs(draw(st.floats(min_value=0, max_value=5, allow_nan=False))))
+        return draw(names)
     kind = draw(st.integers(min_value=0, max_value=4))
     if kind == 0:
-        return Neg(draw(exprs(depth=depth - 1)))
+        return f"(-{draw(exprs(depth=depth - 1))})"
     if kind == 1:
         op = draw(st.sampled_from("+-*"))
-        return Bin(op, draw(exprs(depth=depth - 1)), draw(exprs(depth=depth - 1)))
+        return f"({draw(exprs(depth=depth - 1))} {op} {draw(exprs(depth=depth - 1))})"
     if kind == 2:
-        return Pow(draw(exprs(depth=depth - 1)), draw(st.integers(0, 3)))
+        return f"({draw(exprs(depth=depth - 1))}^{draw(st.integers(0, 3))})"
     if kind == 3:
-        return Call(draw(st.sampled_from(("sin", "cos", "exp"))), draw(exprs(depth=0)))
+        return f"{draw(st.sampled_from(('sin', 'cos', 'exp')))}({draw(exprs(depth=0))})"
     return draw(exprs(depth=0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(exprs())
-def test_print_parse_roundtrip(e):
-    text = to_str(e)
-    again = parse(text, COORDS)
-    assert to_str(again) == text
-    point = np.array([0.3, -0.6, 0.9])
-    assert jet_at(again, point)[0] == jet_at(e, point)[0]
+def test_redundant_parentheses_leave_the_tape_unchanged(text):
+    tape = compile_tape({"e": text}, COORDS)
+    assert compile_tape({"e": f" (( {text} )) "}, COORDS) == tape
 
 
 def base_doc():
@@ -132,22 +116,20 @@ def test_load_structure_def_roundtrip():
     assert sdef.dim == 3
     assert sdef.contains([0.0, 0.0, 0.0])
     assert not sdef.contains([2.0, 0.0, 0.0])
-    again = load_structure_def(dumps(sdef))
-    assert structure_to_dict(again) == structure_to_dict(sdef)
+    assert load_structure_def(base_doc()) == sdef  # the document and its JSON text load alike
 
 
 def test_catalog_definitions_roundtrip():
     for key in ("sasakian-r3", "flat-const"):
-        sdef = catalog(key)
-        again = load_structure_def(dumps(sdef))
-        assert structure_to_dict(again) == structure_to_dict(sdef)
+        assert load_structure_def(json.dumps(document(key))) == catalog(key)
 
 
 def test_metric_lower_triangle_may_be_blank():
     doc = base_doc()
     doc["metric"] = [["1", "x", "0"], ["", "1", "0"], ["", "", "1"]]
     sdef = load_structure_def(doc)
-    assert to_str(sdef.metric[1][0]) == to_str(sdef.metric[0][1])
+    slots, _ = sdef.tape.fields["metric"]
+    assert slots[3] == slots[1]  # [1][0] reads [0][1]
 
 
 def test_metric_lower_triangle_mismatch_rejected():
@@ -160,8 +142,8 @@ def test_metric_lower_triangle_mismatch_rejected():
 def test_explicit_q_field_parsed():
     doc = base_doc()
     doc["Q"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    sdef = load_structure_def(doc)
-    assert sdef.q is not None
+    assert "q" in load_structure_def(doc).tape.fields
+    assert "q" not in load_structure_def(base_doc()).tape.fields
 
 
 @pytest.mark.parametrize(
@@ -192,27 +174,17 @@ def test_schema_errors(mutate, fragment):
 
 
 def test_invalid_json_rejected():
-    with pytest.raises(SchemaError, match="invalid JSON"):
-        load_structure_def(b"{ not json")
+    for source in (b"{ not json", b'{"name": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000):
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            load_structure_def(source)
 
 
 # -- the tape -----------------------------------------------------------------
 
 
-def distinct_subtrees(fields) -> set:
-    """Every subtree of every cell, compared by value (AST nodes are frozen)."""
-    seen = set()
-
-    def walk(e):
-        seen.add(e)
-        for child in (getattr(e, name, None) for name in ("arg", "left", "right", "base")):
-            if child is not None:
-                walk(child)
-
-    for cells in fields:
-        for e in np.array(cells, dtype=object).flat:
-            walk(e)
-    return seen
+# Instructions of each built-in (scaled at n=1, s=2): one per distinct
+# subexpression of its cells, as a walk over their syntax trees counts them.
+TAPE_LENGTHS = {"sasakian-r3": 13, "sasakian-r5": 22, "sasakian-r7": 33, "scaled": 13, "flat-const": 3}
 
 
 def test_tape_has_one_instruction_per_distinct_subtree():
@@ -227,14 +199,14 @@ def test_tape_has_one_instruction_per_distinct_subtree():
     assert shape == (3, 3) and slots[1] == slots[3] and slots[2] == slots[5] == slots[6]
     # the cells hold five distinct expressions: 0, 1, x*y, 1 + x*y, -(x*y)
     assert len({*slots, *sdef.tape.fields["f"][0], *sdef.tape.fields["xi"][0]}) == 5
-    for key in keys():
+    assert list(TAPE_LENGTHS) == keys()
+    for key, length in TAPE_LENGTHS.items():
         sdef = catalog(key, s=2.0) if key == "scaled" else catalog(key)
-        assert len(sdef.tape.code) == len(distinct_subtrees([sdef.metric, sdef.f, sdef.xi])), key
-    assert len(catalog("sasakian-r7").tape.code) == 33
+        assert len(sdef.tape.code) == length, key
 
 
 def test_padding_by_one_leaves_every_jet_unchanged():
-    doc = structure_to_dict(catalog("sasakian-r3"))
+    doc = document("sasakian-r3")
     shifts = ["0.7*x1 + 0.2", "1.3*z + 0.5", "y1 - 0.1"]
     count = 0
 
@@ -249,7 +221,7 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     doc["f"] = [[pad(c) for c in row] for row in doc["f"]]
     doc["xi"] = [pad(c) for c in doc["xi"]]
     plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
-    assert len(padded.tape.code) == len(distinct_subtrees([padded.metric, padded.f, padded.xi]))
+    assert len(padded.tape.code) == 64  # one per distinct subexpression
     for point in points_for(WeakACM(plain), count=8):
         want, got = eval_tape(plain.tape, point), eval_tape(padded.tape, point)
         for name in ("metric", "f", "xi"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.exprdsl import compile_tape, eval_tape, parse
+from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.geometry import (
     DegeneratePlaneError,
     MetricEval,
@@ -22,15 +22,12 @@ from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, sample_points
 
 SPHERE_COORDS = ["theta", "phi"]
-SPHERE_METRIC = tuple(
-    tuple(parse(cell, SPHERE_COORDS) for cell in row)
-    for row in [["1", "0"], ["0", "sin(theta)^2"]]
-)
+SPHERE_METRIC = [["1", "0"], ["0", "sin(theta)^2"]]
 
 
-def metric_at(cells, point):
+def metric_at(cells, point, coords=SPHERE_COORDS):
     """The metric jet of expression cells at a point, compiled through a tape."""
-    return MetricEval.build(point, *eval_tape(compile_tape({"metric": cells}), point)["metric"])
+    return MetricEval.build(point, *eval_tape(compile_tape({"metric": cells}, coords), point)["metric"])
 
 
 def sphere_at(theta, phi=0.3):
@@ -130,18 +127,14 @@ def test_sectional_degenerate_plane_raises():
 
 
 def test_non_positive_definite_metric_rejected():
-    bad = tuple(
-        tuple(parse(cell, SPHERE_COORDS) for cell in row)
-        for row in [["1", "0"], ["0", "-1"]]
-    )
     with pytest.raises(SingularMetricError):
-        metric_at(bad, np.array([0.5, 0.5]))
+        metric_at([["1", "0"], ["0", "-1"]], np.array([0.5, 0.5]))
 
 
 def test_orthonormal_frame_is_orthonormal():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
-    cells = tuple(tuple(parse(repr(float(v)), ["x", "y", "z"]) for v in row) for row in g)
-    frame = metric_at(cells, np.zeros(3)).frame
+    cells = [[repr(float(v)) for v in row] for row in g]
+    frame = metric_at(cells, np.zeros(3), ["x", "y", "z"]).frame
     assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
     # Gram-Schmidt of the coordinate frame: upper triangular, positive diagonal
     assert np.array_equal(frame, np.triu(frame)) and np.all(np.diag(frame) > 0.0)

@@ -6,17 +6,17 @@ import pytest
 
 from conftest import points_for
 from test_geometry import SPHERE_COORDS, SPHERE_METRIC
-from wqcm.catalog import catalog, keys
-from wqcm.exprdsl import compile_tape, eval_tape, to_str
+from wqcm.catalog import catalog, document, keys
+from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.structure import WeakACM
 
 sympy = pytest.importorskip("sympy")
 
 
 def oracle(cell, coords):
-    """(value, gradient, Hessian) of one cell as a float function of the point."""
+    """(value, gradient, Hessian) of one cell's text as a float function of the point."""
     xs = sympy.symbols(coords)
-    e = sympy.sympify(to_str(cell).replace("^", "**"), locals=dict(zip(coords, xs)))
+    e = sympy.sympify(cell.replace("^", "**"), locals=dict(zip(coords, xs)))
     grad = [sympy.diff(e, x) for x in xs]
     hess = [[sympy.diff(g, x) for x in xs] for g in grad]
     return sympy.lambdify([xs], [e, grad, hess], modules="math")
@@ -24,16 +24,17 @@ def oracle(cell, coords):
 
 def charts():
     for key in keys():
-        sdef = catalog(key, n=3, s=2.0) if key == "scaled" else catalog(key)
-        fields = {"metric": sdef.metric, "f": sdef.f, "xi": sdef.xi}
-        yield pytest.param(sdef.coords, fields, points_for(WeakACM(sdef), count=4), id=key)
+        params = {"n": 3, "s": 2.0} if key == "scaled" else {}
+        doc = document(key, **params)
+        fields = {name: doc[name] for name in ("metric", "f", "xi")}
+        yield pytest.param(doc["coords"], fields, points_for(WeakACM(catalog(key, **params)), count=4), id=key)
     sphere = np.array([[0.4, 0.3], [1.1, -0.5], [2.0, 2.5]])
     yield pytest.param(SPHERE_COORDS, {"metric": SPHERE_METRIC}, sphere, id="sphere")
 
 
 @pytest.mark.parametrize("coords,fields,points", charts())
 def test_tape_matches_sympy_derivatives(coords, fields, points):
-    tape = compile_tape(fields)
+    tape = compile_tape(fields, coords)
     for field, cells in fields.items():
         flat = np.array(cells, dtype=object).reshape(-1)
         exact = [oracle(cell, coords) for cell in flat]
@@ -45,4 +46,4 @@ def test_tape_matches_sympy_derivatives(coords, fields, points):
                 e, grad, hess = fn(point)
                 for got, want in ((v[c], e), (dv[:, c], grad), (ddv[:, :, c], hess)):
                     want = np.asarray(want, dtype=float)
-                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (field, to_str(flat[c]))
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (field, flat[c])
