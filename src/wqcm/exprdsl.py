@@ -357,6 +357,16 @@ def _matrix(rows, dim, what: str) -> list[list[str]]:
     return out
 
 
+def _finite_number(v) -> bool:
+    """A number, not a bool, that is finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_structure_def(source) -> StructureDef:
     """Load a structure definition from JSON bytes/text or a parsed dict."""
     if isinstance(source, (bytes, str)):
@@ -371,16 +381,20 @@ def load_structure_def(source) -> StructureDef:
         _require(key in doc, f"missing field {key!r}")
     name = doc["name"]
     n = doc["n"]
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    # a bool is an int to Python
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
     dim = 2 * n + 1
     coords = doc["coords"]
     _require(isinstance(coords, list) and len(coords) == dim, f"coords must list {dim} names for n={n}")
+    _require(all(isinstance(c, str) for c in coords), "coordinate names must be strings")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
     domain = doc["domain"]
     _require(isinstance(domain, list) and len(domain) == dim, f"domain must list {dim} intervals")
     box = []
     for iv in domain:
-        _require(isinstance(iv, list) and len(iv) == 2 and iv[0] < iv[1], f"bad interval {iv!r}")
+        _require(isinstance(iv, list) and len(iv) == 2, f"bad interval {iv!r}")
+        _require(all(map(_finite_number, iv)), f"interval bounds must be finite numbers: {iv!r}")
+        _require(iv[0] < iv[1], f"bad interval {iv!r}")
         box.append((float(iv[0]), float(iv[1])))
 
     # Only the upper triangle of the metric is read; the lower triangle must

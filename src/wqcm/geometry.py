@@ -4,7 +4,9 @@ Everything is computed from the jet of the metric components (their values
 and exact first and second derivatives, from the structure's tape), so
 Christoffel symbols carry exact first derivatives of g and the curvature
 tensor carries exact second derivatives; no nested numerical
-differentiation appears anywhere.
+differentiation appears anywhere.  Every function takes and returns plain
+arrays; the metric jet is laid out as g[i, j] = g_ij, dg[k, i, j] = d_k g_ij
+and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv is the inverse of g.
 
 Conventions used throughout (they matter, the check suites depend on them):
 
@@ -21,8 +23,6 @@ field of the built-in Sasakian example equals +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -34,36 +34,19 @@ class DegeneratePlaneError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricEval:
-    """Metric with first and second coordinate derivatives at one point.
-
-    Index layout: dg[k, i, j] = d_k g_ij,  ddg[k, l, i, j] = d_k d_l g_ij.
-    `frame` is the g-orthonormal frame (columns) of Gram-Schmidt on the
-    coordinate frame: with g = L L^T (Cholesky), the upper-triangular L^-T.
-    """
-
-    point: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray
-    ddg: np.ndarray
-    frame: np.ndarray
-
-    @classmethod
-    def build(cls, point, g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> "MetricEval":
-        """The metric jet (g, dg, ddg) at `point`, with g validated by its Cholesky factor."""
-        point = np.asarray(point, dtype=float)
-        try:
-            lower = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError(
-                f"metric is not positive definite at {point.tolist()}"
-            ) from exc
-        # the inverse of a triangular matrix is triangular: triu drops the
-        # rounding fill-in of the pivoted solve
-        frame = np.triu(np.linalg.inv(lower).T)
-        return cls(point=point, g=g, g_inv=np.linalg.inv(g), dg=dg, ddg=ddg, frame=frame)
+def orthonormal_frame(point, g: np.ndarray) -> np.ndarray:
+    """The g-orthonormal frame (columns) of Gram-Schmidt on the coordinate
+    frame: with g = L L^T (Cholesky), the upper-triangular L^-T.  The
+    Cholesky factor validates g at `point`."""
+    try:
+        lower = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(
+            f"metric is not positive definite at {np.asarray(point, dtype=float).tolist()}"
+        ) from exc
+    # the inverse of a triangular matrix is triangular: triu drops the
+    # rounding fill-in of the pivoted solve
+    return np.triu(np.linalg.inv(lower).T)
 
 
 def _dg_bracket(dg: np.ndarray) -> np.ndarray:
@@ -71,28 +54,28 @@ def _dg_bracket(dg: np.ndarray) -> np.ndarray:
     return dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
 
 
-def christoffel(m: MetricEval) -> np.ndarray:
+def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients, Gamma[k, i, j] = Gamma^k_ij."""
     # Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    return 0.5 * np.einsum("kl,lij->kij", m.g_inv, _dg_bracket(m.dg))
+    return 0.5 * np.einsum("kl,lij->kij", g_inv, _dg_bracket(dg))
 
 
-def christoffel_derivative(m: MetricEval) -> np.ndarray:
+def christoffel_derivative(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     """dGamma[m, k, i, j] = d_m Gamma^k_ij, from exact second derivatives of g."""
-    d_ginv = -np.einsum("ka,mab,bl->mkl", m.g_inv, m.dg, m.g_inv)
-    bracket = _dg_bracket(m.dg)
+    d_ginv = -np.einsum("ka,mab,bl->mkl", g_inv, dg, g_inv)
+    bracket = _dg_bracket(dg)
     # dbracket[m, l, i, j] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
-    dbracket = m.ddg.transpose(0, 3, 1, 2) + m.ddg.transpose(0, 3, 2, 1) - m.ddg
+    dbracket = ddg.transpose(0, 3, 1, 2) + ddg.transpose(0, 3, 2, 1) - ddg
     return 0.5 * (
         np.einsum("mkl,lij->mkij", d_ginv, bracket)
-        + np.einsum("kl,mlij->mkij", m.g_inv, dbracket)
+        + np.einsum("kl,mlij->mkij", g_inv, dbracket)
     )
 
 
-def riemann(m: MetricEval, gamma: np.ndarray) -> np.ndarray:
+def riemann(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Curvature components R[l, k, i, j] = R^l_{kij}; (R_{X,Y}Z)^l = R^l_{kij} X^i Y^j Z^k,
-    from the Christoffel symbols `gamma` of m."""
-    dgamma = christoffel_derivative(m)
+    from the Christoffel symbols `gamma` of the metric."""
+    dgamma = christoffel_derivative(g_inv, dg, ddg)
     r = (
         dgamma.transpose(1, 3, 0, 2)  # d_i Gamma^l_jk -> [l,k,i,j]
         - dgamma.transpose(1, 3, 2, 0)  # d_j Gamma^l_ik
@@ -119,11 +102,11 @@ def curvature(r: np.ndarray, x, y, z: np.ndarray) -> np.ndarray:
     return bilinear(rz.transpose(1, 0, 2), x, y)
 
 
-def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray):
+def sectional(g: np.ndarray, x: np.ndarray, y, r: np.ndarray):
     """Sectional curvature of the plane spanned by x, y; for a matrix y, of the
     plane of x with each column of y."""
-    gx = m.g @ x
-    den = (x @ gx) * np.sum(y * (m.g @ y), axis=0) - (gx @ y) ** 2
+    gx = g @ x
+    den = (x @ gx) * np.sum(y * (g @ y), axis=0) - (gx @ y) ** 2
     if np.any(den < 1e-12):
         raise DegeneratePlaneError("plane is degenerate (vectors nearly dependent)")
     # g(R_{X,Y} Y, X) = R^l_{kij} gx_l x^i y^j y^k
@@ -132,9 +115,9 @@ def sectional(m: MetricEval, x: np.ndarray, y, r: np.ndarray):
     return np.sum(y * (a @ y), axis=0) / den
 
 
-def ricci(m: MetricEval, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> float:
+def ricci(g: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> float:
     """Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over the g-orthonormal frame E."""
-    return float(np.sum((m.g @ m.frame) * curvature(r, m.frame, x, y)))
+    return float(np.sum((g @ frame) * curvature(r, frame, x, y)))
 
 
 # -- covariant derivatives (component level) -----------------------------------

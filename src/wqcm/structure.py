@@ -6,12 +6,13 @@ derived here:
     eta = g(xi, .)          Q = -f^2 + eta (x) xi       Qt = Q - id
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
-A `PointState` bundles everything known at a single chart point: the
-component arrays of g, f, xi and an explicit Q (values, gradients and
-Hessians, from one run of the structure's compiled `StructureDef.tape`),
-the connection and curvature, and what all check suites share there: the
-test-direction matrix of a seed, the gate residuals, the adapted f-basis
-and the contact volume.  Each is computed once, when first read.
+A `PointState` is the only object that holds data for a chart point, and
+all of it as plain arrays: the component arrays of g, f, xi and an explicit
+Q (values, gradients and Hessians, from one run of the structure's compiled
+`StructureDef.tape`), the g-orthonormal frame, the connection and
+curvature, and what all check suites share there: the test-direction
+matrix of the state's seed, the gate residuals, the adapted f-basis and
+the contact volume.  Each is computed once, when first read.
 `WeakACM.at` builds a new state on every call, so a state lives only as
 long as its caller holds it.
 """
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import geometry
 from .exprdsl import StructureDef, eval_tape
-from .geometry import MetricEval, bilinear
-from .linalg import eigh, gram_schmidt
+from .geometry import bilinear
 
 
 class StructureError(ValueError):
@@ -36,22 +36,24 @@ class StructureError(ValueError):
 
 
 class PointState:
-    """All tensor data of a weak a.c.m. structure at one chart point."""
+    """All tensor data of a weak a.c.m. structure at one chart point; `seed`
+    picks the test directions."""
 
-    def __init__(self, sdef: StructureDef, point):
+    def __init__(self, sdef: StructureDef, point, seed: int):
         self.sdef = sdef
         self.point = np.asarray(point, dtype=float)
+        self.seed = seed
         self.dim = self.sdef.dim
         self.n = self.sdef.n
         fields = eval_tape(self.sdef.tape, self.point)
-        self.metric = MetricEval.build(self.point, *fields["metric"])
-        self.g, self.g_inv = self.metric.g, self.metric.g_inv
+        # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
+        self.g, self.dg, self.ddg = fields["metric"]
+        self.frame = geometry.orthonormal_frame(self.point, self.g)
+        self.g_inv = np.linalg.inv(self.g)
         self.f, self.df, self.ddf = fields["f"]
         self.xi, self.dxi, self.ddxi = fields["xi"]
         # explicit Q from the file, if any (cross-check only)
         self.q_explicit = fields["q"][0] if "q" in fields else None
-        self._directions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._quasi: dict[int, float] = {}
 
     # -- derived fields -----------------------------------------------------
 
@@ -62,7 +64,7 @@ class PointState:
     @cached_property
     def deta(self):
         """deta[k, i] = d_k eta_i."""
-        return np.einsum("kij,j->ki", self.metric.dg, self.xi) + np.einsum(
+        return np.einsum("kij,j->ki", self.dg, self.xi) + np.einsum(
             "ij,kj->ki", self.g, self.dxi
         )
 
@@ -91,15 +93,13 @@ class PointState:
     @cached_property
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
-        frame = self.metric.frame
-        m = frame.T @ self.g @ self.Q @ frame
-        return eigh(0.5 * (m + m.T))[0]
+        m = self.frame.T @ self.g @ self.Q @ self.frame
+        return np.linalg.eigvalsh(0.5 * (m + m.T))
 
     @cached_property
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
-        frame = self.metric.frame
-        return np.linalg.svd(frame.T @ self.g @ self.f @ frame, compute_uv=False)
+        return np.linalg.svd(self.frame.T @ self.g @ self.f @ self.frame, compute_uv=False)
 
     @cached_property
     def Phi(self):
@@ -108,7 +108,7 @@ class PointState:
 
     @cached_property
     def dPhi(self):
-        return np.einsum("kim,mj->kij", self.metric.dg, self.f) + np.einsum(
+        return np.einsum("kim,mj->kij", self.dg, self.f) + np.einsum(
             "im,kmj->kij", self.g, self.df
         )
 
@@ -148,11 +148,11 @@ class PointState:
 
     @cached_property
     def gamma(self):
-        return geometry.christoffel(self.metric)
+        return geometry.christoffel(self.g_inv, self.dg)
 
     @cached_property
     def riem(self):
-        return geometry.riemann(self.metric, self.gamma)
+        return geometry.riemann(self.g_inv, self.dg, self.ddg, self.gamma)
 
     @cached_property
     def nabla_xi(self):
@@ -193,10 +193,10 @@ class PointState:
         return self.curvature_op(self.xi, x, self.xi)
 
     def sectional(self, x, y):
-        return geometry.sectional(self.metric, x, y, self.riem)
+        return geometry.sectional(self.g, x, y, self.riem)
 
     def ricci(self, x, y) -> float:
-        return geometry.ricci(self.metric, x, y, self.riem)
+        return geometry.ricci(self.g, self.frame, x, y, self.riem)
 
     # -- inner products -------------------------------------------------------
 
@@ -221,25 +221,23 @@ class PointState:
 
     # -- what the check suites share ------------------------------------------
 
-    def directions(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The direction matrix D (d x m, m = d + 8) and f D, built once
-        per seed.  The columns of D are the coordinate frame plus seeded
-        random g-unit vectors.  Identities are multilinear, so the frame
+    @cached_property
+    def directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The direction matrix D (d x m, m = d + 8) and f D.  The columns
+        of D are the coordinate frame plus random g-unit vectors drawn from
+        the seed and the point.  Identities are multilinear, so the frame
         alone decides them; the random vectors guard against implementation
         errors."""
-        if seed not in self._directions:
-            key = hash(tuple(round(float(c), 12) for c in self.point)) % 1_000_003
-            rng = np.random.default_rng(seed * 1_000_003 + key)
-            d = np.hstack([np.eye(self.dim), self.g_normalize(rng.standard_normal((8, self.dim)).T)])
-            self._directions[seed] = (d, self.f @ d)
-        return self._directions[seed]
+        key = hash(tuple(round(float(c), 12) for c in self.point)) % 1_000_003
+        rng = np.random.default_rng(self.seed * 1_000_003 + key)
+        d = np.hstack([np.eye(self.dim), self.g_normalize(rng.standard_normal((8, self.dim)).T)])
+        return d, self.f @ d
 
-    def quasi_residual(self, seed: int) -> float:
+    @cached_property
+    def quasi_residual(self) -> float:
         """Largest g-norm of the quasi-contact defect over the direction pairs."""
-        if seed not in self._quasi:
-            d, _ = self.directions(seed)
-            self._quasi[seed] = float(np.max(self.gnorm(self.quasi_defect(d, d))))
-        return self._quasi[seed]
+        d, _ = self.directions
+        return float(np.max(self.gnorm(self.quasi_defect(d, d))))
 
     @cached_property
     def contact_residual(self) -> float:
@@ -313,7 +311,6 @@ class PointState:
 class FBasis:
     """Adapted basis {xi, e_i, f e_i} of Q-eigenvectors on ker eta."""
 
-    point: np.ndarray
     xi: np.ndarray
     e: tuple[np.ndarray, ...]
     fe: tuple[np.ndarray, ...]
@@ -321,6 +318,33 @@ class FBasis:
 
     def vectors(self) -> list[np.ndarray]:
         return [self.xi] + [v for pair in zip(self.e, self.fe) for v in pair]
+
+
+def _eigh(a: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric
+    matrix.  The sign of each eigenvector is fixed: its largest-magnitude
+    component is positive (the first such component on a tie)."""
+    vals, vecs = np.linalg.eigh(a)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vals, vecs * np.where(lead < 0.0, -1.0, 1.0)
+
+
+def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt of the columns of `vectors` under the inner
+    product <u, v> = u^T gram v.  Columns with norm below 1e-12 after
+    projection are dropped.  Returns orthonormal columns."""
+    out = []
+    for k in range(vectors.shape[1]):
+        w = vectors[:, k].astype(float)
+        for u in out:
+            w -= (u @ gram @ w) * u
+        # second pass for numerical orthogonality
+        for u in out:
+            w -= (u @ gram @ w) * u
+        norm = math.sqrt(max(w @ gram @ w, 0.0))
+        if norm > 1e-12:
+            out.append(w / norm)
+    return np.array(out).T if out else np.zeros((vectors.shape[0], 0))
 
 
 def _tie_break_column(vecs: np.ndarray) -> int:
@@ -337,8 +361,8 @@ def f_basis(st: PointState) -> FBasis:
     n, d = st.n, st.dim
 
     # g-orthonormal basis of ker eta (= xi-perp), deterministic.
-    seed = np.concatenate([st.xi[:, None], np.eye(d)], axis=1)
-    frame = gram_schmidt(seed, st.g)
+    start = np.concatenate([st.xi[:, None], np.eye(d)], axis=1)
+    frame = _gram_schmidt(start, st.g)
     if frame.shape[1] != d:
         raise StructureError("could not complete a frame adapted to xi")
     w = frame[:, 1:]  # columns spanning ker eta
@@ -348,7 +372,7 @@ def f_basis(st: PointState) -> FBasis:
         m = w.T @ st.g @ st.Q @ w
         if not np.all(np.isfinite(m)):
             raise StructureError("Q is not finite on ker eta")
-        vals, vecs = eigh(0.5 * (m + m.T))
+        vals, vecs = _eigh(0.5 * (m + m.T))
         lam = float(vals[0])
         if lam <= 0.0:
             raise StructureError("Q is not positive definite on ker eta")
@@ -361,8 +385,8 @@ def f_basis(st: PointState) -> FBasis:
         # deflate span{e, fe} out of the working subspace
         for u in (e, fe / st.gnorm(fe)):
             w = w - np.outer(u, u @ st.g @ w)
-        w = gram_schmidt(w, st.g)
-    return FBasis(st.point.copy(), st.xi.copy(), *zip(*pairs))
+        w = _gram_schmidt(w, st.g)
+    return FBasis(st.xi.copy(), *zip(*pairs))
 
 
 # -- contact volume ---------------------------------------------------------------
@@ -401,9 +425,10 @@ class WeakACM:
         self.sdef = sdef
         self.name, self.n, self.dim = sdef.name, sdef.n, sdef.dim
 
-    def at(self, point) -> PointState:
-        """A new state at `point`; nothing is kept here."""
-        return PointState(self.sdef, point)
+    def at(self, point, seed: int = 7) -> PointState:
+        """A new state at `point` whose test directions come from `seed`;
+        nothing is kept here."""
+        return PointState(self.sdef, point, seed)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,11 @@
 the one evaluator that asserts them.
 
 Each check is declared once, as a `Check` in `CHECKS`.  Its residual is a
-function of the `PointState` at a sample point and of the seed that
-picks the test directions.  The identities are multilinear in the
-directions, so each is evaluated at every direction pair of a point at
-once: contracting a defect with the direction matrix D
-(`PointState.directions`) gives an array over the pairs, reduced with one
-max.  Residuals of derivative identities are normalized by (1 + magnitude
+function of the `PointState` at a sample point, whose seed picks the test
+directions.  The identities are multilinear in the directions, so each is
+evaluated at every direction pair of a point at once: contracting a defect
+with the direction matrix D (`PointState.directions`) gives an array over
+the pairs, reduced with one max.  Residuals of derivative identities are normalized by (1 + magnitude
 of the largest participating term).
 
 `evaluate` is the only loop over sample points.  A check is asserted only at
@@ -39,8 +38,6 @@ import numpy as np
 
 from .geometry import bilinear
 from .structure import WeakACM
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,16 @@ def _radical_inverse(index: int, base: int) -> float:
     return result
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes: the Halton bases, one per coordinate."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
     """Deterministic points strictly inside the domain box (5% margin)."""
     lo, hi = np.array(domain, dtype=float).T
@@ -88,7 +95,8 @@ def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
         cells = itertools.islice(np.ndindex(*([k] * d)), plan.count)
         units = [(np.array(idx, dtype=float) + 0.5) / k for idx in cells]
     elif plan.strategy == "halton":
-        units = [np.array([_radical_inverse(plan.seed + i + 1, _PRIMES[a]) for a in range(d)]) for i in range(plan.count)]
+        bases = _primes(d)
+        units = [np.array([_radical_inverse(plan.seed + i + 1, b) for b in bases]) for i in range(plan.count)]
     else:
         raise ValueError(f"unknown sampling strategy {plan.strategy!r}")
     return [lo_m + u * (hi_m - lo_m) for u in units]
@@ -167,60 +175,60 @@ def _mat_residual(m, *terms) -> float:
     return _rel(_amax(m), *(_amax(t) for t in terms))
 
 
-def _ker_eta_dirs(st, seed):
+def _ker_eta_dirs(st):
     """The test directions projected onto ker eta, without (near) zero projections."""
-    p = st.project_ker_eta(st.directions(seed)[0])
+    p = st.project_ker_eta(st.directions[0])
     return p[:, st.gnorm(p) > 1e-8]
 
 
-def _sasakian_norms(st, seed):
-    d, _ = st.directions(seed)
+def _sasakian_norms(st):
+    d, _ = st.directions
     return st.gnorm(st.sasakian_defect(d, d))
 
 
-def _n1_norms(st, seed):
-    d, _ = st.directions(seed)
+def _n1_norms(st):
+    d, _ = st.directions
     return st.gnorm(st.n1(d, d))
 
 
-def _f_rank(st, _):
+def _f_rank(st):
     """0 when rank f = 2n (exactly one singular value near zero), else 1."""
     sv = np.sort(st.f_singular_values)
     scale = 1.0 + sv[-1]
     return 0.0 if sv[0] < 1e-6 * scale and np.all(sv[1:] > 1e-4 * scale) else 1.0
 
 
-def _n2_nabla_eta(st, seed):
+def _n2_nabla_eta(st):
     """N^(2) via covariant derivatives of eta (holds on any weak a.c.m.), with
     a[x, y] = (nabla_{fX} eta) Y and b[x, y] = (nabla_X eta) fY."""
-    d, fd = st.directions(seed)
+    d, fd = st.directions
     a, b = fd.T @ st.nabla_eta @ d, d.T @ st.nabla_eta @ fd
     rhs = a - b.T - a.T + b
     n2 = st.n2(d, d)
     return _rel(np.abs(n2 - rhs), np.abs(n2), np.abs(rhs))
 
 
-def _lemma21_5(st, seed):
-    d, fd = st.directions(seed)
+def _lemma21_5(st):
+    d, fd = st.directions
     two_phi = 2.0 * (fd.T @ st.g @ d)
     lhs = d.T @ st.nabla_eta @ (st.Q @ d) + fd.T @ st.nabla_eta @ fd + two_phi
     return _rel(np.abs(lhs), np.abs(two_phi))
 
 
-def _nabla_xi_f(st, _):
+def _nabla_xi_f(st):
     return _mat_residual(np.tensordot(st.xi, st.nabla_f, axes=1), st.f)
 
 
-def _eq16(st, seed):
-    d, _ = st.directions(seed)
+def _eq16(st):
+    d, _ = st.directions
     gh = st.g @ st.h
     lhs = d.T @ (gh - gh.T) @ d
     rhs = -0.5 * st.n2(d, d)
     return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
 
 
-def _eq14(st, seed):
-    d, fd = st.directions(seed)
+def _eq14(st):
+    d, fd = st.directions
     h2 = st.h @ st.h
     t1 = st.Q_inv @ (fd - h2 @ fd)
     t2 = st.f @ st.curvature_op(d, st.xi, st.xi)
@@ -228,14 +236,14 @@ def _eq14(st, seed):
     return _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2))
 
 
-def _eq15(st, seed):
-    d, fd = st.directions(seed)
+def _eq15(st):
+    d, fd = st.directions
     lhs = st.Q @ st.ell(d) - st.f @ st.ell(fd)
     rhs = 2.0 * (st.h @ st.h) @ d + (st.Q + st.Q_inv) @ (st.f @ fd)
     return _rel(st.gnorm(lhs - rhs), st.gnorm(lhs), st.gnorm(rhs))
 
 
-def _eq22(st, _):
+def _eq22(st):
     fb, lam = st.fbasis, np.array(st.fbasis.lam)
     e, fe = np.column_stack(fb.e), np.column_stack(fb.fe)
     ksum = float(np.sum(lam * (st.sectional(st.xi, e) + st.sectional(st.xi, fe))))
@@ -243,66 +251,66 @@ def _eq22(st, _):
     return _rel(abs(ksum - rhs), abs(ksum), abs(rhs))
 
 
-def _eq21_hypothesis(st, seed):
+def _eq21_hypothesis(st):
     """Hypothesis of the Ricci inequality (21): K(xi, X) + K(xi, fX) >= 0."""
-    p = _ker_eta_dirs(st, seed)
+    p = _ker_eta_dirs(st)
     k = st.sectional(st.xi, st.g_normalize(p)) + st.sectional(st.xi, st.g_normalize(st.f @ p))
     return float(np.max(-k, initial=0.0))
 
 
-def _eq21(st, _):
+def _eq21(st):
     lhs = float(np.max(st.fbasis.lam)) * st.ricci(st.xi, st.xi)
     rhs = st.n - float(np.trace(st.h @ st.h)) + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
     return _rel(np.maximum(0.0, rhs - lhs), abs(lhs), abs(rhs))
 
 
-def _ric_xi_xi(st, _):
+def _ric_xi_xi(st):
     ric = st.ricci(st.xi, st.xi)
     return _rel(abs(ric - (2.0 * st.n - float(np.trace(st.h @ st.h)))), abs(ric))
 
 
-def _eq17(st, seed):
-    gd = st.gnorm(st.directions(seed)[0])
-    return _rel(_sasakian_norms(st, seed), gd[:, None], st.gnorm(st.xi))
+def _eq17(st):
+    gd = st.gnorm(st.directions[0])
+    return _rel(_sasakian_norms(st), gd[:, None], st.gnorm(st.xi))
 
 
-def _eq23(st, seed):
-    d, _ = st.directions(seed)
+def _eq23(st):
+    d, _ = st.directions
     gd, eta_d = st.gnorm(d), st.eta @ d
     defect = st.curvature_op(d, d, st.xi) - d[:, :, None] * eta_d + eta_d[:, None] * d[:, None, :]
     return _rel(st.gnorm(defect), gd[:, None], gd)
 
 
-def _eq20(st, seed):
-    u = st.g_normalize(_ker_eta_dirs(st, seed))
+def _eq20(st):
+    u = st.g_normalize(_ker_eta_dirs(st))
     return _rel(st.gnorm(st.ell(u) + u), st.gnorm(u))
 
 
-def _eq20_as_written(st, seed):
-    u = st.g_normalize(_ker_eta_dirs(st, seed))
+def _eq20_as_written(st):
+    u = st.g_normalize(_ker_eta_dirs(st))
     defect = st.curvature_op(u, st.xi, st.xi) + u + np.outer(st.xi, st.eta @ u)
     return _rel(st.gnorm(defect), st.gnorm(u))
 
 
-def _eq19(st, seed):
+def _eq19(st):
     """(nabla_X Q) Y = 0 for X, Y in ker eta."""
-    p = st.project_ker_eta(st.directions(seed)[0])
+    p = st.project_ker_eta(st.directions[0])
     return _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), _amax(st.Q))
 
 
-def _normal(st, seed):
-    gd = st.gnorm(st.directions(seed)[0])
-    return _rel(_n1_norms(st, seed), gd[:, None], gd)
+def _normal(st):
+    gd = st.gnorm(st.directions[0])
+    return _rel(_n1_norms(st), gd[:, None], gd)
 
 
-def _deta_qt_phi(st, seed):
+def _deta_qt_phi(st):
     """d eta(X + (1/2) Qt X, Y) = Phi(X, Y)."""
-    d, fd = st.directions(seed)
+    d, fd = st.directions
     lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), d.T @ st.g @ fd
     return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
 
 
-def _quasi_canonical(st, _):
+def _quasi_canonical(st):
     """The quasi-contact defect at X = Y = e_1, the first f-basis vector: the
     quantity with a closed-form oracle on the scaled fixtures."""
     e1 = st.fbasis.e[0][:, None]
@@ -314,7 +322,7 @@ def _quasi_canonical(st, _):
 
 @dataclass(frozen=True)
 class Check:
-    """One residual check.  `residual(st, seed)` is its residual at a point,
+    """One residual check.  `residual(st)` is its residual at a point,
     or None where it does not apply; it is evaluated only where the check
     `gate` (the hypothesis) passes.  `suites` names the suites that report
     it; the others are hypotheses and inputs of theorem and class rows."""
@@ -330,46 +338,46 @@ class Check:
 # (suites, hypothesis, checks as (id, paper label, tier, residual)), in report order
 _SECTIONS = (
     (("identity", "validate"), None, (
-        ("axiom-eta-normalization", "(2)", "algebraic", lambda st, _: abs(st.eta @ st.xi - 1.0)),
-        ("axiom-f-square", "(2)", "algebraic", lambda st, _: _amax(st.f @ st.f + st.Q - np.outer(st.xi, st.eta))),
+        ("axiom-eta-normalization", "(2)", "algebraic", lambda st: abs(st.eta @ st.xi - 1.0)),
+        ("axiom-f-square", "(2)", "algebraic", lambda st: _amax(st.f @ st.f + st.Q - np.outer(st.xi, st.eta))),
         ("axiom-metric-compatibility", "(2)", "algebraic",
-         lambda st, _: _amax(st.f.T @ st.g @ st.f - st.g @ st.Q + np.outer(st.eta, st.eta))),
-        ("axiom-f-xi", "(3)", "algebraic", lambda st, _: _amax(st.f @ st.xi)),
-        ("axiom-eta-f", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.f)),
-        ("axiom-eta-Q", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.Q - st.eta)),
-        ("axiom-Qf-commutator", "(3)", "algebraic", lambda st, _: _amax(st.Q @ st.f - st.f @ st.Q)),
-        ("axiom-Qt-xi", "(3)", "algebraic", lambda st, _: _amax(st.Qt @ st.xi)),
-        ("axiom-eta-Qt", "(3)", "algebraic", lambda st, _: _amax(st.eta @ st.Qt)),
+         lambda st: _amax(st.f.T @ st.g @ st.f - st.g @ st.Q + np.outer(st.eta, st.eta))),
+        ("axiom-f-xi", "(3)", "algebraic", lambda st: _amax(st.f @ st.xi)),
+        ("axiom-eta-f", "(3)", "algebraic", lambda st: _amax(st.eta @ st.f)),
+        ("axiom-eta-Q", "(3)", "algebraic", lambda st: _amax(st.eta @ st.Q - st.eta)),
+        ("axiom-Qf-commutator", "(3)", "algebraic", lambda st: _amax(st.Q @ st.f - st.f @ st.Q)),
+        ("axiom-Qt-xi", "(3)", "algebraic", lambda st: _amax(st.Qt @ st.xi)),
+        ("axiom-eta-Qt", "(3)", "algebraic", lambda st: _amax(st.eta @ st.Qt)),
     )),
     (("validate",), None, (
-        ("f-skew-symmetry", "(2)/(3)", "algebraic", lambda st, _: _amax(st.Phi + st.Phi.T)),
-        ("Q-self-adjoint", "(2)/(3)", "algebraic", lambda st, _: _amax(st.g @ st.Q - (st.g @ st.Q).T)),
+        ("f-skew-symmetry", "(2)/(3)", "algebraic", lambda st: _amax(st.Phi + st.Phi.T)),
+        ("Q-self-adjoint", "(2)/(3)", "algebraic", lambda st: _amax(st.g @ st.Q - (st.g @ st.Q).T)),
         ("Q-consistency", "(2)/(3)", "algebraic",
-         lambda st, _: None if st.q_explicit is None else _amax(st.q_explicit - st.Q)),
-        ("h-xi", "(2)/(3)", "algebraic", lambda st, _: _amax(st.h @ st.xi)),
-        ("n3-xi", "(2)/(3)", "algebraic", lambda st, _: _amax(st.n3(st.xi))),
+         lambda st: None if st.q_explicit is None else _amax(st.q_explicit - st.Q)),
+        ("h-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.h @ st.xi)),
+        ("n3-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.n3(st.xi))),
         # 0 while the smallest eigenvalue q of Q is positive, else 1 - q: a singular Q fails too
         ("Q-positive-definite", "(2)", "algebraic",
-         lambda st, _: 0.0 if st.q_spectrum[0] > 0.0 else 1.0 - st.q_spectrum[0]),
+         lambda st: 0.0 if st.q_spectrum[0] > 0.0 else 1.0 - st.q_spectrum[0]),
         ("f-rank", "rank f = 2n", "algebraic", _f_rank),
     )),
     (("identity",), None, (("n2-nabla-eta", "(4)", "deriv", _n2_nabla_eta),)),
     (("identity",), "quasi", (
         ("lemma21-5", "(5)", "deriv", _lemma21_5),
         ("lemma21-6", "(6)", "deriv", _nabla_xi_f),
-        ("lemma21-7-xi", "(7)", "deriv", lambda st, _: _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
-        ("lemma21-7-eta", "(7)", "deriv", lambda st, _: _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
+        ("lemma21-7-xi", "(7)", "deriv", lambda st: _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
+        ("lemma21-7-eta", "(7)", "deriv", lambda st: _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
         ("lemma21-8-left", "(8)", "deriv",
-         lambda st, _: _mat_residual(st.Q @ st.nabla_xi + st.f + st.f @ st.h, st.f, st.f @ st.h)),
+         lambda st: _mat_residual(st.Q @ st.nabla_xi + st.f + st.f @ st.h, st.f, st.f @ st.h)),
         ("lemma21-8-right", "(8)", "deriv",
-         lambda st, _: _mat_residual(st.nabla_xi @ st.Q + st.f + st.f @ st.h, st.f, st.f @ st.h)),
-        ("lemma21-9-lie", "(9)", "deriv", lambda st, _: _mat_residual(st.lie_xi_Q, st.Q)),
+         lambda st: _mat_residual(st.nabla_xi @ st.Q + st.f + st.f @ st.h, st.f, st.f @ st.h)),
+        ("lemma21-9-lie", "(9)", "deriv", lambda st: _mat_residual(st.lie_xi_Q, st.Q)),
         ("lemma21-9-nabla", "(9)", "deriv",
-         lambda st, _: _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
-        ("lemma21-10", "(10)", "deriv", lambda st, _: _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
-        ("lemma21-11", "(11)", "deriv", lambda st, _: _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
+         lambda st: _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
+        ("lemma21-10", "(10)", "deriv", lambda st: _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
+        ("lemma21-11", "(11)", "deriv", lambda st: _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
         ("eq13-h", "(13)", "deriv",
-         lambda st, _: _mat_residual(2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f)),
+         lambda st: _mat_residual(2.0 * st.h - st.f @ st.nabla_xi + st.nabla_xi @ st.f, st.h, st.f)),
     )),
     (("identity",), "nabla-xi-f", (("eq16-h-n2", "(16)", "deriv", _eq16),)),
     (("curvature",), "quasi", (
@@ -381,31 +389,31 @@ _SECTIONS = (
     (("curvature",), "contact-metric", (("ric-xi-xi", "Ric(xi,xi)", "curv", _ric_xi_xi),)),
     # hypotheses, and the inputs of the theorem and class rows
     ((), None, (
-        ("quasi", "quasi-contact", "deriv", lambda st, seed: st.quasi_residual(seed)),
-        ("contact-metric", "d eta = Phi", "deriv", lambda st, _: st.contact_residual),
+        ("quasi", "quasi-contact", "deriv", lambda st: st.quasi_residual),
+        ("contact-metric", "d eta = Phi", "deriv", lambda st: st.contact_residual),
         ("nabla-xi-f", "nabla_xi f = 0", "deriv", _nabla_xi_f),
-        ("killing-xi", "L_xi g = 0", "deriv", lambda st, _: _rel(st.killing_residual, _amax(st.g))),
-        ("nabla-xi-eq18", "(18)", "deriv", lambda st, _: _mat_residual(st.nabla_xi + st.f, st.f)),
+        ("killing-xi", "L_xi g = 0", "deriv", lambda st: _rel(st.killing_residual, _amax(st.g))),
+        ("nabla-xi-eq18", "(18)", "deriv", lambda st: _mat_residual(st.nabla_xi + st.f, st.f)),
         ("sasakian-eq17", "(17)", "deriv", _eq17),
         ("curvature-eq23", "(23)", "curv", _eq23),
         ("curvature-eq20", "(20)", "curv", _eq20),
         ("eq20-written", "(20)", "curv", _eq20_as_written),
         ("nabla-Q-eq19", "(19)", "deriv", _eq19),
-        ("h-self-adjoint", "h = h*", "deriv", lambda st, _: _mat_residual(st.h - st.h_star, st.h)),
-        ("h-skew-symmetric", "h = -h*", "deriv", lambda st, _: _mat_residual(st.h + st.h_star, st.h)),
-        ("Qt-zero", "Qt = 0", "deriv", lambda st, _: _amax(st.Qt)),
+        ("h-self-adjoint", "h = h*", "deriv", lambda st: _mat_residual(st.h - st.h_star, st.h)),
+        ("h-skew-symmetric", "h = -h*", "deriv", lambda st: _mat_residual(st.h + st.h_star, st.h)),
+        ("Qt-zero", "Qt = 0", "deriv", lambda st: _amax(st.Qt)),
         ("normal", "N^(1) = 0", "deriv", _normal),
-        ("dPhi-zero", "d Phi = 0", "deriv", lambda st, _: _rel(_amax(st.dPhi_form), _amax(st.Phi))),
+        ("dPhi-zero", "d Phi = 0", "deriv", lambda st: _rel(_amax(st.dPhi_form), _amax(st.Phi))),
         ("2h2-eq-Qt2", "2 h^2 = Qt^2", "curv",
-         lambda st, _: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
-        ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st, _: np.trace(st.h @ st.h)),
-        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st, _: 1e-6 - abs(st.contact_volume)),
+         lambda st: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
+        ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st: np.trace(st.h @ st.h)),
+        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st: 1e-6 - abs(st.contact_volume)),
         ("deta-Qt-Phi", "d eta(X + Qt X/2, Y) = Phi", "deriv", _deta_qt_phi),
-        ("n1", "N^(1) = 0", "deriv", lambda st, seed: np.max(_n1_norms(st, seed))),
-        ("sasakian", "(17)", "deriv", lambda st, seed: np.max(_sasakian_norms(st, seed))),
+        ("n1", "N^(1) = 0", "deriv", lambda st: np.max(_n1_norms(st))),
+        ("sasakian", "(17)", "deriv", lambda st: np.max(_sasakian_norms(st))),
         # the nearly-Sasakian defect is the Sasakian one at X = Y
-        ("nearly-sasakian", "(17), X = Y", "deriv", lambda st, seed: np.max(np.diagonal(_sasakian_norms(st, seed)))),
-        ("lie-xi-g", "L_xi g = 0", "deriv", lambda st, _: st.killing_residual),
+        ("nearly-sasakian", "(17), X = Y", "deriv", lambda st: np.max(np.diagonal(_sasakian_norms(st)))),
+        ("lie-xi-g", "L_xi g = 0", "deriv", lambda st: st.killing_residual),
         ("quasi-canonical", "quasi-contact at e_1", "deriv", _quasi_canonical),
     )),
     ((), "quasi", (("eq21-hypothesis", "(21)", "curv", _eq21_hypothesis),)),
@@ -478,15 +486,15 @@ def _record(cid, paper, residual, tol, points) -> CheckRecord:
     return CheckRecord(cid, paper, float(residual), tol, verdict, points)
 
 
-def _value(cid, st, seed, tol, seen):
+def _value(cid, st, tol, seen):
     """Residual of check `cid` at the point of `st`, computed once per point
     (`seen`); None where it does not apply or its hypothesis fails.  A
     non-finite hypothesis is the residual of what it gates, so that fails."""
     if cid not in seen:
         c, value = CHECKS[cid], None
-        hyp = 0.0 if c.gate is None else _value(c.gate, st, seed, tol, seen)
+        hyp = 0.0 if c.gate is None else _value(c.gate, st, tol, seen)
         if hyp is not None and (c.gate is None or hyp <= tol(c.gate) or not math.isfinite(hyp)):
-            value = c.residual(st, seed) if math.isfinite(hyp) else hyp
+            value = c.residual(st) if math.isfinite(hyp) else hyp
         seen[cid] = value
     return seen[cid]
 
@@ -544,9 +552,9 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
         try:
             if not s.sdef.contains(point):
                 raise ValueError("outside the chart domain")
-            st, seen = s.at(point), {}
+            st, seen = s.at(point, seed), {}
             for cid in needed:
-                value = _value(cid, st, seed, tol, seen)
+                value = _value(cid, st, tol, seen)
                 if value is not None:
                     worst[cid] = float(np.maximum(worst[cid], value))  # keeps NaN
                     count[cid] += 1

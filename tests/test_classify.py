@@ -162,11 +162,11 @@ def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):
 
 def test_direction_set_deterministic(sasakian_r3):
     point = np.array([0.3, 0.3, 0.3])
-    a, fa = sasakian_r3.at(point).directions(seed=7)
-    b, fb = sasakian_r3.at(point).directions(seed=7)  # a fresh state
+    a, fa = sasakian_r3.at(point, seed=7).directions
+    b, fb = sasakian_r3.at(point, seed=7).directions  # a fresh state
     assert a.shape == (3, 3 + 8)
     assert np.array_equal(a, b) and np.array_equal(fa, fb)
-    c, _ = sasakian_r3.at(point).directions(seed=8)
+    c, _ = sasakian_r3.at(point, seed=8).directions
     assert not np.array_equal(a, c)
 
 

@@ -57,6 +57,24 @@ def test_validate_structure_file(tmp_path):
     assert code == EXIT_OK
 
 
+def test_eleven_coordinates(tmp_path):
+    # flat R^11 with n = 5: Halton sampling needs eleven bases
+    dim = 11
+    f = [["0"] * dim for _ in range(dim)]
+    for i in range(0, dim - 1, 2):
+        f[i][i + 1], f[i + 1][i] = "1", "-1"
+    doc = {
+        "name": "flat-n5", "n": 5, "coords": [f"x{i}" for i in range(dim)], "domain": [[-1, 1]] * dim,
+        "metric": [["1" if i == j else "0" for j in range(dim)] for i in range(dim)],
+        "f": f, "xi": ["0"] * (dim - 1) + ["1"],
+    }
+    path = tmp_path / "flat5.json"
+    path.write_text(json.dumps(doc))
+    for command in (["validate"], ["classify"], ["check", "all"]):
+        code, _, err = run([*command, str(path), *COMMON])
+        assert code == EXIT_OK, (command, err)
+
+
 def test_malformed_structure_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

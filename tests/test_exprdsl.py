@@ -155,6 +155,12 @@ def test_explicit_q_field_parsed():
         (lambda d: d.update(coords=["x", "x", "z"]), "distinct"),
         (lambda d: d["domain"].pop(), "domain"),
         (lambda d: d["domain"].__setitem__(0, [1, -1]), "bad interval"),
+        pytest.param(lambda d: d.update(n=True), "positive integer", id="n-bool"),
+        pytest.param(lambda d: d.update(coords=[[1], [2], [3]]), "strings", id="coords-lists"),
+        pytest.param(lambda d: d["domain"].__setitem__(0, ["a", "b"]), "finite", id="domain-strings"),
+        pytest.param(lambda d: d["domain"].__setitem__(0, [0, None]), "finite", id="domain-null"),
+        pytest.param(lambda d: d["domain"].__setitem__(0, [0, json.loads("1e400")]), "finite", id="domain-inf"),
+        pytest.param(lambda d: d["domain"].__setitem__(0, [0, 10**400]), "finite", id="domain-huge-int"),
         (lambda d: d["metric"].pop(), "metric"),
         (lambda d: d["f"][0].pop(), "row 0"),
         (lambda d: d.update(xi=["0", "0"]), "xi"),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from wqcm.catalog import catalog
 from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.geometry import (
     DegeneratePlaneError,
-    MetricEval,
     SingularMetricError,
     christoffel,
     christoffel_derivative,
@@ -14,6 +15,7 @@ from wqcm.geometry import (
     cov_vector,
     curvature,
     d_oneform,
+    orthonormal_frame,
     ricci,
     riemann,
     sectional,
@@ -26,8 +28,19 @@ SPHERE_METRIC = [["1", "0"], ["0", "sin(theta)^2"]]
 
 
 def metric_at(cells, point, coords=SPHERE_COORDS):
-    """The metric jet of expression cells at a point, compiled through a tape."""
-    return MetricEval.build(point, *eval_tape(compile_tape({"metric": cells}, coords), point)["metric"])
+    """The metric jet of expression cells at a point, compiled through a tape,
+    with the arrays a `PointState` holds for it."""
+    g, dg, ddg = eval_tape(compile_tape({"metric": cells}, coords), point)["metric"]
+    frame = orthonormal_frame(point, g)
+    return SimpleNamespace(g=g, dg=dg, ddg=ddg, g_inv=np.linalg.inv(g), frame=frame)
+
+
+def christoffel_of(m):
+    return christoffel(m.g_inv, m.dg)
+
+
+def riemann_of(m):
+    return riemann(m.g_inv, m.dg, m.ddg, christoffel_of(m))
 
 
 def sphere_at(theta, phi=0.3):
@@ -37,7 +50,7 @@ def sphere_at(theta, phi=0.3):
 def test_sphere_christoffel_symbols():
     theta = 0.8
     m = sphere_at(theta)
-    gamma = christoffel(m)
+    gamma = christoffel_of(m)
     # the only nonzero symbols of the round 2-sphere
     assert gamma[0, 1, 1] == pytest.approx(-np.sin(theta) * np.cos(theta), abs=1e-12)
     assert gamma[1, 0, 1] == pytest.approx(np.cos(theta) / np.sin(theta), abs=1e-12)
@@ -47,43 +60,43 @@ def test_sphere_christoffel_symbols():
 
 def sphere_curvature(theta, phi=0.3):
     m = sphere_at(theta, phi)
-    return m, riemann(m, christoffel(m))
+    return m, riemann_of(m)
 
 
 def test_sphere_curvature_is_plus_one():
     m, r = sphere_curvature(1.1, 0.5)
-    assert sectional(m, np.array([1.0, 0.0]), np.array([0.0, 1.0]), r) == pytest.approx(
+    assert sectional(m.g, np.array([1.0, 0.0]), np.array([0.0, 1.0]), r) == pytest.approx(
         1.0, abs=1e-10
     )
     # Ric = (dim - 1) g on a unit sphere
     for x in (np.array([1.0, 0.0]), np.array([0.3, 0.9])):
         for y in (np.array([0.0, 1.0]), np.array([1.0, -0.2])):
-            assert ricci(m, x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
+            assert ricci(m.g, m.frame, x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
 
 
 def test_christoffel_derivative_matches_finite_differences():
     h = 1e-6
     point = np.array([0.9, 0.4])
     m = sphere_at(*point)
-    dgamma = christoffel_derivative(m)
+    dgamma = christoffel_derivative(m.g_inv, m.dg, m.ddg)
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        gp = christoffel(metric_at(SPHERE_METRIC, point + e))
-        gm = christoffel(metric_at(SPHERE_METRIC, point - e))
+        gp = christoffel_of(metric_at(SPHERE_METRIC, point + e))
+        gm = christoffel_of(metric_at(SPHERE_METRIC, point - e))
         assert np.allclose(dgamma[k], (gp - gm) / (2 * h), atol=1e-8)
 
 
 def catalog_metric_points(key, count=6, **kw):
     acm = WeakACM(catalog(key, **kw))
     for point in sample_points(SamplePlan(count=count), acm.sdef.domain):
-        yield acm.at(point).metric
+        yield acm.at(point)
 
 
 @pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5", "flat-const"])
 def test_connection_is_torsion_free_and_metric(key):
     for m in catalog_metric_points(key):
-        gamma = christoffel(m)
+        gamma = christoffel_of(m)
         assert np.allclose(gamma, gamma.transpose(0, 2, 1), atol=1e-12)
         # nabla g = 0 componentwise
         nabla_g = (
@@ -97,7 +110,7 @@ def test_connection_is_torsion_free_and_metric(key):
 @pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5"])
 def test_curvature_tensor_symmetries(key):
     for m in catalog_metric_points(key, count=4):
-        r = riemann(m, christoffel(m))
+        r = riemann_of(m)
         rl = np.einsum("la,akij->lkij", m.g, r)  # fully lowered
         assert np.allclose(rl, -rl.transpose(0, 1, 3, 2), atol=1e-10)  # (i,j) skew
         assert np.allclose(rl, -rl.transpose(1, 0, 2, 3), atol=1e-10)  # (l,k) skew
@@ -108,7 +121,7 @@ def test_curvature_tensor_symmetries(key):
 
 def test_flat_space_has_zero_curvature():
     for m in catalog_metric_points("flat-const", count=3):
-        assert np.max(np.abs(riemann(m, christoffel(m)))) == 0.0
+        assert np.max(np.abs(riemann_of(m))) == 0.0
 
 
 def test_curvature_operator_antisymmetry():
@@ -123,7 +136,7 @@ def test_sectional_degenerate_plane_raises():
     m, r = sphere_curvature(0.7)
     v = np.array([1.0, 2.0])
     with pytest.raises(DegeneratePlaneError):
-        sectional(m, v, 2.0 * v, r)
+        sectional(m.g, v, 2.0 * v, r)
 
 
 def test_non_positive_definite_metric_rejected():
@@ -145,7 +158,7 @@ def test_covariant_derivative_leibniz_rule():
     point = np.array([0.9, 0.4])
     h = 1e-6
     m = sphere_at(*point)
-    gamma = christoffel(m)
+    gamma = christoffel_of(m)
 
     def v_of(p):
         return np.array([np.sin(p[0] + p[1]), p[0] * p[1]])
@@ -173,7 +186,7 @@ def test_covariant_derivative_leibniz_rule():
 def test_cov_oneform_kills_metric_pairing():
     # d_k (w(v)) = (nabla_k w)(v) + w(nabla_k v) for w = g(u, .), u, v constant
     for m in catalog_metric_points("sasakian-r3", count=3):
-        gamma = christoffel(m)
+        gamma = christoffel_of(m)
         u = np.array([0.7, -0.2, 1.0])
         w = m.g @ u
         dw = np.einsum("kij,j->ki", m.dg, u)

@@ -81,8 +81,8 @@ def test_no_point_state_outlives_run_suite(monkeypatch):
     states = []
     at = WeakACM.at
 
-    def recorded(self, point):
-        st = at(self, point)
+    def recorded(self, point, seed):
+        st = at(self, point, seed)
         states.append(weakref.ref(st))
         return st
 

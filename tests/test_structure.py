@@ -112,9 +112,9 @@ def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
             st = acm.at(point)
             # ddeta[k, l, i] = d_k d_l eta_i, from eta = g xi
             ddeta = (
-                np.einsum("klij,j->kli", st.metric.ddg, st.xi)
-                + np.einsum("kij,lj->kli", st.metric.dg, st.dxi)
-                + np.einsum("lij,kj->kli", st.metric.dg, st.dxi)
+                np.einsum("klij,j->kli", st.ddg, st.xi)
+                + np.einsum("kij,lj->kli", st.dg, st.dxi)
+                + np.einsum("lij,kj->kli", st.dg, st.dxi)
                 + np.einsum("ij,klj->kli", st.g, st.ddxi)
             )
             d_deta = 0.5 * (ddeta - ddeta.transpose(0, 2, 1))  # d_k (d eta)_ij

@@ -17,16 +17,22 @@ PLAN = SamplePlan(count=8, seed=7)
 
 
 def test_sample_points_deterministic_and_in_margin():
-    a = sample_points(PLAN, DOMAIN3)
-    b = sample_points(PLAN, DOMAIN3)
-    assert len(a) == 8
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
-    for p in a:
-        assert np.all(p >= -0.95) and np.all(p <= 0.95)
-    # a different seed shifts the halton stream
-    c = sample_points(SamplePlan(count=8, seed=11), DOMAIN3)
-    assert any(not np.array_equal(u, v) for u, v in zip(a, c))
+    for dim in (3, 11):
+        domain = [(-1.0, 1.0)] * dim
+        a = sample_points(PLAN, domain)
+        b = sample_points(PLAN, domain)
+        assert len(a) == 8
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
+        for p in a:
+            assert p.shape == (dim,) and np.all(p >= -0.95) and np.all(p <= 0.95)
+        # a different seed shifts the halton stream
+        c = sample_points(SamplePlan(count=8, seed=11), domain)
+        assert any(not np.array_equal(u, v) for u, v in zip(a, c))
+    # the first coordinates keep their bases as coordinates are added; the
+    # eleventh has base 31, so the first point (index seed + 1 = 8) sits at 8/31
+    assert np.array_equal(np.array(a)[:, :3], np.array(sample_points(PLAN, DOMAIN3)))
+    assert a[0][10] == pytest.approx(-0.95 + 1.9 * 8 / 31, abs=1e-15)
 
 
 def test_sample_points_grid():

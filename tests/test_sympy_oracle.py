@@ -1,5 +1,6 @@
 """The tape against sympy's exact derivatives, cell by cell, on every catalog
-chart and on the round 2-sphere."""
+chart and on the round 2-sphere; the Christoffel symbols and the curvature
+tensor against sympy on the sphere and the 3- and 5-dimensional charts."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import points_for
 from test_geometry import SPHERE_COORDS, SPHERE_METRIC
 from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import compile_tape, eval_tape
+from wqcm.geometry import christoffel, riemann
 from wqcm.structure import WeakACM
 
 sympy = pytest.importorskip("sympy")
@@ -47,3 +49,42 @@ def test_tape_matches_sympy_derivatives(coords, fields, points):
                 for got, want in ((v[c], e), (dv[:, c], grad), (ddv[:, :, c], hess)):
                     want = np.asarray(want, dtype=float)
                     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (field, flat[c])
+
+
+def connection_oracle(cells, coords):
+    """Exact Gamma[k, i, j] = Gamma^k_ij and R[l, k, i, j] = R^l_{kij} of the
+    metric with upper-triangle text `cells`, as float functions of the point:
+    Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) and
+    R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
+    xs = sympy.symbols(coords)
+    d, names = len(xs), dict(zip(coords, xs))
+    g = sympy.Matrix(d, d, lambda i, j: sympy.sympify(cells[min(i, j)][max(i, j)].replace("^", "**"), locals=names))
+    g_inv = g.inv().applyfunc(sympy.simplify)
+    dg = [[[g[i, j].diff(x) for j in range(d)] for i in range(d)] for x in xs]  # dg[k][i][j] = d_k g_ij
+    gamma = [[[sympy.simplify(sum(g_inv[k, l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) for l in range(d)) / 2)
+               for j in range(d)] for i in range(d)] for k in range(d)]
+    riem = [[[[gamma[l][j][k].diff(xs[i]) - gamma[l][i][k].diff(xs[j])
+               + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k] for m in range(d))
+               for j in range(d)] for i in range(d)] for k in range(d)] for l in range(d)]
+    return sympy.lambdify([xs], [gamma, riem], modules="math")
+
+
+def metric_charts():
+    for key in ("sasakian-r3", "sasakian-r5"):
+        doc = document(key)
+        yield pytest.param(doc["coords"], doc["metric"], points_for(WeakACM(catalog(key)), count=4), id=key)
+    sphere = np.array([[0.4, 0.3], [1.1, -0.5], [2.0, 2.5]])
+    yield pytest.param(SPHERE_COORDS, SPHERE_METRIC, sphere, id="sphere")
+
+
+@pytest.mark.parametrize("coords,cells,points", metric_charts())
+def test_connection_and_curvature_match_sympy(coords, cells, points):
+    tape = compile_tape({"metric": cells}, coords)
+    exact = connection_oracle(cells, coords)
+    for point in points:
+        g, dg, ddg = eval_tape(tape, point)["metric"]
+        g_inv = np.linalg.inv(g)
+        gamma = christoffel(g_inv, dg)
+        for got, want in zip((gamma, riemann(g_inv, dg, ddg, gamma)), exact(point)):
+            want = np.asarray(want, dtype=float)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), point
