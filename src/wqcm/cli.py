@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog as cat
+from . import geometry
 from .exprdsl import ExprSyntaxError, SchemaError, load_structure_def
 from .structure import WeakACM, build_cone
 from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_suite
@@ -118,8 +118,7 @@ _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 def _add_common(p: _Parser) -> None:
     p.add_argument("source", help=_SOURCE_HELP)
     p.add_argument("--points", type=_COUNT, default=32)
-    p.add_argument("--seed", type=_SEED, default=None)
-    p.add_argument("--strategy", choices=("halton", "grid"), default="halton")
+    p.add_argument("--seed", type=_SEED, default=SamplePlan.seed)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true")
@@ -145,16 +144,6 @@ def _build_parser() -> _Parser:
     _add_point(sub.add_parser("cone")).add_argument("--t", type=_FINITE, default=0.0)
     sub.add_parser("list")
     return parser
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("WQCM_SEED")
-    try:
-        return _SEED(env) if env else 7
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise CliError(f"bad WQCM_SEED {env!r}: {exc}") from exc
 
 
 def _write(payload: bytes, args, stdout) -> None:
@@ -183,21 +172,14 @@ def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     return lines, ok and ortho < 1e-9
 
 
-def _positive_definite(m: np.ndarray) -> bool:
-    """Every entry is finite and the Cholesky factorization succeeds."""
-    if not np.all(np.isfinite(m)):
-        return False
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _cone(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     ce = build_cone(acm, point, args.t)
     # exp(-2t) underflows for large t, and gbar is then no metric at all
-    gbar_ok = _positive_definite(ce.gbar)
+    try:
+        geometry.orthonormal_frame([*point, args.t], ce.gbar)
+        gbar_ok = True
+    except geometry.SingularMetricError:
+        gbar_ok = False
     return [
         f"cone of {acm.name} at ({args.at}), t={args.t}",
         f"  |J^2 + P| = {ce.j2_plus_p_residual:.3e}",
@@ -225,7 +207,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
 
         acm = _load_source(args.source)
         if args.command in ("validate", "classify", "check"):
-            plan = SamplePlan(count=args.points, seed=_seed(args), strategy=args.strategy)
+            plan = SamplePlan(count=args.points, seed=args.seed)
             suite = args.suite if args.command == "check" else args.command
             tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
             report = run_suite(acm, suite, plan, tolerances, timestamp=not args.no_timestamp)

@@ -394,8 +394,10 @@ def load_structure_def(source) -> StructureDef:
     for iv in domain:
         _require(isinstance(iv, list) and len(iv) == 2, f"bad interval {iv!r}")
         _require(all(map(_finite_number, iv)), f"interval bounds must be finite numbers: {iv!r}")
-        _require(iv[0] < iv[1], f"bad interval {iv!r}")
-        box.append((float(iv[0]), float(iv[1])))
+        lo, hi = float(iv[0]), float(iv[1])
+        _require(lo < hi, f"bad interval {iv!r}")
+        _require(math.isfinite(hi - lo), f"interval width must be finite: {iv!r}")
+        box.append((lo, hi))
 
     # Only the upper triangle of the metric is read; the lower triangle must
     # match the upper textually or be left blank.

@@ -37,13 +37,15 @@ class DegeneratePlaneError(ValueError):
 def orthonormal_frame(point, g: np.ndarray) -> np.ndarray:
     """The g-orthonormal frame (columns) of Gram-Schmidt on the coordinate
     frame: with g = L L^T (Cholesky), the upper-triangular L^-T.  The
-    Cholesky factor validates g at `point`."""
+    factor validates g at `point`: Cholesky lets NaN and inf through, so the
+    entries are checked to be finite first."""
+    where = np.asarray(point, dtype=float).tolist()
+    if not np.all(np.isfinite(g)):
+        raise SingularMetricError(f"metric is not finite at {where}")
     try:
         lower = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(
-            f"metric is not positive definite at {np.asarray(point, dtype=float).tolist()}"
-        ) from exc
+        raise SingularMetricError(f"metric is not positive definite at {where}") from exc
     # the inverse of a triangular matrix is triangular: triu drops the
     # rounding fill-in of the pivoted solve
     return np.triu(np.linalg.inv(lower).T)
@@ -147,15 +149,6 @@ def lie_derivative_tensor11(
         - np.einsum("kj,ki->ij", t, zd)
         + np.einsum("ik,jk->ij", t, zd)
     )
-
-
-def lie_derivative_metric(
-    gamma: np.ndarray, g: np.ndarray, xv: np.ndarray, xd: np.ndarray
-) -> np.ndarray:
-    """(L_X g)(Y, Z) = g(nabla_Y X, Z) + g(nabla_Z X, Y), as a symmetric matrix."""
-    nx = cov_vector(gamma, xv, xd)  # [k, i] = (nabla_k X)^i
-    m = np.einsum("im,mj->ij", nx, g)  # g(nabla_i X, partial_j)
-    return m + m.T
 
 
 def d_oneform(dw: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ class PointState:
     @cached_property
     def nabla_xi(self):
         """(nabla xi)^i_j so that (nabla_X xi)^i = (nabla xi)^i_j X^j."""
-        return self.dxi.T + np.einsum("ijm,m->ij", self.gamma, self.xi)
+        return geometry.cov_vector(self.gamma, self.xi, self.dxi).T
 
     @cached_property
     def nabla_eta(self):
@@ -178,7 +178,9 @@ class PointState:
 
     @cached_property
     def lie_xi_g(self):
-        return geometry.lie_derivative_metric(self.gamma, self.g, self.xi, self.dxi)
+        """(L_xi g)(X, Y) = g(nabla_X xi, Y) + g(X, nabla_Y xi)."""
+        m = self.g @ self.nabla_xi
+        return m + m.T
 
     @cached_property
     def lie_xi_Q(self):

@@ -27,7 +27,6 @@ serialize to a stable JSON schema:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -59,7 +58,6 @@ class Tolerances:
 class SamplePlan:
     count: int = 32
     seed: int = 7
-    strategy: str = "halton"  # halton | grid
 
 
 def _radical_inverse(index: int, base: int) -> float:
@@ -82,23 +80,16 @@ def _primes(count: int) -> list[int]:
 
 
 def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
-    """Deterministic points strictly inside the domain box (5% margin)."""
+    """The Halton points of indices seed + 1 .. seed + count, one prime base
+    per coordinate, strictly inside the domain box (5% margin)."""
     lo, hi = np.array(domain, dtype=float).T
     if np.any(hi <= lo):
         raise ValueError("degenerate domain box")
     width = hi - lo
     lo_m = lo + 0.025 * width
     hi_m = hi - 0.025 * width
-    d = len(domain)
-    if plan.strategy == "grid":
-        k = max(1, int(np.ceil(plan.count ** (1.0 / d))))
-        cells = itertools.islice(np.ndindex(*([k] * d)), plan.count)
-        units = [(np.array(idx, dtype=float) + 0.5) / k for idx in cells]
-    elif plan.strategy == "halton":
-        bases = _primes(d)
-        units = [np.array([_radical_inverse(plan.seed + i + 1, b) for b in bases]) for i in range(plan.count)]
-    else:
-        raise ValueError(f"unknown sampling strategy {plan.strategy!r}")
+    bases = _primes(len(domain))
+    units = [np.array([_radical_inverse(plan.seed + i + 1, b) for b in bases]) for i in range(plan.count)]
     return [lo_m + u * (hi_m - lo_m) for u in units]
 
 

@@ -114,6 +114,8 @@ def test_usage_errors():
         ["check", "all", "builtin:sasakian-r3", "--tol-deriv", "nan"],
         ["check", "all", "builtin:sasakian-r3", "--tol-curv", "-inf"],
         ["validate", "builtin:sasakian-r3", "--tol-algebraic", "-1e-10"],
+        # the sample points are always a Halton sequence
+        ["check", "all", "builtin:sasakian-r3", "--strategy", "grid"],
     ):
         code, out, _ = run(argv)
         assert code == EXIT_USAGE, argv
@@ -169,11 +171,7 @@ def test_unwritable_output_is_usage_error(tmp_path):
     assert f"error: cannot write {target}" in err and out == ""
 
 
-def test_seed_env_fallback(monkeypatch):
-    monkeypatch.setenv("WQCM_SEED", "99")
-    _, out, _ = run(["check", "identity", "builtin:sasakian-r3", *COMMON, "--format", "json"])
-    assert json.loads(out)["seed"] == 99
-    monkeypatch.delenv("WQCM_SEED")
+def test_seed_option_and_default():
     _, out, _ = run(["check", "identity", "builtin:sasakian-r3", *COMMON, "--format", "json"])
     assert json.loads(out)["seed"] == 7
     _, out, _ = run(
@@ -182,8 +180,7 @@ def test_seed_env_fallback(monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
-def test_fbasis_command(monkeypatch):
-    monkeypatch.setenv("WQCM_SEED", "-1")  # fbasis uses no seed
+def test_fbasis_command():
     code, out, _ = run(["fbasis", "builtin:sasakian-r3", "--at", "0.2,-0.3,0.1"])
     assert code == EXIT_OK
     assert "lambda_1" in out and "verdict = pass" in out
@@ -247,13 +244,6 @@ def test_bad_count_or_seed_is_usage_error(flags):
     assert out == ""
 
 
-def test_bad_seed_env_is_usage_error(monkeypatch):
-    monkeypatch.setenv("WQCM_SEED", "-1")
-    code, _, err = run(["check", "identity", "builtin:sasakian-r3", *COMMON])
-    assert code == EXIT_USAGE
-    assert "WQCM_SEED" in err
-
-
 def test_non_finite_residuals_fail(recwarn):
     # f[2][2] = inf * 0 = NaN: every check must fail, none pass or skip
     path = Path(__file__).parent / "data" / "sasakian-r3-nan.json"
@@ -292,13 +282,30 @@ def _sqrt_of_negative(doc):
     doc["xi"][0] = "sqrt(y1)"
 
 
+def _metric_cell(text):
+    def edit(doc):
+        doc["f"][2][2] = "0"
+        doc["metric"][1][1] = text
+
+    return edit
+
+
+# (edit, what the error must say when the edit makes the structure
+# unevaluable everywhere, or None when some exit 1 or 2 is enough)
+EDITS = [
+    pytest.param(lambda doc: None, None, id="nan"),
+    pytest.param(_singular_metric, None, id="singular-metric"),
+    pytest.param(_sqrt_of_negative, None, id="sqrt-negative"),
+    pytest.param(_metric_cell("1e200*1e200"), "metric is not finite at [", id="inf-metric"),
+    pytest.param(_metric_cell("1e200*1e200*0"), "metric is not finite at [", id="nan-metric"),
+]
+
+
 @pytest.mark.parametrize(
     "command", [["check", "all"], ["validate"], ["classify"]], ids=["check-all", "validate", "classify"]
 )
-@pytest.mark.parametrize(
-    "edit", [lambda doc: None, _singular_metric, _sqrt_of_negative], ids=["nan", "singular-metric", "sqrt-negative"]
-)
-def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit):
+@pytest.mark.parametrize("edit, message", EDITS)
+def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit, message):
     doc = _nan_doc()
     edit(doc)
     path = tmp_path / "bad.json"
@@ -307,13 +314,13 @@ def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, ed
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert "at sample point [" in err and out == ""
+    if message:
+        assert code == EXIT_USAGE and message in err
 
 
 @pytest.mark.parametrize("command", ["fbasis", "cone"])
-@pytest.mark.parametrize(
-    "edit", [lambda doc: None, _singular_metric, _sqrt_of_negative], ids=["nan", "singular-metric", "sqrt-negative"]
-)
-def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit):
+@pytest.mark.parametrize("edit, message", EDITS)
+def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit, message):
     doc = _nan_doc()
     edit(doc)
     path = tmp_path / "bad.json"
@@ -322,6 +329,8 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert "at point [0.1, -0.2, 0.3]" in err and out == ""
+    if message:
+        assert code == EXIT_USAGE and message + "0.1, -0.2, 0.3]" in err
 
 
 @pytest.mark.parametrize("command", ["fbasis", "cone"])

@@ -161,6 +161,7 @@ def test_explicit_q_field_parsed():
         pytest.param(lambda d: d["domain"].__setitem__(0, [0, None]), "finite", id="domain-null"),
         pytest.param(lambda d: d["domain"].__setitem__(0, [0, json.loads("1e400")]), "finite", id="domain-inf"),
         pytest.param(lambda d: d["domain"].__setitem__(0, [0, 10**400]), "finite", id="domain-huge-int"),
+        pytest.param(lambda d: d["domain"].__setitem__(0, [-1e308, 1e308]), "width", id="domain-width-overflow"),
         (lambda d: d["metric"].pop(), "metric"),
         (lambda d: d["f"][0].pop(), "row 0"),
         (lambda d: d.update(xi=["0", "0"]), "xi"),

@@ -140,8 +140,12 @@ def test_sectional_degenerate_plane_raises():
 
 
 def test_non_positive_definite_metric_rejected():
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(SingularMetricError, match="not positive definite"):
         metric_at([["1", "0"], ["0", "-1"]], np.array([0.5, 0.5]))
+    # Cholesky alone accepts NaN and inf entries
+    for bad in (np.inf, np.nan):
+        with pytest.raises(SingularMetricError, match=r"metric is not finite at \[0.5, 0.5\]"):
+            orthonormal_frame([0.5, 0.5], np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_orthonormal_frame_is_orthonormal():

@@ -2,7 +2,10 @@
 
 `tests/data/<key>.check-all.json` and `<key>.classify.json` were written by
 a per-pair loop implementation of the checks, and `<key>.validate.json` by
-the hand-written axiom validation that the check registry replaced, with
+the hand-written axiom validation that the check registry replaced.  The
+three `scaled-n3-s2` files (the structure whose quasi, contact and Killing
+gates fail, so most of its gated checks skip) were written by the check
+registry itself.  All come from
 
     wqcm check all builtin:<source> --points 8 --seed 7 --format json --no-timestamp
     wqcm classify  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
@@ -33,6 +36,7 @@ SOURCES = {
     "sasakian-r5": "sasakian-r5",
     "sasakian-r7": "sasakian-r7",
     "scaled-n1-s2": "scaled?n=1,s=2",
+    "scaled-n3-s2": "scaled?n=3,s=2",
     "flat-const": "flat-const",
 }
 

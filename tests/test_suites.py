@@ -35,19 +35,7 @@ def test_sample_points_deterministic_and_in_margin():
     assert a[0][10] == pytest.approx(-0.95 + 1.9 * 8 / 31, abs=1e-15)
 
 
-def test_sample_points_grid():
-    single = sample_points(SamplePlan(count=1, strategy="grid"), DOMAIN3)
-    assert len(single) == 1
-    assert np.allclose(single[0], np.zeros(3), atol=1e-12)  # box center
-    grid = sample_points(SamplePlan(count=8, strategy="grid"), DOMAIN3)
-    assert len(grid) == 8
-    for p in grid:
-        assert np.all(np.abs(p) <= 0.95)
-
-
 def test_sample_points_bad_inputs():
-    with pytest.raises(ValueError):
-        sample_points(SamplePlan(strategy="sobol"), DOMAIN3)
     with pytest.raises(ValueError):
         sample_points(PLAN, [(1.0, -1.0)])
 
