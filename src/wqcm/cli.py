@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true")
-    for tier, default in Tolerances().as_dict().items():
+    for tier, default in asdict(Tolerances()).items():
         p.add_argument(f"--tol-{tier}", type=_TOL, default=default)
 
 
@@ -158,16 +159,18 @@ def _write(payload: bytes, args, stdout) -> None:
 
 def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     st = acm.at(point)
-    fb = st.fbasis
-    lines = [f"f-basis of {acm.name} at ({args.at})", f"  xi = {fb.xi.tolist()}"]
+    basis, lam = st.fbasis
+    lines = [f"f-basis of {acm.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
     ok = True
-    for i, (e, fe, lam) in enumerate(zip(fb.e, fb.fe, fb.lam), start=1):
-        lines.append(f"  lambda_{i} = {lam!r}")
+    for i, lam_i in enumerate(lam.tolist(), start=1):
+        e, fe = basis[:, 2 * i - 1], basis[:, 2 * i]
+        lines.append(f"  lambda_{i} = {lam_i!r}")
         lines.append(f"  e_{i}  = {e.tolist()}")
         lines.append(f"  fe_{i} = {fe.tolist()}")
-        ok = ok and abs(st.gdot(fe, fe) - lam) < 1e-9
-    vecs = fb.vectors()
-    ortho = max(abs(st.gdot(u, v)) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
+        ok = ok and abs(fe @ st.g @ fe - lam_i) < 1e-9
+    # one pair at a time: a Gram matrix rounds differently
+    vecs = list(basis.T)
+    ortho = max(abs(u @ st.g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
     lines.append(f"  max pairwise g-product = {ortho:.3e}")
     return lines, ok and ortho < 1e-9
 
@@ -176,7 +179,7 @@ def _cone(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     ce = build_cone(acm, point, args.t)
     # exp(-2t) underflows for large t, and gbar is then no metric at all
     try:
-        geometry.orthonormal_frame([*point, args.t], ce.gbar)
+        geometry.orthonormal_frame(ce.gbar)
         gbar_ok = True
     except geometry.SingularMetricError:
         gbar_ok = False
@@ -199,35 +202,35 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         parser.print_usage(stderr)
         return EXIT_USAGE
 
-    try:
-        if args.command == "list":
-            for key in cat.keys():
-                stdout.write(key + "\n")
-            return EXIT_OK
-
-        acm = _load_source(args.source)
-        if args.command in ("validate", "classify", "check"):
-            plan = SamplePlan(count=args.points, seed=args.seed)
-            suite = args.suite if args.command == "check" else args.command
-            tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
-            report = run_suite(acm, suite, plan, tolerances, timestamp=not args.no_timestamp)
-            _write(emit_report(report, args.format), args, stdout)
-            # classification is reporting, not assertion
-            return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
-
-        point = _parse_point(args.at, acm)
+    # the verdicts judge NaN and inf themselves: numpy's floating-point
+    # warnings would only repeat them on stderr
+    with np.errstate(all="ignore"):
         try:
-            lines, ok = (_fbasis if args.command == "fbasis" else _cone)(acm, point, args)
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(f"at point {point.tolist()}: {exc}") from exc
-        stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")
-        return EXIT_OK if ok else EXIT_FAIL
-    except CliError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (SchemaError, ExprSyntaxError, EvaluationError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+            if args.command == "list":
+                for key in cat.keys():
+                    stdout.write(key + "\n")
+                return EXIT_OK
+
+            acm = _load_source(args.source)
+            if args.command in ("validate", "classify", "check"):
+                plan = SamplePlan(count=args.points, seed=args.seed)
+                suite = args.suite if args.command == "check" else args.command
+                tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
+                report = run_suite(acm, suite, plan, tolerances, timestamp=not args.no_timestamp)
+                _write(emit_report(report, args.format), args, stdout)
+                # classification is reporting, not assertion
+                return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
+
+            point = _parse_point(args.at, acm)
+            try:
+                lines, ok = (_fbasis if args.command == "fbasis" else _cone)(acm, point, args)
+            except (ValueError, ArithmeticError) as exc:
+                raise CliError(f"at point {point.tolist()}: {exc}") from exc
+            stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")
+            return EXIT_OK if ok else EXIT_FAIL
+        except (CliError, SchemaError, ExprSyntaxError, EvaluationError) as exc:
+            stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
 
 
 def main() -> None:

@@ -34,18 +34,17 @@ class DegeneratePlaneError(ValueError):
     pass
 
 
-def orthonormal_frame(point, g: np.ndarray) -> np.ndarray:
+def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """The g-orthonormal frame (columns) of Gram-Schmidt on the coordinate
     frame: with g = L L^T (Cholesky), the upper-triangular L^-T.  The
-    factor validates g at `point`: Cholesky lets NaN and inf through, so the
-    entries are checked to be finite first."""
-    where = np.asarray(point, dtype=float).tolist()
+    factor validates g: Cholesky lets NaN and inf through, so the entries
+    are checked to be finite first.  The caller names the point."""
     if not np.all(np.isfinite(g)):
-        raise SingularMetricError(f"metric is not finite at {where}")
+        raise SingularMetricError("metric is not finite")
     try:
         lower = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(f"metric is not positive definite at {where}") from exc
+        raise SingularMetricError("metric is not positive definite") from exc
     # the inverse of a triangular matrix is triangular: triu drops the
     # rounding fill-in of the pivoted solve
     return np.triu(np.linalg.inv(lower).T)

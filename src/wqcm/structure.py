@@ -48,7 +48,7 @@ class PointState:
         fields = eval_tape(self.sdef.tape, self.point)
         # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
         self.g, self.dg, self.ddg = fields["metric"]
-        self.frame = geometry.orthonormal_frame(self.point, self.g)
+        self.frame = geometry.orthonormal_frame(self.g)
         self.g_inv = np.linalg.inv(self.g)
         self.f, self.df, self.ddf = fields["f"]
         self.xi, self.dxi, self.ddxi = fields["xi"]
@@ -93,13 +93,13 @@ class PointState:
     @cached_property
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
-        m = self.frame.T @ self.g @ self.Q @ self.frame
+        m = _finite(self.frame.T @ self.g @ self.Q @ self.frame, "Q")
         return np.linalg.eigvalsh(0.5 * (m + m.T))
 
     @cached_property
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
-        return np.linalg.svd(self.frame.T @ self.g @ self.f @ self.frame, compute_uv=False)
+        return np.linalg.svd(_finite(self.frame.T @ self.g @ self.f @ self.frame, "f"), compute_uv=False)
 
     @cached_property
     def Phi(self):
@@ -202,9 +202,6 @@ class PointState:
 
     # -- inner products -------------------------------------------------------
 
-    def gdot(self, x, y) -> float:
-        return float(x @ self.g @ y)
-
     def gnorm(self, x):
         """g-norm of a vector, or of each column of a d x ... array."""
         gx = (self.g @ np.reshape(x, (self.dim, -1))).reshape(np.shape(x))
@@ -252,14 +249,48 @@ class PointState:
         return float(np.max(np.abs(self.lie_xi_g)))
 
     @cached_property
-    def fbasis(self) -> FBasis:
-        """The adapted f-basis at this point (`f_basis`)."""
-        return f_basis(self)
+    def fbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adapted basis of Q-eigenvectors: the (d, d) matrix with columns
+        xi, e_1, f e_1, ..., e_n, f e_n, and the n eigenvalues lambda_i of the
+        unit vectors e_i.  The iterative construction: restrict Q to ker eta,
+        take a unit eigenvector with the smallest eigenvalue, adjoin its
+        f-image, deflate the pair's span, repeat n times."""
+        # g-orthonormal basis of ker eta (= xi-perp), deterministic.
+        start = np.concatenate([self.xi[:, None], np.eye(self.dim)], axis=1)
+        frame = _gram_schmidt(start, self.g)
+        if frame.shape[1] != self.dim:
+            raise StructureError("could not complete a frame adapted to xi")
+        w = frame[:, 1:]  # columns spanning ker eta
+
+        columns, lams = [self.xi], []
+        for _ in range(self.n):
+            m = _finite(w.T @ self.g @ self.Q @ w, "Q")
+            vals, vecs = _eigh(0.5 * (m + m.T))
+            lam = float(vals[0])
+            if lam <= 0.0:
+                raise StructureError("Q is not positive definite on ker eta")
+            same = np.where(np.abs(vals - lam) <= 1e-9 * max(1.0, abs(lam)))[0]
+            col = same[_tie_break_column(w @ vecs[:, same])]
+            e = w @ vecs[:, col]
+            e = e / self.gnorm(e)
+            fe = self.f @ e
+            columns += [e, fe]
+            lams.append(lam)
+            # deflate span{e, fe} out of the working subspace
+            for u in (e, fe / self.gnorm(fe)):
+                w = w - np.outer(u, u @ self.g @ w)
+            w = _gram_schmidt(w, self.g)
+        return np.column_stack(columns), np.array(lams)
 
     @cached_property
     def contact_volume(self) -> float:
-        """eta ^ (d eta)^n on the f-basis (`contact_volume`)."""
-        return contact_volume(self)
+        """eta wedge (d eta)^n evaluated on the f-basis."""
+        form = {(i,): float(self.eta[i]) for i in range(self.dim) if self.eta[i] != 0.0}
+        pairs = combinations(range(self.dim), 2)
+        deta = {(i, j): float(self.deta_form[i, j]) for i, j in pairs if self.deta_form[i, j] != 0.0}
+        for _ in range(self.n):
+            form = _wedge(form, deta)
+        return float(form.get(tuple(range(self.dim)), 0.0) * np.linalg.det(self.fbasis[0]))
 
     # -- defects and N-tensors ----------------------------------------------------
 
@@ -306,20 +337,15 @@ class PointState:
         return 2.0 * self.h @ x
 
 
-# -- f-basis ----------------------------------------------------------------------
+# -- f-basis and contact volume --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FBasis:
-    """Adapted basis {xi, e_i, f e_i} of Q-eigenvectors on ker eta."""
-
-    xi: np.ndarray
-    e: tuple[np.ndarray, ...]
-    fe: tuple[np.ndarray, ...]
-    lam: tuple[float, ...]
-
-    def vectors(self) -> list[np.ndarray]:
-        return [self.xi] + [v for pair in zip(self.e, self.fe) for v in pair]
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
+    """`m`, checked before LAPACK sees it: NaN or inf entries of the tensor
+    `name` are a StructureError, not a LinAlgError."""
+    if not np.all(np.isfinite(m)):
+        raise StructureError(f"{name} is not finite")
+    return m
 
 
 def _eigh(a: np.ndarray):
@@ -356,44 +382,6 @@ def _tie_break_column(vecs: np.ndarray) -> int:
     return min(range(vecs.shape[1]), key=lambda k: int(np.argmax(np.abs(vecs[:, k]))))
 
 
-def f_basis(st: PointState) -> FBasis:
-    """The iterative construction: restrict Q to ker eta, take a unit
-    eigenvector with the smallest eigenvalue, adjoin its f-image, deflate
-    the pair's span, repeat n times."""
-    n, d = st.n, st.dim
-
-    # g-orthonormal basis of ker eta (= xi-perp), deterministic.
-    start = np.concatenate([st.xi[:, None], np.eye(d)], axis=1)
-    frame = _gram_schmidt(start, st.g)
-    if frame.shape[1] != d:
-        raise StructureError("could not complete a frame adapted to xi")
-    w = frame[:, 1:]  # columns spanning ker eta
-
-    pairs = []
-    for _ in range(n):
-        m = w.T @ st.g @ st.Q @ w
-        if not np.all(np.isfinite(m)):
-            raise StructureError("Q is not finite on ker eta")
-        vals, vecs = _eigh(0.5 * (m + m.T))
-        lam = float(vals[0])
-        if lam <= 0.0:
-            raise StructureError("Q is not positive definite on ker eta")
-        same = np.where(np.abs(vals - lam) <= 1e-9 * max(1.0, abs(lam)))[0]
-        col = same[_tie_break_column(w @ vecs[:, same])]
-        e = w @ vecs[:, col]
-        e = e / st.gnorm(e)
-        fe = st.f @ e
-        pairs.append((e, fe, lam))
-        # deflate span{e, fe} out of the working subspace
-        for u in (e, fe / st.gnorm(fe)):
-            w = w - np.outer(u, u @ st.g @ w)
-        w = _gram_schmidt(w, st.g)
-    return FBasis(st.xi.copy(), *zip(*pairs))
-
-
-# -- contact volume ---------------------------------------------------------------
-
-
 def _wedge(a: dict, b: dict) -> dict:
     """Wedge product of forms in the sorted-multi-index basis
     {dx^I : I strictly increasing}."""
@@ -408,16 +396,6 @@ def _wedge(a: dict, b: dict) -> dict:
             key = tuple(sorted(i_idx + j_idx))
             out[key] = out.get(key, 0.0) + sign * av * bv
     return {k: v for k, v in out.items() if v != 0.0}
-
-
-def contact_volume(st: PointState) -> float:
-    """eta wedge (d eta)^n evaluated on the f-basis at the point."""
-    form = {(i,): float(st.eta[i]) for i in range(st.dim) if st.eta[i] != 0.0}
-    pairs = combinations(range(st.dim), 2)
-    deta = {(i, j): float(st.deta_form[i, j]) for i, j in pairs if st.deta_form[i, j] != 0.0}
-    for _ in range(st.n):
-        form = _wedge(form, deta)
-    return float(form.get(tuple(range(st.dim)), 0.0) * np.linalg.det(np.column_stack(st.fbasis.vectors())))
 
 
 class WeakACM:

@@ -14,7 +14,7 @@ from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.geometry import christoffel
-from wqcm.structure import WeakACM, build_cone, contact_volume, f_basis
+from wqcm.structure import WeakACM, build_cone
 from wqcm.suites import SamplePlan, run_suite, sample_points
 
 PLAN32 = SamplePlan(count=32, seed=7)
@@ -166,10 +166,9 @@ def test_4_sasakian_exact_values(announce):
             x = st.project_ker_eta(rng.standard_normal(acm.dim))
             x = st.g_normalize(x)
             ok = ok and abs(st.sectional(st.xi, x) - 1.0) < 1e-7
-        fb = f_basis(st)
-        lam = np.array(fb.lam)
+        basis, lam = st.fbasis
         lhs = sum(
-            lam[i] * (st.sectional(st.xi, fb.e[i]) + st.sectional(st.xi, fb.fe[i]))
+            lam[i] * (st.sectional(st.xi, basis[:, 2 * i + 1]) + st.sectional(st.xi, basis[:, 2 * i + 2]))
             for i in range(n)
         )
         rhs = n - float(np.trace(st.h @ st.h)) + float(np.sum(lam**2))
@@ -269,16 +268,16 @@ def test_8_f_basis_invariants(announce):
     for acm in all_catalog_structures():
         for point in sample_points(SamplePlan(count=8, seed=7), acm.sdef.domain):
             st = acm.at(point)
-            fb = f_basis(st)
-            vecs = fb.vectors()
+            basis, lams = st.fbasis
+            vecs = list(basis.T)
             res = max(
-                abs(st.gdot(u, v)) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
+                abs(u @ st.g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
             )
-            for e, fe, lam in zip(fb.e, fb.fe, fb.lam):
+            for e, fe, lam in zip(vecs[1::2], vecs[2::2], lams):
                 res = max(res, abs(st.gnorm(e) - 1.0))
                 res = max(res, st.gnorm(st.Q @ e - lam * e))
-                res = max(res, abs(st.gdot(fe, fe) - lam))
-            res = max(res, abs(float(np.trace(st.Q)) - (1.0 + 2.0 * sum(fb.lam))))
+                res = max(res, abs(fe @ st.g @ fe - lam))
+            res = max(res, abs(float(np.trace(st.Q)) - (1.0 + 2.0 * sum(lams))))
             worst = max(worst, res)
     ok = worst < 1e-9
     announce(ok, f"max defect {worst:.1e}")
@@ -310,11 +309,11 @@ def test_10_contact_volume(announce):
     for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7"):
         acm = WeakACM(catalog(key))
         for point in sample_points(SamplePlan(count=4, seed=7), acm.sdef.domain):
-            smallest = min(smallest, abs(contact_volume(acm.at(point))))
+            smallest = min(smallest, abs(acm.at(point).contact_volume))
     ok = smallest > 1e-6
     flat = WeakACM(catalog("flat-const"))
     degenerate = max(
-        abs(contact_volume(flat.at(p)))
+        abs(flat.at(p).contact_volume)
         for p in sample_points(SamplePlan(count=4, seed=7), flat.sdef.domain)
     )
     ok = ok and degenerate < 1e-12

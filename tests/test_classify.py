@@ -1,8 +1,12 @@
+from dataclasses import asdict
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from wqcm.catalog import catalog
 from wqcm.exprdsl import load_structure_def
-from wqcm.structure import WeakACM, contact_volume, f_basis
+from wqcm.structure import WeakACM
 from wqcm.suites import Tolerances, evaluate
 from conftest import points_for
 
@@ -89,29 +93,29 @@ def test_class_verdicts_flat_const(flat_const):
 
 
 def check_f_basis_invariants(acm, point, tol=1e-9):
+    """The eigenvalues of the f-basis at `point`, after checking its invariants."""
     st = acm.at(point)
-    fb = f_basis(st)
-    assert len(fb.e) == acm.n
-    for e, fe, lam in zip(fb.e, fb.fe, fb.lam):
-        assert lam > 0.0
+    basis, lam = st.fbasis
+    assert basis.shape == (acm.dim, acm.dim) and lam.shape == (acm.n,)
+    assert np.array_equal(basis[:, 0], st.xi)
+    for e, fe, lam_i in zip(basis[:, 1::2].T, basis[:, 2::2].T, lam):
+        assert lam_i > 0.0
         assert st.gnorm(e) == pytest.approx(1.0, abs=tol)
-        assert st.gnorm(st.Q @ e - lam * e) < tol  # eigenvector
-        assert st.gdot(fe, fe) == pytest.approx(lam, abs=tol)
+        assert st.gnorm(st.Q @ e - lam_i * e) < tol  # eigenvector
+        assert st.gnorm(fe - st.f @ e) < tol
+        assert fe @ st.g @ fe == pytest.approx(lam_i, abs=tol)
         assert abs(st.eta @ e) < tol and abs(st.eta @ fe) < tol
-    vecs = fb.vectors()
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            assert abs(st.gdot(vecs[a], vecs[b])) < tol
-    assert np.trace(st.Q) == pytest.approx(1.0 + 2.0 * sum(fb.lam), abs=tol)
-    return fb
+    gram = basis.T @ st.g @ basis
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < tol  # pairwise g-orthogonal
+    assert np.trace(st.Q) == pytest.approx(1.0 + 2.0 * sum(lam), abs=tol)
+    return lam
 
 
 def test_f_basis_on_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_const):
     for acm in (sasakian_r3, sasakian_r5, scaled2, flat_const):
         for point in points_for(acm, count=4):
-            fb = check_f_basis_invariants(acm, point)
-    fb = check_f_basis_invariants(scaled2, np.zeros(3))
-    assert fb.lam == pytest.approx((4.0,), abs=1e-12)
+            check_f_basis_invariants(acm, point)
+    assert check_f_basis_invariants(scaled2, np.zeros(3)) == pytest.approx([4.0], abs=1e-12)
 
 
 def _block_scaled_doc():
@@ -136,28 +140,53 @@ def _block_scaled_doc():
 
 def test_f_basis_distinct_eigenvalues():
     acm = WeakACM(load_structure_def(_block_scaled_doc()))
-    fb = check_f_basis_invariants(acm, np.zeros(5))
-    assert fb.lam == pytest.approx((1.0, 4.0), abs=1e-12)
+    lam = check_f_basis_invariants(acm, np.zeros(5))
+    assert lam == pytest.approx([1.0, 4.0], abs=1e-12)
     # smallest eigenvalue comes first
-    assert fb.lam[0] < fb.lam[1]
+    assert lam[0] < lam[1]
 
 
 def test_f_basis_deterministic(sasakian_r5):
     point = np.array([0.2, -0.3, 0.4, 0.1, -0.2])
-    a = f_basis(sasakian_r5.at(point))
-    b = f_basis(sasakian_r5.at(point))
-    for u, v in zip(a.vectors(), b.vectors()):
-        assert np.array_equal(u, v)
+    a, lam_a = sasakian_r5.at(point).fbasis
+    b, lam_b = sasakian_r5.at(point).fbasis  # a fresh state
+    assert np.array_equal(a, b) and np.array_equal(lam_a, lam_b)
 
 
 def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):
     p3 = np.array([0.15, -0.4, 0.3])
-    base = contact_volume(sasakian_r3.at(p3))
+    base = sasakian_r3.at(p3).contact_volume
     assert abs(base) > 1e-6
-    assert abs(contact_volume(sasakian_r5.at(np.array([0.1, 0.2, -0.1, 0.3, 0.0])))) > 1e-6
-    assert abs(contact_volume(flat_const.at(p3))) < 1e-12
+    assert abs(sasakian_r5.at(np.array([0.1, 0.2, -0.1, 0.3, 0.0])).contact_volume) > 1e-6
+    assert abs(flat_const.at(p3).contact_volume) < 1e-12
     # f-basis vectors rescale with s, so the volume scales by s^n
     assert scaled2.at(p3).contact_volume == pytest.approx(2.0 * base, abs=1e-9)
+
+
+def _alternating_sum(eta, deta, v):
+    """eta ^ (d eta)^n on the columns of v, by its definition: 2^-n times the
+    sum over all permutations s of sgn(s) eta(v_s0) prod_k d eta(v_s(2k-1), v_s(2k)),
+    with d eta(x, y) = x^T deta y."""
+    d = v.shape[1]
+    total = 0.0
+    for perm in permutations(range(d)):
+        sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+        term = sign * (eta @ v[:, perm[0]])
+        for k in range(1, d, 2):
+            term *= v[:, perm[k]] @ deta @ v[:, perm[k + 1]]
+        total += term
+    return total / 2.0 ** (d // 2)
+
+
+def test_contact_volume_matches_its_definition():
+    for key, params in [(k, {}) for k in ("sasakian-r3", "sasakian-r5", "sasakian-r7", "flat-const")] + [
+        ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}),
+    ]:
+        acm = WeakACM(catalog(key, **params))
+        for point in points_for(acm, count=4):
+            st = acm.at(point)
+            expected = _alternating_sum(st.eta, st.deta_form, st.fbasis[0])
+            assert abs(st.contact_volume - expected) <= 1e-12 * abs(expected), (acm.name, point)
 
 
 def test_direction_set_deterministic(sasakian_r3):
@@ -171,5 +200,6 @@ def test_direction_set_deterministic(sasakian_r3):
 
 
 def test_tolerances_as_dict():
-    t = Tolerances()
-    assert t.as_dict() == {"algebraic": 1e-10, "deriv": 1e-9, "curv": 1e-8}
+    # the tiers in field order: the --tol-* options and the report's "tol"
+    assert asdict(Tolerances()) == {"algebraic": 1e-10, "deriv": 1e-9, "curv": 1e-8}
+    assert list(asdict(Tolerances())) == ["algebraic", "deriv", "curv"]

@@ -142,8 +142,11 @@ def test_check_json_stdout_is_pure_json():
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["suite"] == "identity"
-    assert "timestamp" not in doc
+    assert list(doc) == ["suite", "structure", "seed", "tol", "checks"]
     assert err == ""
+    # a timestamp, when there is one, comes last
+    _, out, _ = run(["check", "identity", "builtin:sasakian-r3", *COMMON[:2], "--format", "json"])
+    assert list(json.loads(out)) == ["suite", "structure", "seed", "tol", "checks", "timestamp"]
 
 
 def test_check_reports_are_deterministic():
@@ -180,10 +183,57 @@ def test_seed_option_and_default():
     assert json.loads(out)["seed"] == 3
 
 
+# the complete `fbasis` text, pinned: on sasakian-r7 and scaled n=3 the
+# eigenvalues repeat, so the tie-break decides the basis
+P7 = "0.2,-0.3,0.1,0.4,0.5,-0.6,0.1"
+FBASIS_TEXTS = [
+    ("builtin:sasakian-r3", "0.2,-0.3,0.1", [
+        "f-basis of sasakian-r3 at (0.2,-0.3,0.1)",
+        "  xi = [0.0, 0.0, 2.0]",
+        "  lambda_1 = 1.0",
+        "  e_1  = [2.0, 0.0, -0.6]",
+        "  fe_1 = [0.0, -2.0, 0.0]",
+        "  max pairwise g-product = 0.000e+00",
+        "  verdict = pass",
+    ]),
+    ("builtin:sasakian-r7", P7, [
+        "f-basis of sasakian-r7 at (0.2,-0.3,0.1,0.4,0.5,-0.6,0.1)",
+        "  xi = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]",
+        "  lambda_1 = 0.9999999999999996",
+        "  e_1  = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8]",
+        "  fe_1 = [0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0]",
+        "  lambda_2 = 1.0",
+        "  e_2  = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0]",
+        "  fe_2 = [0.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0]",
+        "  lambda_3 = 1.0",
+        "  e_3  = [0.0, 0.0, 2.0000000000000004, 0.0, 0.0, 0.0, -1.2000000000000002]",
+        "  fe_3 = [0.0, 0.0, 0.0, 0.0, 0.0, -2.0000000000000004, 0.0]",
+        "  max pairwise g-product = 0.000e+00",
+        "  verdict = pass",
+    ]),
+    ("builtin:scaled?n=3,s=2", P7, [
+        "f-basis of scaled-n3-s2.0 at (0.2,-0.3,0.1,0.4,0.5,-0.6,0.1)",
+        "  xi = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]",
+        "  lambda_1 = 3.9999999999999982",
+        "  e_1  = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8]",
+        "  fe_1 = [0.0, 0.0, 0.0, -4.0, 0.0, 0.0, 0.0]",
+        "  lambda_2 = 4.0",
+        "  e_2  = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0]",
+        "  fe_2 = [0.0, 0.0, 0.0, 0.0, -4.0, 0.0, 0.0]",
+        "  lambda_3 = 4.0",
+        "  e_3  = [0.0, 0.0, 2.0000000000000004, 0.0, 0.0, 0.0, -1.2000000000000002]",
+        "  fe_3 = [0.0, 0.0, 0.0, 0.0, 0.0, -4.000000000000001, 0.0]",
+        "  max pairwise g-product = 0.000e+00",
+        "  verdict = pass",
+    ]),
+]
+
+
 def test_fbasis_command():
-    code, out, _ = run(["fbasis", "builtin:sasakian-r3", "--at", "0.2,-0.3,0.1"])
-    assert code == EXIT_OK
-    assert "lambda_1" in out and "verdict = pass" in out
+    for source, at, lines in FBASIS_TEXTS:
+        code, out, err = run(["fbasis", source, "--at", at])
+        assert code == EXIT_OK and err == "", source
+        assert out == "\n".join(lines) + "\n", source
 
 
 def test_cone_command():
@@ -290,14 +340,14 @@ def _metric_cell(text):
     return edit
 
 
-# (edit, what the error must say when the edit makes the structure
-# unevaluable everywhere, or None when some exit 1 or 2 is enough)
+# (edit, what the error must say after the point when the edit makes the
+# structure unevaluable everywhere, or None when some exit 1 or 2 is enough)
 EDITS = [
-    pytest.param(lambda doc: None, None, id="nan"),
+    pytest.param(lambda doc: None, "Q is not finite", id="nan"),
     pytest.param(_singular_metric, None, id="singular-metric"),
     pytest.param(_sqrt_of_negative, None, id="sqrt-negative"),
-    pytest.param(_metric_cell("1e200*1e200"), "metric is not finite at [", id="inf-metric"),
-    pytest.param(_metric_cell("1e200*1e200*0"), "metric is not finite at [", id="nan-metric"),
+    pytest.param(_metric_cell("1e200*1e200"), "metric is not finite", id="inf-metric"),
+    pytest.param(_metric_cell("1e200*1e200*0"), "metric is not finite", id="nan-metric"),
 ]
 
 
@@ -313,9 +363,11 @@ def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, ed
     code, out, err = run([*command, str(path), "--points", "2", "--no-timestamp"])
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
-        assert "at sample point [" in err and out == ""
+        # the point is named once, by the evaluator
+        assert err.startswith("error: at sample point [") and err.count("[") == 1 and out == ""
     if message:
-        assert code == EXIT_USAGE and message in err
+        assert code == EXIT_USAGE and f"]: {message}" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["fbasis", "cone"])
@@ -328,9 +380,13 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
     code, out, err = run([command, str(path), "--at", "0.1,-0.2,0.3"])
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
-        assert "at point [0.1, -0.2, 0.3]" in err and out == ""
-    if message:
-        assert code == EXIT_USAGE and message + "0.1, -0.2, 0.3]" in err
+        assert err.startswith("error: at point [0.1, -0.2, 0.3]: ") and err.count("[") == 1 and out == ""
+    if command == "cone" and message == "Q is not finite":
+        # the cone never factors Q: it reports |J^2 + P| = nan as a failure
+        assert code == EXIT_FAIL and "  |J^2 + P| = nan" in out.splitlines()
+    elif message:
+        assert code == EXIT_USAGE and err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["fbasis", "cone"])

@@ -74,11 +74,11 @@ def test_run_all_builds_curvature_and_f_basis_once_per_point(monkeypatch):
 
     count(geometry, "christoffel")
     count(geometry, "riemann")
-    count(structure, "f_basis")
+    count(structure, "_eigh")  # n = 1 eigensolve per f-basis
     run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
     assert 0 < calls["christoffel"] <= 8
     assert 0 < calls["riemann"] <= 8
-    assert 0 < calls["f_basis"] <= 8
+    assert 0 < calls["_eigh"] <= 8
 
 
 def test_no_point_state_outlives_run_suite(monkeypatch):

@@ -130,7 +130,7 @@ def test_h_tensor_decomposition(scaled2):
     # adjoint property g(h* X, Y) = g(X, h Y)
     x = np.array([1.0, -0.5, 0.25])
     y = np.array([0.2, 1.0, -1.0])
-    assert st.gdot(st.h_star @ x, y) == pytest.approx(st.gdot(x, st.h @ y), abs=1e-13)
+    assert (st.h_star @ x) @ st.g @ y == pytest.approx(x @ st.g @ (st.h @ y), abs=1e-13)
 
 
 def test_n_tensors_shapes(sasakian_r3):
