@@ -16,6 +16,7 @@ Three families:
 
 from __future__ import annotations
 
+import math
 import re
 
 from .exprdsl import StructureDef, load_structure_def
@@ -113,8 +114,8 @@ def document(key: str, n: int = 1, s: float | None = None) -> dict:
     if key == "scaled":
         if s is None:
             raise ValueError("catalog key 'scaled' requires parameter s")
-        if s <= 0:
-            raise ValueError("scale parameter s must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError("scale parameter s must be a finite positive number")
         if not 1 <= n <= MAX_N:
             raise ValueError(f"n must be between 1 and {MAX_N}")
         return _sasakian_doc(n, s=s, name=f"scaled-n{n}-s{_fmt(s)}")

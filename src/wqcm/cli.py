@@ -4,7 +4,6 @@
     wqcm classify  SOURCE [options]        report class membership (informational)
     wqcm check {identity|curvature|theorems|all} SOURCE [options]
     wqcm fbasis    SOURCE --at x,y,z       adapted basis at a point
-    wqcm cone      SOURCE --at x,y,z --t T almost-Hermitian cone data
     wqcm list                              built-in structure keys
 
 SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]";
@@ -29,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as cat
-from . import geometry
 from .exprdsl import ExprSyntaxError, SchemaError, load_structure_def
-from .structure import WeakACM, build_cone
+from .structure import WeakACM
 from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_suite
 
 EXIT_OK = 0
@@ -112,7 +110,7 @@ def _number_at_least(kind, low):
 
 
 _COUNT, _SEED = _number_at_least(int, 1), _number_at_least(int, 0)
-_TOL, _FINITE = _number_at_least(float, 0.0), _number_at_least(float, -math.inf)
+_TOL = _number_at_least(float, 0.0)
 _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 
@@ -127,12 +125,6 @@ def _add_common(p: _Parser) -> None:
         p.add_argument(f"--tol-{tier}", type=_TOL, default=default)
 
 
-def _add_point(p: _Parser) -> _Parser:
-    p.add_argument("source", help=_SOURCE_HELP)
-    p.add_argument("--at", required=True, help="comma-separated chart coordinates")
-    return p
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wqcm", description="weak contact-structure verification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,8 +133,9 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check")
     check.add_argument("suite", choices=("identity", "curvature", "theorems", "all"))
     _add_common(check)
-    _add_point(sub.add_parser("fbasis"))
-    _add_point(sub.add_parser("cone")).add_argument("--t", type=_FINITE, default=0.0)
+    fbasis = sub.add_parser("fbasis")
+    fbasis.add_argument("source", help=_SOURCE_HELP)
+    fbasis.add_argument("--at", required=True, help="comma-separated chart coordinates")
     sub.add_parser("list")
     return parser
 
@@ -173,22 +166,6 @@ def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     ortho = max(abs(u @ st.g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
     lines.append(f"  max pairwise g-product = {ortho:.3e}")
     return lines, ok and ortho < 1e-9
-
-
-def _cone(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
-    ce = build_cone(acm, point, args.t)
-    # exp(-2t) underflows for large t, and gbar is then no metric at all
-    try:
-        geometry.orthonormal_frame(ce.gbar)
-        gbar_ok = True
-    except geometry.SingularMetricError:
-        gbar_ok = False
-    return [
-        f"cone of {acm.name} at ({args.at}), t={args.t}",
-        f"  |J^2 + P| = {ce.j2_plus_p_residual:.3e}",
-        f"  gbar(dt, dt) = {float(ce.gbar[-1, -1])!r}",
-        f"  gbar positive definite = {'yes' if gbar_ok else 'no'}",
-    ], ce.j2_plus_p_residual < 1e-12 and gbar_ok
 
 
 def run_cli(argv, stdout=None, stderr=None) -> int:
@@ -223,7 +200,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
 
             point = _parse_point(args.at, acm)
             try:
-                lines, ok = (_fbasis if args.command == "fbasis" else _cone)(acm, point, args)
+                lines, ok = _fbasis(acm, point, args)
             except (ValueError, ArithmeticError) as exc:
                 raise CliError(f"at point {point.tolist()}: {exc}") from exc
             stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")

@@ -20,7 +20,6 @@ long as its caller holds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -410,30 +409,3 @@ class WeakACM:
         nothing is kept here."""
         return PointState(self.sdef, point, seed)
 
-
-@dataclass(frozen=True)
-class ConeEval:
-    """Pointwise almost-Hermitian data on the product with a line."""
-
-    j: np.ndarray
-    p: np.ndarray
-    gbar: np.ndarray
-    j2_plus_p_residual: float
-
-
-def build_cone(s: WeakACM, point, t: float) -> ConeEval:
-    """Assemble J, P and the warped metric at ((point), t); J^2 = -P must hold."""
-    st = s.at(point)
-    d = st.dim
-    j = np.zeros((d + 1, d + 1))
-    j[:d, :d] = st.f
-    j[d, :d] = -st.eta
-    j[:d, d] = st.xi
-    p = np.zeros((d + 1, d + 1))
-    p[:d, :d] = st.Q
-    p[d, d] = 1.0
-    gbar = np.zeros((d + 1, d + 1))
-    gbar[:d, :d] = math.exp(-2.0 * t) * st.g
-    gbar[d, d] = math.exp(-2.0 * t)
-    residual = float(np.max(np.abs(j @ j + p)))
-    return ConeEval(j=j, p=p, gbar=gbar, j2_plus_p_residual=residual)

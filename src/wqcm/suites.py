@@ -22,6 +22,9 @@ serialize to a stable JSON schema:
     { "suite": str, "structure": str, "seed": int, "tol": {tiers},
       "checks": [ { "id", "paper", "max_residual", "tol", "verdict",
                     "points" } ] }
+
+A non-finite max_residual is written as the string "nan" or "inf", so the
+JSON is strict (RFC 8259 has no NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -124,7 +127,10 @@ def now_timestamp() -> str:
 def emit_report(report: CheckReport, format: str = "text") -> bytes:
     if format == "json":
         doc = {k: v for k, v in asdict(report).items() if k != "timestamp" or v is not None}
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        for c in doc["checks"]:
+            if not math.isfinite(c["max_residual"]):
+                c["max_residual"] = repr(float(c["max_residual"]))
+        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"suite: {report.suite}   structure: {report.structure}   seed: {report.seed}"]

@@ -14,7 +14,7 @@ from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.geometry import christoffel
-from wqcm.structure import WeakACM, build_cone
+from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, run_suite, sample_points
 
 PLAN32 = SamplePlan(count=32, seed=7)
@@ -281,23 +281,6 @@ def test_8_f_basis_invariants(announce):
             worst = max(worst, res)
     ok = worst < 1e-9
     announce(ok, f"max defect {worst:.1e}")
-
-
-# -- criterion 9: cone ---------------------------------------------------------------
-
-
-def test_9_cone(announce):
-    ok = True
-    worst = 0.0
-    for acm in all_catalog_structures():
-        samples = sample_points(PLAN32, list(acm.sdef.domain) + [(-1.0, 1.0)])
-        for sample in samples:
-            point, t = sample[:-1], float(sample[-1])
-            ce = build_cone(acm, point, t)
-            worst = max(worst, ce.j2_plus_p_residual)
-            ok = ok and ce.gbar[-1, -1] == math.exp(-2.0 * t)
-    ok = ok and worst < 1e-12
-    announce(ok, f"max |J^2 + P| {worst:.1e}")
 
 
 # -- criterion 10: contact volume ----------------------------------------------------

@@ -76,6 +76,9 @@ def test_parameter_validation():
         catalog("scaled")  # s is required
     with pytest.raises(ValueError):
         catalog("scaled", s=-1.0)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s must be a finite positive number"):
+            catalog("scaled", s=s)
     with pytest.raises(ValueError):
         catalog("scaled", n=9, s=2.0)
     with pytest.raises(ValueError):

@@ -108,14 +108,14 @@ def test_usage_errors():
         ["check", "all", "builtin:sasakian-r3?s=5"],
         ["check", "all", "builtin:flat-const?n=3,bogus=1"],
         ["classify", "builtin:scaled?s=2,s=3"],
-        # numeric options must be finite, tolerances non-negative
-        ["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "nan"],
-        ["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "inf"],
+        # tolerances must be finite and non-negative
         ["check", "all", "builtin:sasakian-r3", "--tol-deriv", "nan"],
         ["check", "all", "builtin:sasakian-r3", "--tol-curv", "-inf"],
         ["validate", "builtin:sasakian-r3", "--tol-algebraic", "-1e-10"],
         # the sample points are always a Halton sequence
         ["check", "all", "builtin:sasakian-r3", "--strategy", "grid"],
+        # there is no cone command: `validate` asserts the axioms that J^2 = -P restates
+        ["cone", "builtin:flat-const", "--at", "0,0,0"],
     ):
         code, out, _ = run(argv)
         assert code == EXIT_USAGE, argv
@@ -236,21 +236,7 @@ def test_fbasis_command():
         assert out == "\n".join(lines) + "\n", source
 
 
-def test_cone_command():
-    code, out, _ = run(["cone", "builtin:scaled?s=2", "--at", "0,0,0", "--t", "0.5"])
-    assert code == EXIT_OK
-    assert "J^2 + P" in out and "verdict = pass" in out
-    assert "  gbar(dt, dt) = 0.36787944117144233" in out.splitlines()
-
-
-def test_cone_fails_when_gbar_degenerates():
-    # exp(-2t) underflows to 0, so gbar is not a metric
-    code, out, _ = run(["cone", "builtin:flat-const", "--at", "0,0,0", "--t", "1000"])
-    assert code == EXIT_FAIL
-    assert "  gbar positive definite = no" in out.splitlines() and "verdict = fail" in out
-
-
-@pytest.mark.parametrize("command", ["fbasis", "cone"])
+@pytest.mark.parametrize("command", ["fbasis"])
 def test_point_commands_take_no_report_options(tmp_path, command):
     target = tmp_path / "x"
     code, out, _ = run([command, "builtin:sasakian-r3", "--at", "0,0,0", "--output", str(target)])
@@ -282,6 +268,25 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_FAIL
 
 
+# flat-const with one cell edited: f[0][2] = 1 breaks f xi = 0, f[2][0] = 1
+# breaks eta o f = 0, and xi[2] = 2 breaks eta(xi) = 1
+@pytest.mark.parametrize(
+    "field, value, check",
+    [
+        ("f", [["0", "1", "1"], ["-1", "0", "0"], ["0", "0", "0"]], "f-xi"),
+        ("f", [["0", "1", "0"], ["-1", "0", "0"], ["1", "0", "0"]], "eta-f"),
+        ("xi", ["0", "0", "2"], "eta-normalization"),
+    ],
+    ids=["f-xi", "eta-f", "eta-normalization"],
+)
+def test_validate_fails_each_reeb_axiom(tmp_path, field, value, check):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**document("flat-const"), field: value}))
+    code, out, _ = run(["validate", str(path), "--format", "json", "--no-timestamp"])
+    assert code == EXIT_FAIL
+    assert {c["id"]: c["verdict"] for c in json.loads(out)["checks"]}[check] == "fail"
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--points", "0"], ["--points", "-3"], ["--seed", "-1"]],
@@ -299,11 +304,14 @@ def test_non_finite_residuals_fail(recwarn):
     path = Path(__file__).parent / "data" / "sasakian-r3-nan.json"
     code, out, _ = run(["check", "identity", str(path), *COMMON, "--format", "json"])
     assert code == EXIT_FAIL
-    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    # strict JSON: a non-finite residual is the string "nan" or "inf"
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+    by_id = {c["id"]: c for c in doc["checks"]}
     assert by_id["lemma21-5"]["verdict"] == "fail"  # gated on a NaN quasi residual
+    assert any(c["max_residual"] in ("nan", "inf") for c in by_id.values())
     for c in by_id.values():
         assert c["verdict"] != "skipped", c["id"]
-        if c["max_residual"] != c["max_residual"]:
+        if c["max_residual"] in ("nan", "inf"):
             assert c["verdict"] == "fail", c["id"]
 
 
@@ -370,7 +378,7 @@ def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, ed
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command", ["fbasis", "cone"])
+@pytest.mark.parametrize("command", ["fbasis"])
 @pytest.mark.parametrize("edit, message", EDITS)
 def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit, message):
     doc = _nan_doc()
@@ -381,15 +389,12 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
     assert code in (EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert err.startswith("error: at point [0.1, -0.2, 0.3]: ") and err.count("[") == 1 and out == ""
-    if command == "cone" and message == "Q is not finite":
-        # the cone never factors Q: it reports |J^2 + P| = nan as a failure
-        assert code == EXIT_FAIL and "  |J^2 + P| = nan" in out.splitlines()
-    elif message:
+    if message:
         assert code == EXIT_USAGE and err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command", ["fbasis", "cone"])
+@pytest.mark.parametrize("command", ["fbasis"])
 def test_point_outside_domain_is_usage_error(command):
     code, out, err = run([command, "builtin:sasakian-r3", "--at", "5,0,0"])
     assert code == EXIT_USAGE

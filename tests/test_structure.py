@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
 from wqcm.geometry import d_twoform
-from wqcm.structure import StructureError, WeakACM, build_cone
+from wqcm.structure import StructureError, WeakACM
 from conftest import points_for
 
 
@@ -165,22 +163,6 @@ def test_explicit_q_is_cross_checked():
     st = acm.at(np.array([0.0, 0.0, 0.0]))
     assert st.q_explicit is not None
     assert np.allclose(st.q_explicit, st.Q, atol=1e-15)
-
-
-def test_cone_point(sasakian_r3, scaled2, flat_const):
-    for acm in (sasakian_r3, scaled2, flat_const):
-        for t in (0.0, 0.7, -1.3):
-            ce = build_cone(acm, np.array([0.2, -0.4, 0.6]), t)
-            assert ce.j2_plus_p_residual < 1e-13
-            assert ce.gbar[-1, -1] == math.exp(-2.0 * t)
-            assert np.allclose(
-                ce.gbar[:3, :3],
-                math.exp(-2.0 * t) * acm.at(np.array([0.2, -0.4, 0.6])).g,
-                atol=1e-15,
-            )
-            # J is gbar-skew
-            sk = ce.gbar @ ce.j
-            assert np.max(np.abs(sk + sk.T)) < 1e-13
 
 
 def test_at_builds_a_fresh_state(sasakian_r3):
