@@ -11,8 +11,8 @@ Closed-form expressions over the chart coordinates with the grammar
 where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
 Exponents must be integer literals.  No syntax tree is built: `compile_tape`
 parses the text of every cell straight into one hash-consed flat tape, each
-distinct subexpression once, and `eval_tape` runs it at a point, giving the
-value, gradient and Hessian of every cell.
+distinct subexpression once, and `eval_tape` runs it over a block of points,
+giving the value, gradient and Hessian of every cell at each point.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -21,15 +21,13 @@ field as expression strings.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-
-
-FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
 class ExprSyntaxError(ValueError):
@@ -88,13 +86,17 @@ def _tokenize(text: str) -> list[_Token]:
 # of "num" and the coordinate index of "var"; b is the second argument slot of
 # + - * /, the exponent of "^", and None otherwise.  Each parser rule emits the
 # instructions of what it read, operands before their operator, and returns
-# the slot of its result.  Running the tape at a point computes the jet of every
-# slot in order: the value (a Python float, so a zero division, a `sqrt` domain
-# error or an overflow raises), the gradient (d,) and the full Hessian (d, d).
-# Every update adds symmetric terms (`cross + cross.T`, `outer(g, g)`) to
-# symmetric matrices, and IEEE sums and products commute, so Hessians are
-# exactly symmetric.  The formulas and their operand order are fixed: changing
-# them changes the last bits of every report.
+# the slot of its result.  Running the tape over a block of P points computes
+# the jet of every slot in order, for all points at once: the values (P,), the
+# gradients (P, d) and the full Hessians (P, d, d).  The derivatives of a
+# function of one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats,
+# point by point, so each point gets the libm values and the errors (a zero
+# division, a `sqrt` domain error, an overflow) that scalar float arithmetic
+# gives there; numpy's vector exp and power can differ in the last bit.  Every
+# update adds symmetric terms (`cross + cross.T`, `outer(g, g)`) to symmetric
+# matrices, and IEEE sums and products commute, so Hessians are exactly
+# symmetric.  The formulas and their operand order are fixed: changing them
+# changes the last bits of every report.
 
 # Each level of parentheses or calls recurses through six parser calls; past
 # this depth a cell is an input error rather than a RecursionError.
@@ -200,10 +202,14 @@ class _Parser:
 @dataclass(frozen=True)
 class Tape:
     """Compiled fields: `code` holds the instructions, `fields` maps each field
-    name to its output slots (one per cell, in row-major order) and its shape."""
+    name to its output slots (one per cell, in row-major order) and its shape,
+    and `release[k]` lists the slots whose last reader is instruction k (a
+    slot that nothing reads is its own last reader), so that `eval_tape`
+    holds only the slots that are still to be read."""
 
     code: tuple[tuple, ...]
     fields: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
+    release: tuple[tuple[int, ...], ...]
 
 
 def compile_tape(fields: dict, coords) -> Tape:
@@ -232,84 +238,167 @@ def compile_tape(fields: dict, coords) -> Tape:
     for name, texts in fields.items():
         cells = np.array(texts, dtype=object)
         out[name] = (tuple(cell(t) for t in cells.flat), cells.shape)
-    return Tape(tuple(code), out)
+    last = list(range(len(code)))
+    for k, (op, a, b) in enumerate(code):
+        if op not in ("num", "var"):
+            last[a] = k
+        if op in ("+", "-", "*", "/"):
+            last[b] = k
+    release: list[list[int]] = [[] for _ in code]
+    for slot, k in enumerate(last):
+        release[k].append(slot)
+    return Tape(tuple(code), out, tuple(map(tuple, release)))
 
 
-def _chain(g, h, f0: float, f1: float, f2: float):
-    """Compose a jet (g, h) with a scalar function given its value and derivatives."""
-    return f0, f1 * g, f1 * h + f2 * np.multiply.outer(g, g)
+# The value, first and second derivative of each function of one slot at a
+# list of values, in Python floats; a function raises as scalar arithmetic
+# does at the first value that fails.
+
+
+def _reciprocal(xs: list[float]):
+    """1/x, the division's second operand."""
+    if 0.0 in xs:
+        raise ZeroDivisionError("jet division by zero value")
+    return (
+        np.array([1.0 / x for x in xs]),
+        np.array([-1.0 / (x * x) for x in xs]),
+        np.array([2.0 / (x * x * x) for x in xs]),
+    )
+
+
+def _power(k: int, xs: list[float]):
+    """x^k for an integer k != 0."""
+    if k < 0 and 0.0 in xs:
+        raise ZeroDivisionError("negative power of zero jet value")
+
+    def pw(e):  # x ** 0 is 1.0 and x ** 1 is x, for every float x
+        return np.ones(len(xs)) if e == 0 else np.array(xs if e == 1 else [x**e for x in xs])
+
+    f2 = np.zeros(len(xs)) if k == 1 else k * (k - 1) * pw(k - 2)
+    return pw(k), k * pw(k - 1), f2
+
+
+def _sqrt(xs: list[float]):
+    for x in xs:
+        if x <= 0.0:
+            raise ValueError(f"sqrt of non-positive jet value {x}")
+    r = [math.sqrt(x) for x in xs]
+    return np.array(r), np.array([0.5 / y for y in r]), np.array([-0.25 / (y * x) for x, y in zip(xs, r)])
+
+
+def _exp(xs: list[float]):
+    e = np.array([math.exp(x) for x in xs])
+    return e, e, e
+
+
+def _sin(xs: list[float]):
+    s, c = np.array([math.sin(x) for x in xs]), np.array([math.cos(x) for x in xs])
+    return s, c, -s
+
+
+def _cos(xs: list[float]):
+    s, c = np.array([math.sin(x) for x in xs]), np.array([math.cos(x) for x in xs])
+    return c, -s, -c
+
+
+# the functions of the grammar, by name
+FUNCTIONS = {"sin": _sin, "cos": _cos, "exp": _exp, "sqrt": _sqrt}
+
+
+def _per_point(fn, v: np.ndarray, errors: dict[int, Exception]):
+    """`fn` at the values v of a block's points.  When it fails, each point
+    is run alone: a point that fails keeps its first error in `errors`, and
+    NaN stands for what `fn` would have given there."""
+    xs = v.tolist()
+    try:
+        return fn(xs)
+    except (ValueError, ArithmeticError):
+        pass
+    parts = []
+    for p, x in enumerate(xs):
+        try:
+            parts.append(fn([x]))
+        except (ValueError, ArithmeticError) as exc:
+            # no traceback: its frames would keep this block's arrays alive
+            errors.setdefault(p, exc.with_traceback(None))
+            parts.append(np.full((3, 1), math.nan))
+    return tuple(np.concatenate(f) for f in zip(*parts))
+
+
+def _chain(g, h, f0, f1, f2):
+    """Compose the jets (g, h) with a function given its value and derivatives
+    at each point."""
+    return f0, f1[:, None] * g, f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :])
 
 
 def _mul(va, ga, ha, vb, gb, hb):
-    cross = np.multiply.outer(ga, gb)
-    return va * vb, va * gb + vb * ga, va * hb + vb * ha + (cross + cross.T)
+    cross = ga[:, :, None] * gb[:, None, :]
+    return (
+        va * vb,
+        va[:, None] * gb + vb[:, None] * ga,
+        va[:, None, None] * hb + vb[:, None, None] * ha + (cross + cross.transpose(0, 2, 1)),
+    )
 
 
-def eval_tape(tape: Tape, point) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the tape once at a point -> {field: (v, dv, ddv)} with
-    dv[k, ...] = d_k v and ddv[k, l, ...] = d_k d_l v."""
-    point = np.asarray(point, dtype=float)
-    d = point.shape[0]
-    zero_g, zero_h = np.zeros(d), np.zeros((d, d))
-    val: list[float] = []
-    grad: list[np.ndarray] = []
-    hess: list[np.ndarray] = []
-    for op, a, b in tape.code:
-        if op == "num":
-            jet = float(a), zero_g, zero_h
-        elif op == "var":
-            g = np.zeros(d)
-            g[a] = 1.0
-            jet = float(point[a]), g, zero_h
-        elif op == "neg":
-            jet = -val[a], -grad[a], -hess[a]
-        elif op == "+":
-            jet = val[a] + val[b], grad[a] + grad[b], hess[a] + hess[b]
-        elif op == "-":
-            jet = val[a] - val[b], grad[a] - grad[b], hess[a] - hess[b]
-        elif op == "*":
-            jet = _mul(val[a], grad[a], hess[a], val[b], grad[b], hess[b])
-        elif op == "/":  # a times the reciprocal of b
-            v = val[b]
-            if v == 0.0:
-                raise ZeroDivisionError("jet division by zero value")
-            inv = _chain(grad[b], hess[b], 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-            jet = _mul(val[a], grad[a], hess[a], *inv)
-        elif op == "^":
-            v, k = val[a], b
-            if k == 0:
-                jet = 1.0, zero_g, zero_h
-            elif k < 0 and v == 0.0:
-                raise ZeroDivisionError("negative power of zero jet value")
-            else:
-                f2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
-                jet = _chain(grad[a], hess[a], v**k, k * v ** (k - 1), f2)
-        elif op == "sqrt":
-            v = val[a]
-            if v <= 0.0:
-                raise ValueError(f"sqrt of non-positive jet value {v}")
-            r = math.sqrt(v)
-            jet = _chain(grad[a], hess[a], r, 0.5 / r, -0.25 / (r * v))
-        elif op == "exp":
-            e = math.exp(val[a])
-            jet = _chain(grad[a], hess[a], e, e, e)
-        elif op == "sin":
-            s, c = math.sin(val[a]), math.cos(val[a])
-            jet = _chain(grad[a], hess[a], s, c, -s)
-        else:  # cos
-            s, c = math.sin(val[a]), math.cos(val[a])
-            jet = _chain(grad[a], hess[a], c, -s, -c)
-        val.append(jet[0])
-        grad.append(jet[1])
-        hess.append(jet[2])
+# field name -> (values, gradients, Hessians), with a leading point axis
+Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    out = {}
+
+def eval_tape(tape: Tape, points) -> tuple[Fields, dict[int, Exception]]:
+    """Run the tape once over a block of points (P, d) -> (fields, errors).
+
+    fields[name] = (v, dv, ddv) with v[p, ...] the field at point p,
+    dv[p, k, ...] = d_k v and ddv[p, k, l, ...] = d_k d_l v.  errors[p] is
+    the error that evaluating the tape at point p alone raises; the fields
+    of such a point are meaningless.  numpy's floating-point warnings are
+    off here: scalar float arithmetic overflows to inf silently, and a point
+    that fails carries NaN."""
+    points = np.asarray(points, dtype=float)
+    npts, d = points.shape
+    zero_g, zero_h = np.zeros((npts, d)), np.zeros((npts, d, d))
+    fields: Fields = {}
+    targets: dict[int, list] = {}  # slot -> [(its field's arrays with the cells flattened, cell)]
     for name, (slots, shape) in tape.fields.items():
-        v = np.array([val[i] for i in slots]).reshape(shape)
-        dv = np.stack([grad[i] for i in slots], axis=-1).reshape((d,) + shape)
-        ddv = np.stack([hess[i] for i in slots], axis=-1).reshape((d, d) + shape)
-        out[name] = v, dv, ddv
-    return out
+        arrays = tuple(np.empty(lead + shape) for lead in ((npts,), (npts, d), (npts, d, d)))
+        fields[name] = arrays
+        flat = tuple(a.reshape(a.shape[: a.ndim - len(shape)] + (-1,)) for a in arrays)
+        for cell, slot in enumerate(slots):
+            targets.setdefault(slot, []).append((flat, cell))
+
+    errors: dict[int, Exception] = {}
+    jets: list = [None] * len(tape.code)
+    with np.errstate(all="ignore"):
+        for k, (op, a, b) in enumerate(tape.code):
+            if op == "num":
+                jet = np.full(npts, float(a)), zero_g, zero_h
+            elif op == "var":
+                g = np.zeros((npts, d))
+                g[:, a] = 1.0
+                jet = points[:, a], g, zero_h
+            elif op == "neg":
+                jet = tuple(-x for x in jets[a])
+            elif op == "+":
+                jet = tuple(x + y for x, y in zip(jets[a], jets[b]))
+            elif op == "-":
+                jet = tuple(x - y for x, y in zip(jets[a], jets[b]))
+            elif op == "*":
+                jet = _mul(*jets[a], *jets[b])
+            elif op == "/":  # a times the reciprocal of b
+                v, g, h = jets[b]
+                jet = _mul(*jets[a], *_chain(g, h, *_per_point(_reciprocal, v, errors)))
+            elif op == "^" and b == 0:
+                jet = np.ones(npts), zero_g, zero_h
+            else:
+                v, g, h = jets[a]
+                fn = functools.partial(_power, b) if op == "^" else FUNCTIONS[op]
+                jet = _chain(g, h, *_per_point(fn, v, errors))
+            jets[k] = jet
+            for flat, cell in targets.get(k, ()):
+                for target, part in zip(flat, jet):
+                    target[..., cell] = part
+            for slot in tape.release[k]:
+                jets[slot] = None
+    return fields, errors
 
 
 # -- structure definition files ------------------------------------------------

@@ -26,25 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 
-class SingularMetricError(ValueError):
-    pass
-
-
-class DegeneratePlaneError(ValueError):
-    pass
-
-
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """The g-orthonormal frame (columns) of Gram-Schmidt on the coordinate
     frame: with g = L L^T (Cholesky), the upper-triangular L^-T.  The
     factor validates g: Cholesky lets NaN and inf through, so the entries
     are checked to be finite first.  The caller names the point."""
     if not np.all(np.isfinite(g)):
-        raise SingularMetricError("metric is not finite")
+        raise ValueError("metric is not finite")
     try:
         lower = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric is not positive definite") from exc
+        raise ValueError("metric is not positive definite") from exc
     # the inverse of a triangular matrix is triangular: triu drops the
     # rounding fill-in of the pivoted solve
     return np.triu(np.linalg.inv(lower).T)
@@ -109,7 +101,7 @@ def sectional(g: np.ndarray, x: np.ndarray, y, r: np.ndarray):
     gx = g @ x
     den = (x @ gx) * np.sum(y * (g @ y), axis=0) - (gx @ y) ** 2
     if np.any(den < 1e-12):
-        raise DegeneratePlaneError("plane is degenerate (vectors nearly dependent)")
+        raise ValueError("plane is degenerate (vectors nearly dependent)")
     # g(R_{X,Y} Y, X) = R^l_{kij} gx_l x^i y^j y^k
     d = len(x)
     a = (gx @ (r.transpose(0, 1, 3, 2) @ x).reshape(d, -1)).reshape(d, d)  # [k, j]

@@ -8,13 +8,14 @@ derived here:
 
 A `PointState` is the only object that holds data for a chart point, and
 all of it as plain arrays: the component arrays of g, f, xi and an explicit
-Q (values, gradients and Hessians, from one run of the structure's compiled
-`StructureDef.tape`), the g-orthonormal frame, the connection and
-curvature, and what all check suites share there: the test-direction
-matrix of the state's seed, the gate residuals, the adapted f-basis and
-the contact volume.  Each is computed once, when first read.
-`WeakACM.at` builds a new state on every call, so a state lives only as
-long as its caller holds it.
+Q (values, gradients and Hessians: its point's slice of one run of the
+structure's compiled `StructureDef.tape` over a block of points), the
+g-orthonormal frame, the connection and curvature, and what all check
+suites share there: the test-direction matrix of the state's seed, the
+gate residuals, the adapted f-basis and the contact volume.  Each is
+computed once, when first read.  `WeakACM.at` runs the tape at one point
+and builds a new state on every call, so a state lives only as long as its
+caller holds it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from . import geometry
-from .exprdsl import StructureDef, eval_tape
+from .exprdsl import Fields, StructureDef, eval_tape
 from .geometry import bilinear
 
 
@@ -36,23 +37,23 @@ class StructureError(ValueError):
 
 class PointState:
     """All tensor data of a weak a.c.m. structure at one chart point; `seed`
-    picks the test directions."""
+    picks the test directions.  `fields` are the arrays of `eval_tape` over a
+    block of points, and the point is the block's point `lane`."""
 
-    def __init__(self, sdef: StructureDef, point, seed: int):
+    def __init__(self, sdef: StructureDef, point, seed: int, fields: Fields, lane: int):
         self.sdef = sdef
         self.point = np.asarray(point, dtype=float)
         self.seed = seed
         self.dim = self.sdef.dim
         self.n = self.sdef.n
-        fields = eval_tape(self.sdef.tape, self.point)
         # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
-        self.g, self.dg, self.ddg = fields["metric"]
+        self.g, self.dg, self.ddg = (a[lane] for a in fields["metric"])
         self.frame = geometry.orthonormal_frame(self.g)
         self.g_inv = np.linalg.inv(self.g)
-        self.f, self.df, self.ddf = fields["f"]
-        self.xi, self.dxi, self.ddxi = fields["xi"]
+        self.f, self.df, self.ddf = (a[lane] for a in fields["f"])
+        self.xi, self.dxi, self.ddxi = (a[lane] for a in fields["xi"])
         # explicit Q from the file, if any (cross-check only)
-        self.q_explicit = fields["q"][0] if "q" in fields else None
+        self.q_explicit = fields["q"][0][lane] if "q" in fields else None
 
     # -- derived fields -----------------------------------------------------
 
@@ -406,6 +407,10 @@ class WeakACM:
 
     def at(self, point, seed: int = 7) -> PointState:
         """A new state at `point` whose test directions come from `seed`;
-        nothing is kept here."""
-        return PointState(self.sdef, point, seed)
+        nothing is kept here.  Raises the error of the tape at the point."""
+        point = np.asarray(point, dtype=float)
+        fields, errors = eval_tape(self.sdef.tape, point[None])
+        if errors:
+            raise errors[0]
+        return PointState(self.sdef, point, seed, fields, 0)
 

@@ -31,9 +31,18 @@ def points_for(acm: WeakACM, count: int = 8, seed: int = 7):
     return sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain)
 
 
+def eval_at(tape, point):
+    """{field: (v, dv, ddv)} of a tape at one point (a block of one); raises
+    the tape's error there."""
+    fields, errors = eval_tape(tape, np.asarray(point, dtype=float)[None])
+    if errors:
+        raise errors[0]
+    return {name: tuple(a[0] for a in arrays) for name, arrays in fields.items()}
+
+
 def jet_at(text, point, coords=("x", "y", "z")):
     """(value, gradient, Hessian) of one expression at a point, through a tape."""
-    return eval_tape(compile_tape({"e": text}, coords), point)["e"]
+    return eval_at(compile_tape({"e": text}, coords), point)["e"]
 
 
 @pytest.fixture

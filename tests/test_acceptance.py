@@ -10,9 +10,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import eval_at
 from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
-from wqcm.exprdsl import compile_tape, eval_tape
+from wqcm.exprdsl import compile_tape
 from wqcm.geometry import christoffel
 from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, run_suite, sample_points
@@ -76,7 +77,7 @@ def test_1_ad_kernel_matches_finite_differences(announce):
         tape = compile_tape({"e": text}, coords)
         for point in sample_points(PLAN32, domain):
             d = len(point)
-            _, grad, hess = eval_tape(tape, point)["e"]
+            _, grad, hess = eval_at(tape, point)["e"]
 
             def fd(delta):
                 return eval_float(text, coords, point + delta)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
 from wqcm.catalog import document
+from wqcm.suites import SamplePlan, sample_points
 from test_exprdsl import COORDS, exprs
 
 
@@ -392,6 +393,21 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
     if message:
         assert code == EXIT_USAGE and err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_error_names_the_first_failing_sample_point(tmp_path):
+    # the metric is singular at the first sample point; the tape fails (sqrt of
+    # a negative) only at the second, which the same block evaluates first
+    doc = document("flat-const")
+    doc["metric"][0][0] = "x + 0.5"
+    doc["xi"][0] = "sqrt(y)"
+    first, second = sample_points(SamplePlan(count=2, seed=7), doc["domain"])
+    assert first[0] + 0.5 < 0.0 < first[1] and second[0] + 0.5 > 0.0 > second[1]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path), "--points", "4", "--seed", "7"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: at sample point {first.tolist()}: metric is not positive definite\n"
 
 
 @pytest.mark.parametrize("command", ["fbasis"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_at, points_for
+from scalar_tape import scalar_eval_tape
 from wqcm.catalog import catalog, document, keys
 from wqcm.structure import WeakACM
 from wqcm.exprdsl import ExprSyntaxError, SchemaError, compile_tape, eval_tape, load_structure_def
@@ -229,8 +231,131 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     doc["xi"] = [pad(c) for c in doc["xi"]]
     plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
     assert len(padded.tape.code) == 64  # one per distinct subexpression
-    for point in points_for(WeakACM(plain), count=8):
-        want, got = eval_tape(plain.tape, point), eval_tape(padded.tape, point)
-        for name in ("metric", "f", "xi"):
-            for a, b in zip(want[name], got[name]):
-                assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, name
+    points = points_for(WeakACM(plain), count=8)
+    (want, no_errors), (got, none_either) = eval_tape(plain.tape, points), eval_tape(padded.tape, points)
+    assert no_errors == none_either == {}
+    for name in ("metric", "f", "xi"):
+        for a, b in zip(want[name], got[name]):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, name
+
+
+def peak_live_slots(tape) -> int:
+    """The most slots `eval_tape` holds at once under the tape's release schedule."""
+    live = peak = 0
+    for released in tape.release:
+        live += 1
+        peak = max(peak, live)
+        live -= len(released)
+    assert live == 0
+    return peak
+
+
+def test_each_slot_is_released_after_its_last_reader():
+    doc = document("sasakian-r7")
+    rng = np.random.default_rng(7)
+
+    def pad(cell):  # four value-preserving factors on a nonzero cell, as in a deep rewrite
+        for _ in range(4 if cell != "0" else 0):
+            u = f"{rng.uniform(0.5, 2.0):.4f} * {rng.choice(doc['coords'])} + {rng.uniform(0.1, 1.0):.4f}"
+            cell = f"({cell}) * (sin({u})^2 + cos({u})^2)"
+        return cell
+
+    doc["metric"] = [[pad(c) if j >= i else "" for j, c in enumerate(row)] for i, row in enumerate(doc["metric"])]
+    doc["f"] = [[pad(c) for c in row] for row in doc["f"]]
+    doc["xi"] = [pad(c) for c in doc["xi"]]
+    for tape in (catalog("sasakian-r7").tape, load_structure_def(doc).tape):
+        last_reader = {}
+        for k, (op, a, b) in enumerate(tape.code):
+            operands = () if op in ("num", "var") else (a, b) if op in ("+", "-", "*", "/") else (a,)
+            last_reader.update(dict.fromkeys(operands, k))
+        released = sorted(slot for slots in tape.release for slot in slots)
+        assert released == list(range(len(tape.code)))  # each slot once
+        for k, slots in enumerate(tape.release):
+            assert all(last_reader.get(slot, slot) == k for slot in slots)
+    assert len(tape.code) > 800 and peak_live_slots(tape) <= 30
+
+
+# A cell and a coordinate value at which the scalar tape raises, one case for
+# each way it fails.
+TAPE_ERRORS = [
+    pytest.param("1 / x", 0.0, id="zero-denominator"),
+    pytest.param("x^-2", 0.0, id="negative-power-of-zero"),
+    pytest.param("sqrt(x)", -0.5, id="sqrt-negative"),
+    pytest.param("sqrt(x)", 0.0, id="sqrt-zero"),
+    pytest.param("1 / x", 1e-200, id="square-underflow"),
+    pytest.param("1 / x", 1e-110, id="cube-underflow"),
+    pytest.param("sqrt(x)", 5e-324, id="sqrt-underflow"),
+    pytest.param("x^3", 1e200, id="power-overflow"),
+    pytest.param("x^-3", 1e-200, id="negative-power-overflow"),
+    pytest.param("exp(x)", 710.0, id="exp-overflow"),
+    pytest.param("sin(x * x)", 1e200, id="sin-of-inf"),
+    pytest.param("cos(x * x)", -1e200, id="cos-of-inf"),
+]
+
+
+def scalar_outcome(tape, point):
+    """The scalar tape's fields at a point, or the error it raises there."""
+    with np.errstate(all="ignore"):
+        try:
+            return scalar_eval_tape(tape, point)
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+
+
+def assert_block_matches_scalar(tape, points):
+    """`eval_tape` over the block raises, without a warning, at exactly the
+    points where the scalar tape raises, with the same error, and agrees
+    with it elsewhere to 1e-12 (1 + |x|)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fields, errors = eval_tape(tape, points)
+    for p, point in enumerate(points):
+        want = scalar_outcome(tape, point)
+        if isinstance(want, Exception):
+            assert (type(errors.get(p)), str(errors.get(p))) == (type(want), str(want)), point
+            continue
+        assert p not in errors, point
+        for name, jets in want.items():
+            for got, exact in zip((a[p] for a in fields[name]), jets):
+                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cell, bad", TAPE_ERRORS)
+def test_block_tape_fails_where_the_scalar_tape_fails(cell, bad):
+    tape = compile_tape({"e": ["x * y + z", cell, "exp(z)"]}, COORDS)
+    points = np.array([[0.5, 0.25, -0.5], [bad, 0.25, -0.5], [0.75, -1.0, 2.0]])
+    assert isinstance(scalar_outcome(tape, points[1]), Exception)
+    assert_block_matches_scalar(tape, points)
+
+
+def test_float_overflow_is_a_value_not_an_error():
+    tape = compile_tape({"e": "x * x"}, COORDS)
+    fields, errors = eval_tape(tape, np.array([[1e200, 0.0, 0.0], [-1e200, 1.0, 1.0]]))
+    assert errors == {} and fields["e"][0].tolist() == [math.inf, math.inf]
+
+
+# Values where the jet arithmetic fails or overflows, and ordinary ones.
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 1e-200, -1e-200, 1e200, -1e200, 1.0, -1.0, 1e-110, 5e-324, 710.0]),
+    st.floats(min_value=-5, max_value=5),
+)
+RISKY_FORMS = (
+    "{a}", "({a}) / ({b})", "({a}) / (x - y)", "sqrt({a})", "({a})^-{k}", "({a})^{k}",
+    "exp({a})", "sin(({a}) * ({b}))", "cos(({a}) * ({b}))",
+)
+
+
+@st.composite
+def risky_cells(draw):
+    """One to three cells of `exprs()` text under the operations `exprs()`
+    leaves out: division, sqrt, negative powers and functions of any argument."""
+    return [
+        draw(st.sampled_from(RISKY_FORMS)).format(a=draw(exprs()), b=draw(exprs()), k=draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(risky_cells(), st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), min_size=2, max_size=6))
+def test_block_tape_matches_scalar_tape(cells, points):
+    assert_block_matches_scalar(compile_tape({"e": cells}, COORDS), np.array(points))

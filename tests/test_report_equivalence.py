@@ -24,10 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from wqcm import geometry, structure
+from wqcm import geometry, structure, suites
 from wqcm.catalog import catalog
 from wqcm.cli import run_cli
-from wqcm.structure import WeakACM
+from wqcm.structure import PointState, WeakACM
 from wqcm.suites import SamplePlan, run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -81,18 +81,39 @@ def test_run_all_builds_curvature_and_f_basis_once_per_point(monkeypatch):
     assert 0 < calls["_eigh"] <= 8
 
 
+def record_states_and_blocks(monkeypatch):
+    """Weak references to every `PointState` built and to every field array
+    of the tape; building a block asserts that no earlier block is alive."""
+    states, arrays = [], []
+    init, eval_tape = PointState.__init__, suites.eval_tape
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        states.append(weakref.ref(self))
+
+    def recorded_tape(*args):
+        # without a garbage collection: nothing but a reference holds a block
+        assert not [ref for ref in arrays if ref() is not None]
+        fields, errors = eval_tape(*args)
+        arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets)
+        return fields, errors
+
+    monkeypatch.setattr(PointState, "__init__", recorded_init)
+    monkeypatch.setattr(suites, "eval_tape", recorded_tape)
+    return states, arrays
+
+
 def test_no_point_state_outlives_run_suite(monkeypatch):
-    states = []
-    at = WeakACM.at
-
-    def recorded(self, point, seed):
-        st = at(self, point, seed)
-        states.append(weakref.ref(st))
-        return st
-
-    monkeypatch.setattr(WeakACM, "at", recorded)
-    acm = WeakACM(catalog("sasakian-r3"))
-    run_suite(acm, "all", SamplePlan(count=8, seed=7))
+    states, arrays = record_states_and_blocks(monkeypatch)
+    run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
     gc.collect()
-    assert len(states) == 8
+    assert len(states) == 8 and len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
     assert [ref() for ref in states] == [None] * 8
+    assert not [ref for ref in arrays if ref() is not None]
+
+
+def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch):
+    states, arrays = record_states_and_blocks(monkeypatch)
+    run_suite(WeakACM(catalog("sasakian-r3")), "validate", SamplePlan(count=2 * suites.BLOCK + 1, seed=7))
+    assert len(states) == 2 * suites.BLOCK + 1 and len(arrays) == 3 * 9
+    assert not [ref for ref in arrays if ref() is not None]
