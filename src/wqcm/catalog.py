@@ -2,8 +2,9 @@
 
 Three families:
 
-  * "sasakian-r{2n+1}" -- the standard Sasakian structure on R^{2n+1} with
-    eta = (1/2)(dz - sum_i y_i dx_i), xi = 2 d/dz and the associated metric.
+  * "sasakian-r{2n+1}", n = 1 .. MAX_N -- the standard Sasakian structure
+    on R^{2n+1} with eta = (1/2)(dz - sum_i y_i dx_i), xi = 2 d/dz and the
+    associated metric.
     The sign of f is the one for which d eta = Phi.
   * "scaled" (parameters n, s) -- same chart, metric and xi, with f scaled
     by s.  A genuine weak structure with Q = s^2 id + (1 - s^2) eta (x) xi.
@@ -17,12 +18,12 @@ Three families:
 from __future__ import annotations
 
 import math
-import re
 
 from .exprdsl import StructureDef, load_structure_def
 
 DEFAULT_DOMAIN_HALF_WIDTH = 1.0
 MAX_N = 3  # dimension 7; keeps full suite runs fast
+_SASAKIAN = {f"sasakian-r{2 * n + 1}": n for n in range(1, MAX_N + 1)}
 
 
 class UnknownCatalogKey(KeyError):
@@ -30,7 +31,7 @@ class UnknownCatalogKey(KeyError):
 
 
 def keys() -> list[str]:
-    return ["sasakian-r3", "sasakian-r5", "sasakian-r7", "scaled", "flat-const"]
+    return [*_SASAKIAN, "scaled", "flat-const"]
 
 
 def _fmt(x: float) -> str:
@@ -100,17 +101,9 @@ def _no_parameters(key: str, n: int, s: float | None) -> None:
 def document(key: str, n: int = 1, s: float | None = None) -> dict:
     """The structure-definition document of a built-in, by key.  Only "scaled"
     takes parameters; for any other key, n must be 1 and s must be None."""
-    if key.startswith("sasakian-r"):
-        digits = key.removeprefix("sasakian-r")
-        # the canonical decimal spelling only: no sign, blank or leading zero
-        dim = int(digits) if re.fullmatch(r"[1-9][0-9]*", digits) else 0
-        if dim % 2 == 0 or dim < 3:
-            raise UnknownCatalogKey(key)
+    if key in _SASAKIAN:
         _no_parameters(key, n, s)
-        nn = (dim - 1) // 2
-        if nn > MAX_N:
-            raise ValueError(f"n={nn} exceeds the catalog cap of {MAX_N}")
-        return _sasakian_doc(nn)
+        return _sasakian_doc(_SASAKIAN[key])
     if key == "scaled":
         if s is None:
             raise ValueError("catalog key 'scaled' requires parameter s")

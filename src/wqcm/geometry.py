@@ -108,9 +108,10 @@ def sectional(g: np.ndarray, x: np.ndarray, y, r: np.ndarray):
     return np.sum(y * (a @ y), axis=0) / den
 
 
-def ricci(g: np.ndarray, frame: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> float:
-    """Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over the g-orthonormal frame E."""
-    return float(np.sum((g @ frame) * curvature(r, frame, x, y)))
+def ricci(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> float:
+    """Ric(X, Y) = tr(Z -> R_{Z,X} Y) = R^l_{klj} Y^k X^j: the trace of the
+    curvature tensor r over its first and third indices."""
+    return float(y @ np.trace(r, axis1=0, axis2=2) @ x)
 
 
 # -- covariant derivatives (component level) -----------------------------------

@@ -12,27 +12,22 @@ Q (values, gradients and Hessians: its point's slice of one run of the
 structure's compiled `StructureDef.tape` over a block of points), the
 g-orthonormal frame, the connection and curvature, and what all check
 suites share there: the test-direction matrix of the state's seed, the
-gate residuals, the adapted f-basis and the contact volume.  Each is
-computed once, when first read.  `WeakACM.at` runs the tape at one point
-and builds a new state on every call, so a state lives only as long as its
-caller holds it.
+adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which is
+n! Pf([[0, eta], [-eta, d eta]]) det B.  Each is computed once, when first
+read.  `WeakACM.at` runs the tape at one point and builds a new state on
+every call, so a state lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from . import geometry
 from .exprdsl import Fields, StructureDef, eval_tape
 from .geometry import bilinear
-
-
-class StructureError(ValueError):
-    pass
 
 
 class PointState:
@@ -198,7 +193,7 @@ class PointState:
         return geometry.sectional(self.g, x, y, self.riem)
 
     def ricci(self, x, y) -> float:
-        return geometry.ricci(self.g, self.frame, x, y, self.riem)
+        return geometry.ricci(x, y, self.riem)
 
     # -- inner products -------------------------------------------------------
 
@@ -211,7 +206,7 @@ class PointState:
         """Scale a vector, or each column of a matrix, to g-norm 1."""
         nrm = self.gnorm(x)
         if np.any(nrm < 1e-14):
-            raise StructureError("cannot normalize a (near) zero vector")
+            raise ValueError("cannot normalize a (near) zero vector")
         return x / nrm
 
     def project_ker_eta(self, x):
@@ -233,22 +228,6 @@ class PointState:
         return d, self.f @ d
 
     @cached_property
-    def quasi_residual(self) -> float:
-        """Largest g-norm of the quasi-contact defect over the direction pairs."""
-        d, _ = self.directions
-        return float(np.max(self.gnorm(self.quasi_defect(d, d))))
-
-    @cached_property
-    def contact_residual(self) -> float:
-        """max |d eta - Phi|: zero on a contact metric structure."""
-        return float(np.max(np.abs(self.deta_form - self.Phi)))
-
-    @cached_property
-    def killing_residual(self) -> float:
-        """max |L_xi g|: zero when xi is a Killing field."""
-        return float(np.max(np.abs(self.lie_xi_g)))
-
-    @cached_property
     def fbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """The adapted basis of Q-eigenvectors: the (d, d) matrix with columns
         xi, e_1, f e_1, ..., e_n, f e_n, and the n eigenvalues lambda_i of the
@@ -259,7 +238,7 @@ class PointState:
         start = np.concatenate([self.xi[:, None], np.eye(self.dim)], axis=1)
         frame = _gram_schmidt(start, self.g)
         if frame.shape[1] != self.dim:
-            raise StructureError("could not complete a frame adapted to xi")
+            raise ValueError("could not complete a frame adapted to xi")
         w = frame[:, 1:]  # columns spanning ker eta
 
         columns, lams = [self.xi], []
@@ -268,10 +247,10 @@ class PointState:
             vals, vecs = _eigh(0.5 * (m + m.T))
             lam = float(vals[0])
             if lam <= 0.0:
-                raise StructureError("Q is not positive definite on ker eta")
+                raise ValueError("Q is not positive definite on ker eta")
             same = np.where(np.abs(vals - lam) <= 1e-9 * max(1.0, abs(lam)))[0]
-            col = same[_tie_break_column(w @ vecs[:, same])]
-            e = w @ vecs[:, col]
+            # on a tie, the eigenvector whose largest component has the lowest index
+            e = w @ vecs[:, same[np.argmin(np.argmax(np.abs(w @ vecs[:, same]), axis=0))]]
             e = e / self.gnorm(e)
             fe = self.f @ e
             columns += [e, fe]
@@ -284,13 +263,11 @@ class PointState:
 
     @cached_property
     def contact_volume(self) -> float:
-        """eta wedge (d eta)^n evaluated on the f-basis."""
-        form = {(i,): float(self.eta[i]) for i in range(self.dim) if self.eta[i] != 0.0}
-        pairs = combinations(range(self.dim), 2)
-        deta = {(i, j): float(self.deta_form[i, j]) for i, j in pairs if self.deta_form[i, j] != 0.0}
-        for _ in range(self.n):
-            form = _wedge(form, deta)
-        return float(form.get(tuple(range(self.dim)), 0.0) * np.linalg.det(self.fbasis[0]))
+        """eta ^ (d eta)^n evaluated on the f-basis B: n! Pf(M) det B, with M
+        the antisymmetric matrix [[0, eta], [-eta, d eta]]."""
+        m = np.zeros((self.dim + 1, self.dim + 1))
+        m[0, 1:], m[1:, 0], m[1:, 1:] = self.eta, -self.eta, self.deta_form
+        return math.factorial(self.n) * _pfaffian(m) * float(np.linalg.det(self.fbasis[0]))
 
     # -- defects and N-tensors ----------------------------------------------------
 
@@ -342,9 +319,9 @@ class PointState:
 
 def _finite(m: np.ndarray, name: str) -> np.ndarray:
     """`m`, checked before LAPACK sees it: NaN or inf entries of the tensor
-    `name` are a StructureError, not a LinAlgError."""
+    `name` are a ValueError, not a LinAlgError."""
     if not np.all(np.isfinite(m)):
-        raise StructureError(f"{name} is not finite")
+        raise ValueError(f"{name} is not finite")
     return m
 
 
@@ -375,27 +352,28 @@ def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.array(out).T if out else np.zeros((vectors.shape[0], 0))
 
 
-def _tie_break_column(vecs: np.ndarray) -> int:
-    """Among eigenvector columns, pick the one whose largest-magnitude
-    component has the lowest coordinate index (deterministic for repeated
-    eigenvalues)."""
-    return min(range(vecs.shape[1]), key=lambda k: int(np.argmax(np.abs(vecs[:, k]))))
-
-
-def _wedge(a: dict, b: dict) -> dict:
-    """Wedge product of forms in the sorted-multi-index basis
-    {dx^I : I strictly increasing}."""
-    out: dict[tuple, float] = {}
-    for i_idx, av in a.items():
-        for j_idx, bv in b.items():
-            if set(i_idx) & set(j_idx):
-                continue
-            # both indices increase, so the inversions of the merged index
-            # are its pairs (i, j) with i > j: they give the sign
-            sign = (-1.0) ** sum(i > j for i in i_idx for j in j_idx)
-            key = tuple(sorted(i_idx + j_idx))
-            out[key] = out.get(key, 0.0) + sign * av * bv
-    return {k: v for k, v in out.items() if v != 0.0}
+def _pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of an antisymmetric matrix (0 for an odd size) by Parlett-Reid
+    elimination: move the largest entry of row k right of the diagonal to
+    (k, k + 1), flipping the sign on a swap, and take the Schur complement of
+    the leading 2 x 2 block.  A NaN entry gives NaN."""
+    a = np.array(a, dtype=float)
+    d = len(a)
+    if d % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, d, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k, k + 1 :])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        if a[k, k + 1] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        b, c = a[k, k + 2 :] / a[k, k + 1], a[k + 1, k + 2 :]
+        a[k + 2 :, k + 2 :] += np.outer(c, b) - np.outer(b, c)
+    return float(pf)
 
 
 class WeakACM:

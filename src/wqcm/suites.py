@@ -171,6 +171,12 @@ def _ker_eta_dirs(st):
     return p[:, st.gnorm(p) > 1e-8]
 
 
+def _quasi(st):
+    """Largest g-norm of the quasi-contact defect over the direction pairs."""
+    d, _ = st.directions
+    return np.max(st.gnorm(st.quasi_defect(d, d)))
+
+
 def _sasakian_norms(st):
     d, _ = st.directions
     return st.gnorm(st.sasakian_defect(d, d))
@@ -379,10 +385,10 @@ _SECTIONS = (
     (("curvature",), "contact-metric", (("ric-xi-xi", "Ric(xi,xi)", "curv", _ric_xi_xi),)),
     # hypotheses, and the inputs of the theorem and class rows
     ((), None, (
-        ("quasi", "quasi-contact", "deriv", lambda st: st.quasi_residual),
-        ("contact-metric", "d eta = Phi", "deriv", lambda st: st.contact_residual),
+        ("quasi", "quasi-contact", "deriv", _quasi),
+        ("contact-metric", "d eta = Phi", "deriv", lambda st: _amax(st.deta_form - st.Phi)),
         ("nabla-xi-f", "nabla_xi f = 0", "deriv", _nabla_xi_f),
-        ("killing-xi", "L_xi g = 0", "deriv", lambda st: _rel(st.killing_residual, _amax(st.g))),
+        ("killing-xi", "L_xi g = 0", "deriv", lambda st: _rel(_amax(st.lie_xi_g), _amax(st.g))),
         ("nabla-xi-eq18", "(18)", "deriv", lambda st: _mat_residual(st.nabla_xi + st.f, st.f)),
         ("sasakian-eq17", "(17)", "deriv", _eq17),
         ("curvature-eq23", "(23)", "curv", _eq23),
@@ -403,7 +409,7 @@ _SECTIONS = (
         ("sasakian", "(17)", "deriv", lambda st: np.max(_sasakian_norms(st))),
         # the nearly-Sasakian defect is the Sasakian one at X = Y
         ("nearly-sasakian", "(17), X = Y", "deriv", lambda st: np.max(np.diagonal(_sasakian_norms(st)))),
-        ("lie-xi-g", "L_xi g = 0", "deriv", lambda st: st.killing_residual),
+        ("lie-xi-g", "L_xi g = 0", "deriv", lambda st: _amax(st.lie_xi_g)),
         ("quasi-canonical", "quasi-contact at e_1", "deriv", _quasi_canonical),
     )),
     ((), "quasi", (("eq21-hypothesis", "(21)", "curv", _eq21_hypothesis),)),

@@ -1,12 +1,14 @@
+import math
+import re
 from dataclasses import asdict
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from wqcm.catalog import catalog
+from wqcm.catalog import catalog, document
 from wqcm.exprdsl import load_structure_def
-from wqcm.structure import WeakACM
+from wqcm.structure import WeakACM, _pfaffian
 from wqcm.suites import Tolerances, evaluate
 from conftest import points_for
 
@@ -163,6 +165,11 @@ def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):
     assert scaled2.at(p3).contact_volume == pytest.approx(2.0 * base, abs=1e-9)
 
 
+def _sign(perm) -> float:
+    d = len(perm)
+    return (-1.0) ** sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+
+
 def _alternating_sum(eta, deta, v):
     """eta ^ (d eta)^n on the columns of v, by its definition: 2^-n times the
     sum over all permutations s of sgn(s) eta(v_s0) prod_k d eta(v_s(2k-1), v_s(2k)),
@@ -170,8 +177,7 @@ def _alternating_sum(eta, deta, v):
     d = v.shape[1]
     total = 0.0
     for perm in permutations(range(d)):
-        sign = (-1.0) ** sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
-        term = sign * (eta @ v[:, perm[0]])
+        term = _sign(perm) * (eta @ v[:, perm[0]])
         for k in range(1, d, 2):
             term *= v[:, perm[k]] @ deta @ v[:, perm[k + 1]]
         total += term
@@ -187,6 +193,85 @@ def test_contact_volume_matches_its_definition():
             st = acm.at(point)
             expected = _alternating_sum(st.eta, st.deta_form, st.fbasis[0])
             assert abs(st.contact_volume - expected) <= 1e-12 * abs(expected), (acm.name, point)
+
+
+def _pfaffian_by_permutations(a):
+    """Pf(a) = 1/(2^m m!) sum over all permutations s of sgn(s) prod_k a[s(2k), s(2k+1)]
+    for a of size 2m; 0 for an odd size."""
+    d = len(a)
+    if d % 2:
+        return 0.0
+    total = sum(_sign(p) * math.prod(a[p[k], p[k + 1]] for k in range(0, d, 2)) for p in permutations(range(d)))
+    return total / (2.0 ** (d // 2) * math.factorial(d // 2))
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_pfaffian_matches_permutation_expansion(size, rng):
+    for _ in range(2):
+        m = rng.standard_normal((size, size))
+        a = m - m.T  # dense: every row needs its pivot search
+        assert _pfaffian(a) == pytest.approx(_pfaffian_by_permutations(a), rel=1e-12, abs=1e-12)
+        if size % 2 == 0:
+            assert _pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
+
+
+def test_pfaffian_pivoting_and_nan(rng):
+    m = rng.standard_normal((6, 6))
+    a = m - m.T
+    # a zero first row (and column): the Pfaffian is 0
+    z = a.copy()
+    z[0, :] = z[:, 0] = 0.0
+    assert _pfaffian(z) == 0.0
+    # a zero first super-diagonal entry: the pivot swap flips the sign
+    a[0, 1] = a[1, 0] = 0.0
+    expected = _pfaffian_by_permutations(a)
+    assert _pfaffian(a) == pytest.approx(expected, rel=1e-12)
+    b = np.array([[0.0, 0.0, 2.0, 3.0], [0.0, 0.0, 5.0, 7.0], [-2.0, -5.0, 0.0, 0.0], [-3.0, -7.0, 0.0, 0.0]])
+    assert _pfaffian(b) == pytest.approx(-2.0 * 7.0 + 3.0 * 5.0, rel=1e-14)  # a01 a23 - a02 a13 + a03 a12
+    # a NaN entry gives NaN, so the contact-volume check fails closed
+    a[2, 4], a[4, 2] = math.nan, math.nan
+    assert math.isnan(_pfaffian(a))
+
+
+def _linear_chart(doc, a):
+    """The structure of `doc` in the coordinates v with u = a v: the cells of
+    g' = a^T g a, f' = a^-1 f a and xi' = a^-1 xi, with each u_i written as
+    (a v)_i.  Every component of eta and d eta is then nonzero."""
+    d, a_inv = len(a), np.linalg.inv(a)
+    coords = [f"v{i + 1}" for i in range(d)]
+    linear = {u: "(" + " + ".join(f"({float(a[i, j])!r})*{coords[j]}" for j in range(d)) + ")"
+              for i, u in enumerate(doc["coords"])}
+    name = re.compile(r"\b(" + "|".join(doc["coords"]) + r")\b")
+
+    def combo(terms):
+        """The sum of c * (cell) over the terms (c, cell) whose cell is not "0"."""
+        out = [f"({float(c)!r})*({name.sub(lambda m: linear[m[0]], t)})" for c, t in terms if t != "0"]
+        return " + ".join(out) or "0"
+
+    g, f, xi = doc["metric"], doc["f"], doc["xi"]
+    pairs = [(p, q) for p in range(d) for q in range(d)]
+    return {
+        **doc,
+        "name": doc["name"] + "-linear",
+        "coords": coords,
+        "metric": [["" if j < i else combo([(a[p, i] * a[q, j], g[p][q]) for p, q in pairs]) for j in range(d)]
+                   for i in range(d)],
+        "f": [[combo([(a_inv[i, p] * a[q, j], f[p][q]) for p, q in pairs]) for j in range(d)] for i in range(d)],
+        "xi": [combo([(a_inv[i, p], xi[p]) for p in range(d)]) for i in range(d)],
+    }
+
+
+def test_dense_chart_gives_the_same_verdicts():
+    """sasakian-r5 after a fixed linear change of coordinates: a dense d eta,
+    so the Pfaffian pivots, and the same checks pass, fail or skip."""
+    a = np.eye(5) + 0.4 * np.random.default_rng(3).standard_normal((5, 5))
+    dense = WeakACM(load_structure_def(_linear_chart(document("sasakian-r5"), a)))
+    plain = WeakACM(catalog("sasakian-r5"))
+    st = dense.at(np.full(5, 0.3))
+    assert np.all(st.deta_form[np.triu_indices(5, 1)] != 0.0)
+    assert abs(st.contact_volume) == pytest.approx(abs(plain.at(a @ st.point).contact_volume), rel=1e-10)
+    a_rep, b_rep = (evaluate(s, "all", points_for(s, count=6)) for s in (dense, plain))
+    assert [(c.id, c.verdict) for c in a_rep.checks] == [(c.id, c.verdict) for c in b_rep.checks]
 
 
 def test_direction_set_deterministic(sasakian_r3):

@@ -69,7 +69,7 @@ def test_sphere_curvature_is_plus_one():
     # Ric = (dim - 1) g on a unit sphere
     for x in (np.array([1.0, 0.0]), np.array([0.3, 0.9])):
         for y in (np.array([0.0, 1.0]), np.array([1.0, -0.2])):
-            assert ricci(m.g, m.frame, x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
+            assert ricci(x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
 
 
 def test_christoffel_derivative_matches_finite_differences():
@@ -115,6 +115,16 @@ def test_curvature_tensor_symmetries(key):
         assert np.allclose(rl, rl.transpose(2, 3, 0, 1), atol=1e-10)  # pair symmetry
         bianchi = r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)
         assert np.max(np.abs(bianchi)) < 1e-10
+
+
+@pytest.mark.parametrize("key, kw", [("sasakian-r7", {}), ("scaled", {"n": 3, "s": 2.0})])
+def test_ricci_trace_is_the_frame_sum(key, kw, rng):
+    # Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over the g-orthonormal frame E
+    for st in catalog_metric_points(key, count=4, **kw):
+        for _ in range(3):
+            x, y = rng.standard_normal((2, st.dim))
+            frame_sum = float(np.sum((st.g @ st.frame) * curvature(st.riem, st.frame, x, y)))
+            assert abs(ricci(x, y, st.riem) - frame_sum) <= 1e-13 * abs(frame_sum)
 
 
 def test_flat_space_has_zero_curvature():

@@ -3,7 +3,7 @@ import pytest
 
 from wqcm.catalog import catalog
 from wqcm.geometry import d_twoform
-from wqcm.structure import StructureError, WeakACM
+from wqcm.structure import WeakACM
 from conftest import points_for
 
 
@@ -174,5 +174,5 @@ def test_at_builds_a_fresh_state(sasakian_r3):
 
 def test_normalize_zero_vector_raises(sasakian_r3):
     st = sasakian_r3.at(np.zeros(3))
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"^cannot normalize a \(near\) zero vector$"):
         st.g_normalize(np.zeros(3))
