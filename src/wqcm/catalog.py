@@ -24,6 +24,8 @@ from .exprdsl import StructureDef, load_structure_def
 DEFAULT_DOMAIN_HALF_WIDTH = 1.0
 MAX_N = 3  # dimension 7; keeps full suite runs fast
 _SASAKIAN = {f"sasakian-r{2 * n + 1}": n for n in range(1, MAX_N + 1)}
+# the parameters each key takes; the other keys take none
+PARAMETERS = {"scaled": ("n", "s")}
 
 
 class UnknownCatalogKey(KeyError):
@@ -93,17 +95,14 @@ def _flat_const_doc() -> dict:
     }
 
 
-def _no_parameters(key: str, n: int, s: float | None) -> None:
-    if n != 1 or s is not None:
-        raise ValueError(f"catalog key {key!r} takes no parameters (got n={n}, s={s})")
-
-
 def document(key: str, n: int = 1, s: float | None = None) -> dict:
-    """The structure-definition document of a built-in, by key.  Only "scaled"
-    takes parameters; for any other key, n must be 1 and s must be None."""
-    if key in _SASAKIAN:
-        _no_parameters(key, n, s)
-        return _sasakian_doc(_SASAKIAN[key])
+    """The structure-definition document of a built-in, by key.  A key takes
+    the parameters `PARAMETERS` names; for any other key, n must be 1 and s
+    must be None."""
+    if key not in keys():
+        raise UnknownCatalogKey(key)
+    if key not in PARAMETERS and (n != 1 or s is not None):
+        raise ValueError(f"catalog key {key!r} takes no parameters (got n={n}, s={s})")
     if key == "scaled":
         if s is None:
             raise ValueError("catalog key 'scaled' requires parameter s")
@@ -113,9 +112,8 @@ def document(key: str, n: int = 1, s: float | None = None) -> dict:
             raise ValueError(f"n must be between 1 and {MAX_N}")
         return _sasakian_doc(n, s=s, name=f"scaled-n{n}-s{_fmt(s)}")
     if key == "flat-const":
-        _no_parameters(key, n, s)
         return _flat_const_doc()
-    raise UnknownCatalogKey(key)
+    return _sasakian_doc(_SASAKIAN[key])
 
 
 def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:

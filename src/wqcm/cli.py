@@ -7,8 +7,8 @@
     wqcm list                              built-in structure keys
 
 SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]";
-only the key "scaled" takes parameters (n and s), and any other parameter is
-a usage error.
+a key takes the parameters `catalog.PARAMETERS` names, and any other
+parameter is a usage error.
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
 1 at least one failure, 2 input or usage error, including a structure that
@@ -46,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# the parameters each catalog key takes; the other keys take none
-_BUILTIN_PARAMS = {"scaled": ("n", "s")}
-
-
 def _load_source(source: str) -> WeakACM:
     if source.startswith("builtin:"):
         spec = source.removeprefix("builtin:")
@@ -61,8 +57,8 @@ def _load_source(source: str) -> WeakACM:
             k, _, v = (part.strip() for part in item.partition("="))
             if not v:
                 raise CliError(f"bad builtin parameter {item!r}")
-            if k not in _BUILTIN_PARAMS.get(key, ()) or k in params:
-                takes = " and ".join(_BUILTIN_PARAMS.get(key, ())) or "no parameters"
+            if k not in cat.PARAMETERS.get(key, ()) or k in params:
+                takes = " and ".join(cat.PARAMETERS.get(key, ())) or "no parameters"
                 raise CliError(f"builtin:{key} takes {takes}; cannot use {item!r}")
             params[k] = v
         try:

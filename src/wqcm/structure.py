@@ -231,34 +231,30 @@ class PointState:
     def fbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """The adapted basis of Q-eigenvectors: the (d, d) matrix with columns
         xi, e_1, f e_1, ..., e_n, f e_n, and the n eigenvalues lambda_i of the
-        unit vectors e_i.  The iterative construction: restrict Q to ker eta,
-        take a unit eigenvector with the smallest eigenvalue, adjoin its
-        f-image, deflate the pair's span, repeat n times."""
-        # g-orthonormal basis of ker eta (= xi-perp), deterministic.
-        start = np.concatenate([self.xi[:, None], np.eye(self.dim)], axis=1)
-        frame = _gram_schmidt(start, self.g)
-        if frame.shape[1] != self.dim:
-            raise ValueError("could not complete a frame adapted to xi")
-        w = frame[:, 1:]  # columns spanning ker eta
-
-        columns, lams = [self.xi], []
-        for _ in range(self.n):
-            m = _finite(w.T @ self.g @ self.Q @ w, "Q")
-            vals, vecs = _eigh(0.5 * (m + m.T))
-            lam = float(vals[0])
+        unit vectors e_i.  p is the g-orthogonal projector onto what is left
+        of ker eta.  Step i takes a g-orthonormal basis of range p (the top
+        2(n - i + 1) eigenvectors of p in the frame), the smallest eigenvalue
+        of Q there, and as e_i the g-unit projection onto its eigenspace of
+        the coordinate vector whose projection is largest (the lowest index
+        on a tie); lambda_i = g(e_i, Q e_i), and p loses e_i and f e_i."""
+        xi, q = _finite(self.xi, "xi"), _finite(self.Q, "Q")
+        p = np.eye(self.dim) - np.outer(xi, self.eta)
+        columns, lams = [xi], []
+        for k in range(2 * self.n, 0, -2):
+            w = self.frame @ np.linalg.eigh(self.frame.T @ self.g @ p @ self.frame)[1][:, -k:]
+            vals, vecs = np.linalg.eigh(w.T @ self.g @ q @ w)
+            rest = w @ vecs[:, vals - vals[0] > 1e-9 * max(1.0, abs(vals[0]))]
+            proj = p - rest @ (rest.T @ self.g)  # g-orthogonal projector onto the eigenspace
+            size = self.gnorm(proj)
+            j = int(np.argmax(size >= (1.0 - 1e-9) * np.max(size)))
+            e = proj[:, j] / size[j]
+            fe = self.f @ e
+            lam = float(e @ self.g @ q @ e)
             if lam <= 0.0:
                 raise ValueError("Q is not positive definite on ker eta")
-            same = np.where(np.abs(vals - lam) <= 1e-9 * max(1.0, abs(lam)))[0]
-            # on a tie, the eigenvector whose largest component has the lowest index
-            e = w @ vecs[:, same[np.argmin(np.argmax(np.abs(w @ vecs[:, same]), axis=0))]]
-            e = e / self.gnorm(e)
-            fe = self.f @ e
             columns += [e, fe]
             lams.append(lam)
-            # deflate span{e, fe} out of the working subspace
-            for u in (e, fe / self.gnorm(fe)):
-                w = w - np.outer(u, u @ self.g @ w)
-            w = _gram_schmidt(w, self.g)
+            p = p - np.outer(e, self.g @ e) - np.outer(fe, self.g @ fe) / (fe @ self.g @ fe)
         return np.column_stack(columns), np.array(lams)
 
     @cached_property
@@ -323,33 +319,6 @@ def _finite(m: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} is not finite")
     return m
-
-
-def _eigh(a: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric
-    matrix.  The sign of each eigenvector is fixed: its largest-magnitude
-    component is positive (the first such component on a tie)."""
-    vals, vecs = np.linalg.eigh(a)
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    return vals, vecs * np.where(lead < 0.0, -1.0, 1.0)
-
-
-def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt of the columns of `vectors` under the inner
-    product <u, v> = u^T gram v.  Columns with norm below 1e-12 after
-    projection are dropped.  Returns orthonormal columns."""
-    out = []
-    for k in range(vectors.shape[1]):
-        w = vectors[:, k].astype(float)
-        for u in out:
-            w -= (u @ gram @ w) * u
-        # second pass for numerical orthogonality
-        for u in out:
-            w -= (u @ gram @ w) * u
-        norm = math.sqrt(max(w @ gram @ w, 0.0))
-        if norm > 1e-12:
-            out.append(w / norm)
-    return np.array(out).T if out else np.zeros((vectors.shape[0], 0))
 
 
 def _pfaffian(a: np.ndarray) -> float:

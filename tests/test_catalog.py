@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wqcm.catalog import UnknownCatalogKey, catalog, keys
+from wqcm.catalog import PARAMETERS, UnknownCatalogKey, catalog, keys
 from wqcm.structure import WeakACM
 from wqcm.suites import evaluate
 from conftest import points_for
@@ -86,7 +86,7 @@ def test_parameter_validation():
 
 
 def test_keys_without_parameters_reject_them():
-    for key in ("sasakian-r3", "sasakian-r7", "flat-const"):
+    for key in (k for k in keys() if k not in PARAMETERS):
         for params in ({"n": 3}, {"s": 2.0}, {"n": 1, "s": 1.0}):
             with pytest.raises(ValueError, match="takes no parameters"):
                 catalog(key, **params)

@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import asdict
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from wqcm.exprdsl import load_structure_def
 from wqcm.structure import WeakACM, _pfaffian
 from wqcm.suites import Tolerances, evaluate
 from conftest import points_for
+
+DATA = Path(__file__).parent / "data"
 
 
 def residuals(report):
@@ -30,6 +33,15 @@ def test_axioms_pass_on_all_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_con
         assert max(residuals(rep).values()) < 1e-12
         sv = np.sort(acm.at(points[-1]).f_singular_values)
         assert sv[0] < 1e-6 and all(v > 1e-4 for v in sv[1:])
+
+
+def test_axioms_are_scale_relative():
+    """`scaled` is exactly a weak structure for every s: the product rows
+    measure rounding relative to their factors, so no s fails them."""
+    for s in (0.01, 100.0, 1000.0):
+        acm = WeakACM(catalog("scaled", n=3, s=s))
+        rep = evaluate(acm, "validate", points_for(acm, count=32))
+        assert not rep.failed, (s, residuals(rep))
 
 
 def test_axioms_reject_point_outside_domain(sasakian_r3):
@@ -153,6 +165,31 @@ def test_f_basis_deterministic(sasakian_r5):
     a, lam_a = sasakian_r5.at(point).fbasis
     b, lam_b = sasakian_r5.at(point).fbasis  # a fresh state
     assert np.array_equal(a, b) and np.array_equal(lam_a, lam_b)
+
+
+def test_f_basis_is_orthonormal_on_a_dense_chart():
+    """The constant cells of the sasakian-r13 chart (n = 6, built with
+    `catalog._sasakian_doc(6)`) at u = a v, v = (0.3, ..., 0.3), in the
+    coordinates v: g' = a^T g a, f' = a^-1 f a, xi' = a^-1 xi with
+    a = I + 0.4 N, N = default_rng(3).standard_normal((13, 13)).  A drop
+    threshold on the deflated subspace kept a rounding residue here, and
+    the basis was 0.71 away from g-orthogonal."""
+    acm = WeakACM(load_structure_def((DATA / "dense-r13-const.json").read_bytes()))
+    lam = check_f_basis_invariants(acm, np.full(13, 0.3), tol=1e-12)
+    assert lam == pytest.approx([1.0] * 6, abs=1e-12)
+
+
+@pytest.mark.parametrize("key, params", [("sasakian-r7", {}), ("scaled", {"n": 3, "s": 2.0})])
+def test_f_basis_tie_break_is_geometric(key, params):
+    """Q = lambda id on ker eta, so every unit vector there ties: e_i is the
+    normalized projection 2 d/dx_i + 2 y_i d/dz of the first coordinate
+    vector left after each deflation."""
+    acm = WeakACM(catalog(key, **params))
+    for k, point in enumerate(points_for(acm, count=32)):
+        e = acm.at(point).fbasis[0][:, 1::2]
+        expected = np.zeros((7, 3))
+        expected[:3], expected[6] = 2.0 * np.eye(3), 2.0 * point[3:6]
+        assert np.max(np.abs(e - expected)) <= 1e-12, k
 
 
 def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):

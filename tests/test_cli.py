@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,13 +201,13 @@ FBASIS_TEXTS = [
     ("builtin:sasakian-r7", P7, [
         "f-basis of sasakian-r7 at (0.2,-0.3,0.1,0.4,0.5,-0.6,0.1)",
         "  xi = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]",
-        "  lambda_1 = 0.9999999999999996",
+        "  lambda_1 = 1.0",
         "  e_1  = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8]",
         "  fe_1 = [0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0]",
         "  lambda_2 = 1.0",
         "  e_2  = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0]",
         "  fe_2 = [0.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0]",
-        "  lambda_3 = 1.0",
+        "  lambda_3 = 1.0000000000000002",
         "  e_3  = [0.0, 0.0, 2.0000000000000004, 0.0, 0.0, 0.0, -1.2000000000000002]",
         "  fe_3 = [0.0, 0.0, 0.0, 0.0, 0.0, -2.0000000000000004, 0.0]",
         "  max pairwise g-product = 0.000e+00",
@@ -215,13 +216,13 @@ FBASIS_TEXTS = [
     ("builtin:scaled?n=3,s=2", P7, [
         "f-basis of scaled-n3-s2.0 at (0.2,-0.3,0.1,0.4,0.5,-0.6,0.1)",
         "  xi = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]",
-        "  lambda_1 = 3.9999999999999982",
+        "  lambda_1 = 4.0",
         "  e_1  = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8]",
         "  fe_1 = [0.0, 0.0, 0.0, -4.0, 0.0, 0.0, 0.0]",
         "  lambda_2 = 4.0",
         "  e_2  = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0]",
         "  fe_2 = [0.0, 0.0, 0.0, 0.0, -4.0, 0.0, 0.0]",
-        "  lambda_3 = 4.0",
+        "  lambda_3 = 4.000000000000001",
         "  e_3  = [0.0, 0.0, 2.0000000000000004, 0.0, 0.0, 0.0, -1.2000000000000002]",
         "  fe_3 = [0.0, 0.0, 0.0, 0.0, 0.0, -4.000000000000001, 0.0]",
         "  max pairwise g-product = 0.000e+00",
@@ -235,6 +236,14 @@ def test_fbasis_command():
         code, out, err = run(["fbasis", source, "--at", at])
         assert code == EXIT_OK and err == "", source
         assert out == "\n".join(lines) + "\n", source
+
+
+def test_fbasis_on_a_dense_chart():
+    # the chart of test_classify.test_f_basis_is_orthonormal_on_a_dense_chart
+    path = Path(__file__).parent / "data" / "dense-r13-const.json"
+    code, out, err = run(["fbasis", str(path), "--at", ",".join(["0.3"] * 13)])
+    assert code == EXIT_OK and err == ""
+    assert out.endswith("  verdict = pass\n")
 
 
 @pytest.mark.parametrize("command", ["fbasis"])
@@ -393,6 +402,26 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
     if message:
         assert code == EXIT_USAGE and err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _nan_xi(doc):
+    doc["f"][2][2] = "0"
+    doc["xi"][2] = "1e200*1e200*0"
+
+
+@pytest.mark.parametrize("edit, message", [(lambda doc: None, "Q is not finite"), (_nan_xi, "xi is not finite")])
+def test_fbasis_names_a_non_finite_field_before_any_eigensolve(tmp_path, monkeypatch, edit, message):
+    def eigh(*args):
+        raise AssertionError("a non-finite field reached eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    doc = _nan_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["fbasis", str(path), "--at", "0.1,-0.2,0.3"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
 
 
 def test_error_names_the_first_failing_sample_point(tmp_path):
