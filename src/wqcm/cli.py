@@ -148,7 +148,7 @@ def _write(payload: bytes, args, stdout) -> None:
 
 def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
     st = acm.at(point)
-    basis, lam = st.fbasis
+    (basis,), (lam,), (g,) = st.fbasis[0], st.fbasis[1], st.g
     lines = [f"f-basis of {acm.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
     ok = True
     for i, lam_i in enumerate(lam.tolist(), start=1):
@@ -156,10 +156,10 @@ def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
         lines.append(f"  lambda_{i} = {lam_i!r}")
         lines.append(f"  e_{i}  = {e.tolist()}")
         lines.append(f"  fe_{i} = {fe.tolist()}")
-        ok = ok and abs(fe @ st.g @ fe - lam_i) < 1e-9
+        ok = ok and abs(fe @ g @ fe - lam_i) < 1e-9
     # one pair at a time: a Gram matrix rounds differently
     vecs = list(basis.T)
-    ortho = max(abs(u @ st.g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
+    ortho = max(abs(u @ g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :])
     lines.append(f"  max pairwise g-product = {ortho:.3e}")
     return lines, ok and ortho < 1e-9
 

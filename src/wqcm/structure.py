@@ -6,304 +6,385 @@ derived here:
     eta = g(xi, .)          Q = -f^2 + eta (x) xi       Qt = Q - id
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
-A `PointState` is the only object that holds data for a chart point, and
-all of it as plain arrays: the component arrays of g, f, xi and an explicit
-Q (values, gradients and Hessians: its point's slice of one run of the
-structure's compiled `StructureDef.tape` over a block of points), the
-g-orthonormal frame, the connection and curvature, and what all check
-suites share there: the test-direction matrix of the state's seed, the
-adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which is
-n! Pf([[0, eta], [-eta, d eta]]) det B.  Each is computed once, when first
-read.  `WeakACM.at` runs the tape at one point and builds a new state on
+A `PointState` is the only object that holds data for chart points: a
+block of P points, and all of it as plain arrays with the point axis first.
+It holds the component arrays of g, f, xi and an explicit Q (values,
+gradients and Hessians: one run of the structure's compiled
+`StructureDef.tape` over the block), the g-orthonormal frame, the
+connection, the curvature R_{., .} xi and the Ricci tensor, and what all
+check suites share there: the test-direction matrices of the state's seed,
+the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which
+is n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is (P, d, 1), eta is the row (P, 1, d), a
+direction matrix is (P, d, m).  Each tensor is computed once for the whole
+block, when first read.  `PointState.take` gives the state of a subset of
+the points, which takes its points' part of what its parent already holds.
+`WeakACM.at` runs the tape at one point and builds a new state of P = 1 on
 every call, so a state lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from . import geometry
 from .exprdsl import Fields, StructureDef, eval_tape
-from .geometry import bilinear
+from .geometry import bilinear, contract, mT
+
+
+def _take(value, mask):
+    """The points `mask` of a state's value: an array with the point axis
+    first, a tuple of such arrays, or None."""
+    if isinstance(value, tuple):
+        return tuple(a[mask] for a in value)
+    return None if value is None else value[mask]
+
+
+class _cached:
+    """A tensor of a state, computed once when first read.  A sub-state
+    (`PointState.take`) takes its points' part of the value its parent
+    holds, and computes its own only when the parent holds none."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, st, owner=None):
+        if st is None:
+            return self
+        held = st.parent.__dict__ if st.parent is not None else {}
+        value = _take(held[self.name], st.mask) if self.name in held else self.fn(st)
+        st.__dict__[self.name] = value
+        return value
+
+
+def _read(st, name: str, order: int) -> np.ndarray:
+    """The tape's array of `name` (order 0: values, 1: gradients, 2: Hessians)
+    at the points of the state `st`."""
+    a = st.fields[name][order]
+    return a if st.lanes is None else a[st.lanes]
+
+
+def _field(name: str, order: int) -> _cached:
+    return _cached(lambda st: _read(st, name, order))
 
 
 class PointState:
-    """All tensor data of a weak a.c.m. structure at one chart point; `seed`
-    picks the test directions.  `fields` are the arrays of `eval_tape` over a
-    block of points, and the point is the block's point `lane`."""
+    """All tensor data of a weak a.c.m. structure at a block of chart points
+    (`points`, P x d); `seed` picks the test directions.  `fields` are the
+    arrays of `eval_tape` over the block.  A state made by `take` has the
+    state it came from as `parent`, its points as the boolean `mask` over
+    the parent's, and as `lanes` their indices in `fields`."""
 
-    def __init__(self, sdef: StructureDef, point, seed: int, fields: Fields, lane: int):
-        self.sdef = sdef
-        self.point = np.asarray(point, dtype=float)
-        self.seed = seed
-        self.dim = self.sdef.dim
-        self.n = self.sdef.n
-        # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
-        self.g, self.dg, self.ddg = (a[lane] for a in fields["metric"])
-        self.frame = geometry.orthonormal_frame(self.g)
-        self.g_inv = np.linalg.inv(self.g)
-        self.f, self.df, self.ddf = (a[lane] for a in fields["f"])
-        self.xi, self.dxi, self.ddxi = (a[lane] for a in fields["xi"])
-        # explicit Q from the file, if any (cross-check only)
-        self.q_explicit = fields["q"][0][lane] if "q" in fields else None
+    def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields,
+                 parent: PointState | None = None, mask=None):
+        self.sdef, self.seed, self.fields = sdef, seed, fields
+        self.points = np.asarray(points, dtype=float)
+        self.dim, self.n = sdef.dim, sdef.n
+        self.parent, self.mask = parent, mask
+        self.lanes = None
+        if parent is not None:
+            self.lanes = np.flatnonzero(mask) if parent.lanes is None else parent.lanes[mask]
+        self.frame  # validates g at every point
+
+    def take(self, mask) -> PointState:
+        """The state of the points where the boolean `mask` holds."""
+        return PointState(self.sdef, self.points[mask], self.seed, self.fields, self, mask)
+
+    # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
+    g, dg, ddg = _field("metric", 0), _field("metric", 1), _field("metric", 2)
+    f, df, ddf = _field("f", 0), _field("f", 1), _field("f", 2)
+    dxi, ddxi = _field("xi", 1), _field("xi", 2)
+
+    @_cached
+    def xi(self):
+        """The Reeb field, as columns (P, d, 1)."""
+        return _read(self, "xi", 0)[..., None]
+
+    @_cached
+    def q_explicit(self):
+        """Q from the file, if any (cross-check only)."""
+        return _read(self, "q", 0) if "q" in self.fields else None
+
+    @_cached
+    def frame(self):
+        return geometry.orthonormal_frame(self.g)
+
+    @_cached
+    def g_inv(self):
+        return np.linalg.inv(self.g)
 
     # -- derived fields -----------------------------------------------------
 
-    @cached_property
+    @_cached
     def eta(self):
-        return self.g @ self.xi
+        return mT(self.g @ self.xi)
 
-    @cached_property
+    @_cached
     def deta(self):
         """deta[k, i] = d_k eta_i."""
-        return np.einsum("kij,j->ki", self.dg, self.xi) + np.einsum(
-            "ij,kj->ki", self.g, self.dxi
-        )
+        return (self.dg @ self.xi[:, None])[..., 0] + self.dxi @ mT(self.g)
 
-    @cached_property
+    @_cached
     def Q(self):
-        return -self.f @ self.f + np.outer(self.xi, self.eta)
+        return -self.f @ self.f + self.xi @ self.eta
 
-    @cached_property
+    @_cached
     def dQ(self):
         """dQ[k, i, j] = d_k Q^i_j."""
         return (
-            -np.einsum("kim,mj->kij", self.df, self.f)
-            - np.einsum("im,kmj->kij", self.f, self.df)
-            + np.einsum("ki,j->kij", self.dxi, self.eta)
-            + np.einsum("i,kj->kij", self.xi, self.deta)
+            -(self.df @ self.f[:, None])
+            - self.f[:, None] @ self.df
+            + self.dxi[..., None] * self.eta[:, None]
+            + self.xi[:, None] * self.deta[:, :, None, :]
         )
 
-    @cached_property
+    @_cached
     def Qt(self):
         return self.Q - np.eye(self.dim)
 
-    @cached_property
+    @_cached
     def Q_inv(self):
         return np.linalg.inv(self.Q)
 
-    @cached_property
+    @_cached
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
-        m = _finite(self.frame.T @ self.g @ self.Q @ self.frame, "Q")
-        return np.linalg.eigvalsh(0.5 * (m + m.T))
+        m = _finite(mT(self.frame) @ self.g @ self.Q @ self.frame, "Q")
+        return np.linalg.eigvalsh(0.5 * (m + mT(m)))
 
-    @cached_property
+    @_cached
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
-        return np.linalg.svd(_finite(self.frame.T @ self.g @ self.f @ self.frame, "f"), compute_uv=False)
+        return np.linalg.svd(_finite(mT(self.frame) @ self.g @ self.f @ self.frame, "f"), compute_uv=False)
 
-    @cached_property
+    @_cached
     def Phi(self):
         """Fundamental 2-form, Phi_ij = g(partial_i, f partial_j) = g_im f^m_j."""
         return self.g @ self.f
 
-    @cached_property
+    @_cached
     def dPhi(self):
-        return np.einsum("kim,mj->kij", self.dg, self.f) + np.einsum(
-            "im,kmj->kij", self.g, self.df
-        )
+        return self.dg @ self.f[:, None] + self.g[:, None] @ self.df
 
-    @cached_property
+    @_cached
     def deta_form(self):
         """d eta as an antisymmetric matrix, with the 1/2 normalization."""
         return geometry.d_oneform(self.deta)
 
-    @cached_property
+    @_cached
     def dPhi_form(self):
         """d Phi as a 3-form array, with the 1/3 normalization."""
         return geometry.d_twoform(self.dPhi)
 
-    @cached_property
+    @_cached
     def h(self):
         """h = (1/2) L_xi f."""
-        return 0.5 * geometry.lie_derivative_tensor11(self.xi, self.dxi, self.f, self.df)
+        return 0.5 * geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.f, self.df)
 
-    @cached_property
+    @_cached
     def dh(self):
         """dh[l, i, j] = d_l h^i_j (uses second derivatives of f and xi)."""
+        dxi, ddxi, df, f = self.dxi, self.ddxi, self.df, self.f[:, None]
         return 0.5 * (
-            np.einsum("lk,kij->lij", self.dxi, self.df)
-            + np.einsum("k,lkij->lij", self.xi, self.ddf)
-            - np.einsum("lkj,ki->lij", self.df, self.dxi)
-            - np.einsum("kj,lki->lij", self.f, self.ddxi)
-            + np.einsum("lik,jk->lij", self.df, self.dxi)
-            + np.einsum("ik,ljk->lij", self.f, self.ddxi)
+            contract(dxi, df)  # d_l xi^k d_k f^i_j
+            + contract(mT(self.xi)[:, None], self.ddf)[:, :, 0]  # xi^k d_l d_k f^i_j: the Hessian is symmetric
+            - mT(dxi)[:, None] @ df  # d_l f^k_j d_k xi^i
+            - mT(ddxi) @ f  # f^k_j d_l d_k xi^i
+            + df @ mT(dxi)[:, None]  # d_l f^i_k d_j xi^k
+            + f @ mT(ddxi)  # f^i_k d_l d_j xi^k
         )
 
-    @cached_property
+    @_cached
     def h_star(self):
         """g-adjoint of h: g(h* X, Y) = g(X, h Y)."""
-        return self.g_inv @ self.h.T @ self.g
+        return self.g_inv @ mT(self.h) @ self.g
 
     # -- connection and curvature -------------------------------------------
 
-    @cached_property
+    @_cached
     def gamma(self):
         return geometry.christoffel(self.g_inv, self.dg)
 
-    @cached_property
-    def riem(self):
-        return geometry.riemann(self.g_inv, self.dg, self.ddg, self.gamma)
+    @_cached
+    def curvature_xi(self):
+        """R_{., .} xi (`geometry.curvature_z`) and the Ricci tensor: the checks
+        read the curvature only through these, so the full tensor, d times
+        larger, is dropped once they are built."""
+        r = geometry.riemann(self.g_inv, self.dg, self.ddg, self.gamma)
+        return geometry.curvature_z(r, self.xi), geometry.ricci(r)
 
-    @cached_property
+    @_cached
     def nabla_xi(self):
         """(nabla xi)^i_j so that (nabla_X xi)^i = (nabla xi)^i_j X^j."""
-        return geometry.cov_vector(self.gamma, self.xi, self.dxi).T
+        return mT(geometry.cov_vector(self.gamma, self.xi[..., 0], self.dxi))
 
-    @cached_property
+    @_cached
     def nabla_eta(self):
         """nabla_eta[k, j] = (nabla_k eta)_j."""
-        return geometry.cov_oneform(self.gamma, self.eta, self.deta)
+        return geometry.cov_oneform(self.gamma, self.eta[:, 0], self.deta)
 
-    @cached_property
+    @_cached
     def nabla_f(self):
         return geometry.cov_tensor11(self.gamma, self.f, self.df)
 
-    @cached_property
+    @_cached
     def nabla_Q(self):
         return geometry.cov_tensor11(self.gamma, self.Q, self.dQ)
 
-    @cached_property
+    @_cached
     def nabla_h(self):
         return geometry.cov_tensor11(self.gamma, self.h, self.dh)
 
-    @cached_property
+    @_cached
     def lie_xi_g(self):
         """(L_xi g)(X, Y) = g(nabla_X xi, Y) + g(X, nabla_Y xi)."""
         m = self.g @ self.nabla_xi
-        return m + m.T
+        return m + mT(m)
 
-    @cached_property
+    @_cached
     def lie_xi_Q(self):
-        return geometry.lie_derivative_tensor11(self.xi, self.dxi, self.Q, self.dQ)
+        return geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.Q, self.dQ)
 
-    def curvature_op(self, x, y, z):
-        """R_{X,Y} Z; X and Y may be direction matrices (`geometry.bilinear`)."""
-        return geometry.curvature(self.riem, x, y, z)
+    def along_xi(self, t):
+        """xi^k t[k, ...] for a tensor t[k, ...] at each point."""
+        return contract(mT(self.xi), t)[:, 0]
+
+    def curvature_op(self, x, y):
+        """R_{X,Y} xi at every column pair of the direction matrices x and y:
+        [i, a, b]."""
+        return geometry.curvature(self.curvature_xi[0], x, y)
 
     def ell(self, x):
-        """The curvature operator used by the suites: ell X = R_{xi, X} xi."""
-        return self.curvature_op(self.xi, x, self.xi)
+        """The curvature operator used by the suites: ell X = R_{xi, X} xi,
+        for each column of x."""
+        return self.curvature_op(self.xi, x)[:, :, 0]
 
-    def sectional(self, x, y):
-        return geometry.sectional(self.g, x, y, self.riem)
+    def sectional(self, y):
+        """K(xi, Y) for each column of y."""
+        return geometry.sectional(self.g, self.xi, y, self.curvature_xi[0])
 
-    def ricci(self, x, y) -> float:
-        return geometry.ricci(x, y, self.riem)
+    def ricci(self, x, y):
+        """Ric(X, Y) at every column pair of x and y: [b, a]."""
+        return mT(y) @ self.curvature_xi[1] @ x
 
     # -- inner products -------------------------------------------------------
 
     def gnorm(self, x):
-        """g-norm of a vector, or of each column of a d x ... array."""
-        gx = (self.g @ np.reshape(x, (self.dim, -1))).reshape(np.shape(x))
-        return np.sqrt(np.maximum(np.sum(x * gx, axis=0), 0.0))
+        """g-norm of each column of a (P, d, ...) array: (P, ...)."""
+        xgx = (self.g @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
+        xgx *= x
+        return np.sqrt(np.maximum(np.sum(xgx, axis=1), 0.0))
 
     def g_normalize(self, x):
-        """Scale a vector, or each column of a matrix, to g-norm 1."""
+        """Scale each column of a (P, d, m) matrix to g-norm 1."""
         nrm = self.gnorm(x)
         if np.any(nrm < 1e-14):
             raise ValueError("cannot normalize a (near) zero vector")
-        return x / nrm
+        return x / nrm[:, None]
 
     def project_ker_eta(self, x):
         """g-orthogonal projection onto ker eta = xi-perp (of each column)."""
-        return x - np.multiply.outer(self.xi, self.eta @ x)
+        return x - self.xi @ (self.eta @ x)
 
     # -- what the check suites share ------------------------------------------
 
-    @cached_property
+    @_cached
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The direction matrix D (d x m, m = d + 8) and f D.  The columns
-        of D are the coordinate frame plus random g-unit vectors drawn from
-        the seed and the point.  Identities are multilinear, so the frame
-        alone decides them; the random vectors guard against implementation
-        errors."""
-        key = hash(tuple(round(float(c), 12) for c in self.point)) % 1_000_003
-        rng = np.random.default_rng(self.seed * 1_000_003 + key)
-        d = np.hstack([np.eye(self.dim), self.g_normalize(rng.standard_normal((8, self.dim)).T)])
+        """The direction matrices D (P x d x m, m = d + 8) and f D.  The
+        columns of D are the coordinate frame plus random g-unit vectors
+        drawn from the seed and the point.  Identities are multilinear, so the
+        frame alone decides them; the random vectors guard against
+        implementation errors."""
+        drawn = []
+        for point in self.points:
+            key = hash(tuple(round(float(c), 12) for c in point)) % 1_000_003
+            drawn.append(np.random.default_rng(self.seed * 1_000_003 + key).standard_normal((8, self.dim)).T)
+        frame = np.broadcast_to(np.eye(self.dim), (len(self.points), self.dim, self.dim))
+        d = np.concatenate([frame, self.g_normalize(np.array(drawn))], axis=2)
         return d, self.f @ d
 
-    @cached_property
+    @_cached
     def fbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adapted basis of Q-eigenvectors: the (d, d) matrix with columns
-        xi, e_1, f e_1, ..., e_n, f e_n, and the n eigenvalues lambda_i of the
-        unit vectors e_i.  p is the g-orthogonal projector onto what is left
-        of ker eta.  Step i takes a g-orthonormal basis of range p (the top
-        2(n - i + 1) eigenvectors of p in the frame), the smallest eigenvalue
-        of Q there, and as e_i the g-unit projection onto its eigenspace of
-        the coordinate vector whose projection is largest (the lowest index
-        on a tie); lambda_i = g(e_i, Q e_i), and p loses e_i and f e_i."""
-        xi, q = _finite(self.xi, "xi"), _finite(self.Q, "Q")
-        p = np.eye(self.dim) - np.outer(xi, self.eta)
+        """The adapted bases of Q-eigenvectors: the (P, d, d) matrices with
+        columns xi, e_1, f e_1, ..., e_n, f e_n, and the (P, n) eigenvalues
+        lambda_i of the unit vectors e_i.  p is the g-orthogonal projector
+        onto what is left of ker eta.  Step i takes a g-orthonormal basis of
+        range p (the top 2(n - i + 1) eigenvectors of p in the frame), the
+        smallest eigenvalue of Q there, and as e_i the g-unit projection onto
+        its eigenspace of the coordinate vector whose projection is largest
+        (the lowest index on a tie); lambda_i = g(e_i, Q e_i), and p loses
+        e_i and f e_i.  The eigenspace has its own size at each point: the
+        other eigenvectors are kept as columns, and the eigenspace's as zero
+        columns."""
+        xi, q, g, f, frame = _finite(self.xi, "xi"), _finite(self.Q, "Q"), self.g, self.f, self.frame
+        p = np.eye(self.dim) - xi @ self.eta
         columns, lams = [xi], []
         for k in range(2 * self.n, 0, -2):
-            w = self.frame @ np.linalg.eigh(self.frame.T @ self.g @ p @ self.frame)[1][:, -k:]
-            vals, vecs = np.linalg.eigh(w.T @ self.g @ q @ w)
-            rest = w @ vecs[:, vals - vals[0] > 1e-9 * max(1.0, abs(vals[0]))]
-            proj = p - rest @ (rest.T @ self.g)  # g-orthogonal projector onto the eigenspace
+            w = frame @ np.linalg.eigh(mT(frame) @ g @ p @ frame)[1][..., -k:]
+            vals, vecs = np.linalg.eigh(mT(w) @ g @ q @ w)
+            rest = w @ (vecs * (vals - vals[:, :1] > 1e-9 * np.maximum(1.0, np.abs(vals[:, :1])))[:, None, :])
+            proj = p - rest @ (mT(rest) @ g)  # g-orthogonal projector onto the eigenspace
             size = self.gnorm(proj)
-            j = int(np.argmax(size >= (1.0 - 1e-9) * np.max(size)))
-            e = proj[:, j] / size[j]
-            fe = self.f @ e
-            lam = float(e @ self.g @ q @ e)
-            if lam <= 0.0:
+            j = np.argmax(size >= (1.0 - 1e-9) * np.max(size, axis=1, keepdims=True), axis=1)
+            e = np.take_along_axis(proj, j[:, None, None], axis=2) / np.take_along_axis(size, j[:, None], 1)[:, None]
+            fe = f @ e
+            lam = (mT(e) @ g @ q @ e)[:, 0, 0]
+            if np.any(lam <= 0.0):
                 raise ValueError("Q is not positive definite on ker eta")
             columns += [e, fe]
             lams.append(lam)
-            p = p - np.outer(e, self.g @ e) - np.outer(fe, self.g @ fe) / (fe @ self.g @ fe)
-        return np.column_stack(columns), np.array(lams)
+            p = p - e @ mT(g @ e) - fe @ mT(g @ fe) / (mT(fe) @ g @ fe)
+        return np.concatenate(columns, axis=2), np.stack(lams, axis=1)
 
-    @cached_property
-    def contact_volume(self) -> float:
+    @_cached
+    def contact_volume(self) -> np.ndarray:
         """eta ^ (d eta)^n evaluated on the f-basis B: n! Pf(M) det B, with M
         the antisymmetric matrix [[0, eta], [-eta, d eta]]."""
-        m = np.zeros((self.dim + 1, self.dim + 1))
-        m[0, 1:], m[1:, 0], m[1:, 1:] = self.eta, -self.eta, self.deta_form
-        return math.factorial(self.n) * _pfaffian(m) * float(np.linalg.det(self.fbasis[0]))
+        m = np.zeros((len(self.points), self.dim + 1, self.dim + 1))
+        m[:, :1, 1:], m[:, 1:, :1], m[:, 1:, 1:] = self.eta, -mT(self.eta), self.deta_form
+        return math.factorial(self.n) * _pfaffian(m) * np.linalg.det(self.fbasis[0])
 
     # -- defects and N-tensors ----------------------------------------------------
 
     def quasi_defect(self, x, y):
         """LHS - RHS of the quasi-contact defining identity at every column pair
         of the direction matrices x (d x a) and y (d x b): [i, a, b]."""
-        lhs = bilinear(self.nabla_f, x, y) + bilinear(self.nabla_f, self.f @ x, self.f @ y)
-        rhs = 2.0 * np.multiply.outer(self.xi, x.T @ self.g @ y) - (
-            x + self.h @ x + np.outer(self.xi, self.eta @ x)
-        )[:, :, None] * (self.eta @ y)
-        return lhs - rhs
+        nf, eta = self.nabla_f, self.eta
+        # (nabla_{fX} f) fY: f^m_j (nabla_m f)^i_n f^n_k X^j Y^k
+        t = contract(mT(self.f), nf @ self.f[:, None])
+        t += nf
+        t -= 2.0 * self.xi[:, None] * self.g[:, :, None, :]  # 2 g(X, Y) xi
+        t += mT(np.eye(self.dim) + self.h + self.xi @ eta)[..., None] * eta[:, None]  # (X + hX + eta(X) xi) eta(Y)
+        return bilinear(t, x, y)
 
     def sasakian_defect(self, x, y):
         """(nabla_X f) Y - g(X, Y) xi + eta(Y) X over column pairs, as `quasi_defect`."""
-        lhs = bilinear(self.nabla_f, x, y)
-        return lhs - np.multiply.outer(self.xi, x.T @ self.g @ y) + x[:, :, None] * (self.eta @ y)
+        t = self.nabla_f - self.xi[:, None] * self.g[:, :, None, :]
+        t += np.eye(self.dim)[:, :, None] * self.eta[:, None]
+        return bilinear(t, x, y)
+
+    @_cached
+    def nijenhuis(self):
+        """[f, f] as t[j, i, k] = f^m_j d_m f^i_k - f^m_k d_m f^i_j
+        + f^i_m d_k f^m_j - f^i_m d_j f^m_k, so that [f, f](X, Y)^i = t[j, i, k] X^j Y^k."""
+        half = contract(mT(self.f), self.df)  # f^m_j d_m f^i_k
+        half -= self.f[:, None] @ self.df  # f^i_m d_j f^m_k
+        return half - half.swapaxes(1, 3)
 
     def n1(self, x, y):
-        return self._nijenhuis(x, y) + 2.0 * np.multiply.outer(self.xi, self.deta2(x, y))
-
-    def _nijenhuis(self, x, y):
-        """[f,f]^i_{jk} x^j y^k = (f^m_j d_m f^i_k - f^m_k d_m f^i_j
-                                   + f^i_m d_k f^m_j - f^i_m d_j f^m_k) x^j y^k,
-        for vectors or direction matrices as in `geometry.bilinear`."""
-        shape = (self.dim,) + np.shape(x)[1:] + np.shape(y)[1:]
-        x, y = np.reshape(x, (self.dim, -1)), np.reshape(y, (self.dim, -1))
-
-        def half(u, v):  # (f^m_j d_m f^i_k - f^i_m d_j f^m_k) u^j v^k
-            return bilinear(self.df, self.f @ u, v) - np.tensordot(
-                self.f, bilinear(self.df, u, v), axes=1
-            )
-
-        return (half(x, y) - half(y, x).transpose(0, 2, 1)).reshape(shape)
+        """N^(1) = [f, f] + 2 d eta (x) xi at every column pair: [i, a, b]."""
+        return bilinear(self.nijenhuis + 2.0 * self.xi[:, None] * self.deta_form[:, :, None, :], x, y)
 
     def deta2(self, x, y):
-        """d eta(X, Y) with the 1/2 normalization (over column pairs for matrices)."""
-        return x.T @ self.deta_form @ y
+        """d eta(X, Y) with the 1/2 normalization, at every column pair: [a, b]."""
+        return mT(x) @ self.deta_form @ y
 
     def n2(self, x, y):
-        return 2.0 * self.deta2(self.f @ x, y) - 2.0 * self.deta2(self.f @ y, x).T
+        return 2.0 * self.deta2(self.f @ x, y) - 2.0 * mT(self.deta2(self.f @ y, x))
 
     def n3(self, x):
         """N^(3)(X) = (L_xi f) X = 2 h X."""
@@ -321,28 +402,30 @@ def _finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _pfaffian(a: np.ndarray) -> float:
-    """Pfaffian of an antisymmetric matrix (0 for an odd size) by Parlett-Reid
-    elimination: move the largest entry of row k right of the diagonal to
-    (k, k + 1), flipping the sign on a swap, and take the Schur complement of
-    the leading 2 x 2 block.  A NaN entry gives NaN."""
+def _pfaffian(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a stack of antisymmetric matrices (P, d, d), 0 for an odd
+    d, by Parlett-Reid elimination: move the largest entry of row k right
+    of the diagonal to (k, k + 1), flipping the sign on a swap, and take the
+    Schur complement of the leading 2 x 2 block.  A NaN entry gives NaN."""
     a = np.array(a, dtype=float)
-    d = len(a)
+    count, d = a.shape[0], a.shape[-1]
     if d % 2:
-        return 0.0
-    pf = 1.0
+        return np.zeros(count)
+    pf, zero, lanes = np.ones(count), np.zeros(count, dtype=bool), np.arange(count)
     for k in range(0, d, 2):
-        p = k + 1 + int(np.argmax(np.abs(a[k, k + 1 :])))
-        if p != k + 1:
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            pf = -pf
-        if a[k, k + 1] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
-        b, c = a[k, k + 2 :] / a[k, k + 1], a[k + 1, k + 2 :]
-        a[k + 2 :, k + 2 :] += np.outer(c, b) - np.outer(b, c)
-    return float(pf)
+        p = k + 1 + np.argmax(np.abs(a[:, k, k + 1 :]), axis=1)
+        pf[p != k + 1] *= -1.0
+        rows = a[lanes, p].copy()
+        a[lanes, p], a[:, k + 1] = a[:, k + 1], rows
+        cols = a[lanes, :, p].copy()
+        a[lanes, :, p], a[:, :, k + 1] = a[:, :, k + 1], cols
+        zero |= a[:, k, k + 1] == 0.0
+        a[zero] = 0.0  # a zero pivot ends the elimination: the Pfaffian is 0
+        head = np.where(zero, 1.0, a[:, k, k + 1])
+        pf *= head
+        b, c = a[:, k, k + 2 :] / head[:, None], a[:, k + 1, k + 2 :]
+        a[:, k + 2 :, k + 2 :] += c[:, :, None] * b[:, None, :] - b[:, :, None] * c[:, None, :]
+    return np.where(zero, 0.0, pf)
 
 
 class WeakACM:
@@ -353,11 +436,12 @@ class WeakACM:
         self.name, self.n, self.dim = sdef.name, sdef.n, sdef.dim
 
     def at(self, point, seed: int = 7) -> PointState:
-        """A new state at `point` whose test directions come from `seed`;
-        nothing is kept here.  Raises the error of the tape at the point."""
-        point = np.asarray(point, dtype=float)
-        fields, errors = eval_tape(self.sdef.tape, point[None])
+        """A new state of P = 1 at `point` whose test directions come from
+        `seed`; nothing is kept here.  Raises the error of the tape at the
+        point."""
+        points = np.asarray(point, dtype=float)[None]
+        fields, errors = eval_tape(self.sdef.tape, points)
         if errors:
             raise errors[0]
-        return PointState(self.sdef, point, seed, fields, 0)
+        return PointState(self.sdef, points, seed, fields)
 

@@ -2,21 +2,25 @@
 the one evaluator that asserts them.
 
 Each check is declared once, as a `Check` in `CHECKS`.  Its residual is a
-function of the `PointState` at a sample point, whose seed picks the test
-directions.  The identities are multilinear in the directions, so each is
-evaluated at every direction pair of a point at once: contracting a defect
-with the direction matrix D (`PointState.directions`) gives an array over
-the pairs, reduced with one max.  Residuals of derivative identities are
-normalized by (1 + magnitude of the largest participating term), and those
-of the axioms that multiply tensors by (1 + the product of the factors'
-largest entries).
+function of a `PointState`, the tensors of a block of P sample points whose
+seed picks the test directions, and gives one residual per point, a (P,)
+array.  The identities are multilinear in the directions, so each is
+evaluated at every direction pair of every point at once: contracting a
+defect with the direction matrices D (`PointState.directions`) gives an
+array over the points and pairs, reduced with one max per point.  Residuals
+of derivative identities are normalized by (1 + magnitude of the largest
+participating term), and those of the axioms that multiply tensors by
+(1 + the product of the factors' largest entries).
 
 `evaluate` is the only loop over sample points.  It runs the structure's
-tape once per block of `BLOCK` points and builds one `PointState` at a time
-from the block's arrays; an error names the first point in sample order
-where anything fails.  A check is asserted only at
-points where its hypothesis (`gate`) passes, and reported as "skipped",
-never as a failure, when that holds at no point.  A NaN or infinite residual
+tape once per block of `BLOCK` points and builds one `PointState` for the
+block, so each check runs once per block.  A hypothesis (`gate`) is a mask
+over the block: a check is asserted only at the points where its hypothesis
+passes, on the state of just those points, and reported as "skipped",
+never as a failure, when that holds at no point.  When anything fails in a
+block, the block is evaluated again one point at a time, so that the error
+names the first point in sample order where anything fails, with that
+point's own message.  A NaN or infinite residual
 fails its check, and a non-finite hypothesis fails the checks it gates.
 The suites select from the registry: `identity`, `curvature` and `validate`
 report checks directly, `theorems` and `classify` report the rows of
@@ -44,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .exprdsl import eval_tape
-from .geometry import bilinear
+from .geometry import bilinear, mT
 from .structure import PointState, WeakACM
 
 
@@ -151,38 +155,50 @@ def emit_report(report: CheckReport, format: str = "text") -> bytes:
 
 # -- residual helpers ---------------------------------------------------------------
 
+# Every residual takes a state of P points and gives a (P,) array.
 
-def _rel(size, *terms) -> float:
-    """Largest size / (1 + largest term size); sizes and term sizes are arrays
-    over the direction pairs that broadcast together, or scalars."""
+
+def _rel(size, *terms):
+    """Largest size / (1 + largest term size) at each point; sizes and term
+    sizes are arrays with the point axis first (over the direction pairs
+    after it) that broadcast together."""
     scale = 1.0 + functools.reduce(np.maximum, terms, 0.0)
-    return float(np.max(size / scale, initial=0.0))
+    r = size / scale
+    return r.reshape(len(r), -1).max(axis=1, initial=0.0)
 
 
-def _amax(m) -> float:
-    return np.abs(m).max()  # the method: np.max's dispatch triples the cost on small arrays
+def _amax(m):
+    """The largest |entry| of each point's array."""
+    return np.abs(m).reshape(len(m), -1).max(axis=1)
 
 
-def _mat_residual(m, *terms) -> float:
+def _mat_residual(m, *terms):
     return _rel(_amax(m), *(_amax(t) for t in terms))
 
 
-def _product_residual(m, *factors) -> float:
+def _product_residual(m, *factors):
     """|m| relative to 1 + the product of the largest entries of the factors
     of its products: rounding in a product grows with its factors."""
-    return float(_amax(m) / (1.0 + math.prod(_amax(f) for f in factors)))
+    return _amax(m) / (1.0 + math.prod(_amax(f) for f in factors))
+
+
+def _trace(m):
+    return np.trace(m, axis1=1, axis2=2)
 
 
 def _ker_eta_dirs(st):
-    """The test directions projected onto ker eta, without (near) zero projections."""
+    """The test directions projected onto ker eta, and the mask of the
+    columns kept at each point: a (near) zero projection is dropped, and its
+    column is NaN, which no normalization rejects."""
     p = st.project_ker_eta(st.directions[0])
-    return p[:, st.gnorm(p) > 1e-8]
+    keep = st.gnorm(p) > 1e-8
+    return np.where(keep[:, None], p, np.nan), keep
 
 
 def _quasi(st):
     """Largest g-norm of the quasi-contact defect over the direction pairs."""
     d, _ = st.directions
-    return np.max(st.gnorm(st.quasi_defect(d, d)))
+    return _amax(st.gnorm(st.quasi_defect(d, d)))
 
 
 def _sasakian_norms(st):
@@ -197,36 +213,37 @@ def _n1_norms(st):
 
 def _f_rank(st):
     """0 when rank f = 2n (exactly one singular value near zero), else 1."""
-    sv = np.sort(st.f_singular_values)
-    scale = 1.0 + sv[-1]
-    return 0.0 if sv[0] < 1e-6 * scale and np.all(sv[1:] > 1e-4 * scale) else 1.0
+    sv = np.sort(st.f_singular_values, axis=1)
+    scale = 1.0 + sv[:, -1:]
+    full = (sv[:, 0] < 1e-6 * scale[:, 0]) & np.all(sv[:, 1:] > 1e-4 * scale, axis=1)
+    return np.where(full, 0.0, 1.0)
 
 
 def _n2_nabla_eta(st):
     """N^(2) via covariant derivatives of eta (holds on any weak a.c.m.), with
     a[x, y] = (nabla_{fX} eta) Y and b[x, y] = (nabla_X eta) fY."""
     d, fd = st.directions
-    a, b = fd.T @ st.nabla_eta @ d, d.T @ st.nabla_eta @ fd
-    rhs = a - b.T - a.T + b
+    a, b = mT(fd) @ st.nabla_eta @ d, mT(d) @ st.nabla_eta @ fd
+    rhs = a - mT(b) - mT(a) + b
     n2 = st.n2(d, d)
     return _rel(np.abs(n2 - rhs), np.abs(n2), np.abs(rhs))
 
 
 def _lemma21_5(st):
     d, fd = st.directions
-    two_phi = 2.0 * (fd.T @ st.g @ d)
-    lhs = d.T @ st.nabla_eta @ (st.Q @ d) + fd.T @ st.nabla_eta @ fd + two_phi
+    two_phi = 2.0 * (mT(fd) @ st.g @ d)
+    lhs = mT(d) @ st.nabla_eta @ (st.Q @ d) + mT(fd) @ st.nabla_eta @ fd + two_phi
     return _rel(np.abs(lhs), np.abs(two_phi))
 
 
 def _nabla_xi_f(st):
-    return _mat_residual(np.tensordot(st.xi, st.nabla_f, axes=1), st.f)
+    return _mat_residual(st.along_xi(st.nabla_f), st.f)
 
 
 def _eq16(st):
     d, _ = st.directions
     gh = st.g @ st.h
-    lhs = d.T @ (gh - gh.T) @ d
+    lhs = mT(d) @ (gh - mT(gh)) @ d
     rhs = -0.5 * st.n2(d, d)
     return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
 
@@ -235,8 +252,8 @@ def _eq14(st):
     d, fd = st.directions
     h2 = st.h @ st.h
     t1 = st.Q_inv @ (fd - h2 @ fd)
-    t2 = st.f @ st.curvature_op(d, st.xi, st.xi)
-    defect = np.tensordot(st.xi, st.nabla_h, axes=1) @ d - t1 + t2
+    t2 = st.f @ st.curvature_op(d, st.xi)[..., 0]
+    defect = st.along_xi(st.nabla_h) @ d - t1 + t2
     return _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2))
 
 
@@ -249,76 +266,80 @@ def _eq15(st):
 
 def _eq22(st):
     basis, lam = st.fbasis
-    e, fe = basis[:, 1::2], basis[:, 2::2]
-    ksum = float(np.sum(lam * (st.sectional(st.xi, e) + st.sectional(st.xi, fe))))
-    rhs = st.n - float(np.trace(st.h @ st.h)) + float(np.sum(lam**2))
-    return _rel(abs(ksum - rhs), abs(ksum), abs(rhs))
+    e, fe = basis[:, :, 1::2], basis[:, :, 2::2]
+    ksum = np.sum(lam * (st.sectional(e) + st.sectional(fe)), axis=1)
+    rhs = st.n - _trace(st.h @ st.h) + np.sum(lam**2, axis=1)
+    return _rel(np.abs(ksum - rhs), np.abs(ksum), np.abs(rhs))
 
 
 def _eq21_hypothesis(st):
     """Hypothesis of the Ricci inequality (21): K(xi, X) + K(xi, fX) >= 0."""
-    p = _ker_eta_dirs(st)
-    k = st.sectional(st.xi, st.g_normalize(p)) + st.sectional(st.xi, st.g_normalize(st.f @ p))
-    return float(np.max(-k, initial=0.0))
+    p, keep = _ker_eta_dirs(st)
+    k = st.sectional(st.g_normalize(p)) + st.sectional(st.g_normalize(st.f @ p))
+    return np.max(np.where(keep, -k, 0.0), axis=1, initial=0.0)
 
 
 def _eq21(st):
-    lhs = float(np.max(st.fbasis[1])) * st.ricci(st.xi, st.xi)
-    rhs = st.n - float(np.trace(st.h @ st.h)) + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
-    return _rel(np.maximum(0.0, rhs - lhs), abs(lhs), abs(rhs))
+    lhs = np.max(st.fbasis[1], axis=1) * st.ricci(st.xi, st.xi)[:, 0, 0]
+    rhs = st.n - _trace(st.h @ st.h) + (_trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
+    return _rel(np.maximum(0.0, rhs - lhs), np.abs(lhs), np.abs(rhs))
 
 
 def _ric_xi_xi(st):
-    ric = st.ricci(st.xi, st.xi)
-    return _rel(abs(ric - (2.0 * st.n - float(np.trace(st.h @ st.h)))), abs(ric))
+    ric = st.ricci(st.xi, st.xi)[:, 0, 0]
+    return _rel(np.abs(ric - (2.0 * st.n - _trace(st.h @ st.h))), np.abs(ric))
 
 
 def _eq17(st):
     gd = st.gnorm(st.directions[0])
-    return _rel(_sasakian_norms(st), gd[:, None], st.gnorm(st.xi))
+    return _rel(_sasakian_norms(st), gd[:, :, None], st.gnorm(st.xi)[:, :, None])
 
 
 def _eq23(st):
     d, _ = st.directions
     gd, eta_d = st.gnorm(d), st.eta @ d
-    defect = st.curvature_op(d, d, st.xi) - d[:, :, None] * eta_d + eta_d[:, None] * d[:, None, :]
-    return _rel(st.gnorm(defect), gd[:, None], gd)
+    defect = st.curvature_op(d, d)
+    defect -= d[..., None] * eta_d[:, None]
+    defect += eta_d[..., None] * d[:, :, None]
+    return _rel(st.gnorm(defect), gd[:, :, None], gd[:, None])
 
 
 def _eq20(st):
-    u = st.g_normalize(_ker_eta_dirs(st))
-    return _rel(st.gnorm(st.ell(u) + u), st.gnorm(u))
+    p, keep = _ker_eta_dirs(st)
+    u = st.g_normalize(p)
+    return _rel(np.where(keep, st.gnorm(st.ell(u) + u), 0.0), np.where(keep, st.gnorm(u), 0.0))
 
 
 def _eq20_as_written(st):
-    u = st.g_normalize(_ker_eta_dirs(st))
-    defect = st.curvature_op(u, st.xi, st.xi) + u + np.outer(st.xi, st.eta @ u)
-    return _rel(st.gnorm(defect), st.gnorm(u))
+    p, keep = _ker_eta_dirs(st)
+    u = st.g_normalize(p)
+    defect = st.curvature_op(u, st.xi)[..., 0] + u + st.xi @ (st.eta @ u)
+    return _rel(np.where(keep, st.gnorm(defect), 0.0), np.where(keep, st.gnorm(u), 0.0))
 
 
 def _eq19(st):
     """(nabla_X Q) Y = 0 for X, Y in ker eta."""
     p = st.project_ker_eta(st.directions[0])
-    return _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), _amax(st.Q))
+    return _rel(st.gnorm(bilinear(st.nabla_Q, p, p)), _amax(st.Q)[:, None, None])
 
 
 def _normal(st):
     gd = st.gnorm(st.directions[0])
-    return _rel(_n1_norms(st), gd[:, None], gd)
+    return _rel(_n1_norms(st), gd[:, :, None], gd[:, None])
 
 
 def _deta_qt_phi(st):
     """d eta(X + (1/2) Qt X, Y) = Phi(X, Y)."""
     d, fd = st.directions
-    lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), d.T @ st.g @ fd
+    lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), mT(d) @ st.g @ fd
     return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
 
 
 def _quasi_canonical(st):
     """The quasi-contact defect at X = Y = e_1, the first f-basis vector: the
     quantity with a closed-form oracle on the scaled fixtures."""
-    e1 = st.fbasis[0][:, 1:2].copy()  # contiguous: a strided column rounds differently
-    return np.max(st.gnorm(st.quasi_defect(e1, e1)))
+    e1 = st.fbasis[0][:, :, 1:2].copy()  # contiguous: a strided column rounds differently
+    return _amax(st.gnorm(st.quasi_defect(e1, e1)))
 
 
 # -- the registry ------------------------------------------------------------------------
@@ -326,9 +347,10 @@ def _quasi_canonical(st):
 
 @dataclass(frozen=True)
 class Check:
-    """One residual check.  `residual(st)` is its residual at a point,
-    or None where it does not apply; it is evaluated only where the check
-    `gate` (the hypothesis) passes.  `suites` names the suites that report
+    """One residual check.  `residual(st)` is its residual at each point of
+    the state, a (P,) array, or None where it does not apply; it is
+    evaluated only at the points where the check `gate` (the hypothesis)
+    passes.  `suites` names the suites that report
     it; the others are hypotheses and inputs of theorem and class rows."""
 
     id: str
@@ -342,11 +364,11 @@ class Check:
 # (suites, hypothesis, checks as (id, paper label, tier, residual)), in report order
 _SECTIONS = (
     (("identity", "validate"), None, (
-        ("axiom-eta-normalization", "(2)", "algebraic", lambda st: abs(st.eta @ st.xi - 1.0)),
+        ("axiom-eta-normalization", "(2)", "algebraic", lambda st: _amax(st.eta @ st.xi - 1.0)),
         ("axiom-f-square", "(2)", "algebraic",
-         lambda st: _product_residual(st.f @ st.f + st.Q - np.outer(st.xi, st.eta), st.f, st.f)),
+         lambda st: _product_residual(st.f @ st.f + st.Q - st.xi @ st.eta, st.f, st.f)),
         ("axiom-metric-compatibility", "(2)", "algebraic",
-         lambda st: _product_residual(st.f.T @ st.g @ st.f - st.g @ st.Q + np.outer(st.eta, st.eta), st.f, st.g, st.f)),
+         lambda st: _product_residual(mT(st.f) @ st.g @ st.f - st.g @ st.Q + mT(st.eta) @ st.eta, st.f, st.g, st.f)),
         ("axiom-f-xi", "(3)", "algebraic", lambda st: _amax(st.f @ st.xi)),
         ("axiom-eta-f", "(3)", "algebraic", lambda st: _amax(st.eta @ st.f)),
         ("axiom-eta-Q", "(3)", "algebraic", lambda st: _product_residual(st.eta @ st.Q - st.eta, st.eta, st.Q)),
@@ -356,16 +378,16 @@ _SECTIONS = (
         ("axiom-eta-Qt", "(3)", "algebraic", lambda st: _product_residual(st.eta @ st.Qt, st.eta, st.Qt)),
     )),
     (("validate",), None, (
-        ("f-skew-symmetry", "(2)/(3)", "algebraic", lambda st: _amax(st.Phi + st.Phi.T)),
+        ("f-skew-symmetry", "(2)/(3)", "algebraic", lambda st: _amax(st.Phi + mT(st.Phi))),
         ("Q-self-adjoint", "(2)/(3)", "algebraic",
-         lambda st: _product_residual(st.g @ st.Q - (st.g @ st.Q).T, st.g, st.Q)),
+         lambda st: _product_residual(st.g @ st.Q - mT(st.g @ st.Q), st.g, st.Q)),
         ("Q-consistency", "(2)/(3)", "algebraic",
          lambda st: None if st.q_explicit is None else _amax(st.q_explicit - st.Q)),
         ("h-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.h @ st.xi)),
         ("n3-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.n3(st.xi))),
         # 0 while the smallest eigenvalue q of Q is positive, else 1 - q: a singular Q fails too
         ("Q-positive-definite", "(2)", "algebraic",
-         lambda st: 0.0 if st.q_spectrum[0] > 0.0 else 1.0 - st.q_spectrum[0]),
+         lambda st: np.where(st.q_spectrum[:, 0] > 0.0, 0.0, 1.0 - st.q_spectrum[:, 0])),
         ("f-rank", "rank f = 2n", "algebraic", _f_rank),
     )),
     (("identity",), None, (("n2-nabla-eta", "(4)", "deriv", _n2_nabla_eta),)),
@@ -373,14 +395,14 @@ _SECTIONS = (
         ("lemma21-5", "(5)", "deriv", _lemma21_5),
         ("lemma21-6", "(6)", "deriv", _nabla_xi_f),
         ("lemma21-7-xi", "(7)", "deriv", lambda st: _rel(st.gnorm(st.nabla_xi @ st.xi), st.gnorm(st.xi))),
-        ("lemma21-7-eta", "(7)", "deriv", lambda st: _rel(st.gnorm(st.xi @ st.nabla_eta), st.gnorm(st.eta))),
+        ("lemma21-7-eta", "(7)", "deriv", lambda st: _rel(st.gnorm(mT(st.nabla_eta) @ st.xi), st.gnorm(mT(st.eta)))),
         ("lemma21-8-left", "(8)", "deriv",
          lambda st: _mat_residual(st.Q @ st.nabla_xi + st.f + st.f @ st.h, st.f, st.f @ st.h)),
         ("lemma21-8-right", "(8)", "deriv",
          lambda st: _mat_residual(st.nabla_xi @ st.Q + st.f + st.f @ st.h, st.f, st.f @ st.h)),
         ("lemma21-9-lie", "(9)", "deriv", lambda st: _mat_residual(st.lie_xi_Q, st.Q)),
         ("lemma21-9-nabla", "(9)", "deriv",
-         lambda st: _mat_residual(np.tensordot(st.xi, st.nabla_Q, axes=1), st.Q)),
+         lambda st: _mat_residual(st.along_xi(st.nabla_Q), st.Q)),
         ("lemma21-10", "(10)", "deriv", lambda st: _mat_residual(st.h @ st.f + st.f @ st.h, st.h, st.f)),
         ("lemma21-11", "(11)", "deriv", lambda st: _mat_residual(st.h @ st.Q - st.Q @ st.h, st.h, st.Q)),
         ("eq13-h", "(13)", "deriv",
@@ -413,13 +435,13 @@ _SECTIONS = (
         ("dPhi-zero", "d Phi = 0", "deriv", lambda st: _rel(_amax(st.dPhi_form), _amax(st.Phi))),
         ("2h2-eq-Qt2", "2 h^2 = Qt^2", "curv",
          lambda st: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
-        ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st: np.trace(st.h @ st.h)),
+        ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st: _trace(st.h @ st.h)),
         ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st: 1e-6 - abs(st.contact_volume)),
         ("deta-Qt-Phi", "d eta(X + Qt X/2, Y) = Phi", "deriv", _deta_qt_phi),
-        ("n1", "N^(1) = 0", "deriv", lambda st: np.max(_n1_norms(st))),
-        ("sasakian", "(17)", "deriv", lambda st: np.max(_sasakian_norms(st))),
+        ("n1", "N^(1) = 0", "deriv", lambda st: _amax(_n1_norms(st))),
+        ("sasakian", "(17)", "deriv", lambda st: _amax(_sasakian_norms(st))),
         # the nearly-Sasakian defect is the Sasakian one at X = Y
-        ("nearly-sasakian", "(17), X = Y", "deriv", lambda st: np.max(np.diagonal(_sasakian_norms(st)))),
+        ("nearly-sasakian", "(17), X = Y", "deriv", lambda st: _amax(np.diagonal(_sasakian_norms(st), axis1=1, axis2=2))),
         ("lie-xi-g", "L_xi g = 0", "deriv", lambda st: _amax(st.lie_xi_g)),
         ("quasi-canonical", "quasi-contact at e_1", "deriv", _quasi_canonical),
     )),
@@ -487,9 +509,10 @@ class EvaluationError(ValueError):
     """Evaluating the structure failed at a sample point."""
 
 
-# Sample points per run of the tape.  A block's field arrays take about
-# 1.4 MB on a 7-dimensional chart; blocks of 32 keep the tape's per-instruction
-# overhead small against its array work.
+# Sample points per run of the tape and per `PointState`.  A block's field
+# arrays take about 1.4 MB on a 7-dimensional chart, and its state about as
+# much again; blocks of 32 keep the per-call overhead of the tape and the
+# checks small against their array work.
 BLOCK = 32
 
 
@@ -499,17 +522,47 @@ def _record(cid, paper, residual, tol, points) -> CheckRecord:
     return CheckRecord(cid, paper, float(residual), tol, verdict, points)
 
 
-def _value(cid, st, tol, seen):
-    """Residual of check `cid` at the point of `st`, computed once per point
-    (`seen`); None where it does not apply or its hypothesis fails.  A
-    non-finite hypothesis is the residual of what it gates, so that fails."""
-    if cid not in seen:
-        c, value = CHECKS[cid], None
-        hyp = 0.0 if c.gate is None else _value(c.gate, st, tol, seen)
-        if hyp is not None and (c.gate is None or hyp <= tol(c.gate) or not math.isfinite(hyp)):
-            value = c.residual(st) if math.isfinite(hyp) else hyp
-        seen[cid] = value
-    return seen[cid]
+def _with_hypotheses(cids) -> list[str]:
+    """The checks `cids` and the hypotheses they need, each hypothesis before
+    what it gates, in the order a point-by-point evaluation meets them."""
+    order = {}
+    for cid in cids:
+        chain = [cid]
+        while CHECKS[chain[-1]].gate is not None:
+            chain.append(CHECKS[chain[-1]].gate)
+        order.update(dict.fromkeys(reversed(chain)))
+    return list(order)
+
+
+def _residuals(st: PointState, order, tol) -> dict:
+    """{check id: (residuals, applies)} at the P points of `st`, two (P,)
+    arrays per check of `order` (each hypothesis before what it gates).  A
+    gated check runs on the sub-state of the points where its hypothesis
+    passes: the state itself when it passes everywhere, none when nowhere.
+    A non-finite hypothesis is the residual of what it gates, so that fails."""
+    out, subs = {}, {}
+    everywhere = np.ones(len(st.points), dtype=bool)
+    for cid in order:
+        c, value = CHECKS[cid], np.zeros(len(st.points))
+        run, broken = everywhere, ~everywhere
+        if c.gate is not None:
+            hyp, on = out[c.gate]
+            finite = np.isfinite(hyp)
+            run, broken = on & finite & (hyp <= tol(c.gate)), on & ~finite
+            value[broken] = hyp[broken]
+        r = None
+        if run.all():
+            r = c.residual(st)
+        elif run.any():
+            if c.gate not in subs:
+                subs[c.gate] = st.take(run)
+            r = c.residual(subs[c.gate])
+        if r is None:  # computed nowhere, or the check does not apply
+            run = ~everywhere
+        else:
+            value[run] = r
+        out[cid] = value, run | broken
+    return out
 
 
 def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
@@ -556,31 +609,44 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
     the square root of a negative, an overflow, a non-finite Q)."""
     parts = SUITES[suite]
     needed = list(dict.fromkeys(cid for part in parts for cid in _inputs(part)))
+    order = _with_hypotheses(needed)
 
     def tol(cid):
         return getattr(tolerances, CHECKS[cid].tier)
 
     worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
     for start in range(0, len(points), BLOCK):
-        # one block alive at a time: drop the last one, and the last state's
-        # views into it, before the tape fills the next
-        st = fields = None
-        block = points[start : start + BLOCK]
+        # one block alive at a time: drop the last one before the tape fills
+        # the next
+        fields = None
+        block = np.array(points[start : start + BLOCK], dtype=float)
         fields, errors = eval_tape(s.sdef.tape, block)
-        for lane, point in enumerate(block):
+        results = None
+        if not errors and all(s.sdef.contains(point) for point in block):
             try:
-                if not s.sdef.contains(point):
-                    raise ValueError("outside the chart domain")
-                if lane in errors:
-                    raise errors[lane]
-                st, seen = PointState(s.sdef, point, seed, fields, lane), {}
-                for cid in needed:
-                    value = _value(cid, st, tol, seen)
-                    if value is not None:
-                        worst[cid] = float(np.maximum(worst[cid], value))  # keeps NaN
-                        count[cid] += 1
-            except (ValueError, ArithmeticError) as exc:
-                raise EvaluationError(f"at sample point {np.asarray(point).tolist()}: {exc}") from exc
+                results = [_residuals(PointState(s.sdef, block, seed, fields), order, tol)]
+            except (ValueError, ArithmeticError):
+                pass  # find the first failing point, and its own message
+        if results is None:
+            # the block failed as a whole: again one point at a time, in
+            # sample order, so that the error names the first failing point
+            results = []
+            for lane, point in enumerate(block):
+                try:
+                    if not s.sdef.contains(point):
+                        raise ValueError("outside the chart domain")
+                    if lane in errors:
+                        raise errors[lane]
+                    one = {name: tuple(a[lane : lane + 1] for a in jets) for name, jets in fields.items()}
+                    results.append(_residuals(PointState(s.sdef, block[lane : lane + 1], seed, one), order, tol))
+                except (ValueError, ArithmeticError) as exc:
+                    raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
+        for result in results:
+            for cid in needed:
+                value, on = result[cid]
+                if on.any():
+                    worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
+                    count[cid] += int(np.count_nonzero(on))
 
     report = CheckReport(suite, s.name, seed, asdict(tolerances), timestamp=now_timestamp() if timestamp else None)
     for part in parts:

@@ -113,12 +113,13 @@ def test_2_levi_civita_contract(announce):
     for acm in all_catalog_structures():
         for point in sample_points(PLAN32, acm.sdef.domain):
             m = acm.at(point)
-            gamma = christoffel(m.g_inv, m.dg)
+            (g,), (dg,), (g_inv,) = m.g, m.dg, m.g_inv
+            gamma = christoffel(g_inv, dg)
             worst = max(worst, float(np.max(np.abs(gamma - gamma.transpose(0, 2, 1)))))
             nabla_g = (
-                m.dg
-                - np.einsum("mki,mj->kij", gamma, m.g)
-                - np.einsum("mkj,im->kij", gamma, m.g)
+                dg
+                - np.einsum("mki,mj->kij", gamma, g)
+                - np.einsum("mkj,im->kij", gamma, g)
             )
             worst = max(worst, float(np.max(np.abs(nabla_g))))
     announce(worst < 1e-10, f"max residual {worst:.1e}")
@@ -161,22 +162,24 @@ def test_4_sasakian_exact_values(announce):
             st = acm.at(point)
             ok = ok and np.max(np.abs(st.h)) < 1e-9
             ok = ok and np.max(np.abs(st.nabla_xi + st.f)) < 1e-9
-            ok = ok and abs(st.ricci(st.xi, st.xi) - 2.0 * n) < 1e-7
+            ok = ok and abs(st.ricci(st.xi, st.xi).item() - 2.0 * n) < 1e-7
         st = acm.at(np.zeros(acm.dim) + 0.1)
         for _ in range(20):
-            x = st.project_ker_eta(rng.standard_normal(acm.dim))
+            x = st.project_ker_eta(rng.standard_normal((acm.dim, 1)))
             x = st.g_normalize(x)
-            ok = ok and abs(st.sectional(st.xi, x) - 1.0) < 1e-7
-        basis, lam = st.fbasis
+            ok = ok and abs(st.sectional(x).item() - 1.0) < 1e-7
+        basis, (lam,) = st.fbasis
         lhs = sum(
-            lam[i] * (st.sectional(st.xi, basis[:, 2 * i + 1]) + st.sectional(st.xi, basis[:, 2 * i + 2]))
+            lam[i] * (st.sectional(basis[:, :, 2 * i + 1 : 2 * i + 2])
+                      + st.sectional(basis[:, :, 2 * i + 2 : 2 * i + 3])).item()
             for i in range(n)
         )
-        rhs = n - float(np.trace(st.h @ st.h)) + float(np.sum(lam**2))
+        (h,), (q,) = st.h, st.Q
+        rhs = n - float(np.trace(h @ h)) + float(np.sum(lam**2))
         ok = ok and abs(lhs - 2.0 * n) < 1e-7 and abs(rhs - 2.0 * n) < 1e-7
         if n == 1:
-            left = float(np.max(lam)) * st.ricci(st.xi, st.xi)
-            right = n - float(np.trace(st.h @ st.h)) + (np.trace(st.Q) - 1.0) ** 2 / (4.0 * n)
+            left = float(np.max(lam)) * st.ricci(st.xi, st.xi).item()
+            right = n - float(np.trace(h @ h)) + (np.trace(q) - 1.0) ** 2 / (4.0 * n)
             ok = ok and abs(left - right) < 1e-7
     announce(ok)
 
@@ -269,16 +272,20 @@ def test_8_f_basis_invariants(announce):
     for acm in all_catalog_structures():
         for point in sample_points(SamplePlan(count=8, seed=7), acm.sdef.domain):
             st = acm.at(point)
-            basis, lams = st.fbasis
+            (basis,), (lams,), (g,), (q,) = st.fbasis[0], st.fbasis[1], st.g, st.Q
+
+            def gnorm(v):
+                return st.gnorm(v[None, :, None]).item()
+
             vecs = list(basis.T)
             res = max(
-                abs(u @ st.g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
+                abs(u @ g @ v) for a, u in enumerate(vecs) for v in vecs[a + 1 :]
             )
             for e, fe, lam in zip(vecs[1::2], vecs[2::2], lams):
-                res = max(res, abs(st.gnorm(e) - 1.0))
-                res = max(res, st.gnorm(st.Q @ e - lam * e))
-                res = max(res, abs(fe @ st.g @ fe - lam))
-            res = max(res, abs(float(np.trace(st.Q)) - (1.0 + 2.0 * sum(lams))))
+                res = max(res, abs(gnorm(e) - 1.0))
+                res = max(res, gnorm(q @ e - lam * e))
+                res = max(res, abs(fe @ g @ fe - lam))
+            res = max(res, abs(float(np.trace(q)) - (1.0 + 2.0 * sum(lams))))
             worst = max(worst, res)
     ok = worst < 1e-9
     announce(ok, f"max defect {worst:.1e}")
@@ -293,11 +300,11 @@ def test_10_contact_volume(announce):
     for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7"):
         acm = WeakACM(catalog(key))
         for point in sample_points(SamplePlan(count=4, seed=7), acm.sdef.domain):
-            smallest = min(smallest, abs(acm.at(point).contact_volume))
+            smallest = min(smallest, abs(acm.at(point).contact_volume.item()))
     ok = smallest > 1e-6
     flat = WeakACM(catalog("flat-const"))
     degenerate = max(
-        abs(flat.at(p).contact_volume)
+        abs(flat.at(p).contact_volume.item())
         for p in sample_points(SamplePlan(count=4, seed=7), flat.sdef.domain)
     )
     ok = ok and degenerate < 1e-12

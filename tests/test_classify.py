@@ -29,9 +29,9 @@ def test_axioms_pass_on_all_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_con
         points = points_for(acm)
         rep = evaluate(acm, "validate", points)
         assert not rep.failed, (acm.name, residuals(rep))
-        assert min(acm.at(p).q_spectrum[0] for p in points) > 0.0
+        assert min(acm.at(p).q_spectrum[0, 0] for p in points) > 0.0
         assert max(residuals(rep).values()) < 1e-12
-        sv = np.sort(acm.at(points[-1]).f_singular_values)
+        sv = np.sort(acm.at(points[-1]).f_singular_values[0])
         assert sv[0] < 1e-6 and all(v > 1e-4 for v in sv[1:])
 
 
@@ -109,19 +109,24 @@ def test_class_verdicts_flat_const(flat_const):
 def check_f_basis_invariants(acm, point, tol=1e-9):
     """The eigenvalues of the f-basis at `point`, after checking its invariants."""
     st = acm.at(point)
-    basis, lam = st.fbasis
-    assert basis.shape == (acm.dim, acm.dim) and lam.shape == (acm.n,)
-    assert np.array_equal(basis[:, 0], st.xi)
+    assert st.fbasis[0].shape == (1, acm.dim, acm.dim) and st.fbasis[1].shape == (1, acm.n)
+    (basis,), (lam,) = st.fbasis
+    (g,), (q,), (f,), (eta,) = st.g, st.Q, st.f, st.eta[:, 0]
+
+    def gnorm(v):
+        return st.gnorm(v[None, :, None]).item()
+
+    assert np.array_equal(basis[:, 0], st.xi[0, :, 0])
     for e, fe, lam_i in zip(basis[:, 1::2].T, basis[:, 2::2].T, lam):
         assert lam_i > 0.0
-        assert st.gnorm(e) == pytest.approx(1.0, abs=tol)
-        assert st.gnorm(st.Q @ e - lam_i * e) < tol  # eigenvector
-        assert st.gnorm(fe - st.f @ e) < tol
-        assert fe @ st.g @ fe == pytest.approx(lam_i, abs=tol)
-        assert abs(st.eta @ e) < tol and abs(st.eta @ fe) < tol
-    gram = basis.T @ st.g @ basis
+        assert gnorm(e) == pytest.approx(1.0, abs=tol)
+        assert gnorm(q @ e - lam_i * e) < tol  # eigenvector
+        assert gnorm(fe - f @ e) < tol
+        assert fe @ g @ fe == pytest.approx(lam_i, abs=tol)
+        assert abs(eta @ e) < tol and abs(eta @ fe) < tol
+    gram = basis.T @ g @ basis
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < tol  # pairwise g-orthogonal
-    assert np.trace(st.Q) == pytest.approx(1.0 + 2.0 * sum(lam), abs=tol)
+    assert np.trace(q) == pytest.approx(1.0 + 2.0 * sum(lam), abs=tol)
     return lam
 
 
@@ -186,7 +191,7 @@ def test_f_basis_tie_break_is_geometric(key, params):
     vector left after each deflation."""
     acm = WeakACM(catalog(key, **params))
     for k, point in enumerate(points_for(acm, count=32)):
-        e = acm.at(point).fbasis[0][:, 1::2]
+        e = acm.at(point).fbasis[0][0, :, 1::2]
         expected = np.zeros((7, 3))
         expected[:3], expected[6] = 2.0 * np.eye(3), 2.0 * point[3:6]
         assert np.max(np.abs(e - expected)) <= 1e-12, k
@@ -228,8 +233,8 @@ def test_contact_volume_matches_its_definition():
         acm = WeakACM(catalog(key, **params))
         for point in points_for(acm, count=4):
             st = acm.at(point)
-            expected = _alternating_sum(st.eta, st.deta_form, st.fbasis[0])
-            assert abs(st.contact_volume - expected) <= 1e-12 * abs(expected), (acm.name, point)
+            expected = _alternating_sum(st.eta[0, 0], st.deta_form[0], st.fbasis[0][0])
+            assert abs(st.contact_volume.item() - expected) <= 1e-12 * abs(expected), (acm.name, point)
 
 
 def _pfaffian_by_permutations(a):
@@ -242,14 +247,19 @@ def _pfaffian_by_permutations(a):
     return total / (2.0 ** (d // 2) * math.factorial(d // 2))
 
 
+def pfaffian(a):
+    """The Pfaffian of one matrix, as a stack of one."""
+    return _pfaffian(a[None]).item()
+
+
 @pytest.mark.parametrize("size", range(9))
 def test_pfaffian_matches_permutation_expansion(size, rng):
     for _ in range(2):
         m = rng.standard_normal((size, size))
         a = m - m.T  # dense: every row needs its pivot search
-        assert _pfaffian(a) == pytest.approx(_pfaffian_by_permutations(a), rel=1e-12, abs=1e-12)
+        assert pfaffian(a) == pytest.approx(_pfaffian_by_permutations(a), rel=1e-12, abs=1e-12)
         if size % 2 == 0:
-            assert _pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
+            assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
 
 
 def test_pfaffian_pivoting_and_nan(rng):
@@ -258,16 +268,20 @@ def test_pfaffian_pivoting_and_nan(rng):
     # a zero first row (and column): the Pfaffian is 0
     z = a.copy()
     z[0, :] = z[:, 0] = 0.0
-    assert _pfaffian(z) == 0.0
+    assert pfaffian(z) == 0.0
     # a zero first super-diagonal entry: the pivot swap flips the sign
     a[0, 1] = a[1, 0] = 0.0
     expected = _pfaffian_by_permutations(a)
-    assert _pfaffian(a) == pytest.approx(expected, rel=1e-12)
+    assert pfaffian(a) == pytest.approx(expected, rel=1e-12)
+    pivoted = a.copy()
     b = np.array([[0.0, 0.0, 2.0, 3.0], [0.0, 0.0, 5.0, 7.0], [-2.0, -5.0, 0.0, 0.0], [-3.0, -7.0, 0.0, 0.0]])
-    assert _pfaffian(b) == pytest.approx(-2.0 * 7.0 + 3.0 * 5.0, rel=1e-14)  # a01 a23 - a02 a13 + a03 a12
+    assert pfaffian(b) == pytest.approx(-2.0 * 7.0 + 3.0 * 5.0, rel=1e-14)  # a01 a23 - a02 a13 + a03 a12
     # a NaN entry gives NaN, so the contact-volume check fails closed
     a[2, 4], a[4, 2] = math.nan, math.nan
-    assert math.isnan(_pfaffian(a))
+    assert math.isnan(pfaffian(a))
+    # a stack: each matrix pivots, stops at a zero pivot or meets NaN on its own
+    stack = np.stack([z, pivoted, a, m - m.T])
+    assert np.array_equal(_pfaffian(stack), [pfaffian(x) for x in stack], equal_nan=True)
 
 
 def _linear_chart(doc, a):
@@ -305,8 +319,8 @@ def test_dense_chart_gives_the_same_verdicts():
     dense = WeakACM(load_structure_def(_linear_chart(document("sasakian-r5"), a)))
     plain = WeakACM(catalog("sasakian-r5"))
     st = dense.at(np.full(5, 0.3))
-    assert np.all(st.deta_form[np.triu_indices(5, 1)] != 0.0)
-    assert abs(st.contact_volume) == pytest.approx(abs(plain.at(a @ st.point).contact_volume), rel=1e-10)
+    assert np.all(st.deta_form[0][np.triu_indices(5, 1)] != 0.0)
+    assert abs(st.contact_volume) == pytest.approx(abs(plain.at(a @ st.points[0]).contact_volume), rel=1e-10)
     a_rep, b_rep = (evaluate(s, "all", points_for(s, count=6)) for s in (dense, plain))
     assert [(c.id, c.verdict) for c in a_rep.checks] == [(c.id, c.verdict) for c in b_rep.checks]
 
@@ -315,7 +329,7 @@ def test_direction_set_deterministic(sasakian_r3):
     point = np.array([0.3, 0.3, 0.3])
     a, fa = sasakian_r3.at(point, seed=7).directions
     b, fb = sasakian_r3.at(point, seed=7).directions  # a fresh state
-    assert a.shape == (3, 3 + 8)
+    assert a.shape == (1, 3, 3 + 8)
     assert np.array_equal(a, b) and np.array_equal(fa, fb)
     c, _ = sasakian_r3.at(point, seed=8).directions
     assert not np.array_equal(a, c)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqcm import geometry
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
 from wqcm.catalog import document
 from wqcm.suites import SamplePlan, sample_points
@@ -437,6 +438,33 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
     code, out, err = run(["validate", str(path), "--points", "4", "--seed", "7"])
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: at sample point {first.tolist()}: metric is not positive definite\n"
+
+
+@pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
+def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, recwarn, command):
+    # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so
+    # the Cholesky of the whole block fails; the block is then evaluated one
+    # point at a time, and the error is that of lane k alone
+    points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
+    x = [p[0] for p in points]
+    k = next(k for k in range(1, 32) if x[k] < min(x[:k]))
+    doc = document("flat-const")
+    doc["metric"][0][0] = f"x - ({float(x[k])!r})"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    sizes = []
+    frame = geometry.orthonormal_frame
+
+    def recorded_frame(g):
+        sizes.append(len(g))
+        return frame(g)
+
+    monkeypatch.setattr(geometry, "orthonormal_frame", recorded_frame)
+    code, out, err = run([*command, str(path), "--points", "32", "--seed", "7", "--no-timestamp"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: at sample point {points[k].tolist()}: metric is not positive definite\n"
+    assert sizes == [32] + [1] * (k + 1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["fbasis"])

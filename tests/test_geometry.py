@@ -13,6 +13,7 @@ from wqcm.geometry import (
     cov_tensor11,
     cov_vector,
     curvature,
+    curvature_z,
     d_oneform,
     orthonormal_frame,
     ricci,
@@ -63,13 +64,10 @@ def sphere_curvature(theta, phi=0.3):
 
 def test_sphere_curvature_is_plus_one():
     m, r = sphere_curvature(1.1, 0.5)
-    assert sectional(m.g, np.array([1.0, 0.0]), np.array([0.0, 1.0]), r) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    x = np.array([[1.0], [0.0]])
+    assert sectional(m.g, x, np.array([[0.0], [1.0]]), curvature_z(r, x)) == pytest.approx(1.0, abs=1e-10)
     # Ric = (dim - 1) g on a unit sphere
-    for x in (np.array([1.0, 0.0]), np.array([0.3, 0.9])):
-        for y in (np.array([0.0, 1.0]), np.array([1.0, -0.2])):
-            assert ricci(x, y, r) == pytest.approx(float(x @ m.g @ y), abs=1e-9)
+    assert np.allclose(ricci(r), m.g, atol=1e-9)
 
 
 def test_christoffel_derivative_matches_finite_differences():
@@ -86,9 +84,14 @@ def test_christoffel_derivative_matches_finite_differences():
 
 
 def catalog_metric_points(key, count=6, **kw):
+    """The metric arrays of a catalog structure at sample points, one point at
+    a time (the geometry functions take any leading axes, or none)."""
     acm = WeakACM(catalog(key, **kw))
     for point in sample_points(SamplePlan(count=count), acm.sdef.domain):
-        yield acm.at(point)
+        st = acm.at(point)
+        m = SimpleNamespace(dim=st.dim, **{k: getattr(st, k)[0] for k in ("g", "dg", "ddg", "g_inv", "frame")})
+        m.riem = riemann_of(m)
+        yield m
 
 
 @pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5", "flat-const"])
@@ -122,9 +125,9 @@ def test_ricci_trace_is_the_frame_sum(key, kw, rng):
     # Ric(X, Y) = sum_a g(R_{E_a, X} Y, E_a) over the g-orthonormal frame E
     for st in catalog_metric_points(key, count=4, **kw):
         for _ in range(3):
-            x, y = rng.standard_normal((2, st.dim))
-            frame_sum = float(np.sum((st.g @ st.frame) * curvature(st.riem, st.frame, x, y)))
-            assert abs(ricci(x, y, st.riem) - frame_sum) <= 1e-13 * abs(frame_sum)
+            x, y = rng.standard_normal((2, st.dim, 1))
+            frame_sum = float(np.sum((st.g @ st.frame) * curvature(curvature_z(st.riem, y), st.frame, x)[:, :, 0]))
+            assert abs((y.T @ ricci(st.riem) @ x).item() - frame_sum) <= 1e-13 * abs(frame_sum)
 
 
 def test_flat_space_has_zero_curvature():
@@ -134,17 +137,18 @@ def test_flat_space_has_zero_curvature():
 
 def test_curvature_operator_antisymmetry():
     _, r = sphere_curvature(0.7, 1.2)
-    x = np.array([0.4, -1.0])
-    y = np.array([1.3, 0.2])
-    z = np.array([-0.5, 0.8])
-    assert np.allclose(curvature(r, x, y, z), -curvature(r, y, x, z), atol=1e-12)
+    x = np.array([[0.4], [-1.0]])
+    y = np.array([[1.3], [0.2]])
+    z = np.array([[-0.5], [0.8]])
+    rz = curvature_z(r, z)
+    assert np.allclose(curvature(rz, x, y), -curvature(rz, y, x), atol=1e-12)
 
 
 def test_sectional_degenerate_plane_raises():
     m, r = sphere_curvature(0.7)
-    v = np.array([1.0, 2.0])
+    v = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError, match=r"^plane is degenerate \(vectors nearly dependent\)$"):
-        sectional(m.g, v, 2.0 * v, r)
+        sectional(m.g, v, 2.0 * v, curvature_z(r, v))
 
 
 def test_non_positive_definite_metric_rejected():

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
-from wqcm.geometry import d_twoform
+from wqcm.geometry import bilinear, d_twoform, mT
 from wqcm.structure import WeakACM
 from conftest import points_for
+
+
+def col(*entries):
+    """A vector as a (d, 1) column, the form state methods take."""
+    return np.array(entries, dtype=float)[:, None]
 
 
 def test_derived_components_on_sasakian(sasakian_r3):
@@ -13,7 +18,8 @@ def test_derived_components_on_sasakian(sasakian_r3):
     x, y, z = point
     # eta = (1/2)(dz - y dx), xi = 2 d/dz
     assert np.allclose(st.eta, [-y / 2.0, 0.0, 0.5], atol=1e-14)
-    assert np.allclose(st.xi, [0.0, 0.0, 2.0], atol=1e-14)
+    assert st.eta.shape == (1, 1, 3) and st.xi.shape == (1, 3, 1)  # a row and a column
+    assert np.allclose(st.xi, col(0.0, 0.0, 2.0), atol=1e-14)
     assert st.eta @ st.xi == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(st.Q, np.eye(3), atol=1e-13)
     assert np.max(np.abs(st.Qt)) < 1e-13
@@ -27,7 +33,7 @@ def test_sasakian_special_tensors(sasakian_r3):
         assert np.max(np.abs(st.h)) < 1e-13
         assert np.max(np.abs(st.nabla_xi + st.f)) < 1e-12
         assert np.max(np.abs(st.lie_xi_g)) < 1e-13
-        assert st.sectional(st.xi, np.array([1.0, 0.0, 0.0])) == pytest.approx(
+        assert st.sectional(col(1.0, 0.0, 0.0)) == pytest.approx(
             1.0, abs=1e-9
         )
         assert st.ricci(st.xi, st.xi) == pytest.approx(2.0, abs=1e-9)
@@ -69,24 +75,25 @@ def test_nijenhuis_against_bracket_oracle(scaled2):
         return lambda p: v
 
     def f_of(field):
-        return lambda p: acm.at(p).f @ field(p)
+        return lambda p: acm.at(p).f[0] @ field(p)
 
     for i in range(acm.dim):
         for j in range(acm.dim):
             x_fld, y_fld = const(i), const(j)
             x, y = x_fld(point), y_fld(point)
+            f = st.f[0]
             oracle = (
-                st.f @ st.f @ _bracket_of_fields(acm, x_fld, y_fld, point)
+                f @ f @ _bracket_of_fields(acm, x_fld, y_fld, point)
                 + _bracket_of_fields(acm, f_of(x_fld), f_of(y_fld), point)
-                - st.f @ _bracket_of_fields(acm, f_of(x_fld), y_fld, point)
-                - st.f @ _bracket_of_fields(acm, x_fld, f_of(y_fld), point)
-                + 2.0 * st.deta2(x, y) * st.xi
+                - f @ _bracket_of_fields(acm, f_of(x_fld), y_fld, point)
+                - f @ _bracket_of_fields(acm, x_fld, f_of(y_fld), point)
+                + 2.0 * st.deta2(x[:, None], y[:, None]).item() * st.xi[0, :, 0]
             )
-            assert np.allclose(st.n1(x, y), oracle, atol=1e-7)
+            assert np.allclose(st.n1(x[:, None], y[:, None])[0, :, 0, 0], oracle, atol=1e-7)
 
 
 def test_n_tensor_identities(sasakian_r3, scaled2, flat_const):
-    e = np.eye(3)
+    e = np.eye(3)[:, :, None]  # e[i] is a (3, 1) column
     for acm in (sasakian_r3, scaled2, flat_const):
         for point in points_for(acm, count=4):
             st = acm.at(point)
@@ -110,12 +117,12 @@ def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
             st = acm.at(point)
             # ddeta[k, l, i] = d_k d_l eta_i, from eta = g xi
             ddeta = (
-                np.einsum("klij,j->kli", st.ddg, st.xi)
-                + np.einsum("kij,lj->kli", st.dg, st.dxi)
-                + np.einsum("lij,kj->kli", st.dg, st.dxi)
-                + np.einsum("ij,klj->kli", st.g, st.ddxi)
+                np.einsum("pklij,pj->pkli", st.ddg, st.xi[..., 0])
+                + np.einsum("pkij,plj->pkli", st.dg, st.dxi)
+                + np.einsum("plij,pkj->pkli", st.dg, st.dxi)
+                + np.einsum("pij,pklj->pkli", st.g, st.ddxi)
             )
-            d_deta = 0.5 * (ddeta - ddeta.transpose(0, 2, 1))  # d_k (d eta)_ij
+            d_deta = 0.5 * (ddeta - ddeta.transpose(0, 1, 3, 2))  # d_k (d eta)_ij
             assert np.max(np.abs(d_twoform(d_deta))) < 1e-12  # d(d eta) = 0
             assert np.max(np.abs(st.dPhi_form)) < 1e-12  # Phi closed here
 
@@ -126,24 +133,25 @@ def test_h_tensor_decomposition(scaled2):
     assert np.allclose(sym + skew, st.h, atol=1e-15)
     assert np.max(np.abs(st.h @ st.xi)) < 1e-13
     # adjoint property g(h* X, Y) = g(X, h Y)
-    x = np.array([1.0, -0.5, 0.25])
-    y = np.array([0.2, 1.0, -1.0])
-    assert (st.h_star @ x) @ st.g @ y == pytest.approx(x @ st.g @ (st.h @ y), abs=1e-13)
+    x = col(1.0, -0.5, 0.25)
+    y = col(0.2, 1.0, -1.0)
+    assert mT(st.h_star @ x) @ st.g @ y == pytest.approx(x.T @ st.g @ (st.h @ y), abs=1e-13)
 
 
 def test_n_tensors_shapes(sasakian_r3):
     st = sasakian_r3.at(np.array([0.0, 0.0, 0.0]))
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0])
-    assert st.n1(x, y).shape == (3,)
-    assert isinstance(st.n2(x, y), float)
-    assert st.n3(x).shape == (3,)
-    assert np.allclose(st.n1(x, y), st._nijenhuis(x, y) + 2.0 * st.deta2(x, y) * st.xi)
+    x = col(1.0, 0.0, 0.0)
+    y = col(0.0, 1.0, 0.0)
+    # the point axis first; a vector is a column, so it keeps an axis of its own
+    assert st.n1(x, y).shape == (1, 3, 1, 1)
+    assert st.n2(x, y).shape == (1, 1, 1)
+    assert st.n3(x).shape == (1, 3, 1)
+    assert np.allclose(st.n1(x, y)[..., 0], bilinear(st.nijenhuis, x, y)[..., 0] + 2.0 * st.deta2(x, y) * st.xi)
     # direction matrices give every column pair: [i, a, b]
-    d = np.column_stack([x, y, x + y])
-    assert st.n1(d, d[:, :2]).shape == (3, 3, 2)
-    assert st.n2(d, d[:, :2]).shape == (3, 2)
-    assert np.allclose(st.n1(d, d[:, :2])[:, 2, 1], st.n1(x + y, y), atol=1e-15)
+    d = np.hstack([x, y, x + y])
+    assert st.n1(d, d[:, :2]).shape == (1, 3, 3, 2)
+    assert st.n2(d, d[:, :2]).shape == (1, 3, 2)
+    assert np.allclose(st.n1(d, d[:, :2])[:, :, 2, 1], st.n1(x + y, y)[:, :, 0, 0], atol=1e-15)
 
 
 def test_explicit_q_is_cross_checked():
@@ -169,10 +177,12 @@ def test_at_builds_a_fresh_state(sasakian_r3):
     p = [0.1, 0.1, 0.1]
     a, b = sasakian_r3.at(p), sasakian_r3.at(np.array(p))
     assert a is not b
-    assert np.array_equal(a.point, b.point) and np.array_equal(a.riem, b.riem)
+    (a_rxi, a_ric), (b_rxi, b_ric) = a.curvature_xi, b.curvature_xi
+    assert np.array_equal(a.points, b.points) and np.array_equal(a_rxi, b_rxi) and np.array_equal(a_ric, b_ric)
+    assert a.points.shape == (1, 3) and a_rxi.shape == (1, 3, 3, 3) and a_ric.shape == (1, 3, 3)
 
 
 def test_normalize_zero_vector_raises(sasakian_r3):
     st = sasakian_r3.at(np.zeros(3))
     with pytest.raises(ValueError, match=r"^cannot normalize a \(near\) zero vector$"):
-        st.g_normalize(np.zeros(3))
+        st.g_normalize(np.zeros((1, 3, 1)))
