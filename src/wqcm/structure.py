@@ -14,10 +14,10 @@ gradients and Hessians: one run of the structure's compiled
 connection, the curvature R_{., .} xi and the Ricci tensor, and what all
 check suites share there: the test-direction matrices of the state's seed,
 the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which
-is n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is (P, d, 1), eta is the row (P, 1, d), a
-direction matrix is (P, d, m).  Each tensor is computed once for the whole
-block, when first read.  `PointState.take` gives the state of a subset of
-the points, which takes its points' part of what its parent already holds.
+is n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is
+(P, d, 1), eta is the row (P, 1, d), a direction matrix is (P, d, m).  Each
+tensor is computed once for the whole block, when first read.  `PointState.take` gives the state of a subset of
+the points, built anew from their part of the block's tape arrays.
 `WeakACM.at` runs the tape at one point and builds a new state of P = 1 on
 every call, so a state lives only as long as its caller holds it.
 """
@@ -25,6 +25,7 @@ every call, so a state lives only as long as its caller holds it.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -33,106 +34,52 @@ from .exprdsl import Fields, StructureDef, eval_tape
 from .geometry import bilinear, contract, mT
 
 
-def _take(value, mask):
-    """The points `mask` of a state's value: an array with the point axis
-    first, a tuple of such arrays, or None."""
-    if isinstance(value, tuple):
-        return tuple(a[mask] for a in value)
-    return None if value is None else value[mask]
-
-
-class _cached:
-    """A tensor of a state, computed once when first read.  A sub-state
-    (`PointState.take`) takes its points' part of the value its parent
-    holds, and computes its own only when the parent holds none."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, st, owner=None):
-        if st is None:
-            return self
-        held = st.parent.__dict__ if st.parent is not None else {}
-        value = _take(held[self.name], st.mask) if self.name in held else self.fn(st)
-        st.__dict__[self.name] = value
-        return value
-
-
-def _read(st, name: str, order: int) -> np.ndarray:
-    """The tape's array of `name` (order 0: values, 1: gradients, 2: Hessians)
-    at the points of the state `st`."""
-    a = st.fields[name][order]
-    return a if st.lanes is None else a[st.lanes]
-
-
-def _field(name: str, order: int) -> _cached:
-    return _cached(lambda st: _read(st, name, order))
-
-
 class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
     (`points`, P x d); `seed` picks the test directions.  `fields` are the
-    arrays of `eval_tape` over the block.  A state made by `take` has the
-    state it came from as `parent`, its points as the boolean `mask` over
-    the parent's, and as `lanes` their indices in `fields`."""
+    arrays of `eval_tape` over the block.  Given `lanes` (an index array or
+    a boolean mask), the state is that of those points of the block only."""
 
-    def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields,
-                 parent: PointState | None = None, mask=None):
-        self.sdef, self.seed, self.fields = sdef, seed, fields
+    def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)
+        if lanes is not None:
+            self.points = self.points[lanes]
+            fields = {name: tuple(a[lanes] for a in jets) for name, jets in fields.items()}
+        self.sdef, self.seed, self.fields = sdef, seed, fields
         self.dim, self.n = sdef.dim, sdef.n
-        self.parent, self.mask = parent, mask
-        self.lanes = None
-        if parent is not None:
-            self.lanes = np.flatnonzero(mask) if parent.lanes is None else parent.lanes[mask]
-        self.frame  # validates g at every point
+        # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
+        self.g, self.dg, self.ddg = fields["metric"]
+        self.frame = geometry.orthonormal_frame(self.g)  # validates g at every point
+        self.f, self.df, self.ddf = fields["f"]
+        xi, self.dxi, self.ddxi = fields["xi"]
+        self.xi = xi[..., None]  # columns (P, d, 1)
+        # explicit Q from the file, if any (cross-check only)
+        self.q_explicit = fields["q"][0] if "q" in fields else None
 
     def take(self, mask) -> PointState:
         """The state of the points where the boolean `mask` holds."""
-        return PointState(self.sdef, self.points[mask], self.seed, self.fields, self, mask)
+        return PointState(self.sdef, self.points, self.seed, self.fields, mask)
 
-    # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
-    g, dg, ddg = _field("metric", 0), _field("metric", 1), _field("metric", 2)
-    f, df, ddf = _field("f", 0), _field("f", 1), _field("f", 2)
-    dxi, ddxi = _field("xi", 1), _field("xi", 2)
-
-    @_cached
-    def xi(self):
-        """The Reeb field, as columns (P, d, 1)."""
-        return _read(self, "xi", 0)[..., None]
-
-    @_cached
-    def q_explicit(self):
-        """Q from the file, if any (cross-check only)."""
-        return _read(self, "q", 0) if "q" in self.fields else None
-
-    @_cached
-    def frame(self):
-        return geometry.orthonormal_frame(self.g)
-
-    @_cached
+    @cached_property
     def g_inv(self):
         return np.linalg.inv(self.g)
 
     # -- derived fields -----------------------------------------------------
 
-    @_cached
+    @cached_property
     def eta(self):
         return mT(self.g @ self.xi)
 
-    @_cached
+    @cached_property
     def deta(self):
         """deta[k, i] = d_k eta_i."""
         return (self.dg @ self.xi[:, None])[..., 0] + self.dxi @ mT(self.g)
 
-    @_cached
+    @cached_property
     def Q(self):
         return -self.f @ self.f + self.xi @ self.eta
 
-    @_cached
+    @cached_property
     def dQ(self):
         """dQ[k, i, j] = d_k Q^i_j."""
         return (
@@ -142,50 +89,50 @@ class PointState:
             + self.xi[:, None] * self.deta[:, :, None, :]
         )
 
-    @_cached
+    @cached_property
     def Qt(self):
         return self.Q - np.eye(self.dim)
 
-    @_cached
+    @cached_property
     def Q_inv(self):
         return np.linalg.inv(self.Q)
 
-    @_cached
+    @cached_property
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
         m = _finite(mT(self.frame) @ self.g @ self.Q @ self.frame, "Q")
         return np.linalg.eigvalsh(0.5 * (m + mT(m)))
 
-    @_cached
+    @cached_property
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
         return np.linalg.svd(_finite(mT(self.frame) @ self.g @ self.f @ self.frame, "f"), compute_uv=False)
 
-    @_cached
+    @cached_property
     def Phi(self):
         """Fundamental 2-form, Phi_ij = g(partial_i, f partial_j) = g_im f^m_j."""
         return self.g @ self.f
 
-    @_cached
+    @cached_property
     def dPhi(self):
         return self.dg @ self.f[:, None] + self.g[:, None] @ self.df
 
-    @_cached
+    @cached_property
     def deta_form(self):
         """d eta as an antisymmetric matrix, with the 1/2 normalization."""
         return geometry.d_oneform(self.deta)
 
-    @_cached
+    @cached_property
     def dPhi_form(self):
         """d Phi as a 3-form array, with the 1/3 normalization."""
         return geometry.d_twoform(self.dPhi)
 
-    @_cached
+    @cached_property
     def h(self):
         """h = (1/2) L_xi f."""
         return 0.5 * geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.f, self.df)
 
-    @_cached
+    @cached_property
     def dh(self):
         """dh[l, i, j] = d_l h^i_j (uses second derivatives of f and xi)."""
         dxi, ddxi, df, f = self.dxi, self.ddxi, self.df, self.f[:, None]
@@ -198,18 +145,18 @@ class PointState:
             + f @ mT(ddxi)  # f^i_k d_l d_j xi^k
         )
 
-    @_cached
+    @cached_property
     def h_star(self):
         """g-adjoint of h: g(h* X, Y) = g(X, h Y)."""
         return self.g_inv @ mT(self.h) @ self.g
 
     # -- connection and curvature -------------------------------------------
 
-    @_cached
+    @cached_property
     def gamma(self):
         return geometry.christoffel(self.g_inv, self.dg)
 
-    @_cached
+    @cached_property
     def curvature_xi(self):
         """R_{., .} xi (`geometry.curvature_z`) and the Ricci tensor: the checks
         read the curvature only through these, so the full tensor, d times
@@ -217,35 +164,35 @@ class PointState:
         r = geometry.riemann(self.g_inv, self.dg, self.ddg, self.gamma)
         return geometry.curvature_z(r, self.xi), geometry.ricci(r)
 
-    @_cached
+    @cached_property
     def nabla_xi(self):
         """(nabla xi)^i_j so that (nabla_X xi)^i = (nabla xi)^i_j X^j."""
         return mT(geometry.cov_vector(self.gamma, self.xi[..., 0], self.dxi))
 
-    @_cached
+    @cached_property
     def nabla_eta(self):
         """nabla_eta[k, j] = (nabla_k eta)_j."""
         return geometry.cov_oneform(self.gamma, self.eta[:, 0], self.deta)
 
-    @_cached
+    @cached_property
     def nabla_f(self):
         return geometry.cov_tensor11(self.gamma, self.f, self.df)
 
-    @_cached
+    @cached_property
     def nabla_Q(self):
         return geometry.cov_tensor11(self.gamma, self.Q, self.dQ)
 
-    @_cached
+    @cached_property
     def nabla_h(self):
         return geometry.cov_tensor11(self.gamma, self.h, self.dh)
 
-    @_cached
+    @cached_property
     def lie_xi_g(self):
         """(L_xi g)(X, Y) = g(nabla_X xi, Y) + g(X, nabla_Y xi)."""
         m = self.g @ self.nabla_xi
         return m + mT(m)
 
-    @_cached
+    @cached_property
     def lie_xi_Q(self):
         return geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.Q, self.dQ)
 
@@ -292,7 +239,7 @@ class PointState:
 
     # -- what the check suites share ------------------------------------------
 
-    @_cached
+    @cached_property
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
         """The direction matrices D (P x d x m, m = d + 8) and f D.  The
         columns of D are the coordinate frame plus random g-unit vectors
@@ -307,7 +254,7 @@ class PointState:
         d = np.concatenate([frame, self.g_normalize(np.array(drawn))], axis=2)
         return d, self.f @ d
 
-    @_cached
+    @cached_property
     def fbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """The adapted bases of Q-eigenvectors: the (P, d, d) matrices with
         columns xi, e_1, f e_1, ..., e_n, f e_n, and the (P, n) eigenvalues
@@ -340,7 +287,7 @@ class PointState:
             p = p - e @ mT(g @ e) - fe @ mT(g @ fe) / (mT(fe) @ g @ fe)
         return np.concatenate(columns, axis=2), np.stack(lams, axis=1)
 
-    @_cached
+    @cached_property
     def contact_volume(self) -> np.ndarray:
         """eta ^ (d eta)^n evaluated on the f-basis B: n! Pf(M) det B, with M
         the antisymmetric matrix [[0, eta], [-eta, d eta]]."""
@@ -367,7 +314,7 @@ class PointState:
         t += np.eye(self.dim)[:, :, None] * self.eta[:, None]
         return bilinear(t, x, y)
 
-    @_cached
+    @cached_property
     def nijenhuis(self):
         """[f, f] as t[j, i, k] = f^m_j d_m f^i_k - f^m_k d_m f^i_j
         + f^i_m d_k f^m_j - f^i_m d_j f^m_k, so that [f, f](X, Y)^i = t[j, i, k] X^j Y^k."""

@@ -637,8 +637,7 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
                         raise ValueError("outside the chart domain")
                     if lane in errors:
                         raise errors[lane]
-                    one = {name: tuple(a[lane : lane + 1] for a in jets) for name, jets in fields.items()}
-                    results.append(_residuals(PointState(s.sdef, block[lane : lane + 1], seed, one), order, tol))
+                    results.append(_residuals(PointState(s.sdef, block, seed, fields, [lane]), order, tol))
                 except (ValueError, ArithmeticError) as exc:
                     raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
         for result in results:

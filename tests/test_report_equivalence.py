@@ -223,3 +223,23 @@ def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_der
         one = np.array([s[cid][0][0] for s in singles])
         assert np.array_equal(np.isnan(value[on]), np.isnan(one[on])), cid
         assert np.nanmax(np.abs(value[on] - one[on]), initial=0.0) <= 1e-12, cid
+
+
+@pytest.mark.parametrize("tol_deriv", [1e-9, 6.0])
+@pytest.mark.parametrize("suite", ["all", "classify", "validate"])
+@pytest.mark.parametrize("index", range(len(STRUCTURES)), ids=[f"{k}{p or ''}" for k, p in STRUCTURES])
+def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_deriv):
+    """A block where nothing fails is never evaluated again one point at a
+    time, so an error in the batched checks themselves cannot hide behind
+    that slower path."""
+    sizes = []
+    residuals = suites._residuals
+
+    def counted(st, *args):
+        sizes.append(len(st.points))
+        return residuals(st, *args)
+
+    monkeypatch.setattr(suites, "_residuals", counted)
+    plan = SamplePlan(count=suites.BLOCK + 8, seed=7)
+    run_suite(structure(index), suite, plan, suites.Tolerances(deriv=tol_deriv))
+    assert sizes == [suites.BLOCK, 8]
