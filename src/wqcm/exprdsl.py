@@ -12,7 +12,8 @@ where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
 Exponents must be integer literals.  No syntax tree is built: `compile_tape`
 parses the text of every cell straight into one hash-consed flat tape, each
 distinct subexpression once, and `eval_tape` runs it over a block of points,
-giving the value, gradient and Hessian of every cell at each point.
+giving the value and gradient of every cell at each point and, at jet order
+2, its Hessian.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -88,15 +89,18 @@ def _tokenize(text: str) -> list[_Token]:
 # instructions of what it read, operands before their operator, and returns
 # the slot of its result.  Running the tape over a block of P points computes
 # the jet of every slot in order, for all points at once: the values (P,), the
-# gradients (P, d) and the full Hessians (P, d, d).  The derivatives of a
+# gradients (P, d) and, at jet order 2, the full Hessians (P, d, d); at order 1
+# a jet's Hessian is None and no rule computes one.  The derivatives of a
 # function of one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats,
 # point by point, so each point gets the libm values and the errors (a zero
 # division, a `sqrt` domain error, an overflow) that scalar float arithmetic
-# gives there; numpy's vector exp and power can differ in the last bit.  Every
-# update adds symmetric terms (`cross + cross.T`, `outer(g, g)`) to symmetric
-# matrices, and IEEE sums and products commute, so Hessians are exactly
-# symmetric.  The formulas and their operand order are fixed: changing them
-# changes the last bits of every report.
+# gives there; numpy's vector exp and power can differ in the last bit.  The
+# second derivatives among them are computed at either order, so a point
+# fails the same way at both.  Every update adds symmetric terms
+# (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and IEEE sums and
+# products commute, so Hessians are exactly symmetric.  The formulas and their
+# operand order are fixed, and the same at both orders: changing them changes
+# the last bits of every report.
 
 # Each level of parentheses or calls recurses through six parser calls; past
 # this depth a cell is an input error rather than a RecursionError.
@@ -327,40 +331,46 @@ def _per_point(fn, v: np.ndarray, errors: dict[int, Exception]):
 
 def _chain(g, h, f0, f1, f2):
     """Compose the jets (g, h) with a function given its value and derivatives
-    at each point."""
-    return f0, f1[:, None] * g, f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :])
+    at each point; h is None at order 1."""
+    dv = f1[:, None] * g
+    if h is None:
+        return f0, dv, None
+    return f0, dv, f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :])
 
 
 def _mul(va, ga, ha, vb, gb, hb):
+    dv = va[:, None] * gb + vb[:, None] * ga
+    if ha is None:
+        return va * vb, dv, None
     cross = ga[:, :, None] * gb[:, None, :]
-    return (
-        va * vb,
-        va[:, None] * gb + vb[:, None] * ga,
-        va[:, None, None] * hb + vb[:, None, None] * ha + (cross + cross.transpose(0, 2, 1)),
-    )
+    return va * vb, dv, va[:, None, None] * hb + vb[:, None, None] * ha + (cross + cross.transpose(0, 2, 1))
 
 
-# field name -> (values, gradients, Hessians), with a leading point axis
-Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+# field name -> (values, gradients, Hessians or None), with a leading point axis
+Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
-def eval_tape(tape: Tape, points) -> tuple[Fields, dict[int, Exception]]:
-    """Run the tape once over a block of points (P, d) -> (fields, errors).
+def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Exception]]:
+    """Run the tape once over a block of points (P, d) -> (fields, errors),
+    with jets of `order` 1 or 2.
 
     fields[name] = (v, dv, ddv) with v[p, ...] the field at point p,
-    dv[p, k, ...] = d_k v and ddv[p, k, l, ...] = d_k d_l v.  errors[p] is
-    the error that evaluating the tape at point p alone raises; the fields
-    of such a point are meaningless.  numpy's floating-point warnings are
-    off here: scalar float arithmetic overflows to inf silently, and a point
-    that fails carries NaN."""
+    dv[p, k, ...] = d_k v and, at order 2, ddv[p, k, l, ...] = d_k d_l v; at
+    order 1 ddv is None.  Values and gradients are the same bits at both
+    orders.  errors[p] is the error that evaluating the tape at point p alone
+    raises, the same at both orders; the fields of such a point are
+    meaningless.  numpy's floating-point warnings are off here: scalar float
+    arithmetic overflows to inf silently, and a point that fails carries NaN."""
     points = np.asarray(points, dtype=float)
     npts, d = points.shape
-    zero_g, zero_h = np.zeros((npts, d)), np.zeros((npts, d, d))
+    leads = ((npts,), (npts, d), (npts, d, d))[: order + 1]
+    zero_g = np.zeros((npts, d))
+    zero_h = np.zeros((npts, d, d)) if order == 2 else None
     fields: Fields = {}
     targets: dict[int, list] = {}  # slot -> [(its field's arrays with the cells flattened, cell)]
     for name, (slots, shape) in tape.fields.items():
-        arrays = tuple(np.empty(lead + shape) for lead in ((npts,), (npts, d), (npts, d, d)))
-        fields[name] = arrays
+        arrays = tuple(np.empty(lead + shape) for lead in leads)
+        fields[name] = arrays if order == 2 else arrays + (None,)
         flat = tuple(a.reshape(a.shape[: a.ndim - len(shape)] + (-1,)) for a in arrays)
         for cell, slot in enumerate(slots):
             targets.setdefault(slot, []).append((flat, cell))
@@ -376,11 +386,11 @@ def eval_tape(tape: Tape, points) -> tuple[Fields, dict[int, Exception]]:
                 g[:, a] = 1.0
                 jet = points[:, a], g, zero_h
             elif op == "neg":
-                jet = tuple(-x for x in jets[a])
+                jet = tuple(None if x is None else -x for x in jets[a])
             elif op == "+":
-                jet = tuple(x + y for x, y in zip(jets[a], jets[b]))
+                jet = tuple(None if x is None else x + y for x, y in zip(jets[a], jets[b]))
             elif op == "-":
-                jet = tuple(x - y for x, y in zip(jets[a], jets[b]))
+                jet = tuple(None if x is None else x - y for x, y in zip(jets[a], jets[b]))
             elif op == "*":
                 jet = _mul(*jets[a], *jets[b])
             elif op == "/":  # a times the reciprocal of b

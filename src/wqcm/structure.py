@@ -9,8 +9,10 @@ derived here:
 A `PointState` is the only object that holds data for chart points: a
 block of P points, and all of it as plain arrays with the point axis first.
 It holds the component arrays of g, f, xi and an explicit Q (values,
-gradients and Hessians: one run of the structure's compiled
-`StructureDef.tape` over the block), the g-orthonormal frame, the
+gradients and, from jets of order 2, Hessians: one run of the structure's
+compiled `StructureDef.tape` over the block; from jets of order 1 the
+Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads them, `dh`
+and `curvature_xi`, raises), the g-orthonormal frame, the
 connection, the curvature R_{., .} xi and the Ricci tensor, and what all
 check suites share there: the test-direction matrices of the state's seed,
 the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which
@@ -37,17 +39,18 @@ from .geometry import bilinear, contract, mT
 class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
     (`points`, P x d); `seed` picks the test directions.  `fields` are the
-    arrays of `eval_tape` over the block.  Given `lanes` (an index array or
-    a boolean mask), the state is that of those points of the block only."""
+    arrays of `eval_tape` over the block.  Given `lanes` (an index array, a
+    slice or a boolean mask), the state is that of those points of the
+    block only."""
 
     def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)
         if lanes is not None:
             self.points = self.points[lanes]
-            fields = {name: tuple(a[lanes] for a in jets) for name, jets in fields.items()}
+            fields = {name: tuple(a if a is None else a[lanes] for a in jets) for name, jets in fields.items()}
         self.sdef, self.seed, self.fields = sdef, seed, fields
         self.dim, self.n = sdef.dim, sdef.n
-        # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij
+        # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij (None from jets of order 1)
         self.g, self.dg, self.ddg = fields["metric"]
         self.frame = geometry.orthonormal_frame(self.g)  # validates g at every point
         self.f, self.df, self.ddf = fields["f"]
@@ -383,11 +386,11 @@ class WeakACM:
         self.name, self.n, self.dim = sdef.name, sdef.n, sdef.dim
 
     def at(self, point, seed: int = 7) -> PointState:
-        """A new state of P = 1 at `point` whose test directions come from
-        `seed`; nothing is kept here.  Raises the error of the tape at the
-        point."""
+        """A new state of P = 1 at `point`, from jets of order 2, whose test
+        directions come from `seed`; nothing is kept here.  Raises the error
+        of the tape at the point."""
         points = np.asarray(point, dtype=float)[None]
-        fields, errors = eval_tape(self.sdef.tape, points)
+        fields, errors = eval_tape(self.sdef.tape, points, 2)
         if errors:
             raise errors[0]
         return PointState(self.sdef, points, seed, fields)

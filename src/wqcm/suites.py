@@ -13,8 +13,11 @@ participating term), and those of the axioms that multiply tensors by
 (1 + the product of the factors' largest entries).
 
 `evaluate` is the only loop over sample points.  It runs the structure's
-tape once per block of `BLOCK` points and builds one `PointState` for the
-block, so each check runs once per block.  A hypothesis (`gate`) is a mask
+tape once per chunk of points and builds one `PointState` for each block of
+`BLOCK` points of the chunk, so each check runs once per block.  The jets
+are of the order the checks need: second derivatives (a chunk of one block)
+only when a curvature-tier check runs, first derivatives (a chunk of four
+blocks) otherwise.  A hypothesis (`gate`) is a mask
 over the block: a check is asserted only at the points where its hypothesis
 passes, on the state of just those points, and reported as "skipped",
 never as a failure, when that holds at no point.  When anything fails in a
@@ -509,10 +512,15 @@ class EvaluationError(ValueError):
     """Evaluating the structure failed at a sample point."""
 
 
-# Sample points per run of the tape and per `PointState`.  A block's field
-# arrays take about 1.4 MB on a 7-dimensional chart, and its state about as
-# much again; blocks of 32 keep the per-call overhead of the tape and the
-# checks small against their array work.
+# Sample points per `PointState`.  A state of 32 points on a 7-dimensional
+# chart takes about 1.4 MB of field arrays at jet order 2, and about as much
+# again of derived tensors; states of 32 keep the per-call overhead of the
+# checks small against their array work.  A jet of order 1 holds 1 + d
+# numbers per point against 1 + d + d^2 at order 2, so at order 1 the tape
+# runs over chunks of four blocks: a chunk's arrays, (1 + 7) * 128 numbers
+# per cell at d = 7, are smaller than one order-2 block's, (1 + 7 + 49) * 32,
+# and the tape's per-instruction overhead is spread over four times the
+# points.  At order 2 a chunk is one block.
 BLOCK = 32
 
 
@@ -614,38 +622,45 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
     def tol(cid):
         return getattr(tolerances, CHECKS[cid].tier)
 
+    # Hessians only where a curvature row needs them
+    jet_order = 2 if any(CHECKS[cid].tier == "curv" for cid in order) else 1
+    chunk_size = BLOCK if jet_order == 2 else 4 * BLOCK
     worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
-    for start in range(0, len(points), BLOCK):
-        # one block alive at a time: drop the last one before the tape fills
+    for start in range(0, len(points), chunk_size):
+        # one chunk alive at a time: drop the last one before the tape fills
         # the next
         fields = None
-        block = np.array(points[start : start + BLOCK], dtype=float)
-        fields, errors = eval_tape(s.sdef.tape, block)
-        results = None
-        if not errors and all(s.sdef.contains(point) for point in block):
-            try:
-                results = [_residuals(PointState(s.sdef, block, seed, fields), order, tol)]
-            except (ValueError, ArithmeticError):
-                pass  # find the first failing point, and its own message
-        if results is None:
-            # the block failed as a whole: again one point at a time, in
-            # sample order, so that the error names the first failing point
-            results = []
-            for lane, point in enumerate(block):
+        chunk = np.array(points[start : start + chunk_size], dtype=float)
+        fields, errors = eval_tape(s.sdef.tape, chunk, jet_order)
+        for lo in range(0, len(chunk), BLOCK):
+            hi = min(lo + BLOCK, len(chunk))
+            lanes = range(lo, hi)
+            results = None
+            if not any(lane in errors for lane in lanes) and all(s.sdef.contains(chunk[lane]) for lane in lanes):
                 try:
-                    if not s.sdef.contains(point):
-                        raise ValueError("outside the chart domain")
-                    if lane in errors:
-                        raise errors[lane]
-                    results.append(_residuals(PointState(s.sdef, block, seed, fields, [lane]), order, tol))
-                except (ValueError, ArithmeticError) as exc:
-                    raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
-        for result in results:
-            for cid in needed:
-                value, on = result[cid]
-                if on.any():
-                    worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
-                    count[cid] += int(np.count_nonzero(on))
+                    results = [_residuals(PointState(s.sdef, chunk, seed, fields, slice(lo, hi)), order, tol)]
+                except (ValueError, ArithmeticError):
+                    pass  # find the first failing point, and its own message
+            if results is None:
+                # the block failed as a whole: again one point at a time, in
+                # sample order, so that the error names the first failing point
+                results = []
+                for lane in lanes:
+                    point = chunk[lane]
+                    try:
+                        if not s.sdef.contains(point):
+                            raise ValueError("outside the chart domain")
+                        if lane in errors:
+                            raise errors[lane]
+                        results.append(_residuals(PointState(s.sdef, chunk, seed, fields, [lane]), order, tol))
+                    except (ValueError, ArithmeticError) as exc:
+                        raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
+            for result in results:
+                for cid in needed:
+                    value, on = result[cid]
+                    if on.any():
+                        worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
+                        count[cid] += int(np.count_nonzero(on))
 
     report = CheckReport(suite, s.name, seed, asdict(tolerances), timestamp=now_timestamp() if timestamp else None)
     for part in parts:

@@ -467,6 +467,32 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, r
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
+def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
+    # g_11 = (x - x_40)^-2 fails in the tape at lane 40 alone: lane 8 of the
+    # second block of `check all` (jets of order 2, one block per run of the
+    # tape) and of the second state of the first 128-point chunk of
+    # `classify` and `validate` (order 1); either way the first block passes
+    # whole, and the second is evaluated one point at a time up to lane 40
+    points = sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
+    doc = document("flat-const")
+    doc["metric"][0][0] = f"(x - ({float(points[40][0])!r}))^-2"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    sizes = []
+    frame = geometry.orthonormal_frame
+
+    def recorded_frame(g):
+        sizes.append(len(g))
+        return frame(g)
+
+    monkeypatch.setattr(geometry, "orthonormal_frame", recorded_frame)
+    code, out, err = run([*command, str(path), "--points", "64", "--seed", "7", "--no-timestamp"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: at sample point {points[40].tolist()}: negative power of zero jet value\n"
+    assert sizes == [32] + [1] * 8
+
+
 @pytest.mark.parametrize("command", ["fbasis"])
 def test_point_outside_domain_is_usage_error(command):
     code, out, err = run([command, "builtin:sasakian-r3", "--at", "5,0,0"])

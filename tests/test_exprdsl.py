@@ -232,7 +232,7 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
     assert len(padded.tape.code) == 64  # one per distinct subexpression
     points = points_for(WeakACM(plain), count=8)
-    (want, no_errors), (got, none_either) = eval_tape(plain.tape, points), eval_tape(padded.tape, points)
+    (want, no_errors), (got, none_either) = eval_tape(plain.tape, points, 2), eval_tape(padded.tape, points, 2)
     assert no_errors == none_either == {}
     for name in ("metric", "f", "xi"):
         for a, b in zip(want[name], got[name]):
@@ -308,7 +308,7 @@ def assert_block_matches_scalar(tape, points):
     with it elsewhere to 1e-12 (1 + |x|)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fields, errors = eval_tape(tape, points)
+        fields, errors = eval_tape(tape, points, 2)
     for p, point in enumerate(points):
         want = scalar_outcome(tape, point)
         if isinstance(want, Exception):
@@ -330,7 +330,7 @@ def test_block_tape_fails_where_the_scalar_tape_fails(cell, bad):
 
 def test_float_overflow_is_a_value_not_an_error():
     tape = compile_tape({"e": "x * x"}, COORDS)
-    fields, errors = eval_tape(tape, np.array([[1e200, 0.0, 0.0], [-1e200, 1.0, 1.0]]))
+    fields, errors = eval_tape(tape, np.array([[1e200, 0.0, 0.0], [-1e200, 1.0, 1.0]]), 2)
     assert errors == {} and fields["e"][0].tolist() == [math.inf, math.inf]
 
 

@@ -1,5 +1,6 @@
-"""Second-order jets as the tape computes them: exact gradients and Hessians
-of expressions, checked against finite differences and algebraic laws."""
+"""Jets as the tape computes them: exact gradients and Hessians of
+expressions, checked against finite differences and algebraic laws, and
+first-order jets that are the second-order ones without the Hessian."""
 
 import math
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqcm.exprdsl import compile_tape, eval_tape
+
 from conftest import jet_at
-from test_exprdsl import COORDS, exprs
+from test_exprdsl import COORDINATES, COORDS, exprs, risky_cells
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -153,3 +156,38 @@ def test_hessian_matrix_is_exactly_symmetric(a, b, k):
     for e in results:
         hess = jet_at(e, POINT)[2]
         assert np.array_equal(hess, hess.T)
+
+
+# -- jet orders ---------------------------------------------------------------------
+
+
+def assert_orders_agree(tape, points):
+    """The tape at order 1 gives the values and gradients of order 2, bit for
+    bit, no Hessians, and the same errors at the same points."""
+    (first, first_errors), (second, second_errors) = (eval_tape(tape, points, order) for order in (1, 2))
+    assert first.keys() == second.keys()
+    for name in second:
+        (v1, dv1, ddv1), (v2, dv2, ddv2) = first[name], second[name]
+        assert ddv1 is None and ddv2 is not None
+        assert np.array_equal(v1, v2, equal_nan=True) and np.array_equal(dv1, dv2, equal_nan=True)
+    assert {p: (type(e), str(e)) for p, e in first_errors.items()} == {
+        p: (type(e), str(e)) for p, e in second_errors.items()
+    }
+    return first_errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(risky_cells(), st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), min_size=1, max_size=6))
+def test_first_order_jets_are_the_second_order_ones_without_hessians(cells, points):
+    assert_orders_agree(compile_tape({"e": cells}, COORDS), np.array(points))
+
+
+@pytest.mark.parametrize("cell, bad, error", [
+    # x * x * x underflows to 0 in the second derivative 2/x^3 of 1/x alone
+    ("1 / x", 1e-110, ZeroDivisionError),
+    ("sqrt(x)", -0.5, ValueError),
+])
+def test_first_order_jets_fail_where_second_order_ones_fail(cell, bad, error):
+    tape = compile_tape({"e": ["x * y", cell]}, COORDS)
+    errors = assert_orders_agree(tape, np.array([[0.5, 0.25, -0.5], [bad, 0.25, -0.5], [0.75, -1.0, 2.0]]))
+    assert list(errors) == [1] and type(errors[1]) is error

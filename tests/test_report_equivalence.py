@@ -24,6 +24,7 @@ import functools
 import gc
 import io
 import json
+import math
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -132,37 +133,40 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
 
 def record_states_and_blocks(monkeypatch):
     """Weak references to every `PointState` built and to every field array
-    of the tape; building a block asserts that no earlier block is alive."""
-    states, arrays = [], []
+    of the tape, and the (points, jet order) of each run of the tape; running
+    the tape over a chunk asserts that no earlier chunk is alive."""
+    states, arrays, chunks = [], [], []
     init, eval_tape = PointState.__init__, suites.eval_tape
 
     def recorded_init(self, *args):
         init(self, *args)
         states.append(weakref.ref(self))
 
-    def recorded_tape(*args):
-        # without a garbage collection: nothing but a reference holds a block
+    def recorded_tape(tape, points, order):
+        # without a garbage collection: nothing but a reference holds a chunk
         assert not [ref for ref in arrays if ref() is not None]
-        fields, errors = eval_tape(*args)
-        arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets)
+        fields, errors = eval_tape(tape, points, order)
+        arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets if a is not None)
+        chunks.append((len(points), order))
         return fields, errors
 
     monkeypatch.setattr(PointState, "__init__", recorded_init)
     monkeypatch.setattr(suites, "eval_tape", recorded_tape)
-    return states, arrays
+    return states, arrays, chunks
 
 
 def test_one_state_per_block_and_none_outlives_run_suite(monkeypatch):
-    states, arrays = record_states_and_blocks(monkeypatch)
+    states, arrays, chunks = record_states_and_blocks(monkeypatch)
     run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
     gc.collect()
-    assert len(states) == 1 and len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
+    assert chunks == [(8, 2)] and len(states) == 1
+    assert len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
     assert states[0]() is None
     assert not [ref for ref in arrays if ref() is not None]
 
 
 def test_no_sub_state_outlives_run_suite(monkeypatch):
-    states, arrays = record_states_and_blocks(monkeypatch)
+    states, arrays, _ = record_states_and_blocks(monkeypatch)
     assert report(MIXED)["checks"]
     gc.collect()
     # the block, and the 2 points where quasi holds and the 2 where the eq21
@@ -171,10 +175,19 @@ def test_no_sub_state_outlives_run_suite(monkeypatch):
     assert not [ref for ref in arrays if ref() is not None]
 
 
-def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch):
-    states, arrays = record_states_and_blocks(monkeypatch)
-    run_suite(WeakACM(catalog("sasakian-r3")), "validate", SamplePlan(count=2 * suites.BLOCK + 1, seed=7))
-    assert len(states) == 3 and len(arrays) == 3 * 9
+@pytest.mark.parametrize("suite, count, chunks, arrays_per_chunk", [
+    # jets of order 1 over chunks of 4 blocks: v and dv of metric, f and xi
+    ("validate", 2 * 4 * suites.BLOCK + 1, [(4 * suites.BLOCK, 1)] * 2 + [(1, 1)], 6),
+    # the curvature rows need order 2, over chunks of one block: v, dv and ddv
+    ("curvature", 2 * suites.BLOCK + 1, [(suites.BLOCK, 2)] * 2 + [(1, 2)], 9),
+])
+def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, chunks, arrays_per_chunk):
+    """One chunk of tape arrays alive at a time, and one state per block of
+    `suites.BLOCK` points (every gate of sasakian-r3 passes everywhere)."""
+    states, arrays, seen = record_states_and_blocks(monkeypatch)
+    run_suite(WeakACM(catalog("sasakian-r3")), suite, SamplePlan(count=count, seed=7))
+    assert seen == chunks
+    assert len(states) == -(-count // suites.BLOCK) and len(arrays) == len(chunks) * arrays_per_chunk
     assert not [ref for ref in arrays if ref() is not None]
 
 
@@ -188,33 +201,47 @@ def structure(index):
     return WeakACM(catalog(key, **params))
 
 
+# the checks that read no second derivative, and their hypotheses
+FIRST_ORDER = suites._with_hypotheses(cid for cid, c in suites.CHECKS.items() if c.tier != "curv")
+
+
+def tolerance(tol_deriv):
+    tolerances = suites.Tolerances(deriv=tol_deriv)
+    return lambda cid: getattr(tolerances, suites.CHECKS[cid].tier)
+
+
+def block_states(acm, points, seed, jet_order):
+    """The states of `suites.evaluate`: the tape over chunks of one block at
+    jet order 2 and of four at order 1, one state per block of a chunk."""
+    step = suites.BLOCK if jet_order == 2 else 4 * suites.BLOCK
+    for start in range(0, len(points), step):
+        chunk = points[start : start + step]
+        fields, errors = suites.eval_tape(acm.sdef.tape, chunk, jet_order)
+        assert not errors
+        for lo in range(0, len(chunk), suites.BLOCK):
+            yield PointState(acm.sdef, chunk, seed, fields, slice(lo, lo + suites.BLOCK))
+
+
 @settings(max_examples=24, deadline=None)
 @given(
     index=st.sampled_from(range(len(STRUCTURES))),
-    count=st.sampled_from([1, 31, 33, 70]),
+    count=st.sampled_from([1, 31, 33, 70, 130]),
     seed=st.integers(0, 1000),
     tol_deriv=st.sampled_from([1e-9, 6.0]),
+    jet_order=st.sampled_from([1, 2]),
 )
-def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_deriv):
-    """Every check of the registry, over blocks of `suites.BLOCK` points and
-    over each point as its own block of one: the same points asserted, and
-    residuals within 1e-12 (NaN where NaN).  A quasi tolerance of 6 gates
-    some points of scaled n=1 in and others out."""
+def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_deriv, jet_order):
+    """Every check of the registry (at jet order 1, every check that is not
+    of the curvature tier), over the blocks of `suites.evaluate` and over
+    each point as its own state of one from jets of order 2: the same points
+    asserted, and residuals within 1e-12 (NaN where NaN).  A quasi tolerance
+    of 6 gates some points of scaled n=1 in and others out."""
     acm = structure(index)
-    tolerances = suites.Tolerances(deriv=tol_deriv)
-
-    def tol(cid):
-        return getattr(tolerances, suites.CHECKS[cid].tier)
-
-    order = suites._with_hypotheses(suites.CHECKS)
-    assert sorted(order) == sorted(suites.CHECKS)
+    tol = tolerance(tol_deriv)
+    assert sorted(suites._with_hypotheses(suites.CHECKS)) == sorted(suites.CHECKS)
+    order = suites._with_hypotheses(suites.CHECKS) if jet_order == 2 else FIRST_ORDER
     points = np.array(suites.sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain))
-    blocks = []
-    for start in range(0, count, suites.BLOCK):
-        block = points[start : start + suites.BLOCK]
-        fields, errors = suites.eval_tape(acm.sdef.tape, block)
-        assert not errors
-        blocks.append(suites._residuals(PointState(acm.sdef, block, seed, fields), order, tol))
+    blocks = [suites._residuals(state, order, tol) for state in block_states(acm, points, seed, jet_order)]
     singles = [suites._residuals(acm.at(p, seed), order, tol) for p in points]
     for cid in order:
         value = np.concatenate([b[cid][0] for b in blocks])
@@ -223,6 +250,75 @@ def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_der
         one = np.array([s[cid][0][0] for s in singles])
         assert np.array_equal(np.isnan(value[on]), np.isnan(one[on])), cid
         assert np.nanmax(np.abs(value[on] - one[on]), initial=0.0) <= 1e-12, cid
+
+
+@pytest.mark.parametrize("tol_deriv", [1e-9, 6.0])
+@pytest.mark.parametrize("index", range(len(STRUCTURES)), ids=[f"{k}{p or ''}" for k, p in STRUCTURES])
+def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_deriv):
+    """On states of the same points from jets of order 1 and of order 2,
+    every check that is not of the curvature tier, and every hypothesis it
+    needs, gives the same bits and is asserted at the same points; so
+    `suites.evaluate` may run the tape at order 1 when no curvature row is
+    needed.  What reads a Hessian raises on an order-1 state."""
+    acm, tol = structure(index), tolerance(tol_deriv)
+    assert all(suites.CHECKS[cid].tier != "curv" for cid in FIRST_ORDER)
+    points = np.array(suites.sample_points(SamplePlan(count=suites.BLOCK, seed=7), acm.sdef.domain))
+    (first,), (second,) = (list(block_states(acm, points, 7, jet_order)) for jet_order in (1, 2))
+    assert first.ddg is None and first.ddf is None and first.ddxi is None
+    one, two = suites._residuals(first, FIRST_ORDER, tol), suites._residuals(second, FIRST_ORDER, tol)
+    for cid in FIRST_ORDER:
+        assert np.array_equal(one[cid][0], two[cid][0], equal_nan=True), cid
+        assert np.array_equal(one[cid][1], two[cid][1]), cid
+    with pytest.raises(AttributeError):
+        first.dh
+    with pytest.raises(TypeError):
+        first.curvature_xi
+
+
+@pytest.mark.parametrize("suite, jet_order", [
+    ("validate", 1), ("classify", 1), ("identity", 1), ("curvature", 2), ("theorems", 2), ("all", 2),
+])
+def test_the_jet_order_is_that_of_the_checks_run(monkeypatch, suite, jet_order):
+    """Second derivatives only for a suite that runs a curvature-tier check."""
+    _, _, chunks = record_states_and_blocks(monkeypatch)
+    run_suite(structure(0), suite, SamplePlan(count=8, seed=7))
+    assert chunks == [(8, jet_order)]
+
+
+@functools.cache
+def single_point_reports(index, suite):
+    """The reports of `suite` on each of the first 300 sample points alone
+    (seed 7): one state of one point per report."""
+    acm = structure(index)
+    points = suites.sample_points(SamplePlan(count=300, seed=7), acm.sdef.domain)
+    return [suites.evaluate(acm, suite, [p], 7) for p in points]
+
+
+def combined(reports):
+    """The rows of one report over all points from the reports of each point
+    alone: the largest residual (NaN first), the points summed, and a pass
+    only where every point passes."""
+    rows = []
+    for cs in zip(*(r.checks for r in reports)):
+        res = [c.max_residual for c in cs]
+        worst = next((x for x in res if math.isnan(x)), max(res))
+        verdicts = {c.verdict for c in cs} - {"skipped"}
+        verdict = "skipped" if not verdicts else "fail" if "fail" in verdicts else "pass"
+        points = len(cs) if cs[0].paper == "class" else sum(c.points for c in cs)
+        rows.append(dict(dataclasses.asdict(cs[0]), max_residual=worst, verdict=verdict, points=points))
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("suite", ["validate", "classify"])
+@pytest.mark.parametrize("index", [0, 3], ids=["sasakian-r3", "scaled-n1-s2"])
+def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
+    """Reports over first-order chunks of 4 blocks, whole and partial, equal
+    the reports of each point alone put together."""
+    acm = structure(index)
+    got = run_suite(acm, suite, SamplePlan(count=count, seed=7))
+    want = combined(single_point_reports(index, suite)[:count])
+    assert_same_report(dataclasses.asdict(got), dict(dataclasses.asdict(got), checks=want))
 
 
 @pytest.mark.parametrize("tol_deriv", [1e-9, 6.0])

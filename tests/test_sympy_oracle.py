@@ -39,7 +39,7 @@ def charts():
 @pytest.mark.parametrize("coords,fields,points", charts())
 def test_tape_matches_sympy_derivatives(coords, fields, points):
     # all points in one block
-    jets, errors = eval_tape(compile_tape(fields, coords), points)
+    jets, errors = eval_tape(compile_tape(fields, coords), points, 2)
     assert errors == {}
     for field, cells in fields.items():
         flat = np.array(cells, dtype=object).reshape(-1)
@@ -83,7 +83,7 @@ def metric_charts():
 
 @pytest.mark.parametrize("coords,cells,points", metric_charts())
 def test_connection_and_curvature_match_sympy(coords, cells, points):
-    jets, errors = eval_tape(compile_tape({"metric": cells}, coords), points)
+    jets, errors = eval_tape(compile_tape({"metric": cells}, coords), points, 2)
     assert errors == {}
     exact = connection_oracle(cells, coords)
     for p, point in enumerate(points):
