@@ -23,6 +23,7 @@ field as expression strings.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -37,45 +38,32 @@ class ExprSyntaxError(ValueError):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> ExprSyntaxError:
+        """The error at character `offset` of `text`."""
+        return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
 
 # -- lexer --------------------------------------------------------------------
+#
+# A token is a tuple (kind, text, offset) with kind num, name, op or end.
+# Whitespace matches no group, so `finditer` steps over it; any other
+# character that starts no token is "bad".
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
-    r"|(?P<ws>\s+)"
+    r"|(?P<bad>\S)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, lexeme, offset in tokens:
+        if kind == "bad":
+            raise ExprSyntaxError.at(f"unexpected character {lexeme!r}", text, offset)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -94,9 +82,12 @@ def _tokenize(text: str) -> list[_Token]:
 # function of one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats,
 # point by point, so each point gets the libm values and the errors (a zero
 # division, a `sqrt` domain error, an overflow) that scalar float arithmetic
-# gives there; numpy's vector exp and power can differ in the last bit.  The
-# second derivatives among them are computed at either order, so a point
-# fails the same way at both.  Every update adds symmetric terms
+# gives there; numpy's vector exp and power can differ in the last bit.
+# exp, sin, cos and v^k map the libm call over the block's values; sin and
+# cos of one slot share one pair of calls, kept while that slot is live.  1/v
+# and sqrt stay scalar: a vector -1/(v*v) gives -inf where a float division
+# raises.  The second derivatives among them are computed at either order, so
+# a point fails the same way at both.  Every update adds symmetric terms
 # (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and IEEE sums and
 # products commute, so Hessians are exactly symmetric.  The formulas and their
 # operand order are fixed, and the same at both orders: changing them changes
@@ -111,51 +102,55 @@ class _Parser:
     def __init__(self, text: str, coord_index: dict[str, int], emit):
         if not text.strip():
             raise ExprSyntaxError("empty expression", 1, 1)
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.coord_index = coord_index
         self.emit = emit
         self.depth = 0
 
-    def next(self) -> _Token:
+    def error(self, message: str, tok: tuple[str, str, int]) -> ExprSyntaxError:
+        return ExprSyntaxError.at(message, self.text, tok[2])
+
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at_op(self, ops: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "op" and tok.text in ops
+    def at_op(self, ops: tuple[str, ...]) -> bool:
+        # only an op token's text is one of ops
+        return self.tokens[self.pos][1] in ops
 
     def expect_op(self, op: str) -> None:
         tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[1] != op:
+            raise self.error(f"expected {op!r}, found {tok[1]!r}", tok)
 
     def parse(self) -> int:
         slot = self.expr()
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        if tok[0] != "end":
+            raise self.error(f"trailing input {tok[1]!r}", tok)
         return slot
 
     def expr(self) -> int:
         slot = self.term()
-        while self.at_op("+-"):
-            op = self.next().text
+        while self.at_op(("+", "-")):
+            op = self.next()[1]
             slot = self.emit(op, slot, self.term())
         return slot
 
     def term(self) -> int:
         slot = self.unary()
-        while self.at_op("*/"):
-            op = self.next().text
+        while self.at_op(("*", "/")):
+            op = self.next()[1]
             slot = self.emit(op, slot, self.unary())
         return slot
 
     def unary(self) -> int:
         signs = 0
-        while self.at_op("-"):
-            self.next()
+        while self.at_op(("-",)):
+            self.pos += 1
             signs += 1
         slot = self.power()
         for _ in range(signs):
@@ -164,22 +159,22 @@ class _Parser:
 
     def power(self) -> int:
         slot = self.atom()
-        while self.at_op("^"):
-            self.next()
+        while self.at_op(("^",)):
+            self.pos += 1
             sign = 1
-            if self.at_op("-"):
-                self.next()
+            if self.at_op(("-",)):
+                self.pos += 1
                 sign = -1
             tok = self.next()
-            if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-                raise ExprSyntaxError(f"non-integer exponent {tok.text!r}", tok.line, tok.col)
-            slot = self.emit("^", slot, sign * int(tok.text))
+            if tok[0] != "num" or not tok[1].isdecimal():
+                raise self.error(f"non-integer exponent {tok[1]!r}", tok)
+            slot = self.emit("^", slot, sign * int(tok[1]))
         return slot
 
-    def nested(self, tok: _Token) -> int:
+    def nested(self, tok: tuple[str, str, int]) -> int:
         """The parenthesized expression that follows `tok`, one level deeper."""
         if self.depth == MAX_NESTING:
-            raise ExprSyntaxError("expression nested too deeply", tok.line, tok.col)
+            raise self.error("expression nested too deeply", tok)
         self.depth += 1
         slot = self.expr()
         self.expect_op(")")
@@ -188,19 +183,23 @@ class _Parser:
 
     def atom(self) -> int:
         tok = self.next()
-        if tok.kind == "num":
-            return self.emit("num", float(tok.text), None)
-        if tok.kind == "name":
-            if self.at_op("("):
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                return self.emit(tok.text, self.nested(self.next()), None)
-            if tok.text not in self.coord_index:
-                raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
-            return self.emit("var", self.coord_index[tok.text], None)
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, _ = tok
+        if kind == "num":
+            value = float(text)
+            if value == math.inf:
+                raise self.error(f"number {text!r} is too large for a float", tok)
+            return self.emit("num", value, None)
+        if kind == "name":
+            if self.at_op(("(",)):
+                if text not in FUNCTIONS:
+                    raise self.error(f"unknown function {text!r}", tok)
+                return self.emit(text, self.nested(self.next()), None)
+            if text not in self.coord_index:
+                raise self.error(f"unknown identifier {text!r}", tok)
+            return self.emit("var", self.coord_index[text], None)
+        if text == "(":
             return self.nested(tok)
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"unexpected token {text!r}", tok)
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,10 @@ def compile_tape(fields: dict, coords) -> Tape:
 # does at the first value that fails.
 
 
+def _libm(fn, *args) -> np.ndarray:
+    return np.fromiter(map(fn, *args), float, len(args[0]))
+
+
 def _reciprocal(xs: list[float]):
     """1/x, the division's second operand."""
     if 0.0 in xs:
@@ -276,7 +279,7 @@ def _power(k: int, xs: list[float]):
         raise ZeroDivisionError("negative power of zero jet value")
 
     def pw(e):  # x ** 0 is 1.0 and x ** 1 is x, for every float x
-        return np.ones(len(xs)) if e == 0 else np.array(xs if e == 1 else [x**e for x in xs])
+        return np.ones(len(xs)) if e == 0 else np.array(xs) if e == 1 else _libm(pow, xs, itertools.repeat(e))
 
     f2 = np.zeros(len(xs)) if k == 1 else k * (k - 1) * pw(k - 2)
     return pw(k), k * pw(k - 1), f2
@@ -291,22 +294,18 @@ def _sqrt(xs: list[float]):
 
 
 def _exp(xs: list[float]):
-    e = np.array([math.exp(x) for x in xs])
+    e = _libm(math.exp, xs)
     return e, e, e
 
 
 def _sin(xs: list[float]):
-    s, c = np.array([math.sin(x) for x in xs]), np.array([math.cos(x) for x in xs])
-    return s, c, -s
+    """sin, cos and -sin: the jet of sin; that of cos is (cos, -sin, -cos)."""
+    s = _libm(math.sin, xs)
+    return s, _libm(math.cos, xs), -s
 
 
-def _cos(xs: list[float]):
-    s, c = np.array([math.sin(x) for x in xs]), np.array([math.cos(x) for x in xs])
-    return c, -s, -c
-
-
-# the functions of the grammar, by name
-FUNCTIONS = {"sin": _sin, "cos": _cos, "exp": _exp, "sqrt": _sqrt}
+# the functions of the grammar, by name; `eval_tape` reads cos off `_sin`
+FUNCTIONS = {"sin": _sin, "cos": _sin, "exp": _exp, "sqrt": _sqrt}
 
 
 def _per_point(fn, v: np.ndarray, errors: dict[int, Exception]):
@@ -377,6 +376,7 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
 
     errors: dict[int, Exception] = {}
     jets: list = [None] * len(tape.code)
+    sines: dict[int, tuple] = {}  # argument slot -> the jet of its sin, while that slot is live
     with np.errstate(all="ignore"):
         for k, (op, a, b) in enumerate(tape.code):
             if op == "num":
@@ -398,6 +398,12 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
                 jet = _mul(*jets[a], *_chain(g, h, *_per_point(_reciprocal, v, errors)))
             elif op == "^" and b == 0:
                 jet = np.ones(npts), zero_g, zero_h
+            elif op in ("sin", "cos"):  # one libm (sin, cos) pair per argument slot
+                v, g, h = jets[a]
+                if a not in sines:
+                    sines[a] = _per_point(_sin, v, errors)
+                s, c, minus_s = sines[a]
+                jet = _chain(g, h, s, c, minus_s) if op == "sin" else _chain(g, h, c, minus_s, -c)
             else:
                 v, g, h = jets[a]
                 fn = functools.partial(_power, b) if op == "^" else FUNCTIONS[op]
@@ -408,6 +414,7 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
                     target[..., cell] = part
             for slot in tape.release[k]:
                 jets[slot] = None
+                sines.pop(slot, None)
     return fields, errors
 
 

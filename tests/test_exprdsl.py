@@ -1,6 +1,9 @@
 import json
 import math
+import types
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import jet_at, points_for
 from scalar_tape import scalar_eval_tape
+from wqcm import exprdsl
 from wqcm.catalog import catalog, document, keys
 from wqcm.structure import WeakACM
 from wqcm.exprdsl import ExprSyntaxError, SchemaError, compile_tape, eval_tape, load_structure_def
 
 COORDS = ["x", "y", "z"]
+PADDED = Path(__file__).parent / "data" / "sasakian-r3-padded.json"
 
 
 def value_at(text, point):
@@ -38,6 +43,7 @@ def test_coordinates_and_functions():
     )
     assert value_at("sqrt(z)", p) == pytest.approx(math.sqrt(2.0))
     assert value_at("1e-2 + .5 + 2.", p) == pytest.approx(2.51)
+    assert value_at("1 + 1e-400", p) == 1.0  # below the float range a literal reads as 0
 
 
 @pytest.mark.parametrize(
@@ -62,11 +68,28 @@ def test_syntax_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
-def test_error_reports_line_and_column():
+@pytest.mark.parametrize(
+    "text, fragment, line, col",
+    [
+        pytest.param("x +\n y + $", "unexpected character '$'", 2, 6, id="character-line-2"),
+        pytest.param("x\n + y\n  * (z + #)", "unexpected character '#'", 3, 10, id="character-line-3"),
+        pytest.param("x +\n y ^ 1.5", "non-integer exponent '1.5'", 2, 6, id="exponent"),
+        pytest.param("x + tan(y)", "unknown function 'tan'", 1, 5, id="function"),
+        pytest.param("(x + y)\n z", "trailing input 'z'", 2, 2, id="trailing"),
+        # the 101st opening parenthesis is one too many
+        pytest.param("(" * 101 + "x" + ")" * 101, "nested too deeply", 1, 101, id="nesting"),
+        pytest.param("x +\n  sin(" * 101 + "x" + ")" * 101, "nested too deeply", 102, 6, id="nesting-calls"),
+        # a literal beyond the float range is an input error, not an inf
+        pytest.param("x * 1e400", "number '1e400' is too large for a float", 1, 5, id="huge-literal"),
+        pytest.param("y +\n" + "9" * 400, "too large for a float", 2, 1, id="huge-integer-literal"),
+    ],
+)
+def test_error_reports_line_and_column(text, fragment, line, col):
     with pytest.raises(ExprSyntaxError) as exc:
-        compile_tape({"e": "x +\n y + $"}, COORDS)
-    assert exc.value.line == 2
-    assert exc.value.col == 6
+        compile_tape({"e": text}, COORDS)
+    assert fragment in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).endswith(f"(line {line}, column {col})")
 
 
 names = st.sampled_from(COORDS)
@@ -303,21 +326,23 @@ def scalar_outcome(tape, point):
 
 
 def assert_block_matches_scalar(tape, points):
-    """`eval_tape` over the block raises, without a warning, at exactly the
-    points where the scalar tape raises, with the same error, and agrees
-    with it elsewhere to 1e-12 (1 + |x|)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fields, errors = eval_tape(tape, points, 2)
-    for p, point in enumerate(points):
-        want = scalar_outcome(tape, point)
-        if isinstance(want, Exception):
-            assert (type(errors.get(p)), str(errors.get(p))) == (type(want), str(want)), point
-            continue
-        assert p not in errors, point
-        for name, jets in want.items():
-            for got, exact in zip((a[p] for a in fields[name]), jets):
-                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+    """`eval_tape` over the block, at jet order 1 and 2, raises without a
+    warning at exactly the points where the scalar tape raises, with the
+    same error, and elsewhere gives the scalar tape's values, gradients and
+    (at order 2) Hessians bit for bit."""
+    wants = [scalar_outcome(tape, point) for point in points]
+    for order in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields, errors = eval_tape(tape, points, order)
+        for p, (point, want) in enumerate(zip(points, wants)):
+            if isinstance(want, Exception):
+                assert (type(errors.get(p)), str(errors.get(p))) == (type(want), str(want)), point
+                continue
+            assert p not in errors, point
+            for name, jets in want.items():
+                for got, exact in zip(fields[name][: order + 1], jets):
+                    assert np.array_equal(got[p], exact, equal_nan=True), (order, point)
 
 
 @pytest.mark.parametrize("cell, bad", TAPE_ERRORS)
@@ -342,6 +367,8 @@ COORDINATES = st.one_of(
 RISKY_FORMS = (
     "{a}", "({a}) / ({b})", "({a}) / (x - y)", "sqrt({a})", "({a})^-{k}", "({a})^{k}",
     "exp({a})", "sin(({a}) * ({b}))", "cos(({a}) * ({b}))",
+    # sin and cos of one argument share one pair of libm calls
+    "sin({a})^2 + cos({a})^{k}", "cos(({a}) * ({b})) * sin(({a}) * ({b}))",
 )
 
 
@@ -359,3 +386,26 @@ def risky_cells(draw):
 @given(risky_cells(), st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), min_size=2, max_size=6))
 def test_block_tape_matches_scalar_tape(cells, points):
     assert_block_matches_scalar(compile_tape({"e": cells}, COORDS), np.array(points))
+
+
+def test_sin_and_cos_run_once_per_point_and_argument(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def shim(x):
+            calls[fn.__name__] += 1
+            return fn(x)
+
+        return shim
+
+    shim = types.SimpleNamespace(**{**vars(math), "sin": counted(math.sin), "cos": counted(math.cos)})
+    monkeypatch.setattr(exprdsl, "math", shim)
+    tape = load_structure_def(PADDED.read_bytes()).tape
+    arguments = {a for op, a, _ in tape.code if op in ("sin", "cos")}
+    # each argument slot is read by one sin and one cos instruction
+    assert sum(op in ("sin", "cos") for op, _, _ in tape.code) == 2 * len(arguments) > 0
+    points = points_for(WeakACM(catalog("sasakian-r3")), count=40)
+    for order in (1, 2):
+        calls.clear()
+        _, errors = eval_tape(tape, points, order)
+        assert errors == {} and calls == {"sin": 40 * len(arguments), "cos": 40 * len(arguments)}

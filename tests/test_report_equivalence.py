@@ -77,6 +77,20 @@ def test_report_matches_loop_implementation(key, command):
     assert_same_report(got, expected)
 
 
+@pytest.mark.parametrize("command", ["check all", "classify", "validate"])
+def test_padded_chart_reports_as_its_builtin(command):
+    """`sasakian-r3-padded.json` is sasakian-r3 with each nonzero cell
+    multiplied by two seeded factors sin(a*v + b)^2 + cos(a*v + b)^2 (v a
+    coordinate), which equal 1: its reports assert the same checks with the
+    same verdicts at the same points."""
+
+    def rows(source):
+        got = report(command.split() + [source, "--points", "40", "--seed", "7"])
+        return [(c["id"], c["verdict"], c["points"]) for c in got["checks"]]
+
+    assert rows(str(DATA / "sasakian-r3-padded.json")) == rows("builtin:sasakian-r3")
+
+
 # the quasi hypothesis of scaled n=1, s=2 is 4.7 to 8.0 at these 32 points,
 # so with --tol-deriv 6 it passes at 2 of them
 MIXED = ["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "6"]
