@@ -11,7 +11,7 @@ Closed-form expressions over the chart coordinates with the grammar
 where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
 Exponents must be integer literals.  No syntax tree is built: `compile_tape`
 parses the text of every cell straight into one hash-consed flat tape, each
-distinct subexpression once, and `eval_tape` runs it over a block of points,
+distinct subexpression once, and `eval_tape` runs it over a chunk of points,
 giving the value and gradient of every cell at each point and, at jet order
 2, its Hessian.
 
@@ -22,7 +22,6 @@ field as expression strings.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -75,19 +74,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # of "num" and the coordinate index of "var"; b is the second argument slot of
 # + - * /, the exponent of "^", and None otherwise.  Each parser rule emits the
 # instructions of what it read, operands before their operator, and returns
-# the slot of its result.  Running the tape over a block of P points computes
+# the slot of its result.  Running the tape over a chunk of P points computes
 # the jet of every slot in order, for all points at once: the values (P,), the
 # gradients (P, d) and, at jet order 2, the full Hessians (P, d, d); at order 1
 # a jet's Hessian is None and no rule computes one.  The derivatives of a
 # function of one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats,
-# point by point, so each point gets the libm values and the errors (a zero
-# division, a `sqrt` domain error, an overflow) that scalar float arithmetic
-# gives there; numpy's vector exp and power can differ in the last bit.
-# exp, sin, cos and v^k map the libm call over the block's values; sin and
+# point by point, so each point gets the libm values that scalar float
+# arithmetic gives there, and the run raises as it does, at the first value
+# that fails (a zero division, a `sqrt` domain error, an overflow); numpy's
+# vector exp and power can differ in the last bit.
+# exp, sin, cos and v^k map the libm call over the chunk's values; sin and
 # cos of one slot share one pair of calls, kept while that slot is live.  1/v
 # and sqrt stay scalar: a vector -1/(v*v) gives -inf where a float division
 # raises.  The second derivatives among them are computed at either order, so
-# a point fails the same way at both.  Every update adds symmetric terms
+# a run fails the same way at both.  Every update adds symmetric terms
 # (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and IEEE sums and
 # products commute, so Hessians are exactly symmetric.  The formulas and their
 # operand order are fixed, and the same at both orders: changing them changes
@@ -308,26 +308,6 @@ def _sin(xs: list[float]):
 FUNCTIONS = {"sin": _sin, "cos": _sin, "exp": _exp, "sqrt": _sqrt}
 
 
-def _per_point(fn, v: np.ndarray, errors: dict[int, Exception]):
-    """`fn` at the values v of a block's points.  When it fails, each point
-    is run alone: a point that fails keeps its first error in `errors`, and
-    NaN stands for what `fn` would have given there."""
-    xs = v.tolist()
-    try:
-        return fn(xs)
-    except (ValueError, ArithmeticError):
-        pass
-    parts = []
-    for p, x in enumerate(xs):
-        try:
-            parts.append(fn([x]))
-        except (ValueError, ArithmeticError) as exc:
-            # no traceback: its frames would keep this block's arrays alive
-            errors.setdefault(p, exc.with_traceback(None))
-            parts.append(np.full((3, 1), math.nan))
-    return tuple(np.concatenate(f) for f in zip(*parts))
-
-
 def _chain(g, h, f0, f1, f2):
     """Compose the jets (g, h) with a function given its value and derivatives
     at each point; h is None at order 1."""
@@ -349,17 +329,16 @@ def _mul(va, ga, ha, vb, gb, hb):
 Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
-def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Exception]]:
-    """Run the tape once over a block of points (P, d) -> (fields, errors),
-    with jets of `order` 1 or 2.
+def eval_tape(tape: Tape, points, order: int) -> Fields:
+    """Run the tape once over a chunk of points (P, d) -> fields, with jets of
+    `order` 1 or 2.
 
     fields[name] = (v, dv, ddv) with v[p, ...] the field at point p,
     dv[p, k, ...] = d_k v and, at order 2, ddv[p, k, l, ...] = d_k d_l v; at
     order 1 ddv is None.  Values and gradients are the same bits at both
-    orders.  errors[p] is the error that evaluating the tape at point p alone
-    raises, the same at both orders; the fields of such a point are
-    meaningless.  numpy's floating-point warnings are off here: scalar float
-    arithmetic overflows to inf silently, and a point that fails carries NaN."""
+    orders.  Raises the first error it meets, the same at both orders; over
+    one point, the error of scalar evaluation there.  numpy's floating-point
+    warnings are off here: scalar float arithmetic overflows to inf silently."""
     points = np.asarray(points, dtype=float)
     npts, d = points.shape
     leads = ((npts,), (npts, d), (npts, d, d))[: order + 1]
@@ -374,7 +353,6 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
         for cell, slot in enumerate(slots):
             targets.setdefault(slot, []).append((flat, cell))
 
-    errors: dict[int, Exception] = {}
     jets: list = [None] * len(tape.code)
     sines: dict[int, tuple] = {}  # argument slot -> the jet of its sin, while that slot is live
     with np.errstate(all="ignore"):
@@ -395,19 +373,19 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
                 jet = _mul(*jets[a], *jets[b])
             elif op == "/":  # a times the reciprocal of b
                 v, g, h = jets[b]
-                jet = _mul(*jets[a], *_chain(g, h, *_per_point(_reciprocal, v, errors)))
+                jet = _mul(*jets[a], *_chain(g, h, *_reciprocal(v.tolist())))
             elif op == "^" and b == 0:
                 jet = np.ones(npts), zero_g, zero_h
             elif op in ("sin", "cos"):  # one libm (sin, cos) pair per argument slot
                 v, g, h = jets[a]
                 if a not in sines:
-                    sines[a] = _per_point(_sin, v, errors)
+                    sines[a] = _sin(v.tolist())
                 s, c, minus_s = sines[a]
                 jet = _chain(g, h, s, c, minus_s) if op == "sin" else _chain(g, h, c, minus_s, -c)
             else:
                 v, g, h = jets[a]
-                fn = functools.partial(_power, b) if op == "^" else FUNCTIONS[op]
-                jet = _chain(g, h, *_per_point(fn, v, errors))
+                xs = v.tolist()
+                jet = _chain(g, h, *(_power(b, xs) if op == "^" else FUNCTIONS[op](xs)))
             jets[k] = jet
             for flat, cell in targets.get(k, ()):
                 for target, part in zip(flat, jet):
@@ -415,7 +393,7 @@ def eval_tape(tape: Tape, points, order: int) -> tuple[Fields, dict[int, Excepti
             for slot in tape.release[k]:
                 jets[slot] = None
                 sines.pop(slot, None)
-    return fields, errors
+    return fields
 
 
 # -- structure definition files ------------------------------------------------

@@ -6,22 +6,23 @@ derived here:
     eta = g(xi, .)          Q = -f^2 + eta (x) xi       Qt = Q - id
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
-A `PointState` is the only object that holds data for chart points: a
-block of P points, and all of it as plain arrays with the point axis first.
-It holds the component arrays of g, f, xi and an explicit Q (values,
-gradients and, from jets of order 2, Hessians: one run of the structure's
-compiled `StructureDef.tape` over the block; from jets of order 1 the
-Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads them, `dh`
-and `curvature_xi`, raises), the g-orthonormal frame, the
+A `PointState` is the only object that holds data for chart points: a block
+of P points, and all of it as plain arrays with the point axis first.  It
+holds the component arrays of g, f, xi and an explicit Q (values, gradients
+and, from jets of order 2, Hessians: the block's part of one run of the
+structure's compiled `StructureDef.tape` over a chunk of points; from jets
+of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
+them, `dh` and `curvature_xi`, raises), the g-orthonormal frame, the
 connection, the curvature R_{., .} xi and the Ricci tensor, and what all
 check suites share there: the test-direction matrices of the state's seed,
-the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which
-is n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is
+the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which is
+n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is
 (P, d, 1), eta is the row (P, 1, d), a direction matrix is (P, d, m).  Each
-tensor is computed once for the whole block, when first read.  `PointState.take` gives the state of a subset of
-the points, built anew from their part of the block's tape arrays.
-`WeakACM.at` runs the tape at one point and builds a new state of P = 1 on
-every call, so a state lives only as long as its caller holds it.
+tensor is computed once for the whole block, when first read.
+`PointState.take` gives the state of a subset of the points, built anew from
+their part of the block's tape arrays.  `WeakACM.at` runs the tape at one
+point and builds a new state of P = 1 on every call, so a state lives only
+as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .geometry import bilinear, contract, mT
 class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
     (`points`, P x d); `seed` picks the test directions.  `fields` are the
-    arrays of `eval_tape` over the block.  Given `lanes` (an index array, a
-    slice or a boolean mask), the state is that of those points of the
-    block only."""
+    arrays of `eval_tape` over `points`.  Given `lanes` (an index array, a
+    slice or a boolean mask), the state is that of those points only."""
 
     def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)
@@ -390,8 +390,5 @@ class WeakACM:
         directions come from `seed`; nothing is kept here.  Raises the error
         of the tape at the point."""
         points = np.asarray(point, dtype=float)[None]
-        fields, errors = eval_tape(self.sdef.tape, points, 2)
-        if errors:
-            raise errors[0]
-        return PointState(self.sdef, points, seed, fields)
+        return PointState(self.sdef, points, seed, eval_tape(self.sdef.tape, points, 2))
 

@@ -17,14 +17,14 @@ tape once per chunk of points and builds one `PointState` for each block of
 `BLOCK` points of the chunk, so each check runs once per block.  The jets
 are of the order the checks need: second derivatives (a chunk of one block)
 only when a curvature-tier check runs, first derivatives (a chunk of four
-blocks) otherwise.  A hypothesis (`gate`) is a mask
-over the block: a check is asserted only at the points where its hypothesis
-passes, on the state of just those points, and reported as "skipped",
-never as a failure, when that holds at no point.  When anything fails in a
-block, the block is evaluated again one point at a time, so that the error
-names the first point in sample order where anything fails, with that
-point's own message.  A NaN or infinite residual
-fails its check, and a non-finite hypothesis fails the checks it gates.
+blocks) otherwise.  A hypothesis (`gate`) is a mask over the block: a check
+is asserted only at the points where its hypothesis passes, on the state of
+just those points, and reported as "skipped", never as a failure, when that
+holds at no point.  When anything fails in a chunk, the chunk is evaluated
+again one point at a time, so that the error names the first point in sample
+order where anything fails, with that point's own message.  A NaN or
+infinite residual fails its check, and a non-finite hypothesis fails the
+checks it gates.
 The suites select from the registry: `identity`, `curvature` and `validate`
 report checks directly, `theorems` and `classify` report the rows of
 `THEOREMS` and `CLASSES` over the largest residuals, and `all` is identity,
@@ -625,42 +625,39 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
     # Hessians only where a curvature row needs them
     jet_order = 2 if any(CHECKS[cid].tier == "curv" for cid in order) else 1
     chunk_size = BLOCK if jet_order == 2 else 4 * BLOCK
+
+    def run(chunk) -> list[dict]:
+        """The residuals of each `BLOCK`-point state of `chunk`; raises what fails first."""
+        if not all(map(s.sdef.contains, chunk)):
+            raise ValueError("outside the chart domain")
+        fields = eval_tape(s.sdef.tape, chunk, jet_order)
+        return [_residuals(PointState(s.sdef, chunk, seed, fields, slice(lo, lo + BLOCK)), order, tol)
+                for lo in range(0, len(chunk), BLOCK)]
+
     worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
     for start in range(0, len(points), chunk_size):
-        # one chunk alive at a time: drop the last one before the tape fills
-        # the next
-        fields = None
         chunk = np.array(points[start : start + chunk_size], dtype=float)
-        fields, errors = eval_tape(s.sdef.tape, chunk, jet_order)
-        for lo in range(0, len(chunk), BLOCK):
-            hi = min(lo + BLOCK, len(chunk))
-            lanes = range(lo, hi)
+        try:
+            results = run(chunk)
+        except (ValueError, ArithmeticError):
+            # Bound to no name, the error is freed here, and with its frames
+            # the chunk's arrays.  The chunk is evaluated again one point at
+            # a time, in sample order, so that the error names the first
+            # failing point, with that point's own message.
             results = None
-            if not any(lane in errors for lane in lanes) and all(s.sdef.contains(chunk[lane]) for lane in lanes):
+        if results is None:
+            results = []
+            for point in chunk:
                 try:
-                    results = [_residuals(PointState(s.sdef, chunk, seed, fields, slice(lo, hi)), order, tol)]
-                except (ValueError, ArithmeticError):
-                    pass  # find the first failing point, and its own message
-            if results is None:
-                # the block failed as a whole: again one point at a time, in
-                # sample order, so that the error names the first failing point
-                results = []
-                for lane in lanes:
-                    point = chunk[lane]
-                    try:
-                        if not s.sdef.contains(point):
-                            raise ValueError("outside the chart domain")
-                        if lane in errors:
-                            raise errors[lane]
-                        results.append(_residuals(PointState(s.sdef, chunk, seed, fields, [lane]), order, tol))
-                    except (ValueError, ArithmeticError) as exc:
-                        raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
-            for result in results:
-                for cid in needed:
-                    value, on = result[cid]
-                    if on.any():
-                        worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
-                        count[cid] += int(np.count_nonzero(on))
+                    results += run(point[None])
+                except (ValueError, ArithmeticError) as exc:
+                    raise EvaluationError(f"at sample point {point.tolist()}: {exc}") from exc
+        for result in results:
+            for cid in needed:
+                value, on = result[cid]
+                if on.any():
+                    worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
+                    count[cid] += int(np.count_nonzero(on))
 
     report = CheckReport(suite, s.name, seed, asdict(tolerances), timestamp=now_timestamp() if timestamp else None)
     for part in parts:

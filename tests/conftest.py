@@ -32,11 +32,9 @@ def points_for(acm: WeakACM, count: int = 8, seed: int = 7):
 
 
 def eval_at(tape, point):
-    """{field: (v, dv, ddv)} of a tape at one point (a block of one); raises
+    """{field: (v, dv, ddv)} of a tape at one point (a chunk of one); raises
     the tape's error there."""
-    fields, errors = eval_tape(tape, np.asarray(point, dtype=float)[None], 2)
-    if errors:
-        raise errors[0]
+    fields = eval_tape(tape, np.asarray(point, dtype=float)[None], 2)
     return {name: tuple(a[0] for a in arrays) for name, arrays in fields.items()}
 
 

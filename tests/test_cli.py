@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from wqcm import geometry
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
 from wqcm.catalog import document
+from wqcm.exprdsl import eval_tape, load_structure_def
 from wqcm.suites import SamplePlan, sample_points
 from test_exprdsl import COORDS, exprs
 
@@ -443,7 +444,7 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
 def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, recwarn, command):
     # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so
-    # the Cholesky of the whole block fails; the block is then evaluated one
+    # the Cholesky of the whole block fails; its chunk is then evaluated one
     # point at a time, and the error is that of lane k alone
     points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
     x = [p[0] for p in points]
@@ -469,11 +470,12 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, r
 
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
 def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
-    # g_11 = (x - x_40)^-2 fails in the tape at lane 40 alone: lane 8 of the
-    # second block of `check all` (jets of order 2, one block per run of the
-    # tape) and of the second state of the first 128-point chunk of
-    # `classify` and `validate` (order 1); either way the first block passes
-    # whole, and the second is evaluated one point at a time up to lane 40
+    # g_11 = (x - x_40)^-2 fails in the tape at lane 40 alone.  For `check
+    # all` (jets of order 2, 32-point chunks) the first chunk passes whole,
+    # and the second is evaluated one point at a time up to lane 40.  For
+    # `classify` and `validate` (order 1) the tape fails over the one 64-point
+    # chunk before any state is built, and the chunk is evaluated one point at
+    # a time from lane 0
     points = sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"(x - ({float(points[40][0])!r}))^-2"
@@ -490,7 +492,26 @@ def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
     code, out, err = run([*command, str(path), "--points", "64", "--seed", "7", "--no-timestamp"])
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: at sample point {points[40].tolist()}: negative power of zero jet value\n"
-    assert sizes == [32] + [1] * 8
+    assert sizes == ([32] + [1] * 8 if command == ["check", "all"] else [1] * 40)
+
+
+@pytest.mark.parametrize("command", [["check", "all"], ["validate"]], ids=" ".join)
+def test_the_first_failing_point_in_sample_order_wins_over_tape_order(tmp_path, command):
+    # In one chunk of either jet order, lane 20 fails at the metric, which
+    # the tape evaluates before xi, and lane 10 fails only at xi; the error
+    # is that of lane 10, with its own message
+    points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
+    doc = document("flat-const")
+    doc["metric"][0][0] = f"1 + 0 * (x - ({float(points[20][0])!r}))^-2"
+    doc["xi"][2] = f"1 + 0 * sqrt((x - ({float(points[10][0])!r}))^2 + (y - ({float(points[10][1])!r}))^2 - 1e-12)"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    for order in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="negative power of zero jet value"):
+            eval_tape(load_structure_def(doc).tape, points, order)
+    code, out, err = run([*command, str(path), "--points", "32", "--seed", "7", "--no-timestamp"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: at sample point {points[10].tolist()}: sqrt of non-positive jet value -1e-12\n"
 
 
 @pytest.mark.parametrize("command", ["fbasis"])

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqcm.exprdsl import compile_tape, eval_tape
+from wqcm.exprdsl import compile_tape
 
 from conftest import jet_at
-from test_exprdsl import COORDINATES, COORDS, exprs, risky_cells
+from test_exprdsl import COORDINATES, COORDS, error_of, exprs, risky_cells, tape_outcome
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -162,18 +162,19 @@ def test_hessian_matrix_is_exactly_symmetric(a, b, k):
 
 
 def assert_orders_agree(tape, points):
-    """The tape at order 1 gives the values and gradients of order 2, bit for
-    bit, no Hessians, and the same errors at the same points."""
-    (first, first_errors), (second, second_errors) = (eval_tape(tape, points, order) for order in (1, 2))
-    assert first.keys() == second.keys()
-    for name in second:
-        (v1, dv1, ddv1), (v2, dv2, ddv2) = first[name], second[name]
-        assert ddv1 is None and ddv2 is not None
-        assert np.array_equal(v1, v2, equal_nan=True) and np.array_equal(dv1, dv2, equal_nan=True)
-    assert {p: (type(e), str(e)) for p, e in first_errors.items()} == {
-        p: (type(e), str(e)) for p, e in second_errors.items()
-    }
-    return first_errors
+    """Over the points, and at each point alone, the tape at order 1 raises
+    the error of order 2, by type and message, or gives the values and
+    gradients of order 2 bit for bit, and no Hessians."""
+    for lanes in [slice(None)] + [slice(p, p + 1) for p in range(len(points))]:
+        first, second = (tape_outcome(tape, points[lanes], order) for order in (1, 2))
+        assert error_of(first) == error_of(second), lanes
+        if error_of(second):
+            continue
+        assert first.keys() == second.keys()
+        for name in second:
+            (v1, dv1, ddv1), (v2, dv2, ddv2) = first[name], second[name]
+            assert ddv1 is None and ddv2 is not None
+            assert np.array_equal(v1, v2, equal_nan=True) and np.array_equal(dv1, dv2, equal_nan=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,5 +190,8 @@ def test_first_order_jets_are_the_second_order_ones_without_hessians(cells, poin
 ])
 def test_first_order_jets_fail_where_second_order_ones_fail(cell, bad, error):
     tape = compile_tape({"e": ["x * y", cell]}, COORDS)
-    errors = assert_orders_agree(tape, np.array([[0.5, 0.25, -0.5], [bad, 0.25, -0.5], [0.75, -1.0, 2.0]]))
-    assert list(errors) == [1] and type(errors[1]) is error
+    points = np.array([[0.5, 0.25, -0.5], [bad, 0.25, -0.5], [0.75, -1.0, 2.0]])
+    assert_orders_agree(tape, points)
+    for order in (1, 2):
+        assert type(tape_outcome(tape, points, order)) is error
+        assert [type(tape_outcome(tape, points[p : p + 1], order)) for p in range(3)] == [dict, error, dict]

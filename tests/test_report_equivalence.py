@@ -35,8 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqcm import geometry, suites
-from wqcm.catalog import catalog
+from wqcm.catalog import catalog, document
 from wqcm.cli import run_cli
+from wqcm.exprdsl import load_structure_def
 from wqcm.structure import PointState, WeakACM
 from wqcm.suites import SamplePlan, run_suite
 
@@ -148,7 +149,8 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
 def record_states_and_blocks(monkeypatch):
     """Weak references to every `PointState` built and to every field array
     of the tape, and the (points, jet order) of each run of the tape; running
-    the tape over a chunk asserts that no earlier chunk is alive."""
+    the tape over a chunk asserts that no earlier chunk is alive, a chunk
+    whose run of the tape raised included."""
     states, arrays, chunks = [], [], []
     init, eval_tape = PointState.__init__, suites.eval_tape
 
@@ -156,13 +158,21 @@ def record_states_and_blocks(monkeypatch):
         init(self, *args)
         states.append(weakref.ref(self))
 
+    def record(fields):
+        arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets if a is not None)
+
     def recorded_tape(tape, points, order):
         # without a garbage collection: nothing but a reference holds a chunk
         assert not [ref for ref in arrays if ref() is not None]
-        fields, errors = eval_tape(tape, points, order)
-        arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets if a is not None)
         chunks.append((len(points), order))
-        return fields, errors
+        try:
+            fields = eval_tape(tape, points, order)
+        except (ValueError, ArithmeticError) as exc:
+            # the field arrays of a run that raised, as its frame holds them
+            record(exc.__traceback__.tb_next.tb_frame.f_locals["fields"])
+            raise
+        record(fields)
+        return fields
 
     monkeypatch.setattr(PointState, "__init__", recorded_init)
     monkeypatch.setattr(suites, "eval_tape", recorded_tape)
@@ -205,6 +215,32 @@ def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, ch
     assert not [ref for ref in arrays if ref() is not None]
 
 
+@pytest.mark.parametrize("suite, chunks, arrays_per_chunk", [
+    # one 64-point chunk of order 1, then lanes 0 to 40 alone
+    ("validate", [(64, 1)] + [(1, 1)] * 41, 6),
+    # two 32-point chunks of order 2, then lanes 32 to 40 alone
+    ("all", [(32, 2)] * 2 + [(1, 2)] * 9, 9),
+])
+@pytest.mark.parametrize("cell, message", [
+    ("(x - ({x}))^2", "metric is not positive definite"),
+    ("(x - ({x}))^-2", "negative power of zero jet value"),
+], ids=["in-the-states", "in-the-tape"])
+def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chunks, arrays_per_chunk, cell, message):
+    """g_11 fails at lane 40 alone, in the states or in the tape.  The chunk
+    that holds it is evaluated again one point at a time, and no array of
+    that chunk is alive when the first of those runs of the tape starts."""
+    points = suites.sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
+    doc = document("flat-const")
+    doc["metric"][0][0] = cell.format(x=repr(float(points[40][0])))
+    acm = WeakACM(load_structure_def(doc))
+    _, arrays, seen = record_states_and_blocks(monkeypatch)
+    with pytest.raises(suites.EvaluationError) as error:
+        suites.evaluate(acm, suite, points, 7)
+    assert str(error.value) == f"at sample point {points[40].tolist()}: {message}"
+    # the arrays of every run of the tape were recorded, the failed ones too
+    assert seen == chunks and len(arrays) == len(chunks) * arrays_per_chunk
+
+
 STRUCTURES = [("sasakian-r3", {}), ("sasakian-r5", {}), ("sasakian-r7", {}),
               ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}), ("flat-const", {})]
 
@@ -230,8 +266,7 @@ def block_states(acm, points, seed, jet_order):
     step = suites.BLOCK if jet_order == 2 else 4 * suites.BLOCK
     for start in range(0, len(points), step):
         chunk = points[start : start + step]
-        fields, errors = suites.eval_tape(acm.sdef.tape, chunk, jet_order)
-        assert not errors
+        fields = suites.eval_tape(acm.sdef.tape, chunk, jet_order)
         for lo in range(0, len(chunk), suites.BLOCK):
             yield PointState(acm.sdef, chunk, seed, fields, slice(lo, lo + suites.BLOCK))
 
@@ -339,7 +374,7 @@ def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
 @pytest.mark.parametrize("suite", ["all", "classify", "validate"])
 @pytest.mark.parametrize("index", range(len(STRUCTURES)), ids=[f"{k}{p or ''}" for k, p in STRUCTURES])
 def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_deriv):
-    """A block where nothing fails is never evaluated again one point at a
+    """A chunk where nothing fails is never evaluated again one point at a
     time, so an error in the batched checks themselves cannot hide behind
     that slower path."""
     sizes = []

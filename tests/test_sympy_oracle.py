@@ -38,9 +38,8 @@ def charts():
 
 @pytest.mark.parametrize("coords,fields,points", charts())
 def test_tape_matches_sympy_derivatives(coords, fields, points):
-    # all points in one block
-    jets, errors = eval_tape(compile_tape(fields, coords), points, 2)
-    assert errors == {}
+    # all points in one chunk
+    jets = eval_tape(compile_tape(fields, coords), points, 2)
     for field, cells in fields.items():
         flat = np.array(cells, dtype=object).reshape(-1)
         exact = [oracle(cell, coords) for cell in flat]
@@ -83,8 +82,7 @@ def metric_charts():
 
 @pytest.mark.parametrize("coords,cells,points", metric_charts())
 def test_connection_and_curvature_match_sympy(coords, cells, points):
-    jets, errors = eval_tape(compile_tape({"metric": cells}, coords), points, 2)
-    assert errors == {}
+    jets = eval_tape(compile_tape({"metric": cells}, coords), points, 2)
     exact = connection_oracle(cells, coords)
     for p, point in enumerate(points):
         g, dg, ddg = (a[p] for a in jets["metric"])
