@@ -2,18 +2,19 @@
 
 Closed-form expressions over the chart coordinates with the grammar
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' ['-'] INTEGER)*
+    expr   := unary (('+' | '-' | '*' | '/') unary)*
+    unary  := '-'* atom ('^' ['-'] INTEGER)*
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-where NAME is either a declared coordinate or one of sin, cos, exp, sqrt.
-Exponents must be integer literals.  No syntax tree is built: `compile_tape`
-parses the text of every cell straight into one hash-consed flat tape, each
-distinct subexpression once, and `eval_tape` runs it over a chunk of points,
-giving the value and gradient of every cell at each point and, at jet order
-2, its Hessian.
+where NAME is either a declared coordinate or one of sin, cos, exp, sqrt,
+and digits are ASCII.  * and / bind tighter than + and -, and all four
+associate to the left: a/b/c is (a/b)/c.  Powers bind tighter than the
+minus signs before them and apply in turn: -x^2 is -(x^2) and x^2^3 is
+(x^2)^3.  Exponents must be integer literals.  No syntax tree is built:
+`compile_tape` parses the text of every cell straight into one hash-consed
+flat tape, each distinct subexpression once, and `eval_tape` runs it over a
+chunk of points, giving the value and gradient of every cell at each point
+and, at jet order 2, its Hessian.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -46,14 +47,15 @@ class ExprSyntaxError(ValueError):
 # -- lexer --------------------------------------------------------------------
 #
 # A token is a tuple (kind, text, offset) with kind num, name, op or end.
-# Whitespace matches no group, so `finditer` steps over it; any other
-# character that starts no token is "bad".
+# ASCII whitespace matches no group, so `finditer` steps over it; any other
+# character that starts no token, a non-ASCII digit or space too, is "bad".
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
-    r"|(?P<bad>\S)"
+    r"|(?P<bad>\S)",
+    re.ASCII,
 )
 
 
@@ -72,17 +74,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # the compiled fields appears once.  Instruction k is a triple (op, a, b) whose
 # result goes to slot k: a is the slot of the (first) argument, or the number
 # of "num" and the coordinate index of "var"; b is the second argument slot of
-# + - * /, the exponent of "^", and None otherwise.  Each parser rule emits the
-# instructions of what it read, operands before their operator, and returns
-# the slot of its result.  Running the tape over a chunk of P points computes
-# the jet of every slot in order, for all points at once: the values (P,), the
-# gradients (P, d) and, at jet order 2, the full Hessians (P, d, d); at order 1
-# a jet's Hessian is None and no rule computes one.  The derivatives of a
-# function of one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats,
-# point by point, so each point gets the libm values that scalar float
-# arithmetic gives there, and the run raises as it does, at the first value
-# that fails (a zero division, a `sqrt` domain error, an overflow); numpy's
-# vector exp and power can differ in the last bit.
+# + - * /, the exponent of "^", and None otherwise.  The parser emits the
+# instructions of each operation it reads after those of its operands, left to
+# right, and passes on the slot of its result.  Running the tape over a chunk
+# of P points computes the jet of every slot in order, for all points at once:
+# the values (P,), the gradients (P, d) and, at jet order 2, the full Hessians
+# (P, d, d); at order 1 a jet's Hessian is None and no rule computes one.  The
+# derivatives of a function of one slot (1/v, v^k, sqrt, exp, sin, cos) come
+# from Python floats, point by point, so each point gets the libm values that
+# scalar float arithmetic gives there, and the run raises as it does, at the
+# first value that fails (a zero division, a `sqrt` domain error, an overflow);
+# numpy's vector exp and power can differ in the last bit.
 # exp, sin, cos and v^k map the libm call over the chunk's values; sin and
 # cos of one slot share one pair of calls, kept while that slot is live.  1/v
 # and sqrt stay scalar: a vector -1/(v*v) gives -inf where a float division
@@ -93,113 +95,89 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # operand order are fixed, and the same at both orders: changing them changes
 # the last bits of every report.
 
-# Each level of parentheses or calls recurses through six parser calls; past
-# this depth a cell is an input error rather than a RecursionError.
+# Each level of parentheses or calls recurses through at most five parser
+# frames (`binary` three times, as in "x + y * (", then `unary` and `atom`);
+# past this depth a cell is an input error rather than a RecursionError.
 MAX_NESTING = 100
 
+# the binary operators by precedence; all four associate to the left
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-class _Parser:
-    def __init__(self, text: str, coord_index: dict[str, int], emit):
-        if not text.strip():
-            raise ExprSyntaxError("empty expression", 1, 1)
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.coord_index = coord_index
-        self.emit = emit
-        self.depth = 0
 
-    def error(self, message: str, tok: tuple[str, str, int]) -> ExprSyntaxError:
-        return ExprSyntaxError.at(message, self.text, tok[2])
+def _parse(text: str, coord_index: dict[str, int], emit) -> int:
+    """Parse one cell by precedence climbing, emitting its instructions, and
+    return the slot of its value."""
+    tokens = _tokenize(text)
+    if tokens[0][0] == "end":
+        raise ExprSyntaxError("empty expression", 1, 1)
+    pos = 0
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(message: str, tok: tuple[str, str, int]) -> ExprSyntaxError:
+        return ExprSyntaxError.at(message, text, tok[2])
 
-    def at_op(self, ops: tuple[str, ...]) -> bool:
-        # only an op token's text is one of ops
-        return self.tokens[self.pos][1] in ops
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok[1] != op:
-            raise self.error(f"expected {op!r}, found {tok[1]!r}", tok)
-
-    def parse(self) -> int:
-        slot = self.expr()
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            raise self.error(f"trailing input {tok[1]!r}", tok)
+    def binary(level: int, depth: int) -> int:
+        """The operands and operators of precedence `level` and above."""
+        nonlocal pos
+        slot = unary(depth)
+        # only an op token's text is a key of the table
+        while _PRECEDENCE.get(tokens[pos][1], 0) >= level:
+            op = tokens[pos][1]
+            pos += 1
+            slot = emit(op, slot, binary(_PRECEDENCE[op] + 1, depth))
         return slot
 
-    def expr(self) -> int:
-        slot = self.term()
-        while self.at_op(("+", "-")):
-            op = self.next()[1]
-            slot = self.emit(op, slot, self.term())
-        return slot
-
-    def term(self) -> int:
-        slot = self.unary()
-        while self.at_op(("*", "/")):
-            op = self.next()[1]
-            slot = self.emit(op, slot, self.unary())
-        return slot
-
-    def unary(self) -> int:
+    def unary(depth: int) -> int:
+        nonlocal pos
         signs = 0
-        while self.at_op(("-",)):
-            self.pos += 1
+        while tokens[pos][1] == "-":
+            pos += 1
             signs += 1
-        slot = self.power()
-        for _ in range(signs):
-            slot = self.emit("neg", slot, None)
-        return slot
-
-    def power(self) -> int:
-        slot = self.atom()
-        while self.at_op(("^",)):
-            self.pos += 1
-            sign = 1
-            if self.at_op(("-",)):
-                self.pos += 1
-                sign = -1
-            tok = self.next()
+        slot = atom(depth)
+        while tokens[pos][1] == "^":
+            negative = tokens[pos + 1][1] == "-"
+            tok = tokens[pos + 1 + negative]
+            pos += 2 + negative
             if tok[0] != "num" or not tok[1].isdecimal():
-                raise self.error(f"non-integer exponent {tok[1]!r}", tok)
-            slot = self.emit("^", slot, sign * int(tok[1]))
+                raise error(f"non-integer exponent {tok[1]!r}", tok)
+            slot = emit("^", slot, -int(tok[1]) if negative else int(tok[1]))
+        for _ in range(signs):
+            slot = emit("neg", slot, None)
         return slot
 
-    def nested(self, tok: tuple[str, str, int]) -> int:
-        """The parenthesized expression that follows `tok`, one level deeper."""
-        if self.depth == MAX_NESTING:
-            raise self.error("expression nested too deeply", tok)
-        self.depth += 1
-        slot = self.expr()
-        self.expect_op(")")
-        self.depth -= 1
-        return slot
-
-    def atom(self) -> int:
-        tok = self.next()
-        kind, text, _ = tok
+    def atom(depth: int) -> int:
+        nonlocal pos
+        tok = tokens[pos]
+        kind, lexeme, _ = tok
+        pos += 1
         if kind == "num":
-            value = float(text)
+            value = float(lexeme)
             if value == math.inf:
-                raise self.error(f"number {text!r} is too large for a float", tok)
-            return self.emit("num", value, None)
+                raise error(f"number {lexeme!r} is too large for a float", tok)
+            return emit("num", value, None)
         if kind == "name":
-            if self.at_op(("(",)):
-                if text not in FUNCTIONS:
-                    raise self.error(f"unknown function {text!r}", tok)
-                return self.emit(text, self.nested(self.next()), None)
-            if text not in self.coord_index:
-                raise self.error(f"unknown identifier {text!r}", tok)
-            return self.emit("var", self.coord_index[text], None)
-        if text == "(":
-            return self.nested(tok)
-        raise self.error(f"unexpected token {text!r}", tok)
+            if tokens[pos][1] != "(":
+                if lexeme not in coord_index:
+                    raise error(f"unknown identifier {lexeme!r}", tok)
+                return emit("var", coord_index[lexeme], None)
+            if lexeme not in FUNCTIONS:
+                raise error(f"unknown function {lexeme!r}", tok)
+            tok = tokens[pos]
+            pos += 1
+        elif lexeme != "(":
+            raise error(f"unexpected token {lexeme!r}", tok)
+        # tok is the opening parenthesis of a call or a group
+        if depth == MAX_NESTING:
+            raise error("expression nested too deeply", tok)
+        slot = binary(1, depth + 1)
+        if tokens[pos][1] != ")":
+            raise error(f"expected ')', found {tokens[pos][1]!r}", tokens[pos])
+        pos += 1
+        return emit(lexeme, slot, None) if kind == "name" else slot
+
+    slot = binary(1, 0)
+    if tokens[pos][0] != "end":
+        raise error(f"trailing input {tokens[pos][1]!r}", tokens[pos])
+    return slot
 
 
 @dataclass(frozen=True)
@@ -234,7 +212,7 @@ def compile_tape(fields: dict, coords) -> Tape:
 
     def cell(text: str) -> int:
         if text not in cell_slots:
-            cell_slots[text] = _Parser(text, coord_index, emit).parse()
+            cell_slots[text] = _parse(text, coord_index, emit)
         return cell_slots[text]
 
     out = {}

@@ -30,6 +30,7 @@ def test_precedence_and_arithmetic():
     assert value_at("2 + 3 * 4 ^ 2", p) == 50.0
     assert value_at("2 ^ -1", p) == 0.5
     assert value_at("-2 ^ 2", p) == -4.0  # unary minus binds looser than ^
+    assert value_at("2 ^ 3 ^ 2", p) == 64.0  # (2^3)^2, unlike Python's 2 ** 3 ** 2
     assert value_at("6 / 3 / 2", p) == 1.0  # left-associative
     assert value_at("1 - 2 - 3", p) == -4.0
     assert value_at("(1 + 2) * 3", p) == 9.0
@@ -52,6 +53,8 @@ def test_coordinates_and_functions():
         ("", "empty expression"),
         ("x +", "unexpected token"),
         ("x + $", "unexpected character"),
+        # a no-break space is no whitespace, not even in a cell of nothing else
+        pytest.param("\u00a0", "unexpected character '\\xa0'", id="non-ascii-space"),
         ("foo(x)", "unknown function"),
         ("w + 1", "unknown identifier"),
         ("x ^ y", "non-integer exponent"),
@@ -76,6 +79,8 @@ def test_syntax_errors(text, fragment):
         pytest.param("x +\n y ^ 1.5", "non-integer exponent '1.5'", 2, 6, id="exponent"),
         pytest.param("x + tan(y)", "unknown function 'tan'", 1, 5, id="function"),
         pytest.param("(x + y)\n z", "trailing input 'z'", 2, 2, id="trailing"),
+        # digits are ASCII: an Arabic-Indic two or a fullwidth 3.5 is no number
+        pytest.param("y +\n x^\u0662 + \uff13.\uff15", "unexpected character '\u0662'", 2, 4, id="non-ascii-digit"),
         # the 101st opening parenthesis is one too many
         pytest.param("(" * 101 + "x" + ")" * 101, "nested too deeply", 1, 101, id="nesting"),
         pytest.param("x +\n  sin(" * 101 + "x" + ")" * 101, "nested too deeply", 102, 6, id="nesting-calls"),
@@ -90,6 +95,89 @@ def test_error_reports_line_and_column(text, fragment, line, col):
     assert fragment in str(exc.value)
     assert (exc.value.line, exc.value.col) == (line, col)
     assert str(exc.value).endswith(f"(line {line}, column {col})")
+
+
+@pytest.mark.parametrize(
+    "opening, length",
+    [
+        pytest.param("(", 1, id="parentheses"),
+        pytest.param("sin(", 101, id="calls"),
+        # the most parser frames per level: x, y, then a * and a + each
+        pytest.param("x + y * (", 202, id="operators"),
+    ],
+)
+def test_nesting_limit_is_accepted(opening, length):
+    tape = compile_tape({"e": opening * 100 + "x" + ")" * 100}, COORDS)
+    assert len(tape.code) == length
+
+
+# Binding power of each operation; a leaf or a call binds as tightly as
+# anything (5).  An operand binds at least as tightly as its operation, and
+# the right operand of a binary operator more tightly: all four associate to
+# the left.  The operand of ^ is an atom or a power: x^2^3 is (x^2)^3.
+BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+@st.composite
+def trees(draw, depth=4):
+    """A syntax tree: ("leaf", text), ("neg", t), (op, t, t) for each binary
+    op, ("^", t, exponent) or (function, t)."""
+    kind = draw(st.sampled_from(["leaf", "neg", "+", "-", "*", "/", "^", "sin", "exp"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return (kind, draw(st.sampled_from([*COORDS, "2", "0.5"])))
+    if kind == "^":
+        return (kind, draw(trees(depth=depth - 1)), draw(st.integers(-3, 3)))
+    operands = 2 if kind in ("+", "-", "*", "/") else 1
+    return (kind, *(draw(trees(depth=depth - 1)) for _ in range(operands)))
+
+
+def render(tree, need=0, full=False) -> str:
+    """The text of a tree, with the fewest parentheses the grammar allows or,
+    when full, every operation parenthesized; `need` is the binding power the
+    context asks of it."""
+    kind = tree[0]
+    if kind == "leaf":
+        return tree[1]
+    if kind not in BINDING:
+        return f"{kind}({render(tree[1], full=full)})"
+    power = BINDING[kind]
+    if kind == "neg":
+        text = "-" + render(tree[1], power, full)
+    elif kind == "^":
+        text = f"{render(tree[1], power, full)}^{tree[2]}"
+    else:
+        text = f"{render(tree[1], power, full)} {kind} {render(tree[2], power + 1, full)}"
+    return f"({text})" if full or power < need else text
+
+
+def post_order(tree) -> list[tuple]:
+    """The instructions of a tree, each distinct subtree once, operands before
+    their operation and left to right."""
+    code: list[tuple] = []
+
+    def walk(t) -> int:
+        kind = t[0]
+        if kind == "leaf":
+            ins = ("var", COORDS.index(t[1]), None) if t[1] in COORDS else ("num", float(t[1]), None)
+        elif kind == "^":
+            ins = (kind, walk(t[1]), t[2])
+        else:
+            ins = (kind, walk(t[1]), walk(t[2]) if len(t) == 3 else None)
+        if ins not in code:
+            code.append(ins)
+        return code.index(ins)
+
+    walk(tree)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_precedence_and_associativity(tree):
+    text = render(tree)
+    tape = compile_tape({"e": text}, COORDS)
+    assert compile_tape({"e": render(tree, full=True)}, COORDS) == tape, text
+    assert list(tape.code) == post_order(tree), text
 
 
 names = st.sampled_from(COORDS)
