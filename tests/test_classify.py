@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqcm.catalog import catalog, document
+from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import load_structure_def
 from wqcm.structure import WeakACM, _pfaffian
 from wqcm.suites import Tolerances, evaluate
@@ -104,6 +104,29 @@ def test_class_verdicts_flat_const(flat_const):
     assert c["contact-metric"].verdict == "fail"
     assert c["sasakian"].verdict == "fail"
     assert c["k-contact"].verdict == "fail"
+
+
+# every built-in, and the scaled family at small and large s
+AGREEMENT_CASES = [(key, {}) for key in keys() if key != "scaled"] + [
+    ("scaled", {"n": n, "s": s}) for n in (1, 3) for s in (0.01, 0.5, 2.0, 100.0)
+]
+AGREEMENT_IDS = ["-".join([k, *(f"{a}{v:g}" for a, v in p.items())]) for k, p in AGREEMENT_CASES]
+
+
+@pytest.mark.parametrize("key, params", AGREEMENT_CASES, ids=AGREEMENT_IDS)
+def test_class_rows_read_the_checks_of_the_theorem_rows(key, params):
+    """The normal, Sasakian and Killing rows of `classify` are the residuals
+    of the checks that Thms 3.3, 3.5 and 3.1 conclude, bit for bit, with the
+    verdict of that check; the theorem rows record them even when skipped."""
+    acm = WeakACM(catalog(key, **params))
+    points = points_for(acm)
+    c = classes(acm, points)
+    theorems = {row.id: row for row in evaluate(acm, "theorems", points).checks}
+    for name, row in (("normal", "t33-normal"), ("sasakian", "t35-sasakian"), ("killing-xi", "t31-killing-xi")):
+        residual = theorems[row].max_residual
+        assert c[name].max_residual == residual, (name, c[name].max_residual, residual)
+        assert c[name].verdict == ("pass" if residual <= Tolerances().deriv else "fail"), name
+    assert c["nearly-sasakian"].max_residual <= c["sasakian"].max_residual
 
 
 def check_f_basis_invariants(acm, point, tol=1e-9):

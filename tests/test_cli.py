@@ -444,11 +444,12 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
 def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, recwarn, command):
     # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so
-    # the Cholesky of the whole block fails; its chunk is then evaluated one
-    # point at a time, and the error is that of lane k alone
+    # the Cholesky of the whole block fails; its chunk is then searched by
+    # halves, and the error is that of lane k alone
     points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
     x = [p[0] for p in points]
     k = next(k for k in range(1, 32) if x[k] < min(x[:k]))
+    assert k == 8
     doc = document("flat-const")
     doc["metric"][0][0] = f"x - ({float(x[k])!r})"
     path = tmp_path / "s.json"
@@ -464,7 +465,8 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, r
     code, out, err = run([*command, str(path), "--points", "32", "--seed", "7", "--no-timestamp"])
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: at sample point {points[k].tolist()}: metric is not positive definite\n"
-    assert sizes == [32] + [1] * (k + 1)
+    # lanes 0-31 fail, 0-15 fail, 0-7 pass, 8-15, 8-11, 8-9 and 8 fail
+    assert sizes == [32, 16, 8, 8, 4, 2, 1]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -472,10 +474,10 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, r
 def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
     # g_11 = (x - x_40)^-2 fails in the tape at lane 40 alone.  For `check
     # all` (jets of order 2, 32-point chunks) the first chunk passes whole,
-    # and the second is evaluated one point at a time up to lane 40.  For
-    # `classify` and `validate` (order 1) the tape fails over the one 64-point
-    # chunk before any state is built, and the chunk is evaluated one point at
-    # a time from lane 0
+    # and the second is searched by halves.  For `classify` and `validate`
+    # (order 1) the tape fails over the one 64-point chunk before any state
+    # is built, and its first half passes whole.  Either way lanes 32-39
+    # pass, and 40-47, 40-43, 40-41 and 40 fail in the tape
     points = sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"(x - ({float(points[40][0])!r}))^-2"
@@ -492,7 +494,7 @@ def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
     code, out, err = run([*command, str(path), "--points", "64", "--seed", "7", "--no-timestamp"])
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: at sample point {points[40].tolist()}: negative power of zero jet value\n"
-    assert sizes == ([32] + [1] * 8 if command == ["check", "all"] else [1] * 40)
+    assert sizes == [32, 8]
 
 
 @pytest.mark.parametrize("command", [["check", "all"], ["validate"]], ids=" ".join)

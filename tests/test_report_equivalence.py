@@ -5,7 +5,12 @@ a per-pair loop implementation of the checks, and `<key>.validate.json` by
 the hand-written axiom validation that the check registry replaced.  The
 three `scaled-n3-s2` files (the structure whose quasi, contact and Killing
 gates fail, so most of its gated checks skip) were written by the check
-registry itself.  All come from
+registry itself.  `flat-const.classify.json`, `scaled-n1-s2.classify.json`
+and `scaled-n3-s2.classify.json` were written again by `wqcm classify` when
+the normal, Sasakian, nearly Sasakian, Killing and K-contact rows came to
+read the relative checks of the theorem rows (`normal`, `sasakian-eq17`,
+`killing-xi`) instead of absolute copies (a failing absolute residual was
+twice the relative one on these charts).  All come from
 
     wqcm check all builtin:<source> --points 8 --seed 7 --format json --no-timestamp
     wqcm classify  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
@@ -215,11 +220,16 @@ def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, ch
     assert not [ref for ref in arrays if ref() is not None]
 
 
+# lanes 0-31 pass, 32-63 and 32-47 fail, 32-39 pass, and 40-47, 40-43, 40-41
+# and 40 fail
+HALVES_TO_LANE_40 = [32, 32, 16, 8, 8, 4, 2, 1]
+
+
 @pytest.mark.parametrize("suite, chunks, arrays_per_chunk", [
-    # one 64-point chunk of order 1, then lanes 0 to 40 alone
-    ("validate", [(64, 1)] + [(1, 1)] * 41, 6),
-    # two 32-point chunks of order 2, then lanes 32 to 40 alone
-    ("all", [(32, 2)] * 2 + [(1, 2)] * 9, 9),
+    # the one 64-point chunk of order 1 fails, then its halves are searched
+    ("validate", [(64, 1)] + [(size, 1) for size in HALVES_TO_LANE_40], 6),
+    # 32-point chunks of order 2: lanes 0-31 are the first chunk
+    ("all", [(size, 2) for size in HALVES_TO_LANE_40], 9),
 ])
 @pytest.mark.parametrize("cell, message", [
     ("(x - ({x}))^2", "metric is not positive definite"),
@@ -227,8 +237,8 @@ def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, ch
 ], ids=["in-the-states", "in-the-tape"])
 def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chunks, arrays_per_chunk, cell, message):
     """g_11 fails at lane 40 alone, in the states or in the tape.  The chunk
-    that holds it is evaluated again one point at a time, and no array of
-    that chunk is alive when the first of those runs of the tape starts."""
+    that holds it is searched by halves, and no array of a run that failed
+    is alive when the next run of the tape starts."""
     points = suites.sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = cell.format(x=repr(float(points[40][0])))
@@ -239,6 +249,21 @@ def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chu
     assert str(error.value) == f"at sample point {points[40].tolist()}: {message}"
     # the arrays of every run of the tape were recorded, the failed ones too
     assert seen == chunks and len(arrays) == len(chunks) * arrays_per_chunk
+
+
+def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
+    """A 128-point chunk of order 1 that fails at lane 127 alone runs the
+    tape at most 2 * log2(128) + 1 = 15 times: the chunk, then two halves
+    per level (one passes, one fails) down to the one point."""
+    points = suites.sample_points(SamplePlan(count=128, seed=7), document("flat-const")["domain"])
+    doc = document("flat-const")
+    doc["metric"][0][0] = f"1 + 0 * (x - ({float(points[127][0])!r}))^-2"
+    acm = WeakACM(load_structure_def(doc))
+    _, _, seen = record_states_and_blocks(monkeypatch)
+    with pytest.raises(suites.EvaluationError) as error:
+        suites.evaluate(acm, "validate", points, 7)
+    assert str(error.value) == f"at sample point {points[127].tolist()}: negative power of zero jet value"
+    assert seen[0] == (128, 1) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
 
 
 STRUCTURES = [("sasakian-r3", {}), ("sasakian-r5", {}), ("sasakian-r7", {}),
@@ -374,9 +399,8 @@ def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
 @pytest.mark.parametrize("suite", ["all", "classify", "validate"])
 @pytest.mark.parametrize("index", range(len(STRUCTURES)), ids=[f"{k}{p or ''}" for k, p in STRUCTURES])
 def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_deriv):
-    """A chunk where nothing fails is never evaluated again one point at a
-    time, so an error in the batched checks themselves cannot hide behind
-    that slower path."""
+    """A chunk where nothing fails is never searched by halves, so an error
+    in the batched checks themselves cannot hide behind that slower path."""
     sizes = []
     residuals = suites._residuals
 
