@@ -28,10 +28,6 @@ _SASAKIAN = {f"sasakian-r{2 * n + 1}": n for n in range(1, MAX_N + 1)}
 PARAMETERS = {"scaled": ("n", "s")}
 
 
-class UnknownCatalogKey(KeyError):
-    pass
-
-
 def keys() -> list[str]:
     return [*_SASAKIAN, "scaled", "flat-const"]
 
@@ -98,9 +94,9 @@ def _flat_const_doc() -> dict:
 def document(key: str, n: int = 1, s: float | None = None) -> dict:
     """The structure-definition document of a built-in, by key.  A key takes
     the parameters `PARAMETERS` names; for any other key, n must be 1 and s
-    must be None."""
+    must be None.  Every bad key or parameter is a ValueError."""
     if key not in keys():
-        raise UnknownCatalogKey(key)
+        raise ValueError(f"unknown catalog key {key!r}")
     if key not in PARAMETERS and (n != 1 or s is not None):
         raise ValueError(f"catalog key {key!r} takes no parameters (got n={n}, s={s})")
     if key == "scaled":

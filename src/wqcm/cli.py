@@ -7,8 +7,9 @@
     wqcm list                              built-in structure keys
 
 SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]";
-a key takes the parameters `catalog.PARAMETERS` names, and any other
-parameter is a usage error.
+a key takes the comma-separated parameters `catalog.PARAMETERS` names, and
+any other parameter is a usage error.  Unless --no-timestamp is given, a
+report ends with the UTC time at which it was made.
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
 1 at least one failure, 2 input or usage error, including a structure that
@@ -23,6 +24,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,7 @@ def _load_source(source: str) -> WeakACM:
         if key not in cat.keys():
             raise CliError(f"unknown builtin key {key!r}; `wqcm list` names them")
         params: dict[str, str] = {}
-        for item in query.replace("&", ",").split(",") if query else ():
+        for item in query.split(",") if query else ():
             k, _, v = (part.strip() for part in item.partition("="))
             if not v:
                 raise CliError(f"bad builtin parameter {item!r}")
@@ -189,7 +191,8 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                 plan = SamplePlan(count=args.points, seed=args.seed)
                 suite = args.suite if args.command == "check" else args.command
                 tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
-                report = run_suite(acm, suite, plan, tolerances, timestamp=not args.no_timestamp)
+                report = run_suite(acm, suite, plan, tolerances)
+                report.timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
                 _write(emit_report(report, args.format), args, stdout)
                 # classification is reporting, not assertion
                 return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
@@ -201,7 +204,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                 raise CliError(f"at point {point.tolist()}: {exc}") from exc
             stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")
             return EXIT_OK if ok else EXIT_FAIL
-        except (CliError, SchemaError, ExprSyntaxError, EvaluationError) as exc:
+        except (CliError, EvaluationError) as exc:
             stderr.write(f"error: {exc}\n")
             return EXIT_USAGE
 

@@ -18,7 +18,7 @@ and, at jet order 2, its Hessian.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
-field as expression strings.
+field as expression strings, and no field that the loader does not read.
 """
 
 from __future__ import annotations
@@ -388,7 +388,6 @@ class StructureDef:
 
     name: str
     n: int
-    coords: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     tape: Tape
 
@@ -429,6 +428,9 @@ def _finite_number(v) -> bool:
         return False
 
 
+_FIELDS = ("name", "n", "coords", "domain", "metric", "f", "xi")  # and the optional "Q"
+
+
 def load_structure_def(source) -> StructureDef:
     """Load a structure definition from JSON bytes/text or a parsed dict."""
     if isinstance(source, (bytes, str)):
@@ -439,9 +441,12 @@ def load_structure_def(source) -> StructureDef:
     else:
         doc = source
     _require(isinstance(doc, dict), "document must be a JSON object")
-    for key in ("name", "n", "coords", "domain", "metric", "f", "xi"):
+    for key in doc:
+        _require(key in (*_FIELDS, "Q"), f"unknown field {key!r}")
+    for key in _FIELDS:
         _require(key in doc, f"missing field {key!r}")
     name = doc["name"]
+    _require(isinstance(name, str), "name must be a string")
     n = doc["n"]
     # a bool is an int to Python
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
@@ -476,4 +481,4 @@ def load_structure_def(source) -> StructureDef:
     fields["xi"] = [_cell(cell, f"xi entry [{i}]") for i, cell in enumerate(xi_rows)]
     if doc.get("Q") is not None:
         fields["q"] = _matrix(doc["Q"], dim, "Q")
-    return StructureDef(name=str(name), n=n, coords=tuple(coords), domain=tuple(box), tape=compile_tape(fields, coords))
+    return StructureDef(name=name, n=n, domain=tuple(box), tape=compile_tape(fields, coords))

@@ -383,7 +383,7 @@ class WeakACM:
 
     def __init__(self, sdef: StructureDef):
         self.sdef = sdef
-        self.name, self.n, self.dim = sdef.name, sdef.n, sdef.dim
+        self.name, self.dim = sdef.name, sdef.dim
 
     def at(self, point, seed: int = 7) -> PointState:
         """A new state of P = 1 at `point`, from jets of order 2, whose test

@@ -37,7 +37,8 @@ and serialize to a stable JSON schema:
                     "points" } ] }
 
 A non-finite max_residual is written as the string "nan" or "inf", so the
-JSON is strict (RFC 8259 has no NaN or Infinity).
+JSON is strict (RFC 8259 has no NaN or Infinity).  Evaluation reads no
+clock: a caller may set `CheckReport.timestamp`, which `emit_report` writes last.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from typing import Callable
 
 import numpy as np
@@ -132,10 +132,6 @@ class CheckReport:
     @property
     def failed(self) -> bool:
         return any(c.verdict == "fail" for c in self.checks)
-
-
-def now_timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def emit_report(report: CheckReport, format: str = "text") -> bytes:
@@ -603,8 +599,7 @@ def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
     return rows
 
 
-def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
-             tolerances: Tolerances = Tolerances(), timestamp: bool = False) -> CheckReport:
+def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Tolerances = Tolerances()) -> CheckReport:
     """The report of `suite` on `points`: the one loop over sample points.
 
     Raises `EvaluationError`, naming the point, when a point lies outside the
@@ -651,13 +646,13 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7,
                     worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
                     count[cid] += int(np.count_nonzero(on))
 
-    report = CheckReport(suite, s.name, seed, asdict(tolerances), timestamp=now_timestamp() if timestamp else None)
+    report = CheckReport(suite, s.name, seed, asdict(tolerances))
     for part in parts:
         report.checks += _rows(part, worst, count, len(points), tol)
     return report
 
 
 def run_suite(s: WeakACM, suite: str, plan: SamplePlan = SamplePlan(),
-              tolerances: Tolerances = Tolerances(), timestamp: bool = False) -> CheckReport:
+              tolerances: Tolerances = Tolerances()) -> CheckReport:
     """`evaluate` at the sample points of `plan`."""
-    return evaluate(s, suite, sample_points(plan, s.sdef.domain), plan.seed, tolerances, timestamp)
+    return evaluate(s, suite, sample_points(plan, s.sdef.domain), plan.seed, tolerances)

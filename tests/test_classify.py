@@ -132,7 +132,7 @@ def test_class_rows_read_the_checks_of_the_theorem_rows(key, params):
 def check_f_basis_invariants(acm, point, tol=1e-9):
     """The eigenvalues of the f-basis at `point`, after checking its invariants."""
     st = acm.at(point)
-    assert st.fbasis[0].shape == (1, acm.dim, acm.dim) and st.fbasis[1].shape == (1, acm.n)
+    assert st.fbasis[0].shape == (1, acm.dim, acm.dim) and st.fbasis[1].shape == (1, acm.sdef.n)
     (basis,), (lam,) = st.fbasis
     (g,), (q,), (f,), (eta,) = st.g, st.Q, st.f, st.eta[:, 0]
 

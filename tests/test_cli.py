@@ -97,6 +97,24 @@ def test_malformed_structure_file(tmp_path):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        # a misspelled Q would otherwise drop the Q-consistency row unnoticed
+        ("q", [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "unknown field 'q'"),
+        ("Xi", ["0", "0", "1"], "unknown field 'Xi'"),
+        ("comment", "flat", "unknown field 'comment'"),
+        ("name", None, "name must be a string"),
+        ("name", 5, "name must be a string"),
+    ],
+)
+def test_structure_file_fails_closed_on_fields(tmp_path, key, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**document("flat-const"), key: value}))
+    code, out, err = run(["validate", str(path), "--points", "4"])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot load {path}: {message}\n")
+
+
 def test_usage_errors():
     for argv in (
         [],
@@ -112,6 +130,8 @@ def test_usage_errors():
         ["check", "all", "builtin:sasakian-r3?s=5"],
         ["check", "all", "builtin:flat-const?n=3,bogus=1"],
         ["classify", "builtin:scaled?s=2,s=3"],
+        # parameters are separated by commas only
+        ["validate", "builtin:scaled?n=1&s=2"],
         # tolerances must be finite and non-negative
         ["check", "all", "builtin:sasakian-r3", "--tol-deriv", "nan"],
         ["check", "all", "builtin:sasakian-r3", "--tol-curv", "-inf"],

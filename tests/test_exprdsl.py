@@ -257,6 +257,8 @@ def test_explicit_q_field_parsed():
     doc["Q"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert "q" in load_structure_def(doc).tape.fields
     assert "q" not in load_structure_def(base_doc()).tape.fields
+    doc["Q"] = None  # a null Q is an absent one
+    assert "q" not in load_structure_def(doc).tape.fields
 
 
 @pytest.mark.parametrize(
