@@ -24,8 +24,8 @@ from .exprdsl import StructureDef, load_structure_def
 DEFAULT_DOMAIN_HALF_WIDTH = 1.0
 MAX_N = 3  # dimension 7; keeps full suite runs fast
 _SASAKIAN = {f"sasakian-r{2 * n + 1}": n for n in range(1, MAX_N + 1)}
-# the parameters each key takes; the other keys take none
-PARAMETERS = {"scaled": ("n", "s")}
+# the parameters each key takes, with their types; the other keys take none
+PARAMETERS = {"scaled": {"n": int, "s": float}}
 
 
 def keys() -> list[str]:

@@ -7,8 +7,9 @@
     wqcm list                              built-in structure keys
 
 SOURCE is either a JSON structure-definition file or "builtin:<key>[?n=..,s=..]";
-a key takes the comma-separated parameters `catalog.PARAMETERS` names, and
-any other parameter is a usage error.  Unless --no-timestamp is given, a
+a key takes the comma-separated parameters `catalog.PARAMETERS` names, each
+converted to the type named there, and any other parameter or a value that
+does not convert is a usage error.  Unless --no-timestamp is given, a
 report ends with the UTC time at which it was made.
 
 Exit codes: 0 all asserted checks pass (skipped checks never count),
@@ -54,19 +55,20 @@ def _load_source(source: str) -> WeakACM:
         key, _, query = spec.partition("?")
         if key not in cat.keys():
             raise CliError(f"unknown builtin key {key!r}; `wqcm list` names them")
-        params: dict[str, str] = {}
+        types, values = cat.PARAMETERS.get(key, {}), {}
         for item in query.split(",") if query else ():
             k, _, v = (part.strip() for part in item.partition("="))
             if not v:
                 raise CliError(f"bad builtin parameter {item!r}")
-            if k not in cat.PARAMETERS.get(key, ()) or k in params:
-                takes = " and ".join(cat.PARAMETERS.get(key, ())) or "no parameters"
+            if k not in types or k in values:
+                takes = " and ".join(types) or "no parameters"
                 raise CliError(f"builtin:{key} takes {takes}; cannot use {item!r}")
-            params[k] = v
+            try:
+                values[k] = types[k](v)
+            except ValueError:
+                raise CliError(f"builtin:{key} parameter {k} must be of type {types[k].__name__}, got {v!r}") from None
         try:
-            n = int(params.get("n", "1"))
-            s = float(params["s"]) if "s" in params else None
-            sdef = cat.catalog(key, n=n, s=s)
+            sdef = cat.catalog(key, **values)
         except ValueError as exc:
             raise CliError(f"cannot build builtin structure {spec!r}: {exc}") from exc
         return WeakACM(sdef)

@@ -454,6 +454,10 @@ def load_structure_def(source) -> StructureDef:
     coords = doc["coords"]
     _require(isinstance(coords, list) and len(coords) == dim, f"coords must list {dim} names for n={n}")
     _require(all(isinstance(c, str) for c in coords), "coordinate names must be strings")
+    for c in coords:  # one identifier to the lexer, and not the name of a function
+        token = _TOKEN_RE.fullmatch(c)
+        _require(token is not None and token.lastgroup == "name" and c not in FUNCTIONS,
+                 f"coordinate name {c!r} must be an identifier other than {', '.join(FUNCTIONS)}")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
     domain = doc["domain"]
     _require(isinstance(domain, list) and len(domain) == dim, f"domain must list {dim} intervals")

@@ -15,10 +15,11 @@ of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
 them, `dh` and `curvature_xi`, raises), the g-orthonormal frame, the
 connection, the curvature R_{., .} xi and the Ricci tensor, and what all
 check suites share there: the test-direction matrices of the state's seed,
-the adapted f-basis B and the contact volume eta ^ (d eta)^n on it, which is
-n! Pf([[0, eta], [-eta, d eta]]) det B.  Vectors are columns: xi is
-(P, d, 1), eta is the row (P, 1, d), a direction matrix is (P, d, m).  Each
-tensor is computed once for the whole block, when first read.
+the adapted f-basis B and the absolute contact volume |eta ^ (d eta)^n| on
+it, n! sqrt|det W| with W the matrix of d eta on the columns of B after xi
+(the sign is not computed).  Vectors are columns: xi is (P, d, 1), eta is
+the row (P, 1, d), a direction matrix is (P, d, m).  Each tensor is computed
+once for the whole block, when first read.
 `PointState.take` gives the state of a subset of the points, built anew from
 their part of the block's tape arrays.  `WeakACM.at` runs the tape at one
 point and builds a new state of P = 1 on every call, so a state lives only
@@ -292,11 +293,13 @@ class PointState:
 
     @cached_property
     def contact_volume(self) -> np.ndarray:
-        """eta ^ (d eta)^n evaluated on the f-basis B: n! Pf(M) det B, with M
-        the antisymmetric matrix [[0, eta], [-eta, d eta]]."""
-        m = np.zeros((len(self.points), self.dim + 1, self.dim + 1))
-        m[:, :1, 1:], m[:, 1:, :1], m[:, 1:, 1:] = self.eta, -mT(self.eta), self.deta_form
-        return math.factorial(self.n) * _pfaffian(m) * np.linalg.det(self.fbasis[0])
+        """|eta ^ (d eta)^n| on the f-basis B.  eta is 1 on xi and 0 on the
+        other columns e = (e_1, f e_1, ..., e_n, f e_n) of B, so the volume is
+        (d eta)^n(e_1, f e_1, ...) = n! Pf(W), W = e^T (d eta) e, and by
+        Pf(W)^2 = det W its absolute value is n! sqrt|det W|.  The sign is not
+        computed; a NaN entry gives NaN."""
+        e = self.fbasis[0][:, :, 1:]
+        return math.factorial(self.n) * np.sqrt(np.abs(np.linalg.det(mT(e) @ self.deta_form @ e)))
 
     # -- defects and N-tensors ----------------------------------------------------
 
@@ -341,41 +344,12 @@ class PointState:
         return 2.0 * self.h @ x
 
 
-# -- f-basis and contact volume --------------------------------------------------
-
-
 def _finite(m: np.ndarray, name: str) -> np.ndarray:
     """`m`, checked before LAPACK sees it: NaN or inf entries of the tensor
     `name` are a ValueError, not a LinAlgError."""
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} is not finite")
     return m
-
-
-def _pfaffian(a: np.ndarray) -> np.ndarray:
-    """Pfaffians of a stack of antisymmetric matrices (P, d, d), 0 for an odd
-    d, by Parlett-Reid elimination: move the largest entry of row k right
-    of the diagonal to (k, k + 1), flipping the sign on a swap, and take the
-    Schur complement of the leading 2 x 2 block.  A NaN entry gives NaN."""
-    a = np.array(a, dtype=float)
-    count, d = a.shape[0], a.shape[-1]
-    if d % 2:
-        return np.zeros(count)
-    pf, zero, lanes = np.ones(count), np.zeros(count, dtype=bool), np.arange(count)
-    for k in range(0, d, 2):
-        p = k + 1 + np.argmax(np.abs(a[:, k, k + 1 :]), axis=1)
-        pf[p != k + 1] *= -1.0
-        rows = a[lanes, p].copy()
-        a[lanes, p], a[:, k + 1] = a[:, k + 1], rows
-        cols = a[lanes, :, p].copy()
-        a[lanes, :, p], a[:, :, k + 1] = a[:, :, k + 1], cols
-        zero |= a[:, k, k + 1] == 0.0
-        a[zero] = 0.0  # a zero pivot ends the elimination: the Pfaffian is 0
-        head = np.where(zero, 1.0, a[:, k, k + 1])
-        pf *= head
-        b, c = a[:, k, k + 2 :] / head[:, None], a[:, k + 1, k + 2 :]
-        a[:, k + 2 :, k + 2 :] += c[:, :, None] * b[:, None, :] - b[:, :, None] * c[:, None, :]
-    return np.where(zero, 0.0, pf)
 
 
 class WeakACM:

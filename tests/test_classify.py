@@ -9,8 +9,8 @@ import pytest
 
 from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import load_structure_def
-from wqcm.structure import WeakACM, _pfaffian
-from wqcm.suites import Tolerances, evaluate
+from wqcm.structure import WeakACM
+from wqcm.suites import Tolerances, _record, _residuals, evaluate
 from conftest import points_for
 
 DATA = Path(__file__).parent / "data"
@@ -106,11 +106,15 @@ def test_class_verdicts_flat_const(flat_const):
     assert c["k-contact"].verdict == "fail"
 
 
+def _case_id(key, params):
+    return "-".join([key, *(f"{a}{v:g}" for a, v in params.items())])
+
+
 # every built-in, and the scaled family at small and large s
 AGREEMENT_CASES = [(key, {}) for key in keys() if key != "scaled"] + [
     ("scaled", {"n": n, "s": s}) for n in (1, 3) for s in (0.01, 0.5, 2.0, 100.0)
 ]
-AGREEMENT_IDS = ["-".join([k, *(f"{a}{v:g}" for a, v in p.items())]) for k, p in AGREEMENT_CASES]
+AGREEMENT_IDS = [_case_id(k, p) for k, p in AGREEMENT_CASES]
 
 
 @pytest.mark.parametrize("key, params", AGREEMENT_CASES, ids=AGREEMENT_IDS)
@@ -220,14 +224,18 @@ def test_f_basis_tie_break_is_geometric(key, params):
         assert np.max(np.abs(e - expected)) <= 1e-12, k
 
 
-def test_contact_volume_values(sasakian_r3, sasakian_r5, scaled2, flat_const):
-    p3 = np.array([0.15, -0.4, 0.3])
-    base = sasakian_r3.at(p3).contact_volume
-    assert abs(base) > 1e-6
-    assert abs(sasakian_r5.at(np.array([0.1, 0.2, -0.1, 0.3, 0.0])).contact_volume) > 1e-6
-    assert abs(flat_const.at(p3).contact_volume) < 1e-12
-    # f-basis vectors rescale with s, so the volume scales by s^n
-    assert scaled2.at(p3).contact_volume == pytest.approx(2.0 * base, abs=1e-9)
+VOLUME_CASES = [("scaled", {"n": n, "s": s}, math.factorial(n) * s**n) for n in (1, 2, 3) for s in (0.01, 0.5, 2.0, 100.0)]
+VOLUME_CASES += [(f"sasakian-r{2 * n + 1}", {}, math.factorial(n)) for n in (1, 2, 3)] + [("flat-const", {}, 0.0)]
+
+
+@pytest.mark.parametrize("key, params, expected", VOLUME_CASES, ids=[_case_id(k, p) for k, p, _ in VOLUME_CASES])
+def test_contact_volume_values(key, params, expected):
+    """|eta ^ (d eta)^n| = n! s^n on scaled (the f-basis vectors f e_i have
+    g-norm s), n! on the Sasakian charts and exactly 0 on flat-const."""
+    acm = WeakACM(catalog(key, **params))
+    for point in points_for(acm):
+        vol = acm.at(point).contact_volume.item()
+        assert abs(vol - expected) <= 1e-12 * expected, (acm.name, point, vol)
 
 
 def _sign(perm) -> float:
@@ -249,62 +257,30 @@ def _alternating_sum(eta, deta, v):
     return total / 2.0 ** (d // 2)
 
 
-def test_contact_volume_matches_its_definition():
-    for key, params in [(k, {}) for k in ("sasakian-r3", "sasakian-r5", "sasakian-r7", "flat-const")] + [
-        ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}),
-    ]:
-        acm = WeakACM(catalog(key, **params))
-        for point in points_for(acm, count=4):
-            st = acm.at(point)
-            expected = _alternating_sum(st.eta[0, 0], st.deta_form[0], st.fbasis[0][0])
-            assert abs(st.contact_volume.item() - expected) <= 1e-12 * abs(expected), (acm.name, point)
+DEFINITION_CASES = [(k, {}) for k in ("sasakian-r3", "sasakian-r5", "sasakian-r7", "flat-const")] + [
+    ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}),
+]
 
 
-def _pfaffian_by_permutations(a):
-    """Pf(a) = 1/(2^m m!) sum over all permutations s of sgn(s) prod_k a[s(2k), s(2k+1)]
-    for a of size 2m; 0 for an odd size."""
-    d = len(a)
-    if d % 2:
-        return 0.0
-    total = sum(_sign(p) * math.prod(a[p[k], p[k + 1]] for k in range(0, d, 2)) for p in permutations(range(d)))
-    return total / (2.0 ** (d // 2) * math.factorial(d // 2))
+@pytest.mark.parametrize("key, params", DEFINITION_CASES, ids=[_case_id(k, p) for k, p in DEFINITION_CASES])
+def test_contact_volume_matches_its_definition(key, params):
+    acm = WeakACM(catalog(key, **params))
+    for point in points_for(acm, count=4):
+        st = acm.at(point)
+        expected = abs(_alternating_sum(st.eta[0, 0], st.deta_form[0], st.fbasis[0][0]))
+        assert abs(st.contact_volume.item() - expected) <= 1e-12 * expected, (acm.name, point)
 
 
-def pfaffian(a):
-    """The Pfaffian of one matrix, as a stack of one."""
-    return _pfaffian(a[None]).item()
-
-
-@pytest.mark.parametrize("size", range(9))
-def test_pfaffian_matches_permutation_expansion(size, rng):
-    for _ in range(2):
-        m = rng.standard_normal((size, size))
-        a = m - m.T  # dense: every row needs its pivot search
-        assert pfaffian(a) == pytest.approx(_pfaffian_by_permutations(a), rel=1e-12, abs=1e-12)
-        if size % 2 == 0:
-            assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
-
-
-def test_pfaffian_pivoting_and_nan(rng):
-    m = rng.standard_normal((6, 6))
-    a = m - m.T
-    # a zero first row (and column): the Pfaffian is 0
-    z = a.copy()
-    z[0, :] = z[:, 0] = 0.0
-    assert pfaffian(z) == 0.0
-    # a zero first super-diagonal entry: the pivot swap flips the sign
-    a[0, 1] = a[1, 0] = 0.0
-    expected = _pfaffian_by_permutations(a)
-    assert pfaffian(a) == pytest.approx(expected, rel=1e-12)
-    pivoted = a.copy()
-    b = np.array([[0.0, 0.0, 2.0, 3.0], [0.0, 0.0, 5.0, 7.0], [-2.0, -5.0, 0.0, 0.0], [-3.0, -7.0, 0.0, 0.0]])
-    assert pfaffian(b) == pytest.approx(-2.0 * 7.0 + 3.0 * 5.0, rel=1e-14)  # a01 a23 - a02 a13 + a03 a12
-    # a NaN entry gives NaN, so the contact-volume check fails closed
-    a[2, 4], a[4, 2] = math.nan, math.nan
-    assert math.isnan(pfaffian(a))
-    # a stack: each matrix pivots, stops at a zero pivot or meets NaN on its own
-    stack = np.stack([z, pivoted, a, m - m.T])
-    assert np.array_equal(_pfaffian(stack), [pfaffian(x) for x in stack], equal_nan=True)
+def test_a_nan_in_d_eta_gives_a_nan_volume_that_fails(sasakian_r3):
+    st = sasakian_r3.at(np.array([0.15, -0.4, 0.3]))
+    deta = st.deta_form.copy()
+    deta[0, 1, 2], deta[0, 2, 1] = math.nan, -math.nan
+    st.deta_form = deta  # in place of the cached d eta
+    with np.errstate(invalid="ignore"):  # as in the CLI, the verdict judges NaN
+        assert math.isnan(st.contact_volume.item())
+        (residual,), applies = _residuals(st, ["contact-volume"], lambda cid: 1e-9)["contact-volume"]
+    assert applies.all() and math.isnan(residual)
+    assert _record("contact-volume", "Prop 3.4", residual, 1e-9, 1).verdict == "fail"
 
 
 def _linear_chart(doc, a):
@@ -337,7 +313,7 @@ def _linear_chart(doc, a):
 
 def test_dense_chart_gives_the_same_verdicts():
     """sasakian-r5 after a fixed linear change of coordinates: a dense d eta,
-    so the Pfaffian pivots, and the same checks pass, fail or skip."""
+    so W = e^T (d eta) e is dense too, and the same checks pass, fail or skip."""
     a = np.eye(5) + 0.4 * np.random.default_rng(3).standard_normal((5, 5))
     dense = WeakACM(load_structure_def(_linear_chart(document("sasakian-r5"), a)))
     plain = WeakACM(catalog("sasakian-r5"))

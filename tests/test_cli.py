@@ -106,6 +106,9 @@ def test_malformed_structure_file(tmp_path):
         ("comment", "flat", "unknown field 'comment'"),
         ("name", None, "name must be a string"),
         ("name", 5, "name must be a string"),
+        # a coordinate name must lex as one identifier that no function call reads
+        *(("coords", [c, "y", "z"], f"coordinate name {c!r} must be an identifier other than sin, cos, exp, sqrt")
+          for c in ("a-b", "", "sin")),
     ],
 )
 def test_structure_file_fails_closed_on_fields(tmp_path, key, value, message):
@@ -132,6 +135,10 @@ def test_usage_errors():
         ["classify", "builtin:scaled?s=2,s=3"],
         # parameters are separated by commas only
         ["validate", "builtin:scaled?n=1&s=2"],
+        # n is an int and s a float
+        ["validate", "builtin:scaled?n=x,s=2"],
+        ["validate", "builtin:scaled?n=1.5,s=2"],
+        ["validate", "builtin:scaled?n=1,s=abc"],
         # tolerances must be finite and non-negative
         ["check", "all", "builtin:sasakian-r3", "--tol-deriv", "nan"],
         ["check", "all", "builtin:sasakian-r3", "--tol-curv", "-inf"],
@@ -144,6 +151,15 @@ def test_usage_errors():
         code, out, _ = run(argv)
         assert code == EXIT_USAGE, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("query,name,kind,value", [
+    ("n=x,s=2", "n", "int", "x"), ("n=1.5,s=2", "n", "int", "1.5"), ("n=1,s=abc", "s", "float", "abc"),
+])
+def test_a_bad_builtin_parameter_value_names_the_parameter_and_its_type(query, name, kind, value):
+    code, out, err = run(["validate", f"builtin:scaled?{query}"])
+    message = f"error: builtin:scaled parameter {name} must be of type {kind}, got {value!r}\n"
+    assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
 def test_classify_always_exits_zero():
