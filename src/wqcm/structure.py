@@ -293,13 +293,13 @@ class PointState:
 
     @cached_property
     def contact_volume(self) -> np.ndarray:
-        """|eta ^ (d eta)^n| on the f-basis B.  eta is 1 on xi and 0 on the
-        other columns e = (e_1, f e_1, ..., e_n, f e_n) of B, so the volume is
-        (d eta)^n(e_1, f e_1, ...) = n! Pf(W), W = e^T (d eta) e, and by
-        Pf(W)^2 = det W its absolute value is n! sqrt|det W|.  The sign is not
-        computed; a NaN entry gives NaN."""
-        e = self.fbasis[0][:, :, 1:]
-        return math.factorial(self.n) * np.sqrt(np.abs(np.linalg.det(mT(e) @ self.deta_form @ e)))
+        """|eta ^ (d eta)^n| on the g-orthonormal frame (xi, e_i, f e_i /
+        sqrt(lambda_i)), so it does not scale with Q.  With eta(xi) = 1 and eta = 0
+        on e = (e_1, f e_1, ..., e_n, f e_n) it is n! sqrt(|det W| / prod lambda_i),
+        W = e^T (d eta) e (Pf(W)^2 = det W).  Unsigned; a NaN entry gives NaN."""
+        e, lams = self.fbasis[0][:, :, 1:], self.fbasis[1]
+        det = np.abs(np.linalg.det(mT(e) @ self.deta_form @ e))
+        return math.factorial(self.n) * np.sqrt(det / np.prod(lams, axis=1))
 
     # -- defects and N-tensors ----------------------------------------------------
 

@@ -432,7 +432,7 @@ _SECTIONS = (
         ("2h2-eq-Qt2", "2 h^2 = Qt^2", "curv",
          lambda st: _mat_residual(2.0 * (st.h @ st.h) - st.Qt @ st.Qt, st.h @ st.h, st.Qt)),
         ("trh2-nonpositive", "tr h^2 <= 0", "curv", lambda st: _trace(st.h @ st.h)),
-        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st: 1e-6 - abs(st.contact_volume)),
+        ("contact-volume", "eta ^ (d eta)^n", "deriv", lambda st: 1e-6 - st.contact_volume),
         ("deta-Qt-Phi", "d eta(X + Qt X/2, Y) = Phi", "deriv", _deta_qt_phi),
         # the nearly-Sasakian defect is the Sasakian one (17) at X = Y
         ("nearly-sasakian", "(17), X = Y", "deriv", lambda st: _rel(

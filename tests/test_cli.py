@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,9 @@ def run(argv):
 
 
 COMMON = ["--points", "6", "--no-timestamp"]
+DATA = Path(__file__).parent / "data"
+PADDED = str(DATA / "sasakian-r3-padded.json")
+NAN = str(DATA / "sasakian-r3-nan.json")
 
 
 def test_list_command():
@@ -35,9 +37,20 @@ def test_list_command():
     assert err == ""
 
 
-def test_validate_builtin_ok():
-    code, out, _ = run(["validate", "builtin:sasakian-r3", *COMMON])
-    assert code == EXIT_OK
+@pytest.mark.parametrize("source, points", [
+    ("builtin:sasakian-r3", "6"),
+    # first-order chunks of 128 points, four states each: 100 points are one
+    # partial chunk, its last state partial; 300 are three, the last partial
+    ("builtin:sasakian-r7", "100"),
+    ("builtin:sasakian-r7", "300"),
+    # sin and cos cells over three first-order chunks
+    pytest.param(PADDED, "300", id="padded-300"),
+    # the axiom rows are relative to the size of f and Q
+    ("builtin:scaled?n=3,s=100", "4"),
+])
+def test_validate_builtin_ok(source, points):
+    code, out, err = run(["validate", source, "--points", points, "--no-timestamp"])
+    assert (code, err) == (EXIT_OK, "")
     assert "pass" in out
 
 
@@ -162,17 +175,32 @@ def test_a_bad_builtin_parameter_value_names_the_parameter_and_its_type(query, n
     assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
-def test_classify_always_exits_zero():
-    for source in ("builtin:sasakian-r3", "builtin:scaled?s=2", "builtin:flat-const"):
-        code, out, _ = run(["classify", source, *COMMON, "--format", "json"])
-        assert code == EXIT_OK
-        json.loads(out)  # stdout is the report, nothing else
+@pytest.mark.parametrize("source, points", [
+    ("builtin:sasakian-r3", "6"), ("builtin:scaled?s=2", "6"), ("builtin:flat-const", "6"),
+    # two first-order chunks, the second one partial
+    ("builtin:sasakian-r7", "130"),
+    # the class rows are relative residuals, also at large s
+    ("builtin:scaled?n=1,s=100", "8"),
+])
+def test_classify_always_exits_zero(source, points):
+    code, out, err = run(["classify", source, "--points", points, "--no-timestamp", "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    json.loads(out)  # stdout is the report, nothing else
 
 
-def test_check_all_exit_codes():
-    for source in ("builtin:sasakian-r3", "builtin:scaled?s=2", "builtin:flat-const"):
-        code, out, _ = run(["check", "all", source, *COMMON])
-        assert code == EXIT_OK, source
+@pytest.mark.parametrize("source, points", [
+    ("builtin:sasakian-r3", "6"), ("builtin:scaled?s=2", "6"), ("builtin:flat-const", "6"),
+    # the 6x6 determinant of the contact volume, and checks gated out everywhere
+    ("builtin:scaled?n=3,s=2", "4"),
+    # a full block and then a partial block of 8 through the batched checks
+    ("builtin:sasakian-r7", "40"),
+    ("builtin:scaled?n=3,s=2", "40"),
+    # sin and cos cells over two second-order blocks
+    pytest.param(PADDED, "40", id="padded-40"),
+])
+def test_check_all_exit_codes(source, points):
+    code, _, err = run(["check", "all", source, "--points", points, "--no-timestamp"])
+    assert (code, err) == (EXIT_OK, "")
 
 
 def test_check_json_stdout_is_pure_json():
@@ -278,7 +306,7 @@ def test_fbasis_command():
 
 def test_fbasis_on_a_dense_chart():
     # the chart of test_classify.test_f_basis_is_orthonormal_on_a_dense_chart
-    path = Path(__file__).parent / "data" / "dense-r13-const.json"
+    path = DATA / "dense-r13-const.json"
     code, out, err = run(["fbasis", str(path), "--at", ",".join(["0.3"] * 13)])
     assert code == EXIT_OK and err == ""
     assert out.endswith("  verdict = pass\n")
@@ -347,10 +375,10 @@ def test_bad_count_or_seed_is_usage_error(flags):
     assert out == ""
 
 
-def test_non_finite_residuals_fail(recwarn):
+@pytest.mark.parametrize("points", ["2", "6"])
+def test_non_finite_residuals_fail(points):
     # f[2][2] = inf * 0 = NaN: every check must fail, none pass or skip
-    path = Path(__file__).parent / "data" / "sasakian-r3-nan.json"
-    code, out, _ = run(["check", "identity", str(path), *COMMON, "--format", "json"])
+    code, out, _ = run(["check", "identity", NAN, "--points", points, "--no-timestamp", "--format", "json"])
     assert code == EXIT_FAIL
     # strict JSON: a non-finite residual is the string "nan" or "inf"
     doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
@@ -363,19 +391,29 @@ def test_non_finite_residuals_fail(recwarn):
             assert c["verdict"] == "fail", c["id"]
 
 
-def test_python_m_wqcm():
+@pytest.mark.parametrize("argv, code, err", [
+    (["list"], EXIT_OK, ""),
+    # the quasi gate passes at 2 of 32 points, and 4 gated checks fail there
+    (["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "6",
+      "--format", "json", "--no-timestamp"], EXIT_FAIL, ""),
+    # a 128-point chunk fails and is searched by halves; the error names the first failing point
+    (["validate", NAN, "--points", "300", "--no-timestamp"], EXIT_USAGE,
+     "error: at sample point [-0.8312499999999999, 0.7388888888888887, 0.26600000000000024]: Q is not finite\n"),
+], ids=["list", "check-fails", "validate-error"])
+def test_python_m_wqcm(argv, code, err):
+    """`main()` in a child process where a RuntimeWarning is an error: its exit
+    code, its stderr, and the stdout of `run_cli`."""
     src = Path(__file__).parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run(
-        [sys.executable, "-m", "wqcm", "list"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "wqcm", *argv], capture_output=True, text=True, env=env, timeout=60
     )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "sasakian-r3" in proc.stdout.splitlines()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, run(argv)[1], err)
 
 
 def _nan_doc():
-    return json.loads((Path(__file__).parent / "data" / "sasakian-r3-nan.json").read_text())
+    return json.loads(Path(NAN).read_text())
 
 
 def _singular_metric(doc):
@@ -411,7 +449,7 @@ EDITS = [
     "command", [["check", "all"], ["validate"], ["classify"]], ids=["check-all", "validate", "classify"]
 )
 @pytest.mark.parametrize("edit, message", EDITS)
-def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit, message):
+def test_evaluation_errors_exit_without_traceback(tmp_path, command, edit, message):
     doc = _nan_doc()
     edit(doc)
     path = tmp_path / "bad.json"
@@ -423,12 +461,11 @@ def test_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, ed
         assert err.startswith("error: at sample point [") and err.count("[") == 1 and out == ""
     if message:
         assert code == EXIT_USAGE and f"]: {message}" in err
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["fbasis"])
 @pytest.mark.parametrize("edit, message", EDITS)
-def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, command, edit, message):
+def test_point_evaluation_errors_exit_without_traceback(tmp_path, command, edit, message):
     doc = _nan_doc()
     edit(doc)
     path = tmp_path / "bad.json"
@@ -439,7 +476,6 @@ def test_point_evaluation_errors_exit_without_traceback(tmp_path, recwarn, comma
         assert err.startswith("error: at point [0.1, -0.2, 0.3]: ") and err.count("[") == 1 and out == ""
     if message:
         assert code == EXIT_USAGE and err == f"error: at point [0.1, -0.2, 0.3]: {message}\n"
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _nan_xi(doc):
@@ -478,7 +514,7 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
-def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, recwarn, command):
+def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, command):
     # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so
     # the Cholesky of the whole block fails; its chunk is then searched by
     # halves, and the error is that of lane k alone
@@ -503,7 +539,6 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, r
     assert err == f"error: at sample point {points[k].tolist()}: metric is not positive definite\n"
     # lanes 0-31 fail, 0-15 fail, 0-7 pass, 8-15, 8-11, 8-9 and 8 fail
     assert sizes == [32, 16, 8, 8, 4, 2, 1]
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
@@ -596,8 +631,6 @@ def structure_docs(draw):
 def test_any_structure_exits_0_1_or_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("random") / "s.json"
     path.write_text(json.dumps(doc))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for command in (["validate"], ["classify"], ["check", "all"]):
-            code, _, _ = run([*command, str(path), "--points", "2", "--no-timestamp"])
-            assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    for command in (["validate"], ["classify"], ["check", "all"]):
+        code, _, _ = run([*command, str(path), "--points", "2", "--no-timestamp"])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
