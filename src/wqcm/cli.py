@@ -77,6 +77,8 @@ def _load_source(source: str) -> WeakACM:
         raise CliError(f"no such structure file: {source}")
     try:
         return WeakACM(load_structure_def(path.read_bytes()))
+    except OSError as exc:
+        raise CliError(f"cannot read {source}: {exc.strerror or exc}") from exc
     except (SchemaError, ExprSyntaxError) as exc:
         raise CliError(f"cannot load {source}: {exc}") from exc
 

@@ -139,6 +139,8 @@ def _parse(text: str, coord_index: dict[str, int], emit) -> int:
             pos += 2 + negative
             if tok[0] != "num" or not tok[1].isdecimal():
                 raise error(f"non-integer exponent {tok[1]!r}", tok)
+            if float(tok[1]) == math.inf:
+                raise error(f"exponent {tok[1]!r} is too large for a float", tok)
             slot = emit("^", slot, -int(tok[1]) if negative else int(tok[1]))
         for _ in range(signs):
             slot = emit("neg", slot, None)

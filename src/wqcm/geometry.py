@@ -3,8 +3,10 @@
 Everything is computed from the jet of the metric components (their values
 and exact first and second derivatives, from the structure's tape), so
 Christoffel symbols carry exact first derivatives of g and the curvature
-tensor carries exact second derivatives; no nested numerical
-differentiation appears anywhere.  Every function takes and returns plain
+carries exact second derivatives; no nested numerical differentiation
+appears anywhere.  The curvature is built only with a vector z in its Z
+slot, as the array R_{., .} z of `curvature_z`; the full tensor R^l_{kij},
+d times larger, is never formed.  Every function takes and returns plain
 arrays; the metric jet is laid out as g[i, j] = g_ij, dg[k, i, j] = d_k g_ij
 and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv is the inverse of g.  Any
 leading axes (a block of points) broadcast: g may be (P, d, d), and so on.
@@ -83,18 +85,17 @@ def christoffel_derivative(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -
     return out
 
 
-def riemann(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Curvature components R[l, k, i, j] = R^l_{kij}; (R_{X,Y}Z)^l = R^l_{kij} X^i Y^j Z^k,
-    from the Christoffel symbols `gamma` of the metric.  At most two arrays
-    of the size of the result are alive at once."""
-    d = gamma.shape[-1]
-    lead = gamma.shape[:-3]
-    # t[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk, so that
-    # R^l_{kij} = t[l, i, j, k] - t[l, j, i, k]
-    t = christoffel_derivative(g_inv, dg, ddg).swapaxes(-4, -3)
-    t += (gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))).reshape(t.shape)
-    u = np.moveaxis(t, -1, -3)  # u[l, k, i, j] = t[l, i, j, k]
-    return np.subtract(u, u.swapaxes(-1, -2), order="C")
+def curvature_z(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The curvature with the vector z (a (d, 1) column) in its Z slot,
+    R_{., .} z, from the Christoffel symbols `gamma` of the metric, laid out
+    as `bilinear` reads it: out[i, l, j] = R^l_{kij} z^k, so that
+    (R_{X,Y} z)^l = out[i, l, j] X^i Y^j.  z is contracted before the
+    curvature is formed, so the full tensor is never built."""
+    # t[i, l, j] = d_i Gamma^l_jk z^k + Gamma^l_im Gamma^m_jk z^k, so that
+    # R^l_{kij} z^k = t[i, l, j] - t[j, l, i]
+    t = (christoffel_derivative(g_inv, dg, ddg) @ z[..., None, None, :, :])[..., 0]
+    t += gamma.swapaxes(-3, -2) @ (gamma @ z[..., None, :, :])[..., None, :, :, 0]
+    return np.subtract(t, t.swapaxes(-3, -1), order="C")
 
 
 def bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -104,35 +105,15 @@ def bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mT(x)[..., None, :, :] @ ty.swapaxes(-3, -2)  # [i, a, b]: x^T ty[:, i, :] for each i
 
 
-def curvature_z(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The curvature tensor r with the vector z (a (d, 1) column) in its Z
-    slot, R_{., .} z: out[l, i, j] = R^l_{kij} z^k."""
-    d = r.shape[-1]
-    return (mT(z)[..., None, :, :] @ r.reshape(r.shape[:-2] + (d * d,))).reshape(r.shape[:-4] + (d,) * 3)
-
-
-def curvature(rz: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R_{X,Y} z at every column pair of the direction matrices x and y, from
-    rz = `curvature_z(r, z)`: out[l, a, b]."""
-    return bilinear(rz.swapaxes(-3, -2), x, y)
-
-
 def sectional(g: np.ndarray, x: np.ndarray, y: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """Sectional curvature of the plane of the vector x (a (d, 1) column)
-    with each column of y, from rx = `curvature_z(r, x)`: out[b]."""
+    with each column of y, from rx = `curvature_z(..., x)`: out[b]."""
     gx = g @ x
     den = (mT(x) @ gx)[..., 0] * np.sum(y * (g @ y), axis=-2) - (mT(gx) @ y)[..., 0, :] ** 2
     if np.any(den < 1e-12):
         raise ValueError("plane is degenerate (vectors nearly dependent)")
     # g(R_{X,Y} Y, X) = g(R_{Y,X} X, Y) by the pair symmetry of the curvature
-    return np.sum(y * (g @ curvature(rx, y, x)[..., 0]), axis=-2) / den
-
-
-def ricci(r: np.ndarray) -> np.ndarray:
-    """The Ricci tensor, Ric(X, Y) = tr(Z -> R_{Z,X} Y) = R^l_{klj} Y^k X^j:
-    the trace of the curvature tensor r over its first and third indices,
-    out[k, j]."""
-    return np.trace(r, axis1=-4, axis2=-2)
+    return np.sum(y * (g @ bilinear(rx, y, x)[..., 0]), axis=-2) / den
 
 
 # -- covariant derivatives (component level) -----------------------------------

@@ -13,13 +13,14 @@ and, from jets of order 2, Hessians: the block's part of one run of the
 structure's compiled `StructureDef.tape` over a chunk of points; from jets
 of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
 them, `dh` and `curvature_xi`, raises), the g-orthonormal frame, the
-connection, the curvature R_{., .} xi and the Ricci tensor, and what all
-check suites share there: the test-direction matrices of the state's seed,
-the adapted f-basis B and the absolute contact volume |eta ^ (d eta)^n| on
-it, n! sqrt|det W| with W the matrix of d eta on the columns of B after xi
-(the sign is not computed).  Vectors are columns: xi is (P, d, 1), eta is
-the row (P, 1, d), a direction matrix is (P, d, m).  Each tensor is computed
-once for the whole block, when first read.
+connection, the curvature R_{., .} xi (the full tensor is never built) and
+Ric(xi, xi), and what all check suites share there: the test-direction
+matrices of the state's seed, the adapted f-basis B and the absolute
+contact volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the matrix of
+d eta on the columns of B after xi (the sign is not computed).  Vectors are
+columns: xi is (P, d, 1), eta is the row (P, 1, d), a direction matrix is
+(P, d, m).  Each tensor is computed once for the whole block, when first
+read.
 `PointState.take` gives the state of a subset of the points, built anew from
 their part of the block's tape arrays.  `WeakACM.at` runs the tape at one
 point and builds a new state of P = 1 on every call, so a state lives only
@@ -162,11 +163,16 @@ class PointState:
 
     @cached_property
     def curvature_xi(self):
-        """R_{., .} xi (`geometry.curvature_z`) and the Ricci tensor: the checks
-        read the curvature only through these, so the full tensor, d times
-        larger, is dropped once they are built."""
-        r = geometry.riemann(self.g_inv, self.dg, self.ddg, self.gamma)
-        return geometry.curvature_z(r, self.xi), geometry.ricci(r)
+        """R_{., .} xi, laid out as `bilinear` reads it: [i, l, j] =
+        R^l_{kij} xi^k (`geometry.curvature_z`).  The checks read the
+        curvature only with xi in its Z slot, so the full tensor is never
+        built."""
+        return geometry.curvature_z(self.g_inv, self.dg, self.ddg, self.gamma, self.xi)
+
+    @cached_property
+    def ric_xi_xi(self):
+        """Ric(xi, xi), the trace of X -> R_{X,xi} xi: (P,)."""
+        return (np.trace(self.curvature_xi, axis1=1, axis2=2)[:, None] @ self.xi)[:, 0, 0]
 
     @cached_property
     def nabla_xi(self):
@@ -207,7 +213,7 @@ class PointState:
     def curvature_op(self, x, y):
         """R_{X,Y} xi at every column pair of the direction matrices x and y:
         [i, a, b]."""
-        return geometry.curvature(self.curvature_xi[0], x, y)
+        return bilinear(self.curvature_xi, x, y)
 
     def ell(self, x):
         """The curvature operator used by the suites: ell X = R_{xi, X} xi,
@@ -216,11 +222,7 @@ class PointState:
 
     def sectional(self, y):
         """K(xi, Y) for each column of y."""
-        return geometry.sectional(self.g, self.xi, y, self.curvature_xi[0])
-
-    def ricci(self, x, y):
-        """Ric(X, Y) at every column pair of x and y: [b, a]."""
-        return mT(y) @ self.curvature_xi[1] @ x
+        return geometry.sectional(self.g, self.xi, y, self.curvature_xi)
 
     # -- inner products -------------------------------------------------------
 

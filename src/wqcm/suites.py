@@ -275,13 +275,13 @@ def _eq21_hypothesis(st):
 
 
 def _eq21(st):
-    lhs = np.max(st.fbasis[1], axis=1) * st.ricci(st.xi, st.xi)[:, 0, 0]
+    lhs = np.max(st.fbasis[1], axis=1) * st.ric_xi_xi
     rhs = st.n - _trace(st.h @ st.h) + (_trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
     return _rel(np.maximum(0.0, rhs - lhs), np.abs(lhs), np.abs(rhs))
 
 
 def _ric_xi_xi(st):
-    ric = st.ricci(st.xi, st.xi)[:, 0, 0]
+    ric = st.ric_xi_xi
     return _rel(np.abs(ric - (2.0 * st.n - _trace(st.h @ st.h))), np.abs(ric))
 
 

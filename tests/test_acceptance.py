@@ -162,7 +162,7 @@ def test_4_sasakian_exact_values(announce):
             st = acm.at(point)
             ok = ok and np.max(np.abs(st.h)) < 1e-9
             ok = ok and np.max(np.abs(st.nabla_xi + st.f)) < 1e-9
-            ok = ok and abs(st.ricci(st.xi, st.xi).item() - 2.0 * n) < 1e-7
+            ok = ok and abs(st.ric_xi_xi.item() - 2.0 * n) < 1e-7
         st = acm.at(np.zeros(acm.dim) + 0.1)
         for _ in range(20):
             x = st.project_ker_eta(rng.standard_normal((acm.dim, 1)))
@@ -178,7 +178,7 @@ def test_4_sasakian_exact_values(announce):
         rhs = n - float(np.trace(h @ h)) + float(np.sum(lam**2))
         ok = ok and abs(lhs - 2.0 * n) < 1e-7 and abs(rhs - 2.0 * n) < 1e-7
         if n == 1:
-            left = float(np.max(lam)) * st.ricci(st.xi, st.xi).item()
+            left = float(np.max(lam)) * st.ric_xi_xi.item()
             right = n - float(np.trace(h @ h)) + (np.trace(q) - 1.0) ** 2 / (4.0 * n)
             ok = ok and abs(left - right) < 1e-7
     announce(ok)

@@ -110,6 +110,18 @@ def test_malformed_structure_file(tmp_path):
     assert "nested too deeply" in err
 
 
+def test_unreadable_structure_file_is_usage_error(tmp_path, monkeypatch):
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps(document("flat-const")))
+
+    def read_bytes(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    code, out, err = run(["validate", str(path), "--points", "2"])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot read {path}: Permission denied\n")
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [

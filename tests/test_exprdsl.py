@@ -59,6 +59,8 @@ def test_coordinates_and_functions():
         ("w + 1", "unknown identifier"),
         ("x ^ y", "non-integer exponent"),
         ("x ^ 1.5", "non-integer exponent"),
+        # past 4,300 digits int() itself raises a ValueError
+        pytest.param("1 + 0*x^" + "9" * 5000, "is too large for a float", id="huge-exponent"),
         ("(x + 1", "expected ')'"),
         ("x 1", "trailing input"),
         pytest.param("(" * 1200 + "x" + ")" * 1200, "nested too deeply", id="deep-parentheses"),
@@ -87,6 +89,7 @@ def test_syntax_errors(text, fragment):
         # a literal beyond the float range is an input error, not an inf
         pytest.param("x * 1e400", "number '1e400' is too large for a float", 1, 5, id="huge-literal"),
         pytest.param("y +\n" + "9" * 400, "too large for a float", 2, 1, id="huge-integer-literal"),
+        pytest.param("y +\n 1 + 0*x^-" + "9" * 5000, "exponent '999", 2, 11, id="huge-exponent"),
     ],
 )
 def test_error_reports_line_and_column(text, fragment, line, col):

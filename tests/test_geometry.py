@@ -7,17 +7,15 @@ from conftest import eval_at
 from wqcm.catalog import catalog
 from wqcm.exprdsl import compile_tape
 from wqcm.geometry import (
+    bilinear,
     christoffel,
     christoffel_derivative,
     cov_oneform,
     cov_tensor11,
     cov_vector,
-    curvature,
     curvature_z,
     d_oneform,
     orthonormal_frame,
-    ricci,
-    riemann,
     sectional,
 )
 from wqcm.structure import WeakACM
@@ -38,8 +36,20 @@ def christoffel_of(m):
     return christoffel(m.g_inv, m.dg)
 
 
+def curvature_z_of(m, z):
+    return curvature_z(m.g_inv, m.dg, m.ddg, christoffel_of(m), z)
+
+
 def riemann_of(m):
-    return riemann(m.g_inv, m.dg, m.ddg, christoffel_of(m))
+    """The full tensor R[l, k, i, j] = R^l_{kij}, stacked from R_{., .} e_k
+    over the coordinate frame e_k."""
+    r = np.stack([curvature_z_of(m, e[:, None]) for e in np.eye(len(m.g))])  # [k, i, l, j]
+    return r.transpose(2, 0, 1, 3)
+
+
+def ricci(r):
+    """Ric(X, Y) = tr(Z -> R_{Z,X} Y) = R^l_{klj} Y^k X^j of a full tensor: out[k, j]."""
+    return np.trace(r, axis1=0, axis2=2)
 
 
 def sphere_at(theta, phi=0.3):
@@ -57,17 +67,12 @@ def test_sphere_christoffel_symbols():
     assert abs(gamma[0, 0, 0]) < 1e-14 and abs(gamma[1, 1, 1]) < 1e-14
 
 
-def sphere_curvature(theta, phi=0.3):
-    m = sphere_at(theta, phi)
-    return m, riemann_of(m)
-
-
 def test_sphere_curvature_is_plus_one():
-    m, r = sphere_curvature(1.1, 0.5)
+    m = sphere_at(1.1, 0.5)
     x = np.array([[1.0], [0.0]])
-    assert sectional(m.g, x, np.array([[0.0], [1.0]]), curvature_z(r, x)) == pytest.approx(1.0, abs=1e-10)
+    assert sectional(m.g, x, np.array([[0.0], [1.0]]), curvature_z_of(m, x)) == pytest.approx(1.0, abs=1e-10)
     # Ric = (dim - 1) g on a unit sphere
-    assert np.allclose(ricci(r), m.g, atol=1e-9)
+    assert np.allclose(ricci(riemann_of(m)), m.g, atol=1e-9)
 
 
 def test_christoffel_derivative_matches_finite_differences():
@@ -89,7 +94,8 @@ def catalog_metric_points(key, count=6, **kw):
     acm = WeakACM(catalog(key, **kw))
     for point in sample_points(SamplePlan(count=count), acm.sdef.domain):
         st = acm.at(point)
-        m = SimpleNamespace(dim=st.dim, **{k: getattr(st, k)[0] for k in ("g", "dg", "ddg", "g_inv", "frame")})
+        m = SimpleNamespace(dim=st.dim, **{k: getattr(st, k)[0] for k in ("g", "dg", "ddg", "g_inv", "frame", "xi")})
+        m.ric_xi_xi = st.ric_xi_xi.item()
         m.riem = riemann_of(m)
         yield m
 
@@ -126,8 +132,11 @@ def test_ricci_trace_is_the_frame_sum(key, kw, rng):
     for st in catalog_metric_points(key, count=4, **kw):
         for _ in range(3):
             x, y = rng.standard_normal((2, st.dim, 1))
-            frame_sum = float(np.sum((st.g @ st.frame) * curvature(curvature_z(st.riem, y), st.frame, x)[:, :, 0]))
+            frame_sum = float(np.sum((st.g @ st.frame) * bilinear(curvature_z_of(st, y), st.frame, x)[:, :, 0]))
             assert abs((y.T @ ricci(st.riem) @ x).item() - frame_sum) <= 1e-13 * abs(frame_sum)
+        # the state's Ric(xi, xi), the trace of R_{., xi} xi, is the same sum
+        frame_sum = float(np.sum((st.g @ st.frame) * bilinear(curvature_z_of(st, st.xi), st.frame, st.xi)[:, :, 0]))
+        assert abs(st.ric_xi_xi - frame_sum) <= 1e-13 * abs(frame_sum)
 
 
 def test_flat_space_has_zero_curvature():
@@ -136,19 +145,19 @@ def test_flat_space_has_zero_curvature():
 
 
 def test_curvature_operator_antisymmetry():
-    _, r = sphere_curvature(0.7, 1.2)
+    m = sphere_at(0.7, 1.2)
     x = np.array([[0.4], [-1.0]])
     y = np.array([[1.3], [0.2]])
     z = np.array([[-0.5], [0.8]])
-    rz = curvature_z(r, z)
-    assert np.allclose(curvature(rz, x, y), -curvature(rz, y, x), atol=1e-12)
+    rz = curvature_z_of(m, z)
+    assert np.allclose(bilinear(rz, x, y), -bilinear(rz, y, x), atol=1e-12)
 
 
 def test_sectional_degenerate_plane_raises():
-    m, r = sphere_curvature(0.7)
+    m = sphere_at(0.7)
     v = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError, match=r"^plane is degenerate \(vectors nearly dependent\)$"):
-        sectional(m.g, v, 2.0 * v, curvature_z(r, v))
+        sectional(m.g, v, 2.0 * v, curvature_z_of(m, v))
 
 
 def test_non_positive_definite_metric_rejected():

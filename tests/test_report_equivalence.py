@@ -144,10 +144,10 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(geometry, "christoffel")
-    count(geometry, "riemann")
+    count(geometry, "curvature_z")
     count(np.linalg, "eigh")  # 2n = 2 eigensolves per f-basis, and no other caller
     run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=suites.BLOCK + 8, seed=7))
-    assert calls["christoffel"] == 2 and calls["riemann"] == 2  # two blocks
+    assert calls["christoffel"] == 2 and calls["curvature_z"] == 2  # two blocks
     assert 0 < calls["eigh"] <= 2 * 2
 
 

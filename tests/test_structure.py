@@ -36,7 +36,7 @@ def test_sasakian_special_tensors(sasakian_r3):
         assert st.sectional(col(1.0, 0.0, 0.0)) == pytest.approx(
             1.0, abs=1e-9
         )
-        assert st.ricci(st.xi, st.xi) == pytest.approx(2.0, abs=1e-9)
+        assert st.ric_xi_xi == pytest.approx(2.0, abs=1e-9)
 
 
 def test_scaled_q_closed_form(scaled2):
@@ -177,9 +177,9 @@ def test_at_builds_a_fresh_state(sasakian_r3):
     p = [0.1, 0.1, 0.1]
     a, b = sasakian_r3.at(p), sasakian_r3.at(np.array(p))
     assert a is not b
-    (a_rxi, a_ric), (b_rxi, b_ric) = a.curvature_xi, b.curvature_xi
-    assert np.array_equal(a.points, b.points) and np.array_equal(a_rxi, b_rxi) and np.array_equal(a_ric, b_ric)
-    assert a.points.shape == (1, 3) and a_rxi.shape == (1, 3, 3, 3) and a_ric.shape == (1, 3, 3)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.curvature_xi, b.curvature_xi)
+    assert np.array_equal(a.ric_xi_xi, b.ric_xi_xi)
+    assert a.points.shape == (1, 3) and a.curvature_xi.shape == (1, 3, 3, 3) and a.ric_xi_xi.shape == (1,)
 
 
 def test_normalize_zero_vector_raises(sasakian_r3):

@@ -1,17 +1,20 @@
 """The tape against sympy's exact derivatives, cell by cell, on every catalog
 chart and on the round 2-sphere; the Christoffel symbols and the curvature
-tensor against sympy on the sphere and the 3- and 5-dimensional charts; and
-L_xi g, h and its derivative against sympy on charts where xi is not Killing
-and h is not zero."""
+tensor (stacked from R_{., .} e_k over the coordinate frame) against sympy
+on the sphere and the 3- and 5-dimensional charts; R_{., .} xi and
+Ric(xi, xi) against sympy on a curved chart where xi varies; and L_xi g, h
+and its derivative against sympy on charts where xi is not Killing and h is
+not zero."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import points_for
-from test_geometry import SPHERE_COORDS, SPHERE_METRIC
+from test_geometry import SPHERE_COORDS, SPHERE_METRIC, christoffel_of, riemann_of
 from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import compile_tape, eval_tape, load_structure_def
-from wqcm.geometry import christoffel, riemann
 from wqcm.structure import WeakACM
 
 sympy = pytest.importorskip("sympy")
@@ -55,10 +58,12 @@ def test_tape_matches_sympy_derivatives(coords, fields, points):
 
 
 def connection_oracle(cells, coords):
-    """Exact Gamma[k, i, j] = Gamma^k_ij and R[l, k, i, j] = R^l_{kij} of the
-    metric with upper-triangle text `cells`, as float functions of the point:
-    Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) and
-    R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
+    """Exact Gamma[k, i, j] = Gamma^k_ij, R[l, k, i, j] = R^l_{kij} and
+    Ric[k, j] of the metric with upper-triangle text `cells`, as float
+    functions of the point:
+    Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij),
+    R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    and Ric_kj = R^l_{klj}."""
     xs = sympy.symbols(coords)
     d, names = len(xs), dict(zip(coords, xs))
     g = sympy.Matrix(d, d, lambda i, j: sympy.sympify(cells[min(i, j)][max(i, j)].replace("^", "**"), locals=names))
@@ -69,7 +74,8 @@ def connection_oracle(cells, coords):
     riem = [[[[gamma[l][j][k].diff(xs[i]) - gamma[l][i][k].diff(xs[j])
                + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k] for m in range(d))
                for j in range(d)] for i in range(d)] for k in range(d)] for l in range(d)]
-    return sympy.lambdify([xs], [gamma, riem], modules="math")
+    ric = [[sum(riem[l][k][l][j] for l in range(d)) for j in range(d)] for k in range(d)]
+    return sympy.lambdify([xs], [gamma, riem, ric], modules="math")
 
 
 def metric_charts():
@@ -86,9 +92,8 @@ def test_connection_and_curvature_match_sympy(coords, cells, points):
     exact = connection_oracle(cells, coords)
     for p, point in enumerate(points):
         g, dg, ddg = (a[p] for a in jets["metric"])
-        g_inv = np.linalg.inv(g)
-        gamma = christoffel(g_inv, dg)
-        for got, want in zip((gamma, riemann(g_inv, dg, ddg, gamma)), exact(point)):
+        m = SimpleNamespace(g=g, dg=dg, ddg=ddg, g_inv=np.linalg.inv(g))
+        for got, want in zip((christoffel_of(m), riemann_of(m)), exact(point)[:2]):
             want = np.asarray(want, dtype=float)
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), point
 
@@ -116,17 +121,22 @@ def derived_oracle(doc):
     return sympy.lambdify([xs], [lie_g, h, dh], modules="math")
 
 
+def sasakian_r3_edited():
+    """The curved sasakian-r3 metric with a xi and an f that vary from point
+    to point: every term of L_xi g and of h contributes."""
+    doc = document("sasakian-r3")
+    doc["xi"] = ["y1 * z", "x1 + z^2", "2 + sin(x1)"]
+    doc["f"] = [["x1 * y1", "1 + z", "y1"], ["-1 - z", "0", "cos(z)"], ["x1^2", "-y1", "z * x1"]]
+    return doc
+
+
 def non_killing_docs():
     # flat metric: xi = (y, 0, 1) is not Killing and f depends on z
     doc = document("flat-const")
     doc["xi"] = ["y", "0", "1"]
     doc["f"][0][1], doc["f"][1][0] = "z", "-z"
     yield pytest.param(doc, id="flat-const")
-    # curved metric: every term of L_xi g and of h contributes
-    doc = document("sasakian-r3")
-    doc["xi"] = ["y1 * z", "x1 + z^2", "2 + sin(x1)"]
-    doc["f"] = [["x1 * y1", "1 + z", "y1"], ["-1 - z", "0", "cos(z)"], ["x1^2", "-y1", "z * x1"]]
-    yield pytest.param(doc, id="sasakian-r3-edited")
+    yield pytest.param(sasakian_r3_edited(), id="sasakian-r3-edited")
 
 
 @pytest.mark.parametrize("doc", non_killing_docs())
@@ -139,3 +149,22 @@ def test_lie_xi_g_and_h_match_sympy(doc):
         assert np.max(np.abs(lie_g)) > 0.1 and np.max(np.abs(h)) > 0.1  # not Killing, h != 0
         for name, got, want in (("lie_xi_g", st.lie_xi_g, lie_g), ("h", st.h, h), ("dh", st.dh, dh)):
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (name, point)
+
+
+def test_curvature_along_a_varying_xi_matches_sympy():
+    """R_{., .} xi and Ric(xi, xi) of a state against R^l_{kij} xi^k and
+    Ric_kj xi^k xi^j from sympy, where xi is not constant on the chart."""
+    doc = sasakian_r3_edited()
+    coords = doc["coords"]
+    acm = WeakACM(load_structure_def(doc))
+    exact = connection_oracle(doc["metric"], coords)
+    xi_of = [oracle(cell, coords) for cell in doc["xi"]]
+    for point in points_for(acm, count=4):
+        st = acm.at(point)
+        _, riem, ric = (np.asarray(want, dtype=float) for want in exact(point))
+        xi = np.array([fn(point)[0] for fn in xi_of])
+        want = np.einsum("lkij,k->ilj", riem, xi)  # the [i, l, j] layout of curvature_xi
+        want_ric = xi @ ric @ xi
+        assert np.max(np.abs(want)) > 0.1 and abs(want_ric) > 0.1
+        assert np.max(np.abs(st.curvature_xi[0] - want)) <= 1e-12 * np.max(np.abs(want)), point
+        assert abs(st.ric_xi_xi.item() - want_ric) <= 1e-12 * abs(want_ric), point
