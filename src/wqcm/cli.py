@@ -17,14 +17,20 @@ Exit codes: 0 all asserted checks pass (skipped checks never count),
 cannot be evaluated at a sample point or at the --at point (the message
 names the point).  JSON reports go to stdout (or --output); diagnostics go
 to stderr.
+
+One command is one process.  `main()`, the entry point of the console
+script and of `python -m wqcm`, freezes the garbage collector before it
+runs the command, so that neither the run nor interpreter shutdown walks
+what the imports built.  `run_cli` changes nothing process-wide, so it can
+be called in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +44,10 @@ from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_su
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# The sample points are all held before the first check runs (352 B each in
+# dimension 7), so a count beyond this would only exhaust memory.
+MAX_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -95,9 +105,9 @@ def _parse_point(text: str, acm: WeakACM) -> np.ndarray:
     return np.array(coords)
 
 
-def _number_at_least(kind, low):
-    """argparse type: a number of `kind` (int or float) no smaller than
-    `low`; a float must also be finite."""
+def _number_in(kind, low, high=math.inf):
+    """argparse type: a number of `kind` (int or float) from `low` to `high`;
+    a float must also be finite."""
 
     def parse(text: str):
         value = kind(text)
@@ -105,25 +115,27 @@ def _number_at_least(kind, low):
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
-_COUNT, _SEED = _number_at_least(int, 1), _number_at_least(int, 0)
-_TOL = _number_at_least(float, 0.0)
+_COUNT, _SEED = _number_in(int, 1, MAX_POINTS), _number_in(int, 0)
+_TOL = _number_in(float, 0.0)
 _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("source", help=_SOURCE_HELP)
     p.add_argument("--points", type=_COUNT, default=32)
-    p.add_argument("--seed", type=_SEED, default=SamplePlan.seed)
+    p.add_argument("--seed", type=_SEED, default=SamplePlan().seed)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true")
-    for tier, default in asdict(Tolerances()).items():
+    for tier, default in Tolerances()._asdict().items():
         p.add_argument(f"--tol-{tier}", type=_TOL, default=default)
 
 
@@ -214,4 +226,8 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
+    # one command is one process, and what the imports built lives until
+    # exit: the collector should neither re-walk it during the run nor tear
+    # it down at shutdown
+    gc.freeze()
     sys.exit(run_cli(sys.argv[1:]))

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,8 +182,7 @@ def _parse(text: str, coord_index: dict[str, int], emit) -> int:
     return slot
 
 
-@dataclass(frozen=True)
-class Tape:
+class Tape(NamedTuple):
     """Compiled fields: `code` holds the instructions, `fields` maps each field
     name to its output slots (one per cell, in row-major order) and its shape,
     and `release[k]` lists the slots whose last reader is instruction k (a
@@ -383,8 +382,7 @@ class SchemaError(ValueError):
     """Malformed structure-definition document."""
 
 
-@dataclass(frozen=True)
-class StructureDef:
+class StructureDef(NamedTuple):
     """A chart manifold whose metric, f-tensor, Reeb field and (when given) Q
     are compiled into one tape, with the fields "metric", "f", "xi" and "q"."""
 

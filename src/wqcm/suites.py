@@ -46,8 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ from .geometry import bilinear, mT
 from .structure import PointState, WeakACM
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Default tolerance tiers by derivative depth of the identity."""
 
     algebraic: float = 1e-10
@@ -68,8 +66,7 @@ class Tolerances:
 # -- sampling -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(NamedTuple):
     count: int = 32
     seed: int = 7
 
@@ -110,8 +107,7 @@ def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
 # -- report types -----------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     paper: str  # equation/theorem label, or "class"
     max_residual: float
@@ -120,14 +116,13 @@ class CheckRecord:
     points: int
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    structure: str
-    seed: int
-    tol: dict
-    checks: list[CheckRecord] = field(default_factory=list)
-    timestamp: str | None = None
+    """The rows of one suite run; a caller may set `timestamp`."""
+
+    def __init__(self, suite: str, structure: str, seed: int, tol: dict):
+        self.suite, self.structure, self.seed, self.tol = suite, structure, seed, tol
+        self.checks: list[CheckRecord] = []
+        self.timestamp: str | None = None
 
     @property
     def failed(self) -> bool:
@@ -136,10 +131,14 @@ class CheckReport:
 
 def emit_report(report: CheckReport, format: str = "text") -> bytes:
     if format == "json":
-        doc = {k: v for k, v in asdict(report).items() if k != "timestamp" or v is not None}
-        for c in doc["checks"]:
+        checks = [c._asdict() for c in report.checks]
+        for c in checks:
             if not math.isfinite(c["max_residual"]):
                 c["max_residual"] = repr(float(c["max_residual"]))
+        doc = {"suite": report.suite, "structure": report.structure, "seed": report.seed,
+               "tol": report.tol, "checks": checks}
+        if report.timestamp is not None:
+            doc["timestamp"] = report.timestamp
         return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
@@ -341,8 +340,7 @@ def _quasi_canonical(st):
 # -- the registry ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One residual check.  `residual(st)` is its residual at each point of
     the state, a (P,) array, or None where it does not apply; it is
     evaluated only at the points where the check `gate` (the hypothesis)
@@ -646,7 +644,7 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Toleranc
                     worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
                     count[cid] += int(np.count_nonzero(on))
 
-    report = CheckReport(suite, s.name, seed, asdict(tolerances))
+    report = CheckReport(suite, s.name, seed, tolerances._asdict())
     for part in parts:
         report.checks += _rows(part, worst, count, len(points), tol)
     return report

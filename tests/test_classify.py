@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
@@ -341,5 +340,5 @@ def test_direction_set_deterministic(sasakian_r3):
 
 def test_tolerances_as_dict():
     # the tiers in field order: the --tol-* options and the report's "tol"
-    assert asdict(Tolerances()) == {"algebraic": 1e-10, "deriv": 1e-9, "curv": 1e-8}
-    assert list(asdict(Tolerances())) == ["algebraic", "deriv", "curv"]
+    assert Tolerances()._asdict() == {"algebraic": 1e-10, "deriv": 1e-9, "curv": 1e-8}
+    assert list(Tolerances()._asdict()) == ["algebraic", "deriv", "curv"]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -375,15 +376,17 @@ def test_validate_fails_each_reeb_axiom(tmp_path, field, value, check):
     assert {c["id"]: c["verdict"] for c in json.loads(out)["checks"]}[check] == "fail"
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--points", "0"], ["--points", "-3"], ["--seed", "-1"]],
-    ids=["points-zero", "points-negative", "seed-negative"],
-)
-def test_bad_count_or_seed_is_usage_error(flags):
+@pytest.mark.parametrize("flags, message", [
+    (["--points", "0"], "argument --points: must be at least 1, got 0"),
+    (["--points", "-3"], "argument --points: must be at least 1, got -3"),
+    (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    # every sample point is held before the first check runs
+    (["--points", "1000001"], "argument --points: must be at most 1000000, got 1000001"),
+], ids=["points-zero", "points-negative", "seed-negative", "points-too-many"])
+def test_bad_count_or_seed_is_usage_error(flags, message):
     code, out, err = run(["check", "identity", "builtin:sasakian-r3", *flags])
     assert code == EXIT_USAGE
-    assert "must be at least" in err
+    assert err.startswith(f"error: {message}\n")
     assert out == ""
 
 
@@ -415,13 +418,34 @@ def test_non_finite_residuals_fail(points):
 def test_python_m_wqcm(argv, code, err):
     """`main()` in a child process where a RuntimeWarning is an error: its exit
     code, its stderr, and the stdout of `run_cli`."""
+    proc = python(["-m", "wqcm", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, run(argv)[1], err)
+
+
+def python(args):
+    """A child interpreter that imports `wqcm` from `src`; RuntimeWarnings are errors."""
     src = Path(__file__).parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wqcm", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, run(argv)[1], err)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+FREEZE_PROBE = """
+import atexit, gc, sys
+sys.argv = ["wqcm", "list"]
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+from wqcm.cli import main
+main()
+"""
+
+
+def test_main_freezes_the_collector_and_run_cli_does_not():
+    proc = python(["-c", FREEZE_PROBE])
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr.endswith("True\n")
+    before = gc.get_freeze_count()
+    assert run(["list"])[0] == EXIT_OK
+    assert gc.get_freeze_count() == before
 
 
 def _nan_doc():
