@@ -31,7 +31,6 @@ import argparse
 import gc
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +207,10 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                 suite = args.suite if args.command == "check" else args.command
                 tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
                 report = run_suite(acm, suite, plan, tolerances)
-                report.timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
+                if not args.no_timestamp:
+                    from datetime import datetime, timezone  # only a timestamp needs it
+
+                    report.timestamp = datetime.now(timezone.utc).isoformat()
                 _write(emit_report(report, args.format), args, stdout)
                 # classification is reporting, not assertion
                 return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK

@@ -15,16 +15,18 @@ of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
 them, `dh` and `curvature_xi`, raises), the g-orthonormal frame, the
 connection, the curvature R_{., .} xi (the full tensor is never built) and
 Ric(xi, xi), and what all check suites share there: the test-direction
-matrices of the state's seed, the adapted f-basis B and the absolute
+matrices of the state's seed (their random columns drawn by
+`_normal.standard_normal`, numpy's normal stream without numpy's random
+package), the adapted f-basis B and the absolute
 contact volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the matrix of
 d eta on the columns of B after xi (the sign is not computed).  Vectors are
 columns: xi is (P, d, 1), eta is the row (P, 1, d), a direction matrix is
 (P, d, m).  Each tensor is computed once for the whole block, when first
 read.
 `PointState.take` gives the state of a subset of the points, built anew from
-their part of the block's tape arrays.  `WeakACM.at` runs the tape at one
-point and builds a new state of P = 1 on every call, so a state lives only
-as long as its caller holds it.
+their part of the block's tape arrays and, if drawn, of its direction
+matrices.  `WeakACM.at` runs the tape at one point and builds a new state of
+P = 1 on every call, so a state lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -62,8 +64,13 @@ class PointState:
         self.q_explicit = fields["q"][0] if "q" in fields else None
 
     def take(self, mask) -> PointState:
-        """The state of the points where the boolean `mask` holds."""
-        return PointState(self.sdef, self.points, self.seed, self.fields, mask)
+        """The state of the points where the boolean `mask` holds.  Their
+        direction matrices, if already drawn here, are sliced, not drawn
+        again."""
+        sub = PointState(self.sdef, self.points, self.seed, self.fields, mask)
+        if "directions" in self.__dict__:
+            sub.directions = tuple(m[mask] for m in self.directions)
+        return sub
 
     @cached_property
     def g_inv(self):
@@ -248,16 +255,23 @@ class PointState:
     @cached_property
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
         """The direction matrices D (P x d x m, m = d + 8) and f D.  The
-        columns of D are the coordinate frame plus random g-unit vectors
-        drawn from the seed and the point.  Identities are multilinear, so the
-        frame alone decides them; the random vectors guard against
-        implementation errors."""
+        columns of D are the coordinate frame plus 8 random g-unit vectors:
+        at a point with key k (a hash of its coordinates, modulo 1,000,003),
+        the g-normalized rows of the 8 x d numbers that
+        `_normal.standard_normal` draws from seed * 1,000,003 + k, the bits
+        of numpy's `default_rng(seed * 1_000_003 + k).standard_normal((8, d))`.
+        Identities are multilinear, so the frame alone decides them; the
+        random vectors guard against implementation errors."""
+        from ._normal import standard_normal  # compiled only by commands that draw directions
+
         drawn = []
         for point in self.points:
             key = hash(tuple(round(float(c), 12) for c in point)) % 1_000_003
-            drawn.append(np.random.default_rng(self.seed * 1_000_003 + key).standard_normal((8, self.dim)).T)
-        frame = np.broadcast_to(np.eye(self.dim), (len(self.points), self.dim, self.dim))
-        d = np.concatenate([frame, self.g_normalize(np.array(drawn))], axis=2)
+            drawn += standard_normal(self.seed * 1_000_003 + key, 8 * self.dim)
+        p = len(self.points)
+        drawn = np.array(drawn).reshape(p, 8, self.dim).transpose(0, 2, 1)
+        frame = np.broadcast_to(np.eye(self.dim), (p, self.dim, self.dim))
+        d = np.concatenate([frame, self.g_normalize(drawn)], axis=2)
         return d, self.f @ d
 
     @cached_property

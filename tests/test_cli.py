@@ -448,6 +448,23 @@ def test_main_freezes_the_collector_and_run_cli_does_not():
     assert gc.get_freeze_count() == before
 
 
+IMPORT_PROBE = """
+import atexit, sys
+sys.argv = ["wqcm", "check", "all", "builtin:sasakian-r3", "--points", "4", "--no-timestamp"]
+atexit.register(lambda: print("numpy.random" in sys.modules, "hashlib" in sys.modules, file=sys.stderr))
+from wqcm.cli import main
+main()
+"""
+
+
+def test_a_check_command_loads_neither_numpy_random_nor_hashlib():
+    """The guard directions come from `wqcm._normal`, so a check command
+    never imports `numpy.random` (nor, through `secrets`, `hashlib`)."""
+    proc = python(["-c", IMPORT_PROBE])
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == "False False\n"
+
+
 def _nan_doc():
     return json.loads(Path(NAN).read_text())
 

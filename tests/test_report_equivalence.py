@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqcm import geometry, suites
+from wqcm import _normal, geometry, suites
 from wqcm.catalog import catalog, document
 from wqcm.cli import run_cli
 from wqcm.exprdsl import load_structure_def
@@ -128,6 +128,32 @@ def test_a_gated_check_sees_only_the_points_that_pass_its_gate(monkeypatch):
     rows = {c["id"]: c for c in report(MIXED)["checks"]}
     assert rows["lemma21-10"]["points"] == 2
     assert len(seen) == 1 and np.array_equal(seen[0], gated_in)
+
+
+def test_guard_directions_are_drawn_once_per_point(monkeypatch):
+    """The sub-state of the points that pass a gate slices its parent's
+    direction matrices: one draw per point, and the same report bytes as
+    when each sub-state draws its points' directions again."""
+    seeds = []
+    draw = _normal.standard_normal
+
+    def counted(seed, count):
+        seeds.append(seed)
+        return draw(seed, count)
+
+    monkeypatch.setattr(_normal, "standard_normal", counted)
+    argv = MIXED + ["--format", "json", "--no-timestamp"]
+    sliced = run(argv)
+    assert len(seeds) == 32 and len(set(seeds)) == 32
+    seeds.clear()
+    monkeypatch.setattr(PointState, "take", lambda st, mask: PointState(st.sdef, st.points, st.seed, st.fields, mask))
+    assert run(argv) == sliced
+    assert len(seeds) > 32
+
+
+def run(argv):
+    out = io.StringIO()
+    return run_cli(argv, stdout=out), out.getvalue()
 
 
 def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
