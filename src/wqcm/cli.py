@@ -129,7 +129,7 @@ _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("source", help=_SOURCE_HELP)
-    p.add_argument("--points", type=_COUNT, default=32)
+    p.add_argument("--points", type=_COUNT, default=SamplePlan().count)
     p.add_argument("--seed", type=_SEED, default=SamplePlan().seed)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")

@@ -5,14 +5,15 @@ and exact first and second derivatives, from the structure's tape), so
 Christoffel symbols carry exact first derivatives of g and the curvature
 carries exact second derivatives; no nested numerical differentiation
 appears anywhere.  The curvature is built only with a vector z in its Z
-slot, as the array R_{., .} z of `curvature_z`; the full tensor R^l_{kij},
-d times larger, is never formed.  Every function takes and returns plain
-arrays; the metric jet is laid out as g[i, j] = g_ij, dg[k, i, j] = d_k g_ij
-and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv is the inverse of g.  Any
-leading axes (a block of points) broadcast: g may be (P, d, d), and so on.
-A vector is a flat (..., d) array, except where a function takes test
-directions: those are matrices of columns (..., d, m), one column for a
-single vector.
+slot, as the array R_{., .} z of `curvature_z`: z is contracted into the
+connection before it is differentiated, so neither d Gamma^l_ij nor the
+full tensor R^l_{kij}, each d times larger, is ever formed.  Every function
+takes and returns plain arrays; the metric jet is laid out as g[i, j] =
+g_ij, dg[k, i, j] = d_k g_ij and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv
+is the inverse of g.  Any leading axes (a block of points) broadcast: g
+may be (P, d, d), and so on.  A vector is a flat (..., d) array, except
+where a function takes test directions: those are matrices of columns
+(..., d, m), one column for a single vector.
 
 Conventions used throughout (they matter, the check suites depend on them):
 
@@ -74,27 +75,20 @@ def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * contract(g_inv, _dg_bracket(dg))
 
 
-def christoffel_derivative(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """dGamma[m, k, i, j] = d_m Gamma^k_ij, from exact second derivatives of g."""
-    g_inv = g_inv[..., None, :, :]
-    d_ginv = -(g_inv @ dg @ g_inv)  # [m, k, l]
-    # d_m of the bracket is the bracket of ddg[m]
-    out = contract(g_inv, _dg_bracket(ddg))
-    out += contract(d_ginv, _dg_bracket(dg)[..., None, :, :, :])
-    out *= 0.5
-    return out
-
-
 def curvature_z(g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The curvature with the vector z (a (d, 1) column) in its Z slot,
     R_{., .} z, from the Christoffel symbols `gamma` of the metric, laid out
     as `bilinear` reads it: out[i, l, j] = R^l_{kij} z^k, so that
     (R_{X,Y} z)^l = out[i, l, j] X^i Y^j.  z is contracted before the
-    curvature is formed, so the full tensor is never built."""
+    connection is differentiated, so neither d Gamma nor the full tensor is
+    built."""
     # t[i, l, j] = d_i Gamma^l_jk z^k + Gamma^l_im Gamma^m_jk z^k, so that
-    # R^l_{kij} z^k = t[i, l, j] - t[j, l, i]
-    t = (christoffel_derivative(g_inv, dg, ddg) @ z[..., None, None, :, :])[..., 0]
-    t += gamma.swapaxes(-3, -2) @ (gamma @ z[..., None, :, :])[..., None, :, :, 0]
+    # R^l_{kij} z^k = t[i, l, j] - t[j, l, i]; with z constant and B the
+    # bracket of dg, d_i (Gamma z) = g^-1 ((1/2) (d_i B) z - (d_i g) (Gamma z))
+    gz = (gamma @ z[..., None, :, :])[..., None, :, :, 0]  # [1, l, j] = Gamma^l_jk z^k
+    bz = (_dg_bracket(ddg) @ z[..., None, None, :, :])[..., 0]  # [i, m, j] = d_i B[m, j, k] z^k
+    t = g_inv[..., None, :, :] @ (0.5 * bz - dg @ gz)
+    t += gamma.swapaxes(-3, -2) @ gz
     return np.subtract(t, t.swapaxes(-3, -1), order="C")
 
 

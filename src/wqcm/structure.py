@@ -12,17 +12,17 @@ holds the component arrays of g, f, xi and an explicit Q (values, gradients
 and, from jets of order 2, Hessians: the block's part of one run of the
 structure's compiled `StructureDef.tape` over a chunk of points; from jets
 of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
-them, `dh` and `curvature_xi`, raises), the g-orthonormal frame, the
-connection, the curvature R_{., .} xi (the full tensor is never built) and
-Ric(xi, xi), and what all check suites share there: the test-direction
-matrices of the state's seed (their random columns drawn by
-`_normal.standard_normal`, numpy's normal stream without numpy's random
-package), the adapted f-basis B and the absolute
-contact volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the matrix of
-d eta on the columns of B after xi (the sign is not computed).  Vectors are
-columns: xi is (P, d, 1), eta is the row (P, 1, d), a direction matrix is
-(P, d, m).  Each tensor is computed once for the whole block, when first
-read.
+them, `dh_xi` and `curvature_xi`, raises), the g-orthonormal frame, the
+connection, the curvature R_{., .} xi, Ric(xi, xi) and nabla_xi h (xi is
+contracted before the connection and h are differentiated, so d Gamma, dh
+and the full curvature tensor are never built), and what all check suites
+share there: the test-direction matrices of the state's seed (their random
+columns drawn by `_normal.standard_normal`, numpy's normal stream without
+numpy's random package), the adapted f-basis B and the absolute contact
+volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the matrix of d eta on
+the columns of B after xi (the sign is not computed).  Vectors are columns:
+xi is (P, d, 1), eta is the row (P, 1, d), a direction matrix is (P, d, m).
+Each tensor is computed once for the whole block, when first read.
 `PointState.take` gives the state of a subset of the points, built anew from
 their part of the block's tape arrays and, if drawn, of its direction
 matrices.  `WeakACM.at` runs the tape at one point and builds a new state of
@@ -44,8 +44,8 @@ from .geometry import bilinear, contract, mT
 class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
     (`points`, P x d); `seed` picks the test directions.  `fields` are the
-    arrays of `eval_tape` over `points`.  Given `lanes` (an index array, a
-    slice or a boolean mask), the state is that of those points only."""
+    arrays of `eval_tape` over `points`.  Given `lanes` (a slice or a boolean
+    mask), the state is that of those points only."""
 
     def __init__(self, sdef: StructureDef, points, seed: int, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)
@@ -145,17 +145,15 @@ class PointState:
         return 0.5 * geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.f, self.df)
 
     @cached_property
-    def dh(self):
-        """dh[l, i, j] = d_l h^i_j (uses second derivatives of f and xi)."""
-        dxi, ddxi, df, f = self.dxi, self.ddxi, self.df, self.f[:, None]
-        return 0.5 * (
-            contract(dxi, df)  # d_l xi^k d_k f^i_j
-            + contract(mT(self.xi)[:, None], self.ddf)[:, :, 0]  # xi^k d_l d_k f^i_j: the Hessian is symmetric
-            - mT(dxi)[:, None] @ df  # d_l f^k_j d_k xi^i
-            - mT(ddxi) @ f  # f^k_j d_l d_k xi^i
-            + df @ mT(dxi)[:, None]  # d_l f^i_k d_j xi^k
-            + f @ mT(ddxi)  # f^i_k d_l d_j xi^k
-        )
+    def dh_xi(self):
+        """xi^l d_l h^i_j, from h = (1/2)(xi.d f - J f + f J) with
+        J^i_k = d_k xi^i (uses second derivatives of f and xi)."""
+        j, f = mT(self.dxi), self.f
+        dj_xi = mT(self.along_xi(self.ddxi))  # xi^l d_l J
+        df_xi = self.along_xi(self.df)  # xi^k d_k f
+        # xi^l d_l (xi^k d_k f) = xi^l (d_l xi^k d_k f + xi^k d_l d_k f)
+        ddf_xi = self.along_xi(contract(self.dxi, self.df) + self.along_xi(self.ddf))
+        return 0.5 * (ddf_xi + f @ dj_xi - dj_xi @ f + df_xi @ j - j @ df_xi)
 
     @cached_property
     def h_star(self):
@@ -200,8 +198,10 @@ class PointState:
         return geometry.cov_tensor11(self.gamma, self.Q, self.dQ)
 
     @cached_property
-    def nabla_h(self):
-        return geometry.cov_tensor11(self.gamma, self.h, self.dh)
+    def nabla_xi_h(self):
+        """nabla_xi h = xi.d h + G h - h G, with G^i_m = Gamma^i_km xi^k."""
+        gx = (self.gamma @ self.xi[:, None])[..., 0]
+        return self.dh_xi + gx @ self.h - self.h @ gx
 
     @cached_property
     def lie_xi_g(self):
@@ -215,7 +215,7 @@ class PointState:
 
     def along_xi(self, t):
         """xi^k t[k, ...] for a tensor t[k, ...] at each point."""
-        return contract(mT(self.xi), t)[:, 0]
+        return (mT(self.xi) @ t.reshape(t.shape[:2] + (-1,))).reshape(t.shape[:1] + t.shape[2:])
 
     def curvature_op(self, x, y):
         """R_{X,Y} xi at every column pair of the direction matrices x and y:

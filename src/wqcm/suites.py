@@ -247,7 +247,7 @@ def _eq14(st):
     h2 = st.h @ st.h
     t1 = st.Q_inv @ (fd - h2 @ fd)
     t2 = st.f @ st.curvature_op(d, st.xi)[..., 0]
-    defect = st.along_xi(st.nabla_h) @ d - t1 + t2
+    defect = st.nabla_xi_h @ d - t1 + t2
     return _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2))
 
 

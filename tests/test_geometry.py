@@ -9,7 +9,6 @@ from wqcm.exprdsl import compile_tape
 from wqcm.geometry import (
     bilinear,
     christoffel,
-    christoffel_derivative,
     cov_oneform,
     cov_tensor11,
     cov_vector,
@@ -75,17 +74,35 @@ def test_sphere_curvature_is_plus_one():
     assert np.allclose(ricci(riemann_of(m)), m.g, atol=1e-9)
 
 
-def test_christoffel_derivative_matches_finite_differences():
-    h = 1e-6
-    point = np.array([0.9, 0.4])
-    m = sphere_at(*point)
-    dgamma = christoffel_derivative(m.g_inv, m.dg, m.ddg)
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        gp = christoffel_of(metric_at(SPHERE_METRIC, point + e))
-        gm = christoffel_of(metric_at(SPHERE_METRIC, point - e))
-        assert np.allclose(dgamma[k], (gp - gm) / (2 * h), atol=1e-8)
+# every metric cell varies: each term of d_i Gamma and of the bracket counts
+VARYING_COORDS = ["x", "y", "z"]
+VARYING_METRIC = [
+    ["2 + x^2 + sin(y)", "0.3 * x * z", "0.2 * cos(y + z)"],
+    ["0.3 * x * z", "1.5 + y * z", "0.1 * x^2 - 0.2 * y"],
+    ["0.2 * cos(y + z)", "0.1 * x^2 - 0.2 * y", "1 + exp(0.3 * x * y)"],
+]
+
+
+def test_curvature_z_matches_finite_differences():
+    """R_{., .} z from central differences of the connection contracted with
+    a constant z that is not a coordinate vector:
+    t[i, l, j] = d_i (Gamma z)^l_j + Gamma^l_im (Gamma z)^m_j, minus t with
+    i and j swapped."""
+    step = 1e-5
+    point = np.array([0.4, -0.3, 0.6])
+    z = np.array([[0.7], [-1.2], [0.5]])
+    m = metric_at(VARYING_METRIC, point, VARYING_COORDS)
+    gamma = christoffel_of(m)
+    gamma_z = (gamma @ z)[..., 0]
+    d_gamma_z = []
+    for e in np.eye(3) * step:
+        plus, minus = (christoffel_of(metric_at(VARYING_METRIC, point + s, VARYING_COORDS)) @ z for s in (e, -e))
+        d_gamma_z.append((plus - minus)[..., 0] / (2 * step))
+    t = np.array(d_gamma_z) + gamma.swapaxes(0, 1) @ gamma_z
+    want = t - t.transpose(2, 1, 0)
+    got = curvature_z_of(m, z)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.allclose(got, want, rtol=0.0, atol=1e-8)
 
 
 def catalog_metric_points(key, count=6, **kw):

@@ -368,8 +368,9 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
     for cid in FIRST_ORDER:
         assert np.array_equal(one[cid][0], two[cid][0], equal_nan=True), cid
         assert np.array_equal(one[cid][1], two[cid][1]), cid
+    assert isinstance(PointState.__dict__["dh_xi"], functools.cached_property)
     with pytest.raises(AttributeError):
-        first.dh
+        first.dh_xi
     with pytest.raises(TypeError):
         first.curvature_xi
 

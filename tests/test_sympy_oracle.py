@@ -3,8 +3,8 @@ chart and on the round 2-sphere; the Christoffel symbols and the curvature
 tensor (stacked from R_{., .} e_k over the coordinate frame) against sympy
 on the sphere and the 3- and 5-dimensional charts; R_{., .} xi and
 Ric(xi, xi) against sympy on a curved chart where xi varies; and L_xi g, h
-and its derivative against sympy on charts where xi is not Killing and h is
-not zero."""
+and its derivative and covariant derivative along xi against sympy on charts
+where xi is not Killing and h is not zero."""
 
 from types import SimpleNamespace
 
@@ -99,10 +99,11 @@ def test_connection_and_curvature_match_sympy(coords, cells, points):
 
 
 def derived_oracle(doc):
-    """Exact L_xi g, h = (1/2) L_xi f and dh[l, i, j] = d_l h^i_j of a structure
-    document, as float functions of the point:
-    (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k and
-    (L_xi f)^i_j = xi^k d_k f^i_j - f^k_j d_k xi^i + f^i_k d_j xi^k."""
+    """Exact L_xi g, h = (1/2) L_xi f, xi^l d_l h^i_j and nabla_xi h of a
+    structure document, as float functions of the point:
+    (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k,
+    (L_xi f)^i_j = xi^k d_k f^i_j - f^k_j d_k xi^i + f^i_k d_j xi^k and
+    (nabla_xi h)^i_j = xi^l d_l h^i_j + xi^k Gamma^i_km h^m_j - h^i_m xi^k Gamma^m_kj."""
     coords = doc["coords"]
     xs = sympy.symbols(coords)
     d, names = len(xs), dict(zip(coords, xs))
@@ -117,8 +118,14 @@ def derived_oracle(doc):
                   for k in range(d)) for j in range(d)] for i in range(d)]
     h = [[sum(xi[k] * f[i, j].diff(xs[k]) - f[k, j] * xi[i].diff(xs[k]) + f[i, k] * xi[k].diff(xs[j])
               for k in range(d)) / 2 for j in range(d)] for i in range(d)]
-    dh = [[[h[i][j].diff(x) for j in range(d)] for i in range(d)] for x in xs]
-    return sympy.lambdify([xs], [lie_g, h, dh], modules="math")
+    dh_xi = sympy.Matrix(d, d, lambda i, j: sum(xi[k] * h[i][j].diff(xs[k]) for k in range(d)))
+    g_inv = g.inv()
+    # gamma_xi[i, m] = xi^k Gamma^i_km
+    gamma_xi = sympy.Matrix(d, d, lambda i, m: sum(
+        xi[k] * g_inv[i, l] * (g[m, l].diff(xs[k]) + g[k, l].diff(xs[m]) - g[k, m].diff(xs[l])) / 2
+        for k in range(d) for l in range(d)))
+    nabla_xi_h = dh_xi + gamma_xi * sympy.Matrix(h) - sympy.Matrix(h) * gamma_xi
+    return sympy.lambdify([xs], [lie_g, h, dh_xi.tolist(), nabla_xi_h.tolist()], modules="math")
 
 
 def sasakian_r3_edited():
@@ -145,9 +152,10 @@ def test_lie_xi_g_and_h_match_sympy(doc):
     exact = derived_oracle(doc)
     for point in points_for(acm, count=4):
         st = acm.at(point)
-        lie_g, h, dh = (np.asarray(want, dtype=float) for want in exact(point))
+        lie_g, h, dh_xi, nabla_xi_h = (np.asarray(want, dtype=float) for want in exact(point))
         assert np.max(np.abs(lie_g)) > 0.1 and np.max(np.abs(h)) > 0.1  # not Killing, h != 0
-        for name, got, want in (("lie_xi_g", st.lie_xi_g, lie_g), ("h", st.h, h), ("dh", st.dh, dh)):
+        for name, got, want in (("lie_xi_g", st.lie_xi_g, lie_g), ("h", st.h, h), ("dh_xi", st.dh_xi, dh_xi),
+                                ("nabla_xi_h", st.nabla_xi_h, nabla_xi_h)):
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (name, point)
 
 
