@@ -1,15 +1,20 @@
 """Built-in catalog of structure definitions.
 
-Three families:
+Every built-in is left-invariant data in one global chart: a coframe theta^a,
+its inverse frame E_a, and constant components G_ab, F^a_b and xi^a in that
+frame.  `_frame_doc` writes the cells g_ij = theta^a_i G_ab theta^b_j,
+f^i_j = E_a^i F^a_b theta^b_j and xi^i = E_a^i xi^a.  Three families:
 
   * "sasakian-r{2n+1}", n = 1 .. MAX_N -- the standard Sasakian structure
-    on R^{2n+1} with eta = (1/2)(dz - sum_i y_i dx_i), xi = 2 d/dz and the
-    associated metric.
-    The sign of f is the one for which d eta = Phi.
-  * "scaled" (parameters n, s) -- same chart, metric and xi, with f scaled
-    by s.  A genuine weak structure with Q = s^2 id + (1 - s^2) eta (x) xi.
-  * "flat-const" -- Euclidean R^3 with a constant f; fails the contact
-    condition (d eta = 0) while satisfying the weak axioms.
+    on the Heisenberg group R^{2n+1}: coframe dx_i, dy_i, dz - sum_i y_i dx_i
+    (= 2 eta), frame d/dx_i + y_i d/dz, d/dy_i, d/dz, G = id/4,
+    F^{x_i}_{y_i} = 1 = -F^{y_i}_{x_i} and xi = 2 E_z: the sign of F for
+    which d eta = Phi.
+  * "scaled" (parameters n, s) -- the same data with F scaled by s.  A
+    genuine weak structure with Q = s^2 id + (1 - s^2) eta (x) xi.
+  * "flat-const" -- Euclidean R^3: the identity frame, G = id,
+    F^x_y = 1 = -F^y_x and xi = E_z.  It fails the contact condition
+    (d eta = 0) while satisfying the weak axioms.
 
 `document` gives a built-in as its JSON structure-definition document, and
 `catalog` compiles that document.
@@ -36,59 +41,54 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _sasakian_doc(n: int, s: float = 1.0, name: str | None = None) -> dict:
-    """Sasakian chart on R^{2n+1}, with f scaled by s."""
-    dim = 2 * n + 1
-    xs = [f"x{i + 1}" for i in range(n)]
-    ys = [f"y{i + 1}" for i in range(n)]
-    coords = xs + ys + ["z"]
-    zero = "0"
-    metric = [[zero] * dim for _ in range(dim)]
-    # g = eta (x) eta + (1/4) sum_i (dx_i^2 + dy_i^2), eta = (1/2)(dz - sum y_i dx_i)
-    for i in range(n):
-        for j in range(n):
-            a, b = min(i, j), max(i, j)  # keep the text symmetric
-            cross = f"{ys[a]}*{ys[b]}/4"
-            metric[i][j] = f"{cross} + 1/4" if i == j else cross
-        metric[i][dim - 1] = f"-{ys[i]}/4"
-        metric[dim - 1][i] = f"-{ys[i]}/4"
-        metric[n + i][n + i] = "1/4"
-    metric[dim - 1][dim - 1] = "1/4"
+def _frame_doc(name: str, coords: list[str], coframe, frame, G, F, xi) -> dict:
+    """The document of left-invariant data on the chart `coords`, given as
+    cell text: coframe[a][i] = theta^a_i, frame[i][a] = E_a^i (so
+    theta E = id) and the components G[a][b], F[a][b] and xi[a] in the
+    frame.  A cell is the sum of products of parenthesised factors, less
+    the products with a "0" factor and the "1" factors."""
+    span = range(len(coords))
+    pairs_g, pairs_f = ([(a, b) for a in span for b in span if m[a][b] != "0"] for m in (G, F))
 
-    # The literature is split on the sign of f; this is the sign that satisfies
-    # the contact-metric condition d eta = Phi for the unscaled structure.
-    f = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        # f(d/dx_i) = -d/dy_i ;  f(d/dy_i) = d/dx_i + y_i d/dz  (times s)
-        f[n + i][i] = _fmt(-s)
-        f[i][n + i] = _fmt(s)
-        f[dim - 1][n + i] = f"({_fmt(s)})*{ys[i]}"
+    def cell(products) -> str:
+        terms = ["*".join(f"({t})" for t in p if t != "1") or "1" for p in products if "0" not in p]
+        return " + ".join(terms) or "0"
 
-    xi = [zero] * dim
-    xi[dim - 1] = "2"
+    def g(i: int, j: int) -> str:  # the same text at (i, j) and (j, i)
+        return cell((coframe[a][min(i, j)], G[a][b], coframe[b][max(i, j)]) for a, b in pairs_g)
+
     w = DEFAULT_DOMAIN_HALF_WIDTH
     return {
-        "name": name or f"sasakian-r{dim}",
-        "n": n,
+        "name": name,
+        "n": len(coords) // 2,
         "coords": coords,
-        "domain": [[-w, w]] * dim,
-        "metric": metric,
-        "f": f,
-        "xi": xi,
+        "domain": [[-w, w]] * len(coords),
+        "metric": [[g(i, j) for j in span] for i in span],
+        "f": [[cell((frame[i][a], F[a][b], coframe[b][j]) for a, b in pairs_f) for j in span] for i in span],
+        "xi": [cell((frame[i][a], xi[a]) for a in span) for i in span],
     }
+
+
+def _identity(dim: int, one: str = "1") -> list[list[str]]:
+    return [[one if i == j else "0" for j in range(dim)] for i in range(dim)]
+
+
+def _sasakian_doc(n: int, s: float = 1.0, name: str | None = None) -> dict:
+    """The Heisenberg group R^{2n+1}, with F scaled by s."""
+    dim = 2 * n + 1
+    xs, ys = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(n)]
+    coframe, frame, F = _identity(dim), _identity(dim), [["0"] * dim for _ in range(dim)]
+    coframe[-1][:n] = [f"-{y}" for y in ys]  # theta^z = dz - sum_i y_i dx_i
+    frame[-1][:n] = ys  # E_{x_i} = d/dx_i + y_i d/dz
+    for i in range(n):
+        F[i][n + i], F[n + i][i] = _fmt(s), _fmt(-s)
+    return _frame_doc(name or f"sasakian-r{dim}", xs + ys + ["z"], coframe, frame, _identity(dim, "1/4"), F,
+                      ["0"] * (dim - 1) + ["2"])
 
 
 def _flat_const_doc() -> dict:
-    w = DEFAULT_DOMAIN_HALF_WIDTH
-    return {
-        "name": "flat-const",
-        "n": 1,
-        "coords": ["x", "y", "z"],
-        "domain": [[-w, w]] * 3,
-        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-        "f": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
-        "xi": ["0", "0", "1"],
-    }
+    eye, F = _identity(3), [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]
+    return _frame_doc("flat-const", ["x", "y", "z"], eye, eye, eye, F, eye[2])
 
 
 def document(key: str, n: int = 1, s: float | None = None) -> dict:

@@ -44,8 +44,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# The sample points are all held before the first check runs (352 B each in
-# dimension 7), so a count beyond this would only exhaust memory.
+# The sample points are all held, as the rows of one float array, before the
+# first check runs: `validate` on sasakian-r7 peaks about 60 B per point above
+# 33 MB (56 B is the row), so a count beyond this would only exhaust memory.
 MAX_POINTS = 1_000_000
 
 

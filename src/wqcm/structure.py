@@ -107,7 +107,10 @@ class PointState:
 
     @cached_property
     def Q_inv(self):
-        return np.linalg.inv(self.Q)
+        try:
+            return np.linalg.inv(self.Q)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Q is singular") from exc
 
     @cached_property
     def q_spectrum(self):

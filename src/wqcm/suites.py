@@ -90,18 +90,23 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-def sample_points(plan: SamplePlan, domain) -> list[np.ndarray]:
+def sample_points(plan: SamplePlan, domain) -> np.ndarray:
     """The Halton points of indices seed + 1 .. seed + count, one prime base
-    per coordinate, strictly inside the domain box (5% margin)."""
+    per coordinate, strictly inside the domain box (5% margin), as the rows
+    of one (count, d) array."""
     lo, hi = np.array(domain, dtype=float).T
     if np.any(hi <= lo):
         raise ValueError("degenerate domain box")
     width = hi - lo
     lo_m = lo + 0.025 * width
     hi_m = hi - 0.025 * width
-    bases = _primes(len(domain))
-    units = [np.array([_radical_inverse(plan.seed + i + 1, b) for b in bases]) for i in range(plan.count)]
-    return [lo_m + u * (hi_m - lo_m) for u in units]
+    indices = range(plan.seed + 1, plan.seed + plan.count + 1)
+    points = np.empty((plan.count, len(domain)))
+    for k, base in enumerate(_primes(len(domain))):
+        points[:, k] = np.fromiter((_radical_inverse(i, base) for i in indices), float, plan.count)
+    points *= hi_m - lo_m  # in place: the affine map makes no temporaries of the array's size
+    points += lo_m
+    return points
 
 
 # -- report types -----------------------------------------------------------------
@@ -635,9 +640,10 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Toleranc
         half = len(chunk) // 2
         return split(chunk[:half]) + split(chunk[half:])
 
+    points = np.asarray(points, dtype=float)
     worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
     for start in range(0, len(points), chunk_size):
-        for result in split(np.array(points[start : start + chunk_size], dtype=float)):
+        for result in split(points[start : start + chunk_size]):
             for cid in needed:
                 value, on = result[cid]
                 if on.any():

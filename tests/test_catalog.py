@@ -1,9 +1,14 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import wqcm.catalog as cat
 from wqcm.catalog import PARAMETERS, catalog, keys
+from wqcm.exprdsl import compile_tape, eval_tape, load_structure_def
 from wqcm.structure import WeakACM
-from wqcm.suites import evaluate
+from wqcm.suites import evaluate, run_suite
 from conftest import points_for
 
 
@@ -91,3 +96,92 @@ def test_keys_without_parameters_reject_them():
             with pytest.raises(ValueError, match="takes no parameters"):
                 catalog(key, **params)
         assert catalog(key, n=1, s=None).name == key
+
+
+# -- frame data ------------------------------------------------------------------
+
+FRAME_CASES = [pytest.param(key, {}, id=key) for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7", "flat-const")]
+FRAME_CASES += [pytest.param("scaled", {"n": n, "s": 2.0}, id=f"scaled-n{n}") for n in (1, 2, 3)]
+
+
+def frame_data(monkeypatch, key: str, params: dict) -> dict:
+    """The arguments with which `document` calls the frame builder."""
+    calls, build = [], cat._frame_doc
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(build).bind(*args, **kwargs).arguments)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cat, "_frame_doc", spy)
+    cat.document(key, **params)
+    (data,) = calls
+    return data
+
+
+def inverse_defect(coords, coframe, frame, points) -> float:
+    """max |theta E - id| over the points, the cells run through a tape."""
+    fields = eval_tape(compile_tape({"coframe": coframe, "frame": frame}, coords), points, 1)
+    return float(np.max(np.abs(fields["coframe"][0] @ fields["frame"][0] - np.eye(len(coords)))))
+
+
+@pytest.mark.parametrize("key, params", FRAME_CASES)
+def test_frame_is_the_inverse_of_the_coframe(monkeypatch, key, params):
+    points = points_for(WeakACM(catalog(key, **params)))
+    data = frame_data(monkeypatch, key, params)
+    assert inverse_defect(data["coords"], data["coframe"], data["frame"], points) <= 1e-12
+    # a wrong inverse fails: the first nonzero cell of the frame's last row with its sign flipped
+    wrong = [list(row) for row in data["frame"]]
+    j = next(j for j, cell in enumerate(wrong[-1]) if cell != "0")
+    wrong[-1][j] = f"-({wrong[-1][j]})"
+    assert inverse_defect(data["coords"], data["coframe"], wrong, points) > 0.1
+
+
+# Two left-invariant contact metric structures in the chart (x, y, t), built
+# by the same frame builder as the catalog: E(2), whose h is not 0, and the
+# Heisenberg group, its Sasakian control.  Each is (coords, coframe, frame, G,
+# F, xi), with xi = 2 E_1.
+
+
+def e2_frame(a: float) -> tuple:
+    """The coframe rotated by t, G = diag(1/4, a, 1/(16 a)), F^2_3 = -1/(4 a)
+    and F^3_2 = 4 a; flat at a = 1/4."""
+    rot = [["cos(t)", "sin(t)", "0"], ["-sin(t)", "cos(t)", "0"], ["0", "0", "1"]]
+    G = [[repr(0.25), "0", "0"], ["0", repr(a), "0"], ["0", "0", repr(1 / (16 * a))]]
+    F = [["0", "0", "0"], ["0", "0", repr(-1 / (4 * a))], ["0", repr(4 * a), "0"]]
+    return ["x", "y", "t"], rot, [list(col) for col in zip(*rot)], G, F, ["2", "0", "0"]
+
+
+def heisenberg_frame() -> tuple:
+    """The coframe dx - t dy, dy, dt, G = id/4, F^2_3 = 1 and F^3_2 = -1."""
+    coframe = [["1", "-t", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    frame = [["1", "t", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    G = [["1/4", "0", "0"], ["0", "1/4", "0"], ["0", "0", "1/4"]]
+    return ["x", "y", "t"], coframe, frame, G, [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]], ["2", "0", "0"]
+
+
+def frame_structure(name: str, data: tuple) -> WeakACM:
+    acm = WeakACM(load_structure_def(cat._frame_doc(name, *data)))
+    assert inverse_defect(*data[:3], points_for(acm)) <= 1e-12
+    return acm
+
+
+@pytest.mark.parametrize("a, h_max", [(0.25, 1.0), (0.125, 0.5)])
+def test_e2_is_contact_metric_but_not_k_contact(a, h_max):
+    acm = frame_structure(f"e2-a{a}", e2_frame(a))
+    report = run_suite(acm, "all")
+    # the skipped rows are the hypotheses of Theorems 3.1 and 3.3-3.5 and of Prop 3.3, and what they gate
+    assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 38, "skipped": 22}
+    failed = [c.id for c in run_suite(acm, "classify").checks if c.verdict == "fail"]
+    assert failed == ["normal", "sasakian", "nearly-sasakian", "killing-xi", "k-contact"]
+    for point in points_for(acm, count=32):
+        st = acm.at(point)
+        assert np.max(np.abs(st.h)) == pytest.approx(h_max, abs=1e-12)
+        assert np.max(np.abs(st.Q - np.eye(3))) <= 4.5e-16
+
+
+def test_heisenberg_frame_is_sasakian():
+    acm = frame_structure("heisenberg", heisenberg_frame())
+    report = run_suite(acm, "all")
+    assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 58, "skipped": 2}
+    classes = run_suite(acm, "classify").checks
+    assert len(classes) == 9 and all(c.verdict == "pass" for c in classes)

@@ -566,6 +566,18 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
     assert err == f"error: at sample point {first.tolist()}: metric is not positive definite\n"
 
 
+def test_a_singular_q_is_named(tmp_path):
+    # with xi = 1e-200 d/dz, xi (x) eta is 1e-400, which underflows to 0, so
+    # Q = -f^2 + xi (x) eta is singular; eq14 inverts Q where the quasi gate passes
+    doc = document("flat-const")
+    doc["xi"] = ["0", "0", "1e-200"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["check", "curvature", str(path), "--no-timestamp"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: at sample point [-0.8312499999999999, 0.7388888888888887, 0.26600000000000024]: Q is singular\n"
+
+
 @pytest.mark.parametrize("command", [["check", "all"], ["classify"], ["validate"]], ids=" ".join)
 def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, command):
     # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so

@@ -309,7 +309,7 @@ def test_invalid_json_rejected():
 
 # Instructions of each built-in (scaled at n=1, s=2): one per distinct
 # subexpression of its cells, as a walk over their syntax trees counts them.
-TAPE_LENGTHS = {"sasakian-r3": 13, "sasakian-r5": 22, "sasakian-r7": 33, "scaled": 13, "flat-const": 3}
+TAPE_LENGTHS = {"sasakian-r3": 12, "sasakian-r5": 19, "sasakian-r7": 27, "scaled": 12, "flat-const": 3}
 
 
 def test_tape_has_one_instruction_per_distinct_subtree():
@@ -346,7 +346,7 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     doc["f"] = [[pad(c) for c in row] for row in doc["f"]]
     doc["xi"] = [pad(c) for c in doc["xi"]]
     plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
-    assert len(padded.tape.code) == 64  # one per distinct subexpression
+    assert len(padded.tape.code) == 63  # one per distinct subexpression
     points = points_for(WeakACM(plain), count=8)
     want, got = eval_tape(plain.tape, points, 2), eval_tape(padded.tape, points, 2)
     for name in ("metric", "f", "xi"):

@@ -21,7 +21,7 @@ def test_sample_points_deterministic_and_in_margin():
         domain = [(-1.0, 1.0)] * dim
         a = sample_points(PLAN, domain)
         b = sample_points(PLAN, domain)
-        assert len(a) == 8
+        assert a.shape == (8, dim)
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
         for p in a:
