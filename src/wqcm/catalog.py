@@ -113,5 +113,8 @@ def document(key: str, n: int = 1, s: float | None = None) -> dict:
 
 
 def catalog(key: str, n: int = 1, s: float | None = None) -> StructureDef:
-    """A built-in structure definition by key, compiled from `document`."""
+    """A built-in structure definition by key, compiled from `document`.
+    The benchmark's set-up probe passes n and s for every key, `n=1, s=None`
+    for a key without parameters; `tests/test_perfbench_oracle.py` runs the
+    probe, so a change to this signature fails there."""
     return load_structure_def(document(key, n, s))

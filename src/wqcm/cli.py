@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as cat
-from .exprdsl import ExprSyntaxError, SchemaError, load_structure_def
-from .structure import WeakACM
+from .exprdsl import ExprSyntaxError, SchemaError, StructureDef, eval_tape, load_structure_def
+from .structure import PointState
 from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_suite
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_source(source: str) -> WeakACM:
+def _load_source(source: str) -> StructureDef:
     if source.startswith("builtin:"):
         spec = source.removeprefix("builtin:")
         key, _, query = spec.partition("?")
@@ -78,30 +78,29 @@ def _load_source(source: str) -> WeakACM:
             except ValueError:
                 raise CliError(f"builtin:{key} parameter {k} must be of type {types[k].__name__}, got {v!r}") from None
         try:
-            sdef = cat.catalog(key, **values)
+            return cat.catalog(key, **values)
         except ValueError as exc:
             raise CliError(f"cannot build builtin structure {spec!r}: {exc}") from exc
-        return WeakACM(sdef)
     path = Path(source)
     if not path.is_file():
         raise CliError(f"no such structure file: {source}")
     try:
-        return WeakACM(load_structure_def(path.read_bytes()))
+        return load_structure_def(path.read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {source}: {exc.strerror or exc}") from exc
     except (SchemaError, ExprSyntaxError) as exc:
         raise CliError(f"cannot load {source}: {exc}") from exc
 
 
-def _parse_point(text: str, acm: WeakACM) -> np.ndarray:
+def _parse_point(text: str, sdef: StructureDef) -> np.ndarray:
     try:
         coords = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad point {text!r}") from exc
-    if len(coords) != acm.dim:
-        raise CliError(f"point {text!r} has {len(coords)} coordinates, chart needs {acm.dim}")
-    if not acm.sdef.contains(coords):
-        raise CliError(f"point {text!r} is outside the chart domain {list(acm.sdef.domain)}")
+    if len(coords) != sdef.dim:
+        raise CliError(f"point {text!r} has {len(coords)} coordinates, chart needs {sdef.dim}")
+    if not sdef.contains(coords):
+        raise CliError(f"point {text!r} is outside the chart domain {list(sdef.domain)}")
     return np.array(coords)
 
 
@@ -164,10 +163,11 @@ def _write(payload: bytes, args, stdout) -> None:
         stdout.write(payload.decode())
 
 
-def _fbasis(acm: WeakACM, point: np.ndarray, args) -> tuple[list[str], bool]:
-    st = acm.at(point)
+def _fbasis(sdef: StructureDef, point: np.ndarray, args) -> tuple[list[str], bool]:
+    # the f-basis reads no derivative and draws no directions: first-order jets, any seed
+    st = PointState(point[None], 0, eval_tape(sdef.tape, point[None], 1))
     (basis,), (lam,), (g,) = st.fbasis[0], st.fbasis[1], st.g
-    lines = [f"f-basis of {acm.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
+    lines = [f"f-basis of {sdef.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
     ok = True
     for i, lam_i in enumerate(lam.tolist(), start=1):
         e, fe = basis[:, 2 * i - 1], basis[:, 2 * i]
@@ -202,12 +202,12 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                     stdout.write(key + "\n")
                 return EXIT_OK
 
-            acm = _load_source(args.source)
+            sdef = _load_source(args.source)
             if args.command in ("validate", "classify", "check"):
                 plan = SamplePlan(count=args.points, seed=args.seed)
                 suite = args.suite if args.command == "check" else args.command
                 tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
-                report = run_suite(acm, suite, plan, tolerances)
+                report = run_suite(sdef, suite, plan, tolerances)
                 if not args.no_timestamp:
                     from datetime import datetime, timezone  # only a timestamp needs it
 
@@ -216,9 +216,9 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                 # classification is reporting, not assertion
                 return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
 
-            point = _parse_point(args.at, acm)
+            point = _parse_point(args.at, sdef)
             try:
-                lines, ok = _fbasis(acm, point, args)
+                lines, ok = _fbasis(sdef, point, args)
             except (ValueError, ArithmeticError) as exc:
                 raise CliError(f"at point {point.tolist()}: {exc}") from exc
             stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")

@@ -50,9 +50,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprdsl import eval_tape
+from .exprdsl import StructureDef, eval_tape
 from .geometry import bilinear, mT
-from .structure import PointState, WeakACM
+from .structure import PointState
 
 
 class Tolerances(NamedTuple):
@@ -602,7 +602,8 @@ def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
     return rows
 
 
-def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Tolerances = Tolerances()) -> CheckReport:
+def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
+             tolerances: Tolerances = Tolerances()) -> CheckReport:
     """The report of `suite` on `points`: the one loop over sample points.
 
     Raises `EvaluationError`, naming the point, when a point lies outside the
@@ -621,10 +622,10 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Toleranc
 
     def run(chunk) -> list[dict]:
         """The residuals of each `BLOCK`-point state of `chunk`; raises what fails first."""
-        if not all(map(s.sdef.contains, chunk)):
+        if not all(map(sdef.contains, chunk)):
             raise ValueError("outside the chart domain")
-        fields = eval_tape(s.sdef.tape, chunk, jet_order)
-        return [_residuals(PointState(s.sdef, chunk, seed, fields, slice(lo, lo + BLOCK)), order, tol)
+        fields = eval_tape(sdef.tape, chunk, jet_order)
+        return [_residuals(PointState(chunk, seed, fields, slice(lo, lo + BLOCK)), order, tol)
                 for lo in range(0, len(chunk), BLOCK)]
 
     def split(chunk) -> list[dict]:
@@ -650,13 +651,13 @@ def evaluate(s: WeakACM, suite: str, points, seed: int = 7, tolerances: Toleranc
                     worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
                     count[cid] += int(np.count_nonzero(on))
 
-    report = CheckReport(suite, s.name, seed, tolerances._asdict())
+    report = CheckReport(suite, sdef.name, seed, tolerances._asdict())
     for part in parts:
         report.checks += _rows(part, worst, count, len(points), tol)
     return report
 
 
-def run_suite(s: WeakACM, suite: str, plan: SamplePlan = SamplePlan(),
+def run_suite(sdef: StructureDef, suite: str, plan: SamplePlan = SamplePlan(),
               tolerances: Tolerances = Tolerances()) -> CheckReport:
     """`evaluate` at the sample points of `plan`."""
-    return evaluate(s, suite, sample_points(plan, s.sdef.domain), plan.seed, tolerances)
+    return evaluate(sdef, suite, sample_points(plan, sdef.domain), plan.seed, tolerances)

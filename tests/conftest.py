@@ -3,32 +3,38 @@ import pytest
 
 from wqcm.catalog import catalog
 from wqcm.exprdsl import compile_tape, eval_tape
-from wqcm.structure import WeakACM
+from wqcm.structure import PointState
 from wqcm.suites import SamplePlan, sample_points
 
 
 @pytest.fixture(scope="session")
 def sasakian_r3():
-    return WeakACM(catalog("sasakian-r3"))
+    return catalog("sasakian-r3")
 
 
 @pytest.fixture(scope="session")
 def sasakian_r5():
-    return WeakACM(catalog("sasakian-r5"))
+    return catalog("sasakian-r5")
 
 
 @pytest.fixture(scope="session")
 def scaled2():
-    return WeakACM(catalog("scaled", n=1, s=2.0))
+    return catalog("scaled", n=1, s=2.0)
 
 
 @pytest.fixture(scope="session")
 def flat_const():
-    return WeakACM(catalog("flat-const"))
+    return catalog("flat-const")
 
 
-def points_for(acm: WeakACM, count: int = 8, seed: int = 7):
-    return sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain)
+def points_for(sdef, count: int = 8, seed: int = 7):
+    return sample_points(SamplePlan(count=count, seed=seed), sdef.domain)
+
+
+def state_at(sdef, point, seed: int = 7) -> PointState:
+    """The state of P = 1 at `point`, from jets of order 2; raises the tape's error there."""
+    points = np.asarray(point, dtype=float)[None]
+    return PointState(points, seed, eval_tape(sdef.tape, points, 2))
 
 
 def eval_at(tape, point):

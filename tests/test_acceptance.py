@@ -10,12 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import eval_at
+from conftest import eval_at, state_at
 from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import compile_tape
 from wqcm.geometry import christoffel
-from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, run_suite, sample_points
 
 PLAN32 = SamplePlan(count=32, seed=7)
@@ -37,11 +36,11 @@ def announce(capsys, request):
 
 def all_catalog_structures():
     return [
-        WeakACM(catalog("sasakian-r3")),
-        WeakACM(catalog("sasakian-r5")),
-        WeakACM(catalog("sasakian-r7")),
-        WeakACM(catalog("scaled", n=1, s=2.0)),
-        WeakACM(catalog("flat-const")),
+        catalog("sasakian-r3"),
+        catalog("sasakian-r5"),
+        catalog("sasakian-r7"),
+        catalog("scaled", n=1, s=2.0),
+        catalog("flat-const"),
     ]
 
 
@@ -110,9 +109,9 @@ def test_1_ad_kernel_matches_finite_differences(announce):
 
 def test_2_levi_civita_contract(announce):
     worst = 0.0
-    for acm in all_catalog_structures():
-        for point in sample_points(PLAN32, acm.sdef.domain):
-            m = acm.at(point)
+    for sdef in all_catalog_structures():
+        for point in sample_points(PLAN32, sdef.domain):
+            m = state_at(sdef, point)
             (g,), (dg,), (g_inv,) = m.g, m.dg, m.g_inv
             gamma = christoffel(g_inv, dg)
             worst = max(worst, float(np.max(np.abs(gamma - gamma.transpose(0, 2, 1)))))
@@ -132,11 +131,11 @@ def test_3_sasakian_axioms_and_classes(announce):
     ok = True
     detail = []
     for key in ("sasakian-r3", "sasakian-r5"):
-        acm = WeakACM(catalog(key))
-        rep = run_suite(acm, "validate", PLAN32)
+        sdef = catalog(key)
+        rep = run_suite(sdef, "validate", PLAN32)
         worst = max(c.max_residual for c in rep.checks)
         ok = ok and not rep.failed and worst < 1e-12
-        cls = {c.id: c for c in run_suite(acm, "classify", PLAN32).checks}
+        cls = {c.id: c for c in run_suite(sdef, "classify", PLAN32).checks}
         for name in (
             "contact-metric",
             "quasi",
@@ -157,15 +156,15 @@ def test_4_sasakian_exact_values(announce):
     ok = True
     rng = np.random.default_rng(42)
     for key, n in (("sasakian-r3", 1), ("sasakian-r5", 2)):
-        acm = WeakACM(catalog(key))
-        for point in sample_points(SamplePlan(count=8, seed=7), acm.sdef.domain):
-            st = acm.at(point)
+        sdef = catalog(key)
+        for point in sample_points(SamplePlan(count=8, seed=7), sdef.domain):
+            st = state_at(sdef, point)
             ok = ok and np.max(np.abs(st.h)) < 1e-9
             ok = ok and np.max(np.abs(st.nabla_xi + st.f)) < 1e-9
             ok = ok and abs(st.ric_xi_xi.item() - 2.0 * n) < 1e-7
-        st = acm.at(np.zeros(acm.dim) + 0.1)
+        st = state_at(sdef, np.zeros(sdef.dim) + 0.1)
         for _ in range(20):
-            x = st.project_ker_eta(rng.standard_normal((acm.dim, 1)))
+            x = st.project_ker_eta(rng.standard_normal((sdef.dim, 1)))
             x = st.g_normalize(x)
             ok = ok and abs(st.sectional(x).item() - 1.0) < 1e-7
         basis, (lam,) = st.fbasis
@@ -207,12 +206,12 @@ def test_5_identity_suite_gating(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_suite(WeakACM(catalog(key)), "identity", PLAN32)
+        report = run_suite(catalog(key), "identity", PLAN32)
         by_id = {c.id: c for c in report.checks}
         for cid in LEMMA_IDS:
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
             worst = max(worst, by_id[cid].max_residual)
-    scaled = run_suite(WeakACM(catalog("scaled", n=1, s=2.0)), "identity", PLAN32)
+    scaled = run_suite(catalog("scaled", n=1, s=2.0), "identity", PLAN32)
     by_id = {c.id: c for c in scaled.checks}
     for cid in LEMMA_IDS[:-1]:  # all quasi-gated checks
         ok = ok and by_id[cid].verdict == "skipped"
@@ -226,7 +225,7 @@ def test_6_curvature_identities(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_suite(WeakACM(catalog(key)), "curvature", PLAN32)
+        report = run_suite(catalog(key), "curvature", PLAN32)
         by_id = {c.id: c for c in report.checks}
         for cid in ("eq14", "eq15"):
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
@@ -238,16 +237,16 @@ def test_6_curvature_identities(announce):
 
 
 def test_7_scaled_fixture(announce):
-    acm = WeakACM(catalog("scaled", n=1, s=2.0))
-    ok = not run_suite(acm, "validate", PLAN32).failed  # algebraic tier 1e-10
+    sdef = catalog("scaled", n=1, s=2.0)
+    ok = not run_suite(sdef, "validate", PLAN32).failed  # algebraic tier 1e-10
 
-    cls = {c.id: c for c in run_suite(acm, "classify", PLAN32).checks}
+    cls = {c.id: c for c in run_suite(sdef, "classify", PLAN32).checks}
     canonical = cls["quasi-canonical-direction"].max_residual
     ok = ok and abs(canonical - 8.0) < 1e-6
     for name in ("contact-metric", "normal"):
         ok = ok and cls[name].verdict == "fail" and cls[name].max_residual > 0.0
 
-    theorems = run_suite(acm, "theorems", PLAN32)
+    theorems = run_suite(sdef, "theorems", PLAN32)
     by_id = {c.id: c for c in theorems.checks}
     for cid in ("t31-Qt-zero", "t33-Qt-zero", "t34-Qt-zero", "t35-Qt-zero", "p33-h-skew-symmetric"):
         ok = ok and by_id[cid].verdict == "skipped"
@@ -269,9 +268,9 @@ def test_7_scaled_fixture(announce):
 def test_8_f_basis_invariants(announce):
     ok = True
     worst = 0.0
-    for acm in all_catalog_structures():
-        for point in sample_points(SamplePlan(count=8, seed=7), acm.sdef.domain):
-            st = acm.at(point)
+    for sdef in all_catalog_structures():
+        for point in sample_points(SamplePlan(count=8, seed=7), sdef.domain):
+            st = state_at(sdef, point)
             (basis,), (lams,), (g,), (q,) = st.fbasis[0], st.fbasis[1], st.g, st.Q
 
             def gnorm(v):
@@ -298,14 +297,14 @@ def test_10_contact_volume(announce):
     ok = True
     smallest = math.inf
     for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7"):
-        acm = WeakACM(catalog(key))
-        for point in sample_points(SamplePlan(count=4, seed=7), acm.sdef.domain):
-            smallest = min(smallest, abs(acm.at(point).contact_volume.item()))
+        sdef = catalog(key)
+        for point in sample_points(SamplePlan(count=4, seed=7), sdef.domain):
+            smallest = min(smallest, abs(state_at(sdef, point).contact_volume.item()))
     ok = smallest > 1e-6
-    flat = WeakACM(catalog("flat-const"))
+    flat = catalog("flat-const")
     degenerate = max(
-        abs(flat.at(p).contact_volume.item())
-        for p in sample_points(SamplePlan(count=4, seed=7), flat.sdef.domain)
+        abs(state_at(flat, p).contact_volume.item())
+        for p in sample_points(SamplePlan(count=4, seed=7), flat.domain)
     )
     ok = ok and degenerate < 1e-12
     announce(ok, f"min |vol| {smallest:.1e}, flat {degenerate:.1e}")

@@ -6,10 +6,9 @@ import pytest
 
 import wqcm.catalog as cat
 from wqcm.catalog import PARAMETERS, catalog, keys
-from wqcm.exprdsl import compile_tape, eval_tape, load_structure_def
-from wqcm.structure import WeakACM
-from wqcm.suites import evaluate, run_suite
-from conftest import points_for
+from wqcm.exprdsl import StructureDef, compile_tape, eval_tape, load_structure_def
+from wqcm.suites import SamplePlan, evaluate, run_suite
+from conftest import points_for, state_at
 
 
 def test_keys_listing():
@@ -21,21 +20,21 @@ def test_keys_listing():
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_family_satisfies_axioms(s):
-    acm = WeakACM(catalog("scaled", n=1, s=s))
-    rep = evaluate(acm, "validate", points_for(acm, count=6))
+    sdef = catalog("scaled", n=1, s=s)
+    rep = evaluate(sdef, "validate", points_for(sdef, count=6))
     assert not rep.failed, [c.id for c in rep.checks if c.verdict == "fail"]
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_canonical_quasi_residual(s):
-    acm = WeakACM(catalog("scaled", n=1, s=s))
-    rep = {c.id: c for c in evaluate(acm, "classify", points_for(acm, count=4)).checks}
+    sdef = catalog("scaled", n=1, s=s)
+    rep = {c.id: c for c in evaluate(sdef, "classify", points_for(sdef, count=4)).checks}
     expected = abs(s + s**3 - 2.0)
     assert rep["quasi-canonical-direction"].max_residual == pytest.approx(expected, abs=1e-6)
 
 
 def test_scaled_s1_matches_sasakian(sasakian_r3):
-    scaled1 = WeakACM(catalog("scaled", n=1, s=1.0))
+    scaled1 = catalog("scaled", n=1, s=1.0)
     a = evaluate(scaled1, "classify", points_for(scaled1, count=6))
     b = evaluate(sasakian_r3, "classify", points_for(sasakian_r3, count=6))
     assert [c.id for c in a.checks] == [c.id for c in b.checks]
@@ -45,16 +44,16 @@ def test_scaled_s1_matches_sasakian(sasakian_r3):
 
 def test_sasakian_higher_dimensions():
     for key, dim in (("sasakian-r5", 5), ("sasakian-r7", 7)):
-        acm = WeakACM(catalog(key))
-        assert acm.dim == dim
-        st = acm.at(np.zeros(dim))
+        sdef = catalog(key)
+        assert sdef.dim == dim
+        st = state_at(sdef, np.zeros(dim))
         assert np.allclose(st.Q, np.eye(dim), atol=1e-12)
         assert np.allclose(st.deta_form, st.Phi, atol=1e-12)
 
 
 def test_flat_const_is_not_contact():
-    acm = WeakACM(catalog("flat-const"))
-    st = acm.at(np.array([0.3, -0.2, 0.5]))
+    sdef = catalog("flat-const")
+    st = state_at(sdef, np.array([0.3, -0.2, 0.5]))
     assert np.max(np.abs(st.deta_form)) == 0.0
     assert np.max(np.abs(st.Phi)) == 1.0
 
@@ -126,7 +125,7 @@ def inverse_defect(coords, coframe, frame, points) -> float:
 
 @pytest.mark.parametrize("key, params", FRAME_CASES)
 def test_frame_is_the_inverse_of_the_coframe(monkeypatch, key, params):
-    points = points_for(WeakACM(catalog(key, **params)))
+    points = points_for(catalog(key, **params))
     data = frame_data(monkeypatch, key, params)
     assert inverse_defect(data["coords"], data["coframe"], data["frame"], points) <= 1e-12
     # a wrong inverse fails: the first nonzero cell of the frame's last row with its sign flipped
@@ -159,29 +158,62 @@ def heisenberg_frame() -> tuple:
     return ["x", "y", "t"], coframe, frame, G, [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]], ["2", "0", "0"]
 
 
-def frame_structure(name: str, data: tuple) -> WeakACM:
-    acm = WeakACM(load_structure_def(cat._frame_doc(name, *data)))
-    assert inverse_defect(*data[:3], points_for(acm)) <= 1e-12
-    return acm
+def frame_structure(name: str, data: tuple) -> StructureDef:
+    sdef = load_structure_def(cat._frame_doc(name, *data))
+    assert inverse_defect(*data[:3], points_for(sdef)) <= 1e-12
+    return sdef
 
 
 @pytest.mark.parametrize("a, h_max", [(0.25, 1.0), (0.125, 0.5)])
 def test_e2_is_contact_metric_but_not_k_contact(a, h_max):
-    acm = frame_structure(f"e2-a{a}", e2_frame(a))
-    report = run_suite(acm, "all")
+    sdef = frame_structure(f"e2-a{a}", e2_frame(a))
+    report = run_suite(sdef, "all")
     # the skipped rows are the hypotheses of Theorems 3.1 and 3.3-3.5 and of Prop 3.3, and what they gate
     assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 38, "skipped": 22}
-    failed = [c.id for c in run_suite(acm, "classify").checks if c.verdict == "fail"]
+    failed = [c.id for c in run_suite(sdef, "classify").checks if c.verdict == "fail"]
     assert failed == ["normal", "sasakian", "nearly-sasakian", "killing-xi", "k-contact"]
-    for point in points_for(acm, count=32):
-        st = acm.at(point)
+    for point in points_for(sdef, count=32):
+        st = state_at(sdef, point)
         assert np.max(np.abs(st.h)) == pytest.approx(h_max, abs=1e-12)
         assert np.max(np.abs(st.Q - np.eye(3))) <= 4.5e-16
 
 
 def test_heisenberg_frame_is_sasakian():
-    acm = frame_structure("heisenberg", heisenberg_frame())
-    report = run_suite(acm, "all")
+    sdef = frame_structure("heisenberg", heisenberg_frame())
+    report = run_suite(sdef, "all")
     assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 58, "skipped": 2}
-    classes = run_suite(acm, "classify").checks
+    classes = run_suite(sdef, "classify").checks
     assert len(classes) == 9 and all(c.verdict == "pass" for c in classes)
+
+
+# D-homothety by a > 0: g' = a g + a(a - 1) eta (x) eta, xi' = xi / a and f
+# unchanged keep a structure Sasakian.  In the Heisenberg frame of the
+# catalog eta = theta^z / 2, so G' = diag(a/4, ..., a/4, a^2/4) and xi' = (2/a) E_z.
+
+
+def d_homothetic(monkeypatch, key: str, a: float, xi_z: float) -> StructureDef:
+    """The built-in `key` with G' = diag(a/4, ..., a/4, a^2/4), F unchanged and xi' = xi_z E_z."""
+    data = frame_data(monkeypatch, key, {})
+    dim = len(data["coords"])
+    G = [[repr(a / 4) if i == j else "0" for j in range(dim)] for i in range(dim)]
+    G[-1][-1] = repr(a * a / 4)
+    xi = ["0"] * (dim - 1) + [repr(xi_z)]
+    return load_structure_def(cat._frame_doc(**{**data, "name": f"{key}-a{a}", "G": G, "xi": xi}))
+
+
+@pytest.mark.parametrize("a", [3.0, 0.25])
+@pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5"])
+def test_d_homothety_keeps_sasakian_verdicts(monkeypatch, key, a):
+    sdef = d_homothetic(monkeypatch, key, a, 2 / a)
+    plan = SamplePlan(count=16, seed=7)
+    report = run_suite(sdef, "all", plan)
+    assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 58, "skipped": 2}
+    classes = run_suite(sdef, "classify", plan).checks
+    assert len(classes) == 9 and all(c.verdict == "pass" for c in classes)
+
+
+def test_d_homothety_without_rescaled_xi_fails_eta_normalization(monkeypatch):
+    """With xi' left at 2 E_z, eta'(xi') = a^2."""
+    sdef = d_homothetic(monkeypatch, "sasakian-r3", 3.0, 2.0)
+    rows = {c.id: c for c in run_suite(sdef, "validate", SamplePlan(count=16, seed=7)).checks}
+    assert rows["eta-normalization"].verdict == "fail"

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqcm.catalog import catalog, document, keys
-from wqcm.exprdsl import load_structure_def
-from wqcm.structure import WeakACM
+from wqcm.catalog import PARAMETERS, catalog, document, keys
+from wqcm.cli import _load_source
+from wqcm.exprdsl import eval_tape, load_structure_def
+from wqcm.structure import PointState
 from wqcm.suites import Tolerances, _record, _residuals, evaluate
-from conftest import points_for
+from conftest import points_for, state_at
 
 DATA = Path(__file__).parent / "data"
 
@@ -19,18 +20,18 @@ def residuals(report):
     return {c.id: c.max_residual for c in report.checks}
 
 
-def classes(acm, points):
-    return {c.id: c for c in evaluate(acm, "classify", points).checks}
+def classes(sdef, points):
+    return {c.id: c for c in evaluate(sdef, "classify", points).checks}
 
 
 def test_axioms_pass_on_all_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_const):
-    for acm in (sasakian_r3, sasakian_r5, scaled2, flat_const):
-        points = points_for(acm)
-        rep = evaluate(acm, "validate", points)
-        assert not rep.failed, (acm.name, residuals(rep))
-        assert min(acm.at(p).q_spectrum[0, 0] for p in points) > 0.0
+    for sdef in (sasakian_r3, sasakian_r5, scaled2, flat_const):
+        points = points_for(sdef)
+        rep = evaluate(sdef, "validate", points)
+        assert not rep.failed, (sdef.name, residuals(rep))
+        assert min(state_at(sdef, p).q_spectrum[0, 0] for p in points) > 0.0
         assert max(residuals(rep).values()) < 1e-12
-        sv = np.sort(acm.at(points[-1]).f_singular_values[0])
+        sv = np.sort(state_at(sdef, points[-1]).f_singular_values[0])
         assert sv[0] < 1e-6 and all(v > 1e-4 for v in sv[1:])
 
 
@@ -38,8 +39,8 @@ def test_axioms_are_scale_relative():
     """`scaled` is exactly a weak structure for every s: the product rows
     measure rounding relative to their factors, so no s fails them."""
     for s in (0.01, 100.0, 1000.0):
-        acm = WeakACM(catalog("scaled", n=3, s=s))
-        rep = evaluate(acm, "validate", points_for(acm, count=32))
+        sdef = catalog("scaled", n=3, s=s)
+        rep = evaluate(sdef, "validate", points_for(sdef, count=32))
         assert not rep.failed, (s, residuals(rep))
 
 
@@ -62,8 +63,8 @@ def _perturbed_q_doc(eps=0.1):
 
 
 def test_perturbed_explicit_q_is_flagged():
-    acm = WeakACM(load_structure_def(_perturbed_q_doc()))
-    rep = evaluate(acm, "validate", [np.zeros(3)])
+    sdef = load_structure_def(_perturbed_q_doc())
+    rep = evaluate(sdef, "validate", [np.zeros(3)])
     assert rep.failed
     assert "Q-consistency" in [c.id for c in rep.checks if c.verdict == "fail"]
     assert residuals(rep)["Q-consistency"] == pytest.approx(0.1, abs=1e-12)
@@ -121,10 +122,10 @@ def test_class_rows_read_the_checks_of_the_theorem_rows(key, params):
     """The normal, Sasakian and Killing rows of `classify` are the residuals
     of the checks that Thms 3.3, 3.5 and 3.1 conclude, bit for bit, with the
     verdict of that check; the theorem rows record them even when skipped."""
-    acm = WeakACM(catalog(key, **params))
-    points = points_for(acm)
-    c = classes(acm, points)
-    theorems = {row.id: row for row in evaluate(acm, "theorems", points).checks}
+    sdef = catalog(key, **params)
+    points = points_for(sdef)
+    c = classes(sdef, points)
+    theorems = {row.id: row for row in evaluate(sdef, "theorems", points).checks}
     for name, row in (("normal", "t33-normal"), ("sasakian", "t35-sasakian"), ("killing-xi", "t31-killing-xi")):
         residual = theorems[row].max_residual
         assert c[name].max_residual == residual, (name, c[name].max_residual, residual)
@@ -132,10 +133,10 @@ def test_class_rows_read_the_checks_of_the_theorem_rows(key, params):
     assert c["nearly-sasakian"].max_residual <= c["sasakian"].max_residual
 
 
-def check_f_basis_invariants(acm, point, tol=1e-9):
+def check_f_basis_invariants(sdef, point, tol=1e-9):
     """The eigenvalues of the f-basis at `point`, after checking its invariants."""
-    st = acm.at(point)
-    assert st.fbasis[0].shape == (1, acm.dim, acm.dim) and st.fbasis[1].shape == (1, acm.sdef.n)
+    st = state_at(sdef, point)
+    assert st.fbasis[0].shape == (1, sdef.dim, sdef.dim) and st.fbasis[1].shape == (1, sdef.n)
     (basis,), (lam,) = st.fbasis
     (g,), (q,), (f,), (eta,) = st.g, st.Q, st.f, st.eta[:, 0]
 
@@ -157,9 +158,9 @@ def check_f_basis_invariants(acm, point, tol=1e-9):
 
 
 def test_f_basis_on_fixtures(sasakian_r3, sasakian_r5, scaled2, flat_const):
-    for acm in (sasakian_r3, sasakian_r5, scaled2, flat_const):
-        for point in points_for(acm, count=4):
-            check_f_basis_invariants(acm, point)
+    for sdef in (sasakian_r3, sasakian_r5, scaled2, flat_const):
+        for point in points_for(sdef, count=4):
+            check_f_basis_invariants(sdef, point)
     assert check_f_basis_invariants(scaled2, np.zeros(3)) == pytest.approx([4.0], abs=1e-12)
 
 
@@ -184,8 +185,8 @@ def _block_scaled_doc():
 
 
 def test_f_basis_distinct_eigenvalues():
-    acm = WeakACM(load_structure_def(_block_scaled_doc()))
-    lam = check_f_basis_invariants(acm, np.zeros(5))
+    sdef = load_structure_def(_block_scaled_doc())
+    lam = check_f_basis_invariants(sdef, np.zeros(5))
     assert lam == pytest.approx([1.0, 4.0], abs=1e-12)
     # smallest eigenvalue comes first
     assert lam[0] < lam[1]
@@ -193,8 +194,8 @@ def test_f_basis_distinct_eigenvalues():
 
 def test_f_basis_deterministic(sasakian_r5):
     point = np.array([0.2, -0.3, 0.4, 0.1, -0.2])
-    a, lam_a = sasakian_r5.at(point).fbasis
-    b, lam_b = sasakian_r5.at(point).fbasis  # a fresh state
+    a, lam_a = state_at(sasakian_r5, point).fbasis
+    b, lam_b = state_at(sasakian_r5, point).fbasis  # a fresh state
     assert np.array_equal(a, b) and np.array_equal(lam_a, lam_b)
 
 
@@ -205,9 +206,24 @@ def test_f_basis_is_orthonormal_on_a_dense_chart():
     a = I + 0.4 N, N = default_rng(3).standard_normal((13, 13)).  A drop
     threshold on the deflated subspace kept a rounding residue here, and
     the basis was 0.71 away from g-orthogonal."""
-    acm = WeakACM(load_structure_def((DATA / "dense-r13-const.json").read_bytes()))
-    lam = check_f_basis_invariants(acm, np.full(13, 0.3), tol=1e-12)
+    sdef = load_structure_def((DATA / "dense-r13-const.json").read_bytes())
+    lam = check_f_basis_invariants(sdef, np.full(13, 0.3), tol=1e-12)
     assert lam == pytest.approx([1.0] * 6, abs=1e-12)
+
+
+ORDER_SOURCES = [f"builtin:{key}" for key in keys() if key not in PARAMETERS]
+ORDER_SOURCES += ["builtin:scaled?n=3,s=2", str(DATA / "dense-r13-const.json")]
+
+
+@pytest.mark.parametrize("source", ORDER_SOURCES, ids=lambda source: Path(source).name)
+def test_f_basis_reads_no_derivative(source):
+    """`wqcm fbasis` runs jets of order 1: g and the f-basis of the state of
+    one point are the same bits from jets of order 1 and of order 2."""
+    sdef = _load_source(source)
+    for point in points_for(sdef):
+        one, two = (PointState(point[None], 7, eval_tape(sdef.tape, point[None], order)) for order in (1, 2))
+        assert np.array_equal(one.g, two.g)
+        assert all(np.array_equal(a, b) for a, b in zip(one.fbasis, two.fbasis))
 
 
 @pytest.mark.parametrize("key, params", [("sasakian-r7", {}), ("scaled", {"n": 3, "s": 2.0})])
@@ -215,9 +231,9 @@ def test_f_basis_tie_break_is_geometric(key, params):
     """Q = lambda id on ker eta, so every unit vector there ties: e_i is the
     normalized projection 2 d/dx_i + 2 y_i d/dz of the first coordinate
     vector left after each deflation."""
-    acm = WeakACM(catalog(key, **params))
-    for k, point in enumerate(points_for(acm, count=32)):
-        e = acm.at(point).fbasis[0][0, :, 1::2]
+    sdef = catalog(key, **params)
+    for k, point in enumerate(points_for(sdef, count=32)):
+        e = state_at(sdef, point).fbasis[0][0, :, 1::2]
         expected = np.zeros((7, 3))
         expected[:3], expected[6] = 2.0 * np.eye(3), 2.0 * point[3:6]
         assert np.max(np.abs(e - expected)) <= 1e-12, k
@@ -234,10 +250,10 @@ def test_contact_volume_values(key, params, expected):
     """|eta ^ (d eta)^n| on a g-orthonormal frame is n! on scaled for every s
     (eta is the same contact form), n! on the Sasakian charts and exactly 0
     on flat-const."""
-    acm = WeakACM(catalog(key, **params))
-    for point in points_for(acm):
-        vol = acm.at(point).contact_volume.item()
-        assert abs(vol - expected) <= 1e-12 * expected, (acm.name, point, vol)
+    sdef = catalog(key, **params)
+    for point in points_for(sdef):
+        vol = state_at(sdef, point).contact_volume.item()
+        assert abs(vol - expected) <= 1e-12 * expected, (sdef.name, point, vol)
 
 
 def _sign(perm) -> float:
@@ -266,17 +282,17 @@ DEFINITION_CASES = [(k, {}) for k in ("sasakian-r3", "sasakian-r5", "sasakian-r7
 
 @pytest.mark.parametrize("key, params", DEFINITION_CASES, ids=[_case_id(k, p) for k, p in DEFINITION_CASES])
 def test_contact_volume_matches_its_definition(key, params):
-    acm = WeakACM(catalog(key, **params))
-    for point in points_for(acm, count=4):
-        st = acm.at(point)
+    sdef = catalog(key, **params)
+    for point in points_for(sdef, count=4):
+        st = state_at(sdef, point)
         basis, lams = st.fbasis[0][0], st.fbasis[1][0]
         # on the frame (xi, e_i, f e_i / sqrt(lambda_i)): f e_i has g-norm sqrt(lambda_i)
         expected = abs(_alternating_sum(st.eta[0, 0], st.deta_form[0], basis)) / np.prod(np.sqrt(lams))
-        assert abs(st.contact_volume.item() - expected) <= 1e-12 * expected, (acm.name, point)
+        assert abs(st.contact_volume.item() - expected) <= 1e-12 * expected, (sdef.name, point)
 
 
 def test_a_nan_in_d_eta_gives_a_nan_volume_that_fails(sasakian_r3):
-    st = sasakian_r3.at(np.array([0.15, -0.4, 0.3]))
+    st = state_at(sasakian_r3, np.array([0.15, -0.4, 0.3]))
     deta = st.deta_form.copy()
     deta[0, 1, 2], deta[0, 2, 1] = math.nan, -math.nan
     st.deta_form = deta  # in place of the cached d eta
@@ -319,22 +335,22 @@ def test_dense_chart_gives_the_same_verdicts():
     """sasakian-r5 after a fixed linear change of coordinates: a dense d eta,
     so W = e^T (d eta) e is dense too, and the same checks pass, fail or skip."""
     a = np.eye(5) + 0.4 * np.random.default_rng(3).standard_normal((5, 5))
-    dense = WeakACM(load_structure_def(_linear_chart(document("sasakian-r5"), a)))
-    plain = WeakACM(catalog("sasakian-r5"))
-    st = dense.at(np.full(5, 0.3))
+    dense = load_structure_def(_linear_chart(document("sasakian-r5"), a))
+    plain = catalog("sasakian-r5")
+    st = state_at(dense, np.full(5, 0.3))
     assert np.all(st.deta_form[0][np.triu_indices(5, 1)] != 0.0)
-    assert abs(st.contact_volume) == pytest.approx(abs(plain.at(a @ st.points[0]).contact_volume), rel=1e-10)
+    assert abs(st.contact_volume) == pytest.approx(abs(state_at(plain, a @ st.points[0]).contact_volume), rel=1e-10)
     a_rep, b_rep = (evaluate(s, "all", points_for(s, count=6)) for s in (dense, plain))
     assert [(c.id, c.verdict) for c in a_rep.checks] == [(c.id, c.verdict) for c in b_rep.checks]
 
 
 def test_direction_set_deterministic(sasakian_r3):
     point = np.array([0.3, 0.3, 0.3])
-    a, fa = sasakian_r3.at(point, seed=7).directions
-    b, fb = sasakian_r3.at(point, seed=7).directions  # a fresh state
+    a, fa = state_at(sasakian_r3, point, seed=7).directions
+    b, fb = state_at(sasakian_r3, point, seed=7).directions  # a fresh state
     assert a.shape == (1, 3, 3 + 8)
     assert np.array_equal(a, b) and np.array_equal(fa, fb)
-    c, _ = sasakian_r3.at(point, seed=8).directions
+    c, _ = state_at(sasakian_r3, point, seed=8).directions
     assert not np.array_equal(a, c)
 
 

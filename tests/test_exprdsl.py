@@ -14,7 +14,6 @@ from conftest import jet_at, points_for
 from scalar_tape import scalar_eval_tape
 from wqcm import exprdsl
 from wqcm.catalog import catalog, document, keys
-from wqcm.structure import WeakACM
 from wqcm.exprdsl import ExprSyntaxError, SchemaError, compile_tape, eval_tape, load_structure_def
 
 COORDS = ["x", "y", "z"]
@@ -347,7 +346,7 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     doc["xi"] = [pad(c) for c in doc["xi"]]
     plain, padded = catalog("sasakian-r3"), load_structure_def(doc)
     assert len(padded.tape.code) == 63  # one per distinct subexpression
-    points = points_for(WeakACM(plain), count=8)
+    points = points_for(plain, count=8)
     want, got = eval_tape(plain.tape, points, 2), eval_tape(padded.tape, points, 2)
     for name in ("metric", "f", "xi"):
         for a, b in zip(want[name], got[name]):
@@ -514,7 +513,7 @@ def test_sin_and_cos_run_once_per_point_and_argument(monkeypatch):
     arguments = {a for op, a, _ in tape.code if op in ("sin", "cos")}
     # each argument slot is read by one sin and one cos instruction
     assert sum(op in ("sin", "cos") for op, _, _ in tape.code) == 2 * len(arguments) > 0
-    points = points_for(WeakACM(catalog("sasakian-r3")), count=40)
+    points = points_for(catalog("sasakian-r3"), count=40)
     for order in (1, 2):
         calls.clear()
         eval_tape(tape, points, order)

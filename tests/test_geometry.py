@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import eval_at
+from conftest import eval_at, state_at
 from wqcm.catalog import catalog
 from wqcm.exprdsl import compile_tape
 from wqcm.geometry import (
@@ -17,7 +17,6 @@ from wqcm.geometry import (
     orthonormal_frame,
     sectional,
 )
-from wqcm.structure import WeakACM
 from wqcm.suites import SamplePlan, sample_points
 
 SPHERE_COORDS = ["theta", "phi"]
@@ -108,9 +107,9 @@ def test_curvature_z_matches_finite_differences():
 def catalog_metric_points(key, count=6, **kw):
     """The metric arrays of a catalog structure at sample points, one point at
     a time (the geometry functions take any leading axes, or none)."""
-    acm = WeakACM(catalog(key, **kw))
-    for point in sample_points(SamplePlan(count=count), acm.sdef.domain):
-        st = acm.at(point)
+    sdef = catalog(key, **kw)
+    for point in sample_points(SamplePlan(count=count), sdef.domain):
+        st = state_at(sdef, point)
         m = SimpleNamespace(dim=st.dim, **{k: getattr(st, k)[0] for k in ("g", "dg", "ddg", "g_inv", "frame", "xi")})
         m.ric_xi_xi = st.ric_xi_xi.item()
         m.riem = riemann_of(m)

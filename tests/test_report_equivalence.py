@@ -38,11 +38,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import state_at
 from wqcm import _normal, geometry, suites
 from wqcm.catalog import catalog, document
 from wqcm.cli import run_cli
 from wqcm.exprdsl import load_structure_def
-from wqcm.structure import PointState, WeakACM
+from wqcm.structure import PointState
 from wqcm.suites import SamplePlan, run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -112,9 +113,9 @@ def test_mixed_gate_report_matches_pinned():
 
 
 def test_a_gated_check_sees_only_the_points_that_pass_its_gate(monkeypatch):
-    acm = WeakACM(catalog("scaled", n=1, s=2.0))
-    points = suites.sample_points(SamplePlan(count=32, seed=7), acm.sdef.domain)
-    quasi = [suites.CHECKS["quasi"].residual(acm.at(p)).item() for p in points]
+    sdef = catalog("scaled", n=1, s=2.0)
+    points = suites.sample_points(SamplePlan(count=32, seed=7), sdef.domain)
+    quasi = [suites.CHECKS["quasi"].residual(state_at(sdef, p)).item() for p in points]
     gated_in = [p for p, q in zip(points, quasi) if q <= 6.0]
     assert len(gated_in) == 2 and min(quasi) > 1e-9
     seen = []
@@ -146,7 +147,7 @@ def test_guard_directions_are_drawn_once_per_point(monkeypatch):
     sliced = run(argv)
     assert len(seeds) == 32 and len(set(seeds)) == 32
     seeds.clear()
-    monkeypatch.setattr(PointState, "take", lambda st, mask: PointState(st.sdef, st.points, st.seed, st.fields, mask))
+    monkeypatch.setattr(PointState, "take", lambda st, mask: PointState(st.points, st.seed, st.fields, mask))
     assert run(argv) == sliced
     assert len(seeds) > 32
 
@@ -171,7 +172,7 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
     count(geometry, "christoffel")
     count(geometry, "curvature_z")
     count(np.linalg, "eigh")  # 2n = 2 eigensolves per f-basis, and no other caller
-    run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=suites.BLOCK + 8, seed=7))
+    run_suite(catalog("sasakian-r3"), "all", SamplePlan(count=suites.BLOCK + 8, seed=7))
     assert calls["christoffel"] == 2 and calls["curvature_z"] == 2  # two blocks
     assert 0 < calls["eigh"] <= 2 * 2
 
@@ -211,7 +212,7 @@ def record_states_and_blocks(monkeypatch):
 
 def test_one_state_per_block_and_none_outlives_run_suite(monkeypatch):
     states, arrays, chunks = record_states_and_blocks(monkeypatch)
-    run_suite(WeakACM(catalog("sasakian-r3")), "all", SamplePlan(count=8, seed=7))
+    run_suite(catalog("sasakian-r3"), "all", SamplePlan(count=8, seed=7))
     gc.collect()
     assert chunks == [(8, 2)] and len(states) == 1
     assert len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
@@ -239,7 +240,7 @@ def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, ch
     """One chunk of tape arrays alive at a time, and one state per block of
     `suites.BLOCK` points (every gate of sasakian-r3 passes everywhere)."""
     states, arrays, seen = record_states_and_blocks(monkeypatch)
-    run_suite(WeakACM(catalog("sasakian-r3")), suite, SamplePlan(count=count, seed=7))
+    run_suite(catalog("sasakian-r3"), suite, SamplePlan(count=count, seed=7))
     assert seen == chunks
     assert len(states) == -(-count // suites.BLOCK) and len(arrays) == len(chunks) * arrays_per_chunk
     assert not [ref for ref in arrays if ref() is not None]
@@ -267,10 +268,10 @@ def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chu
     points = suites.sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = cell.format(x=repr(float(points[40][0])))
-    acm = WeakACM(load_structure_def(doc))
+    sdef = load_structure_def(doc)
     _, arrays, seen = record_states_and_blocks(monkeypatch)
     with pytest.raises(suites.EvaluationError) as error:
-        suites.evaluate(acm, suite, points, 7)
+        suites.evaluate(sdef, suite, points, 7)
     assert str(error.value) == f"at sample point {points[40].tolist()}: {message}"
     # the arrays of every run of the tape were recorded, the failed ones too
     assert seen == chunks and len(arrays) == len(chunks) * arrays_per_chunk
@@ -283,10 +284,10 @@ def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
     points = suites.sample_points(SamplePlan(count=128, seed=7), document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"1 + 0 * (x - ({float(points[127][0])!r}))^-2"
-    acm = WeakACM(load_structure_def(doc))
+    sdef = load_structure_def(doc)
     _, _, seen = record_states_and_blocks(monkeypatch)
     with pytest.raises(suites.EvaluationError) as error:
-        suites.evaluate(acm, "validate", points, 7)
+        suites.evaluate(sdef, "validate", points, 7)
     assert str(error.value) == f"at sample point {points[127].tolist()}: negative power of zero jet value"
     assert seen[0] == (128, 1) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
 
@@ -298,7 +299,7 @@ STRUCTURES = [("sasakian-r3", {}), ("sasakian-r5", {}), ("sasakian-r7", {}),
 @functools.cache
 def structure(index):
     key, params = STRUCTURES[index]
-    return WeakACM(catalog(key, **params))
+    return catalog(key, **params)
 
 
 # the checks that read no second derivative, and their hypotheses
@@ -310,15 +311,15 @@ def tolerance(tol_deriv):
     return lambda cid: getattr(tolerances, suites.CHECKS[cid].tier)
 
 
-def block_states(acm, points, seed, jet_order):
+def block_states(sdef, points, seed, jet_order):
     """The states of `suites.evaluate`: the tape over chunks of one block at
     jet order 2 and of four at order 1, one state per block of a chunk."""
     step = suites.BLOCK if jet_order == 2 else 4 * suites.BLOCK
     for start in range(0, len(points), step):
         chunk = points[start : start + step]
-        fields = suites.eval_tape(acm.sdef.tape, chunk, jet_order)
+        fields = suites.eval_tape(sdef.tape, chunk, jet_order)
         for lo in range(0, len(chunk), suites.BLOCK):
-            yield PointState(acm.sdef, chunk, seed, fields, slice(lo, lo + suites.BLOCK))
+            yield PointState(chunk, seed, fields, slice(lo, lo + suites.BLOCK))
 
 
 @settings(max_examples=24, deadline=None)
@@ -335,13 +336,13 @@ def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_der
     each point as its own state of one from jets of order 2: the same points
     asserted, and residuals within 1e-12 (NaN where NaN).  A quasi tolerance
     of 6 gates some points of scaled n=1 in and others out."""
-    acm = structure(index)
+    sdef = structure(index)
     tol = tolerance(tol_deriv)
     assert sorted(suites._with_hypotheses(suites.CHECKS)) == sorted(suites.CHECKS)
     order = suites._with_hypotheses(suites.CHECKS) if jet_order == 2 else FIRST_ORDER
-    points = np.array(suites.sample_points(SamplePlan(count=count, seed=seed), acm.sdef.domain))
-    blocks = [suites._residuals(state, order, tol) for state in block_states(acm, points, seed, jet_order)]
-    singles = [suites._residuals(acm.at(p, seed), order, tol) for p in points]
+    points = np.array(suites.sample_points(SamplePlan(count=count, seed=seed), sdef.domain))
+    blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, seed, jet_order)]
+    singles = [suites._residuals(state_at(sdef, p, seed), order, tol) for p in points]
     for cid in order:
         value = np.concatenate([b[cid][0] for b in blocks])
         on = np.concatenate([b[cid][1] for b in blocks])
@@ -359,10 +360,10 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
     needs, gives the same bits and is asserted at the same points; so
     `suites.evaluate` may run the tape at order 1 when no curvature row is
     needed.  What reads a Hessian raises on an order-1 state."""
-    acm, tol = structure(index), tolerance(tol_deriv)
+    sdef, tol = structure(index), tolerance(tol_deriv)
     assert all(suites.CHECKS[cid].tier != "curv" for cid in FIRST_ORDER)
-    points = np.array(suites.sample_points(SamplePlan(count=suites.BLOCK, seed=7), acm.sdef.domain))
-    (first,), (second,) = (list(block_states(acm, points, 7, jet_order)) for jet_order in (1, 2))
+    points = np.array(suites.sample_points(SamplePlan(count=suites.BLOCK, seed=7), sdef.domain))
+    (first,), (second,) = (list(block_states(sdef, points, 7, jet_order)) for jet_order in (1, 2))
     assert first.ddg is None and first.ddf is None and first.ddxi is None
     one, two = suites._residuals(first, FIRST_ORDER, tol), suites._residuals(second, FIRST_ORDER, tol)
     for cid in FIRST_ORDER:
@@ -389,9 +390,9 @@ def test_the_jet_order_is_that_of_the_checks_run(monkeypatch, suite, jet_order):
 def single_point_reports(index, suite):
     """The reports of `suite` on each of the first 300 sample points alone
     (seed 7): one state of one point per report."""
-    acm = structure(index)
-    points = suites.sample_points(SamplePlan(count=300, seed=7), acm.sdef.domain)
-    return [suites.evaluate(acm, suite, [p], 7) for p in points]
+    sdef = structure(index)
+    points = suites.sample_points(SamplePlan(count=300, seed=7), sdef.domain)
+    return [suites.evaluate(sdef, suite, [p], 7) for p in points]
 
 
 def combined(reports):
@@ -415,8 +416,8 @@ def combined(reports):
 def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
     """Reports over first-order chunks of 4 blocks, whole and partial, equal
     the reports of each point alone put together."""
-    acm = structure(index)
-    got = run_suite(acm, suite, SamplePlan(count=count, seed=7))
+    sdef = structure(index)
+    got = run_suite(sdef, suite, SamplePlan(count=count, seed=7))
     want = combined(single_point_reports(index, suite)[:count])
     doc = dict(vars(got), checks=[c._asdict() for c in got.checks])
     assert_same_report(doc, dict(doc, checks=want))

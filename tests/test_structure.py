@@ -3,8 +3,7 @@ import pytest
 
 from wqcm.catalog import catalog
 from wqcm.geometry import bilinear, d_twoform, mT
-from wqcm.structure import WeakACM
-from conftest import points_for
+from conftest import points_for, state_at
 
 
 def col(*entries):
@@ -14,7 +13,7 @@ def col(*entries):
 
 def test_derived_components_on_sasakian(sasakian_r3):
     point = np.array([0.4, -0.3, 0.2])
-    st = sasakian_r3.at(point)
+    st = state_at(sasakian_r3, point)
     x, y, z = point
     # eta = (1/2)(dz - y dx), xi = 2 d/dz
     assert np.allclose(st.eta, [-y / 2.0, 0.0, 0.5], atol=1e-14)
@@ -29,7 +28,7 @@ def test_derived_components_on_sasakian(sasakian_r3):
 
 def test_sasakian_special_tensors(sasakian_r3):
     for point in points_for(sasakian_r3):
-        st = sasakian_r3.at(point)
+        st = state_at(sasakian_r3, point)
         assert np.max(np.abs(st.h)) < 1e-13
         assert np.max(np.abs(st.nabla_xi + st.f)) < 1e-12
         assert np.max(np.abs(st.lie_xi_g)) < 1e-13
@@ -42,15 +41,15 @@ def test_sasakian_special_tensors(sasakian_r3):
 def test_scaled_q_closed_form(scaled2):
     s = 2.0
     for point in points_for(scaled2, count=4):
-        st = scaled2.at(point)
+        st = state_at(scaled2, point)
         expected = s * s * np.eye(3) + (1.0 - s * s) * np.outer(st.xi, st.eta)
         assert np.allclose(st.Q, expected, atol=1e-12)
         assert np.max(np.abs(st.h)) < 1e-13  # f scaling keeps L_xi f = 0
 
 
-def _bracket_of_fields(acm, field_a, field_b, point, h=1e-6):
+def _bracket_of_fields(sdef, field_a, field_b, point, h=1e-6):
     """[A, B] by finite differences, for callable vector fields."""
-    d = acm.dim
+    d = sdef.dim
     out = np.zeros(d)
     a0, b0 = field_a(point), field_b(point)
     for k in range(d):
@@ -65,28 +64,28 @@ def _bracket_of_fields(acm, field_a, field_b, point, h=1e-6):
 def test_nijenhuis_against_bracket_oracle(scaled2):
     # N^(1)(X,Y) = f^2 [X,Y] + [fX,fY] - f[fX,Y] - f[X,fY] + 2 d eta(X,Y) xi
     # for constant coordinate fields X, Y; brackets by finite differences.
-    acm = scaled2
+    sdef = scaled2
     point = np.array([0.3, -0.2, 0.1])
-    st = acm.at(point)
+    st = state_at(sdef, point)
 
     def const(i):
-        v = np.zeros(acm.dim)
+        v = np.zeros(sdef.dim)
         v[i] = 1.0
         return lambda p: v
 
     def f_of(field):
-        return lambda p: acm.at(p).f[0] @ field(p)
+        return lambda p: state_at(sdef, p).f[0] @ field(p)
 
-    for i in range(acm.dim):
-        for j in range(acm.dim):
+    for i in range(sdef.dim):
+        for j in range(sdef.dim):
             x_fld, y_fld = const(i), const(j)
             x, y = x_fld(point), y_fld(point)
             f = st.f[0]
             oracle = (
-                f @ f @ _bracket_of_fields(acm, x_fld, y_fld, point)
-                + _bracket_of_fields(acm, f_of(x_fld), f_of(y_fld), point)
-                - f @ _bracket_of_fields(acm, f_of(x_fld), y_fld, point)
-                - f @ _bracket_of_fields(acm, x_fld, f_of(y_fld), point)
+                f @ f @ _bracket_of_fields(sdef, x_fld, y_fld, point)
+                + _bracket_of_fields(sdef, f_of(x_fld), f_of(y_fld), point)
+                - f @ _bracket_of_fields(sdef, f_of(x_fld), y_fld, point)
+                - f @ _bracket_of_fields(sdef, x_fld, f_of(y_fld), point)
                 + 2.0 * st.deta2(x[:, None], y[:, None]).item() * st.xi[0, :, 0]
             )
             assert np.allclose(st.n1(x[:, None], y[:, None])[0, :, 0, 0], oracle, atol=1e-7)
@@ -94,9 +93,9 @@ def test_nijenhuis_against_bracket_oracle(scaled2):
 
 def test_n_tensor_identities(sasakian_r3, scaled2, flat_const):
     e = np.eye(3)[:, :, None]  # e[i] is a (3, 1) column
-    for acm in (sasakian_r3, scaled2, flat_const):
-        for point in points_for(acm, count=4):
-            st = acm.at(point)
+    for sdef in (sasakian_r3, scaled2, flat_const):
+        for point in points_for(sdef, count=4):
+            st = state_at(sdef, point)
             for i in range(3):
                 assert np.max(np.abs(st.n3(st.xi))) < 1e-13
                 for j in range(3):
@@ -105,16 +104,16 @@ def test_n_tensor_identities(sasakian_r3, scaled2, flat_const):
                         -st.n2(e[j], e[i]), abs=1e-13
                     )
     # normality: N^(1) = 0 on the Sasakian chart, nonzero on the scaled one
-    st = sasakian_r3.at(np.array([0.2, 0.5, -0.1]))
+    st = state_at(sasakian_r3, np.array([0.2, 0.5, -0.1]))
     assert all(np.max(np.abs(st.n1(e[i], e[j]))) < 1e-12 for i in range(3) for j in range(3))
-    st2 = scaled2.at(np.array([0.2, 0.5, -0.1]))
+    st2 = state_at(scaled2, np.array([0.2, 0.5, -0.1]))
     assert max(np.max(np.abs(st2.n1(e[i], e[j]))) for i in range(3) for j in range(3)) > 0.1
 
 
 def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
-    for acm in (sasakian_r3, sasakian_r5):
-        for point in points_for(acm, count=3):
-            st = acm.at(point)
+    for sdef in (sasakian_r3, sasakian_r5):
+        for point in points_for(sdef, count=3):
+            st = state_at(sdef, point)
             # ddeta[k, l, i] = d_k d_l eta_i, from eta = g xi
             ddeta = (
                 np.einsum("pklij,pj->pkli", st.ddg, st.xi[..., 0])
@@ -128,7 +127,7 @@ def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
 
 
 def test_h_tensor_decomposition(scaled2):
-    st = scaled2.at(np.array([0.1, 0.2, 0.3]))
+    st = state_at(scaled2, np.array([0.1, 0.2, 0.3]))
     sym, skew = 0.5 * (st.h + st.h_star), 0.5 * (st.h - st.h_star)
     assert np.allclose(sym + skew, st.h, atol=1e-15)
     assert np.max(np.abs(st.h @ st.xi)) < 1e-13
@@ -139,7 +138,7 @@ def test_h_tensor_decomposition(scaled2):
 
 
 def test_n_tensors_shapes(sasakian_r3):
-    st = sasakian_r3.at(np.array([0.0, 0.0, 0.0]))
+    st = state_at(sasakian_r3, np.array([0.0, 0.0, 0.0]))
     x = col(1.0, 0.0, 0.0)
     y = col(0.0, 1.0, 0.0)
     # the point axis first; a vector is a column, so it keeps an axis of its own
@@ -167,15 +166,15 @@ def test_explicit_q_is_cross_checked():
     }
     from wqcm.exprdsl import load_structure_def
 
-    acm = WeakACM(load_structure_def(doc))
-    st = acm.at(np.array([0.0, 0.0, 0.0]))
+    sdef = load_structure_def(doc)
+    st = state_at(sdef, np.array([0.0, 0.0, 0.0]))
     assert st.q_explicit is not None
     assert np.allclose(st.q_explicit, st.Q, atol=1e-15)
 
 
 def test_at_builds_a_fresh_state(sasakian_r3):
     p = [0.1, 0.1, 0.1]
-    a, b = sasakian_r3.at(p), sasakian_r3.at(np.array(p))
+    a, b = state_at(sasakian_r3, p), state_at(sasakian_r3, np.array(p))
     assert a is not b
     assert np.array_equal(a.points, b.points) and np.array_equal(a.curvature_xi, b.curvature_xi)
     assert np.array_equal(a.ric_xi_xi, b.ric_xi_xi)
@@ -183,6 +182,6 @@ def test_at_builds_a_fresh_state(sasakian_r3):
 
 
 def test_normalize_zero_vector_raises(sasakian_r3):
-    st = sasakian_r3.at(np.zeros(3))
+    st = state_at(sasakian_r3, np.zeros(3))
     with pytest.raises(ValueError, match=r"^cannot normalize a \(near\) zero vector$"):
         st.g_normalize(np.zeros((1, 3, 1)))

@@ -68,8 +68,8 @@ def test_curvature_suite(sasakian_r3, scaled2):
 
 def test_theorem_suite_gating(sasakian_r3, scaled2, flat_const):
     assert not run_suite(sasakian_r3, "theorems", PLAN).failed
-    for acm in (scaled2, flat_const):
-        report = run_suite(acm, "theorems", PLAN)
+    for sdef in (scaled2, flat_const):
+        report = run_suite(sdef, "theorems", PLAN)
         assert not report.failed  # unmet hypotheses skip, never fail
         by_id = {c.id: c for c in report.checks}
         for prefix in ("t31", "t33", "t34", "t35"):

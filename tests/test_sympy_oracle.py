@@ -11,11 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import points_for
+from conftest import points_for, state_at
 from test_geometry import SPHERE_COORDS, SPHERE_METRIC, christoffel_of, riemann_of
 from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import compile_tape, eval_tape, load_structure_def
-from wqcm.structure import WeakACM
 
 sympy = pytest.importorskip("sympy")
 
@@ -34,7 +33,7 @@ def charts():
         params = {"n": 3, "s": 2.0} if key == "scaled" else {}
         doc = document(key, **params)
         fields = {name: doc[name] for name in ("metric", "f", "xi")}
-        yield pytest.param(doc["coords"], fields, points_for(WeakACM(catalog(key, **params)), count=4), id=key)
+        yield pytest.param(doc["coords"], fields, points_for(catalog(key, **params), count=4), id=key)
     sphere = np.array([[0.4, 0.3], [1.1, -0.5], [2.0, 2.5]])
     yield pytest.param(SPHERE_COORDS, {"metric": SPHERE_METRIC}, sphere, id="sphere")
 
@@ -81,7 +80,7 @@ def connection_oracle(cells, coords):
 def metric_charts():
     for key in ("sasakian-r3", "sasakian-r5"):
         doc = document(key)
-        yield pytest.param(doc["coords"], doc["metric"], points_for(WeakACM(catalog(key)), count=4), id=key)
+        yield pytest.param(doc["coords"], doc["metric"], points_for(catalog(key), count=4), id=key)
     sphere = np.array([[0.4, 0.3], [1.1, -0.5], [2.0, 2.5]])
     yield pytest.param(SPHERE_COORDS, SPHERE_METRIC, sphere, id="sphere")
 
@@ -148,10 +147,10 @@ def non_killing_docs():
 
 @pytest.mark.parametrize("doc", non_killing_docs())
 def test_lie_xi_g_and_h_match_sympy(doc):
-    acm = WeakACM(load_structure_def(doc))
+    sdef = load_structure_def(doc)
     exact = derived_oracle(doc)
-    for point in points_for(acm, count=4):
-        st = acm.at(point)
+    for point in points_for(sdef, count=4):
+        st = state_at(sdef, point)
         lie_g, h, dh_xi, nabla_xi_h = (np.asarray(want, dtype=float) for want in exact(point))
         assert np.max(np.abs(lie_g)) > 0.1 and np.max(np.abs(h)) > 0.1  # not Killing, h != 0
         for name, got, want in (("lie_xi_g", st.lie_xi_g, lie_g), ("h", st.h, h), ("dh_xi", st.dh_xi, dh_xi),
@@ -164,11 +163,11 @@ def test_curvature_along_a_varying_xi_matches_sympy():
     Ric_kj xi^k xi^j from sympy, where xi is not constant on the chart."""
     doc = sasakian_r3_edited()
     coords = doc["coords"]
-    acm = WeakACM(load_structure_def(doc))
+    sdef = load_structure_def(doc)
     exact = connection_oracle(doc["metric"], coords)
     xi_of = [oracle(cell, coords) for cell in doc["xi"]]
-    for point in points_for(acm, count=4):
-        st = acm.at(point)
+    for point in points_for(sdef, count=4):
+        st = state_at(sdef, point)
         _, riem, ric = (np.asarray(want, dtype=float) for want in exact(point))
         xi = np.array([fn(point)[0] for fn in xi_of])
         want = np.einsum("lkij,k->ilj", riem, xi)  # the [i, l, j] layout of curvature_xi
