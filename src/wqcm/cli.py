@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -164,8 +165,8 @@ def _write(payload: bytes, args, stdout) -> None:
 
 
 def _fbasis(sdef: StructureDef, point: np.ndarray, args) -> tuple[list[str], bool]:
-    # the f-basis reads no derivative and draws no directions: first-order jets, any seed
-    st = PointState(point[None], 0, eval_tape(sdef.tape, point[None], 1))
+    # the f-basis reads no derivative: first-order jets
+    st = PointState(point[None], eval_tape(sdef.tape, point[None], 1))
     (basis,), (lam,), (g,) = st.fbasis[0], st.fbasis[1], st.g
     lines = [f"f-basis of {sdef.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
     ok = True
@@ -182,12 +183,25 @@ def _fbasis(sdef: StructureDef, point: np.ndarray, args) -> tuple[list[str], boo
     return lines, ok and ortho < 1e-9
 
 
+def _join_at(argv) -> list[str]:
+    """`argv` with `--at X` written `--at=X` when X starts with a minus sign
+    and a digit or a point (no option does): argparse reads such a value as
+    an option unless it is one negative number, and a point has commas."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--at" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--at={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run_cli(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_at(argv))
     except CliError as exc:
         stderr.write(f"error: {exc}\n")
         parser.print_usage(stderr)

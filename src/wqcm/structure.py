@@ -16,17 +16,15 @@ them, `dh_xi` and `curvature_xi`, raises), the g-orthonormal frame, the
 connection, the curvature R_{., .} xi, Ric(xi, xi) and nabla_xi h (xi is
 contracted before the connection and h are differentiated, so d Gamma, dh
 and the full curvature tensor are never built), and what all check suites
-share there: the test-direction matrices of the state's seed (their random
-columns drawn by `_normal.standard_normal`, numpy's normal stream without
-numpy's random package), the adapted f-basis B and the absolute contact
-volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the matrix of d eta on
-the columns of B after xi (the sign is not computed).  Vectors are columns:
-xi is (P, d, 1), eta is the row (P, 1, d), a direction matrix is (P, d, m).
-Each tensor is computed once for the whole block, when first read.
-A state is built from arrays alone, and its dimension from theirs: the
-caller runs the tape.  `PointState.take` gives the state of a subset of the
-points, built anew from their part of the block's tape arrays and, if drawn,
-of its direction matrices.
+share there: the test-direction matrices (the coordinate frame and 8 fixed
+guard columns, the same at every point), the adapted f-basis B and the
+absolute contact volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the
+matrix of d eta on the columns of B after xi (the sign is not computed).
+Vectors are columns: xi is (P, d, 1), eta is the row (P, 1, d), a direction
+matrix is (P, d, m).  Each tensor is computed once for the whole block, when
+first read.  A state is built from arrays alone, and its dimension from
+theirs: the caller runs the tape.  `PointState.take` gives the state of a
+subset of the points, built anew from their part of the block's tape arrays.
 """
 
 from __future__ import annotations
@@ -43,16 +41,16 @@ from .geometry import bilinear, contract, mT
 
 class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
-    (`points`, P x d); `seed` picks the test directions.  `fields` are the
-    arrays of `eval_tape` over `points`.  Given `lanes` (a slice or a boolean
-    mask), the state is that of those points only."""
+    (`points`, P x d).  `fields` are the arrays of `eval_tape` over `points`.
+    Given `lanes` (a slice or a boolean mask), the state is that of those
+    points only."""
 
-    def __init__(self, points, seed: int, fields: Fields, lanes=None):
+    def __init__(self, points, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)
         if lanes is not None:
             self.points = self.points[lanes]
             fields = {name: tuple(a if a is None else a[lanes] for a in jets) for name, jets in fields.items()}
-        self.seed, self.fields = seed, fields
+        self.fields = fields
         self.dim = self.points.shape[1]
         self.n = self.dim // 2  # d = 2n + 1
         # dg[k, i, j] = d_k g_ij, ddg[k, l, i, j] = d_k d_l g_ij (None from jets of order 1)
@@ -65,13 +63,8 @@ class PointState:
         self.q_explicit = fields["q"][0] if "q" in fields else None
 
     def take(self, mask) -> PointState:
-        """The state of the points where the boolean `mask` holds.  Their
-        direction matrices, if already drawn here, are sliced, not drawn
-        again."""
-        sub = PointState(self.points, self.seed, self.fields, mask)
-        if "directions" in self.__dict__:
-            sub.directions = tuple(m[mask] for m in self.directions)
-        return sub
+        """The state of the points where the boolean `mask` holds."""
+        return PointState(self.points, self.fields, mask)
 
     @cached_property
     def g_inv(self):
@@ -259,23 +252,17 @@ class PointState:
     @cached_property
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
         """The direction matrices D (P x d x m, m = d + 8) and f D.  The
-        columns of D are the coordinate frame plus 8 random g-unit vectors:
-        at a point with key k (a hash of its coordinates, modulo 1,000,003),
-        the g-normalized rows of the 8 x d numbers that
-        `_normal.standard_normal` draws from seed * 1,000,003 + k, the bits
-        of numpy's `default_rng(seed * 1_000_003 + k).standard_normal((8, d))`.
-        Identities are multilinear, so the frame alone decides them; the
-        random vectors guard against implementation errors."""
-        from ._normal import standard_normal  # compiled only by commands that draw directions
-
-        drawn = []
-        for point in self.points:
-            key = hash(tuple(round(float(c), 12) for c in point)) % 1_000_003
-            drawn += standard_normal(self.seed * 1_000_003 + key, 8 * self.dim)
+        columns of D are the coordinate frame and the columns of the fixed
+        d x 8 matrix C[i, k - 1] = cos(pi (i + 1) k phi + k/2), k = 1..8 (phi
+        the golden ratio, i from 0), g-normalized at each point.  Identities
+        are multilinear, so the frame alone decides them, and C guards
+        against implementation errors; the eq21 hypothesis, a sum of two
+        Rayleigh quotients with different denominators, also reads C."""
+        k, phi = np.arange(1, 9), (1.0 + math.sqrt(5.0)) / 2.0
+        c = np.cos(np.pi * np.arange(1, self.dim + 1)[:, None] * k * phi + k / 2)
         p = len(self.points)
-        drawn = np.array(drawn).reshape(p, 8, self.dim).transpose(0, 2, 1)
-        frame = np.broadcast_to(np.eye(self.dim), (p, self.dim, self.dim))
-        d = np.concatenate([frame, self.g_normalize(drawn)], axis=2)
+        frame, c = np.broadcast_to(np.eye(self.dim), (p, self.dim, self.dim)), np.broadcast_to(c, (p, self.dim, 8))
+        d = np.concatenate([frame, self.g_normalize(c)], axis=2)
         return d, self.f @ d
 
     @cached_property

@@ -2,12 +2,12 @@
 the one evaluator that asserts them.
 
 Each check is declared once, as a `Check` in `CHECKS`.  Its residual is a
-function of a `PointState`, the tensors of a block of P sample points whose
-seed picks the test directions, and gives one residual per point, a (P,)
-array.  The identities are multilinear in the directions, so each is
-evaluated at every direction pair of every point at once: contracting a
-defect with the direction matrices D (`PointState.directions`) gives an
-array over the points and pairs, reduced with one max per point.  Residuals
+function of a `PointState`, the tensors of a block of P sample points, and
+gives one residual per point, a (P,) array.  The identities are multilinear
+in the directions, so each is evaluated at every direction pair of every
+point at once: contracting a defect with the direction matrices D
+(`PointState.directions`) gives an array over the points and pairs, reduced
+with one max per point.  Residuals
 of derivative identities are normalized by (1 + magnitude of the largest
 participating term), and those of the axioms that multiply tensors by
 (1 + the product of the factors' largest entries).
@@ -605,6 +605,7 @@ def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
 def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
              tolerances: Tolerances = Tolerances()) -> CheckReport:
     """The report of `suite` on `points`: the one loop over sample points.
+    `seed`, that of the points' sample plan, is only written in the report.
 
     Raises `EvaluationError`, naming the point, when a point lies outside the
     chart domain or evaluating the structure there fails (a singular metric,
@@ -625,7 +626,7 @@ def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
         if not all(map(sdef.contains, chunk)):
             raise ValueError("outside the chart domain")
         fields = eval_tape(sdef.tape, chunk, jet_order)
-        return [_residuals(PointState(chunk, seed, fields, slice(lo, lo + BLOCK)), order, tol)
+        return [_residuals(PointState(chunk, fields, slice(lo, lo + BLOCK)), order, tol)
                 for lo in range(0, len(chunk), BLOCK)]
 
     def split(chunk) -> list[dict]:

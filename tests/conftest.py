@@ -31,10 +31,10 @@ def points_for(sdef, count: int = 8, seed: int = 7):
     return sample_points(SamplePlan(count=count, seed=seed), sdef.domain)
 
 
-def state_at(sdef, point, seed: int = 7) -> PointState:
+def state_at(sdef, point) -> PointState:
     """The state of P = 1 at `point`, from jets of order 2; raises the tape's error there."""
     points = np.asarray(point, dtype=float)[None]
-    return PointState(points, seed, eval_tape(sdef.tape, points, 2))
+    return PointState(points, eval_tape(sdef.tape, points, 2))
 
 
 def eval_at(tape, point):

@@ -221,7 +221,7 @@ def test_f_basis_reads_no_derivative(source):
     one point are the same bits from jets of order 1 and of order 2."""
     sdef = _load_source(source)
     for point in points_for(sdef):
-        one, two = (PointState(point[None], 7, eval_tape(sdef.tape, point[None], order)) for order in (1, 2))
+        one, two = (PointState(point[None], eval_tape(sdef.tape, point[None], order)) for order in (1, 2))
         assert np.array_equal(one.g, two.g)
         assert all(np.array_equal(a, b) for a, b in zip(one.fbasis, two.fbasis))
 
@@ -344,14 +344,40 @@ def test_dense_chart_gives_the_same_verdicts():
     assert [(c.id, c.verdict) for c in a_rep.checks] == [(c.id, c.verdict) for c in b_rep.checks]
 
 
-def test_direction_set_deterministic(sasakian_r3):
-    point = np.array([0.3, 0.3, 0.3])
-    a, fa = state_at(sasakian_r3, point, seed=7).directions
-    b, fb = state_at(sasakian_r3, point, seed=7).directions  # a fresh state
-    assert a.shape == (1, 3, 3 + 8)
-    assert np.array_equal(a, b) and np.array_equal(fa, fb)
-    c, _ = state_at(sasakian_r3, point, seed=8).directions
-    assert not np.array_equal(a, c)
+def guard_matrix(dim):
+    """C[i, k - 1] = cos(pi (i + 1) k phi + k/2) for k = 1..8, phi the golden ratio."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    return np.array([[math.cos(math.pi * (i + 1) * k * phi + k / 2) for k in range(1, 9)] for i in range(dim)])
+
+
+@pytest.mark.parametrize("source", ORDER_SOURCES + ["builtin:scaled?n=1,s=2"], ids=lambda source: Path(source).name)
+def test_direction_set_deterministic(source):
+    """At the sample points of every seed, on every built-in and on the
+    13-dimensional chart: the first d columns of D are the identity, and the
+    8 guard columns times the g-norms of C are C.  The state of a subset of
+    the points has the same directions there."""
+    sdef = _load_source(source)
+    c = guard_matrix(sdef.dim)
+    for seed in (0, 7, 9999):
+        points = points_for(sdef, count=40, seed=seed)
+        st = PointState(points, eval_tape(sdef.tape, points, 1))
+        d, _ = st.directions
+        assert d.shape == (40, sdef.dim, sdef.dim + 8)
+        assert np.array_equal(d[:, :, : sdef.dim], np.broadcast_to(np.eye(sdef.dim), (40, sdef.dim, sdef.dim)))
+        gnorm = np.sqrt(np.einsum("ik,pij,jk->pk", c, st.g, c))
+        np.testing.assert_allclose(d[:, :, sdef.dim :] * gnorm[:, None], np.broadcast_to(c, (40, sdef.dim, 8)),
+                                   rtol=0, atol=1e-14)
+        mask = np.arange(40) % 3 == 1
+        assert np.array_equal(st.take(mask).directions[0], d[mask])
+
+
+@pytest.mark.parametrize("dim", range(3, 14))  # dense-r13 is the largest chart
+def test_guard_columns_are_generic(dim):
+    """C has rank min(d, 8), and no two of its columns are parallel."""
+    c = guard_matrix(dim)
+    assert np.linalg.matrix_rank(c) == min(dim, 8)
+    u = c / np.linalg.norm(c, axis=0)
+    assert np.max(np.abs(u.T @ u - np.eye(8))) < 1.0 - 1e-3
 
 
 def test_tolerances_as_dict():

@@ -317,6 +317,31 @@ def test_fbasis_command():
         assert out == "\n".join(lines) + "\n", source
 
 
+@pytest.mark.parametrize("at", ["-0.2,0.1,0.3", "-.2,-0.1,0.3", "-1e-1,0.1,0.3"])
+def test_fbasis_takes_a_negative_first_coordinate(at):
+    """argparse reads a value that starts with a minus sign as an option
+    unless it is one negative number, so `run_cli` writes `--at X` as
+    `--at=X` first."""
+    spaced = run(["fbasis", "builtin:sasakian-r3", "--at", at])
+    assert spaced == run(["fbasis", "builtin:sasakian-r3", f"--at={at}"])
+    assert spaced[0] == EXIT_OK and spaced[1].startswith(f"f-basis of sasakian-r3 at ({at})\n")
+
+
+@pytest.mark.parametrize("at, message", [
+    ("-0.2,0.1", "point '-0.2,0.1' has 2 coordinates, chart needs 3"),
+    ("-5,0,0", "point '-5,0,0' is outside the chart domain [(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]"),
+    ("-0.2,x,0.3", "bad point '-0.2,x,0.3'"),
+    # not a number after the minus sign: argparse still reads an option
+    ("-x,0,0", "argument --at: expected one argument"),
+])
+def test_a_bad_point_with_a_negative_first_coordinate_is_a_usage_error(at, message):
+    """The same first line of stderr as the `--at=` form, and no output."""
+    code, out, err = run(["fbasis", "builtin:sasakian-r3", "--at", at])
+    assert (code, out, err.splitlines()[0]) == (EXIT_USAGE, "", f"error: {message}")
+    if at != "-x,0,0":  # the one value that is not written `--at=X`
+        assert (code, out, err) == run(["fbasis", "builtin:sasakian-r3", f"--at={at}"])
+
+
 def test_fbasis_on_a_dense_chart():
     # the chart of test_classify.test_f_basis_is_orthonormal_on_a_dense_chart
     path = DATA / "dense-r13-const.json"
@@ -458,8 +483,8 @@ main()
 
 
 def test_a_check_command_loads_neither_numpy_random_nor_hashlib():
-    """The guard directions come from `wqcm._normal`, so a check command
-    never imports `numpy.random` (nor, through `secrets`, `hashlib`)."""
+    """The guard directions are a fixed matrix, so a check command never
+    imports `numpy.random` (nor, through `secrets`, `hashlib`)."""
     proc = python(["-c", IMPORT_PROBE])
     assert proc.returncode == EXIT_OK
     assert proc.stderr == "False False\n"

@@ -16,9 +16,11 @@ twice the relative one on these charts).  All come from
     wqcm classify  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
     wqcm validate  builtin:<source> --points 8 --seed 7 --format json --no-timestamp
 
-`scaled-n1-s2-tol6.check-all.json`, a report whose quasi gate passes at 2
-of 32 points, was written by the evaluator that built one state per point,
-before the checks ran over blocks of points.
+`scaled-n1-s2-tol5.check-all.json`, a report whose quasi gate passes at 2
+of 32 points, was written by `wqcm check all` with the fixed guard columns
+of `PointState.directions` (the command is `MIXED` below).  The rows of
+scaled n=1 and n=3 whose residual is above its tolerance were written again
+then too; every other residual stayed within 1e-12 of its pin.
 
 Ids, labels, verdicts and point counts must match exactly; residuals may
 differ only by summation order.
@@ -39,7 +41,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import state_at
-from wqcm import _normal, geometry, suites
+from test_perfbench_oracle import WORKLOADS
+from wqcm import geometry, suites
 from wqcm.catalog import catalog, document
 from wqcm.cli import run_cli
 from wqcm.exprdsl import load_structure_def
@@ -97,26 +100,43 @@ def test_padded_chart_reports_as_its_builtin(command):
     assert rows(str(DATA / "sasakian-r3-padded.json")) == rows("builtin:sasakian-r3")
 
 
-# the quasi hypothesis of scaled n=1, s=2 is 4.7 to 8.0 at these 32 points,
-# so with --tol-deriv 6 it passes at 2 of them
-MIXED = ["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "6"]
+@pytest.mark.parametrize("offset", range(1, 1000, 100))
+@pytest.mark.parametrize("name", ["check-sasakian", "check-weak"])
+def test_guard_columns_keep_the_benchmark_signature_across_seeds(name, offset):
+    """The guard columns of `PointState.directions` are the same at every
+    seed, while the seed picks the sample points and stays in the report:
+    `check all` at the seeds offset, offset + 1000, ... of `SEED_RANGE`
+    gives the (id, verdict, points) rows of `perfbench/expected.json` at
+    each of them."""
+    workload = WORKLOADS.WORKLOADS[name]
+    expected = WORKLOADS.expected_signature(workload)
+    source = workload.source(None)
+    for seed in range(WORKLOADS.SEED_RANGE[0] + offset, WORKLOADS.SEED_RANGE[1], 1000):
+        got = report(["check", "all", source, "--points", str(workload.points), "--seed", str(seed)])
+        assert (got["seed"], WORKLOADS.signature(got)) == (seed, expected)
+
+
+# the quasi hypothesis of scaled n=1, s=2 is 4.736 to 7.900 at these 32
+# points, and its lowest three are 4.736, 4.921 and 5.030, so with
+# --tol-deriv 5 it passes at 2 of them
+MIXED = ["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "5"]
 
 
 def test_mixed_gate_report_matches_pinned():
-    """Written before the checks ran over blocks of points, by the
-    one-point-at-a-time evaluator; every quasi-gated row is asserted at 2
-    points."""
-    expected = json.loads((DATA / "scaled-n1-s2-tol6.check-all.json").read_text())
+    """Every quasi-gated row is asserted at 2 points, and eq14, eq15, eq22
+    and eq21 fail there."""
+    expected = json.loads((DATA / "scaled-n1-s2-tol5.check-all.json").read_text())
     assert_same_report(report(MIXED), expected)
     gated = [c for c in expected["checks"] if c["id"] in suites.CHECKS and suites.CHECKS[c["id"]].gate == "quasi"]
     assert len(gated) == 14 and all(c["points"] == 2 for c in gated)
+    assert [c["id"] for c in expected["checks"] if c["verdict"] == "fail"] == ["eq14", "eq15", "eq22", "eq21"]
 
 
 def test_a_gated_check_sees_only_the_points_that_pass_its_gate(monkeypatch):
     sdef = catalog("scaled", n=1, s=2.0)
     points = suites.sample_points(SamplePlan(count=32, seed=7), sdef.domain)
     quasi = [suites.CHECKS["quasi"].residual(state_at(sdef, p)).item() for p in points]
-    gated_in = [p for p, q in zip(points, quasi) if q <= 6.0]
+    gated_in = [p for p, q in zip(points, quasi) if q <= 5.0]
     assert len(gated_in) == 2 and min(quasi) > 1e-9
     seen = []
     check = suites.CHECKS["lemma21-10"]
@@ -129,32 +149,6 @@ def test_a_gated_check_sees_only_the_points_that_pass_its_gate(monkeypatch):
     rows = {c["id"]: c for c in report(MIXED)["checks"]}
     assert rows["lemma21-10"]["points"] == 2
     assert len(seen) == 1 and np.array_equal(seen[0], gated_in)
-
-
-def test_guard_directions_are_drawn_once_per_point(monkeypatch):
-    """The sub-state of the points that pass a gate slices its parent's
-    direction matrices: one draw per point, and the same report bytes as
-    when each sub-state draws its points' directions again."""
-    seeds = []
-    draw = _normal.standard_normal
-
-    def counted(seed, count):
-        seeds.append(seed)
-        return draw(seed, count)
-
-    monkeypatch.setattr(_normal, "standard_normal", counted)
-    argv = MIXED + ["--format", "json", "--no-timestamp"]
-    sliced = run(argv)
-    assert len(seeds) == 32 and len(set(seeds)) == 32
-    seeds.clear()
-    monkeypatch.setattr(PointState, "take", lambda st, mask: PointState(st.points, st.seed, st.fields, mask))
-    assert run(argv) == sliced
-    assert len(seeds) > 32
-
-
-def run(argv):
-    out = io.StringIO()
-    return run_cli(argv, stdout=out), out.getvalue()
 
 
 def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
@@ -311,7 +305,7 @@ def tolerance(tol_deriv):
     return lambda cid: getattr(tolerances, suites.CHECKS[cid].tier)
 
 
-def block_states(sdef, points, seed, jet_order):
+def block_states(sdef, points, jet_order):
     """The states of `suites.evaluate`: the tape over chunks of one block at
     jet order 2 and of four at order 1, one state per block of a chunk."""
     step = suites.BLOCK if jet_order == 2 else 4 * suites.BLOCK
@@ -319,7 +313,7 @@ def block_states(sdef, points, seed, jet_order):
         chunk = points[start : start + step]
         fields = suites.eval_tape(sdef.tape, chunk, jet_order)
         for lo in range(0, len(chunk), suites.BLOCK):
-            yield PointState(chunk, seed, fields, slice(lo, lo + suites.BLOCK))
+            yield PointState(chunk, fields, slice(lo, lo + suites.BLOCK))
 
 
 @settings(max_examples=24, deadline=None)
@@ -341,8 +335,8 @@ def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_der
     assert sorted(suites._with_hypotheses(suites.CHECKS)) == sorted(suites.CHECKS)
     order = suites._with_hypotheses(suites.CHECKS) if jet_order == 2 else FIRST_ORDER
     points = np.array(suites.sample_points(SamplePlan(count=count, seed=seed), sdef.domain))
-    blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, seed, jet_order)]
-    singles = [suites._residuals(state_at(sdef, p, seed), order, tol) for p in points]
+    blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, jet_order)]
+    singles = [suites._residuals(state_at(sdef, p), order, tol) for p in points]
     for cid in order:
         value = np.concatenate([b[cid][0] for b in blocks])
         on = np.concatenate([b[cid][1] for b in blocks])
@@ -363,7 +357,7 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
     sdef, tol = structure(index), tolerance(tol_deriv)
     assert all(suites.CHECKS[cid].tier != "curv" for cid in FIRST_ORDER)
     points = np.array(suites.sample_points(SamplePlan(count=suites.BLOCK, seed=7), sdef.domain))
-    (first,), (second,) = (list(block_states(sdef, points, 7, jet_order)) for jet_order in (1, 2))
+    (first,), (second,) = (list(block_states(sdef, points, jet_order)) for jet_order in (1, 2))
     assert first.ddg is None and first.ddf is None and first.ddxi is None
     one, two = suites._residuals(first, FIRST_ORDER, tol), suites._residuals(second, FIRST_ORDER, tol)
     for cid in FIRST_ORDER:

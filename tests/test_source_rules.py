@@ -1,7 +1,8 @@
 """Rules on the source text: lines of at most 122 characters in `src/wqcm`
 and `tests`, and `src/wqcm` imports neither sympy (an optional test extra)
-nor dataclasses (generating their code costs every command at import),
-draws its normals without numpy's random package, and names `WeakACM` only
+nor dataclasses (generating their code costs every command at import)
+nor numpy's random package (its import costs every command time and
+memory), and names `WeakACM` only
 where it defines it: callers take the `StructureDef`, and the name is left
 only for the benchmark's set-up probe."""
 
