@@ -15,8 +15,8 @@ report ends with the UTC time at which it was made.
 Exit codes: 0 all asserted checks pass (skipped checks never count),
 1 at least one failure, 2 input or usage error, including a structure that
 cannot be evaluated at a sample point or at the --at point (the message
-names the point).  JSON reports go to stdout (or --output); diagnostics go
-to stderr.
+names the point) and output that cannot be written, to a closed stdout
+too.  JSON reports go to stdout (or --output); diagnostics go to stderr.
 
 One command is one process.  `main()`, the entry point of the console
 script and of `python -m wqcm`, freezes the garbage collector before it
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -154,14 +155,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(payload: bytes, args, stdout) -> None:
-    if args.output:
-        try:
-            Path(args.output).write_bytes(payload)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    else:
-        stdout.write(payload.decode())
+def _write(payload: bytes, output, stdout) -> None:
+    """Write `payload` to the file `output`, or to stdout and flush it, so that
+    a closed stdout is a usage error as an unwritable file is."""
+    try:
+        if output:
+            Path(output).write_bytes(payload)
+        else:
+            stdout.write(payload.decode())
+            stdout.flush()
+    except OSError as exc:
+        raise CliError(f"cannot write {output or 'the report'}: {exc.strerror or exc}") from exc
 
 
 def _fbasis(sdef: StructureDef, point: np.ndarray, args) -> tuple[list[str], bool]:
@@ -212,8 +216,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
     with np.errstate(all="ignore"):
         try:
             if args.command == "list":
-                for key in cat.keys():
-                    stdout.write(key + "\n")
+                _write("".join(key + "\n" for key in cat.keys()).encode(), None, stdout)
                 return EXIT_OK
 
             sdef = _load_source(args.source)
@@ -226,7 +229,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                     from datetime import datetime, timezone  # only a timestamp needs it
 
                     report.timestamp = datetime.now(timezone.utc).isoformat()
-                _write(emit_report(report, args.format), args, stdout)
+                _write(emit_report(report, args.format), args.output, stdout)
                 # classification is reporting, not assertion
                 return EXIT_FAIL if report.failed and suite != "classify" else EXIT_OK
 
@@ -235,7 +238,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
                 lines, ok = _fbasis(sdef, point, args)
             except (ValueError, ArithmeticError) as exc:
                 raise CliError(f"at point {point.tolist()}: {exc}") from exc
-            stdout.write("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n")
+            _write(("\n".join(lines) + f"\n  verdict = {'pass' if ok else 'fail'}\n").encode(), None, stdout)
             return EXIT_OK if ok else EXIT_FAIL
         except (CliError, EvaluationError) as exc:
             stderr.write(f"error: {exc}\n")
@@ -247,4 +250,9 @@ def main() -> None:
     # exit: the collector should neither re-walk it during the run nor tear
     # it down at shutdown
     gc.freeze()
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    try:  # a failed write, which run_cli reported, can leave bytes buffered
+        sys.stdout.flush()
+    except OSError:  # shutdown would flush them again: send them to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -252,13 +252,14 @@ def _reciprocal(xs: list[float]):
     )
 
 
-def _power(k: int, xs: list[float]):
-    """x^k for an integer k != 0."""
+def _power(k: int, v: np.ndarray, xs: list[float]):
+    """x^k for an integer k != 0, at the values `v`, which are `xs`.  The
+    exponent goes to `pow` as a float: the same libm call as an int's."""
     if k < 0 and 0.0 in xs:
         raise ZeroDivisionError("negative power of zero jet value")
 
     def pw(e):  # x ** 0 is 1.0 and x ** 1 is x, for every float x
-        return np.ones(len(xs)) if e == 0 else np.array(xs) if e == 1 else _libm(pow, xs, itertools.repeat(e))
+        return np.ones(len(xs)) if e == 0 else v if e == 1 else _libm(pow, xs, itertools.repeat(float(e)))
 
     f2 = np.zeros(len(xs)) if k == 1 else k * (k - 1) * pw(k - 2)
     return pw(k), k * pw(k - 1), f2
@@ -343,11 +344,14 @@ def eval_tape(tape: Tape, points, order: int) -> Fields:
                 g[:, a] = 1.0
                 jet = points[:, a], g, zero_h
             elif op == "neg":
-                jet = tuple(None if x is None else -x for x in jets[a])
+                v, g, h = jets[a]
+                jet = -v, -g, None if h is None else -h
             elif op == "+":
-                jet = tuple(None if x is None else x + y for x, y in zip(jets[a], jets[b]))
+                (v, g, h), (vb, gb, hb) = jets[a], jets[b]
+                jet = v + vb, g + gb, None if h is None else h + hb
             elif op == "-":
-                jet = tuple(None if x is None else x - y for x, y in zip(jets[a], jets[b]))
+                (v, g, h), (vb, gb, hb) = jets[a], jets[b]
+                jet = v - vb, g - gb, None if h is None else h - hb
             elif op == "*":
                 jet = _mul(*jets[a], *jets[b])
             elif op == "/":  # a times the reciprocal of b
@@ -364,7 +368,7 @@ def eval_tape(tape: Tape, points, order: int) -> Fields:
             else:
                 v, g, h = jets[a]
                 xs = v.tolist()
-                jet = _chain(g, h, *(_power(b, xs) if op == "^" else FUNCTIONS[op](xs)))
+                jet = _chain(g, h, *(_power(b, v, xs) if op == "^" else FUNCTIONS[op](xs)))
             jets[k] = jet
             for flat, cell in targets.get(k, ()):
                 for target, part in zip(flat, jet):
@@ -395,8 +399,10 @@ class StructureDef(NamedTuple):
     def dim(self) -> int:
         return 2 * self.n + 1
 
-    def contains(self, point: np.ndarray) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.domain))
+    def contains(self, points) -> np.ndarray:
+        """Whether each point (..., d) lies in the closed domain box; NaN does not."""
+        lo, hi = np.array(self.domain).T
+        return ((lo <= points) & (points <= hi)).all(axis=-1)
 
 
 def _require(cond: bool, message: str) -> None:

@@ -16,7 +16,7 @@ participating term), and those of the axioms that multiply tensors by
 tape once per chunk of points and builds one `PointState` for each block of
 `BLOCK` points of the chunk, so each check runs once per block.  The jets
 are of the order the checks need: second derivatives (a chunk of one block)
-only when a curvature-tier check runs, first derivatives (a chunk of four
+only when a curvature-tier check runs, first derivatives (a chunk of eight
 blocks) otherwise.  A hypothesis (`gate`) is a mask over the block: a check
 is asserted only at the points where its hypothesis passes, on the state of
 just those points, and reported as "skipped", never as a failure, when that
@@ -511,10 +511,12 @@ class EvaluationError(ValueError):
 # again of derived tensors; states of 32 keep the per-call overhead of the
 # checks small against their array work.  A jet of order 1 holds 1 + d
 # numbers per point against 1 + d + d^2 at order 2, so at order 1 the tape
-# runs over chunks of four blocks: a chunk's arrays, (1 + 7) * 128 numbers
-# per cell at d = 7, are smaller than one order-2 block's, (1 + 7 + 49) * 32,
-# and the tape's per-instruction overhead is spread over four times the
-# points.  At order 2 a chunk is one block.
+# runs over chunks of eight blocks: a chunk's arrays, (1 + 7) * 256 numbers
+# per cell at d = 7, are about one order-2 block's, (1 + 7 + 49) * 32, and
+# the tape's per-instruction overhead is spread over eight times the points.
+# The states stay at one block each: one state per 256-point chunk raised the
+# peak RSS of `classify` on sasakian-r7 at 1,000 points from 34 to 47 MB.  At
+# order 2 a chunk is one block.
 BLOCK = 32
 
 
@@ -619,11 +621,11 @@ def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
 
     # Hessians only where a curvature row needs them
     jet_order = 2 if any(CHECKS[cid].tier == "curv" for cid in order) else 1
-    chunk_size = BLOCK if jet_order == 2 else 4 * BLOCK
+    chunk_size = BLOCK if jet_order == 2 else 8 * BLOCK
 
     def run(chunk) -> list[dict]:
         """The residuals of each `BLOCK`-point state of `chunk`; raises what fails first."""
-        if not all(map(sdef.contains, chunk)):
+        if not sdef.contains(chunk).all():
             raise ValueError("outside the chart domain")
         fields = eval_tape(sdef.tape, chunk, jet_order)
         return [_residuals(PointState(chunk, fields, slice(lo, lo + BLOCK)), order, tol)

@@ -40,11 +40,11 @@ def test_list_command():
 
 @pytest.mark.parametrize("source, points", [
     ("builtin:sasakian-r3", "6"),
-    # first-order chunks of 128 points, four states each: 100 points are one
-    # partial chunk, its last state partial; 300 are three, the last partial
+    # first-order chunks of 256 points, eight states each: 100 points are one
+    # partial chunk, its last state partial; 300 are two, the second partial
     ("builtin:sasakian-r7", "100"),
     ("builtin:sasakian-r7", "300"),
-    # sin and cos cells over three first-order chunks
+    # sin and cos cells over two first-order chunks
     pytest.param(PADDED, "300", id="padded-300"),
     # the axiom rows are relative to the size of f and Q
     ("builtin:scaled?n=3,s=100", "4"),
@@ -190,7 +190,7 @@ def test_a_bad_builtin_parameter_value_names_the_parameter_and_its_type(query, n
 
 @pytest.mark.parametrize("source, points", [
     ("builtin:sasakian-r3", "6"), ("builtin:scaled?s=2", "6"), ("builtin:flat-const", "6"),
-    # two first-order chunks, the second one partial
+    # one partial first-order chunk of five states, the last one partial
     ("builtin:sasakian-r7", "130"),
     # the class rows are relative residuals, also at large s
     ("builtin:scaled?n=1,s=100", "8"),
@@ -436,7 +436,7 @@ def test_non_finite_residuals_fail(points):
     # the quasi gate passes at 2 of 32 points, and 4 gated checks fail there
     (["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "6",
       "--format", "json", "--no-timestamp"], EXIT_FAIL, ""),
-    # a 128-point chunk fails and is searched by halves; the error names the first failing point
+    # a 256-point chunk fails and is searched by halves; the error names the first failing point
     (["validate", NAN, "--points", "300", "--no-timestamp"], EXIT_USAGE,
      "error: at sample point [-0.8312499999999999, 0.7388888888888887, 0.26600000000000024]: Q is not finite\n"),
 ], ids=["list", "check-fails", "validate-error"])
@@ -447,12 +447,37 @@ def test_python_m_wqcm(argv, code, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, run(argv)[1], err)
 
 
-def python(args):
-    """A child interpreter that imports `wqcm` from `src`; RuntimeWarnings are errors."""
+def python(args, stdout=subprocess.PIPE, unbuffered=None):
+    """A child interpreter that imports `wqcm` from `src`; RuntimeWarnings are
+    errors.  `unbuffered` True or False sets or unsets PYTHONUNBUFFERED."""
     src = Path(__file__).parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["check", "all", "builtin:sasakian-r7", "--points", "8", "--no-timestamp"],
+    ["fbasis", "builtin:sasakian-r3", "--at", "0.2,-0.3,0.1"],
+], ids=["list", "check-all-text", "fbasis"])
+def test_a_closed_stdout_is_a_usage_error(argv, unbuffered):
+    """stdout is a pipe whose read end is closed before the child starts.
+    Unbuffered, the write fails; buffered, the flush after it does.  Either
+    way one line on stderr and exit 2, and shutdown adds nothing."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python(["-m", "wqcm", *argv], stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "error: cannot write the report: Broken pipe\n")
 
 
 FREEZE_PROBE = """

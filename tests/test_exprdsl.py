@@ -234,6 +234,15 @@ def test_load_structure_def_roundtrip():
     assert load_structure_def(base_doc()) == sdef  # the document and its JSON text load alike
 
 
+def test_contains_is_inclusive_at_the_bounds_and_false_on_nan():
+    sdef = load_structure_def(base_doc())
+    assert sdef.contains(np.array([-1.0, 1.0, 0.0])) and sdef.contains([1.0, -1.0, 1.0])
+    assert not sdef.contains([np.nextafter(1.0, 2.0), 0.0, 0.0])
+    assert not sdef.contains([0.0, math.nan, 0.0])
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, -1.0], [0.0, -1.5, 0.0], [math.nan] * 3])
+    assert sdef.contains(points).tolist() == [True, True, False, False]
+
+
 def test_catalog_definitions_roundtrip():
     for key in ("sasakian-r3", "flat-const"):
         assert load_structure_def(json.dumps(document(key))) == catalog(key)
@@ -351,6 +360,24 @@ def test_padding_by_one_leaves_every_jet_unchanged():
     for name in ("metric", "f", "xi"):
         for a, b in zip(want[name], got[name]):
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_run_over_pieces_equals_the_run_over_the_whole(order):
+    """The tape is element-wise over points: over 300 points of the padded
+    fixture, the run over the pieces split at 31, 128 and 256 points gives
+    the bits of the one run over all of them."""
+    sdef = load_structure_def(PADDED.read_bytes())
+    points = points_for(sdef, count=300)
+    whole = eval_tape(sdef.tape, points, order)
+    pieces = [eval_tape(sdef.tape, points[lo:hi], order) for lo, hi in [(0, 31), (31, 128), (128, 256), (256, 300)]]
+    for name, arrays in whole.items():
+        for k, array in enumerate(arrays):
+            if array is None:
+                assert order == 1 and k == 2
+                continue
+            joined = np.concatenate([piece[name][k] for piece in pieces])
+            assert joined.tobytes() == array.tobytes(), (name, k)
 
 
 def peak_live_slots(tape) -> int:

@@ -225,8 +225,8 @@ def test_no_sub_state_outlives_run_suite(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, count, chunks, arrays_per_chunk", [
-    # jets of order 1 over chunks of 4 blocks: v and dv of metric, f and xi
-    ("validate", 2 * 4 * suites.BLOCK + 1, [(4 * suites.BLOCK, 1)] * 2 + [(1, 1)], 6),
+    # jets of order 1 over chunks of 8 blocks: v and dv of metric, f and xi
+    ("validate", 2 * 8 * suites.BLOCK + 1, [(8 * suites.BLOCK, 1)] * 2 + [(1, 1)], 6),
     # the curvature rows need order 2, over chunks of one block: v, dv and ddv
     ("curvature", 2 * suites.BLOCK + 1, [(suites.BLOCK, 2)] * 2 + [(1, 2)], 9),
 ])
@@ -307,8 +307,8 @@ def tolerance(tol_deriv):
 
 def block_states(sdef, points, jet_order):
     """The states of `suites.evaluate`: the tape over chunks of one block at
-    jet order 2 and of four at order 1, one state per block of a chunk."""
-    step = suites.BLOCK if jet_order == 2 else 4 * suites.BLOCK
+    jet order 2 and of eight at order 1, one state per block of a chunk."""
+    step = suites.BLOCK if jet_order == 2 else 8 * suites.BLOCK
     for start in range(0, len(points), step):
         chunk = points[start : start + step]
         fields = suites.eval_tape(sdef.tape, chunk, jet_order)
@@ -404,11 +404,11 @@ def combined(reports):
     return rows
 
 
-@pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 300])
 @pytest.mark.parametrize("suite", ["validate", "classify"])
 @pytest.mark.parametrize("index", [0, 3], ids=["sasakian-r3", "scaled-n1-s2"])
 def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
-    """Reports over first-order chunks of 4 blocks, whole and partial, equal
+    """Reports over first-order chunks of 8 blocks, whole and partial, equal
     the reports of each point alone put together."""
     sdef = structure(index)
     got = run_suite(sdef, suite, SamplePlan(count=count, seed=7))
