@@ -84,9 +84,9 @@ def _load_source(source: str) -> StructureDef:
         except ValueError as exc:
             raise CliError(f"cannot build builtin structure {spec!r}: {exc}") from exc
     path = Path(source)
-    if not path.is_file():
-        raise CliError(f"no such structure file: {source}")
-    try:
+    try:  # a missing path, a directory or a FIFO is not opened; a name too long raises
+        if not path.is_file():
+            raise CliError(f"no such structure file: {source}")
         return load_structure_def(path.read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {source}: {exc.strerror or exc}") from exc

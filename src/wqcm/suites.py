@@ -23,8 +23,9 @@ just those points, and reported as "skipped", never as a failure, when that
 holds at no point.  When anything fails in a chunk, its halves are evaluated
 in sample order, each split again while it fails, so that the error names the
 first point in sample order where anything fails, with that point's own
-message.  A NaN or infinite residual fails its check, and a non-finite
-hypothesis fails the checks it gates.
+message.  A residual is read as a size, in `_residuals` only: a negative one
+reads 0 (an inequality that holds with room, as Prop 3.4's contact volume),
+and NaN, +inf and -inf fail, as do the checks a non-finite hypothesis gates.
 The suites select from the registry: `identity`, `curvature` and `validate`
 report checks directly, `theorems` and `classify` report the rows of
 `THEOREMS` and `CLASSES` over the largest residuals (a class row reads the
@@ -168,7 +169,7 @@ def _rel(size, *terms):
     after it) that broadcast together."""
     scale = 1.0 + functools.reduce(np.maximum, terms, 0.0)
     r = size / scale
-    return r.reshape(len(r), -1).max(axis=1, initial=0.0)
+    return r.reshape(len(r), -1).max(axis=1)
 
 
 def _amax(m):
@@ -272,16 +273,16 @@ def _eq22(st):
 
 
 def _eq21_hypothesis(st):
-    """Hypothesis of the Ricci inequality (21): K(xi, X) + K(xi, fX) >= 0."""
+    """Hypothesis of (21): K(xi, X) + K(xi, fX) >= 0; a K not finite in a kept direction gives NaN."""
     p, keep = _ker_eta_dirs(st)
     k = st.sectional(st.g_normalize(p)) + st.sectional(st.g_normalize(st.f @ p))
-    return np.max(np.where(keep, -k, 0.0), axis=1, initial=0.0)
+    return np.max(np.where(keep, np.where(np.isfinite(k), -k, np.nan), 0.0), axis=1)
 
 
 def _eq21(st):
     lhs = np.max(st.fbasis[1], axis=1) * st.ric_xi_xi
     rhs = st.n - _trace(st.h @ st.h) + (_trace(st.Q) - 1.0) ** 2 / (4.0 * st.n)
-    return _rel(np.maximum(0.0, rhs - lhs), np.abs(lhs), np.abs(rhs))
+    return _rel(rhs - lhs, np.abs(lhs), np.abs(rhs))
 
 
 def _ric_xi_xi(st):
@@ -347,9 +348,9 @@ def _quasi_canonical(st):
 
 class Check(NamedTuple):
     """One residual check.  `residual(st)` is its residual at each point of
-    the state, a (P,) array, or None where it does not apply; it is
-    evaluated only at the points where the check `gate` (the hypothesis)
-    passes.  `suites` names the suites that report
+    the state, a (P,) array read as a size (a negative residual reads 0; NaN,
+    +inf and -inf fail), or None where it does not apply; it is evaluated only
+    where its hypothesis `gate` passes.  `suites` names the suites that report
     it; the others are hypotheses and inputs of theorem and class rows."""
 
     id: str
@@ -521,7 +522,7 @@ BLOCK = 32
 
 
 def _record(cid, paper, residual, tol, points) -> CheckRecord:
-    """A row asserted at `points` points, or skipped at none; NaN fails."""
+    """A row asserted at `points` points, or skipped at none; `residual` is a size: NaN or inf fails."""
     verdict = "skipped" if not points else "pass" if residual <= tol else "fail"
     return CheckRecord(cid, paper, float(residual), tol, verdict, points)
 
@@ -539,11 +540,11 @@ def _with_hypotheses(cids) -> list[str]:
 
 
 def _residuals(st: PointState, order, tol) -> dict:
-    """{check id: (residuals, applies)} at the P points of `st`, two (P,)
-    arrays per check of `order` (each hypothesis before what it gates).  A
-    gated check runs on the sub-state of the points where its hypothesis
-    passes: the state itself when it passes everywhere, none when nowhere.
-    A non-finite hypothesis is the residual of what it gates, so that fails."""
+    """{check id: (sizes, applies)} at the P points of `st`, two (P,) arrays per
+    check of `order` (each hypothesis before what it gates).  Only here does a
+    residual become a size: a negative one reads 0, -inf reads +inf, NaN and +inf
+    stay.  A gated check runs on the sub-state of the points where its hypothesis
+    passes; a non-finite hypothesis is the size of what it gates, so that fails."""
     out, subs = {}, {}
     everywhere = np.ones(len(st.points), dtype=bool)
     for cid in order:
@@ -551,8 +552,7 @@ def _residuals(st: PointState, order, tol) -> dict:
         run, broken = everywhere, ~everywhere
         if c.gate is not None:
             hyp, on = out[c.gate]
-            finite = np.isfinite(hyp)
-            run, broken = on & finite & (hyp <= tol(c.gate)), on & ~finite
+            run, broken = on & (hyp <= tol(c.gate)), on & ~np.isfinite(hyp)
             value[broken] = hyp[broken]
         r = None
         if run.all():
@@ -564,7 +564,7 @@ def _residuals(st: PointState, order, tol) -> dict:
         if r is None:  # computed nowhere, or the check does not apply
             run = ~everywhere
         else:
-            value[run] = r
+            value[run] = np.where(r == -np.inf, np.inf, np.maximum(r, 0.0))
         out[cid] = value, run | broken
     return out
 
@@ -649,10 +649,9 @@ def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
     for start in range(0, len(points), chunk_size):
         for result in split(points[start : start + chunk_size]):
             for cid in needed:
-                value, on = result[cid]
-                if on.any():
-                    worst[cid] = float(np.maximum(worst[cid], np.max(value[on])))  # keeps NaN
-                    count[cid] += int(np.count_nonzero(on))
+                value, on = result[cid]  # sizes, 0 where not asserted
+                worst[cid] = float(np.maximum(worst[cid], value.max()))  # keeps NaN
+                count[cid] += int(np.count_nonzero(on))
 
     report = CheckReport(suite, sdef.name, seed, tolerances._asdict())
     for part in parts:

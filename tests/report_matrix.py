@@ -1,0 +1,133 @@
+"""A fixed matrix of `wqcm` commands, run in process, to compare two trees.
+
+    python tests/report_matrix.py SRC OUT.json     run the matrix against the
+                                                  `wqcm` package under SRC
+                                                  (a checkout or its `src`)
+    python tests/report_matrix.py --diff A.json B.json
+                                                  list the commands whose
+                                                  outputs differ; exit 1 if any
+
+OUT.json maps each command line to [exit code, stdout, stderr].  The inputs
+are the same whichever tree runs: the built-ins, four structure files of
+`tests/data` and the validate-heavy input `heavy_structure(7)` of
+`perfbench/workloads.py`, which is loaded read-only (no bytecode is written
+next to it).  The files are copied into a temporary directory and named
+relatively, so the command lines and messages do not depend on where the
+script runs.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+BUILTINS = [
+    ("sasakian-r3", {}), ("sasakian-r5", {}), ("sasakian-r7", {}),
+    ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}), ("scaled", {"n": 2, "s": 0.5}),
+    ("flat-const", {}),
+]
+# the last is crafted: tr h^2 overflows to -inf at every point
+FILES = ["sasakian-r3-padded.json", "dense-r13-const.json", "sasakian-r3-nan.json", "sasakian-r3-trh2-overflow.json"]
+HEAVY = "heavy.json"
+REPORTS = [["validate"], ["classify"], *(["check", s] for s in ("identity", "curvature", "theorems", "all"))]
+JSON = ["--format", "json", "--no-timestamp"]
+FBASIS_POINTS, FBASIS_SEED = 40, 20261020
+
+
+def _builtin(key, params) -> str:
+    query = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in params.items())
+    return f"builtin:{key}" + (f"?{query}" if query else "")
+
+
+def _heavy_document() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module  # the dataclasses of the module look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module.heavy_structure(7)[0]
+
+
+def commands(documents: dict) -> list[list[str]]:
+    """The matrix: `documents` maps each source to its structure document."""
+    out = []
+    for source in documents:
+        for points, seed in ((8, 7), (40, 3)):
+            out += [[*c, source, "--points", str(points), "--seed", str(seed), *JSON] for c in REPORTS]
+        out += [[*c, source, "--points", "300", "--seed", "11", *JSON] for c in REPORTS[:3]]
+        out.append(["check", "all", source, "--points", "4", "--no-timestamp"])
+    # the quasi gate passes at 2 of the 32 points
+    out.append(["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "5", *JSON])
+    # f-basis points drawn from each domain widened by 10% on both sides
+    rng = random.Random(FBASIS_SEED)
+    for _ in range(FBASIS_POINTS):
+        source = rng.choice(sorted(documents))
+        coords = [lo + (hi - lo) * rng.uniform(-0.1, 1.1) for lo, hi in documents[source]["domain"]]
+        out.append(["fbasis", source, "--at", ",".join(f"{x:.6g}" for x in coords)])
+    return out
+
+
+def run_matrix(src: Path) -> dict:
+    if (src / "src" / "wqcm").is_dir():
+        src = src / "src"
+    sys.path.insert(0, str(src))
+    from wqcm.catalog import document
+    from wqcm.cli import run_cli
+
+    documents = {_builtin(key, params): document(key, **params) for key, params in BUILTINS}
+    results, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FILES:
+            shutil.copy(DATA / name, Path(tmp) / name)
+            documents[name] = json.loads((DATA / name).read_text())
+        documents[HEAVY] = _heavy_document()
+        (Path(tmp) / HEAVY).write_text(json.dumps(documents[HEAVY]))
+        os.chdir(tmp)
+        try:
+            for argv in commands(documents):
+                out, err = io.StringIO(), io.StringIO()
+                try:
+                    code = run_cli(argv, stdout=out, stderr=err)
+                except Exception:  # a traceback is an outcome to compare too
+                    code = "raised"
+                    err.write(traceback.format_exc().splitlines()[-1] + "\n")
+                results[" ".join(argv)] = [code, out.getvalue(), err.getvalue()]
+        finally:
+            os.chdir(cwd)
+    return results
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        differ = [c for c in dict.fromkeys([*a, *b]) if a.get(c) != b.get(c)]
+        for command in differ:
+            print(command)
+        print(f"{len(differ)} of {len(set(a) | set(b))} commands differ", file=sys.stderr)
+        return 1 if differ else 0
+    if len(argv) != 2 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    results = run_matrix(Path(argv[0]).resolve())
+    Path(argv[1]).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} commands", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

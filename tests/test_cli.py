@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from wqcm.catalog import document
 from wqcm.exprdsl import eval_tape, load_structure_def
 from wqcm.suites import SamplePlan, sample_points
 from test_exprdsl import COORDS, exprs
+from test_perfbench_oracle import WORKLOADS
 
 
 def run(argv):
@@ -29,6 +31,9 @@ COMMON = ["--points", "6", "--no-timestamp"]
 DATA = Path(__file__).parent / "data"
 PADDED = str(DATA / "sasakian-r3-padded.json")
 NAN = str(DATA / "sasakian-r3-nan.json")
+# sasakian-r3 with f_01 and f_10 perturbed by +-1e-10 sin(1e170 z): h_01 = -h_10
+# is about 6.2e159, so tr h^2 overflows to -inf at every point
+OVERFLOW = str(DATA / "sasakian-r3-trh2-overflow.json")
 
 
 def test_list_command():
@@ -60,6 +65,25 @@ def test_validate_missing_file_is_usage_error():
     assert code == EXIT_USAGE
     assert "no such structure file" in err
     assert out == ""
+
+
+def test_a_name_too_long_is_usage_error():
+    name = "a" * 5000
+    err = f"error: cannot read {name}: File name too long\n"
+    assert run(["validate", name]) == (EXIT_USAGE, "", err)
+    proc = python(["-m", "wqcm", "validate", name])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", err)
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_what_is_not_a_file_is_not_opened(tmp_path, monkeypatch, kind):
+    path = tmp_path / "s.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(path)  # opening it would block
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} was opened"))
+    assert run(["validate", str(path)]) == (EXIT_USAGE, "", f"error: no such structure file: {path}\n")
 
 
 def test_validate_structure_file(tmp_path):
@@ -431,6 +455,54 @@ def test_non_finite_residuals_fail(points):
             assert c["verdict"] == "fail", c["id"]
 
 
+def assert_sizes(report: dict) -> None:
+    """Every max_residual of a JSON report is a size, a float >= +0.0 or the
+    string "nan" or "inf", and no row with a non-finite one passes."""
+    for c in report["checks"]:
+        r = c["max_residual"]
+        if isinstance(r, str):
+            assert r in ("nan", "inf") and c["verdict"] != "pass", c
+        else:
+            assert isinstance(r, float) and math.copysign(1.0, r) == 1.0, c
+
+
+def test_an_overflowing_hypothesis_fails_closed():
+    """tr h^2 = -inf is no evidence that tr h^2 <= 0: the row reads "inf" and fails."""
+    code, out, err = run(["check", "theorems", OVERFLOW, "--points", "8", "--format", "json", "--no-timestamp"])
+    assert (code, err) == (EXIT_FAIL, "")
+    report = json.loads(out)
+    assert_sizes(report)
+    row = next(c for c in report["checks"] if c["id"] == "t35-hyp-trh2-nonpositive")
+    assert (row["max_residual"], row["verdict"], row["points"]) == ("inf", "fail", 8)
+
+
+REPORT_SOURCES = [
+    "builtin:sasakian-r3", "builtin:sasakian-r5", "builtin:sasakian-r7", "builtin:scaled?n=1,s=2",
+    "builtin:scaled?n=3,s=2", "builtin:scaled?n=2,s=0.5", "builtin:flat-const",
+    PADDED, str(DATA / "dense-r13-const.json"), NAN, OVERFLOW,
+]
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES, ids=lambda s: Path(s.removeprefix("builtin:")).stem)
+@pytest.mark.parametrize("command", [["classify"], ["check", "all"]], ids=" ".join)
+def test_every_max_residual_is_a_size(command, source):
+    code, out, _ = run([*command, source, "--points", "8", "--format", "json", "--no-timestamp"])
+    if code == EXIT_USAGE:  # the NaN fixture cannot be evaluated at a sample point
+        assert source == NAN and out == ""
+    else:
+        assert_sizes(json.loads(out))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 9999])
+def test_every_max_residual_is_a_size_on_the_heavy_input(tmp_path, seed):
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(WORKLOADS.heavy_structure(seed)[0]))
+    for command, points in ((["validate"], "256"), (["classify"], "8"), (["check", "all"], "8")):
+        code, out, err = run([*command, str(path), "--points", points, "--format", "json", "--no-timestamp"])
+        assert code in (EXIT_OK, EXIT_FAIL) and err == "", (command, err)
+        assert_sizes(json.loads(out))
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["list"], EXIT_OK, ""),
     # the quasi gate passes at 2 of 32 points, and 4 gated checks fail there
@@ -747,5 +819,8 @@ def test_any_structure_exits_0_1_or_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("random") / "s.json"
     path.write_text(json.dumps(doc))
     for command in (["validate"], ["classify"], ["check", "all"]):
-        code, _, _ = run([*command, str(path), "--points", "2", "--no-timestamp"])
-        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+        for form in ("text", "json"):
+            code, out, _ = run([*command, str(path), "--points", "2", "--no-timestamp", "--format", form])
+            assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+            if form == "json" and code != EXIT_USAGE:
+                assert_sizes(json.loads(out))

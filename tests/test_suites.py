@@ -1,12 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import points_for, state_at
+from wqcm import suites
+from wqcm.exprdsl import eval_tape
+from wqcm.structure import PointState
 from wqcm.suites import (
     CheckRecord,
     CheckReport,
     SamplePlan,
+    Tolerances,
     emit_report,
     run_suite,
     sample_points,
@@ -135,3 +141,73 @@ def test_report_from_classification(scaled2):
     by_id = {c.id: c for c in report.checks}
     assert by_id["quasi-canonical-direction"].max_residual == pytest.approx(8.0, abs=1e-6)
     assert by_id["contact-metric"].verdict == "fail"
+
+
+# -- residuals are read as sizes ----------------------------------------------------------
+
+
+def _sizes_and_rows(st, part):
+    """The sizes of the checks `part` needs on `st`, and its report rows by id,
+    folded over the points as `evaluate` folds them."""
+    order = suites._with_hypotheses(suites._inputs(part))
+
+    def tol(cid):
+        return getattr(Tolerances(), suites.CHECKS[cid].tier)
+
+    out = suites._residuals(st, order, tol)
+    worst = {cid: float(value.max()) for cid, (value, _) in out.items()}
+    count = {cid: int(np.count_nonzero(on)) for cid, (_, on) in out.items()}
+    rows = suites._rows(part, worst, count, len(st.points), tol)
+    return {cid: value for cid, (value, _) in out.items()}, {r.id: r for r in rows}
+
+
+POINT = [0.15, -0.4, 0.3]
+
+
+def _with_infinite_sectional(st):
+    """`st` with K(xi, .) = +inf in the first direction that `_eq21_hypothesis` keeps."""
+    _, keep = suites._ker_eta_dirs(st)
+    column = int(np.argmax(keep[0]))
+    assert keep[0, column]
+    sectional = st.sectional
+
+    def infinite_in_one_column(y):
+        k = sectional(y).copy()
+        k[:, column] = np.inf
+        return k
+
+    st.__dict__["sectional"] = infinite_in_one_column
+
+
+@pytest.mark.parametrize("inject, part, check, row", [
+    # 1e-6 - contact volume is -inf: a fold that clamps reads it as 0.0
+    (lambda st: st.__dict__.update(contact_volume=np.array([np.inf])), "theorems", "contact-volume",
+     "p34-contact-volume"),
+    # rhs - lhs of (21) is -inf against a scale of +inf: NaN, where a clamp at 0 read 0.0
+    (lambda st: st.__dict__.update(ric_xi_xi=np.array([np.inf])), "curvature", "eq21", "eq21"),
+    # the largest of -K over the kept directions dropped a -inf column
+    (_with_infinite_sectional, "curvature", "eq21-hypothesis", "eq21"),
+], ids=["contact-volume", "ric-xi-xi", "sectional"])
+def test_an_injected_infinity_fails_closed(sasakian_r3, inject, part, check, row):
+    st = state_at(sasakian_r3, POINT)
+    _, rows = _sizes_and_rows(st, part)
+    assert rows[row].verdict == "pass"  # the clean state passes
+    st = state_at(sasakian_r3, POINT)
+    inject(st)
+    with np.errstate(all="ignore"):  # as `run_cli` evaluates: the verdicts judge inf and NaN
+        sizes, rows = _sizes_and_rows(st, part)
+    assert not np.isfinite(sizes[check]).any(), sizes[check]
+    assert not math.isfinite(rows[row].max_residual)
+    assert (rows[row].verdict, rows[row].points) == ("fail", 1)
+
+
+def test_a_negative_residual_reads_zero_and_minus_inf_reads_inf(sasakian_r3, monkeypatch):
+    """The size of a raw residual: -2 and -0.0 read +0.0, -inf reads +inf, NaN and +inf stay."""
+    raw = np.array([-2.0, -0.0, 3.0, -np.inf, np.nan, np.inf])
+    check = suites.CHECKS["Qt-zero"]
+    monkeypatch.setitem(suites.CHECKS, "Qt-zero", check._replace(residual=lambda st: raw))
+    points = points_for(sasakian_r3, len(raw))
+    st = PointState(points, eval_tape(sasakian_r3.tape, points, 1))
+    value, on = suites._residuals(st, ["Qt-zero"], lambda cid: 1e-9)["Qt-zero"]
+    assert on.all()
+    assert value.tobytes() == np.array([0.0, 0.0, 3.0, np.inf, np.nan, np.inf]).tobytes()
