@@ -40,7 +40,7 @@ import numpy as np
 from . import catalog as cat
 from .exprdsl import ExprSyntaxError, SchemaError, StructureDef, eval_tape, load_structure_def
 from .structure import PointState
-from .suites import EvaluationError, SamplePlan, Tolerances, emit_report, run_suite
+from .suites import EvaluationError, Tolerances, emit_report, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,14 +125,15 @@ def _number_in(kind, low, high=math.inf):
 
 
 _COUNT, _SEED = _number_in(int, 1, MAX_POINTS), _number_in(int, 0)
-_TOL = _number_in(float, 0.0)
+# a conclusion is held to 10x its tier: the largest tolerance whose tenfold is finite
+_TOL = _number_in(float, 0.0, sys.float_info.max / 10)
 _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("source", help=_SOURCE_HELP)
-    p.add_argument("--points", type=_COUNT, default=SamplePlan().count)
-    p.add_argument("--seed", type=_SEED, default=SamplePlan().seed)
+    p.add_argument("--points", type=_COUNT, default=32)
+    p.add_argument("--seed", type=_SEED, default=7)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true")
@@ -221,10 +222,9 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
 
             sdef = _load_source(args.source)
             if args.command in ("validate", "classify", "check"):
-                plan = SamplePlan(count=args.points, seed=args.seed)
                 suite = args.suite if args.command == "check" else args.command
                 tolerances = Tolerances(args.tol_algebraic, args.tol_deriv, args.tol_curv)
-                report = run_suite(sdef, suite, plan, tolerances)
+                report = evaluate(sdef, suite, args.points, args.seed, tolerances)
                 if not args.no_timestamp:
                     from datetime import datetime, timezone  # only a timestamp needs it
 

@@ -282,8 +282,8 @@ class PointState:
         p = np.eye(self.dim) - xi @ self.eta
         columns, lams = [xi], []
         for k in range(2 * self.n, 0, -2):
-            w = frame @ np.linalg.eigh(mT(frame) @ g @ p @ frame)[1][..., -k:]
-            vals, vecs = np.linalg.eigh(mT(w) @ g @ q @ w)
+            w = frame @ np.linalg.eigh(_finite(mT(frame) @ g @ p @ frame, "the projector onto ker eta"))[1][..., -k:]
+            vals, vecs = np.linalg.eigh(_finite(mT(w) @ g @ q @ w, "Q"))
             rest = w @ (vecs * (vals - vals[:, :1] > 1e-9 * np.maximum(1.0, np.abs(vals[:, :1])))[:, None, :])
             proj = p - rest @ (mT(rest) @ g)  # g-orthogonal projector onto the eigenspace
             size = self.gnorm(proj)

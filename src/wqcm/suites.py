@@ -12,7 +12,8 @@ of derivative identities are normalized by (1 + magnitude of the largest
 participating term), and those of the axioms that multiply tensors by
 (1 + the product of the factors' largest entries).
 
-`evaluate` is the only loop over sample points.  It runs the structure's
+`evaluate` runs a suite at the sample points of a count and seed, which it
+draws itself, and is the only loop over sample points.  It runs the structure's
 tape once per chunk of points and builds one `PointState` for each block of
 `BLOCK` points of the chunk, so each check runs once per block.  The jets
 are of the order the checks need: second derivatives (a chunk of one block)
@@ -67,11 +68,6 @@ class Tolerances(NamedTuple):
 # -- sampling -------------------------------------------------------------------
 
 
-class SamplePlan(NamedTuple):
-    count: int = 32
-    seed: int = 7
-
-
 def _radical_inverse(index: int, base: int) -> float:
     result, frac = 0.0, 1.0 / base
     while index > 0:
@@ -91,20 +87,18 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-def sample_points(plan: SamplePlan, domain) -> np.ndarray:
+def sample_points(count: int, seed: int, domain) -> np.ndarray:
     """The Halton points of indices seed + 1 .. seed + count, one prime base
-    per coordinate, strictly inside the domain box (5% margin), as the rows
-    of one (count, d) array."""
+    per coordinate, in a loaded (finite, lo < hi) domain box with a 5% margin,
+    as the rows of one (count, d) array."""
     lo, hi = np.array(domain, dtype=float).T
-    if np.any(hi <= lo):
-        raise ValueError("degenerate domain box")
     width = hi - lo
     lo_m = lo + 0.025 * width
     hi_m = hi - 0.025 * width
-    indices = range(plan.seed + 1, plan.seed + plan.count + 1)
-    points = np.empty((plan.count, len(domain)))
+    indices = range(seed + 1, seed + count + 1)
+    points = np.empty((count, len(domain)))
     for k, base in enumerate(_primes(len(domain))):
-        points[:, k] = np.fromiter((_radical_inverse(i, base) for i in indices), float, plan.count)
+        points[:, k] = np.fromiter((_radical_inverse(i, base) for i in indices), float, count)
     points *= hi_m - lo_m  # in place: the affine map makes no temporaries of the array's size
     points += lo_m
     return points
@@ -569,8 +563,8 @@ def _residuals(st: PointState, order, tol) -> dict:
     return out
 
 
-def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
-    """The report rows of `part` from the largest residuals `r` and point counts."""
+def _rows(part, r, asserted, npts, tol) -> list[CheckRecord]:
+    """The report rows of `part` from the largest residuals `r` and the counts of points asserted."""
     if part == "classify":
         return [
             CheckRecord(
@@ -596,22 +590,22 @@ def _rows(part, r, count, npts, tol) -> list[CheckRecord]:
         return rows
     for cid in _inputs(part):
         c = CHECKS[cid]
-        if count[cid] or c.gate:  # an ungated check that applies nowhere is left out
+        if asserted[cid] or c.gate:  # an ungated check that applies nowhere is left out
             name, paper = cid, c.paper
             if part == "validate" and cid.startswith("axiom-"):
                 name, paper = cid.removeprefix("axiom-"), "(2)/(3)"
-            rows.append(_record(name, paper, r[cid], tol(cid), count[cid]))
+            rows.append(_record(name, paper, r[cid], tol(cid), asserted[cid]))
     return rows
 
 
-def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
+def evaluate(sdef: StructureDef, suite: str, count: int, seed: int,
              tolerances: Tolerances = Tolerances()) -> CheckReport:
-    """The report of `suite` on `points`: the one loop over sample points.
-    `seed`, that of the points' sample plan, is only written in the report.
+    """The report of `suite` at the `count` sample points of `seed`
+    (`sample_points`), so the seed a report names is that of its points.
 
-    Raises `EvaluationError`, naming the point, when a point lies outside the
-    chart domain or evaluating the structure there fails (a singular metric,
-    the square root of a negative, an overflow, a non-finite Q)."""
+    Raises `EvaluationError`, naming the point, when evaluating the structure
+    at a point fails (a singular metric, the square root of a negative, an
+    overflow, a non-finite Q)."""
     parts = SUITES[suite]
     needed = list(dict.fromkeys(cid for part in parts for cid in _inputs(part)))
     order = _with_hypotheses(needed)
@@ -625,8 +619,6 @@ def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
 
     def run(chunk) -> list[dict]:
         """The residuals of each `BLOCK`-point state of `chunk`; raises what fails first."""
-        if not sdef.contains(chunk).all():
-            raise ValueError("outside the chart domain")
         fields = eval_tape(sdef.tape, chunk, jet_order)
         return [_residuals(PointState(chunk, fields, slice(lo, lo + BLOCK)), order, tol)
                 for lo in range(0, len(chunk), BLOCK)]
@@ -644,22 +636,16 @@ def evaluate(sdef: StructureDef, suite: str, points, seed: int = 7,
         half = len(chunk) // 2
         return split(chunk[:half]) + split(chunk[half:])
 
-    points = np.asarray(points, dtype=float)
-    worst, count = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
+    points = sample_points(count, seed, sdef.domain)
+    worst, asserted = dict.fromkeys(needed, 0.0), dict.fromkeys(needed, 0)
     for start in range(0, len(points), chunk_size):
         for result in split(points[start : start + chunk_size]):
             for cid in needed:
                 value, on = result[cid]  # sizes, 0 where not asserted
                 worst[cid] = float(np.maximum(worst[cid], value.max()))  # keeps NaN
-                count[cid] += int(np.count_nonzero(on))
+                asserted[cid] += int(np.count_nonzero(on))
 
     report = CheckReport(suite, sdef.name, seed, tolerances._asdict())
     for part in parts:
-        report.checks += _rows(part, worst, count, len(points), tol)
+        report.checks += _rows(part, worst, asserted, count, tol)
     return report
-
-
-def run_suite(sdef: StructureDef, suite: str, plan: SamplePlan = SamplePlan(),
-              tolerances: Tolerances = Tolerances()) -> CheckReport:
-    """`evaluate` at the sample points of `plan`."""
-    return evaluate(sdef, suite, sample_points(plan, sdef.domain), plan.seed, tolerances)

@@ -4,7 +4,7 @@ import pytest
 from wqcm.catalog import catalog
 from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.structure import PointState
-from wqcm.suites import SamplePlan, sample_points
+from wqcm.suites import sample_points
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def flat_const():
 
 
 def points_for(sdef, count: int = 8, seed: int = 7):
-    return sample_points(SamplePlan(count=count, seed=seed), sdef.domain)
+    return sample_points(count, seed, sdef.domain)
 
 
 def state_at(sdef, point) -> PointState:

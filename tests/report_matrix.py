@@ -8,7 +8,7 @@
                                                   outputs differ; exit 1 if any
 
 OUT.json maps each command line to [exit code, stdout, stderr].  The inputs
-are the same whichever tree runs: the built-ins, four structure files of
+are the same whichever tree runs: the built-ins, five structure files of
 `tests/data` and the validate-heavy input `heavy_structure(7)` of
 `perfbench/workloads.py`, which is loaded read-only (no bytecode is written
 next to it).  The files are copied into a temporary directory and named
@@ -37,8 +37,10 @@ BUILTINS = [
     ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}), ("scaled", {"n": 2, "s": 0.5}),
     ("flat-const", {}),
 ]
-# the last is crafted: tr h^2 overflows to -inf at every point
-FILES = ["sasakian-r3-padded.json", "dense-r13-const.json", "sasakian-r3-nan.json", "sasakian-r3-trh2-overflow.json"]
+# the last two are crafted: tr h^2 overflows to -inf at every point, and a
+# metric entry of 1e300 overflows the frame products of the f-basis
+FILES = ["sasakian-r3-padded.json", "dense-r13-const.json", "sasakian-r3-nan.json", "sasakian-r3-trh2-overflow.json",
+         "sasakian-r3-huge-metric.json"]
 HEAVY = "heavy.json"
 REPORTS = [["validate"], ["classify"], *(["check", s] for s in ("identity", "curvature", "theorems", "all"))]
 JSON = ["--format", "json", "--no-timestamp"]
@@ -73,6 +75,9 @@ def commands(documents: dict) -> list[list[str]]:
         out.append(["check", "all", source, "--points", "4", "--no-timestamp"])
     # the quasi gate passes at 2 of the 32 points
     out.append(["check", "all", "builtin:scaled?n=1,s=2", "--points", "32", "--seed", "7", "--tol-deriv", "5", *JSON])
+    # a tolerance whose tenfold overflows, and the largest one whose tenfold does not
+    for tol in ("1e308", repr(sys.float_info.max / 10)):
+        out.append(["check", "theorems", "sasakian-r3-trh2-overflow.json", "--points", "8", "--tol-curv", tol, *JSON])
     # f-basis points drawn from each domain widened by 10% on both sides
     rng = random.Random(FBASIS_SEED)
     for _ in range(FBASIS_POINTS):

@@ -15,9 +15,7 @@ from wqcm.catalog import catalog, document
 from wqcm.cli import EXIT_OK, run_cli
 from wqcm.exprdsl import compile_tape
 from wqcm.geometry import christoffel
-from wqcm.suites import SamplePlan, run_suite, sample_points
-
-PLAN32 = SamplePlan(count=32, seed=7)
+from wqcm.suites import evaluate, sample_points
 
 
 @pytest.fixture
@@ -74,7 +72,7 @@ def test_1_ad_kernel_matches_finite_differences(announce):
     ok = True
     for text, coords, domain in cases:
         tape = compile_tape({"e": text}, coords)
-        for point in sample_points(PLAN32, domain):
+        for point in sample_points(32, 7, domain):
             d = len(point)
             _, grad, hess = eval_at(tape, point)["e"]
 
@@ -110,7 +108,7 @@ def test_1_ad_kernel_matches_finite_differences(announce):
 def test_2_levi_civita_contract(announce):
     worst = 0.0
     for sdef in all_catalog_structures():
-        for point in sample_points(PLAN32, sdef.domain):
+        for point in sample_points(32, 7, sdef.domain):
             m = state_at(sdef, point)
             (g,), (dg,), (g_inv,) = m.g, m.dg, m.g_inv
             gamma = christoffel(g_inv, dg)
@@ -132,10 +130,10 @@ def test_3_sasakian_axioms_and_classes(announce):
     detail = []
     for key in ("sasakian-r3", "sasakian-r5"):
         sdef = catalog(key)
-        rep = run_suite(sdef, "validate", PLAN32)
+        rep = evaluate(sdef, "validate", 32, 7)
         worst = max(c.max_residual for c in rep.checks)
         ok = ok and not rep.failed and worst < 1e-12
-        cls = {c.id: c for c in run_suite(sdef, "classify", PLAN32).checks}
+        cls = {c.id: c for c in evaluate(sdef, "classify", 32, 7).checks}
         for name in (
             "contact-metric",
             "quasi",
@@ -157,7 +155,7 @@ def test_4_sasakian_exact_values(announce):
     rng = np.random.default_rng(42)
     for key, n in (("sasakian-r3", 1), ("sasakian-r5", 2)):
         sdef = catalog(key)
-        for point in sample_points(SamplePlan(count=8, seed=7), sdef.domain):
+        for point in sample_points(8, 7, sdef.domain):
             st = state_at(sdef, point)
             ok = ok and np.max(np.abs(st.h)) < 1e-9
             ok = ok and np.max(np.abs(st.nabla_xi + st.f)) < 1e-9
@@ -206,12 +204,12 @@ def test_5_identity_suite_gating(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_suite(catalog(key), "identity", PLAN32)
+        report = evaluate(catalog(key), "identity", 32, 7)
         by_id = {c.id: c for c in report.checks}
         for cid in LEMMA_IDS:
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
             worst = max(worst, by_id[cid].max_residual)
-    scaled = run_suite(catalog("scaled", n=1, s=2.0), "identity", PLAN32)
+    scaled = evaluate(catalog("scaled", n=1, s=2.0), "identity", 32, 7)
     by_id = {c.id: c for c in scaled.checks}
     for cid in LEMMA_IDS[:-1]:  # all quasi-gated checks
         ok = ok and by_id[cid].verdict == "skipped"
@@ -225,7 +223,7 @@ def test_6_curvature_identities(announce):
     ok = True
     worst = 0.0
     for key in ("sasakian-r3", "sasakian-r5"):
-        report = run_suite(catalog(key), "curvature", PLAN32)
+        report = evaluate(catalog(key), "curvature", 32, 7)
         by_id = {c.id: c for c in report.checks}
         for cid in ("eq14", "eq15"):
             ok = ok and by_id[cid].verdict == "pass" and by_id[cid].max_residual < 1e-8
@@ -238,15 +236,15 @@ def test_6_curvature_identities(announce):
 
 def test_7_scaled_fixture(announce):
     sdef = catalog("scaled", n=1, s=2.0)
-    ok = not run_suite(sdef, "validate", PLAN32).failed  # algebraic tier 1e-10
+    ok = not evaluate(sdef, "validate", 32, 7).failed  # algebraic tier 1e-10
 
-    cls = {c.id: c for c in run_suite(sdef, "classify", PLAN32).checks}
+    cls = {c.id: c for c in evaluate(sdef, "classify", 32, 7).checks}
     canonical = cls["quasi-canonical-direction"].max_residual
     ok = ok and abs(canonical - 8.0) < 1e-6
     for name in ("contact-metric", "normal"):
         ok = ok and cls[name].verdict == "fail" and cls[name].max_residual > 0.0
 
-    theorems = run_suite(sdef, "theorems", PLAN32)
+    theorems = evaluate(sdef, "theorems", 32, 7)
     by_id = {c.id: c for c in theorems.checks}
     for cid in ("t31-Qt-zero", "t33-Qt-zero", "t34-Qt-zero", "t35-Qt-zero", "p33-h-skew-symmetric"):
         ok = ok and by_id[cid].verdict == "skipped"
@@ -269,7 +267,7 @@ def test_8_f_basis_invariants(announce):
     ok = True
     worst = 0.0
     for sdef in all_catalog_structures():
-        for point in sample_points(SamplePlan(count=8, seed=7), sdef.domain):
+        for point in sample_points(8, 7, sdef.domain):
             st = state_at(sdef, point)
             (basis,), (lams,), (g,), (q,) = st.fbasis[0], st.fbasis[1], st.g, st.Q
 
@@ -298,13 +296,13 @@ def test_10_contact_volume(announce):
     smallest = math.inf
     for key in ("sasakian-r3", "sasakian-r5", "sasakian-r7"):
         sdef = catalog(key)
-        for point in sample_points(SamplePlan(count=4, seed=7), sdef.domain):
+        for point in sample_points(4, 7, sdef.domain):
             smallest = min(smallest, abs(state_at(sdef, point).contact_volume.item()))
     ok = smallest > 1e-6
     flat = catalog("flat-const")
     degenerate = max(
         abs(state_at(flat, p).contact_volume.item())
-        for p in sample_points(SamplePlan(count=4, seed=7), flat.domain)
+        for p in sample_points(4, 7, flat.domain)
     )
     ok = ok and degenerate < 1e-12
     announce(ok, f"min |vol| {smallest:.1e}, flat {degenerate:.1e}")

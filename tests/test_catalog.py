@@ -7,7 +7,7 @@ import pytest
 import wqcm.catalog as cat
 from wqcm.catalog import PARAMETERS, catalog, keys
 from wqcm.exprdsl import StructureDef, compile_tape, eval_tape, load_structure_def
-from wqcm.suites import SamplePlan, evaluate, run_suite
+from wqcm.suites import evaluate
 from conftest import points_for, state_at
 
 
@@ -21,22 +21,22 @@ def test_keys_listing():
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_family_satisfies_axioms(s):
     sdef = catalog("scaled", n=1, s=s)
-    rep = evaluate(sdef, "validate", points_for(sdef, count=6))
+    rep = evaluate(sdef, "validate", 6, 7)
     assert not rep.failed, [c.id for c in rep.checks if c.verdict == "fail"]
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
 def test_scaled_canonical_quasi_residual(s):
     sdef = catalog("scaled", n=1, s=s)
-    rep = {c.id: c for c in evaluate(sdef, "classify", points_for(sdef, count=4)).checks}
+    rep = {c.id: c for c in evaluate(sdef, "classify", 4, 7).checks}
     expected = abs(s + s**3 - 2.0)
     assert rep["quasi-canonical-direction"].max_residual == pytest.approx(expected, abs=1e-6)
 
 
 def test_scaled_s1_matches_sasakian(sasakian_r3):
     scaled1 = catalog("scaled", n=1, s=1.0)
-    a = evaluate(scaled1, "classify", points_for(scaled1, count=6))
-    b = evaluate(sasakian_r3, "classify", points_for(sasakian_r3, count=6))
+    a = evaluate(scaled1, "classify", 6, 7)
+    b = evaluate(sasakian_r3, "classify", 6, 7)
     assert [c.id for c in a.checks] == [c.id for c in b.checks]
     for u, v in zip(a.checks, b.checks):
         assert u.verdict == v.verdict, u.id
@@ -167,10 +167,10 @@ def frame_structure(name: str, data: tuple) -> StructureDef:
 @pytest.mark.parametrize("a, h_max", [(0.25, 1.0), (0.125, 0.5)])
 def test_e2_is_contact_metric_but_not_k_contact(a, h_max):
     sdef = frame_structure(f"e2-a{a}", e2_frame(a))
-    report = run_suite(sdef, "all")
+    report = evaluate(sdef, "all", 32, 7)
     # the skipped rows are the hypotheses of Theorems 3.1 and 3.3-3.5 and of Prop 3.3, and what they gate
     assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 38, "skipped": 22}
-    failed = [c.id for c in run_suite(sdef, "classify").checks if c.verdict == "fail"]
+    failed = [c.id for c in evaluate(sdef, "classify", 32, 7).checks if c.verdict == "fail"]
     assert failed == ["normal", "sasakian", "nearly-sasakian", "killing-xi", "k-contact"]
     for point in points_for(sdef, count=32):
         st = state_at(sdef, point)
@@ -180,9 +180,9 @@ def test_e2_is_contact_metric_but_not_k_contact(a, h_max):
 
 def test_heisenberg_frame_is_sasakian():
     sdef = frame_structure("heisenberg", heisenberg_frame())
-    report = run_suite(sdef, "all")
+    report = evaluate(sdef, "all", 32, 7)
     assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 58, "skipped": 2}
-    classes = run_suite(sdef, "classify").checks
+    classes = evaluate(sdef, "classify", 32, 7).checks
     assert len(classes) == 9 and all(c.verdict == "pass" for c in classes)
 
 
@@ -205,15 +205,14 @@ def d_homothetic(monkeypatch, key: str, a: float, xi_z: float) -> StructureDef:
 @pytest.mark.parametrize("key", ["sasakian-r3", "sasakian-r5"])
 def test_d_homothety_keeps_sasakian_verdicts(monkeypatch, key, a):
     sdef = d_homothetic(monkeypatch, key, a, 2 / a)
-    plan = SamplePlan(count=16, seed=7)
-    report = run_suite(sdef, "all", plan)
+    report = evaluate(sdef, "all", 16, 7)
     assert not report.failed and Counter(c.verdict for c in report.checks) == {"pass": 58, "skipped": 2}
-    classes = run_suite(sdef, "classify", plan).checks
+    classes = evaluate(sdef, "classify", 16, 7).checks
     assert len(classes) == 9 and all(c.verdict == "pass" for c in classes)
 
 
 def test_d_homothety_without_rescaled_xi_fails_eta_normalization(monkeypatch):
     """With xi' left at 2 E_z, eta'(xi') = a^2."""
     sdef = d_homothetic(monkeypatch, "sasakian-r3", 3.0, 2.0)
-    rows = {c.id: c for c in run_suite(sdef, "validate", SamplePlan(count=16, seed=7)).checks}
+    rows = {c.id: c for c in evaluate(sdef, "validate", 16, 7).checks}
     assert rows["eta-normalization"].verdict == "fail"

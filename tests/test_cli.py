@@ -16,7 +16,7 @@ from wqcm import geometry
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
 from wqcm.catalog import document
 from wqcm.exprdsl import eval_tape, load_structure_def
-from wqcm.suites import SamplePlan, sample_points
+from wqcm.suites import sample_points
 from test_exprdsl import COORDS, exprs
 from test_perfbench_oracle import WORKLOADS
 
@@ -34,6 +34,8 @@ NAN = str(DATA / "sasakian-r3-nan.json")
 # sasakian-r3 with f_01 and f_10 perturbed by +-1e-10 sin(1e170 z): h_01 = -h_10
 # is about 6.2e159, so tr h^2 overflows to -inf at every point
 OVERFLOW = str(DATA / "sasakian-r3-trh2-overflow.json")
+# sasakian-r3 with metric cell [2][2] = 1e300: the f-basis's frame products overflow
+HUGE_METRIC = str(DATA / "sasakian-r3-huge-metric.json")
 
 
 def test_list_command():
@@ -476,6 +478,54 @@ def test_an_overflowing_hypothesis_fails_closed():
     assert (row["max_residual"], row["verdict"], row["points"]) == ("inf", "fail", 8)
 
 
+# a conclusion is held to 10x its tier: the largest tolerance is the largest
+# float whose tenfold is finite
+TOL_MAX = sys.float_info.max / 10
+
+
+def test_a_tolerance_whose_tenfold_overflows_is_a_usage_error():
+    code, out, err = run(["check", "theorems", OVERFLOW, "--points", "8", "--no-timestamp", "--tol-curv", "1e308"])
+    usage = "usage: wqcm [-h] {validate,classify,check,fbasis,list} ...\n"
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: argument --tol-curv: must be at most 1.7976931348623158e+307, got 1e+308\n" + usage
+    assert repr(TOL_MAX) == "1.7976931348623158e+307" and math.isfinite(10.0 * TOL_MAX)
+    assert not math.isfinite(10.0 * math.nextafter(TOL_MAX, math.inf))
+
+
+@pytest.mark.parametrize("source, points", [(OVERFLOW, "8"), ("builtin:sasakian-r3", "2")],
+                         ids=["overflow", "sasakian-r3"])
+def test_the_largest_tolerance_keeps_every_row_finite(source, points):
+    """At the bound every row's tolerance is finite: an infinite conclusion
+    still fails, and the JSON report stays strict."""
+    argv = ["check", "theorems", source, "--points", points, "--format", "json", "--no-timestamp"]
+    code, out, err = run([*argv, "--tol-curv", repr(TOL_MAX)])
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+    assert err == "" and all(math.isfinite(c["tol"]) for c in report["checks"])
+    assert_sizes(report)
+    if source == OVERFLOW:
+        row = next(c for c in report["checks"] if c["id"] == "t35-2h2-eq-Qt2")
+        assert (code, row["max_residual"], row["verdict"], row["tol"]) == (EXIT_FAIL, "inf", "fail", 10.0 * TOL_MAX)
+
+
+HUGE_POINT = "[-0.8312499999999999, 0.7388888888888887, 0.26600000000000024]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: Q is not finite"),
+    (["classify", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: Q is not finite"),
+    (["check", "theorems", HUGE_METRIC, "--points", "4"],
+     f"at sample point {HUGE_POINT}: the projector onto ker eta is not finite"),
+    (["check", "all", HUGE_METRIC, "--points", "4"],
+     f"at sample point {HUGE_POINT}: the projector onto ker eta is not finite"),
+    (["fbasis", HUGE_METRIC, "--at", "0.1,0.2,0.3"],
+     "at point [0.1, 0.2, 0.3]: the projector onto ker eta is not finite"),
+], ids=["validate", "classify", "check-theorems", "check-all", "fbasis"])
+def test_a_huge_metric_names_the_tensor_not_lapack(argv, message):
+    """g_22 = 1e300 overflows the frame products of Q and of the projector
+    onto ker eta; they are checked before LAPACK sees them."""
+    assert run(argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 REPORT_SOURCES = [
     "builtin:sasakian-r3", "builtin:sasakian-r5", "builtin:sasakian-r7", "builtin:scaled?n=1,s=2",
     "builtin:scaled?n=3,s=2", "builtin:scaled?n=2,s=0.5", "builtin:flat-const",
@@ -679,7 +729,7 @@ def test_error_names_the_first_failing_sample_point(tmp_path):
     doc = document("flat-const")
     doc["metric"][0][0] = "x + 0.5"
     doc["xi"][0] = "sqrt(y)"
-    first, second = sample_points(SamplePlan(count=2, seed=7), doc["domain"])
+    first, second = sample_points(2, 7, doc["domain"])
     assert first[0] + 0.5 < 0.0 < first[1] and second[0] + 0.5 > 0.0 > second[1]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
@@ -705,7 +755,7 @@ def test_error_in_a_block_names_its_first_failing_point(tmp_path, monkeypatch, c
     # g_11 = x - x_k is positive at the lanes before k and 0 at lane k, so
     # the Cholesky of the whole block fails; its chunk is then searched by
     # halves, and the error is that of lane k alone
-    points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
+    points = sample_points(32, 7, document("flat-const")["domain"])
     x = [p[0] for p in points]
     k = next(k for k in range(1, 32) if x[k] < min(x[:k]))
     assert k == 8
@@ -736,7 +786,7 @@ def test_tape_error_at_lane_40_names_its_point(tmp_path, monkeypatch, command):
     # (order 1) the tape fails over the one 64-point chunk before any state
     # is built, and its first half passes whole.  Either way lanes 32-39
     # pass, and 40-47, 40-43, 40-41 and 40 fail in the tape
-    points = sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
+    points = sample_points(64, 7, document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"(x - ({float(points[40][0])!r}))^-2"
     path = tmp_path / "s.json"
@@ -760,7 +810,7 @@ def test_the_first_failing_point_in_sample_order_wins_over_tape_order(tmp_path, 
     # In one chunk of either jet order, lane 20 fails at the metric, which
     # the tape evaluates before xi, and lane 10 fails only at xi; the error
     # is that of lane 10, with its own message
-    points = sample_points(SamplePlan(count=32, seed=7), document("flat-const")["domain"])
+    points = sample_points(32, 7, document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"1 + 0 * (x - ({float(points[20][0])!r}))^-2"
     doc["xi"][2] = f"1 + 0 * sqrt((x - ({float(points[10][0])!r}))^2 + (y - ({float(points[10][1])!r}))^2 - 1e-12)"

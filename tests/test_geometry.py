@@ -17,7 +17,7 @@ from wqcm.geometry import (
     orthonormal_frame,
     sectional,
 )
-from wqcm.suites import SamplePlan, sample_points
+from wqcm.suites import sample_points
 
 SPHERE_COORDS = ["theta", "phi"]
 SPHERE_METRIC = [["1", "0"], ["0", "sin(theta)^2"]]
@@ -108,7 +108,7 @@ def catalog_metric_points(key, count=6, **kw):
     """The metric arrays of a catalog structure at sample points, one point at
     a time (the geometry functions take any leading axes, or none)."""
     sdef = catalog(key, **kw)
-    for point in sample_points(SamplePlan(count=count), sdef.domain):
+    for point in sample_points(count, 7, sdef.domain):
         st = state_at(sdef, point)
         m = SimpleNamespace(dim=st.dim, **{k: getattr(st, k)[0] for k in ("g", "dg", "ddg", "g_inv", "frame", "xi")})
         m.ric_xi_xi = st.ric_xi_xi.item()

@@ -47,7 +47,7 @@ from wqcm.catalog import catalog, document
 from wqcm.cli import run_cli
 from wqcm.exprdsl import load_structure_def
 from wqcm.structure import PointState
-from wqcm.suites import SamplePlan, run_suite
+from wqcm.suites import evaluate
 
 DATA = Path(__file__).parent / "data"
 SOURCES = {
@@ -134,7 +134,7 @@ def test_mixed_gate_report_matches_pinned():
 
 def test_a_gated_check_sees_only_the_points_that_pass_its_gate(monkeypatch):
     sdef = catalog("scaled", n=1, s=2.0)
-    points = suites.sample_points(SamplePlan(count=32, seed=7), sdef.domain)
+    points = suites.sample_points(32, 7, sdef.domain)
     quasi = [suites.CHECKS["quasi"].residual(state_at(sdef, p)).item() for p in points]
     gated_in = [p for p, q in zip(points, quasi) if q <= 5.0]
     assert len(gated_in) == 2 and min(quasi) > 1e-9
@@ -166,7 +166,7 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
     count(geometry, "christoffel")
     count(geometry, "curvature_z")
     count(np.linalg, "eigh")  # 2n = 2 eigensolves per f-basis, and no other caller
-    run_suite(catalog("sasakian-r3"), "all", SamplePlan(count=suites.BLOCK + 8, seed=7))
+    evaluate(catalog("sasakian-r3"), "all", suites.BLOCK + 8, 7)
     assert calls["christoffel"] == 2 and calls["curvature_z"] == 2  # two blocks
     assert 0 < calls["eigh"] <= 2 * 2
 
@@ -204,9 +204,9 @@ def record_states_and_blocks(monkeypatch):
     return states, arrays, chunks
 
 
-def test_one_state_per_block_and_none_outlives_run_suite(monkeypatch):
+def test_one_state_per_block_and_none_outlives_evaluate(monkeypatch):
     states, arrays, chunks = record_states_and_blocks(monkeypatch)
-    run_suite(catalog("sasakian-r3"), "all", SamplePlan(count=8, seed=7))
+    evaluate(catalog("sasakian-r3"), "all", 8, 7)
     gc.collect()
     assert chunks == [(8, 2)] and len(states) == 1
     assert len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
@@ -214,7 +214,7 @@ def test_one_state_per_block_and_none_outlives_run_suite(monkeypatch):
     assert not [ref for ref in arrays if ref() is not None]
 
 
-def test_no_sub_state_outlives_run_suite(monkeypatch):
+def test_no_sub_state_outlives_evaluate(monkeypatch):
     states, arrays, _ = record_states_and_blocks(monkeypatch)
     assert report(MIXED)["checks"]
     gc.collect()
@@ -234,7 +234,7 @@ def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, ch
     """One chunk of tape arrays alive at a time, and one state per block of
     `suites.BLOCK` points (every gate of sasakian-r3 passes everywhere)."""
     states, arrays, seen = record_states_and_blocks(monkeypatch)
-    run_suite(catalog("sasakian-r3"), suite, SamplePlan(count=count, seed=7))
+    evaluate(catalog("sasakian-r3"), suite, count, 7)
     assert seen == chunks
     assert len(states) == -(-count // suites.BLOCK) and len(arrays) == len(chunks) * arrays_per_chunk
     assert not [ref for ref in arrays if ref() is not None]
@@ -259,13 +259,13 @@ def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chu
     """g_11 fails at lane 40 alone, in the states or in the tape.  The chunk
     that holds it is searched by halves, and no array of a run that failed
     is alive when the next run of the tape starts."""
-    points = suites.sample_points(SamplePlan(count=64, seed=7), document("flat-const")["domain"])
+    points = suites.sample_points(64, 7, document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = cell.format(x=repr(float(points[40][0])))
     sdef = load_structure_def(doc)
     _, arrays, seen = record_states_and_blocks(monkeypatch)
     with pytest.raises(suites.EvaluationError) as error:
-        suites.evaluate(sdef, suite, points, 7)
+        evaluate(sdef, suite, 64, 7)
     assert str(error.value) == f"at sample point {points[40].tolist()}: {message}"
     # the arrays of every run of the tape were recorded, the failed ones too
     assert seen == chunks and len(arrays) == len(chunks) * arrays_per_chunk
@@ -275,13 +275,13 @@ def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
     """A 128-point chunk of order 1 that fails at lane 127 alone runs the
     tape at most 2 * log2(128) + 1 = 15 times: the chunk, then two halves
     per level (one passes, one fails) down to the one point."""
-    points = suites.sample_points(SamplePlan(count=128, seed=7), document("flat-const")["domain"])
+    points = suites.sample_points(128, 7, document("flat-const")["domain"])
     doc = document("flat-const")
     doc["metric"][0][0] = f"1 + 0 * (x - ({float(points[127][0])!r}))^-2"
     sdef = load_structure_def(doc)
     _, _, seen = record_states_and_blocks(monkeypatch)
     with pytest.raises(suites.EvaluationError) as error:
-        suites.evaluate(sdef, "validate", points, 7)
+        evaluate(sdef, "validate", 128, 7)
     assert str(error.value) == f"at sample point {points[127].tolist()}: negative power of zero jet value"
     assert seen[0] == (128, 1) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
 
@@ -334,7 +334,7 @@ def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_der
     tol = tolerance(tol_deriv)
     assert sorted(suites._with_hypotheses(suites.CHECKS)) == sorted(suites.CHECKS)
     order = suites._with_hypotheses(suites.CHECKS) if jet_order == 2 else FIRST_ORDER
-    points = np.array(suites.sample_points(SamplePlan(count=count, seed=seed), sdef.domain))
+    points = np.array(suites.sample_points(count, seed, sdef.domain))
     blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, jet_order)]
     singles = [suites._residuals(state_at(sdef, p), order, tol) for p in points]
     for cid in order:
@@ -356,7 +356,7 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
     needed.  What reads a Hessian raises on an order-1 state."""
     sdef, tol = structure(index), tolerance(tol_deriv)
     assert all(suites.CHECKS[cid].tier != "curv" for cid in FIRST_ORDER)
-    points = np.array(suites.sample_points(SamplePlan(count=suites.BLOCK, seed=7), sdef.domain))
+    points = np.array(suites.sample_points(suites.BLOCK, 7, sdef.domain))
     (first,), (second,) = (list(block_states(sdef, points, jet_order)) for jet_order in (1, 2))
     assert first.ddg is None and first.ddf is None and first.ddxi is None
     one, two = suites._residuals(first, FIRST_ORDER, tol), suites._residuals(second, FIRST_ORDER, tol)
@@ -376,17 +376,17 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
 def test_the_jet_order_is_that_of_the_checks_run(monkeypatch, suite, jet_order):
     """Second derivatives only for a suite that runs a curvature-tier check."""
     _, _, chunks = record_states_and_blocks(monkeypatch)
-    run_suite(structure(0), suite, SamplePlan(count=8, seed=7))
+    evaluate(structure(0), suite, 8, 7)
     assert chunks == [(8, jet_order)]
 
 
 @functools.cache
 def single_point_reports(index, suite):
-    """The reports of `suite` on each of the first 300 sample points alone
-    (seed 7): one state of one point per report."""
+    """The reports of `suite` on each of the first 300 sample points of seed 7
+    alone: one state of one point per report."""
     sdef = structure(index)
-    points = suites.sample_points(SamplePlan(count=300, seed=7), sdef.domain)
-    return [suites.evaluate(sdef, suite, [p], 7) for p in points]
+    # point i of seed 7 has Halton index 8 + i, as point 0 of seed 7 + i has
+    return [evaluate(sdef, suite, 1, 7 + i) for i in range(300)]
 
 
 def combined(reports):
@@ -411,7 +411,7 @@ def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
     """Reports over first-order chunks of 8 blocks, whole and partial, equal
     the reports of each point alone put together."""
     sdef = structure(index)
-    got = run_suite(sdef, suite, SamplePlan(count=count, seed=7))
+    got = evaluate(sdef, suite, count, 7)
     want = combined(single_point_reports(index, suite)[:count])
     doc = dict(vars(got), checks=[c._asdict() for c in got.checks])
     assert_same_report(doc, dict(doc, checks=want))
@@ -431,6 +431,5 @@ def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_de
         return residuals(st, *args)
 
     monkeypatch.setattr(suites, "_residuals", counted)
-    plan = SamplePlan(count=suites.BLOCK + 8, seed=7)
-    run_suite(structure(index), suite, plan, suites.Tolerances(deriv=tol_deriv))
+    evaluate(structure(index), suite, suites.BLOCK + 8, 7, suites.Tolerances(deriv=tol_deriv))
     assert sizes == [suites.BLOCK, 8]

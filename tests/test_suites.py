@@ -3,51 +3,82 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from conftest import points_for, state_at
 from wqcm import suites
-from wqcm.exprdsl import eval_tape
+from wqcm.catalog import document
+from wqcm.exprdsl import eval_tape, load_structure_def
 from wqcm.structure import PointState
 from wqcm.suites import (
     CheckRecord,
     CheckReport,
-    SamplePlan,
     Tolerances,
     emit_report,
-    run_suite,
+    evaluate,
     sample_points,
 )
 
 DOMAIN3 = [(-1.0, 1.0)] * 3
-PLAN = SamplePlan(count=8, seed=7)
 
 
 def test_sample_points_deterministic_and_in_margin():
     for dim in (3, 11):
         domain = [(-1.0, 1.0)] * dim
-        a = sample_points(PLAN, domain)
-        b = sample_points(PLAN, domain)
+        a = sample_points(8, 7, domain)
+        b = sample_points(8, 7, domain)
         assert a.shape == (8, dim)
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
         for p in a:
             assert p.shape == (dim,) and np.all(p >= -0.95) and np.all(p <= 0.95)
         # a different seed shifts the halton stream
-        c = sample_points(SamplePlan(count=8, seed=11), domain)
+        c = sample_points(8, 11, domain)
         assert any(not np.array_equal(u, v) for u, v in zip(a, c))
     # the first coordinates keep their bases as coordinates are added; the
     # eleventh has base 31, so the first point (index seed + 1 = 8) sits at 8/31
-    assert np.array_equal(np.array(a)[:, :3], np.array(sample_points(PLAN, DOMAIN3)))
+    assert np.array_equal(np.array(a)[:, :3], np.array(sample_points(8, 7, DOMAIN3)))
     assert a[0][10] == pytest.approx(-0.95 + 1.9 * 8 / 31, abs=1e-15)
 
 
-def test_sample_points_bad_inputs():
-    with pytest.raises(ValueError):
-        sample_points(PLAN, [(1.0, -1.0)])
+@hs.composite
+def intervals(draw):
+    """A domain interval the loader accepts: finite bounds, lo < hi and a
+    finite width, from one ulp wide to bounds near the largest float."""
+    lo = draw(hs.floats(-math.inf, math.inf, allow_nan=False, allow_infinity=False))
+    if draw(hs.booleans()):
+        hi = lo
+        for _ in range(draw(hs.integers(1, 3))):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        hi = lo + draw(hs.floats(0.0, math.inf, allow_infinity=False, exclude_min=True))
+    assume(lo < hi < math.inf and math.isfinite(hi - lo))
+    return [lo, hi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(box=hs.lists(intervals(), min_size=3, max_size=3), count=hs.integers(1, 40), seed=hs.integers(0, 10**6))
+def test_sample_points_lie_in_every_box_the_loader_accepts(box, count, seed):
+    """`evaluate` checks no point against the domain: every box comes from
+    the loader, and the sample points of any such box lie in it."""
+    sdef = load_structure_def({**document("flat-const"), "domain": box})
+    points = sample_points(count, seed, sdef.domain)
+    assert sdef.contains(points).all(), points[~sdef.contains(points)].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=hs.lists(intervals(), min_size=1, max_size=11), count=hs.integers(1, 40), seed=hs.integers(0, 10**9))
+def test_point_i_of_a_seed_is_point_0_of_the_seed_plus_i(box, count, seed):
+    """Point i of (count, seed) and point 0 of (1, seed + i) have the same
+    Halton index, seed + 1 + i, and the same bits."""
+    points = sample_points(count, seed, box)
+    singles = np.concatenate([sample_points(1, seed + i, box) for i in range(count)])
+    assert points.tobytes() == singles.tobytes()
 
 
 def test_identity_suite_all_pass_on_sasakian(sasakian_r3):
-    report = run_suite(sasakian_r3, "identity", PLAN)
+    report = evaluate(sasakian_r3, "identity", 8, 7)
     assert not report.failed
     assert all(c.verdict == "pass" for c in report.checks)
     ids = {c.id for c in report.checks}
@@ -55,7 +86,7 @@ def test_identity_suite_all_pass_on_sasakian(sasakian_r3):
 
 
 def test_identity_suite_gates_on_scaled(scaled2):
-    report = run_suite(scaled2, "identity", PLAN)
+    report = evaluate(scaled2, "identity", 8, 7)
     assert not report.failed
     by_id = {c.id: c for c in report.checks}
     for cid in ("lemma21-5", "lemma21-10", "eq13-h"):
@@ -65,17 +96,17 @@ def test_identity_suite_gates_on_scaled(scaled2):
 
 
 def test_curvature_suite(sasakian_r3, scaled2):
-    good = run_suite(sasakian_r3, "curvature", PLAN)
+    good = evaluate(sasakian_r3, "curvature", 8, 7)
     assert all(c.verdict == "pass" for c in good.checks)
-    gated = run_suite(scaled2, "curvature", PLAN)
+    gated = evaluate(scaled2, "curvature", 8, 7)
     assert all(c.verdict == "skipped" for c in gated.checks)
     assert not gated.failed
 
 
 def test_theorem_suite_gating(sasakian_r3, scaled2, flat_const):
-    assert not run_suite(sasakian_r3, "theorems", PLAN).failed
+    assert not evaluate(sasakian_r3, "theorems", 8, 7).failed
     for sdef in (scaled2, flat_const):
-        report = run_suite(sdef, "theorems", PLAN)
+        report = evaluate(sdef, "theorems", 8, 7)
         assert not report.failed  # unmet hypotheses skip, never fail
         by_id = {c.id: c for c in report.checks}
         for prefix in ("t31", "t33", "t34", "t35"):
@@ -84,11 +115,11 @@ def test_theorem_suite_gating(sasakian_r3, scaled2, flat_const):
 
 
 def test_run_all_concatenates(sasakian_r3):
-    combined = run_suite(sasakian_r3, "all", PLAN)
+    combined = evaluate(sasakian_r3, "all", 8, 7)
     parts = (
-        run_suite(sasakian_r3, "identity", PLAN).checks
-        + run_suite(sasakian_r3, "curvature", PLAN).checks
-        + run_suite(sasakian_r3, "theorems", PLAN).checks
+        evaluate(sasakian_r3, "identity", 8, 7).checks
+        + evaluate(sasakian_r3, "curvature", 8, 7).checks
+        + evaluate(sasakian_r3, "theorems", 8, 7).checks
     )
     assert [c.id for c in combined.checks] == [c.id for c in parts]
     assert combined.suite == "all"
@@ -103,7 +134,7 @@ def test_report_failed_ignores_skipped():
 
 
 def test_emit_report_json_schema(sasakian_r3):
-    report = run_suite(sasakian_r3, "identity", PLAN)
+    report = evaluate(sasakian_r3, "identity", 8, 7)
     doc = json.loads(emit_report(report, "json"))
     assert set(doc) == {"suite", "structure", "seed", "tol", "checks"}
     assert doc["structure"] == "sasakian-r3"
@@ -113,13 +144,13 @@ def test_emit_report_json_schema(sasakian_r3):
 
 
 def test_emit_report_deterministic(scaled2):
-    a = emit_report(run_suite(scaled2, "all", PLAN), "json")
-    b = emit_report(run_suite(scaled2, "all", PLAN), "json")
+    a = emit_report(evaluate(scaled2, "all", 8, 7), "json")
+    b = emit_report(evaluate(scaled2, "all", 8, 7), "json")
     assert a == b
 
 
 def test_emit_report_timestamp_and_formats(sasakian_r3):
-    report = run_suite(sasakian_r3, "identity", PLAN)
+    report = evaluate(sasakian_r3, "identity", 8, 7)
     report.timestamp = "2026-01-01T00:00:00+00:00"
     doc = json.loads(emit_report(report, "json"))
     assert "timestamp" in doc
@@ -130,14 +161,14 @@ def test_emit_report_timestamp_and_formats(sasakian_r3):
 
 
 def test_report_from_axioms(sasakian_r3):
-    report = run_suite(sasakian_r3, "validate", PLAN)
+    report = evaluate(sasakian_r3, "validate", 8, 7)
     assert not report.failed
     ids = {c.id for c in report.checks}
     assert "Q-positive-definite" in ids and "f-rank" in ids
 
 
 def test_report_from_classification(scaled2):
-    report = run_suite(scaled2, "classify", PLAN)
+    report = evaluate(scaled2, "classify", 8, 7)
     by_id = {c.id: c for c in report.checks}
     assert by_id["quasi-canonical-direction"].max_residual == pytest.approx(8.0, abs=1e-6)
     assert by_id["contact-metric"].verdict == "fail"
