@@ -110,7 +110,7 @@ def sectional(g: np.ndarray, x: np.ndarray, y: np.ndarray, rx: np.ndarray) -> np
     return np.sum(y * (g @ bilinear(rx, y, x)[..., 0]), axis=-2) / den
 
 
-# -- covariant derivatives (component level) -----------------------------------
+# -- nabla, L and d from partial derivatives; a state takes nabla eta, nabla Q and L_xi Q from nabla xi, nabla f --
 
 
 def cov_vector(gamma: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -118,19 +118,12 @@ def cov_vector(gamma: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return dv + mT((gamma @ v[..., None, :, None])[..., 0])
 
 
-def cov_oneform(gamma: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """nabla w for a 1-form: out[k, j] = d_k w_j - Gamma^m_kj w_m."""
-    return dw - contract(w[..., None, :], gamma)[..., 0, :, :]
-
-
 def cov_tensor11(gamma: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """nabla T for a (1,1)-tensor: out[k, i, j] = d_k T^i_j + Gamma^i_km T^m_j - Gamma^m_kj T^i_m."""
     return dt + (gamma @ t[..., None, :, :] - contract(t, gamma)).swapaxes(-3, -2)
 
 
-def lie_derivative_tensor11(
-    zv: np.ndarray, zd: np.ndarray, t: np.ndarray, dt: np.ndarray
-) -> np.ndarray:
+def lie_derivative_tensor11(zv: np.ndarray, zd: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """(L_Z T)^i_j = Z^k d_k T^i_j - T^k_j d_k Z^i + T^i_k d_j Z^k."""
     return contract(zv[..., None, :], dt)[..., 0, :, :] - mT(zd) @ t + t @ mT(zd)
 

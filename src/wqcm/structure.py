@@ -6,6 +6,10 @@ derived here:
     eta = g(xi, .)          Q = -f^2 + eta (x) xi       Qt = Q - id
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
+Covariant derivatives all come from nabla xi and nabla f (by nabla g = 0,
+the Leibniz rule and zero torsion: `nabla_eta`, `nabla_Q`, `lie_xi_Q`);
+partial derivatives of derived tensors feed only d eta, d Phi, h, xi.dh.
+
 A `PointState` is the only object that holds data for chart points: a block
 of P points, and all of it as plain arrays with the point axis first.  It
 holds the component arrays of g, f, xi and an explicit Q (values, gradients
@@ -86,16 +90,6 @@ class PointState:
         return -self.f @ self.f + self.xi @ self.eta
 
     @cached_property
-    def dQ(self):
-        """dQ[k, i, j] = d_k Q^i_j."""
-        return (
-            -(self.df @ self.f[:, None])
-            - self.f[:, None] @ self.df
-            + self.dxi[..., None] * self.eta[:, None]
-            + self.xi[:, None] * self.deta[:, :, None, :]
-        )
-
-    @cached_property
     def Qt(self):
         return self.Q - np.eye(self.dim)
 
@@ -109,13 +103,13 @@ class PointState:
     @cached_property
     def q_spectrum(self):
         """Eigenvalues of Q in a g-orthonormal frame, ascending (Q is g-self-adjoint)."""
-        m = _finite(mT(self.frame) @ self.g @ self.Q @ self.frame, "Q")
+        m = _finite(self.Q, "Q", self.frame, self.g)
         return np.linalg.eigvalsh(0.5 * (m + mT(m)))
 
     @cached_property
     def f_singular_values(self):
         """Singular values of f in a g-orthonormal frame, descending."""
-        return np.linalg.svd(_finite(mT(self.frame) @ self.g @ self.f @ self.frame, "f"), compute_uv=False)
+        return np.linalg.svd(_finite(self.f, "f", self.frame, self.g), compute_uv=False)
 
     @cached_property
     def Phi(self):
@@ -183,8 +177,8 @@ class PointState:
 
     @cached_property
     def nabla_eta(self):
-        """nabla_eta[k, j] = (nabla_k eta)_j."""
-        return geometry.cov_oneform(self.gamma, self.eta[:, 0], self.deta)
+        """nabla_eta[k, j] = (nabla_k eta)_j = g_jm (nabla_k xi)^m, as nabla g = 0."""
+        return mT(self.g @ self.nabla_xi)
 
     @cached_property
     def nabla_f(self):
@@ -192,7 +186,10 @@ class PointState:
 
     @cached_property
     def nabla_Q(self):
-        return geometry.cov_tensor11(self.gamma, self.Q, self.dQ)
+        """nabla_Q[k, i, j] = (nabla_k Q)^i_j, by the Leibniz rule on Q = -f^2 + xi (x) eta."""
+        nf, f = self.nabla_f, self.f[:, None]
+        t = mT(self.nabla_xi)[..., None] * self.eta[:, None] + self.xi[:, None] * self.nabla_eta[:, :, None, :]
+        return t - nf @ f - f @ nf
 
     @cached_property
     def nabla_xi_h(self):
@@ -203,12 +200,12 @@ class PointState:
     @cached_property
     def lie_xi_g(self):
         """(L_xi g)(X, Y) = g(nabla_X xi, Y) + g(X, nabla_Y xi)."""
-        m = self.g @ self.nabla_xi
-        return m + mT(m)
+        return self.nabla_eta + mT(self.nabla_eta)
 
     @cached_property
     def lie_xi_Q(self):
-        return geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.Q, self.dQ)
+        """L_xi Q = nabla_xi Q - (nabla xi) Q + Q (nabla xi): the connection is torsion-free."""
+        return self.along_xi(self.nabla_Q) - self.nabla_xi @ self.Q + self.Q @ self.nabla_xi
 
     def along_xi(self, t):
         """xi^k t[k, ...] for a tensor t[k, ...] at each point."""
@@ -282,8 +279,8 @@ class PointState:
         p = np.eye(self.dim) - xi @ self.eta
         columns, lams = [xi], []
         for k in range(2 * self.n, 0, -2):
-            w = frame @ np.linalg.eigh(_finite(mT(frame) @ g @ p @ frame, "the projector onto ker eta"))[1][..., -k:]
-            vals, vecs = np.linalg.eigh(_finite(mT(w) @ g @ q @ w, "Q"))
+            w = frame @ np.linalg.eigh(_finite(p, "the projector onto ker eta", frame, g))[1][..., -k:]
+            vals, vecs = np.linalg.eigh(_finite(q, "Q", w, g))
             rest = w @ (vecs * (vals - vals[:, :1] > 1e-9 * np.maximum(1.0, np.abs(vals[:, :1])))[:, None, :])
             proj = p - rest @ (mT(rest) @ g)  # g-orthogonal projector onto the eigenspace
             size = self.gnorm(proj)
@@ -351,12 +348,13 @@ class PointState:
         return 2.0 * self.h @ x
 
 
-def _finite(m: np.ndarray, name: str) -> np.ndarray:
+def _finite(m: np.ndarray, name: str, frame=None, g=None) -> np.ndarray:
     """`m`, checked before LAPACK sees it: NaN or inf entries of the tensor
-    `name` are a ValueError, not a LinAlgError."""
+    `name` are a ValueError, not a LinAlgError.  Given g-orthonormal columns
+    `frame`, m's matrix frame^T g m frame on them is checked too: it can overflow where m does not."""
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} is not finite")
-    return m
+    return m if frame is None else _finite(mT(frame) @ g @ m @ frame, f"{name} in the g-orthonormal frame")
 
 
 def WeakACM(sdef: StructureDef) -> StructureDef:

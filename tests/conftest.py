@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wqcm.catalog import catalog
+from wqcm.catalog import catalog, document
 from wqcm.exprdsl import compile_tape, eval_tape
 from wqcm.structure import PointState
 from wqcm.suites import sample_points
@@ -29,6 +29,15 @@ def flat_const():
 
 def points_for(sdef, count: int = 8, seed: int = 7):
     return sample_points(count, seed, sdef.domain)
+
+
+def sasakian_r3_edited():
+    """The curved sasakian-r3 metric with a xi and an f that vary from point
+    to point: every term of L_xi g and of h contributes."""
+    doc = document("sasakian-r3")
+    doc["xi"] = ["y1 * z", "x1 + z^2", "2 + sin(x1)"]
+    doc["f"] = [["x1 * y1", "1 + z", "y1"], ["-1 - z", "0", "cos(z)"], ["x1^2", "-y1", "z * x1"]]
+    return doc
 
 
 def state_at(sdef, point) -> PointState:

@@ -7,7 +7,10 @@
                                                   list the commands whose
                                                   outputs differ; exit 1 if any
 
-OUT.json maps each command line to [exit code, stdout, stderr].  The inputs
+OUT.json maps each command line to [exit code, stdout, stderr].  `--diff`
+follows each command that differs with how: `residuals only, max |Δ| = …`
+when the exit codes, the stderr and every field of the JSON stdout but
+`max_residual` agree, and `differs` otherwise.  The inputs
 are the same whichever tree runs: the built-ins, five structure files of
 `tests/data` and the validate-heavy input `heavy_structure(7)` of
 `perfbench/workloads.py`, which is loaded read-only (no bytecode is written
@@ -117,12 +120,38 @@ def run_matrix(src: Path) -> dict:
     return results
 
 
+def _without_residuals(node, residuals: list):
+    """A JSON value with each `max_residual` set to None; the values are
+    appended to `residuals` in document order."""
+    if isinstance(node, list):
+        return [_without_residuals(v, residuals) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if "max_residual" in node:
+        residuals.append(node["max_residual"])
+    return {k: None if k == "max_residual" else _without_residuals(v, residuals) for k, v in node.items()}
+
+
+def _how_they_differ(a, b) -> str:
+    """How two outcomes [exit code, stdout, stderr] of one command differ
+    (None where the command is missing)."""
+    ra, rb = [], []
+    try:
+        same = a[0] == b[0] and a[2] == b[2]
+        same = same and _without_residuals(json.loads(a[1]), ra) == _without_residuals(json.loads(b[1]), rb)
+    except (TypeError, ValueError):  # a missing command, or stdout that is not JSON
+        same = False
+    if not same or ra == rb:
+        return "differs"
+    return f"residuals only, max |Δ| = {max(abs(float(x) - float(y)) for x, y in zip(ra, rb) if x != y):.3g}"
+
+
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
         differ = [c for c in dict.fromkeys([*a, *b]) if a.get(c) != b.get(c)]
         for command in differ:
-            print(command)
+            print(f"{command}: {_how_they_differ(a.get(command), b.get(command))}")
         print(f"{len(differ)} of {len(set(a) | set(b))} commands differ", file=sys.stderr)
         return 1 if differ else 0
     if len(argv) != 2 or argv[0].startswith("-"):

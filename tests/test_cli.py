@@ -508,21 +508,21 @@ def test_the_largest_tolerance_keeps_every_row_finite(source, points):
 
 
 HUGE_POINT = "[-0.8312499999999999, 0.7388888888888887, 0.26600000000000024]"
+HUGE_Q = "Q in the g-orthonormal frame is not finite"
+HUGE_P = "the projector onto ker eta in the g-orthonormal frame is not finite"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["validate", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: Q is not finite"),
-    (["classify", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: Q is not finite"),
-    (["check", "theorems", HUGE_METRIC, "--points", "4"],
-     f"at sample point {HUGE_POINT}: the projector onto ker eta is not finite"),
-    (["check", "all", HUGE_METRIC, "--points", "4"],
-     f"at sample point {HUGE_POINT}: the projector onto ker eta is not finite"),
-    (["fbasis", HUGE_METRIC, "--at", "0.1,0.2,0.3"],
-     "at point [0.1, 0.2, 0.3]: the projector onto ker eta is not finite"),
+    (["validate", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: {HUGE_Q}"),
+    (["classify", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: {HUGE_Q}"),
+    (["check", "theorems", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: {HUGE_P}"),
+    (["check", "all", HUGE_METRIC, "--points", "4"], f"at sample point {HUGE_POINT}: {HUGE_P}"),
+    (["fbasis", HUGE_METRIC, "--at", "0.1,0.2,0.3"], f"at point [0.1, 0.2, 0.3]: {HUGE_P}"),
 ], ids=["validate", "classify", "check-theorems", "check-all", "fbasis"])
 def test_a_huge_metric_names_the_tensor_not_lapack(argv, message):
     """g_22 = 1e300 overflows the frame products of Q and of the projector
-    onto ker eta; they are checked before LAPACK sees them."""
+    onto ker eta, though both tensors are finite; the products are checked
+    before LAPACK sees them, and the message names the product."""
     assert run(argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 

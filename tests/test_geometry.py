@@ -3,17 +3,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import eval_at, state_at
-from wqcm.catalog import catalog
-from wqcm.exprdsl import compile_tape
+from conftest import eval_at, sasakian_r3_edited, state_at
+from wqcm.catalog import catalog, document
+from wqcm.exprdsl import compile_tape, load_structure_def
 from wqcm.geometry import (
     bilinear,
     christoffel,
-    cov_oneform,
     cov_tensor11,
     cov_vector,
     curvature_z,
     d_oneform,
+    lie_derivative_tensor11,
     orthonormal_frame,
     sectional,
 )
@@ -224,17 +224,27 @@ def test_covariant_derivative_leibniz_rule():
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
-def test_cov_oneform_kills_metric_pairing():
-    # d_k (w(v)) = (nabla_k w)(v) + w(nabla_k v) for w = g(u, .), u, v constant
-    for m in catalog_metric_points("sasakian-r3", count=3):
-        gamma = christoffel_of(m)
-        u = np.array([0.7, -0.2, 1.0])
-        w = m.g @ u
-        dw = np.einsum("kij,j->ki", m.dg, u)
-        nw = cov_oneform(gamma, w, dw)
-        nu = cov_vector(gamma, u, np.zeros((3, 3)))
-        # nabla g = 0  =>  (nabla_k w)_j = g(nabla_k u, .)_j
-        assert np.allclose(nw, np.einsum("ki,ij->kj", nu, m.g), atol=1e-10)
+@pytest.mark.parametrize("doc, varies", [(document("sasakian-r3"), False), (sasakian_r3_edited(), True)],
+                         ids=["sasakian-r3", "edited"])
+def test_nabla_eta_nabla_q_and_lie_xi_q_match_the_partial_routes(doc, varies):
+    """A state takes nabla eta, nabla Q and L_xi Q from nabla xi and nabla f;
+    here they are built from partial derivatives instead:
+    (nabla_k eta)_j = d_k eta_j - Gamma^m_kj eta_m, nabla Q = `cov_tensor11`
+    of d Q, and L_xi Q = `lie_derivative_tensor11` of d Q, with
+    d_k Q = -(d_k f) f - f (d_k f) + (d_k xi) (x) eta + xi (x) d_k eta."""
+    sdef = load_structure_def(doc)
+    for point in sample_points(3, 7, sdef.domain):
+        st = state_at(sdef, point)
+        gamma, eta, xi, f, df = st.gamma[0], st.eta[0, 0], st.xi[0, :, 0], st.f[0], st.df[0]
+        deta, dxi = st.deta[0], st.dxi[0]
+        nabla_eta = deta - np.einsum("m,mkj->kj", eta, gamma)
+        dq = -df @ f - f @ df + np.einsum("ki,j->kij", dxi, eta) + np.einsum("i,kj->kij", xi, deta)
+        nabla_q = cov_tensor11(gamma, st.Q[0], dq)
+        lie_q = lie_derivative_tensor11(xi, dxi, st.Q[0], dq)
+        for got, want in ((st.nabla_eta, nabla_eta), (st.nabla_Q, nabla_q), (st.lie_xi_Q, lie_q)):
+            assert np.all(np.abs(got[0] - want) <= 1e-12 * (1.0 + np.abs(want))), point
+        if varies:  # Q = id on sasakian-r3, so nabla Q and L_xi Q vanish there
+            assert min(np.max(np.abs(t)) for t in (nabla_eta, nabla_q, lie_q)) > 0.1
 
 
 def test_d_oneform_of_closed_form_vanishes():

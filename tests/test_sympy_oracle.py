@@ -3,15 +3,15 @@ chart and on the round 2-sphere; the Christoffel symbols and the curvature
 tensor (stacked from R_{., .} e_k over the coordinate frame) against sympy
 on the sphere and the 3- and 5-dimensional charts; R_{., .} xi and
 Ric(xi, xi) against sympy on a curved chart where xi varies; and L_xi g, h
-and its derivative and covariant derivative along xi against sympy on charts
-where xi is not Killing and h is not zero."""
+and its derivative and covariant derivative along xi, nabla eta, nabla Q and
+L_xi Q against sympy on charts where xi is not Killing and h is not zero."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import points_for, state_at
+from conftest import points_for, sasakian_r3_edited, state_at
 from test_geometry import SPHERE_COORDS, SPHERE_METRIC, christoffel_of, riemann_of
 from wqcm.catalog import catalog, document, keys
 from wqcm.exprdsl import compile_tape, eval_tape, load_structure_def
@@ -98,11 +98,14 @@ def test_connection_and_curvature_match_sympy(coords, cells, points):
 
 
 def derived_oracle(doc):
-    """Exact L_xi g, h = (1/2) L_xi f, xi^l d_l h^i_j and nabla_xi h of a
-    structure document, as float functions of the point:
+    """Exact L_xi g, h = (1/2) L_xi f, xi^l d_l h^i_j, nabla_xi h, nabla eta,
+    nabla Q and L_xi Q of a structure document, from partial derivatives and
+    Christoffel symbols, as float functions of the point:
     (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k,
-    (L_xi f)^i_j = xi^k d_k f^i_j - f^k_j d_k xi^i + f^i_k d_j xi^k and
-    (nabla_xi h)^i_j = xi^l d_l h^i_j + xi^k Gamma^i_km h^m_j - h^i_m xi^k Gamma^m_kj."""
+    (L_xi T)^i_j = xi^k d_k T^i_j - T^k_j d_k xi^i + T^i_k d_j xi^k for T = f and Q,
+    (nabla_k eta)_j = d_k eta_j - Gamma^m_kj eta_m with eta_j = g_jm xi^m,
+    (nabla_k T)^i_j = d_k T^i_j + Gamma^i_km T^m_j - Gamma^m_kj T^i_m and
+    Q = -f^2 + xi (x) eta."""
     coords = doc["coords"]
     xs = sympy.symbols(coords)
     d, names = len(xs), dict(zip(coords, xs))
@@ -110,30 +113,33 @@ def derived_oracle(doc):
     def expr(text):
         return sympy.sympify(text.replace("^", "**"), locals=names)
 
+    def lie(t):
+        return [[sum(xi[k] * t[i, j].diff(xs[k]) - t[k, j] * xi[i].diff(xs[k]) + t[i, k] * xi[k].diff(xs[j])
+                     for k in range(d)) for j in range(d)] for i in range(d)]
+
+    def nabla(t):  # [k][i][j] = (nabla_k t)^i_j
+        return [[[t[i, j].diff(xs[k]) + sum(gamma[i][k][m] * t[m, j] - gamma[m][k][j] * t[i, m] for m in range(d))
+                  for j in range(d)] for i in range(d)] for k in range(d)]
+
     g = sympy.Matrix(d, d, lambda i, j: expr(doc["metric"][min(i, j)][max(i, j)]))
     f = sympy.Matrix(d, d, lambda i, j: expr(doc["f"][i][j]))
     xi = [expr(c) for c in doc["xi"]]
     lie_g = [[sum(xi[k] * g[i, j].diff(xs[k]) + g[k, j] * xi[k].diff(xs[i]) + g[i, k] * xi[k].diff(xs[j])
                   for k in range(d)) for j in range(d)] for i in range(d)]
-    h = [[sum(xi[k] * f[i, j].diff(xs[k]) - f[k, j] * xi[i].diff(xs[k]) + f[i, k] * xi[k].diff(xs[j])
-              for k in range(d)) / 2 for j in range(d)] for i in range(d)]
-    dh_xi = sympy.Matrix(d, d, lambda i, j: sum(xi[k] * h[i][j].diff(xs[k]) for k in range(d)))
+    h = sympy.Matrix(lie(f)) / 2
+    dh_xi = sympy.Matrix(d, d, lambda i, j: sum(xi[k] * h[i, j].diff(xs[k]) for k in range(d)))
     g_inv = g.inv()
-    # gamma_xi[i, m] = xi^k Gamma^i_km
-    gamma_xi = sympy.Matrix(d, d, lambda i, m: sum(
-        xi[k] * g_inv[i, l] * (g[m, l].diff(xs[k]) + g[k, l].diff(xs[m]) - g[k, m].diff(xs[l])) / 2
-        for k in range(d) for l in range(d)))
-    nabla_xi_h = dh_xi + gamma_xi * sympy.Matrix(h) - sympy.Matrix(h) * gamma_xi
-    return sympy.lambdify([xs], [lie_g, h, dh_xi.tolist(), nabla_xi_h.tolist()], modules="math")
-
-
-def sasakian_r3_edited():
-    """The curved sasakian-r3 metric with a xi and an f that vary from point
-    to point: every term of L_xi g and of h contributes."""
-    doc = document("sasakian-r3")
-    doc["xi"] = ["y1 * z", "x1 + z^2", "2 + sin(x1)"]
-    doc["f"] = [["x1 * y1", "1 + z", "y1"], ["-1 - z", "0", "cos(z)"], ["x1^2", "-y1", "z * x1"]]
-    return doc
+    # gamma[i][k][m] = Gamma^i_km
+    gamma = [[[sum(g_inv[i, l] * (g[m, l].diff(xs[k]) + g[k, l].diff(xs[m]) - g[k, m].diff(xs[l])) for l in range(d)) / 2
+               for m in range(d)] for k in range(d)] for i in range(d)]
+    gamma_xi = sympy.Matrix(d, d, lambda i, m: sum(xi[k] * gamma[i][k][m] for k in range(d)))
+    nabla_xi_h = dh_xi + gamma_xi * h - h * gamma_xi
+    eta = [sum(g[j, m] * xi[m] for m in range(d)) for j in range(d)]
+    nabla_eta = [[eta[j].diff(xs[k]) - sum(gamma[m][k][j] * eta[m] for m in range(d)) for j in range(d)]
+                 for k in range(d)]
+    q = -f * f + sympy.Matrix(xi) * sympy.Matrix([eta])
+    return sympy.lambdify([xs], [lie_g, h.tolist(), dh_xi.tolist(), nabla_xi_h.tolist(), nabla_eta, nabla(q), lie(q)],
+                          modules="math")
 
 
 def non_killing_docs():
@@ -151,11 +157,26 @@ def test_lie_xi_g_and_h_match_sympy(doc):
     exact = derived_oracle(doc)
     for point in points_for(sdef, count=4):
         st = state_at(sdef, point)
-        lie_g, h, dh_xi, nabla_xi_h = (np.asarray(want, dtype=float) for want in exact(point))
+        lie_g, h, dh_xi, nabla_xi_h = (np.asarray(want, dtype=float) for want in exact(point)[:4])
         assert np.max(np.abs(lie_g)) > 0.1 and np.max(np.abs(h)) > 0.1  # not Killing, h != 0
         for name, got, want in (("lie_xi_g", st.lie_xi_g, lie_g), ("h", st.h, h), ("dh_xi", st.dh_xi, dh_xi),
                                 ("nabla_xi_h", st.nabla_xi_h, nabla_xi_h)):
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (name, point)
+
+
+@pytest.mark.parametrize("doc", non_killing_docs())
+def test_nabla_eta_nabla_q_and_lie_xi_q_match_sympy(doc):
+    """The state's nabla eta, nabla Q and L_xi Q, from nabla xi and nabla f,
+    against the partial route of `derived_oracle`."""
+    sdef = load_structure_def(doc)
+    exact = derived_oracle(doc)
+    for point in points_for(sdef, count=4):
+        st = state_at(sdef, point)
+        nabla_eta, nabla_q, lie_q = (np.asarray(want, dtype=float) for want in exact(point)[4:])
+        for name, got, want in (("nabla_eta", st.nabla_eta, nabla_eta), ("nabla_Q", st.nabla_Q, nabla_q),
+                                ("lie_xi_Q", st.lie_xi_Q, lie_q)):
+            assert np.max(np.abs(want)) > 0.1, name
+            assert np.all(np.abs(got[0] - want) <= 1e-12 * (1.0 + np.abs(want))), (name, point)
 
 
 def test_curvature_along_a_varying_xi_matches_sympy():
