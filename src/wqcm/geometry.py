@@ -7,13 +7,15 @@ carries exact second derivatives; no nested numerical differentiation
 appears anywhere.  The curvature is built only with a vector z in its Z
 slot, as the array R_{., .} z of `curvature_z`: z is contracted into the
 connection before it is differentiated, so neither d Gamma^l_ij nor the
-full tensor R^l_{kij}, each d times larger, is ever formed.  Every function
-takes and returns plain arrays; the metric jet is laid out as g[i, j] =
-g_ij, dg[k, i, j] = d_k g_ij and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv
-is the inverse of g.  Any leading axes (a block of points) broadcast: g
-may be (P, d, d), and so on.  A vector is a flat (..., d) array, except
-where a function takes test directions: those are matrices of columns
-(..., d, m), one column for a single vector.
+full tensor R^l_{kij}, each d times larger, is ever formed.  Sectional
+curvatures K(x, .) are read from the Jacobi matrix ell Y = R_{x,Y} x, that
+array contracted once more with x.  Every function takes and returns plain
+arrays; the metric jet is laid out as g[i, j] = g_ij, dg[k, i, j] = d_k g_ij
+and ddg[k, l, i, j] = d_k d_l g_ij, and g_inv is the inverse of g.  Any
+leading axes (a block of points) broadcast: g may be (P, d, d), and so on.
+A vector is a flat (..., d) array, except where a function takes test
+directions: those are matrices of columns (..., d, m), one column for a
+single vector.
 
 Conventions used throughout (they matter, the check suites depend on them):
 
@@ -99,33 +101,23 @@ def bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mT(x)[..., None, :, :] @ ty.swapaxes(-3, -2)  # [i, a, b]: x^T ty[:, i, :] for each i
 
 
-def sectional(g: np.ndarray, x: np.ndarray, y: np.ndarray, rx: np.ndarray) -> np.ndarray:
+def sectional(g: np.ndarray, x: np.ndarray, y: np.ndarray, ell: np.ndarray) -> np.ndarray:
     """Sectional curvature of the plane of the vector x (a (d, 1) column)
-    with each column of y, from rx = `curvature_z(..., x)`: out[b]."""
+    with each column of y, from the Jacobi matrix ell Y = R_{x,Y} x: out[b]."""
     gx = g @ x
     den = (mT(x) @ gx)[..., 0] * np.sum(y * (g @ y), axis=-2) - (mT(gx) @ y)[..., 0, :] ** 2
     if np.any(den < 1e-12):
         raise ValueError("plane is degenerate (vectors nearly dependent)")
-    # g(R_{X,Y} Y, X) = g(R_{Y,X} X, Y) by the pair symmetry of the curvature
-    return np.sum(y * (g @ bilinear(rx, y, x)[..., 0]), axis=-2) / den
+    # g(R_{X,Y} Y, X) = g(R_{Y,X} X, Y) = -g(ell Y, Y) by the pair symmetry of the curvature
+    return -np.sum(y * (g @ (ell @ y)), axis=-2) / den
 
 
-# -- nabla, L and d from partial derivatives; a state takes nabla eta, nabla Q and L_xi Q from nabla xi, nabla f --
-
-
-def cov_vector(gamma: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """nabla v for a vector field: out[k, i] = d_k v^i + Gamma^i_km v^m."""
-    return dv + mT((gamma @ v[..., None, :, None])[..., 0])
+# -- nabla and d from partial derivatives; a state takes nabla eta, nabla Q and L_xi Q from nabla xi, nabla f --
 
 
 def cov_tensor11(gamma: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """nabla T for a (1,1)-tensor: out[k, i, j] = d_k T^i_j + Gamma^i_km T^m_j - Gamma^m_kj T^i_m."""
     return dt + (gamma @ t[..., None, :, :] - contract(t, gamma)).swapaxes(-3, -2)
-
-
-def lie_derivative_tensor11(zv: np.ndarray, zd: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """(L_Z T)^i_j = Z^k d_k T^i_j - T^k_j d_k Z^i + T^i_k d_j Z^k."""
-    return contract(zv[..., None, :], dt)[..., 0, :, :] - mT(zd) @ t + t @ mT(zd)
 
 
 def d_oneform(dw: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ derived here:
 Covariant derivatives all come from nabla xi and nabla f (by nabla g = 0,
 the Leibniz rule and zero torsion: `nabla_eta`, `nabla_Q`, `lie_xi_Q`);
 partial derivatives of derived tensors feed only d eta, d Phi, h, xi.dh.
+xi is contracted once into the connection, Gamma xi, and once into the
+curvature, the Jacobi matrix ell X = R_{xi,X} xi: R_{X,xi} xi = -ell X,
+K(xi, Y) = -g(ell Y, Y) / |xi ^ Y|^2 and Ric(xi, xi) = -tr ell.
 
 A `PointState` is the only object that holds data for chart points: a block
 of P points, and all of it as plain arrays with the point axis first.  It
@@ -16,14 +19,15 @@ holds the component arrays of g, f, xi and an explicit Q (values, gradients
 and, from jets of order 2, Hessians: the block's part of one run of the
 structure's compiled `StructureDef.tape` over a chunk of points; from jets
 of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
-them, `dh_xi` and `curvature_xi`, raises), the g-orthonormal frame, the
-connection, the curvature R_{., .} xi, Ric(xi, xi) and nabla_xi h (xi is
-contracted before the connection and h are differentiated, so d Gamma, dh
-and the full curvature tensor are never built), and what all check suites
-share there: the test-direction matrices (the coordinate frame and 8 fixed
-guard columns, the same at every point), the adapted f-basis B and the
-absolute contact volume |eta ^ (d eta)^n| on it, n! sqrt|det W| with W the
-matrix of d eta on the columns of B after xi (the sign is not computed).
+them, `dh_xi`, `curvature_xi` and `xi_div_xi`, raises), the g-orthonormal
+frame, the connection, the curvature R_{., .} xi, ell, Ric(xi, xi) and
+nabla_xi h (xi is contracted before the connection and h are
+differentiated, so d Gamma, dh and the full curvature tensor are never
+built), and what all check suites share there: the test-direction matrices
+(the coordinate frame and 8 fixed guard columns, the same at every point),
+the adapted f-basis B and the absolute contact volume |eta ^ (d eta)^n| on
+it, n! sqrt|det W| with W the matrix of d eta on the columns of B after xi
+(the sign is not computed).
 Vectors are columns: xi is (P, d, 1), eta is the row (P, 1, d), a direction
 matrix is (P, d, m).  Each tensor is computed once for the whole block, when
 first read.  A state is built from arrays alone, and its dimension from
@@ -132,13 +136,14 @@ class PointState:
 
     @cached_property
     def h(self):
-        """h = (1/2) L_xi f."""
-        return 0.5 * geometry.lie_derivative_tensor11(self.xi[..., 0], self.dxi, self.f, self.df)
+        """h = (1/2) L_xi f = (1/2)(xi.d f - J f + f J), with J^i_k = d_k xi^i."""
+        j, f = mT(self.dxi), self.f
+        return 0.5 * (self.along_xi(self.df) - j @ f + f @ j)
 
     @cached_property
     def dh_xi(self):
-        """xi^l d_l h^i_j, from h = (1/2)(xi.d f - J f + f J) with
-        J^i_k = d_k xi^i (uses second derivatives of f and xi)."""
+        """xi^l d_l h^i_j, from the formula of `h` (uses second derivatives
+        of f and xi)."""
         j, f = mT(self.dxi), self.f
         dj_xi = mT(self.along_xi(self.ddxi))  # xi^l d_l J
         df_xi = self.along_xi(self.df)  # xi^k d_k f
@@ -158,6 +163,11 @@ class PointState:
         return geometry.christoffel(self.g_inv, self.dg)
 
     @cached_property
+    def gamma_xi(self):
+        """Gamma xi, the matrix Gamma^i_km xi^m [i, k]."""
+        return (self.gamma @ self.xi[:, None])[..., 0]
+
+    @cached_property
     def curvature_xi(self):
         """R_{., .} xi, laid out as `bilinear` reads it: [i, l, j] =
         R^l_{kij} xi^k (`geometry.curvature_z`).  The checks read the
@@ -166,14 +176,30 @@ class PointState:
         return geometry.curvature_z(self.g_inv, self.dg, self.ddg, self.gamma, self.xi)
 
     @cached_property
+    def ell(self):
+        """The Jacobi operator along xi as a matrix, ell X = R_{xi,X} xi; so
+        R_{X,xi} xi = -ell X."""
+        return self.along_xi(self.curvature_xi)
+
+    @cached_property
     def ric_xi_xi(self):
-        """Ric(xi, xi), the trace of X -> R_{X,xi} xi: (P,)."""
-        return (np.trace(self.curvature_xi, axis1=1, axis2=2)[:, None] @ self.xi)[:, 0, 0]
+        """Ric(xi, xi), the trace of X -> R_{X,xi} xi = -ell X: (P,)."""
+        return -np.trace(self.ell, axis1=1, axis2=2)
+
+    @cached_property
+    def xi_div_xi(self):
+        """xi(div xi), with div xi = d_i xi^i + Gamma^i_ik xi^k and
+        d_l Gamma^i_ik = (1/2)(tr(g^-1 d_l d_k g) - tr(g^-1 d_l g g^-1 d_k g)): (P,)."""
+        a = self.g_inv @ self.along_xi(self.along_xi(self.ddg))  # g^-1 xi^l xi^k d_l d_k g
+        b = self.g_inv @ self.along_xi(self.dg)  # g^-1 xi^l d_l g
+        tr_gamma = np.trace(self.gamma, axis1=1, axis2=2)[..., None]  # Gamma^i_ik
+        v = np.trace(self.ddxi, axis1=2, axis2=3)[..., None] + self.dxi @ tr_gamma  # d_l d_i xi^i + d_l xi^k Gamma^i_ik
+        return (mT(self.xi) @ v)[:, 0, 0] + 0.5 * np.trace(a - b @ b, axis1=1, axis2=2)
 
     @cached_property
     def nabla_xi(self):
         """(nabla xi)^i_j so that (nabla_X xi)^i = (nabla xi)^i_j X^j."""
-        return mT(geometry.cov_vector(self.gamma, self.xi[..., 0], self.dxi))
+        return mT(self.dxi) + self.gamma_xi
 
     @cached_property
     def nabla_eta(self):
@@ -193,9 +219,8 @@ class PointState:
 
     @cached_property
     def nabla_xi_h(self):
-        """nabla_xi h = xi.d h + G h - h G, with G^i_m = Gamma^i_km xi^k."""
-        gx = (self.gamma @ self.xi[:, None])[..., 0]
-        return self.dh_xi + gx @ self.h - self.h @ gx
+        """nabla_xi h = xi.d h + (Gamma xi) h - h (Gamma xi)."""
+        return self.dh_xi + self.gamma_xi @ self.h - self.h @ self.gamma_xi
 
     @cached_property
     def lie_xi_g(self):
@@ -211,19 +236,9 @@ class PointState:
         """xi^k t[k, ...] for a tensor t[k, ...] at each point."""
         return (mT(self.xi) @ t.reshape(t.shape[:2] + (-1,))).reshape(t.shape[:1] + t.shape[2:])
 
-    def curvature_op(self, x, y):
-        """R_{X,Y} xi at every column pair of the direction matrices x and y:
-        [i, a, b]."""
-        return bilinear(self.curvature_xi, x, y)
-
-    def ell(self, x):
-        """The curvature operator used by the suites: ell X = R_{xi, X} xi,
-        for each column of x."""
-        return self.curvature_op(self.xi, x)[:, :, 0]
-
     def sectional(self, y):
         """K(xi, Y) for each column of y."""
-        return geometry.sectional(self.g, self.xi, y, self.curvature_xi)
+        return geometry.sectional(self.g, self.xi, y, self.ell)
 
     # -- inner products -------------------------------------------------------
 

@@ -246,14 +246,14 @@ def _eq14(st):
     d, fd = st.directions
     h2 = st.h @ st.h
     t1 = st.Q_inv @ (fd - h2 @ fd)
-    t2 = st.f @ st.curvature_op(d, st.xi)[..., 0]
-    defect = st.nabla_xi_h @ d - t1 + t2
+    t2 = st.f @ (st.ell @ d)  # -f R_{X,xi} xi
+    defect = st.nabla_xi_h @ d - t1 - t2
     return _rel(st.gnorm(defect), st.gnorm(t1), st.gnorm(t2))
 
 
 def _eq15(st):
     d, fd = st.directions
-    lhs = st.Q @ st.ell(d) - st.f @ st.ell(fd)
+    lhs = st.Q @ (st.ell @ d) - st.f @ (st.ell @ fd)
     rhs = 2.0 * (st.h @ st.h) @ d + (st.Q + st.Q_inv) @ (st.f @ fd)
     return _rel(st.gnorm(lhs - rhs), st.gnorm(lhs), st.gnorm(rhs))
 
@@ -280,8 +280,9 @@ def _eq21(st):
 
 
 def _ric_xi_xi(st):
-    ric = st.ric_xi_xi
-    return _rel(np.abs(ric - (2.0 * st.n - _trace(st.h @ st.h))), np.abs(ric))
+    """Ric(xi, xi) + tr((nabla xi)^2) + xi(div xi) = div(nabla_xi xi) (Yano), 0 where d eta = Phi."""
+    ric, tr2, xdx = st.ric_xi_xi, _trace(st.nabla_xi @ st.nabla_xi), st.xi_div_xi
+    return _rel(np.abs(ric + tr2 + xdx), np.abs(ric), np.abs(tr2), np.abs(xdx))
 
 
 def _eq17(st):
@@ -292,7 +293,7 @@ def _eq17(st):
 def _eq23(st):
     d, _ = st.directions
     gd, eta_d = st.gnorm(d), st.eta @ d
-    defect = st.curvature_op(d, d)
+    defect = bilinear(st.curvature_xi, d, d)
     defect -= d[..., None] * eta_d[:, None]
     defect += eta_d[..., None] * d[:, :, None]
     return _rel(st.gnorm(defect), gd[:, :, None], gd[:, None])
@@ -301,13 +302,13 @@ def _eq23(st):
 def _eq20(st):
     p, keep = _ker_eta_dirs(st)
     u = st.g_normalize(p)
-    return _rel(np.where(keep, st.gnorm(st.ell(u) + u), 0.0), np.where(keep, st.gnorm(u), 0.0))
+    return _rel(np.where(keep, st.gnorm(st.ell @ u + u), 0.0), np.where(keep, st.gnorm(u), 0.0))
 
 
 def _eq20_as_written(st):
     p, keep = _ker_eta_dirs(st)
     u = st.g_normalize(p)
-    defect = st.curvature_op(u, st.xi)[..., 0] + u + st.xi @ (st.eta @ u)
+    defect = u - st.ell @ u + st.xi @ (st.eta @ u)  # R_{u,xi} xi = -ell u
     return _rel(np.where(keep, st.gnorm(defect), 0.0), np.where(keep, st.gnorm(u), 0.0))
 
 

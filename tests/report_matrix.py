@@ -11,7 +11,7 @@ OUT.json maps each command line to [exit code, stdout, stderr].  `--diff`
 follows each command that differs with how: `residuals only, max |Δ| = …`
 when the exit codes, the stderr and every field of the JSON stdout but
 `max_residual` agree, and `differs` otherwise.  The inputs
-are the same whichever tree runs: the built-ins, five structure files of
+are the same whichever tree runs: the built-ins, six structure files of
 `tests/data` and the validate-heavy input `heavy_structure(7)` of
 `perfbench/workloads.py`, which is loaded read-only (no bytecode is written
 next to it).  The files are copied into a temporary directory and named
@@ -40,10 +40,12 @@ BUILTINS = [
     ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}), ("scaled", {"n": 2, "s": 0.5}),
     ("flat-const", {}),
 ]
-# the last two are crafted: tr h^2 overflows to -inf at every point, and a
-# metric entry of 1e300 overflows the frame products of the f-basis
+# sasakian-r3-trh2-overflow and -huge-metric are crafted: tr h^2 overflows to
+# -inf at every point, and a metric entry of 1e300 overflows the frame
+# products of the f-basis; heisenberg-exp-x2 is contact metric with h != 0
+# and Q != id
 FILES = ["sasakian-r3-padded.json", "dense-r13-const.json", "sasakian-r3-nan.json", "sasakian-r3-trh2-overflow.json",
-         "sasakian-r3-huge-metric.json"]
+         "sasakian-r3-huge-metric.json", "heisenberg-exp-x2.json"]
 HEAVY = "heavy.json"
 REPORTS = [["validate"], ["classify"], *(["check", s] for s in ("identity", "curvature", "theorems", "all"))]
 JSON = ["--format", "json", "--no-timestamp"]

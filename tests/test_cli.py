@@ -408,23 +408,47 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_FAIL
 
 
-# flat-const with one cell edited: f[0][2] = 1 breaks f xi = 0, f[2][0] = 1
-# breaks eta o f = 0, and xi[2] = 2 breaks eta(xi) = 1
+# flat-const with one field edited: f[0][2] = 1 breaks f xi = 0 (|f xi| = 1),
+# f[2][0] = 1 breaks eta o f = 0 (|eta f| = 1), xi[2] = 2 breaks eta(xi) = 1
+# (eta(xi) = 4), and f = diag(1, 1, 0) makes Q = diag(-1, -1, 1), whose
+# smallest eigenvalue q = -1 gives 1 - q = 2
 @pytest.mark.parametrize(
-    "field, value, check",
+    "field, value, check, residual",
     [
-        ("f", [["0", "1", "1"], ["-1", "0", "0"], ["0", "0", "0"]], "f-xi"),
-        ("f", [["0", "1", "0"], ["-1", "0", "0"], ["1", "0", "0"]], "eta-f"),
-        ("xi", ["0", "0", "2"], "eta-normalization"),
+        ("f", [["0", "1", "1"], ["-1", "0", "0"], ["0", "0", "0"]], "f-xi", 1.0),
+        ("f", [["0", "1", "0"], ["-1", "0", "0"], ["1", "0", "0"]], "eta-f", 1.0),
+        ("xi", ["0", "0", "2"], "eta-normalization", 3.0),
+        ("f", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]], "Q-positive-definite", 2.0),
     ],
-    ids=["f-xi", "eta-f", "eta-normalization"],
+    ids=["f-xi", "eta-f", "eta-normalization", "Q-positive-definite"],
 )
-def test_validate_fails_each_reeb_axiom(tmp_path, field, value, check):
+def test_validate_fails_each_reeb_axiom(tmp_path, field, value, check, residual):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({**document("flat-const"), field: value}))
     code, out, _ = run(["validate", str(path), "--format", "json", "--no-timestamp"])
     assert code == EXIT_FAIL
-    assert {c["id"]: c["verdict"] for c in json.loads(out)["checks"]}[check] == "fail"
+    row = {c["id"]: c for c in json.loads(out)["checks"]}[check]
+    assert (row["max_residual"], row["verdict"]) == (residual, "fail")
+
+
+# Heisenberg at a = 1/4 with Q = lambda on ker eta: contact metric, with h != 0
+# where lambda varies, and xi(div xi) = -4 at lambda = exp(x^2) alone
+HEISENBERG = DATA / "heisenberg-exp-x2.json"
+
+
+@pytest.mark.parametrize("lam", ["2", "exp(x)", "exp(x^2)"])
+def test_ric_xi_xi_holds_on_weak_contact_metric_heisenberg(tmp_path, lam):
+    """Ric(xi, xi) + tr((nabla xi)^2) + xi(div xi) = 0 wherever d eta = Phi,
+    for any Q.  Ric(xi, xi) = 2n - tr h^2, which needs Q = id, read 0.400,
+    1.97 and 0.571 on these charts."""
+    doc = json.loads(HEISENBERG.read_text())
+    doc["metric"][2][2], doc["f"][2][1] = f"1/(4*{lam})", f"-{lam}"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["check", "all", str(path), "--points", "32", "--seed", "7", "--format", "json",
+                          "--no-timestamp"])
+    row = next(c for c in json.loads(out)["checks"] if c["id"] == "ric-xi-xi")
+    assert (code, err, row["verdict"], row["points"]) == (EXIT_OK, "", "pass", 32)
 
 
 @pytest.mark.parametrize("flags, message", [

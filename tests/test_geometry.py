@@ -10,10 +10,8 @@ from wqcm.geometry import (
     bilinear,
     christoffel,
     cov_tensor11,
-    cov_vector,
     curvature_z,
     d_oneform,
-    lie_derivative_tensor11,
     orthonormal_frame,
     sectional,
 )
@@ -36,6 +34,11 @@ def christoffel_of(m):
 
 def curvature_z_of(m, z):
     return curvature_z(m.g_inv, m.dg, m.ddg, christoffel_of(m), z)
+
+
+def ell_of(m, x):
+    """The Jacobi matrix ell Y = R_{x,Y} x of a column x."""
+    return np.einsum("i,ilj->lj", x[:, 0], curvature_z_of(m, x))
 
 
 def riemann_of(m):
@@ -68,7 +71,7 @@ def test_sphere_christoffel_symbols():
 def test_sphere_curvature_is_plus_one():
     m = sphere_at(1.1, 0.5)
     x = np.array([[1.0], [0.0]])
-    assert sectional(m.g, x, np.array([[0.0], [1.0]]), curvature_z_of(m, x)) == pytest.approx(1.0, abs=1e-10)
+    assert sectional(m.g, x, np.array([[0.0], [1.0]]), ell_of(m, x)) == pytest.approx(1.0, abs=1e-10)
     # Ric = (dim - 1) g on a unit sphere
     assert np.allclose(ricci(riemann_of(m)), m.g, atol=1e-9)
 
@@ -173,7 +176,7 @@ def test_sectional_degenerate_plane_raises():
     m = sphere_at(0.7)
     v = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError, match=r"^plane is degenerate \(vectors nearly dependent\)$"):
-        sectional(m.g, v, 2.0 * v, curvature_z_of(m, v))
+        sectional(m.g, v, 2.0 * v, ell_of(m, v))
 
 
 def test_non_positive_definite_metric_rejected():
@@ -217,10 +220,12 @@ def test_covariant_derivative_leibniz_rule():
     v, t = v_of(point), t_of(point)
     tv = t @ v
     dtv = np.einsum("kij,j->ki", dt, v) + np.einsum("ij,kj->ki", t, dv)
-    lhs = cov_vector(gamma, tv, dtv)
-    rhs = np.einsum("kij,j->ki", cov_tensor11(gamma, t, dt), v) + np.einsum(
-        "ij,kj->ki", t, cov_vector(gamma, v, dv)
-    )
+
+    def cov_vector(w, dw):  # (nabla_k w)^i = d_k w^i + Gamma^i_km w^m
+        return dw + np.einsum("ikm,m->ki", gamma, w)
+
+    lhs = cov_vector(tv, dtv)
+    rhs = np.einsum("kij,j->ki", cov_tensor11(gamma, t, dt), v) + np.einsum("ij,kj->ki", t, cov_vector(v, dv))
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
@@ -230,8 +235,8 @@ def test_nabla_eta_nabla_q_and_lie_xi_q_match_the_partial_routes(doc, varies):
     """A state takes nabla eta, nabla Q and L_xi Q from nabla xi and nabla f;
     here they are built from partial derivatives instead:
     (nabla_k eta)_j = d_k eta_j - Gamma^m_kj eta_m, nabla Q = `cov_tensor11`
-    of d Q, and L_xi Q = `lie_derivative_tensor11` of d Q, with
-    d_k Q = -(d_k f) f - f (d_k f) + (d_k xi) (x) eta + xi (x) d_k eta."""
+    of d Q, and (L_xi Q)^i_j = xi^k d_k Q^i_j - Q^k_j d_k xi^i + Q^i_k d_j xi^k,
+    with d_k Q = -(d_k f) f - f (d_k f) + (d_k xi) (x) eta + xi (x) d_k eta."""
     sdef = load_structure_def(doc)
     for point in sample_points(3, 7, sdef.domain):
         st = state_at(sdef, point)
@@ -239,8 +244,9 @@ def test_nabla_eta_nabla_q_and_lie_xi_q_match_the_partial_routes(doc, varies):
         deta, dxi = st.deta[0], st.dxi[0]
         nabla_eta = deta - np.einsum("m,mkj->kj", eta, gamma)
         dq = -df @ f - f @ df + np.einsum("ki,j->kij", dxi, eta) + np.einsum("i,kj->kij", xi, deta)
-        nabla_q = cov_tensor11(gamma, st.Q[0], dq)
-        lie_q = lie_derivative_tensor11(xi, dxi, st.Q[0], dq)
+        q = st.Q[0]
+        nabla_q = cov_tensor11(gamma, q, dq)
+        lie_q = np.einsum("k,kij->ij", xi, dq) - np.einsum("kj,ki->ij", q, dxi) + np.einsum("ik,jk->ij", q, dxi)
         for got, want in ((st.nabla_eta, nabla_eta), (st.nabla_Q, nabla_q), (st.lie_xi_Q, lie_q)):
             assert np.all(np.abs(got[0] - want) <= 1e-12 * (1.0 + np.abs(want))), point
         if varies:  # Q = id on sasakian-r3, so nabla Q and L_xi Q vanish there

@@ -286,6 +286,28 @@ def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
     assert seen[0] == (128, 1) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
 
 
+@pytest.mark.parametrize("suite, cid", [("all", "n2-nabla-eta"), ("validate", "axiom-f-square")])
+def test_a_chunk_that_fails_only_whole_reports_its_halves(monkeypatch, suite, cid):
+    """A residual that raises on every state of more than one point fails
+    each chunk and passes at each point alone, so the chunks are split down
+    to single points: the report put together from the halves equals the
+    report of the unpatched blocks."""
+    sdef = structure(3)  # scaled n=1
+    want = evaluate(sdef, suite, 40, 7)
+    check, raised = suites.CHECKS[cid], []
+
+    def only_alone(st):
+        if len(st.points) > 1:
+            raised.append(len(st.points))
+            raise ValueError("a state of more than one point")
+        return check.residual(st)
+
+    monkeypatch.setitem(suites.CHECKS, cid, check._replace(residual=only_alone))
+    got = evaluate(sdef, suite, 40, 7)
+    assert raised[0] == suites.BLOCK
+    assert_same_report(*(dict(vars(r), checks=[c._asdict() for c in r.checks]) for r in (got, want)))
+
+
 STRUCTURES = [("sasakian-r3", {}), ("sasakian-r5", {}), ("sasakian-r7", {}),
               ("scaled", {"n": 1, "s": 2.0}), ("scaled", {"n": 3, "s": 2.0}), ("flat-const", {})]
 

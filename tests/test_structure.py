@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wqcm.catalog import catalog
+from wqcm.exprdsl import load_structure_def
 from wqcm.geometry import bilinear, d_twoform, mT
-from conftest import points_for, state_at
+from conftest import points_for, sasakian_r3_edited, state_at
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def col(*entries):
@@ -61,10 +68,15 @@ def _bracket_of_fields(sdef, field_a, field_b, point, h=1e-6):
     return out
 
 
-def test_nijenhuis_against_bracket_oracle(scaled2):
+@pytest.mark.parametrize("source", [
+    lambda: catalog("scaled", n=1, s=2.0),
+    # f^i_m d_j f^m_k is nonzero here: f[2][1] = -exp(x^2)
+    lambda: load_structure_def(json.loads((DATA / "heisenberg-exp-x2.json").read_text())),
+], ids=["scaled2", "heisenberg-exp-x2"])
+def test_nijenhuis_against_bracket_oracle(source):
     # N^(1)(X,Y) = f^2 [X,Y] + [fX,fY] - f[fX,Y] - f[X,fY] + 2 d eta(X,Y) xi
     # for constant coordinate fields X, Y; brackets by finite differences.
-    sdef = scaled2
+    sdef = source()
     point = np.array([0.3, -0.2, 0.1])
     st = state_at(sdef, point)
 
@@ -126,6 +138,22 @@ def test_closedness_of_derived_forms(sasakian_r3, sasakian_r5):
             assert np.max(np.abs(st.dPhi_form)) < 1e-12  # Phi closed here
 
 
+def test_xi_div_xi_matches_central_differences():
+    """xi(div xi) against central differences along xi of div xi = tr(nabla xi),
+    on a chart where det g, xi and div xi all vary."""
+    doc = sasakian_r3_edited()
+    doc["xi"][0] = "y1 * z + x1^2"
+    doc["metric"][1][1] = "(2 + x1 * z) / 8"
+    sdef = load_structure_def(doc)
+    h = 1e-5
+    for point in points_for(sdef, count=3):
+        st = state_at(sdef, point)
+        step = h * st.xi[0, :, 0]
+        plus, minus = (np.trace(state_at(sdef, point + s).nabla_xi[0]) for s in (step, -step))
+        want = (plus - minus) / (2.0 * h)
+        assert abs(want) > 0.1 and abs(st.xi_div_xi.item() - want) <= 1e-6 * (1.0 + abs(want)), point
+
+
 def test_h_tensor_decomposition(scaled2):
     st = state_at(scaled2, np.array([0.1, 0.2, 0.3]))
     sym, skew = 0.5 * (st.h + st.h_star), 0.5 * (st.h - st.h_star)
@@ -164,8 +192,6 @@ def test_explicit_q_is_cross_checked():
         "xi": ["0", "0", "1"],
         "Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     }
-    from wqcm.exprdsl import load_structure_def
-
     sdef = load_structure_def(doc)
     st = state_at(sdef, np.array([0.0, 0.0, 0.0]))
     assert st.q_explicit is not None
