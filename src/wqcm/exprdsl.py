@@ -78,8 +78,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # instructions of each operation it reads after those of its operands, left to
 # right, and passes on the slot of its result.  Running the tape over a chunk
 # of P points computes the jet of every slot in order, for all points at once:
-# the values (P,), the gradients (P, d) and, at jet order 2, the full Hessians
-# (P, d, d); at order 1 a jet's Hessian is None and no rule computes one.  The
+# the tuple of its parts, values (P,) and gradients (P, d), and at jet order 2
+# Hessians (P, d, d).  Of the rules, only `_chain` and `_mul` see the order.  The
 # derivatives of a function of one slot (1/v, v^k, sqrt, exp, sin, cos) come
 # from Python floats, point by point, so each point gets the libm values that
 # scalar float arithmetic gives there, and the run raises as it does, at the
@@ -288,21 +288,23 @@ def _sin(xs: list[float]):
 FUNCTIONS = {"sin": _sin, "cos": _sin, "exp": _exp, "sqrt": _sqrt}
 
 
-def _chain(g, h, f0, f1, f2):
-    """Compose the jets (g, h) with a function given its value and derivatives
-    at each point; h is None at order 1."""
-    dv = f1[:, None] * g
-    if h is None:
-        return f0, dv, None
-    return f0, dv, f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :])
+def _chain(jet, f0, f1, f2):
+    """Compose a jet with a function given its value and derivatives at each
+    point; the Hessian term only if the jet has one."""
+    g = jet[1]
+    out = f0, f1[:, None] * g
+    if len(jet) == 2:
+        return out
+    return out + (f1[:, None, None] * jet[2] + f2[:, None, None] * (g[:, :, None] * g[:, None, :]),)
 
 
-def _mul(va, ga, ha, vb, gb, hb):
-    dv = va[:, None] * gb + vb[:, None] * ga
-    if ha is None:
-        return va * vb, dv, None
+def _mul(a, b):
+    (va, ga), (vb, gb) = a[:2], b[:2]
+    out = va * vb, va[:, None] * gb + vb[:, None] * ga
+    if len(a) == 2:
+        return out
     cross = ga[:, :, None] * gb[:, None, :]
-    return va * vb, dv, va[:, None, None] * hb + vb[:, None, None] * ha + (cross + cross.transpose(0, 2, 1))
+    return out + (va[:, None, None] * b[2] + vb[:, None, None] * a[2] + (cross + cross.transpose(0, 2, 1)),)
 
 
 # field name -> (values, gradients, Hessians or None), with a leading point axis
@@ -311,19 +313,18 @@ Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 def eval_tape(tape: Tape, points, order: int) -> Fields:
     """Run the tape once over a chunk of points (P, d) -> fields, with jets of
-    `order` 1 or 2.
+    `order` 1 or 2, each the tuple of its parts.
 
     fields[name] = (v, dv, ddv) with v[p, ...] the field at point p,
     dv[p, k, ...] = d_k v and, at order 2, ddv[p, k, l, ...] = d_k d_l v; at
-    order 1 ddv is None.  Values and gradients are the same bits at both
-    orders.  Raises the first error it meets, the same at both orders; over
-    one point, the error of scalar evaluation there.  numpy's floating-point
-    warnings are off here: scalar float arithmetic overflows to inf silently."""
+    order 1 a jet is (v, dv) and ddv is None.  Values and gradients are the
+    same bits at both orders.  Raises the first error it meets, the same at
+    both orders; over one point, the error of scalar evaluation there.  numpy's
+    floating-point warnings are off: scalar float arithmetic overflows to inf silently."""
     points = np.asarray(points, dtype=float)
     npts, d = points.shape
     leads = ((npts,), (npts, d), (npts, d, d))[: order + 1]
-    zero_g = np.zeros((npts, d))
-    zero_h = np.zeros((npts, d, d)) if order == 2 else None
+    zeros = tuple(np.zeros(lead) for lead in leads[1:])  # the derivatives of a constant
     fields: Fields = {}
     targets: dict[int, list] = {}  # slot -> [(its field's arrays with the cells flattened, cell)]
     for name, (slots, shape) in tape.fields.items():
@@ -338,37 +339,32 @@ def eval_tape(tape: Tape, points, order: int) -> Fields:
     with np.errstate(all="ignore"):
         for k, (op, a, b) in enumerate(tape.code):
             if op == "num":
-                jet = np.full(npts, float(a)), zero_g, zero_h
+                jet = (np.full(npts, float(a)), *zeros)
             elif op == "var":
                 g = np.zeros((npts, d))
                 g[:, a] = 1.0
-                jet = points[:, a], g, zero_h
+                jet = (points[:, a], g, *zeros[1:])
             elif op == "neg":
-                v, g, h = jets[a]
-                jet = -v, -g, None if h is None else -h
+                jet = tuple(map(np.negative, jets[a]))
             elif op == "+":
-                (v, g, h), (vb, gb, hb) = jets[a], jets[b]
-                jet = v + vb, g + gb, None if h is None else h + hb
+                jet = tuple(map(np.add, jets[a], jets[b]))
             elif op == "-":
-                (v, g, h), (vb, gb, hb) = jets[a], jets[b]
-                jet = v - vb, g - gb, None if h is None else h - hb
+                jet = tuple(map(np.subtract, jets[a], jets[b]))
             elif op == "*":
-                jet = _mul(*jets[a], *jets[b])
+                jet = _mul(jets[a], jets[b])
             elif op == "/":  # a times the reciprocal of b
-                v, g, h = jets[b]
-                jet = _mul(*jets[a], *_chain(g, h, *_reciprocal(v.tolist())))
+                jet = _mul(jets[a], _chain(jets[b], *_reciprocal(jets[b][0].tolist())))
             elif op == "^" and b == 0:
-                jet = np.ones(npts), zero_g, zero_h
+                jet = (np.ones(npts), *zeros)
             elif op in ("sin", "cos"):  # one libm (sin, cos) pair per argument slot
-                v, g, h = jets[a]
                 if a not in sines:
-                    sines[a] = _sin(v.tolist())
+                    sines[a] = _sin(jets[a][0].tolist())
                 s, c, minus_s = sines[a]
-                jet = _chain(g, h, s, c, minus_s) if op == "sin" else _chain(g, h, c, minus_s, -c)
+                jet = _chain(jets[a], s, c, minus_s) if op == "sin" else _chain(jets[a], c, minus_s, -c)
             else:
-                v, g, h = jets[a]
+                v = jets[a][0]
                 xs = v.tolist()
-                jet = _chain(g, h, *(_power(b, v, xs) if op == "^" else FUNCTIONS[op](xs)))
+                jet = _chain(jets[a], *(_power(b, v, xs) if op == "^" else FUNCTIONS[op](xs)))
             jets[k] = jet
             for flat, cell in targets.get(k, ()):
                 for target, part in zip(flat, jet):

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import points_for, state_at
-from wqcm import suites
+from wqcm import catalog, suites
 from wqcm.catalog import document
 from wqcm.exprdsl import eval_tape, load_structure_def
+from wqcm.geometry import mT
 from wqcm.structure import PointState
 from wqcm.suites import (
     CheckRecord,
@@ -242,3 +243,58 @@ def test_a_negative_residual_reads_zero_and_minus_inf_reads_inf(sasakian_r3, mon
     value, on = suites._residuals(st, ["Qt-zero"], lambda cid: 1e-9)["Qt-zero"]
     assert on.all()
     assert value.tobytes() == np.array([0.0, 0.0, 3.0, np.inf, np.nan, np.inf]).tobytes()
+
+
+# A weak a.c.m. structure on which N^(2) and h are far from 0: the frame of
+# H^5 (`catalog._sasakian_doc`, n = 2), G = id/4, xi = 2 E_z and
+# F = 4 S exp(z) for a generic skew S on (x1, x2, y1, y2).  G F is skew and
+# F xi = 0, so f is g-skew with f xi = 0; since xi = 2 d/dz and the frame does
+# not depend on z, h = (1/2) L_xi f = f, so h* = -h.
+_GENERIC_S = [[0, 1, 0.3, -0.7], [-1, 0, 0.5, 0.2], [-0.3, -0.5, 0, 1], [0.7, -0.2, -1, 0]]
+
+
+def _generic_h5_doc() -> dict:
+    coframe, frame = catalog._identity(5), catalog._identity(5)
+    coframe[4][:2] = ["-y1", "-y2"]  # theta^z = dz - y1 dx1 - y2 dx2
+    frame[4][:2] = ["y1", "y2"]  # E_{x_i} = d/dx_i + y_i d/dz
+    F = [[f"({4.0 * s!r})*exp(z)" if s else "0" for s in row] + ["0"] for row in _GENERIC_S] + [["0"] * 5]
+    coords, xi = ["x1", "x2", "y1", "y2", "z"], ["0"] * 4 + ["2"]
+    return catalog._frame_doc("generic-h5", coords, coframe, frame, catalog._identity(5, "1/4"), F, xi)
+
+
+@pytest.fixture(scope="module")
+def generic_h5():
+    sdef = load_structure_def(_generic_h5_doc())
+    points = points_for(sdef, 8, 7)
+    return sdef, PointState(points, eval_tape(sdef.tape, points, 2))
+
+
+def test_generic_h5_fixture_is_a_weak_acm_with_n2_and_h_nonzero(generic_h5):
+    sdef, st = generic_h5
+    assert not evaluate(sdef, "validate", 8, 7).failed
+    d, _ = st.directions
+    assert np.max(np.abs(st.n2(d, d))) > 1.0
+    assert np.max(np.abs(st.h)) > 1.0
+
+
+@pytest.mark.parametrize("cid", ["n2-nabla-eta", "h-skew-symmetric"])
+def test_rows_that_hold_on_any_weak_acm_hold_on_the_generic_fixture(generic_h5, cid):
+    """Row (4) and h = -h* hold at every point, with N^(2) and h far from 0."""
+    _, st = generic_h5
+    assert np.all(suites.CHECKS[cid].residual(st) <= 1e-12)
+
+
+def test_gated_rows_read_their_formulas_ungated_on_the_generic_fixture(generic_h5):
+    """(16) and 2 h^2 = Qt^2 do not hold here, since their hypotheses fail;
+    their residuals, read ungated, are those built from h, N^(2) and Qt."""
+    _, st = generic_h5
+    d, _ = st.directions
+    gh = st.g @ st.h
+    lhs, rhs = mT(d) @ (gh - mT(gh)) @ d, -0.5 * st.n2(d, d)
+    eq16 = (np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))).max(axis=(1, 2))
+    h2, qt = st.h @ st.h, st.Qt
+    size = np.abs(2.0 * h2 - qt @ qt).max(axis=(1, 2))
+    h2_qt2 = size / (1.0 + np.maximum(np.abs(h2).max(axis=(1, 2)), np.abs(qt).max(axis=(1, 2))))
+    for cid, expected in (("eq16-h-n2", eq16), ("2h2-eq-Qt2", h2_qt2)):
+        assert np.all(expected > 1.0)
+        np.testing.assert_allclose(suites.CHECKS[cid].residual(st), expected, rtol=1e-12, atol=0)
