@@ -33,15 +33,11 @@ import numpy as np
 
 
 class ExprSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
-
     @classmethod
     def at(cls, message: str, text: str, offset: int) -> ExprSyntaxError:
-        """The error at character `offset` of `text`."""
-        return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+        """The error at character `offset` of `text`, its position ending the message."""
+        line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        return cls(f"{message} (line {line}, column {col})")
 
 
 # -- lexer --------------------------------------------------------------------
@@ -109,7 +105,7 @@ def _parse(text: str, coord_index: dict[str, int], emit) -> int:
     return the slot of its value."""
     tokens = _tokenize(text)
     if tokens[0][0] == "end":
-        raise ExprSyntaxError("empty expression", 1, 1)
+        raise ExprSyntaxError.at("empty expression", text, 0)
     pos = 0
 
     def error(message: str, tok: tuple[str, str, int]) -> ExprSyntaxError:
@@ -224,7 +220,7 @@ def compile_tape(fields: dict, coords) -> Tape:
     for k, (op, a, b) in enumerate(code):
         if op not in ("num", "var"):
             last[a] = k
-        if op in ("+", "-", "*", "/"):
+        if op in _PRECEDENCE:
             last[b] = k
     release: list[list[int]] = [[] for _ in code]
     for slot, k in enumerate(last):

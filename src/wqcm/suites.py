@@ -346,9 +346,9 @@ class Check(NamedTuple):
     the state, a (P,) array read as a size (a negative residual reads 0; NaN,
     +inf and -inf fail), or None where it does not apply; it is evaluated only
     where its hypothesis `gate` passes.  `suites` names the suites that report
-    it; the others are hypotheses and inputs of theorem and class rows."""
+    it; the others are hypotheses and inputs of theorem and class rows.  Its
+    id is its key in `CHECKS`."""
 
-    id: str
     paper: str
     tier: str  # algebraic | deriv | curv
     residual: Callable
@@ -441,26 +441,31 @@ _SECTIONS = (
     ((), "quasi", (("eq21-hypothesis", "(21)", "curv", _eq21_hypothesis),)),
 )
 CHECKS = {
-    cid: Check(cid, paper, tier, fn, gate, suites)
+    cid: Check(paper, tier, fn, gate, suites)
     for suites, gate, rows in _SECTIONS
     for cid, paper, tier, fn in rows
 }
 
 VALIDATE = tuple(cid for cid, c in CHECKS.items() if "validate" in c.suites)
 
-# (prefix, paper label, hypotheses, conclusions, readings).  A term is a check
-# id, or (row name, check id).  Conclusions are held to 10x their tier;
-# readings are recorded for transparency and always skipped (Thm 3.4: both
-# sign readings of its curvature hypothesis).
-THEOREMS = (
-    ("t31", "Thm 3.1", ("quasi", "nabla-xi-eq18"), ("Qt-zero", "contact-metric", "killing-xi"), ()),
-    ("t33", "Thm 3.3", ("quasi", "sasakian-eq17"), ("Qt-zero", "contact-metric", "normal"), ()),
-    ("t34", "Thm 3.4", ("quasi", "curvature-eq20", "killing-xi"), ("Qt-zero", "contact-metric", "2h2-eq-Qt2"),
-     (("eq20-reading-ell", "curvature-eq20"), ("eq20-reading-as-written", "eq20-written"))),
-    ("t35", "Thm 3.5", ("quasi", "curvature-eq23", "trh2-nonpositive"),
-     ("Qt-zero", ("sasakian", "sasakian-eq17"), "2h2-eq-Qt2"), ()),
-    ("p33", "Prop 3.3", ("quasi", "killing-xi"), ("h-skew-symmetric",), ()),
-    ("p34", "Prop 3.4", ("quasi", "nabla-Q-eq19", "h-self-adjoint"), ("dPhi-zero", "contact-volume", "deta-Qt-Phi"), ()),
+# (prefix, paper label, hypotheses, conclusions, readings).  A term is a
+# (row name, check id) pair, written as the check id alone where the two agree.
+# Conclusions are held to 10x their tier; readings are recorded for
+# transparency and always skipped (Thm 3.4: both sign readings of its
+# curvature hypothesis).
+THEOREMS = tuple(
+    (prefix, label, *(tuple((t, t) if isinstance(t, str) else t for t in terms) for terms in groups))
+    for prefix, label, *groups in (
+        ("t31", "Thm 3.1", ("quasi", "nabla-xi-eq18"), ("Qt-zero", "contact-metric", "killing-xi"), ()),
+        ("t33", "Thm 3.3", ("quasi", "sasakian-eq17"), ("Qt-zero", "contact-metric", "normal"), ()),
+        ("t34", "Thm 3.4", ("quasi", "curvature-eq20", "killing-xi"), ("Qt-zero", "contact-metric", "2h2-eq-Qt2"),
+         (("eq20-reading-ell", "curvature-eq20"), ("eq20-reading-as-written", "eq20-written"))),
+        ("t35", "Thm 3.5", ("quasi", "curvature-eq23", "trh2-nonpositive"),
+         ("Qt-zero", ("sasakian", "sasakian-eq17"), "2h2-eq-Qt2"), ()),
+        ("p33", "Prop 3.3", ("quasi", "killing-xi"), ("h-skew-symmetric",), ()),
+        ("p34", "Prop 3.4", ("quasi", "nabla-Q-eq19", "h-self-adjoint"),
+         ("dPhi-zero", "contact-volume", "deta-Qt-Phi"), ()),
+    )
 )
 
 # (row id, checks whose largest residual the row reports, checks that must pass for its verdict)
@@ -482,14 +487,10 @@ SUITES = {"all": ("identity", "curvature", "theorems")} | {
 }
 
 
-def _terms(terms):
-    return [(t, t) if isinstance(t, str) else t for t in terms]
-
-
 def _inputs(part: str) -> list[str]:
     """Ids of the checks whose largest residuals the rows of `part` report."""
     if part == "theorems":
-        return [cid for row in THEOREMS for terms in row[2:] for _, cid in _terms(terms)]
+        return [cid for row in THEOREMS for terms in row[2:] for _, cid in terms]
     if part == "classify":
         return [cid for _, ids, verdict_ids in CLASSES for cid in ids + verdict_ids]
     return [cid for cid, c in CHECKS.items() if part in c.suites]
@@ -577,17 +578,16 @@ def _rows(part, r, asserted, npts, tol) -> list[CheckRecord]:
     rows = []
     if part == "theorems":
         for prefix, label, hyps, concls, readings in THEOREMS:
-            hyps = _terms(hyps)
             met = all(r[i] <= tol(i) for _, i in hyps)
             # a non-finite hypothesis fails itself and every conclusion
             broken = next((r[i] for _, i in hyps if not math.isfinite(r[i])), None)
             for name, i in hyps:
                 asserted = r[i] <= tol(i) or not math.isfinite(r[i])
                 rows.append(_record(f"{prefix}-hyp-{name}", label, r[i], tol(i), npts if asserted else 0))
-            for name, i in _terms(concls):
+            for name, i in concls:
                 res, asserted = (r[i], met) if broken is None else (broken, True)
                 rows.append(_record(f"{prefix}-{name}", label, res, 10.0 * tol(i), npts if asserted else 0))
-            rows += [_record(f"{prefix}-{name}", label, r[i], tol(i), 0) for name, i in _terms(readings)]
+            rows += [_record(f"{prefix}-{name}", label, r[i], tol(i), 0) for name, i in readings]
         return rows
     for cid in _inputs(part):
         c = CHECKS[cid]

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,19 @@ def jet_at(text, point, coords=("x", "y", "z")):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def load_script(path: Path):
+    """The script at `path`, executed as a module named after its file, read-only:
+    no bytecode is written next to it.  The module is in `sys.modules` only
+    while it runs, where the dataclasses of a module look it up."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module

@@ -6,7 +6,6 @@ loaded read-only: no bytecode is written next to it.  The probe's source is
 read out of `run.py` with `ast`; that module is not imported."""
 
 import ast
-import importlib.util
 import json
 import subprocess
 import sys
@@ -15,25 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_script
 from wqcm.cli import EXIT_OK, run_cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    sys.modules[spec.name] = module  # the dataclasses of the module look it up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-        del sys.modules[spec.name]
-    return module
-
-
-WORKLOADS = load_workloads()
+WORKLOADS = load_script(PERFBENCH / "workloads.py")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 9999])

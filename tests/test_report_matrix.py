@@ -3,25 +3,13 @@ depend on which other sources there are, so a matrix run before a source was
 added can still be diffed against one run after.  The script is loaded
 read-only: no bytecode is written next to it."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 
-def load_report_matrix():
-    spec = importlib.util.spec_from_file_location("report_matrix", Path(__file__).resolve().parent / "report_matrix.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-MATRIX = load_report_matrix()
+MATRIX = load_script(Path(__file__).resolve().parent / "report_matrix.py")
 
 
 @pytest.mark.parametrize("name", MATRIX.FILES)

@@ -285,8 +285,8 @@ def test_rows_that_hold_on_any_weak_acm_hold_on_the_generic_fixture(generic_h5, 
 
 
 def test_gated_rows_read_their_formulas_ungated_on_the_generic_fixture(generic_h5):
-    """(16) and 2 h^2 = Qt^2 do not hold here, since their hypotheses fail;
-    their residuals, read ungated, are those built from h, N^(2) and Qt."""
+    """(16), 2 h^2 = Qt^2 and h = h* do not hold here, since their hypotheses
+    fail; their residuals, read ungated, are those built from g, h, N^(2) and Qt."""
     _, st = generic_h5
     d, _ = st.directions
     gh = st.g @ st.h
@@ -295,6 +295,8 @@ def test_gated_rows_read_their_formulas_ungated_on_the_generic_fixture(generic_h
     h2, qt = st.h @ st.h, st.Qt
     size = np.abs(2.0 * h2 - qt @ qt).max(axis=(1, 2))
     h2_qt2 = size / (1.0 + np.maximum(np.abs(h2).max(axis=(1, 2)), np.abs(qt).max(axis=(1, 2))))
-    for cid, expected in (("eq16-h-n2", eq16), ("2h2-eq-Qt2", h2_qt2)):
+    h, h_star = st.h, np.linalg.inv(st.g) @ mT(st.h) @ st.g
+    self_adjoint = np.abs(h - h_star).max(axis=(1, 2)) / (1.0 + np.abs(h).max(axis=(1, 2)))
+    for cid, expected in (("eq16-h-n2", eq16), ("2h2-eq-Qt2", h2_qt2), ("h-self-adjoint", self_adjoint)):
         assert np.all(expected > 1.0)
         np.testing.assert_allclose(suites.CHECKS[cid].residual(st), expected, rtol=1e-12, atol=0)
