@@ -40,7 +40,7 @@ import numpy as np
 from . import catalog as cat
 from .exprdsl import ExprSyntaxError, SchemaError, StructureDef, eval_tape, load_structure_def
 from .structure import PointState
-from .suites import EvaluationError, Tolerances, emit_report, evaluate
+from .suites import CONCLUSION_FACTOR, EvaluationError, Tolerances, emit_report, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,8 +125,8 @@ def _number_in(kind, low, high=math.inf):
 
 
 _COUNT, _SEED = _number_in(int, 1, MAX_POINTS), _number_in(int, 0)
-# a conclusion is held to 10x its tier: the largest tolerance whose tenfold is finite
-_TOL = _number_in(float, 0.0, sys.float_info.max / 10)
+# the largest tolerance whose conclusion tolerance (CONCLUSION_FACTOR times it) is finite
+_TOL = _number_in(float, 0.0, sys.float_info.max / CONCLUSION_FACTOR)
 _SOURCE_HELP = "structure file or builtin:<key>[?n=..,s=..]"
 
 

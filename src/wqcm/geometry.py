@@ -112,7 +112,7 @@ def sectional(g: np.ndarray, x: np.ndarray, y: np.ndarray, ell: np.ndarray) -> n
     return -np.sum(y * (g @ (ell @ y)), axis=-2) / den
 
 
-# -- nabla and d from partial derivatives; a state takes nabla eta, nabla Q and L_xi Q from nabla xi, nabla f --
+# -- nabla and d; a state takes nabla eta, nabla Q, L_xi Q, d Phi and [f, f] from nabla xi and nabla f --
 
 
 def cov_tensor11(gamma: np.ndarray, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -129,5 +129,5 @@ def d_oneform(dw: np.ndarray) -> np.ndarray:
 def d_twoform(dphi: np.ndarray) -> np.ndarray:
     """Exterior derivative of a 2-form with the 1/3 normalization, on the
     coordinate frame: out[i, j, k] = (1/3)(d_i phi_jk + d_j phi_ki + d_k phi_ij),
-    given dphi[k, i, j] = d_k phi_ij."""
+    given dphi[k, i, j] = d_k phi_ij or, as Gamma cancels for a skew phi, nabla_k phi_ij."""
     return (dphi + np.moveaxis(dphi, -3, -1) + np.moveaxis(dphi, -1, -3)) / 3.0

@@ -7,8 +7,11 @@ derived here:
     Phi(X, Y) = g(X, fY)    h = (1/2) L_xi f
 
 Covariant derivatives all come from nabla xi and nabla f (by nabla g = 0,
-the Leibniz rule and zero torsion: `nabla_eta`, `nabla_Q`, `lie_xi_Q`);
-partial derivatives of derived tensors feed only d eta, d Phi, h, xi.dh.
+the Leibniz rule and zero torsion: `nabla_eta`, `nabla_Q`, `lie_xi_Q`), and so
+do d Phi (nabla Phi = g nabla f) and [f, f], where zero torsion cancels Gamma.
+Partial derivatives of derived tensors feed only d eta, h and xi.dh (which
+needs no d Gamma): rows (4), (8) and (13) compare d eta and h with nabla eta
+and nabla xi, so built from nabla they would hold by construction.
 xi is contracted once into the connection, Gamma xi, and once into the
 curvature, the Jacobi matrix ell X = R_{xi,X} xi: R_{X,xi} xi = -ell X,
 K(xi, Y) = -g(ell Y, Y) / |xi ^ Y|^2 and Ric(xi, xi) = -tr ell.
@@ -76,7 +79,7 @@ class PointState:
 
     @cached_property
     def g_inv(self):
-        return np.linalg.inv(self.g)
+        return self.frame @ mT(self.frame)  # the frame is L^-T, with g = L L^T (Cholesky)
 
     # -- derived fields -----------------------------------------------------
 
@@ -121,18 +124,14 @@ class PointState:
         return self.g @ self.f
 
     @cached_property
-    def dPhi(self):
-        return self.dg @ self.f[:, None] + self.g[:, None] @ self.df
-
-    @cached_property
     def deta_form(self):
         """d eta as an antisymmetric matrix, with the 1/2 normalization."""
         return geometry.d_oneform(self.deta)
 
     @cached_property
     def dPhi_form(self):
-        """d Phi as a 3-form array, with the 1/3 normalization."""
-        return geometry.d_twoform(self.dPhi)
+        """d Phi as a 3-form array, with the 1/3 normalization, from nabla Phi = g nabla f."""
+        return geometry.d_twoform(self.g[:, None] @ self.nabla_f)
 
     @cached_property
     def h(self):
@@ -341,10 +340,10 @@ class PointState:
 
     @cached_property
     def nijenhuis(self):
-        """[f, f] as t[j, i, k] = f^m_j d_m f^i_k - f^m_k d_m f^i_j
-        + f^i_m d_k f^m_j - f^i_m d_j f^m_k, so that [f, f](X, Y)^i = t[j, i, k] X^j Y^k."""
-        half = contract(mT(self.f), self.df)  # f^m_j d_m f^i_k
-        half -= self.f[:, None] @ self.df  # f^i_m d_j f^m_k
+        """[f, f] as t[j, i, k] = f^m_j nabla_m f^i_k - f^m_k nabla_m f^i_j + f^i_m nabla_k f^m_j
+        - f^i_m nabla_j f^m_k (Gamma, symmetric, cancels), so that [f, f](X, Y)^i = t[j, i, k] X^j Y^k."""
+        half = contract(mT(self.f), self.nabla_f)  # f^m_j nabla_m f^i_k
+        half -= self.f[:, None] @ self.nabla_f  # f^i_m nabla_j f^m_k
         return half - half.swapaxes(1, 3)
 
     def n1(self, x, y):
@@ -357,10 +356,6 @@ class PointState:
 
     def n2(self, x, y):
         return 2.0 * self.deta2(self.f @ x, y) - 2.0 * mT(self.deta2(self.f @ y, x))
-
-    def n3(self, x):
-        """N^(3)(X) = (L_xi f) X = 2 h X."""
-        return 2.0 * self.h @ x
 
 
 def _finite(m: np.ndarray, name: str, frame=None, g=None) -> np.ndarray:

@@ -326,8 +326,8 @@ def _normal(st):
 
 def _deta_qt_phi(st):
     """d eta(X + (1/2) Qt X, Y) = Phi(X, Y)."""
-    d, fd = st.directions
-    lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), mT(d) @ st.g @ fd
+    d = st.directions[0]
+    lhs, rhs = st.deta2(d + 0.5 * st.Qt @ d, d), mT(d) @ st.Phi @ d
     return _rel(np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs))
 
 
@@ -379,7 +379,7 @@ _SECTIONS = (
         ("Q-consistency", "(2)/(3)", "algebraic",
          lambda st: None if st.q_explicit is None else _amax(st.q_explicit - st.Q)),
         ("h-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.h @ st.xi)),
-        ("n3-xi", "(2)/(3)", "algebraic", lambda st: _amax(st.n3(st.xi))),
+        ("n3-xi", "(2)/(3)", "algebraic", lambda st: _amax(2.0 * st.h @ st.xi)),  # N^(3) = L_xi f = 2 h
         # 0 while the smallest eigenvalue q of Q is positive, else 1 - q: a singular Q fails too
         ("Q-positive-definite", "(2)", "algebraic",
          lambda st: np.where(st.q_spectrum[:, 0] > 0.0, 0.0, 1.0 - st.q_spectrum[:, 0])),
@@ -450,9 +450,10 @@ VALIDATE = tuple(cid for cid, c in CHECKS.items() if "validate" in c.suites)
 
 # (prefix, paper label, hypotheses, conclusions, readings).  A term is a
 # (row name, check id) pair, written as the check id alone where the two agree.
-# Conclusions are held to 10x their tier; readings are recorded for
-# transparency and always skipped (Thm 3.4: both sign readings of its
-# curvature hypothesis).
+# Conclusions are held to CONCLUSION_FACTOR times their tier; readings are
+# recorded for transparency and always skipped (Thm 3.4: both sign readings of
+# its curvature hypothesis).
+CONCLUSION_FACTOR = 10.0
 THEOREMS = tuple(
     (prefix, label, *(tuple((t, t) if isinstance(t, str) else t for t in terms) for terms in groups))
     for prefix, label, *groups in (
@@ -586,7 +587,7 @@ def _rows(part, r, asserted, npts, tol) -> list[CheckRecord]:
                 rows.append(_record(f"{prefix}-hyp-{name}", label, r[i], tol(i), npts if asserted else 0))
             for name, i in concls:
                 res, asserted = (r[i], met) if broken is None else (broken, True)
-                rows.append(_record(f"{prefix}-{name}", label, res, 10.0 * tol(i), npts if asserted else 0))
+                rows.append(_record(f"{prefix}-{name}", label, res, CONCLUSION_FACTOR * tol(i), npts if asserted else 0))
             rows += [_record(f"{prefix}-{name}", label, r[i], tol(i), 0) for name, i in readings]
         return rows
     for cid in _inputs(part):

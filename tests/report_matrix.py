@@ -9,8 +9,11 @@
 
 OUT.json maps each command line to [exit code, stdout, stderr].  `--diff`
 follows each command that differs with how: `residuals only, max |Δ| = …`
-when the exit codes, the stderr and every field of the JSON stdout but
-`max_residual` agree, and `differs` otherwise.  The inputs
+when the exit codes, the stderr and the stdout agree but for the residuals,
+and `differs` otherwise.  A residual is the `max_residual` field of a JSON
+report, or the third column from the end of a text report row (residual,
+tol, verdict).  The last line counts the commands that differ, those that
+differ in residuals only, and their largest |Δ|.  The inputs
 are the same whichever tree runs: the built-ins, six structure files of
 `tests/data` and the validate-heavy input `heavy_structure(7)` of
 `perfbench/workloads.py`, which is loaded read-only (no bytecode is written
@@ -142,27 +145,47 @@ def _without_residuals(node, residuals: list):
     return {k: None if k == "max_residual" else _without_residuals(v, residuals) for k, v in node.items()}
 
 
-def _how_they_differ(a, b) -> str:
-    """How two outcomes [exit code, stdout, stderr] of one command differ
-    (None where the command is missing)."""
+def _text_without_residuals(stdout: str, residuals: list) -> list:
+    """The lines of a text report, each row (ending in residual, tol and
+    verdict) split with its residual set to None; the residuals are appended
+    to `residuals` in line order."""
+    lines = []
+    for line in stdout.splitlines():
+        parts = line.rsplit(None, 3)
+        if len(parts) == 4 and parts[3] in ("pass", "fail", "skipped"):
+            residuals.append(parts[1])
+            line = [parts[0], None, *parts[2:]]
+        lines.append(line)
+    return lines
+
+
+def _residual_change(a, b) -> float | None:
+    """The largest |Δ| of a residual when two outcomes [exit code, stdout,
+    stderr] of one command differ in their residuals only, else None (also
+    where the command is missing)."""
+    if a is None or b is None or a[0] != b[0] or a[2] != b[2]:
+        return None
     ra, rb = [], []
     try:
-        same = a[0] == b[0] and a[2] == b[2]
-        same = same and _without_residuals(json.loads(a[1]), ra) == _without_residuals(json.loads(b[1]), rb)
-    except (TypeError, ValueError):  # a missing command, or stdout that is not JSON
-        same = False
+        same = _without_residuals(json.loads(a[1]), ra) == _without_residuals(json.loads(b[1]), rb)
+    except ValueError:  # text stdout
+        ra, rb = [], []
+        same = _text_without_residuals(a[1], ra) == _text_without_residuals(b[1], rb)
     if not same or ra == rb:
-        return "differs"
-    return f"residuals only, max |Δ| = {max(abs(float(x) - float(y)) for x, y in zip(ra, rb) if x != y):.3g}"
+        return None
+    return max(abs(float(x) - float(y)) for x, y in zip(ra, rb) if x != y)
 
 
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
         differ = [c for c in dict.fromkeys([*a, *b]) if a.get(c) != b.get(c)]
-        for command in differ:
-            print(f"{command}: {_how_they_differ(a.get(command), b.get(command))}")
-        print(f"{len(differ)} of {len(set(a) | set(b))} commands differ", file=sys.stderr)
+        deltas = {c: _residual_change(a.get(c), b.get(c)) for c in differ}
+        for command, delta in deltas.items():
+            print(f"{command}: " + ("differs" if delta is None else f"residuals only, max |Δ| = {delta:.3g}"))
+        changes = [delta for delta in deltas.values() if delta is not None]
+        print(f"{len(differ)} of {len(set(a) | set(b))} commands differ, {len(changes)} in residuals only"
+              + (f", max |Δ| = {max(changes):.3g}" if changes else ""))
         return 1 if differ else 0
     if len(argv) != 2 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)

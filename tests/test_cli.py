@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqcm import geometry
+from wqcm import catalog, geometry
 from wqcm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run_cli
 from wqcm.catalog import document
 from wqcm.exprdsl import eval_tape, load_structure_def
-from wqcm.suites import sample_points
+from wqcm.structure import PointState
+from wqcm.suites import Tolerances, sample_points
 from test_exprdsl import COORDS, exprs
 from test_perfbench_oracle import WORKLOADS
 
@@ -443,12 +444,62 @@ def test_ric_xi_xi_holds_on_weak_contact_metric_heisenberg(tmp_path, lam):
     1.97 and 0.571 on these charts."""
     doc = json.loads(HEISENBERG.read_text())
     doc["metric"][2][2], doc["f"][2][1] = f"1/(4*{lam})", f"-{lam}"
+    assert_check_all_passes_ric_xi_xi(tmp_path, doc)
+
+
+def assert_check_all_passes_ric_xi_xi(tmp_path, doc):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(["check", "all", str(path), "--points", "32", "--seed", "7", "--format", "json",
                           "--no-timestamp"])
     row = next(c for c in json.loads(out)["checks"] if c["id"] == "ric-xi-xi")
     assert (code, err, row["verdict"], row["points"]) == (EXIT_OK, "", "pass", 32)
+
+
+def weak_heisenberg_doc(lams) -> dict:
+    """Heisenberg H^{2n+1} in `_sasakian_doc`'s frame with G[y_i][y_i] = 1/(4 lambda_i)
+    and F^{y_i}_{x_i} = -lambda_i (F^{x_i}_{y_i} = 1 stays): contact metric, xi
+    Killing, and Q = lambda_i on the i-th pair (n = len(lams))."""
+    n = len(lams)
+    dim = 2 * n + 1
+    xs, ys = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(n)]
+    coframe, frame = catalog._identity(dim), catalog._identity(dim)
+    coframe[-1][:n] = [f"-{y}" for y in ys]
+    frame[-1][:n] = ys
+    G, F = catalog._identity(dim, "1/4"), [["0"] * dim for _ in range(dim)]
+    for i, lam in enumerate(lams):
+        G[n + i][n + i] = f"1/(4*({lam}))"
+        F[i][n + i], F[n + i][i] = "1", f"-({lam})"
+    return catalog._frame_doc(f"weak-heisenberg-{n}", xs + ys + ["z"], coframe, frame, G, F, ["0"] * (dim - 1) + ["2"])
+
+
+# (lambda_i as cell text, their values at a point)
+WEAK_HEISENBERG = {
+    "1,2": (("1", "2"), lambda x: [1.0, 2.0]),
+    "2,2": (("2", "2"), lambda x: [2.0, 2.0]),
+    "1,exp(x1)": (("1", "exp(x1)"), lambda x: [1.0, math.exp(x[0])]),
+    "0.5,2,3": (("0.5", "2", "3"), lambda x: [0.5, 2.0, 3.0]),
+    "2,4,8": (("2", "4", "8"), lambda x: [2.0, 4.0, 8.0]),
+}
+
+
+@pytest.mark.parametrize("key", WEAK_HEISENBERG)
+def test_ric_xi_xi_holds_on_weak_k_contact_heisenberg(tmp_path, key):
+    """Yano's identity at n = 2 and 3, where the row of Blair's identity
+    Ric(xi, xi) = 2n - tr h^2 (Q = id) read 0.29 to 0.76; here
+    Ric(xi, xi) = tr Q - 1 = 2 sum lambda_i, h = 0, and the f-basis
+    eigenvalues are the lambda_i, ascending."""
+    lams, values = WEAK_HEISENBERG[key]
+    doc = weak_heisenberg_doc(lams)
+    assert_check_all_passes_ric_xi_xi(tmp_path, doc)
+    sdef = load_structure_def(doc)
+    points = sample_points(8, 7, sdef.domain)
+    st = PointState(points, eval_tape(sdef.tape, points, 2))
+    want = np.array([values(x) for x in points])
+    tol = Tolerances().curv
+    assert np.max(np.abs(st.ric_xi_xi - 2.0 * want.sum(axis=1))) <= tol
+    assert np.max(np.abs(st.h)) <= tol
+    assert np.max(np.abs(st.fbasis[1] - np.sort(want, axis=1))) <= tol
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -109,7 +109,7 @@ def test_n_tensor_identities(sasakian_r3, scaled2, flat_const):
         for point in points_for(sdef, count=4):
             st = state_at(sdef, point)
             for i in range(3):
-                assert np.max(np.abs(st.n3(st.xi))) < 1e-13
+                assert np.max(np.abs(2.0 * st.h @ st.xi)) < 1e-13  # N^(3) xi = (L_xi f) xi = 2 h xi
                 for j in range(3):
                     # N^(2) antisymmetry
                     assert st.n2(e[i], e[j]) == pytest.approx(
@@ -172,7 +172,6 @@ def test_n_tensors_shapes(sasakian_r3):
     # the point axis first; a vector is a column, so it keeps an axis of its own
     assert st.n1(x, y).shape == (1, 3, 1, 1)
     assert st.n2(x, y).shape == (1, 1, 1)
-    assert st.n3(x).shape == (1, 3, 1)
     assert np.allclose(st.n1(x, y)[..., 0], bilinear(st.nijenhuis, x, y)[..., 0] + 2.0 * st.deta2(x, y) * st.xi)
     # direction matrices give every column pair: [i, a, b]
     d = np.hstack([x, y, x + y])
