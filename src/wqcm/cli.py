@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog as cat
 from .exprdsl import ExprSyntaxError, SchemaError, StructureDef, eval_tape, load_structure_def
 from .structure import PointState
 from .suites import CONCLUSION_FACTOR, EvaluationError, Tolerances, emit_report, evaluate
@@ -63,6 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_source(source: str) -> StructureDef:
     if source.startswith("builtin:"):
+        from . import catalog as cat  # only a built-in needs it
+
         spec = source.removeprefix("builtin:")
         key, _, query = spec.partition("?")
         if key not in cat.keys():
@@ -170,8 +171,8 @@ def _write(payload: bytes, output, stdout) -> None:
 
 
 def _fbasis(sdef: StructureDef, point: np.ndarray, args) -> tuple[list[str], bool]:
-    # the f-basis reads no derivative: first-order jets
-    st = PointState(point[None], eval_tape(sdef.tape, point[None], 1))
+    # the f-basis reads no derivative: the values alone
+    st = PointState(point[None], eval_tape(sdef.tape, point[None], 0))
     (basis,), (lam,), (g,) = st.fbasis[0], st.fbasis[1], st.g
     lines = [f"f-basis of {sdef.name} at ({args.at})", f"  xi = {basis[:, 0].tolist()}"]
     ok = True
@@ -217,6 +218,8 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
     with np.errstate(all="ignore"):
         try:
             if args.command == "list":
+                from . import catalog as cat  # only a built-in needs it
+
                 _write("".join(key + "\n" for key in cat.keys()).encode(), None, stdout)
                 return EXIT_OK
 

@@ -13,8 +13,14 @@ minus signs before them and apply in turn: -x^2 is -(x^2) and x^2^3 is
 (x^2)^3.  Exponents must be integer literals.  No syntax tree is built:
 `compile_tape` parses the text of every cell straight into one hash-consed
 flat tape, each distinct subexpression once, and `eval_tape` runs it over a
-chunk of points, giving the value and gradient of every cell at each point
-and, at jet order 2, its Hessian.
+chunk of points, giving each field's jet at each point to the order asked
+for that field: its value at order 0, and its gradient from order 1 and its
+Hessian at order 2 too.  A slot is differentiated only as far as the
+highest order among the fields it is a cell of and the slots that read it
+(`slot_orders`).  `suites.JETS` sets the orders: every field at order 2 for
+curvature rows and at order 1 for derivative rows, and for `validate`, whose
+state spans a whole 256-point chunk, the metric at order 0 and f and xi at
+order 1; an explicit Q is at order 0 in every run.
 
 Also home of the structure-definition file format: a JSON document holding
 the metric, the fundamental (1,1)-tensor and the characteristic vector
@@ -74,21 +80,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # instructions of each operation it reads after those of its operands, left to
 # right, and passes on the slot of its result.  Running the tape over a chunk
 # of P points computes the jet of every slot in order, for all points at once:
-# the tuple of its parts, values (P,) and gradients (P, d), and at jet order 2
-# Hessians (P, d, d).  Of the rules, only `_chain` and `_mul` see the order.  The
-# derivatives of a function of one slot (1/v, v^k, sqrt, exp, sin, cos) come
-# from Python floats, point by point, so each point gets the libm values that
-# scalar float arithmetic gives there, and the run raises as it does, at the
-# first value that fails (a zero division, a `sqrt` domain error, an overflow);
-# numpy's vector exp and power can differ in the last bit.
+# the tuple of its parts, values (P,), from jet order 1 gradients (P, d), and at
+# order 2 Hessians (P, d, d).  Each slot has its own order, that of
+# `slot_orders`, and reads the parts of its operands up to it; of the rules,
+# only `_chain` and `_mul` see the order.  The derivatives of a function of
+# one slot (1/v, v^k, sqrt, exp, sin, cos) come from Python floats, point by
+# point, so each point gets the libm values that scalar float arithmetic
+# gives there, and the run raises as it does, at the first value that fails
+# (a zero division, a `sqrt` domain error, an overflow); numpy's vector exp
+# and power can differ in the last bit.
 # exp, sin, cos and v^k map the libm call over the chunk's values; sin and
 # cos of one slot share one pair of calls, kept while that slot is live.  1/v
 # and sqrt stay scalar: a vector -1/(v*v) gives -inf where a float division
-# raises.  The second derivatives among them are computed at either order, so
-# a run fails the same way at both.  Every update adds symmetric terms
+# raises.  Their first and second derivatives are computed at every order, so
+# a run fails the same way at each.  Every update adds symmetric terms
 # (`cross + cross.T`, `outer(g, g)`) to symmetric matrices, and IEEE sums and
 # products commute, so Hessians are exactly symmetric.  The formulas and their
-# operand order are fixed, and the same at both orders: changing them changes
+# operand order are fixed, and the same at every order: changing them changes
 # the last bits of every report.
 
 # Each level of parentheses or calls recurses through at most five parser
@@ -286,7 +294,9 @@ FUNCTIONS = {"sin": _sin, "cos": _sin, "exp": _exp, "sqrt": _sqrt}
 
 def _chain(jet, f0, f1, f2):
     """Compose a jet with a function given its value and derivatives at each
-    point; the Hessian term only if the jet has one."""
+    point; the gradient and Hessian terms only if the jet has them."""
+    if len(jet) == 1:
+        return (f0,)
     g = jet[1]
     out = f0, f1[:, None] * g
     if len(jet) == 2:
@@ -295,6 +305,9 @@ def _chain(jet, f0, f1, f2):
 
 
 def _mul(a, b):
+    """The product of two jets of one order."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
     (va, ga), (vb, gb) = a[:2], b[:2]
     out = va * vb, va[:, None] * gb + vb[:, None] * ga
     if len(a) == 2:
@@ -303,29 +316,57 @@ def _mul(a, b):
     return out + (va[:, None, None] * b[2] + vb[:, None, None] * a[2] + (cross + cross.transpose(0, 2, 1)),)
 
 
-# field name -> (values, gradients, Hessians or None), with a leading point axis
-Fields = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+# field name -> (values, gradients or None, Hessians or None), with a leading point axis
+Fields = dict[str, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]
 
 
-def eval_tape(tape: Tape, points, order: int) -> Fields:
-    """Run the tape once over a chunk of points (P, d) -> fields, with jets of
-    `order` 1 or 2, each the tuple of its parts.
+def slot_orders(tape: Tape, order: dict[str, int]) -> tuple[int, ...]:
+    """The jet order of each slot of `tape` when its fields are wanted at
+    the orders {field name: order}.  A slot's order is the largest among
+    those of the fields it is a cell of and of the slots that read it: one
+    backward pass over the code."""
+    orders = [0] * len(tape.code)
+    for name, (slots, _) in tape.fields.items():
+        for slot in slots:
+            orders[slot] = max(orders[slot], order[name])
+    for k in reversed(range(len(tape.code))):
+        op, a, b = tape.code[k]
+        if op not in ("num", "var"):
+            orders[a] = max(orders[a], orders[k])
+        if op in _PRECEDENCE:
+            orders[b] = max(orders[b], orders[k])
+    return tuple(orders)
 
-    fields[name] = (v, dv, ddv) with v[p, ...] the field at point p,
-    dv[p, k, ...] = d_k v and, at order 2, ddv[p, k, l, ...] = d_k d_l v; at
-    order 1 a jet is (v, dv) and ddv is None.  Values and gradients are the
-    same bits at both orders.  Raises the first error it meets, the same at
-    both orders; over one point, the error of scalar evaluation there.  numpy's
-    floating-point warnings are off: scalar float arithmetic overflows to inf silently."""
+
+def eval_tape(tape: Tape, points, order, slot_order=None) -> Fields:
+    """Run the tape once over a chunk of points (P, d) -> fields, with the
+    jets of `order`: the jet order 0, 1 or 2 of every field, or {field name:
+    its order}, as `suites.JETS` gives them (for `validate`, the metric and an
+    explicit Q at order 0 and f and xi at order 1).  Each slot's jet, the
+    tuple of its parts, is of its order in `slot_order`, by default
+    `slot_orders(tape, order)`, which a caller that runs the tape over many
+    chunks computes once.
+
+    fields[name] = (v, dv, ddv) with v[p, ...] the field at point p, from
+    order 1 dv[p, k, ...] = d_k v, and at order 2 ddv[p, k, l, ...] = d_k d_l v;
+    a part above the field's order is None.  Values, gradients and Hessians
+    are the same bits at every order of the field and of the slots.  Raises
+    the first error it meets, the same at every order; over one point, the
+    error of scalar evaluation there.  numpy's floating-point warnings are
+    off: scalar float arithmetic overflows to inf silently."""
+    if isinstance(order, int):
+        order = dict.fromkeys(tape.fields, order)
+    if slot_order is None:
+        slot_order = slot_orders(tape, order)
     points = np.asarray(points, dtype=float)
     npts, d = points.shape
-    leads = ((npts,), (npts, d), (npts, d, d))[: order + 1]
+    leads = ((npts,), (npts, d), (npts, d, d))[: max(slot_order) + 1]
     zeros = tuple(np.zeros(lead) for lead in leads[1:])  # the derivatives of a constant
     fields: Fields = {}
     targets: dict[int, list] = {}  # slot -> [(its field's arrays with the cells flattened, cell)]
     for name, (slots, shape) in tape.fields.items():
-        arrays = tuple(np.empty(lead + shape) for lead in leads)
-        fields[name] = arrays if order == 2 else arrays + (None,)
+        arrays = tuple(np.empty(lead + shape) for lead in leads[: order[name] + 1])
+        fields[name] = arrays + (None,) * (2 - order[name])
         flat = tuple(a.reshape(a.shape[: a.ndim - len(shape)] + (-1,)) for a in arrays)
         for cell, slot in enumerate(slots):
             targets.setdefault(slot, []).append((flat, cell))
@@ -334,33 +375,38 @@ def eval_tape(tape: Tape, points, order: int) -> Fields:
     sines: dict[int, tuple] = {}  # argument slot -> the jet of its sin, while that slot is live
     with np.errstate(all="ignore"):
         for k, (op, a, b) in enumerate(tape.code):
+            n = slot_order[k]
+            cut = slice(n + 1)  # the parts of the operands' jets that this slot reads
             if op == "num":
-                jet = (np.full(npts, float(a)), *zeros)
+                jet = (np.full(npts, float(a)), *zeros[:n])
             elif op == "var":
-                g = np.zeros((npts, d))
-                g[:, a] = 1.0
-                jet = (points[:, a], g, *zeros[1:])
+                jet = (points[:, a],)
+                if n:
+                    g = np.zeros((npts, d))
+                    g[:, a] = 1.0
+                    jet += (g, *zeros[1:n])
             elif op == "neg":
-                jet = tuple(map(np.negative, jets[a]))
+                jet = tuple(map(np.negative, jets[a][cut]))
             elif op == "+":
-                jet = tuple(map(np.add, jets[a], jets[b]))
+                jet = tuple(map(np.add, jets[a][cut], jets[b][cut]))
             elif op == "-":
-                jet = tuple(map(np.subtract, jets[a], jets[b]))
+                jet = tuple(map(np.subtract, jets[a][cut], jets[b][cut]))
             elif op == "*":
-                jet = _mul(jets[a], jets[b])
+                jet = _mul(jets[a][cut], jets[b][cut])
             elif op == "/":  # a times the reciprocal of b
-                jet = _mul(jets[a], _chain(jets[b], *_reciprocal(jets[b][0].tolist())))
+                jet = _mul(jets[a][cut], _chain(jets[b][cut], *_reciprocal(jets[b][0].tolist())))
             elif op == "^" and b == 0:
-                jet = (np.ones(npts), *zeros)
+                jet = (np.ones(npts), *zeros[:n])
             elif op in ("sin", "cos"):  # one libm (sin, cos) pair per argument slot
                 if a not in sines:
                     sines[a] = _sin(jets[a][0].tolist())
                 s, c, minus_s = sines[a]
-                jet = _chain(jets[a], s, c, minus_s) if op == "sin" else _chain(jets[a], c, minus_s, -c)
+                arg = jets[a][cut]
+                jet = _chain(arg, s, c, minus_s) if op == "sin" else _chain(arg, c, minus_s, -c)
             else:
                 v = jets[a][0]
                 xs = v.tolist()
-                jet = _chain(jets[a], *(_power(b, v, xs) if op == "^" else FUNCTIONS[op](xs)))
+                jet = _chain(jets[a][cut], *(_power(b, v, xs) if op == "^" else FUNCTIONS[op](xs)))
             jets[k] = jet
             for flat, cell in targets.get(k, ()):
                 for target, part in zip(flat, jet):

@@ -20,10 +20,9 @@ A `PointState` is the only object that holds data for chart points: a block
 of P points, and all of it as plain arrays with the point axis first.  It
 holds the component arrays of g, f, xi and an explicit Q (values, gradients
 and, from jets of order 2, Hessians: the block's part of one run of the
-structure's compiled `StructureDef.tape` over a chunk of points; from jets
-of order 1 the Hessians `ddg`, `ddf` and `ddxi` are None, so that what reads
-them, `dh_xi`, `curvature_xi` and `xi_div_xi`, raises), the g-orthonormal
-frame, the connection, the curvature R_{., .} xi, ell, Ric(xi, xi) and
+structure's compiled `StructureDef.tape` over a chunk of points; a part
+above its field's jet order is None, so that what reads it raises), the
+g-orthonormal frame, the connection, the curvature R_{., .} xi, ell, Ric(xi, xi) and
 nabla_xi h (xi is contracted before the connection and h are
 differentiated, so d Gamma, dh and the full curvature tensor are never
 built), and what all check suites share there: the test-direction matrices
@@ -54,7 +53,15 @@ class PointState:
     """All tensor data of a weak a.c.m. structure at a block of chart points
     (`points`, P x d).  `fields` are the arrays of `eval_tape` over `points`.
     Given `lanes` (a slice or a boolean mask), the state is that of those
-    points only."""
+    points only.
+
+    A part above a field's jet order is None, and what reads it raises.  With
+    every field at order 1 (`identity`, `classify`), `ddg`, `ddf` and `ddxi`
+    are None, so `dh_xi`, `curvature_xi` and `xi_div_xi` raise.  `validate`
+    evaluates the metric at order 0 and f and xi at order 1: `dg` is None too,
+    so the connection, d eta and everything built on them raise, and its
+    state spans a whole 256-point chunk of the tape, where the other suites
+    take 32-point blocks (`suites.JETS`).  An explicit Q is at order 0."""
 
     def __init__(self, points, fields: Fields, lanes=None):
         self.points = np.asarray(points, dtype=float)

@@ -15,13 +15,16 @@ participating term), and those of the axioms that multiply tensors by
 `evaluate` runs a suite at the sample points of a count and seed, which it
 draws itself, and is the only loop over sample points.  It runs the structure's
 tape once per chunk of points and builds one `PointState` for each block of
-`BLOCK` points of the chunk, so each check runs once per block.  The jets
-are of the order the checks need: second derivatives (a chunk of one block)
+the chunk, so each check runs once per block.  The highest tier of the
+checks a run needs picks, in `JETS`, each field's jet order and the sizes
+of chunks and blocks: second derivatives (a chunk of one 32-point block)
 only when a curvature-tier check runs, first derivatives (a chunk of eight
-blocks) otherwise.  A hypothesis (`gate`) is a mask over the block: a check
-is asserted only at the points where its hypothesis passes, on the state of
-just those points, and reported as "skipped", never as a failure, when that
-holds at no point.  When anything fails in a chunk, its halves are evaluated
+blocks) when a derivative-tier check does, and for the algebraic rows of
+`validate` the metric's values alone and f and xi to first order, with
+one block of the whole 256-point chunk.  A hypothesis (`gate`) is a mask
+over the block: a check is asserted only at the points where its hypothesis
+passes, on the state of just those points, and reported as "skipped", never
+as a failure, when that holds at no point.  When anything fails in a chunk, its halves are evaluated
 in sample order, each split again while it fails, so that the error names the
 first point in sample order where anything fails, with that point's own
 message.  A residual is read as a size, in `_residuals` only: a negative one
@@ -52,7 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprdsl import StructureDef, eval_tape
+from .exprdsl import StructureDef, eval_tape, slot_orders
 from .geometry import bilinear, mT
 from .structure import PointState
 
@@ -504,18 +507,34 @@ class EvaluationError(ValueError):
     """Evaluating the structure failed at a sample point."""
 
 
-# Sample points per `PointState`.  A state of 32 points on a 7-dimensional
-# chart takes about 1.4 MB of field arrays at jet order 2, and about as much
-# again of derived tensors; states of 32 keep the per-call overhead of the
-# checks small against their array work.  A jet of order 1 holds 1 + d
-# numbers per point against 1 + d + d^2 at order 2, so at order 1 the tape
-# runs over chunks of eight blocks: a chunk's arrays, (1 + 7) * 256 numbers
-# per cell at d = 7, are about one order-2 block's, (1 + 7 + 49) * 32, and
-# the tape's per-instruction overhead is spread over eight times the points.
-# The states stay at one block each: one state per 256-point chunk raised the
-# peak RSS of `classify` on sasakian-r7 at 1,000 points from 34 to 47 MB.  At
-# order 2 a chunk is one block.
+# Sample points per `PointState` where checks build arrays over direction
+# pairs.  A state of 32 points on a 7-dimensional chart takes about 1.4 MB of
+# field arrays at jet order 2, and about as much again of derived tensors;
+# states of 32 keep the per-call overhead of the checks small against their
+# array work.
 BLOCK = 32
+
+# The highest tier of the checks a run needs -> (the jet order of each field,
+# points per chunk of the tape, points per state).
+#   curv: every field at order 2, over chunks of one block.
+#   deriv: order 1.  A jet of order 1 holds 1 + d numbers per point against
+#     1 + d + d^2 at order 2, so the tape runs over chunks of eight blocks: a
+#     chunk's arrays, (1 + 7) * 256 numbers per cell at d = 7, are about one
+#     order-2 block's, (1 + 7 + 49) * 32, and the tape's per-instruction
+#     overhead is spread over eight times the points.  The states stay at one
+#     block each: one state per 256-point chunk raised the peak RSS of
+#     `classify` on sasakian-r7 at 1,000 points from 34 to 47 MB.
+#   algebraic (`validate`): the axioms are pointwise algebraic in g, f and xi,
+#     and h = (1/2) L_xi f reads derivatives of f and xi only, so the metric is
+#     at order 0 and f and xi at order 1.  These rows build only (P, d, d)
+#     arrays, so one state spans the whole chunk.
+# The explicit Q is at order 0 in every run: only `Q-consistency` reads it,
+# and only its value.
+JETS = {
+    "curv": ({"metric": 2, "f": 2, "xi": 2, "q": 0}, BLOCK, BLOCK),
+    "deriv": ({"metric": 1, "f": 1, "xi": 1, "q": 0}, 8 * BLOCK, BLOCK),
+    "algebraic": ({"metric": 0, "f": 1, "xi": 1, "q": 0}, 8 * BLOCK, 8 * BLOCK),
+}
 
 
 def _record(cid, paper, residual, tol, points) -> CheckRecord:
@@ -615,15 +634,15 @@ def evaluate(sdef: StructureDef, suite: str, count: int, seed: int,
     def tol(cid):
         return getattr(tolerances, CHECKS[cid].tier)
 
-    # Hessians only where a curvature row needs them
-    jet_order = 2 if any(CHECKS[cid].tier == "curv" for cid in order) else 1
-    chunk_size = BLOCK if jet_order == 2 else 8 * BLOCK
+    top = max((CHECKS[cid].tier for cid in order), key=Tolerances._fields.index)  # the tiers by derivative depth
+    field_orders, chunk_size, block = JETS[top]
+    slot_order = slot_orders(sdef.tape, field_orders)  # once: the halving search re-runs the tape
 
     def run(chunk) -> list[dict]:
-        """The residuals of each `BLOCK`-point state of `chunk`; raises what fails first."""
-        fields = eval_tape(sdef.tape, chunk, jet_order)
-        return [_residuals(PointState(chunk, fields, slice(lo, lo + BLOCK)), order, tol)
-                for lo in range(0, len(chunk), BLOCK)]
+        """The residuals of each `block`-point state of `chunk`; raises what fails first."""
+        fields = eval_tape(sdef.tape, chunk, field_orders, slot_order)
+        return [_residuals(PointState(chunk, fields, slice(lo, lo + block)), order, tol)
+                for lo in range(0, len(chunk), block)]
 
     def split(chunk) -> list[dict]:
         """`run(chunk)`; when that raises, the halves of the chunk in sample

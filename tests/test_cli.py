@@ -712,6 +712,27 @@ def test_a_check_command_loads_neither_numpy_random_nor_hashlib():
     assert proc.stderr == "False False\n"
 
 
+CATALOG_PROBE = """
+import atexit, sys
+sys.argv[0] = "wqcm"
+atexit.register(lambda: print("wqcm.catalog" in sys.modules, file=sys.stderr))
+from wqcm.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", str(HEISENBERG), "--no-timestamp"], False),
+    (["validate", "builtin:sasakian-r3", "--no-timestamp"], True),
+    (["list"], True),
+], ids=["file", "builtin", "list"])
+def test_only_a_built_in_loads_the_catalog(argv, loaded):
+    """A command on a structure file never imports `wqcm.catalog`."""
+    proc = python(["-c", CATALOG_PROBE, *argv])
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == f"{loaded}\n"
+
+
 def _nan_doc():
     return json.loads(Path(NAN).read_text())
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import types
@@ -365,22 +366,52 @@ def test_padding_by_one_leaves_every_jet_unchanged():
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, name
 
 
-@pytest.mark.parametrize("order", [1, 2])
+# a mapping under which a slot that fields of several orders share is
+# differentiated for the highest of them
+MIXED = {"metric": 0, "f": 1, "xi": 2}
+
+
+def field_order(order, name):
+    return order if isinstance(order, int) else order[name]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, MIXED], ids=str)
 def test_a_run_over_pieces_equals_the_run_over_the_whole(order):
     """The tape is element-wise over points: over 300 points of the padded
     fixture, the run over the pieces split at 31, 128 and 256 points gives
-    the bits of the one run over all of them."""
+    the bits of the one run over all of them, and the parts a field has at
+    its order are the bits of the run with every field at order 2."""
     sdef = load_structure_def(PADDED.read_bytes())
     points = points_for(sdef, count=300)
-    whole = eval_tape(sdef.tape, points, order)
+    whole, full = eval_tape(sdef.tape, points, order), eval_tape(sdef.tape, points, 2)
     pieces = [eval_tape(sdef.tape, points[lo:hi], order) for lo, hi in [(0, 31), (31, 128), (128, 256), (256, 300)]]
     for name, arrays in whole.items():
         for k, array in enumerate(arrays):
             if array is None:
-                assert order == 1 and k == 2
+                assert k > field_order(order, name)
                 continue
             joined = np.concatenate([piece[name][k] for piece in pieces])
-            assert joined.tobytes() == array.tobytes(), (name, k)
+            assert joined.tobytes() == array.tobytes() == full[name][k].tobytes(), (name, k)
+
+
+def test_a_slot_is_differentiated_to_the_highest_order_that_reads_it():
+    """A slot's order is the largest of its fields' orders and of its
+    readers' orders: the metric's own slots stay at order 0, a slot that xi
+    reads from it is at order 2, and so is every operand below it; a cell
+    that q, at order 0, shares with f keeps f's order."""
+    tape = compile_tape({"metric": ["x * y", "exp(z)"], "f": ["sin(y)"], "xi": ["x * y + 1"], "q": ["sin(y)"]}, COORDS)
+    orders = {**MIXED, "q": 0}
+    order = dict(zip(tape.code, exprdsl.slot_orders(tape, orders)))
+    assert order == {
+        ("var", 0, None): 2, ("var", 1, None): 2, ("*", 0, 1): 2,  # x * y, a cell of the metric and read by xi
+        ("var", 2, None): 0, ("exp", 3, None): 0,  # the metric's own
+        ("sin", 1, None): 1,  # a cell of f and of q
+        ("num", 1.0, None): 2, ("+", 2, 6): 2,  # xi
+    }
+    assert exprdsl.slot_orders(tape, dict.fromkeys(orders, 1)) == (1,) * len(tape.code)
+    fields = eval_tape(tape, points_for(catalog("sasakian-r3"), count=4), orders)
+    assert [tuple(a is not None for a in fields[name]) for name in orders] == [
+        (True, False, False), (True, True, False), (True, True, True), (True, False, False)]
 
 
 def peak_live_slots(tape) -> int:
@@ -460,28 +491,38 @@ def error_of(outcome):
 
 
 def assert_block_matches_scalar(tape, points):
-    """`eval_tape` at jet order 1 and 2, without a warning: over the block it
-    raises if and only if the scalar tape raises at some point, and then the
-    error of one such point; each point alone raises the scalar tape's error
-    there, by type and message, or gives the scalar tape's values, gradients
-    and (at order 2) Hessians bit for bit; and a block that raises nothing
-    gives them at every point."""
+    """`eval_tape` with every field at jet order 0, 1 and 2 and with the
+    fields at orders 0, 1, 2, 0, ... in turn, without a warning: over the
+    block it raises if and only if the scalar tape raises at some point, and
+    then the error of one such point, the same at every order; each point
+    alone raises the scalar tape's error there, by type and message, or
+    gives the scalar tape's values, gradients and Hessians up to each
+    field's order bit for bit; and a block that raises nothing gives them at
+    every point, and the bits of the block at order 2."""
     wants = [scalar_outcome(tape, point) for point in points]
     scalar_errors = {error_of(want) for want in wants} - {None}
-    for order in (1, 2):
+    full = tape_outcome(tape, points, 2)
+    for order in (0, 1, 2, dict(zip(tape.fields, itertools.cycle((0, 1, 2))))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = tape_outcome(tape, points, order)
             alone = [tape_outcome(tape, points[p : p + 1], order) for p in range(len(points))]
         assert error_of(block) in (scalar_errors or {None})
+        assert error_of(block) == error_of(full), order
         for p, (point, want) in enumerate(zip(points, wants)):
             assert error_of(alone[p]) == error_of(want), (order, point)
             if isinstance(want, Exception):
                 continue
             for fields, lane in [(alone[p], 0)] + ([] if scalar_errors else [(block, p)]):
                 for name, jets in want.items():
-                    for got, exact in zip(fields[name][: order + 1], jets):
+                    parts = field_order(order, name) + 1
+                    assert all(part is None for part in fields[name][parts:]), (order, name)
+                    for got, exact in zip(fields[name][:parts], jets):
                         assert np.array_equal(got[lane], exact, equal_nan=True), (order, point)
+        if not scalar_errors:
+            for name, arrays in block.items():
+                for k, array in enumerate(arrays[: field_order(order, name) + 1]):
+                    assert array.tobytes() == full[name][k].tobytes(), (order, name, k)
 
 
 @pytest.mark.parametrize("cell, bad", TAPE_ERRORS)
@@ -524,7 +565,9 @@ def risky_cells(draw):
 @settings(max_examples=300, deadline=None)
 @given(risky_cells(), st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), min_size=2, max_size=6))
 def test_block_tape_matches_scalar_tape(cells, points):
-    assert_block_matches_scalar(compile_tape({"e": cells}, COORDS), np.array(points))
+    # three fields that share cells, so that slots are read at several orders
+    fields = {"metric": cells, "f": cells[::-1], "xi": cells[:1]}
+    assert_block_matches_scalar(compile_tape(fields, COORDS), np.array(points))
 
 
 def test_sin_and_cos_run_once_per_point_and_argument(monkeypatch):

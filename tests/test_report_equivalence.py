@@ -40,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import state_at
+from conftest import sasakian_r3_edited, state_at
 from test_perfbench_oracle import WORKLOADS
 from wqcm import geometry, suites
 from wqcm.catalog import catalog, document
@@ -171,9 +171,13 @@ def test_run_all_builds_curvature_and_f_basis_once_per_block(monkeypatch):
     assert 0 < calls["eigh"] <= 2 * 2
 
 
+# the jet orders of the fields of a run, by the highest tier of the checks it needs
+CURV, DERIV, ALGEBRAIC = ({"metric": m, "f": o, "xi": o, "q": 0} for m, o in [(2, 2), (1, 1), (0, 1)])
+
+
 def record_states_and_blocks(monkeypatch):
     """Weak references to every `PointState` built and to every field array
-    of the tape, and the (points, jet order) of each run of the tape; running
+    of the tape, and the (points, field jet orders) of each run of the tape; running
     the tape over a chunk asserts that no earlier chunk is alive, a chunk
     whose run of the tape raised included."""
     states, arrays, chunks = [], [], []
@@ -186,12 +190,12 @@ def record_states_and_blocks(monkeypatch):
     def record(fields):
         arrays.extend(weakref.ref(a) for jets in fields.values() for a in jets if a is not None)
 
-    def recorded_tape(tape, points, order):
+    def recorded_tape(tape, points, order, slot_order=None):
         # without a garbage collection: nothing but a reference holds a chunk
         assert not [ref for ref in arrays if ref() is not None]
         chunks.append((len(points), order))
         try:
-            fields = eval_tape(tape, points, order)
+            fields = eval_tape(tape, points, order, slot_order)
         except (ValueError, ArithmeticError) as exc:
             # the field arrays of a run that raised, as its frame holds them
             record(exc.__traceback__.tb_next.tb_frame.f_locals["fields"])
@@ -208,7 +212,7 @@ def test_one_state_per_block_and_none_outlives_evaluate(monkeypatch):
     states, arrays, chunks = record_states_and_blocks(monkeypatch)
     evaluate(catalog("sasakian-r3"), "all", 8, 7)
     gc.collect()
-    assert chunks == [(8, 2)] and len(states) == 1
+    assert chunks == [(8, CURV)] and len(states) == 1
     assert len(arrays) == 9  # one block: v, dv, ddv of metric, f and xi
     assert states[0]() is None
     assert not [ref for ref in arrays if ref() is not None]
@@ -224,19 +228,21 @@ def test_no_sub_state_outlives_evaluate(monkeypatch):
     assert not [ref for ref in arrays if ref() is not None]
 
 
-@pytest.mark.parametrize("suite, count, chunks, arrays_per_chunk", [
-    # jets of order 1 over chunks of 8 blocks: v and dv of metric, f and xi
-    ("validate", 2 * 8 * suites.BLOCK + 1, [(8 * suites.BLOCK, 1)] * 2 + [(1, 1)], 6),
+@pytest.mark.parametrize("suite, count, chunks, block, arrays_per_chunk", [
+    # the metric's values and the jets of order 1 of f and xi over chunks of
+    # 8 blocks, each chunk one state: v of metric, v and dv of f and xi
+    ("validate", 2 * 8 * suites.BLOCK + 1, [(8 * suites.BLOCK, ALGEBRAIC)] * 2 + [(1, ALGEBRAIC)],
+     8 * suites.BLOCK, 5),
     # the curvature rows need order 2, over chunks of one block: v, dv and ddv
-    ("curvature", 2 * suites.BLOCK + 1, [(suites.BLOCK, 2)] * 2 + [(1, 2)], 9),
+    ("curvature", 2 * suites.BLOCK + 1, [(suites.BLOCK, CURV)] * 2 + [(1, CURV)], suites.BLOCK, 9),
 ])
-def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, chunks, arrays_per_chunk):
+def test_one_block_of_field_arrays_alive_at_a_time(monkeypatch, suite, count, chunks, block, arrays_per_chunk):
     """One chunk of tape arrays alive at a time, and one state per block of
-    `suites.BLOCK` points (every gate of sasakian-r3 passes everywhere)."""
+    `block` points (every gate of sasakian-r3 passes everywhere)."""
     states, arrays, seen = record_states_and_blocks(monkeypatch)
     evaluate(catalog("sasakian-r3"), suite, count, 7)
     assert seen == chunks
-    assert len(states) == -(-count // suites.BLOCK) and len(arrays) == len(chunks) * arrays_per_chunk
+    assert len(states) == -(-count // block) and len(arrays) == len(chunks) * arrays_per_chunk
     assert not [ref for ref in arrays if ref() is not None]
 
 
@@ -246,10 +252,10 @@ HALVES_TO_LANE_40 = [32, 32, 16, 8, 8, 4, 2, 1]
 
 
 @pytest.mark.parametrize("suite, chunks, arrays_per_chunk", [
-    # the one 64-point chunk of order 1 fails, then its halves are searched
-    ("validate", [(64, 1)] + [(size, 1) for size in HALVES_TO_LANE_40], 6),
+    # the one 64-point chunk fails, then its halves are searched
+    ("validate", [(64, ALGEBRAIC)] + [(size, ALGEBRAIC) for size in HALVES_TO_LANE_40], 5),
     # 32-point chunks of order 2: lanes 0-31 are the first chunk
-    ("all", [(size, 2) for size in HALVES_TO_LANE_40], 9),
+    ("all", [(size, CURV) for size in HALVES_TO_LANE_40], 9),
 ])
 @pytest.mark.parametrize("cell, message", [
     ("(x - ({x}))^2", "metric is not positive definite"),
@@ -272,7 +278,7 @@ def test_no_array_of_a_failed_chunk_outlives_its_failure(monkeypatch, suite, chu
 
 
 def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
-    """A 128-point chunk of order 1 that fails at lane 127 alone runs the
+    """A 128-point chunk of `validate` that fails at lane 127 alone runs the
     tape at most 2 * log2(128) + 1 = 15 times: the chunk, then two halves
     per level (one passes, one fails) down to the one point."""
     points = suites.sample_points(128, 7, document("flat-const")["domain"])
@@ -283,11 +289,12 @@ def test_a_failed_chunk_is_searched_in_logarithmically_many_runs(monkeypatch):
     with pytest.raises(suites.EvaluationError) as error:
         evaluate(sdef, "validate", 128, 7)
     assert str(error.value) == f"at sample point {points[127].tolist()}: negative power of zero jet value"
-    assert seen[0] == (128, 1) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
+    assert seen[0] == (128, ALGEBRAIC) and len(seen) <= 2 * math.ceil(math.log2(128)) + 1
 
 
-@pytest.mark.parametrize("suite, cid", [("all", "n2-nabla-eta"), ("validate", "axiom-f-square")])
-def test_a_chunk_that_fails_only_whole_reports_its_halves(monkeypatch, suite, cid):
+# a state of `validate` spans its chunk, here all 40 points
+@pytest.mark.parametrize("suite, cid, block", [("all", "n2-nabla-eta", suites.BLOCK), ("validate", "axiom-f-square", 40)])
+def test_a_chunk_that_fails_only_whole_reports_its_halves(monkeypatch, suite, cid, block):
     """A residual that raises on every state of more than one point fails
     each chunk and passes at each point alone, so the chunks are split down
     to single points: the report put together from the halves equals the
@@ -304,7 +311,7 @@ def test_a_chunk_that_fails_only_whole_reports_its_halves(monkeypatch, suite, ci
 
     monkeypatch.setitem(suites.CHECKS, cid, check._replace(residual=only_alone))
     got = evaluate(sdef, suite, 40, 7)
-    assert raised[0] == suites.BLOCK
+    assert raised[0] == block
     assert_same_report(*(dict(vars(r), checks=[c._asdict() for c in r.checks]) for r in (got, want)))
 
 
@@ -327,15 +334,17 @@ def tolerance(tol_deriv):
     return lambda cid: getattr(tolerances, suites.CHECKS[cid].tier)
 
 
-def block_states(sdef, points, jet_order):
-    """The states of `suites.evaluate`: the tape over chunks of one block at
-    jet order 2 and of eight at order 1, one state per block of a chunk."""
-    step = suites.BLOCK if jet_order == 2 else 8 * suites.BLOCK
+def block_states(sdef, points, tier):
+    """The states of `suites.evaluate` for a run whose highest tier is
+    `tier`: the tape over chunks of one block with every field at jet order 2
+    (curv), of eight blocks at order 1 (deriv), and of eight blocks with the
+    metric at order 0 (algebraic), one state per block of a chunk."""
+    orders, step, block = suites.JETS[tier]
     for start in range(0, len(points), step):
         chunk = points[start : start + step]
-        fields = suites.eval_tape(sdef.tape, chunk, jet_order)
-        for lo in range(0, len(chunk), suites.BLOCK):
-            yield PointState(chunk, fields, slice(lo, lo + suites.BLOCK))
+        fields = suites.eval_tape(sdef.tape, chunk, orders)
+        for lo in range(0, len(chunk), block):
+            yield PointState(chunk, fields, slice(lo, lo + block))
 
 
 @settings(max_examples=24, deadline=None)
@@ -344,20 +353,21 @@ def block_states(sdef, points, jet_order):
     count=st.sampled_from([1, 31, 33, 70, 130]),
     seed=st.integers(0, 1000),
     tol_deriv=st.sampled_from([1e-9, 6.0]),
-    jet_order=st.sampled_from([1, 2]),
+    tier=st.sampled_from(["algebraic", "deriv", "curv"]),
 )
-def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_deriv, jet_order):
-    """Every check of the registry (at jet order 1, every check that is not
-    of the curvature tier), over the blocks of `suites.evaluate` and over
+def test_block_evaluation_equals_one_point_at_a_time(index, count, seed, tol_deriv, tier):
+    """Every check of the registry (for a run of the derivative tier, every
+    check that is not of the curvature tier; for one of the algebraic tier,
+    the `validate` rows), over the blocks of `suites.evaluate` and over
     each point as its own state of one from jets of order 2: the same points
     asserted, and residuals within 1e-12 (NaN where NaN).  A quasi tolerance
     of 6 gates some points of scaled n=1 in and others out."""
     sdef = structure(index)
     tol = tolerance(tol_deriv)
     assert sorted(suites._with_hypotheses(suites.CHECKS)) == sorted(suites.CHECKS)
-    order = suites._with_hypotheses(suites.CHECKS) if jet_order == 2 else FIRST_ORDER
+    order = {"curv": suites._with_hypotheses(suites.CHECKS), "deriv": FIRST_ORDER, "algebraic": suites.VALIDATE}[tier]
     points = np.array(suites.sample_points(count, seed, sdef.domain))
-    blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, jet_order)]
+    blocks = [suites._residuals(state, order, tol) for state in block_states(sdef, points, tier)]
     singles = [suites._residuals(state_at(sdef, p), order, tol) for p in points]
     for cid in order:
         value = np.concatenate([b[cid][0] for b in blocks])
@@ -379,7 +389,7 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
     sdef, tol = structure(index), tolerance(tol_deriv)
     assert all(suites.CHECKS[cid].tier != "curv" for cid in FIRST_ORDER)
     points = np.array(suites.sample_points(suites.BLOCK, 7, sdef.domain))
-    (first,), (second,) = (list(block_states(sdef, points, jet_order)) for jet_order in (1, 2))
+    (first,), (second,) = (list(block_states(sdef, points, tier)) for tier in ("deriv", "curv"))
     assert first.ddg is None and first.ddf is None and first.ddxi is None
     one, two = suites._residuals(first, FIRST_ORDER, tol), suites._residuals(second, FIRST_ORDER, tol)
     for cid in FIRST_ORDER:
@@ -392,11 +402,48 @@ def test_checks_below_the_curvature_tier_read_no_second_derivative(index, tol_de
         first.curvature_xi
 
 
+def sasakian_r3_with_q():
+    """sasakian-r3 with a varying xi and f, and an explicit Q that `Q-consistency` reads."""
+    doc = sasakian_r3_edited()
+    doc["Q"] = [[f"{i} * x1 + z^{j + 1}" for j in range(3)] for i in range(3)]
+    return load_structure_def(doc)
+
+
+@pytest.mark.parametrize("sdef", [structure(index) for index in range(len(STRUCTURES))] + [sasakian_r3_with_q()],
+                         ids=[f"{k}{p or ''}" for k, p in STRUCTURES] + ["sasakian-r3-with-q"])
+def test_the_validate_rows_read_no_derivative_of_the_metric(sdef):
+    """On one state of 256 points with the jet orders of `validate` (the
+    metric and an explicit Q at order 0, f and xi at order 1) and on the
+    states of 32 of the same points with every field at order 2, every
+    `validate` row gives the same bits and is asserted at the same points.
+    What reads a derivative of the metric raises on the `validate` state."""
+    tol = tolerance(1e-9)
+    orders, chunk, block = suites.JETS["algebraic"]
+    assert chunk == block == 8 * suites.BLOCK
+    points = np.array(suites.sample_points(chunk, 7, sdef.domain))
+    (state,) = block_states(sdef, points, "algebraic")
+    assert len(state.points) == chunk
+    assert state.dg is None and state.ddg is None and state.ddf is None and state.ddxi is None
+    assert state.df is not None and state.dxi is not None
+    assert ("q" in sdef.tape.fields) == (state.q_explicit is not None)
+    one = suites._residuals(state, suites.VALIDATE, tol)
+    blocks = [suites._residuals(st, suites.VALIDATE, tol) for st in block_states(sdef, points, "curv")]
+    for cid in suites.VALIDATE:
+        for k in range(2):  # sizes, then where asserted
+            joined = np.concatenate([b[cid][k] for b in blocks])
+            assert np.array_equal(one[cid][k], joined, equal_nan=True), cid
+    for name in ("gamma", "nabla_xi", "deta"):  # None in an operation, or as a 0-d array of matmul
+        with pytest.raises((TypeError, ValueError)):
+            getattr(state, name)
+
+
 @pytest.mark.parametrize("suite, jet_order", [
-    ("validate", 1), ("classify", 1), ("identity", 1), ("curvature", 2), ("theorems", 2), ("all", 2),
+    ("validate", ALGEBRAIC), ("classify", DERIV), ("identity", DERIV), ("curvature", CURV), ("theorems", CURV),
+    ("all", CURV),
 ])
 def test_the_jet_order_is_that_of_the_checks_run(monkeypatch, suite, jet_order):
-    """Second derivatives only for a suite that runs a curvature-tier check."""
+    """Second derivatives only for a suite that runs a curvature-tier check,
+    and derivatives of the metric only for one that runs a derivative-tier check."""
     _, _, chunks = record_states_and_blocks(monkeypatch)
     evaluate(structure(0), suite, 8, 7)
     assert chunks == [(8, jet_order)]
@@ -444,7 +491,8 @@ def test_chunk_boundaries_equal_one_point_at_a_time(index, suite, count):
 @pytest.mark.parametrize("index", range(len(STRUCTURES)), ids=[f"{k}{p or ''}" for k, p in STRUCTURES])
 def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_deriv):
     """A chunk where nothing fails is never searched by halves, so an error
-    in the batched checks themselves cannot hide behind that slower path."""
+    in the batched checks themselves cannot hide behind that slower path.  A
+    state of `validate` spans its chunk."""
     sizes = []
     residuals = suites._residuals
 
@@ -454,4 +502,4 @@ def test_a_clean_run_evaluates_each_block_once(monkeypatch, index, suite, tol_de
 
     monkeypatch.setattr(suites, "_residuals", counted)
     evaluate(structure(index), suite, suites.BLOCK + 8, 7, suites.Tolerances(deriv=tol_deriv))
-    assert sizes == [suites.BLOCK, 8]
+    assert sizes == ([suites.BLOCK + 8] if suite == "validate" else [suites.BLOCK, 8])
